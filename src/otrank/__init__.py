@@ -44,6 +44,7 @@ from .model import (
     as2_loss,
     dependency_score,
     edge_weights,
+    extract_features,
     gcn_forward,
     init_model_params,
     score_candidate,
@@ -55,10 +56,12 @@ from .sinkhorn import (
     SinkhornSettings,
     TransportPlan,
     align_sentence,
+    align_sentences,
     cost_matrix,
     relevant_context,
     sentence_representation,
     sinkhorn_plan,
+    sinkhorn_plans,
     transport_cost,
 )
 from .synthetic import make_synthetic_corpus

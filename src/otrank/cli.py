@@ -21,8 +21,20 @@ from . import __version__
 from .corpus import load_corpus
 from .embeddings import build_frequency_table, load_embedding_store
 from .errors import OtrankError
-from .metrics import evaluate, per_question_rows, rank_candidates
-from .model import extract_instance_features, extract_window_features, window_forward
+# evaluate, extract_instance_features, rank_candidates and window_forward stay
+# importable here: perfbench/tracing.py wraps them as cli attributes.
+from .metrics import (  # noqa: F401
+    evaluate,
+    mean_report,
+    per_question_rows,
+    rank_candidates,
+    rank_questions,
+)
+from .model import (  # noqa: F401
+    extract_instance_features,
+    extract_window_features,
+    window_forward,
+)
 from .training import TrainConfig, gradcheck, load_checkpoint, save_checkpoint, train
 
 logger = logging.getLogger("otrank")
@@ -135,12 +147,9 @@ def _cmd_rerank(args) -> int:
     ckpt, store = _load_eval_inputs(args)
     corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
     out = _require_parent(args.out, "rankings")
-    settings = ckpt.config.sinkhorn_settings()
+    rankings = rank_questions(corpus.instances, ckpt, store)
     with out.open("w", encoding="utf-8") as fh:
-        for inst in corpus.instances:
-            feats = extract_instance_features(inst, store, ckpt.freq_table, settings)
-            scored = [(f.window_id, window_forward(f, ckpt.params).p) for f in feats]
-            ranking = rank_candidates(scored)
+        for inst, ranking in zip(corpus.instances, rankings):
             fh.write(
                 json.dumps(
                     {
@@ -166,7 +175,8 @@ def _cmd_eval(args) -> int:
     from .corpus import Corpus
 
     corpus = Corpus(instances=tuple(instances), split="test")
-    report = evaluate(corpus, ckpt, store)
+    rows = per_question_rows(corpus, ckpt, store)
+    report = mean_report(rows)
     _dump_json(
         {
             "p_at_1": report.p_at_1,
@@ -177,7 +187,6 @@ def _cmd_eval(args) -> int:
         args.out,
     )
     if args.per_question:
-        rows = per_question_rows(corpus, ckpt, store)
         with _require_parent(args.per_question, "per-question TSV").open(
             "w", encoding="utf-8"
         ) as fh:

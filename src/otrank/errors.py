@@ -24,3 +24,7 @@ class EmbeddingKeyError(OtrankError):
 
 class CheckpointError(OtrankError):
     """A checkpoint file is malformed or fails its integrity check."""
+
+
+class MissingFrequencyTableError(CheckpointError, ValueError):
+    """A checkpoint carries no word-frequency table, so it cannot align."""

@@ -9,11 +9,19 @@ convention).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
-from .model import extract_instance_features, window_forward
+# extract_instance_features stays importable here: perfbench/tracing.py wraps it as a
+# metrics attribute.
+from .model import (  # noqa: F401
+    extract_features,
+    extract_instance_features,
+    instance_windows,
+    window_forward,
+)
 
 Ranking = list[tuple[str, float]]
 
@@ -60,58 +68,62 @@ def reciprocal_rank(ranking: Ranking, labels: dict[str, bool]) -> float:
     raise ValueError("reciprocal rank needs at least one relevant candidate")
 
 
-def evaluate(corpus: Corpus, checkpoint, store) -> MetricsReport:
-    """Score every window with the checkpointed model and aggregate metrics.
+def question_metrics(ranking: Ranking, labels: dict[str, bool]) -> tuple[int, float, float]:
+    """(p@1, average precision, reciprocal rank) of one ranked question."""
+    return (
+        precision_at_1(ranking, labels),
+        average_precision(ranking, labels),
+        reciprocal_rank(ranking, labels),
+    )
 
-    ``checkpoint`` must provide ``params``, ``freq_table``, and a config with
+
+def rank_questions(instances, checkpoint, store) -> list[Ranking]:
+    """Score and rank the windows of every question, in order.
+
+    All windows of ``instances`` are aligned in one batch. ``checkpoint``
+    must provide ``params``, ``freq_table``, and a config with
     ``sinkhorn_settings()`` (see :class:`otrank.training.Checkpoint`).
     """
-    if checkpoint.freq_table is None:
-        raise ValueError("checkpoint carries no frequency table; cannot align")
-    settings = checkpoint.config.sinkhorn_settings()
-    rows = []
+    feats = iter(extract_features(instance_windows(instances), store, checkpoint.freq_table,
+                                  checkpoint.config.sinkhorn_settings()))
+    rankings = []
+    for inst in instances:
+        scored = [(f.window_id, window_forward(f, checkpoint.params).p)
+                  for f in itertools.islice(feats, len(inst.windows))]
+        rankings.append(rank_candidates(scored))
+    return rankings
+
+
+def per_question_rows(corpus: Corpus, checkpoint, store):
+    """(question_id, p@1, ap, rr) rows for evaluable questions, corpus order.
+
+    Questions with no positive candidate are neither aligned nor scored.
+    """
+    evaluable = []
     for inst in corpus.instances:
         labels = {w.id: bool(w.cand.label) for w in inst.windows}
-        if not any(labels.values()):
-            continue
-        feats = extract_instance_features(inst, store, checkpoint.freq_table, settings)
-        scored = [(f.window_id, window_forward(f, checkpoint.params).p) for f in feats]
-        ranking = rank_candidates(scored)
-        rows.append(
-            (
-                precision_at_1(ranking, labels),
-                average_precision(ranking, labels),
-                reciprocal_rank(ranking, labels),
-            )
-        )
+        if any(labels.values()):
+            evaluable.append((inst, labels))
+    rankings = rank_questions([inst for inst, _ in evaluable], checkpoint, store)
+    return [
+        (inst.question_id, *question_metrics(ranking, labels))
+        for (inst, labels), ranking in zip(evaluable, rankings)
+    ]
+
+
+def mean_report(rows) -> MetricsReport:
+    """Means of :func:`per_question_rows` rows."""
     if not rows:
         raise ValueError("no evaluable questions: every question lacks a positive label")
     n = len(rows)
     return MetricsReport(
-        p_at_1=sum(r[0] for r in rows) / n,
-        map=sum(r[1] for r in rows) / n,
-        mrr=sum(r[2] for r in rows) / n,
+        p_at_1=sum(r[1] for r in rows) / n,
+        map=sum(r[2] for r in rows) / n,
+        mrr=sum(r[3] for r in rows) / n,
         num_questions_evaluated=n,
     )
 
 
-def per_question_rows(corpus: Corpus, checkpoint, store):
-    """(question_id, p@1, ap, rr) rows for evaluable questions, corpus order."""
-    settings = checkpoint.config.sinkhorn_settings()
-    out = []
-    for inst in corpus.instances:
-        labels = {w.id: bool(w.cand.label) for w in inst.windows}
-        if not any(labels.values()):
-            continue
-        feats = extract_instance_features(inst, store, checkpoint.freq_table, settings)
-        scored = [(f.window_id, window_forward(f, checkpoint.params).p) for f in feats]
-        ranking = rank_candidates(scored)
-        out.append(
-            (
-                inst.question_id,
-                precision_at_1(ranking, labels),
-                average_precision(ranking, labels),
-                reciprocal_rank(ranking, labels),
-            )
-        )
-    return out
+def evaluate(corpus: Corpus, checkpoint, store) -> MetricsReport:
+    """Score every window with the checkpointed model and aggregate metrics."""
+    return mean_report(per_question_rows(corpus, checkpoint, store))

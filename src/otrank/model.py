@@ -17,11 +17,13 @@ matching hand-written backward pass.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CandidateWindow, QAInstance, Sentence
+from .corpus import CandidateWindow, QAInstance, Sentence, content_token_indices
 from .embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -31,9 +33,21 @@ from .embeddings import (
     EmbeddingStore,
     FrequencyTable,
 )
-from .sinkhorn import AlignmentResult, SinkhornSettings, align_sentence
+from .errors import EmbeddingStoreError, MissingFrequencyTableError
+# align_sentence stays importable here: perfbench/tracing.py wraps it as a model attribute.
+from .sinkhorn import (  # noqa: F401
+    AlignmentResult,
+    NonFiniteCostError,
+    SinkhornSettings,
+    TransportPlan,
+    align_sentence,
+    align_sentences,
+)
+
+logger = logging.getLogger(__name__)
 
 NODE_ORDER = ("cand", "prev", "next")  # row 0 of every 3-row array is the candidate
+NODE_ROLES = (ROLE_C, ROLE_P, ROLE_N)  # embedding-store roles, in NODE_ORDER
 
 
 @dataclass
@@ -204,53 +218,109 @@ class WindowFeatures:
     unconverged: int = 0
 
 
+def extract_features(
+    items,
+    store: EmbeddingStore,
+    ft: FrequencyTable | None,
+    settings: SinkhornSettings = SinkhornSettings(),
+    keep_alignments: bool = False,
+) -> list[WindowFeatures]:
+    """Alignment features for ``(question, window, instance_id)`` items, in order.
+
+    Every sentence alignment of the items (candidate, prev and next of each
+    window) goes into one :func:`align_sentences` call, so a whole split is
+    solved in one batch. Logs one info line with the batch's Sinkhorn
+    statistics, and warns when some alignments did not converge.
+
+    Raises :class:`MissingFrequencyTableError` when ``ft`` is None, and
+    :class:`EmbeddingStoreError` naming the (instance, window, role) key when
+    the vectors of a pair give a non-finite cost.
+    """
+    if ft is None:
+        raise MissingFrequencyTableError("checkpoint carries no frequency table; cannot align")
+    started = time.perf_counter()
+    items = list(items)
+    pairs = []
+    for question, window, instance_id in items:
+        q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, ROLE_Q)
+        for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
+            s_vecs = None
+            if not sent.is_padding:
+                s_vecs = store.sentence_vectors(instance_id, window.id, role)
+            pairs.append((question, sent, q_vecs, s_vecs))
+    try:
+        results = align_sentences(pairs, ft, settings)
+    except NonFiniteCostError as exc:
+        question, window, instance_id = items[exc.index // 3]
+        key = (instance_id, window.id, NODE_ROLES[exc.index % 3])
+        q_vecs = pairs[exc.index][2]
+        if not np.all(np.isfinite(q_vecs[content_token_indices(question)])):
+            key = (instance_id, QUESTION_WINDOW_ID, ROLE_Q)
+        raise EmbeddingStoreError(
+            f"non-finite embedding values: the vectors of (instance, window, role) = {key} "
+            "give a non-finite transport cost"
+        ) from None
+
+    feats = []
+    for w, (question, window, instance_id) in enumerate(items):
+        rows = results[3 * w : 3 * w + 3]
+        feats.append(WindowFeatures(
+            question_id=instance_id,
+            window_id=window.id,
+            reps=np.stack([res.representation for res in rows]),
+            costs=np.array([res.cost for res in rows]),
+            labels=(bool(window.cand.label), window.prev.label, window.next.label),
+            alignments=tuple(rows) if keep_alignments else None,
+            unconverged=sum(0 if res.plan.converged else 1 for res in rows),
+        ))
+    _log_alignment_stats([res.plan for res, (_, sent, _, _) in zip(results, pairs)
+                          if not sent.is_padding], time.perf_counter() - started)
+    return feats
+
+
+def _log_alignment_stats(plans: list[TransportPlan], seconds: float) -> None:
+    unconverged = sum(0 if tp.converged else 1 for tp in plans)
+    if unconverged:
+        logger.warning("%d sentence alignments did not converge; using best iterates",
+                       unconverged)
+    if not logger.isEnabledFor(logging.INFO):
+        return
+    iters = [tp.iterations_used for tp in plans]
+    p50, p95 = np.percentile(iters, [50, 95]) if iters else (0, 0)
+    worst = max((tp.violation for tp in plans if tp.converged), default=0.0)
+    logger.info(
+        "aligned %d sentences in %.3f s: sinkhorn iterations p50/p95/max %g/%g/%d, "
+        "%d unconverged, worst marginal violation %.3e over converged plans",
+        len(plans), seconds, p50, p95, max(iters, default=0), unconverged, worst,
+    )
+
+
 def extract_window_features(
     question: Sentence,
     window: CandidateWindow,
     instance_id: str,
     store: EmbeddingStore,
-    ft: FrequencyTable,
+    ft: FrequencyTable | None,
     settings: SinkhornSettings = SinkhornSettings(),
     keep_alignments: bool = False,
 ) -> WindowFeatures:
     """Align candidate/prev/next to the question and collect scorer inputs."""
-    q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, ROLE_Q)
-    reps = np.zeros((3, store.dim))
-    costs = np.zeros(3)
-    aligns = []
-    unconverged = 0
-    sentences = ((window.cand, ROLE_C), (window.prev, ROLE_P), (window.next, ROLE_N))
-    for row, (sent, role) in enumerate(sentences):
-        s_vecs = None
-        if not sent.is_padding:
-            s_vecs = store.sentence_vectors(instance_id, window.id, role)
-        res = align_sentence(question, sent, q_vecs, s_vecs, ft, settings)
-        reps[row] = res.representation
-        costs[row] = res.cost
-        unconverged += 0 if res.plan.converged else 1
-        if keep_alignments:
-            aligns.append(res)
-    return WindowFeatures(
-        question_id=instance_id,
-        window_id=window.id,
-        reps=reps,
-        costs=costs,
-        labels=(bool(window.cand.label), window.prev.label, window.next.label),
-        alignments=tuple(aligns) if keep_alignments else None,
-        unconverged=unconverged,
-    )
+    return extract_features([(question, window, instance_id)], store, ft, settings,
+                            keep_alignments)[0]
 
 
 def extract_instance_features(
     inst: QAInstance,
     store: EmbeddingStore,
-    ft: FrequencyTable,
+    ft: FrequencyTable | None,
     settings: SinkhornSettings = SinkhornSettings(),
 ) -> list[WindowFeatures]:
-    return [
-        extract_window_features(inst.question, w, inst.question_id, store, ft, settings)
-        for w in inst.windows
-    ]
+    return extract_features(instance_windows([inst]), store, ft, settings)
+
+
+def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
+    """``(question, window, instance_id)`` items of every window, in corpus order."""
+    return [(inst.question, w, inst.question_id) for inst in instances for w in inst.windows]
 
 
 @dataclass

@@ -27,11 +27,15 @@ from . import metrics as metrics_mod
 from .corpus import Corpus
 from .embeddings import EmbeddingStore, FrequencyTable, build_frequency_table
 from .errors import CheckpointError
-from .model import (
+# extract_instance_features stays importable here: perfbench/tracing.py wraps it as a
+# training attribute.
+from .model import (  # noqa: F401
     ModelParams,
     WindowFeatures,
+    extract_features,
     extract_instance_features,
     init_model_params,
+    instance_windows,
     param_tensors,
     sigmoid,
     window_forward,
@@ -253,14 +257,9 @@ def _snapshot(params, cfg, epoch, adam, rng, ft) -> Checkpoint:
 def extract_corpus_features(
     corpus: Corpus, store: EmbeddingStore, ft: FrequencyTable, settings: SinkhornSettings
 ) -> list[WindowFeatures]:
-    """Alignment features for every window of a corpus, in corpus order."""
-    feats: list[WindowFeatures] = []
-    for inst in corpus.instances:
-        feats.extend(extract_instance_features(inst, store, ft, settings))
-    bad = sum(f.unconverged for f in feats)
-    if bad:
-        logger.warning("%d sentence alignments did not converge; using best iterates", bad)
-    return feats
+    """Alignment features for every window of a corpus, in corpus order,
+    aligned in one batch."""
+    return extract_features(instance_windows(corpus.instances), store, ft, settings)
 
 
 def _dev_metrics(dev_feats, params):
@@ -273,14 +272,7 @@ def _dev_metrics(dev_feats, params):
         if not any(labels.values()):
             continue
         scored = [(f.window_id, window_forward(f, params).p) for f in feats]
-        ranking = metrics_mod.rank_candidates(scored)
-        rows.append(
-            (
-                metrics_mod.precision_at_1(ranking, labels),
-                metrics_mod.average_precision(ranking, labels),
-                metrics_mod.reciprocal_rank(ranking, labels),
-            )
-        )
+        rows.append(metrics_mod.question_metrics(metrics_mod.rank_candidates(scored), labels))
     if not rows:
         return None, None, None
     n = len(rows)

@@ -8,6 +8,7 @@ vectorized code paths.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from fractions import Fraction
 
@@ -76,6 +77,104 @@ def lp_transport_oracle(p, q, D) -> float:
             continue
         best = min(best, float((plan * D).sum()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-problem Sinkhorn loop
+# ---------------------------------------------------------------------------
+
+
+def _logsumexp_rows_loop(M):
+    mx = np.max(M, axis=1)
+    safe = np.where(np.isfinite(mx), mx, 0.0)
+    return safe + np.log(np.sum(np.exp(M - safe[:, None]), axis=1))
+
+
+def sinkhorn_plan_loop(p, q, D, eps, max_iter=500, tol=1e-6):
+    """The single-problem solver as it stood before batching, kept verbatim.
+
+    The batched solver must reproduce it bit for bit. Returns
+    ``(plan, iterations_used, converged, best_violation)``, and logs one
+    warning on the ``oracles`` logger when the budget runs out.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    n, m = D.shape
+    with np.errstate(divide="ignore"):
+        lp = np.log(p)
+        lq = np.log(q)
+    Dt = D.T
+    f = np.zeros(n)
+    g = np.zeros(m)
+
+    def build(a, b, C):
+        return np.exp((a[:, None] + b[None, :] - C) / eps)
+
+    best_viol = np.inf
+    best_plan = build(f, g, D)
+    best_iter = 0
+    for it in range(1, max_iter + 1):
+        f_new = 0.5 * (f + eps * lp - eps * _logsumexp_rows_loop((g[None, :] - D) / eps))
+        g_new = 0.5 * (g + eps * lq - eps * _logsumexp_rows_loop((f[None, :] - Dt) / eps))
+        f, g = f_new, g_new
+        plan = build(f, g, D)
+        plan_t = build(g, f, Dt)
+        viol = max(
+            np.max(np.abs(plan.sum(axis=1) - p)),
+            np.max(np.abs(plan_t.sum(axis=1) - q)),
+        )
+        if viol < best_viol:
+            best_viol, best_plan, best_iter = viol, plan, it
+        if viol <= tol:
+            return plan, it, True, viol
+    logging.getLogger("oracles").warning(
+        "sinkhorn did not converge in %d iterations (best violation %.3e)", max_iter, best_viol
+    )
+    return best_plan, best_iter, False, best_viol
+
+
+def reference_window_features(question, window, instance_id, store, ft, settings):
+    """One window's ``(reps, costs, unconverged)``, aligned sentence by sentence.
+
+    The per-window extraction as it stood before batching, on
+    :func:`sinkhorn_plan_loop`. It reuses the library's per-alignment helpers
+    (token filtering, marginals, costs, pooling), which the batched extractor
+    must call with the same inputs; each has its own oracle test.
+    """
+    from otrank.corpus import content_token_indices
+    from otrank.embeddings import QUESTION_WINDOW_ID, marginal_distribution
+    from otrank.sinkhorn import (
+        cost_matrix,
+        relevant_context,
+        sentence_representation,
+        transport_cost,
+    )
+
+    q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, "q")
+    q_idx = content_token_indices(question)
+    p = marginal_distribution([question.tokens[i] for i in q_idx], ft)
+    reps = np.zeros((3, store.dim))
+    costs = np.zeros(3)
+    unconverged = 0
+    for row, (sent, role) in enumerate(((window.cand, "c"), (window.prev, "p"),
+                                        (window.next, "n"))):
+        if sent.is_padding:
+            continue
+        s_vecs = store.sentence_vectors(instance_id, window.id, role)
+        s_idx = content_token_indices(sent)
+        s_pts = s_vecs[s_idx]
+        D = cost_matrix(q_vecs[q_idx], s_pts)
+        eps = settings.eps_scale * float(D.mean())
+        if not (eps > 0):
+            eps = 1e-12
+        q = marginal_distribution([sent.tokens[j] for j in s_idx], ft)
+        plan, _, converged, _ = sinkhorn_plan_loop(p, q, D, eps, settings.max_iter, settings.tol)
+        rel = relevant_context(plan)
+        reps[row] = sentence_representation(s_pts, rel)
+        costs[row] = transport_cost(plan, D)
+        unconverged += 0 if converged else 1
+    return reps, costs, unconverged
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,20 @@
 """Command-line surface: commands, exit codes, idempotence, validation."""
 
+import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
 
 from otrank.cli import build_parser, main
 from otrank.corpus import load_corpus
-from otrank.embeddings import build_frequency_table, write_embedding_store
+from otrank.embeddings import (
+    QUESTION_WINDOW_ID,
+    EmbeddingStore,
+    build_frequency_table,
+    write_embedding_store,
+)
 from otrank.model import init_model_params, param_tensors
 from otrank.training import (
     AdamState,
@@ -40,7 +47,10 @@ def cli_env(tmp_path_factory):
     )
     ckpt_path = td / "pin.ckpt"
     save_checkpoint(ckpt_path, ckpt)
-    return {"dir": td, "corpus": corpus_path, "emb": emb_path, "ckpt": ckpt_path}
+    no_ft_path = td / "no_ft.ckpt"
+    save_checkpoint(no_ft_path, dataclasses.replace(ckpt, freq_table=None))
+    return {"dir": td, "corpus": corpus_path, "emb": emb_path, "ckpt": ckpt_path,
+            "no_ft_ckpt": no_ft_path, "store": store}
 
 
 class TestBuildFreq:
@@ -183,6 +193,61 @@ class TestAlign:
         ])
         assert rc == 1
         assert "zzz" in capsys.readouterr().err
+
+
+def _scoring_argv(command, cli_env, tmp_path, ckpt=None, emb=None):
+    argv = [command, "--checkpoint", str(ckpt or cli_env["ckpt"]),
+            "--split", str(cli_env["corpus"]), "--embeddings", str(emb or cli_env["emb"])]
+    if command == "rerank":
+        return argv + ["--out", str(tmp_path / "rank.jsonl")]
+    if command == "align":
+        return argv + ["--question-id", "q1", "--window-id", "q1-w1"]
+    return argv
+
+
+class TestBadScoringInputs:
+    @pytest.mark.parametrize("command", ["rerank", "eval", "align"])
+    def test_checkpoint_without_frequency_table(self, command, cli_env, tmp_path, capsys):
+        rc = main(_scoring_argv(command, cli_env, tmp_path, ckpt=cli_env["no_ft_ckpt"]))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "frequency table" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("key", [("q1", QUESTION_WINDOW_ID, "q"), ("q1", "q1-w1", "c")])
+    def test_non_finite_embedding_names_its_key(self, key, cli_env, tmp_path, capsys):
+        store = EmbeddingStore(dim=cli_env["store"].dim)
+        for k, arr in cli_env["store"].sorted_items():
+            arr = arr.copy()
+            if k == key:
+                arr[1, 0] = np.nan  # "planet" in the question, "holds" in the candidate
+            store.add_sentence(*k, arr)
+        emb = tmp_path / "nan.bin"
+        write_embedding_store(emb, store)
+        rc = main(_scoring_argv("rerank", cli_env, tmp_path, emb=emb))
+        assert rc == 1
+        assert str(key) in capsys.readouterr().err
+
+
+class TestTelemetry:
+    def test_info_log_goes_to_stderr_only(self, cli_env, tmp_path, monkeypatch, capsys):
+        argv = _scoring_argv("eval", cli_env, tmp_path)
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        monkeypatch.setenv("OTRANK_LOG", "info")
+        root = logging.getLogger()
+        monkeypatch.setattr(root, "handlers", [])  # lets main() install its stderr handler
+        level = root.level
+        try:
+            assert main(argv) == 0
+        finally:
+            root.setLevel(level)
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out
+        # Five windows, 15 sentences, four of them padding.
+        line = next(l for l in loud.err.splitlines() if "aligned" in l)
+        assert "aligned 11 sentences" in line
+        assert "p50/p95/max" in line and "0 unconverged" in line
 
 
 class TestTrainCommand:

@@ -4,20 +4,31 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otrank.corpus import ROLE_CANDIDATE, ROLE_PREV, make_sentence, padding_sentence
 from otrank.embeddings import QUESTION_WINDOW_ID, ROLE_C, ROLE_Q
 from otrank.sinkhorn import (
+    NonFiniteCostError,
     SinkhornSettings,
     align_sentence,
+    align_sentences,
     cost_matrix,
     relevant_context,
     sentence_representation,
     sinkhorn_plan,
+    sinkhorn_plans,
     transport_cost,
 )
 
-from oracles import euclidean_cost_oracle, lp_transport_oracle, mean_oracle, transport_cost_oracle
+from oracles import (
+    euclidean_cost_oracle,
+    lp_transport_oracle,
+    mean_oracle,
+    sinkhorn_plan_loop,
+    transport_cost_oracle,
+)
 
 
 def random_marginal(rng, n):
@@ -155,6 +166,99 @@ class TestSinkhornPlan:
         assert any("did not converge" in r.message for r in caplog.records)
 
 
+class _Count(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+
+def _count_warnings(logger_name, fn):
+    handler = _Count()
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        return fn(), handler.count
+    finally:
+        logger.removeHandler(handler)
+
+
+@st.composite
+def problem_batches(draw):
+    """Mixed-shape batches: each drawn shape, plus 1x1, 1xm and nx1, holds one
+    or more problems; some marginals have zero entries."""
+    shape = st.tuples(st.integers(1, 10), st.integers(1, 10))
+    pool = draw(st.lists(shape, min_size=1, max_size=4))
+    pool += [(1, 1), (1, pool[0][1]), (pool[0][0], 1)]
+    shapes = pool + draw(st.lists(st.sampled_from(pool), max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.01, 0.1, 0.5]))
+    problems = []
+    for n, m in shapes:
+        D = cost_matrix(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+        p, q = random_marginal(rng, n), random_marginal(rng, m)
+        for v in (p, q):
+            if v.size > 1 and draw(st.booleans()):
+                v[rng.integers(v.size)] = 0.0
+                v /= v.sum()
+        eps = scale * D.mean() if D.mean() > 0 else 1e-12
+        problems.append((p, q, D, eps))
+    order = rng.permutation(len(problems))
+    return [problems[k] for k in order]
+
+
+class TestBatchedSolver:
+    @settings(max_examples=60, deadline=None)
+    @given(problems=problem_batches(), max_iter=st.sampled_from([0, 1, 4, 30, 500]),
+           tol=st.sampled_from([1e-6, 1e-9]))
+    def test_bitwise_equal_to_the_per_problem_loop(self, problems, max_iter, tol):
+        ps, qs, Ds, eps = (list(col) for col in zip(*problems))
+        got, got_warnings = _count_warnings(
+            "otrank.sinkhorn", lambda: sinkhorn_plans(ps, qs, Ds, eps, max_iter, tol)
+        )
+        want, want_warnings = _count_warnings(
+            "oracles",
+            lambda: [sinkhorn_plan_loop(*problem, max_iter, tol) for problem in problems],
+        )
+        assert got_warnings == want_warnings
+        for tp, (plan, iterations, converged, violation) in zip(got, want):
+            # When unconverged, ``plan`` is the best iterate.
+            np.testing.assert_array_equal(tp.plan, plan, strict=True)
+            assert tp.iterations_used == iterations
+            assert tp.converged == converged
+            assert tp.violation == violation
+
+    def test_one_problem_call_is_the_batch_entry(self):
+        rng = np.random.default_rng(14)
+        problems = []
+        for n, m in ((3, 4), (3, 4), (2, 5), (1, 1)):
+            D = cost_matrix(rng.normal(size=(n, 4)), rng.normal(size=(m, 4)))
+            problems.append((random_marginal(rng, n), random_marginal(rng, m), D, 0.1 * D.mean()))
+        batch = sinkhorn_plans(*(list(col) for col in zip(*problems)))
+        for tp, problem in zip(batch, problems):
+            alone = sinkhorn_plan(*problem)
+            np.testing.assert_array_equal(tp.plan, alone.plan)
+            assert (tp.iterations_used, tp.converged) == (alone.iterations_used, alone.converged)
+
+    def test_empty_batch(self):
+        assert sinkhorn_plans([], [], [], []) == []
+
+    def test_non_finite_cost_names_its_problem(self):
+        D = np.ones((2, 2))
+        bad = D.copy()
+        bad[1, 0] = np.nan
+        p = np.full(2, 0.5)
+        with pytest.raises(NonFiniteCostError, match="problem 2") as info:
+            sinkhorn_plans([p] * 3, [p] * 3, [D, D, bad], [0.1] * 3)
+        assert info.value.index == 2
+
+    def test_mismatched_batch_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one p, q"):
+            sinkhorn_plans([np.ones(1)], [], [np.ones((1, 1))], [0.1])
+
+
 class TestTransportCost:
     def test_single_cell(self):
         assert transport_cost(np.array([[1.0]]), np.array([[2.5]])) == 2.5
@@ -276,3 +380,35 @@ class TestAlignSentence:
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError, match="tokens but"):
             align_sentence(q, s, rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), tiny_ft)
+
+
+class TestAlignSentences:
+    def test_batch_matches_pair_by_pair(self, tiny_corpus, tiny_store, tiny_ft):
+        pairs = []
+        for inst in tiny_corpus.instances:
+            qv = tiny_store.sentence_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
+            for w in inst.windows:
+                for sent, role in ((w.cand, "c"), (w.prev, "p"), (w.next, "n")):
+                    sv = None if sent.is_padding else tiny_store.sentence_vectors(
+                        inst.question_id, w.id, role)
+                    pairs.append((inst.question, sent, qv, sv))
+        batch = align_sentences(pairs, tiny_ft)
+        assert len(batch) == len(pairs)
+        for res, pair in zip(batch, pairs):
+            alone = align_sentence(*pair, tiny_ft)
+            np.testing.assert_array_equal(res.plan.plan, alone.plan.plan)
+            np.testing.assert_array_equal(res.representation, alone.representation)
+            assert res.cost == alone.cost
+            assert res.relevant == alone.relevant
+
+    def test_non_finite_vector_names_the_pair(self, tiny_ft):
+        q = make_sentence("galaxies collide", ROLE_CANDIDATE)
+        s = make_sentence("stars merge", ROLE_CANDIDATE)
+        rng = np.random.default_rng(15)
+        qv, good = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
+        bad = good.copy()
+        bad[1, 2] = np.inf
+        pad = padding_sentence(ROLE_PREV)
+        with pytest.raises(NonFiniteCostError) as info:
+            align_sentences([(q, s, qv, good), (q, pad, qv, None), (q, s, qv, bad)], tiny_ft)
+        assert info.value.index == 2

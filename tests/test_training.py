@@ -13,11 +13,14 @@ from otrank.model import (
     param_tensors,
     zero_gradients,
 )
+from otrank.embeddings import build_frequency_table
+from otrank.sinkhorn import SinkhornSettings
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    extract_corpus_features,
     gradcheck,
     gradients,
     joint_loss,
@@ -26,6 +29,8 @@ from otrank.training import (
     save_checkpoint,
     train,
 )
+
+from oracles import reference_window_features
 
 
 def micro_cfg(**kw):
@@ -356,3 +361,24 @@ class TestGradcheck:
         a = gradcheck(seed=3)
         b = gradcheck(seed=3)
         assert a.per_tensor == b.per_tensor
+
+
+class TestCorpusExtraction:
+    def test_bitwise_equal_to_per_window_reference(self):
+        # The default corpus's train split: 1000 windows, Sinkhorn tails of
+        # several hundred iterations.
+        corpus, _, store = make_synthetic_corpus(seed=0)
+        ft = build_frequency_table(corpus)
+        settings = SinkhornSettings()
+        feats = extract_corpus_features(corpus, store, ft, settings)
+        windows = [(inst, w) for inst in corpus.instances for w in inst.windows]
+        assert len(feats) == len(windows)
+        for f, (inst, w) in zip(feats, windows):
+            reps, costs, unconverged = reference_window_features(
+                inst.question, w, inst.question_id, store, ft, settings
+            )
+            assert (f.question_id, f.window_id) == (inst.question_id, w.id)
+            np.testing.assert_array_equal(f.reps, reps, strict=True)
+            np.testing.assert_array_equal(f.costs, costs, strict=True)
+            assert f.unconverged == unconverged
+            assert f.labels == (bool(w.cand.label), w.prev.label, w.next.label)
