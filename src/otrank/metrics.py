@@ -9,7 +9,8 @@ convention).
 
 from __future__ import annotations
 
-import itertools
+import logging
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +21,10 @@ from .model import (  # noqa: F401
     extract_features,
     extract_instance_features,
     instance_windows,
-    window_forward,
+    score_windows,
 )
+
+logger = logging.getLogger(__name__)
 
 Ranking = list[tuple[str, float]]
 
@@ -80,17 +83,25 @@ def question_metrics(ranking: Ranking, labels: dict[str, bool]) -> tuple[int, fl
 def rank_questions(instances, checkpoint, store) -> list[Ranking]:
     """Score and rank the windows of every question, in order.
 
-    All windows of ``instances`` are aligned in one batch. ``checkpoint``
-    must provide ``params``, ``freq_table``, and a config with
-    ``sinkhorn_settings()`` (see :class:`otrank.training.Checkpoint`).
+    All windows of ``instances`` are aligned in one batch and scored by one
+    stacked forward pass. ``checkpoint`` must provide ``params``,
+    ``freq_table``, and a config with ``sinkhorn_settings()`` (see
+    :class:`otrank.training.Checkpoint`). Logs the windows per second at info.
     """
-    feats = iter(extract_features(instance_windows(instances), store, checkpoint.freq_table,
-                                  checkpoint.config.sinkhorn_settings()))
+    started = time.perf_counter()
+    feats = extract_features(instance_windows(instances), store, checkpoint.freq_table,
+                             checkpoint.config.sinkhorn_settings())
+    scores = score_windows(feats, checkpoint.params).tolist()
     rankings = []
+    lo = 0
     for inst in instances:
-        scored = [(f.window_id, window_forward(f, checkpoint.params).p)
-                  for f in itertools.islice(feats, len(inst.windows))]
-        rankings.append(rank_candidates(scored))
+        hi = lo + len(inst.windows)
+        rankings.append(rank_candidates([(f.window_id, p) for f, p in
+                                         zip(feats[lo:hi], scores[lo:hi])]))
+        lo = hi
+    seconds = time.perf_counter() - started
+    logger.info("ranked %d windows of %d questions in %.3f s (%.1f windows/s)",
+                len(feats), len(instances), seconds, len(feats) / seconds if seconds else 0.0)
     return rankings
 
 

@@ -10,9 +10,9 @@ those weights, and a sigmoid head on the candidate node yields the
 correctness probability.
 
 Everything here is pure float64 numpy; parameters are plain arrays grouped
-in small dataclasses. Forward passes optionally record every intermediate
-(pre-activations, hidden activations) so the training module can run the
-matching hand-written backward pass.
+in small dataclasses. The forward pass runs over stacked windows and records
+every intermediate (pre-activations, hidden activations) so the training
+module can run the matching hand-written backward pass.
 """
 
 from __future__ import annotations
@@ -323,44 +323,55 @@ def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
     return [(inst.question, w, inst.question_id) for inst in instances for w in inst.windows]
 
 
+FORWARD_CHUNK = 16  # windows per stacked pass; bounds the (B, 9, hidden) temporaries
+
+# Directed edge (i, j) is row 3 * i + j of the dependency-FFN inputs.
+_EDGE_I = np.repeat(np.arange(3), 3)
+_EDGE_J = np.tile(np.arange(3), 3)
+
+
 @dataclass
-class WindowForward:
-    """Every intermediate of one scoring pass, for the backward sweep."""
+class Forward:
+    """Every intermediate of one stacked scoring pass over B windows, for the backward sweep."""
 
-    x_pairs: np.ndarray  # (9, d+2) dependency-FFN inputs, row-major over (i, j)
-    z1_dep: np.ndarray  # (9, hidden) pre-activations
-    a1_dep: np.ndarray  # (9, hidden)
-    u: np.ndarray  # (3, 3) edge scores
-    alpha: np.ndarray  # (3, 3) row-stochastic edge weights
-    aggregated: list[np.ndarray]  # per layer: alpha @ h_{l-1}, (3, d)
-    pre: list[np.ndarray]  # per layer: pre-ReLU activations, (3, d)
-    hs: list[np.ndarray]  # h_0 .. h_L, (3, d)
-    head_z1: np.ndarray  # (hidden,)
-    head_a1: np.ndarray  # (hidden,)
-    logit: float
-    p: float
-    loss_as2: float
+    x_pairs: np.ndarray  # (B, 9, d+2) dependency-FFN inputs, row-major over (i, j)
+    z1_dep: np.ndarray  # (B, 9, hidden) pre-activations
+    a1_dep: np.ndarray  # (B, 9, hidden)
+    u: np.ndarray  # (B, 3, 3) edge scores
+    alpha: np.ndarray  # (B, 3, 3) row-stochastic edge weights
+    aggregated: list[np.ndarray]  # per layer: alpha @ h_{l-1}, (B, 3, d)
+    pre: list[np.ndarray]  # per layer: pre-ReLU activations, (B, 3, d)
+    hs: list[np.ndarray]  # h_0 .. h_L, (B, 3, d)
+    head_z1: np.ndarray  # (B, hidden)
+    head_a1: np.ndarray  # (B, hidden)
+    logit: np.ndarray  # (B,)
+    p: np.ndarray  # (B,) clamped away from exactly 0 and 1
 
 
-def window_forward(feats: WindowFeatures, params: ModelParams) -> WindowForward:
-    """Score one window from its alignment features, recording intermediates."""
-    r = feats.reps
-    d = r.shape[1]
-    x_pairs = np.empty((9, d + 2))
-    for i in range(3):
-        for j in range(3):
-            k = 3 * i + j
-            x_pairs[k, :d] = r[i] * r[j]
-            x_pairs[k, d] = feats.costs[i]
-            x_pairs[k, d + 1] = feats.costs[j]
-    z1_dep = x_pairs @ params.dep.w1.T + params.dep.b1
+def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams) -> Forward:
+    """Score B windows from stacked ``(B, 3, d)`` reps and ``(B, 3)`` costs.
+
+    Every product is a stack of the one-window products, in the one-window
+    operand orientation, so each window's numbers are bit-equal to scoring it
+    alone, whatever else is in the batch. Flattening a product over windows
+    (one ``(B*9, d+2)`` GEMM, say) lets BLAS pick another kernel for the
+    larger matrix, which moves bits.
+    """
+    b, _, d = reps.shape
+    x_pairs = np.empty((b, 9, d + 2))
+    for k, (i, j) in enumerate(zip(_EDGE_I, _EDGE_J)):  # in place: no (B, 9, d) temporaries
+        np.multiply(reps[:, i], reps[:, j], out=x_pairs[:, k, :d])
+    x_pairs[:, :, d] = costs[:, _EDGE_I]
+    x_pairs[:, :, d + 1] = costs[:, _EDGE_J]
+    z1_dep = x_pairs @ params.dep.w1.T
+    z1_dep += params.dep.b1
     a1_dep = np.maximum(z1_dep, 0.0)
-    u = (a1_dep @ params.dep.w2.T + params.dep.b2).reshape(3, 3)
+    u = (a1_dep @ params.dep.w2.T + params.dep.b2).reshape(b, 3, 3)
 
-    shifted = np.exp(u - u.max(axis=1, keepdims=True))
-    alpha = shifted / shifted.sum(axis=1, keepdims=True)
+    shifted = np.exp(u - u.max(axis=2, keepdims=True))
+    alpha = shifted / shifted.sum(axis=2, keepdims=True)
 
-    hs = [r]
+    hs = [reps]
     aggregated: list[np.ndarray] = []
     pre: list[np.ndarray] = []
     for layer in params.gcn:
@@ -370,25 +381,81 @@ def window_forward(feats: WindowFeatures, params: ModelParams) -> WindowForward:
         pre.append(z)
         hs.append(np.maximum(z, 0.0))
 
-    h1 = hs[-1][0]
-    head_z1 = params.head.w1 @ h1 + params.head.b1
+    head_z1 = (params.head.w1 @ hs[-1][:, 0, :, None])[:, :, 0] + params.head.b1
     head_a1 = np.maximum(head_z1, 0.0)
-    logit = float((params.head.w2 @ head_a1 + params.head.b2)[0])
-    p = min(max(float(sigmoid(logit)), 1e-300), 1.0 - 1e-16)
+    logit = (params.head.w2 @ head_a1[:, :, None])[:, 0, 0] + params.head.b2[0]
+    p = np.clip(sigmoid(logit), 1e-300, 1.0 - 1e-16)
+    return Forward(x_pairs=x_pairs, z1_dep=z1_dep, a1_dep=a1_dep, u=u, alpha=alpha,
+                   aggregated=aggregated, pre=pre, hs=hs, head_z1=head_z1, head_a1=head_a1,
+                   logit=logit, p=p)
 
+
+def score_windows(feats: list[WindowFeatures], params: ModelParams) -> np.ndarray:
+    """Correctness probabilities ``(N,)`` of the windows, in order.
+
+    Stacks and runs ``FORWARD_CHUNK`` windows at a time, so memory stays flat
+    however large the split.
+    """
+    p = np.empty(len(feats))
+    for lo in range(0, len(feats), FORWARD_CHUNK):
+        chunk = feats[lo : lo + FORWARD_CHUNK]
+        p[lo : lo + len(chunk)] = forward(np.stack([f.reps for f in chunk]),
+                                          np.stack([f.costs for f in chunk]), params).p
+    return p
+
+
+def add_in_order(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``acc + rows[0] + rows[1] + ...``, added left to right.
+
+    This is what a ``+=`` loop over the rows computes, bit for bit: numpy
+    reduces an outer axis sequentially, and ``acc + rows[0]`` is exact to
+    reorder. A length-1 tensor would make the reduction one-dimensional,
+    which numpy sums pairwise, so it is accumulated instead. ``rows`` is a
+    scratch array: its first row is overwritten.
+    """
+    rows = rows.reshape((-1,) + acc.shape)
+    rows[0] += acc
+    if acc.size == 1:
+        return np.cumsum(rows.reshape(-1))[-1:].reshape(acc.shape)
+    return rows.sum(axis=0)
+
+
+@dataclass
+class WindowForward:
+    """One window's slice of :class:`Forward`, plus its ranking loss."""
+
+    x_pairs: np.ndarray  # (9, d+2)
+    z1_dep: np.ndarray  # (9, hidden)
+    a1_dep: np.ndarray  # (9, hidden)
+    u: np.ndarray  # (3, 3)
+    alpha: np.ndarray  # (3, 3)
+    aggregated: list[np.ndarray]  # per layer, (3, d)
+    pre: list[np.ndarray]  # per layer, (3, d)
+    hs: list[np.ndarray]  # h_0 .. h_L, (3, d)
+    head_z1: np.ndarray  # (hidden,)
+    head_a1: np.ndarray  # (hidden,)
+    logit: float
+    p: float
+    loss_as2: float
+
+
+def window_forward(feats: WindowFeatures, params: ModelParams) -> WindowForward:
+    """Score one window, recording intermediates: the one-window call of :func:`forward`."""
+    fwd = forward(feats.reps[None], feats.costs[None], params)
+    logit = float(fwd.logit[0])
     return WindowForward(
-        x_pairs=x_pairs,
-        z1_dep=z1_dep,
-        a1_dep=a1_dep,
-        u=u,
-        alpha=alpha,
-        aggregated=aggregated,
-        pre=pre,
-        hs=hs,
-        head_z1=head_z1,
-        head_a1=head_a1,
+        x_pairs=fwd.x_pairs[0],
+        z1_dep=fwd.z1_dep[0],
+        a1_dep=fwd.a1_dep[0],
+        u=fwd.u[0],
+        alpha=fwd.alpha[0],
+        aggregated=[s[0] for s in fwd.aggregated],
+        pre=[z[0] for z in fwd.pre],
+        hs=[h[0] for h in fwd.hs],
+        head_z1=fwd.head_z1[0],
+        head_a1=fwd.head_a1[0],
         logit=logit,
-        p=p,
+        p=float(fwd.p[0]),
         loss_as2=bce_from_logit(logit, feats.labels[0]),
     )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FFNParams, sigmoid
+from .model import FFNParams, add_in_order, sigmoid
 
 
 @dataclass(frozen=True)
@@ -55,70 +55,123 @@ def discriminator(h_i, h_j, disc: FFNParams) -> float:
     return min(max(p, 1e-300), 1.0 - 1e-16)
 
 
+@dataclass(frozen=True)
+class WindowPairs:
+    """The ordered pairs of B windows, positives first, padded to the longest list."""
+
+    i: np.ndarray  # (B, width) first node of each pair
+    j: np.ndarray  # (B, width) second node
+    count: np.ndarray  # (B,) pairs in use
+    positive: np.ndarray  # (B,) how many of them are positive
+
+    @classmethod
+    def of(cls, sets: list[PairIndexSets]) -> "WindowPairs":
+        lists = [s.positive + s.negative for s in sets]
+        width = max((len(p) for p in lists), default=0)
+        i = np.zeros((len(lists), width), dtype=np.intp)
+        j = np.zeros((len(lists), width), dtype=np.intp)
+        for w, pairs in enumerate(lists):
+            for k, (a, b) in enumerate(pairs):
+                i[w, k], j[w, k] = a, b
+        return cls(i=i, j=j, count=np.array([len(p) for p in lists], dtype=np.intp),
+                   positive=np.array([len(s.positive) for s in sets], dtype=np.intp))
+
+    def take(self, rows) -> "WindowPairs":
+        return WindowPairs(i=self.i[rows], j=self.j[rows], count=self.count[rows],
+                           positive=self.positive[rows])
+
+
+@dataclass
+class PairGroup:
+    """The windows of a batch that have the same pair and positive counts, stacked."""
+
+    rows: np.ndarray  # (G,) window positions in the batch
+    i: np.ndarray  # (G, P)
+    j: np.ndarray  # (G, P)
+    n_positive: int
+    x: np.ndarray  # (G, P, 2d) concatenated pair inputs
+    z1: np.ndarray  # (G, P, hidden)
+    a1: np.ndarray  # (G, P, hidden)
+    z: np.ndarray  # (G, P) discriminator logits
+
+
 @dataclass
 class MIForward:
-    """Intermediates of one window's regularizer term, for backprop."""
+    """Intermediates of the regularizer over a batch of windows, for backprop."""
 
-    pairs: tuple[tuple[int, int], ...]  # positives then negatives
-    n_positive: int
-    x: np.ndarray  # (P, 2d) concatenated pair inputs
-    z1: np.ndarray  # (P, hidden)
-    a1: np.ndarray  # (P, hidden)
-    z: np.ndarray  # (P,) discriminator logits
-    loss: float
+    groups: list[PairGroup]
+    loss: np.ndarray  # (B,) per-window terms; 0 for windows without pairs
 
 
-def mi_forward(h: np.ndarray, sets: PairIndexSets, disc: FFNParams) -> MIForward:
-    """Compute the regularizer term and record intermediates.
+def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams) -> MIForward:
+    """Compute each window's regularizer term from final representations ``(B, 3, d)``.
 
-    The loss is ``sum(-log U)`` over positive pairs plus ``sum(-log(1-U))``
-    over negative pairs, evaluated stably from the discriminator logits.
-    Empty index sets contribute zero.
+    A window's term is ``sum(-log U)`` over its positive pairs plus
+    ``sum(-log(1-U))`` over its negative pairs, evaluated stably from the
+    discriminator logits; empty index sets contribute zero. Windows are
+    grouped by pair count and run as stacked ``(G, P, 2d)`` products, which
+    keep each window's numbers bit-equal to running it alone (one flat
+    ``(sum P, 2d)`` GEMM would not).
     """
-    pairs = sets.positive + sets.negative
-    d = h.shape[1]
-    if not pairs:
-        empty = np.zeros((0, 0))
-        return MIForward(pairs=(), n_positive=0, x=np.zeros((0, 2 * d)),
-                         z1=empty, a1=empty, z=np.zeros(0), loss=0.0)
-    x = np.stack([np.concatenate([h[i], h[j]]) for i, j in pairs])
-    z1 = x @ disc.w1.T + disc.b1
-    a1 = np.maximum(z1, 0.0)
-    z = a1 @ disc.w2.T[:, 0] + disc.b2[0]
-    n_pos = len(sets.positive)
-    # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
-    loss = float(np.logaddexp(0.0, -z[:n_pos]).sum() + np.logaddexp(0.0, z[n_pos:]).sum())
-    return MIForward(pairs=pairs, n_positive=n_pos, x=x, z1=z1, a1=a1, z=z, loss=loss)
+    loss = np.zeros(h.shape[0])
+    groups = []
+    for count, n_pos in np.unique(np.stack([pairs.count, pairs.positive], axis=1), axis=0):
+        if count == 0:
+            continue
+        rows = np.flatnonzero((pairs.count == count) & (pairs.positive == n_pos))
+        i, j = pairs.i[rows, :count], pairs.j[rows, :count]
+        x = np.concatenate([h[rows[:, None], i], h[rows[:, None], j]], axis=2)
+        z1 = x @ disc.w1.T + disc.b1
+        a1 = np.maximum(z1, 0.0)
+        z = a1 @ disc.w2.T[:, 0] + disc.b2[0]
+        # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
+        loss[rows] = (np.logaddexp(0.0, -z[:, :n_pos]).sum(axis=1)
+                      + np.logaddexp(0.0, z[:, n_pos:]).sum(axis=1))
+        groups.append(PairGroup(rows=rows, i=i, j=j, n_positive=n_pos, x=x, z1=z1, a1=a1, z=z))
+    return MIForward(groups=groups, loss=loss)
 
 
 def mi_loss(h, sets: PairIndexSets, disc: FFNParams) -> float:
     """Regularizer value for one window's final representations ``h`` (3 x d)."""
-    return mi_forward(np.asarray(h, dtype=np.float64), sets, disc).loss
+    h = np.asarray(h, dtype=np.float64)
+    return float(mi_forward(h[None], WindowPairs.of([sets]), disc).loss[0])
 
 
 def mi_backward(
     fwd: MIForward, disc: FFNParams, scale: float, grads: dict[str, np.ndarray],
     dh: np.ndarray,
 ) -> None:
-    """Accumulate ``scale * d(loss)`` into disc gradients and node grads ``dh``."""
-    if not fwd.pairs:
+    """Accumulate ``scale * d(loss)`` into the disc gradients and node grads ``dh`` (B, 3, d).
+
+    Each window's disc gradient is added to ``grads`` in window order, and its
+    node gradients are added to ``dh`` pair after pair: the ``i`` row, then
+    the ``j`` row.
+    """
+    d = dh.shape[2]
+    if not fwd.groups:
         return
-    n_pos = fwd.n_positive
-    sig = sigmoid(fwd.z)
-    dz = np.empty_like(fwd.z)
-    dz[:n_pos] = sig[:n_pos] - 1.0  # d(-log sigmoid(z))/dz
-    dz[n_pos:] = sig[n_pos:]  # d(-log(1 - sigmoid(z)))/dz
-    dz *= scale
+    # Windows without pairs add exact zeros, so only windows with pairs are stacked.
+    rows = np.sort(np.concatenate([g.rows for g in fwd.groups]))
+    contrib = {name: np.empty((len(rows),) + grads[name].shape)
+               for name in ("disc.w1", "disc.b1", "disc.w2", "disc.b2")}
+    for g in fwd.groups:
+        at = np.searchsorted(rows, g.rows)
+        sig = sigmoid(g.z)
+        dz = np.empty_like(g.z)
+        dz[:, :g.n_positive] = sig[:, :g.n_positive] - 1.0  # d(-log sigmoid(z))/dz
+        dz[:, g.n_positive:] = sig[:, g.n_positive:]  # d(-log(1 - sigmoid(z)))/dz
+        dz *= scale
 
-    grads["disc.w2"] += (dz @ fwd.a1)[None, :]
-    grads["disc.b2"] += dz.sum(keepdims=True)
-    da1 = dz[:, None] * disc.w2[0][None, :]
-    dz1 = da1 * (fwd.z1 > 0)
-    grads["disc.w1"] += dz1.T @ fwd.x
-    grads["disc.b1"] += dz1.sum(axis=0)
+        contrib["disc.w2"][at] = dz[:, None, :] @ g.a1
+        contrib["disc.b2"][at, 0] = dz.sum(axis=1)
+        dz1 = dz[:, :, None] * disc.w2[0]
+        dz1 *= g.z1 > 0
+        contrib["disc.w1"][at] = dz1.transpose(0, 2, 1) @ g.x
+        contrib["disc.b1"][at] = dz1.sum(axis=1)
 
-    dx = dz1 @ disc.w1  # (P, 2d)
-    d = dh.shape[1]
-    for k, (i, j) in enumerate(fwd.pairs):
-        dh[i] += dx[k, :d]
-        dh[j] += dx[k, d:]
+        dx = dz1 @ disc.w1  # (G, P, 2d)
+        for k in range(g.i.shape[1]):
+            dh[g.rows, g.i[:, k]] += dx[:, k, :d]
+            dh[g.rows, g.j[:, k]] += dx[:, k, d:]
+    for name, stacked in contrib.items():
+        grads[name] = add_in_order(grads[name], stacked)

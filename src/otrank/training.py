@@ -18,7 +18,7 @@ import logging
 import struct
 import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +30,22 @@ from .errors import CheckpointError
 # extract_instance_features stays importable here: perfbench/tracing.py wraps it as a
 # training attribute.
 from .model import (  # noqa: F401
+    FORWARD_CHUNK,
+    Forward,
     ModelParams,
     WindowFeatures,
+    add_in_order,
     extract_features,
     extract_instance_features,
+    forward,
     init_model_params,
     instance_windows,
     param_tensors,
+    score_windows,
     sigmoid,
-    window_forward,
     zero_gradients,
 )
-from .mutual_info import build_pair_sets, mi_backward, mi_forward
+from .mutual_info import MIForward, WindowPairs, build_pair_sets, mi_backward, mi_forward
 from .sinkhorn import SinkhornSettings
 
 logger = logging.getLogger(__name__)
@@ -84,94 +88,145 @@ class TrainConfig:
         )
 
 
-def _forward_losses(batch: list[WindowFeatures], params: ModelParams, gamma: float):
-    """Forward every window; returns (fwd records, mi records, as2 mean, mi mean)."""
-    fwds = [window_forward(f, params) for f in batch]
-    as2 = float(np.mean([f.loss_as2 for f in fwds]))
-    if gamma == 0.0:
-        return fwds, None, as2, 0.0
-    mis = [
-        mi_forward(fwd.hs[-1], build_pair_sets(f.labels), params.disc)
-        for f, fwd in zip(batch, fwds)
-    ]
-    return fwds, mis, as2, float(np.mean([m.loss for m in mis]))
+@dataclass(frozen=True)
+class WindowBatch:
+    """Stacked training inputs of B windows: what one step reads.
+
+    :func:`train` stacks each split once and takes every batch by row index,
+    so the label-derived MI pairs are worked out once per split.
+    """
+
+    reps: np.ndarray  # (B, 3, d)
+    costs: np.ndarray  # (B, 3)
+    y: np.ndarray  # (B,) candidate labels as 1.0 / 0.0
+    pairs: WindowPairs
+
+    @classmethod
+    def stack(cls, feats: list[WindowFeatures]) -> "WindowBatch":
+        return cls(
+            reps=np.stack([f.reps for f in feats]),
+            costs=np.stack([f.costs for f in feats]),
+            y=np.array([1.0 if f.labels[0] else 0.0 for f in feats]),
+            pairs=WindowPairs.of([build_pair_sets(f.labels) for f in feats]),
+        )
+
+    def take(self, rows) -> "WindowBatch":
+        return WindowBatch(reps=self.reps[rows], costs=self.costs[rows], y=self.y[rows],
+                           pairs=self.pairs.take(rows))
+
+    def __len__(self) -> int:
+        return len(self.y)
 
 
-def joint_loss(batch: list[WindowFeatures], params: ModelParams, cfg: TrainConfig) -> float:
-    """Mean candidate BCE plus ``gamma`` times the mean regularizer term."""
-    if not batch:
+def _stacked(batch) -> WindowBatch:
+    if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    _, _, as2, mi = _forward_losses(batch, params, cfg.gamma)
+    return batch if isinstance(batch, WindowBatch) else WindowBatch.stack(batch)
+
+
+def _mean_terms(batch: WindowBatch, params: ModelParams, gamma: float,
+                grads: dict[str, np.ndarray] | None = None) -> tuple[float, float]:
+    """Mean candidate BCE and mean regularizer term over the batch.
+
+    Runs ``FORWARD_CHUNK`` windows at a time. With ``grads``, also adds every
+    window's gradient to it, window after window (see :func:`_backward`).
+    """
+    n = len(batch)
+    as2 = np.empty(n)
+    mi = np.zeros(n)
+    for lo in range(0, n, FORWARD_CHUNK):
+        chunk = batch.take(slice(lo, lo + FORWARD_CHUNK))
+        fwd = forward(chunk.reps, chunk.costs, params)
+        # -log sigmoid(z) for positive candidates, -log(1 - sigmoid(z)) otherwise.
+        as2[lo : lo + len(chunk)] = np.logaddexp(0.0, np.where(chunk.y == 1.0, -fwd.logit,
+                                                                fwd.logit))
+        mi_fwd = None
+        if gamma != 0.0:
+            mi_fwd = mi_forward(fwd.hs[-1], chunk.pairs, params.disc)
+            mi[lo : lo + len(chunk)] = mi_fwd.loss
+        if grads is not None:
+            _backward(chunk, fwd, mi_fwd, params, 1.0 / n, gamma / n, grads)
+    return float(np.mean(as2)), (0.0 if gamma == 0.0 else float(np.mean(mi)))
+
+
+def joint_loss(batch, params: ModelParams, cfg: TrainConfig) -> float:
+    """Mean candidate BCE plus ``gamma`` times the mean regularizer term.
+
+    ``batch`` is a nonempty list of :class:`WindowFeatures` or a :class:`WindowBatch`.
+    """
+    as2, mi = _mean_terms(_stacked(batch), params, cfg.gamma)
     return as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
 
 
-def _window_backward(
-    feats: WindowFeatures,
+def _backward(
+    batch: WindowBatch,
+    fwd: Forward,
+    mi_fwd: MIForward | None,
     params: ModelParams,
-    fwd,
-    mi_fwd,
     s_as2: float,
     s_mi: float,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Accumulate one window's gradient contribution into ``grads``."""
-    h_final = fwd.hs[-1]
-    dh = np.zeros_like(h_final)
+    """Add the gradient contribution of every window of ``batch`` to ``grads``.
+
+    Each weight gradient is a stack of per-window products, added to the
+    running sum in window order (:func:`add_in_order`), so the result is
+    bit-equal to accumulating one window at a time.
+    """
+    def add(name, rows):
+        grads[name] = add_in_order(grads[name], rows)
+
+    dh = np.zeros_like(fwd.hs[-1])
 
     # Scoring head: BCE-through-sigmoid collapses to (sigma(z) - y).
-    y = 1.0 if feats.labels[0] else 0.0
-    dlogit = s_as2 * (float(sigmoid(fwd.logit)) - y)
-    grads["head.w2"] += dlogit * fwd.head_a1[None, :]
-    grads["head.b2"] += dlogit
-    da1 = dlogit * params.head.w2[0]
-    dz1 = da1 * (fwd.head_z1 > 0)
-    grads["head.w1"] += np.outer(dz1, h_final[0])
-    grads["head.b1"] += dz1
-    dh[0] += params.head.w1.T @ dz1
+    dlogit = s_as2 * (sigmoid(fwd.logit) - batch.y)
+    dz1 = dlogit[:, None] * params.head.w2[0]
+    dz1 *= fwd.head_z1 > 0
+    dh[:, 0] += (params.head.w1.T @ dz1[:, :, None])[:, :, 0]
+    add("head.w2", dlogit[:, None] * fwd.head_a1)
+    add("head.w1", dz1[:, :, None] * fwd.hs[-1][:, 0, None, :])
+    add("head.b2", dlogit)  # add() overwrites its rows, so these two go last
+    add("head.b1", dz1)
 
     if mi_fwd is not None and s_mi != 0.0:
         mi_backward(mi_fwd, params.disc, s_mi, grads, dh)
 
     # Graph layers, last to first; edge weights feed every layer.
-    dalpha = np.zeros((3, 3))
+    alpha_t = fwd.alpha.transpose(0, 2, 1)
+    dalpha = np.zeros_like(fwd.alpha)
     for l in range(len(params.gcn) - 1, -1, -1):
-        layer = params.gcn[l]
         dz = dh * (fwd.pre[l] > 0)
-        grads[f"gcn.{l}.w"] += dz.T @ fwd.aggregated[l]
-        grads[f"gcn.{l}.b"] += dz.sum(axis=0)
-        ds = dz @ layer.w
-        dalpha += ds @ fwd.hs[l].T
-        dh = fwd.alpha.T @ ds
+        add(f"gcn.{l}.w", dz.transpose(0, 2, 1) @ fwd.aggregated[l])
+        add(f"gcn.{l}.b", dz.sum(axis=1))
+        ds = dz @ params.gcn[l].w
+        dalpha += ds @ fwd.hs[l].transpose(0, 2, 1)
+        dh = alpha_t @ ds
 
     # Row softmax.
-    du = fwd.alpha * (dalpha - np.sum(dalpha * fwd.alpha, axis=1, keepdims=True))
+    du = fwd.alpha * (dalpha - np.sum(dalpha * fwd.alpha, axis=2, keepdims=True))
 
     # Dependency FFN; its inputs are alignment constants, so backprop stops here.
-    du9 = du.reshape(9)
-    grads["dep.w2"] += (du9 @ fwd.a1_dep)[None, :]
-    grads["dep.b2"] += du9.sum()
-    da1_dep = du9[:, None] * params.dep.w2[0][None, :]
-    dz1_dep = da1_dep * (fwd.z1_dep > 0)
-    grads["dep.w1"] += dz1_dep.T @ fwd.x_pairs
-    grads["dep.b1"] += dz1_dep.sum(axis=0)
+    du9 = du.reshape(-1, 9)
+    add("dep.w2", du9[:, None, :] @ fwd.a1_dep)
+    add("dep.b2", du9.sum(axis=1))
+    dz1_dep = du9[:, :, None] * params.dep.w2[0]
+    dz1_dep *= fwd.z1_dep > 0
+    add("dep.w1", dz1_dep.transpose(0, 2, 1) @ fwd.x_pairs)
+    add("dep.b1", dz1_dep.sum(axis=1))
 
 
-def loss_and_gradients(
-    batch: list[WindowFeatures], params: ModelParams, cfg: TrainConfig
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Joint loss plus exact reverse-mode derivatives for every tensor."""
-    if not batch:
-        raise ValueError("batch must be nonempty")
-    fwds, mis, as2, mi = _forward_losses(batch, params, cfg.gamma)
+def loss_and_gradients(batch, params: ModelParams, cfg: TrainConfig
+                       ) -> tuple[float, dict[str, np.ndarray]]:
+    """Joint loss plus exact reverse-mode derivatives for every tensor.
+
+    ``batch`` is a nonempty list of :class:`WindowFeatures` or a :class:`WindowBatch`.
+    """
+    batch = _stacked(batch)
+    grads = zero_gradients(params)
+    as2, mi = _mean_terms(batch, params, cfg.gamma, grads)
     loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(batch)} windows")
-    grads = zero_gradients(params)
-    s_as2 = 1.0 / len(batch)
-    s_mi = cfg.gamma / len(batch)
-    for k, (feats, fwd) in enumerate(zip(batch, fwds)):
-        _window_backward(feats, params, fwd, None if mis is None else mis[k],
-                         s_as2, s_mi, grads)
     return loss, grads
 
 
@@ -263,16 +318,17 @@ def extract_corpus_features(
 
 
 def _dev_metrics(dev_feats, params):
+    scores = score_windows(dev_feats, params).tolist()
     by_q: dict[str, list] = {}
-    for f in dev_feats:
-        by_q.setdefault(f.question_id, []).append(f)
+    for f, p in zip(dev_feats, scores):
+        by_q.setdefault(f.question_id, []).append((f.window_id, p, f.labels[0]))
     rows = []
-    for qid, feats in by_q.items():
-        labels = {f.window_id: f.labels[0] for f in feats}
+    for scored in by_q.values():
+        labels = {wid: label for wid, _, label in scored}
         if not any(labels.values()):
             continue
-        scored = [(f.window_id, window_forward(f, params).p) for f in feats]
-        rows.append(metrics_mod.question_metrics(metrics_mod.rank_candidates(scored), labels))
+        ranking = metrics_mod.rank_candidates([(wid, p) for wid, p, _ in scored])
+        rows.append(metrics_mod.question_metrics(ranking, labels))
     if not rows:
         return None, None, None
     n = len(rows)
@@ -300,10 +356,14 @@ def train(
     adam = AdamState.zeros(params)
     ft = build_frequency_table(train_corpus)
     settings = cfg.sinkhorn_settings()
+    clock = time.perf_counter
+    t0 = clock()
     feats = extract_corpus_features(train_corpus, store, ft, settings)
     dev_feats = (
         extract_corpus_features(dev_corpus, store, ft, settings) if dev_corpus else None
     )
+    stacked = WindowBatch.stack(feats)
+    stage_s = {"align": clock() - t0, "step": 0.0, "adam": 0.0, "dev-eval": 0.0}
 
     history: list[EpochRecord] = []
     best: Checkpoint | None = None
@@ -313,19 +373,25 @@ def train(
         order = rng.permutation(len(feats))
         total = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [feats[i] for i in order[lo : lo + cfg.batch_size]]
+            batch = stacked.take(order[lo : lo + cfg.batch_size])
+            t0 = clock()
             try:
                 loss, grads = loss_and_gradients(batch, params, cfg)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"epoch {epoch}, windows {lo}..{lo + len(batch)}: {exc}"
                 ) from exc
+            t1 = clock()
             adam_step(params, grads, adam, cfg)
+            stage_s["step"] += t1 - t0
+            stage_s["adam"] += clock() - t1
             total += loss * len(batch)
         train_loss = total / len(feats)
         p1 = ap = rr = None
         if dev_feats is not None:
+            t0 = clock()
             p1, ap, rr = _dev_metrics(dev_feats, params)
+            stage_s["dev-eval"] += clock() - t0
             if ap is not None and ap > best_map:
                 best_map = ap
                 best = _snapshot(params, cfg, epoch, adam, rng, ft)
@@ -342,6 +408,8 @@ def train(
             "epoch %d: train_loss=%.6f dev_p@1=%s dev_map=%s",
             epoch, train_loss, p1, ap,
         )
+    logger.info("train stages: " + ", ".join(f"{k} %.3f s" for k in stage_s),
+                *stage_s.values())
     final = _snapshot(params, cfg, cfg.epochs, adam, rng, ft)
     return TrainResult(final=final, best=best if best is not None else final, history=history)
 
@@ -446,6 +514,53 @@ def _params_from_tensors(dim: int, layers: int, hidden: int,
     return params
 
 
+_META_KEYS = ("adam_t", "config", "epoch", "freq_table", "rng_state")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_meta(meta, name: str) -> TrainConfig:
+    """Validate the checkpoint's metadata blob; returns its training config.
+
+    Raises :class:`CheckpointError` naming the missing, unknown or bad key.
+    """
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{name}: checkpoint metadata is not a JSON object")
+    missing = [k for k in _META_KEYS if k not in meta]
+    if missing:
+        raise CheckpointError(f"{name}: checkpoint metadata lacks {missing}")
+    for key in ("epoch", "adam_t"):
+        if not _is_int(meta[key]) or meta[key] < 0:
+            raise CheckpointError(f"{name}: metadata {key!r} must be a nonnegative integer")
+    ft = meta["freq_table"]
+    if ft is not None and not (isinstance(ft, dict) and isinstance(ft.get("counts"), dict)
+                               and _is_int(ft.get("num_questions"))):
+        raise CheckpointError(f"{name}: metadata 'freq_table' needs a 'counts' object and an "
+                              "integer 'num_questions'")
+    config = meta["config"]
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{name}: metadata 'config' is not a JSON object")
+    defaults = {f.name: f.default for f in fields(TrainConfig)}
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise CheckpointError(f"{name}: unknown config keys {unknown}")
+    missing = sorted(set(defaults) - set(config))
+    if missing:
+        raise CheckpointError(f"{name}: config lacks keys {missing}")
+    for key, default in defaults.items():
+        value = config[key]
+        ok = _is_int(value) if _is_int(default) else (
+            isinstance(value, (int, float)) and not isinstance(value, bool))
+        if not ok:
+            raise CheckpointError(f"{name}: config {key!r} has the wrong type: {value!r}")
+    try:
+        return TrainConfig(**config)
+    except ValueError as exc:
+        raise CheckpointError(f"{name}: bad config: {exc}") from None
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
@@ -461,7 +576,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path.name}: unsupported checkpoint version {version}")
     (meta_len,) = rd.unpack("<Q")
-    meta = json.loads(rd.take(meta_len).decode("utf-8"))
+    try:
+        meta = json.loads(rd.take(meta_len).decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: {exc}") from None
+    config = _check_meta(meta, path.name)
     params = _params_from_tensors(dim, layers, hidden, _unpack_tensors(rd))
     adam = AdamState(m=_unpack_tensors(rd), v=_unpack_tensors(rd), t=meta["adam_t"])
     if rd.pos != len(payload):
@@ -474,7 +593,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         )
     return Checkpoint(
         params=params,
-        config=TrainConfig(**meta["config"]),
+        config=config,
         epoch=meta["epoch"],
         adam=adam,
         rng_state=meta["rng_state"],

@@ -355,3 +355,187 @@ def rr_oracle(ranked_labels) -> float:
 
 def p1_oracle(ranked_labels) -> int:
     return int(bool(ranked_labels[0]))
+
+
+# ---------------------------------------------------------------------------
+# Frozen per-window training step and scorer
+# ---------------------------------------------------------------------------
+#
+# The forward pass, the regularizer and the hand-written backward pass as they
+# stood before batching, kept verbatim apart from their names: one window at a
+# time, one ``+=`` per window and tensor. The stacked training step and scorer
+# must reproduce them bit for bit.
+
+
+class _Record:
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+def _sigmoid_loop(z):
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _bce_from_logit_loop(z, label):
+    return float(np.logaddexp(0.0, -z) if label else np.logaddexp(0.0, z))
+
+
+def window_forward_loop(feats, params):
+    """One window's scoring pass with every intermediate recorded."""
+    r = feats.reps
+    d = r.shape[1]
+    x_pairs = np.empty((9, d + 2))
+    for i in range(3):
+        for j in range(3):
+            k = 3 * i + j
+            x_pairs[k, :d] = r[i] * r[j]
+            x_pairs[k, d] = feats.costs[i]
+            x_pairs[k, d + 1] = feats.costs[j]
+    z1_dep = x_pairs @ params.dep.w1.T + params.dep.b1
+    a1_dep = np.maximum(z1_dep, 0.0)
+    u = (a1_dep @ params.dep.w2.T + params.dep.b2).reshape(3, 3)
+
+    shifted = np.exp(u - u.max(axis=1, keepdims=True))
+    alpha = shifted / shifted.sum(axis=1, keepdims=True)
+
+    hs = [r]
+    aggregated = []
+    pre = []
+    for layer in params.gcn:
+        s = alpha @ hs[-1]
+        z = s @ layer.w.T + layer.b
+        aggregated.append(s)
+        pre.append(z)
+        hs.append(np.maximum(z, 0.0))
+
+    h1 = hs[-1][0]
+    head_z1 = params.head.w1 @ h1 + params.head.b1
+    head_a1 = np.maximum(head_z1, 0.0)
+    logit = float((params.head.w2 @ head_a1 + params.head.b2)[0])
+    p = min(max(float(_sigmoid_loop(logit)), 1e-300), 1.0 - 1e-16)
+
+    return _Record(
+        x_pairs=x_pairs, z1_dep=z1_dep, a1_dep=a1_dep, u=u, alpha=alpha,
+        aggregated=aggregated, pre=pre, hs=hs, head_z1=head_z1, head_a1=head_a1,
+        logit=logit, p=p, loss_as2=_bce_from_logit_loop(logit, feats.labels[0]),
+    )
+
+
+def mi_forward_loop(h, sets, disc):
+    """One window's regularizer term with its intermediates."""
+    pairs = sets.positive + sets.negative
+    d = h.shape[1]
+    if not pairs:
+        empty = np.zeros((0, 0))
+        return _Record(pairs=(), n_positive=0, x=np.zeros((0, 2 * d)),
+                       z1=empty, a1=empty, z=np.zeros(0), loss=0.0)
+    x = np.stack([np.concatenate([h[i], h[j]]) for i, j in pairs])
+    z1 = x @ disc.w1.T + disc.b1
+    a1 = np.maximum(z1, 0.0)
+    z = a1 @ disc.w2.T[:, 0] + disc.b2[0]
+    n_pos = len(sets.positive)
+    loss = float(np.logaddexp(0.0, -z[:n_pos]).sum() + np.logaddexp(0.0, z[n_pos:]).sum())
+    return _Record(pairs=pairs, n_positive=n_pos, x=x, z1=z1, a1=a1, z=z, loss=loss)
+
+
+def mi_backward_loop(fwd, disc, scale, grads, dh):
+    if not fwd.pairs:
+        return
+    n_pos = fwd.n_positive
+    sig = _sigmoid_loop(fwd.z)
+    dz = np.empty_like(fwd.z)
+    dz[:n_pos] = sig[:n_pos] - 1.0
+    dz[n_pos:] = sig[n_pos:]
+    dz *= scale
+
+    grads["disc.w2"] += (dz @ fwd.a1)[None, :]
+    grads["disc.b2"] += dz.sum(keepdims=True)
+    da1 = dz[:, None] * disc.w2[0][None, :]
+    dz1 = da1 * (fwd.z1 > 0)
+    grads["disc.w1"] += dz1.T @ fwd.x
+    grads["disc.b1"] += dz1.sum(axis=0)
+
+    dx = dz1 @ disc.w1
+    d = dh.shape[1]
+    for k, (i, j) in enumerate(fwd.pairs):
+        dh[i] += dx[k, :d]
+        dh[j] += dx[k, d:]
+
+
+def forward_losses_loop(batch, params, gamma):
+    """Forward every window; returns (fwd records, mi records, as2 mean, mi mean)."""
+    from otrank.mutual_info import build_pair_sets
+
+    fwds = [window_forward_loop(f, params) for f in batch]
+    as2 = float(np.mean([f.loss_as2 for f in fwds]))
+    if gamma == 0.0:
+        return fwds, None, as2, 0.0
+    mis = [
+        mi_forward_loop(fwd.hs[-1], build_pair_sets(f.labels), params.disc)
+        for f, fwd in zip(batch, fwds)
+    ]
+    return fwds, mis, as2, float(np.mean([m.loss for m in mis]))
+
+
+def window_backward_loop(feats, params, fwd, mi_fwd, s_as2, s_mi, grads):
+    """Accumulate one window's gradient contribution into ``grads``."""
+    h_final = fwd.hs[-1]
+    dh = np.zeros_like(h_final)
+
+    y = 1.0 if feats.labels[0] else 0.0
+    dlogit = s_as2 * (float(_sigmoid_loop(fwd.logit)) - y)
+    grads["head.w2"] += dlogit * fwd.head_a1[None, :]
+    grads["head.b2"] += dlogit
+    da1 = dlogit * params.head.w2[0]
+    dz1 = da1 * (fwd.head_z1 > 0)
+    grads["head.w1"] += np.outer(dz1, h_final[0])
+    grads["head.b1"] += dz1
+    dh[0] += params.head.w1.T @ dz1
+
+    if mi_fwd is not None and s_mi != 0.0:
+        mi_backward_loop(mi_fwd, params.disc, s_mi, grads, dh)
+
+    dalpha = np.zeros((3, 3))
+    for l in range(len(params.gcn) - 1, -1, -1):
+        layer = params.gcn[l]
+        dz = dh * (fwd.pre[l] > 0)
+        grads[f"gcn.{l}.w"] += dz.T @ fwd.aggregated[l]
+        grads[f"gcn.{l}.b"] += dz.sum(axis=0)
+        ds = dz @ layer.w
+        dalpha += ds @ fwd.hs[l].T
+        dh = fwd.alpha.T @ ds
+
+    du = fwd.alpha * (dalpha - np.sum(dalpha * fwd.alpha, axis=1, keepdims=True))
+
+    du9 = du.reshape(9)
+    grads["dep.w2"] += (du9 @ fwd.a1_dep)[None, :]
+    grads["dep.b2"] += du9.sum()
+    da1_dep = du9[:, None] * params.dep.w2[0][None, :]
+    dz1_dep = da1_dep * (fwd.z1_dep > 0)
+    grads["dep.w1"] += dz1_dep.T @ fwd.x_pairs
+    grads["dep.b1"] += dz1_dep.sum(axis=0)
+
+
+def loss_and_gradients_loop(batch, params, cfg):
+    """Joint loss and every gradient tensor, window after window."""
+    from otrank.model import zero_gradients
+
+    if not batch:
+        raise ValueError("batch must be nonempty")
+    fwds, mis, as2, mi = forward_losses_loop(batch, params, cfg.gamma)
+    loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
+    if not np.isfinite(loss):
+        raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(batch)} windows")
+    grads = zero_gradients(params)
+    s_as2 = 1.0 / len(batch)
+    s_mi = cfg.gamma / len(batch)
+    for k, (feats, fwd) in enumerate(zip(batch, fwds)):
+        window_backward_loop(feats, params, fwd, None if mis is None else mis[k],
+                             s_as2, s_mi, grads)
+    return loss, grads

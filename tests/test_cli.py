@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import logging
+import re
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -229,47 +232,119 @@ class TestBadScoringInputs:
         assert str(key) in capsys.readouterr().err
 
 
+def _rewrite_meta(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON metadata.
+
+    The CRC is recomputed, so only the metadata check can reject the file.
+    """
+    raw = src.read_bytes()
+    head = 4 + 16  # magic, version, d, L, hidden
+    (meta_len,) = struct.unpack("<Q", raw[head:head + 8])
+    meta = json.loads(raw[head + 8:head + 8 + meta_len])
+    edit(meta)
+    meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    payload = (raw[:head] + struct.pack("<Q", len(meta_raw)) + meta_raw
+               + raw[head + 8 + meta_len:-4])
+    dst.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+
+
+class TestCheckpointMetadata:
+    @pytest.mark.parametrize("edit,named", [
+        (lambda m: m["config"].update(bogus=1), "bogus"),
+        (lambda m: m["config"].update(learning_rate=-1), "learning_rate"),
+        (lambda m: m["config"].update(batch_size="many"), "batch_size"),
+        (lambda m: m["config"].pop("gamma"), "gamma"),
+        (lambda m: m.pop("epoch"), "epoch"),
+        (lambda m: m.update(adam_t=-3), "adam_t"),
+        (lambda m: m.update(freq_table={"counts": []}), "freq_table"),
+    ], ids=["unknown-config-key", "bad-value", "bad-type", "missing-config-key",
+            "missing-field", "bad-field", "bad-freq-table"])
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    def test_bad_metadata_exits_one_naming_the_key(self, command, edit, named, cli_env,
+                                                   tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_meta(cli_env["ckpt"], bad, edit)
+        rc = main(_scoring_argv(command, cli_env, tmp_path, ckpt=bad))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_untouched_metadata_still_loads(self, cli_env, tmp_path):
+        same = tmp_path / "same.ckpt"
+        _rewrite_meta(cli_env["ckpt"], same, lambda m: None)
+        assert load_checkpoint(same).config == load_checkpoint(cli_env["ckpt"]).config
+
+
+def _train_config(cli_env, tmp_path, **over):
+    cfg = {
+        "train_corpus": str(cli_env["corpus"]),
+        "embeddings": str(cli_env["emb"]),
+        "checkpoint_out": str(tmp_path / "out.ckpt"),
+        "log_out": str(tmp_path / "log.jsonl"),
+        "learning_rate": 1e-3,
+        "epochs": 1,
+        "seed": 0,
+        "hidden_size": 5,
+        "gcn_layers": 2,
+    }
+    cfg.update(over)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _quiet_then_loud(argv, monkeypatch, capsys):
+    """Run ``main(argv)`` at the default log level, then at info; returns both captures."""
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    monkeypatch.setenv("OTRANK_LOG", "info")
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])  # lets main() install its stderr handler
+    level = root.level
+    try:
+        assert main(argv) == 0
+    finally:
+        root.setLevel(level)
+    return quiet, capsys.readouterr()
+
+
 class TestTelemetry:
     def test_info_log_goes_to_stderr_only(self, cli_env, tmp_path, monkeypatch, capsys):
-        argv = _scoring_argv("eval", cli_env, tmp_path)
-        assert main(argv) == 0
-        quiet = capsys.readouterr()
-        monkeypatch.setenv("OTRANK_LOG", "info")
-        root = logging.getLogger()
-        monkeypatch.setattr(root, "handlers", [])  # lets main() install its stderr handler
-        level = root.level
-        try:
-            assert main(argv) == 0
-        finally:
-            root.setLevel(level)
-        loud = capsys.readouterr()
+        quiet, loud = _quiet_then_loud(_scoring_argv("eval", cli_env, tmp_path), monkeypatch,
+                                       capsys)
         assert loud.out == quiet.out
         # Five windows, 15 sentences, four of them padding.
         line = next(l for l in loud.err.splitlines() if "aligned" in l)
         assert "aligned 11 sentences" in line
         assert "p50/p95/max" in line and "0 unconverged" in line
 
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    def test_scoring_logs_windows_per_second(self, command, cli_env, tmp_path, monkeypatch,
+                                             capsys):
+        quiet, loud = _quiet_then_loud(_scoring_argv(command, cli_env, tmp_path), monkeypatch,
+                                       capsys)
+        assert loud.out == quiet.out
+        line = next(l for l in loud.err.splitlines() if "windows/s" in l)
+        assert "ranked 5 windows of 2 questions" in line
+
+    def test_train_logs_stage_seconds(self, cli_env, tmp_path, monkeypatch, capsys):
+        cfg = _train_config(cli_env, tmp_path, dev_corpus=str(cli_env["corpus"]))
+        quiet, loud = _quiet_then_loud(["train", "--config", str(cfg)], monkeypatch, capsys)
+        assert loud.out == quiet.out == ""
+        lines = [l for l in loud.err.splitlines() if "train stages" in l]
+        assert len(lines) == 1
+        assert re.search(r"align [0-9.]+ s, step [0-9.]+ s, adam [0-9.]+ s, "
+                         r"dev-eval [0-9.]+ s$", lines[0])
+        records = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()]
+        assert all(set(r) == {"epoch", "train_loss", "dev_p_at_1", "dev_map", "dev_mrr",
+                              "wallclock_s"} for r in records)
+
 
 class TestTrainCommand:
-    def _config(self, cli_env, tmp_path, **over):
-        cfg = {
-            "train_corpus": str(cli_env["corpus"]),
-            "embeddings": str(cli_env["emb"]),
-            "checkpoint_out": str(tmp_path / "out.ckpt"),
-            "log_out": str(tmp_path / "log.jsonl"),
-            "learning_rate": 1e-3,
-            "epochs": 1,
-            "seed": 0,
-            "hidden_size": 5,
-            "gcn_layers": 2,
-        }
-        cfg.update(over)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        return path
-
     def test_zero_epochs_writes_init_checkpoint(self, cli_env, tmp_path):
-        cfg_path = self._config(cli_env, tmp_path)
+        cfg_path = _train_config(cli_env, tmp_path)
         rc = main(["train", "--config", str(cfg_path), "--epochs", "0"])
         assert rc == 0
         ckpt = load_checkpoint(tmp_path / "out.ckpt")
@@ -280,7 +355,7 @@ class TestTrainCommand:
         assert (tmp_path / "log.jsonl").read_text() == ""
 
     def test_train_writes_log_records(self, cli_env, tmp_path):
-        cfg_path = self._config(cli_env, tmp_path, epochs=2)
+        cfg_path = _train_config(cli_env, tmp_path, epochs=2)
         assert main(["train", "--config", str(cfg_path)]) == 0
         records = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in records] == [1, 2]
@@ -291,13 +366,13 @@ class TestTrainCommand:
         )
 
     def test_flag_overrides_config_seed(self, cli_env, tmp_path):
-        cfg_path = self._config(cli_env, tmp_path)
+        cfg_path = _train_config(cli_env, tmp_path)
         assert main(["train", "--config", str(cfg_path), "--epochs", "0",
                      "--seed", "99"]) == 0
         assert load_checkpoint(tmp_path / "out.ckpt").config.seed == 99
 
     def test_unknown_config_key_rejected(self, cli_env, tmp_path, capsys):
-        cfg_path = self._config(cli_env, tmp_path, bogus=1)
+        cfg_path = _train_config(cli_env, tmp_path, bogus=1)
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "bogus" in capsys.readouterr().err
 

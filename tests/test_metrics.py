@@ -164,14 +164,10 @@ class TestEvaluate:
         ckpt = _checkpoint_for(store, cfg, ft)
         import otrank.metrics as metrics_mod
 
-        class FakeFwd:
-            def __init__(self, p):
-                self.p = p
+        def oracle_scores(feats, params):
+            return np.array([1.0 if f.labels[0] else 0.0 for f in feats])
 
-        def oracle_forward(feats, params):
-            return FakeFwd(1.0 if feats.labels[0] else 0.0)
-
-        monkeypatch.setattr(metrics_mod, "window_forward", oracle_forward)
+        monkeypatch.setattr(metrics_mod, "score_windows", oracle_scores)
         report = metrics_mod.evaluate(dev_c, ckpt, store)
         assert report.p_at_1 == 1.0
         assert report.map == 1.0
@@ -185,13 +181,9 @@ class TestEvaluate:
         ckpt = _checkpoint_for(store, cfg, ft)
         import otrank.metrics as metrics_mod
 
-        class FakeFwd:
-            def __init__(self, p):
-                self.p = p
-
         monkeypatch.setattr(
-            metrics_mod, "window_forward",
-            lambda feats, params: FakeFwd(0.0 if feats.labels[0] else 1.0),
+            metrics_mod, "score_windows",
+            lambda feats, params: np.array([0.0 if f.labels[0] else 1.0 for f in feats]),
         )
         report = metrics_mod.evaluate(dev_c, ckpt, store)
         n = len(dev_c.instances[0].windows)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from otrank.embeddings import build_frequency_table
 from otrank.model import (
     FFNParams,
     GCNLayer,
@@ -15,11 +16,20 @@ from otrank.model import (
     param_tensors,
     score_candidate,
     score_window,
+    score_windows,
     window_forward,
 )
 from otrank.sinkhorn import SinkhornSettings
+from otrank.synthetic import make_synthetic_corpus
+from otrank.training import extract_corpus_features
 
-from oracles import ffn_scalar_oracle, scalar_score_window, sigmoid_oracle, softmax_oracle
+from oracles import (
+    ffn_scalar_oracle,
+    scalar_score_window,
+    sigmoid_oracle,
+    softmax_oracle,
+    window_forward_loop,
+)
 
 
 def zero_ffn(n_in, hidden=4):
@@ -298,3 +308,21 @@ class TestScoreWindow:
         )
         assert 0 < p < 1
         assert np.all(np.isfinite(h_final))
+
+
+class TestBatchedScores:
+    def test_wide_split_bitwise_equal_to_per_window_loop(self):
+        # BERT width: 60 windows at d=768, scored in several stacked chunks.
+        corpus, _, store = make_synthetic_corpus(n_train=12, n_dev=1, n_candidates=5,
+                                                 dim=768, seed=4)
+        feats = extract_corpus_features(corpus, store, build_frequency_table(corpus),
+                                        SinkhornSettings())
+        params = init_model_params(np.random.default_rng(6), dim=768, hidden=400, layers=2)
+        scores = score_windows(feats, params)
+        assert len(scores) == len(feats) == 60
+        for f, p in zip(feats, scores):
+            assert p == window_forward_loop(f, params).p
+
+    def test_empty_list_scores_nothing(self):
+        params = init_model_params(np.random.default_rng(0), dim=4, hidden=5, layers=1)
+        assert score_windows([], params).shape == (0,)

@@ -6,6 +6,7 @@ import pytest
 from otrank.model import FFNParams, init_model_params, window_forward
 from otrank.mutual_info import (
     PairIndexSets,
+    WindowPairs,
     build_pair_sets,
     discriminator,
     mi_backward,
@@ -159,8 +160,8 @@ class TestMiGradients:
             "disc.w1": np.zeros_like(disc.w1), "disc.b1": np.zeros_like(disc.b1),
             "disc.w2": np.zeros_like(disc.w2), "disc.b2": np.zeros_like(disc.b2),
         }
-        fwd = mi_forward(h, sets, disc)
-        mi_backward(fwd, disc, 1.0, grads, np.zeros_like(h))
+        fwd = mi_forward(h[None], WindowPairs.of([sets]), disc)
+        mi_backward(fwd, disc, 1.0, grads, np.zeros((1, 3, dim)))
 
         step = 1e-4
         for name, tensor in (("disc.w1", disc.w1), ("disc.b1", disc.b1),
@@ -187,8 +188,8 @@ class TestMiGradients:
             "disc.w1": np.zeros_like(disc.w1), "disc.b1": np.zeros_like(disc.b1),
             "disc.w2": np.zeros_like(disc.w2), "disc.b2": np.zeros_like(disc.b2),
         }
-        dh = np.zeros_like(h)
-        mi_backward(mi_forward(h, sets, disc), disc, 1.0, grads, dh)
+        dh = np.zeros((1, 3, 3))
+        mi_backward(mi_forward(h[None], WindowPairs.of([sets]), disc), disc, 1.0, grads, dh)
         step = 1e-5
         for i in range(3):
             for t in range(3):
@@ -199,7 +200,7 @@ class TestMiGradients:
                 down = mi_loss(h, sets, disc)
                 h[i, t] = orig
                 numeric = (up - down) / (2 * step)
-                assert abs(dh[i, t] - numeric) <= 1e-6 * max(1.0, abs(numeric))
+                assert abs(dh[0, i, t] - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
     def test_training_decreases_loss_on_correlated_pairs(self):
         # Positive pairs share a common latent vector; negatives are
@@ -211,12 +212,13 @@ class TestMiGradients:
         windows = []
         for _ in range(64):
             base = rng.normal(size=dim)
-            h = np.stack([
+            windows.append(np.stack([
                 base + 0.05 * rng.normal(size=dim),
                 base + 0.05 * rng.normal(size=dim),
                 rng.normal(size=dim),
-            ])
-            windows.append((h, build_pair_sets((True, True, False))))
+            ]))
+        h = np.stack(windows)
+        pairs = WindowPairs.of([build_pair_sets((True, True, False))] * len(windows))
 
         grads_keys = ("disc.w1", "disc.b1", "disc.w2", "disc.b2")
         tensors = {"disc.w1": disc.w1, "disc.b1": disc.b1,
@@ -225,12 +227,9 @@ class TestMiGradients:
         losses = []
         for _ in range(100):
             grads = {k: np.zeros_like(tensors[k]) for k in grads_keys}
-            total = 0.0
-            for h, sets in windows:
-                fwd = mi_forward(h, sets, disc)
-                total += fwd.loss
-                mi_backward(fwd, disc, 1.0 / len(windows), grads, np.zeros_like(h))
-            losses.append(total / len(windows))
+            fwd = mi_forward(h, pairs, disc)
+            mi_backward(fwd, disc, 1.0 / len(windows), grads, np.zeros_like(h))
+            losses.append(float(np.mean(fwd.loss)))
             for k in grads_keys:
                 tensors[k] -= lr * grads[k]
         smoothed = np.convolve(losses, np.ones(10) / 10, mode="valid")

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import otrank.training as training
 from otrank.errors import CheckpointError, EmbeddingKeyError
@@ -19,6 +21,7 @@ from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
     AdamState,
     TrainConfig,
+    WindowBatch,
     adam_step,
     extract_corpus_features,
     gradcheck,
@@ -30,7 +33,7 @@ from otrank.training import (
     train,
 )
 
-from oracles import reference_window_features
+from oracles import loss_and_gradients_loop, reference_window_features
 
 
 def micro_cfg(**kw):
@@ -78,9 +81,10 @@ class TestJointLoss:
             assert a == b
 
     def test_weighted_sum_arithmetic(self, monkeypatch):
-        monkeypatch.setattr(training, "_forward_losses",
-                            lambda batch, params, gamma: (None, None, 0.5, 1.0))
-        val = joint_loss([object()], None, micro_cfg(gamma=0.3))
+        monkeypatch.setattr(training, "_mean_terms",
+                            lambda batch, params, gamma, grads=None: (0.5, 1.0))
+        batch = random_batch(np.random.default_rng(0), 4, n=1)
+        val = joint_loss(batch, None, micro_cfg(gamma=0.3))
         assert val == pytest.approx(0.8, abs=1e-15)
 
     def test_empty_batch_rejected(self):
@@ -155,6 +159,64 @@ class TestGradients:
         feats.reps[0, 0] = np.inf
         with pytest.raises(FloatingPointError):
             loss_and_gradients([feats], params, micro_cfg())
+
+
+CONTEXT_LABELS = st.sampled_from([True, False, None])
+
+
+@st.composite
+def step_cases(draw):
+    """A random model and batch: 1-70 windows (crossing the chunk boundary), every
+    label pattern, padding windows with zero context reps, 1-3 GCN layers."""
+    n = draw(st.integers(1, 70))
+    labels = draw(st.lists(st.tuples(st.booleans(), CONTEXT_LABELS, CONTEXT_LABELS),
+                           min_size=n, max_size=n))
+    padded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    dim = draw(st.sampled_from([3, 16, 40]))
+    hidden = draw(st.sampled_from([1, 7, 64]))
+    layers = draw(st.integers(1, 3))
+    gamma = draw(st.sampled_from([0.0, 0.3, 1.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_model_params(rng, dim, hidden, layers)
+    for t in param_tensors(params).values():
+        t += rng.normal(size=t.shape) * 0.3
+    batch = []
+    for k, (label, pad) in enumerate(zip(labels, padded)):
+        reps = rng.normal(size=(3, dim))
+        costs = rng.uniform(0.2, 2.0, size=3)
+        if pad:  # padding context sentences: zero representation and cost, no label
+            reps[1:] = 0.0
+            costs[1:] = 0.0
+            label = (label[0], None, None)
+        batch.append(WindowFeatures("q", f"w{k}", reps, costs, label))
+    cfg = micro_cfg(gamma=gamma, hidden_size=hidden, gcn_layers=layers)
+    return batch, params, cfg
+
+
+class TestBatchedStepEqualsLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(case=step_cases())
+    def test_loss_and_every_gradient_bitwise(self, case):
+        batch, params, cfg = case
+        loss, grads = loss_and_gradients_loop(batch, params, cfg)
+        for stacked in (batch, WindowBatch.stack(batch)):
+            got_loss, got = loss_and_gradients(stacked, params, cfg)
+            assert got_loss == loss
+            assert list(got) == list(grads)
+            for name, g in grads.items():
+                assert got[name].shape == g.shape, name
+                assert got[name].tobytes() == g.tobytes(), name
+
+    def test_taken_rows_equal_their_list(self):
+        rng = np.random.default_rng(3)
+        params = init_model_params(rng, dim=4, hidden=6, layers=2)
+        feats = random_batch(rng, 4, n=9)
+        rows = [7, 2, 2, 5]
+        a = loss_and_gradients(WindowBatch.stack(feats).take(rows), params, micro_cfg())
+        b = loss_and_gradients([feats[r] for r in rows], params, micro_cfg())
+        assert a[0] == b[0]
+        for name in a[1]:
+            assert a[1][name].tobytes() == b[1][name].tobytes()
 
 
 class TestAdamStep:
