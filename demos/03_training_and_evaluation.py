@@ -9,10 +9,16 @@ of the mutual-information regularizer on the discriminator loss.
 
 import numpy as np
 
-from otrank import TrainConfig, build_frequency_table, evaluate, make_synthetic_corpus, train
-from otrank.model import window_forward
+from otrank import (
+    TrainConfig,
+    build_frequency_table,
+    evaluate,
+    extract_features,
+    make_synthetic_corpus,
+    train,
+)
+from otrank.model import instance_windows, window_forward
 from otrank.mutual_info import build_pair_sets, mi_loss
-from otrank.training import extract_corpus_features
 
 # A small corpus keeps this demo quick; scale n_train up for a longer run.
 train_corpus, dev_corpus, store = make_synthetic_corpus(
@@ -48,7 +54,8 @@ baseline = train(train_corpus, store,
                              hidden_size=64, batch_size=32))
 
 ft = build_frequency_table(train_corpus)
-feats = extract_corpus_features(train_corpus, store, ft, cfg.sinkhorn_settings())
+feats = extract_features(instance_windows(train_corpus.instances), store, ft,
+                         cfg.sinkhorn_settings())
 
 
 def mean_mi(params):

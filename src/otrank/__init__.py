@@ -10,51 +10,18 @@ representations.
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    CandidateWindow,
-    Corpus,
-    QAInstance,
-    Sentence,
-    Token,
-    content_tokens,
-    load_corpus,
-    pad_context,
-    save_corpus,
-    tokenize,
-)
+from .corpus import Corpus, load_corpus, save_corpus
 from .embeddings import (
-    EmbeddingStore,
     FrequencyTable,
     build_frequency_table,
     load_embedding_store,
     marginal_distribution,
     write_embedding_store,
 )
-from .metrics import (
-    MetricsReport,
-    average_precision,
-    evaluate,
-    precision_at_1,
-    rank_candidates,
-    reciprocal_rank,
-)
-from .model import (
-    ModelParams,
-    WindowFeatures,
-    as2_loss,
-    dependency_score,
-    edge_weights,
-    extract_features,
-    gcn_forward,
-    init_model_params,
-    score_candidate,
-    score_window,
-)
-from .mutual_info import PairIndexSets, build_pair_sets, discriminator, mi_loss
+from .metrics import evaluate
+from .model import extract_features, score_windows
 from .sinkhorn import (
-    AlignmentResult,
     SinkhornSettings,
-    TransportPlan,
     align_sentence,
     align_sentences,
     cost_matrix,
@@ -65,17 +32,33 @@ from .sinkhorn import (
     transport_cost,
 )
 from .synthetic import make_synthetic_corpus
-from .training import (
-    Checkpoint,
-    TrainConfig,
-    TrainResult,
-    adam_step,
-    gradcheck,
-    gradients,
-    joint_loss,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from .training import TrainConfig, gradcheck, load_checkpoint, train
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# What the command line, the demos, the benchmark and the README import from otrank.
+__all__ = [
+    "Corpus",
+    "FrequencyTable",
+    "SinkhornSettings",
+    "TrainConfig",
+    "align_sentence",
+    "align_sentences",
+    "build_frequency_table",
+    "cost_matrix",
+    "evaluate",
+    "extract_features",
+    "gradcheck",
+    "load_checkpoint",
+    "load_corpus",
+    "load_embedding_store",
+    "make_synthetic_corpus",
+    "marginal_distribution",
+    "relevant_context",
+    "save_corpus",
+    "score_windows",
+    "sentence_representation",
+    "sinkhorn_plan",
+    "sinkhorn_plans",
+    "train",
+    "transport_cost",
+    "write_embedding_store",
+]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import struct
-import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Corpus, Token
-from .errors import EmbeddingKeyError, EmbeddingStoreError
+from .errors import EmbeddingKeyError, EmbeddingStoreError, EmptyInputError
 
 MAGIC = b"OTRK"
 FORMAT_VERSION = 1
@@ -57,7 +56,7 @@ def build_frequency_table(train: Corpus) -> FrequencyTable:
     if train.split != "train":
         raise ValueError(f"frequency table requires the train split, got {train.split!r}")
     if not train.instances:
-        raise ValueError("cannot build a frequency table from an empty corpus")
+        raise EmptyInputError("cannot build a frequency table from an empty corpus")
     counts: Counter[str] = Counter()
     for inst in train.instances:
         for word in {t.normalized for t in inst.question.tokens}:
@@ -104,9 +103,6 @@ class EmbeddingStore:
             raise EmbeddingKeyError(
                 f"no embeddings for instance={instance_id!r} window={window_id!r} role={role!r}"
             ) from None
-
-    def has_sentence(self, instance_id: str, window_id: str, role: str) -> bool:
-        return (instance_id, window_id, role) in self._sentences
 
     @property
     def num_records(self) -> int:
@@ -210,7 +206,3 @@ def load_embedding_store(path: str | Path) -> EmbeddingStore:
         store._sentences[key] = np.stack([by_idx[i] for i in range(n)])
     return store
 
-
-def store_checksum(path: str | Path) -> int:
-    """CRC32 of the raw store file; handy for logging data provenance."""
-    return zlib.crc32(Path(path).read_bytes()) & 0xFFFFFFFF

@@ -28,3 +28,7 @@ class CheckpointError(OtrankError):
 
 class MissingFrequencyTableError(CheckpointError, ValueError):
     """A checkpoint carries no word-frequency table, so it cannot align."""
+
+
+class EmptyInputError(OtrankError, ValueError):
+    """The input holds nothing to train on, count, or evaluate."""

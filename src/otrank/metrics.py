@@ -15,14 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
-# extract_instance_features stays importable here: perfbench/tracing.py wraps it as a
-# metrics attribute.
-from .model import (  # noqa: F401
-    extract_features,
-    extract_instance_features,
-    instance_windows,
-    score_windows,
-)
+from .errors import EmptyInputError
+from .model import extract_features, instance_windows, score_windows
 
 logger = logging.getLogger(__name__)
 
@@ -80,18 +74,13 @@ def question_metrics(ranking: Ranking, labels: dict[str, bool]) -> tuple[int, fl
     )
 
 
-def rank_questions(instances, checkpoint, store) -> list[Ranking]:
-    """Score and rank the windows of every question, in order.
+def rank_features(instances, feats, params) -> list[Ranking]:
+    """Rank the windows of every question from their features, in order.
 
-    All windows of ``instances`` are aligned in one batch and scored by one
-    stacked forward pass. ``checkpoint`` must provide ``params``,
-    ``freq_table``, and a config with ``sinkhorn_settings()`` (see
-    :class:`otrank.training.Checkpoint`). Logs the windows per second at info.
+    ``feats`` holds the :class:`~otrank.model.WindowFeatures` of every window of
+    ``instances``, in corpus order; one :func:`score_windows` call scores them all.
     """
-    started = time.perf_counter()
-    feats = extract_features(instance_windows(instances), store, checkpoint.freq_table,
-                             checkpoint.config.sinkhorn_settings())
-    scores = score_windows(feats, checkpoint.params).tolist()
+    scores = score_windows(feats, params).tolist()
     rankings = []
     lo = 0
     for inst in instances:
@@ -99,33 +88,49 @@ def rank_questions(instances, checkpoint, store) -> list[Ranking]:
         rankings.append(rank_candidates([(f.window_id, p) for f, p in
                                          zip(feats[lo:hi], scores[lo:hi])]))
         lo = hi
+    return rankings
+
+
+def rank_questions(instances, checkpoint, store) -> list[Ranking]:
+    """Align, score and rank the windows of every question, in order.
+
+    All windows of ``instances`` are aligned in one batch. ``checkpoint`` must
+    provide ``params``, ``freq_table``, and a config with ``sinkhorn_settings()``
+    (see :class:`otrank.training.Checkpoint`). Logs the windows per second at info.
+    """
+    started = time.perf_counter()
+    feats = extract_features(instance_windows(instances), store, checkpoint.freq_table,
+                             checkpoint.config.sinkhorn_settings())
+    rankings = rank_features(instances, feats, checkpoint.params)
     seconds = time.perf_counter() - started
     logger.info("ranked %d windows of %d questions in %.3f s (%.1f windows/s)",
                 len(feats), len(instances), seconds, len(feats) / seconds if seconds else 0.0)
     return rankings
 
 
+def question_rows(instances, rankings):
+    """(question_id, p@1, ap, rr) rows of the questions with a positive candidate, in order."""
+    rows = []
+    for inst, ranking in zip(instances, rankings):
+        labels = {w.id: bool(w.cand.label) for w in inst.windows}
+        if any(labels.values()):
+            rows.append((inst.question_id, *question_metrics(ranking, labels)))
+    return rows
+
+
 def per_question_rows(corpus: Corpus, checkpoint, store):
-    """(question_id, p@1, ap, rr) rows for evaluable questions, corpus order.
+    """:func:`question_rows` of a corpus scored with a checkpoint.
 
     Questions with no positive candidate are neither aligned nor scored.
     """
-    evaluable = []
-    for inst in corpus.instances:
-        labels = {w.id: bool(w.cand.label) for w in inst.windows}
-        if any(labels.values()):
-            evaluable.append((inst, labels))
-    rankings = rank_questions([inst for inst, _ in evaluable], checkpoint, store)
-    return [
-        (inst.question_id, *question_metrics(ranking, labels))
-        for (inst, labels), ranking in zip(evaluable, rankings)
-    ]
+    evaluable = [inst for inst in corpus.instances if any(w.cand.label for w in inst.windows)]
+    return question_rows(evaluable, rank_questions(evaluable, checkpoint, store))
 
 
 def mean_report(rows) -> MetricsReport:
-    """Means of :func:`per_question_rows` rows."""
+    """Means of :func:`question_rows` rows, added left to right."""
     if not rows:
-        raise ValueError("no evaluable questions: every question lacks a positive label")
+        raise EmptyInputError("no evaluable questions: every question lacks a positive label")
     n = len(rows)
     return MetricsReport(
         p_at_1=sum(r[1] for r in rows) / n,

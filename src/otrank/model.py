@@ -34,8 +34,7 @@ from .embeddings import (
     FrequencyTable,
 )
 from .errors import EmbeddingStoreError, MissingFrequencyTableError
-# align_sentence stays importable here: perfbench/tracing.py wraps it as a model attribute.
-from .sinkhorn import (  # noqa: F401
+from .sinkhorn import (  # noqa: F401  (align_sentence: see the note in cli.py)
     AlignmentResult,
     NonFiniteCostError,
     SinkhornSettings,
@@ -149,62 +148,6 @@ def sigmoid(z):
     return out
 
 
-def dependency_score(r_i, r_j, d_i: float, d_j: float, dep: FFNParams) -> float:
-    """Edge score for (sentence i -> sentence j): FFN on [r_i * r_j; d_i; d_j]."""
-    r_i = np.asarray(r_i, dtype=np.float64)
-    r_j = np.asarray(r_j, dtype=np.float64)
-    if r_i.shape != r_j.shape or r_i.ndim != 1:
-        raise ValueError(f"representation shapes differ: {r_i.shape} vs {r_j.shape}")
-    x = np.concatenate([r_i * r_j, [d_i, d_j]])
-    if not np.all(np.isfinite(x)):
-        raise ValueError("dependency-score inputs must be finite")
-    a1 = np.maximum(dep.w1 @ x + dep.b1, 0.0)
-    return float((dep.w2 @ a1 + dep.b2)[0])
-
-
-def edge_weights(u_row) -> np.ndarray:
-    """Row softmax over the three outgoing edge scores (max-stabilized)."""
-    u = np.asarray(u_row, dtype=np.float64)
-    e = np.exp(u - u.max())
-    return e / e.sum()
-
-
-def gcn_forward(alpha: np.ndarray, h0: np.ndarray, gcn: list[GCNLayer]) -> np.ndarray:
-    """L layers of weighted neighbor aggregation + affine map + ReLU."""
-    h = np.asarray(h0, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape != (h.shape[0], h.shape[0]):
-        raise ValueError(f"edge-weight shape {alpha.shape} does not match {h.shape[0]} nodes")
-    for layer in gcn:
-        h = np.maximum((alpha @ h) @ layer.w.T + layer.b, 0.0)
-    return h
-
-
-def score_candidate(h1, head: FFNParams) -> float:
-    """Sigmoid correctness probability from the candidate representation.
-
-    Clamped away from exactly 0/1 so downstream logs stay finite.
-    """
-    h1 = np.asarray(h1, dtype=np.float64)
-    a1 = np.maximum(head.w1 @ h1 + head.b1, 0.0)
-    z = float((head.w2 @ a1 + head.b2)[0])
-    p = float(sigmoid(z))
-    return min(max(p, 1e-300), 1.0 - 1e-16)
-
-
-def as2_loss(p_c: float, label: bool) -> float:
-    """Binary cross entropy of one candidate score against its label."""
-    if not (0.0 < p_c < 1.0):
-        raise ValueError(f"score must lie strictly inside (0, 1), got {p_c}")
-    return -np.log(p_c) if label else -np.log(1.0 - p_c)
-
-
-def bce_from_logit(z: float, label: bool) -> float:
-    """Numerically stable BCE evaluated at the pre-sigmoid logit."""
-    # -log sigmoid(z) = logaddexp(0, -z); -log(1 - sigmoid(z)) = logaddexp(0, z)
-    return float(np.logaddexp(0.0, -z) if label else np.logaddexp(0.0, z))
-
-
 @dataclass
 class WindowFeatures:
     """Alignment-derived constants for one window; training never changes them."""
@@ -293,20 +236,6 @@ def _log_alignment_stats(plans: list[TransportPlan], seconds: float) -> None:
         "%d unconverged, worst marginal violation %.3e over converged plans",
         len(plans), seconds, p50, p95, max(iters, default=0), unconverged, worst,
     )
-
-
-def extract_window_features(
-    question: Sentence,
-    window: CandidateWindow,
-    instance_id: str,
-    store: EmbeddingStore,
-    ft: FrequencyTable | None,
-    settings: SinkhornSettings = SinkhornSettings(),
-    keep_alignments: bool = False,
-) -> WindowFeatures:
-    """Align candidate/prev/next to the question and collect scorer inputs."""
-    return extract_features([(question, window, instance_id)], store, ft, settings,
-                            keep_alignments)[0]
 
 
 def extract_instance_features(
@@ -422,58 +351,19 @@ def add_in_order(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WindowForward:
-    """One window's slice of :class:`Forward`, plus its ranking loss."""
+    """What callers read of one window's scoring pass, plus its ranking loss."""
 
-    x_pairs: np.ndarray  # (9, d+2)
-    z1_dep: np.ndarray  # (9, hidden)
-    a1_dep: np.ndarray  # (9, hidden)
-    u: np.ndarray  # (3, 3)
-    alpha: np.ndarray  # (3, 3)
-    aggregated: list[np.ndarray]  # per layer, (3, d)
-    pre: list[np.ndarray]  # per layer, (3, d)
+    alpha: np.ndarray  # (3, 3) edge weights
     hs: list[np.ndarray]  # h_0 .. h_L, (3, d)
-    head_z1: np.ndarray  # (hidden,)
-    head_a1: np.ndarray  # (hidden,)
-    logit: float
     p: float
-    loss_as2: float
+    loss_as2: float  # binary cross entropy of the candidate label, from the logit
 
 
 def window_forward(feats: WindowFeatures, params: ModelParams) -> WindowForward:
-    """Score one window, recording intermediates: the one-window call of :func:`forward`."""
+    """Score one window: the one-window call of :func:`forward`."""
     fwd = forward(feats.reps[None], feats.costs[None], params)
     logit = float(fwd.logit[0])
-    return WindowForward(
-        x_pairs=fwd.x_pairs[0],
-        z1_dep=fwd.z1_dep[0],
-        a1_dep=fwd.a1_dep[0],
-        u=fwd.u[0],
-        alpha=fwd.alpha[0],
-        aggregated=[s[0] for s in fwd.aggregated],
-        pre=[z[0] for z in fwd.pre],
-        hs=[h[0] for h in fwd.hs],
-        head_z1=fwd.head_z1[0],
-        head_a1=fwd.head_a1[0],
-        logit=logit,
-        p=float(fwd.p[0]),
-        loss_as2=bce_from_logit(logit, feats.labels[0]),
-    )
-
-
-def score_window(
-    question: Sentence,
-    window: CandidateWindow,
-    instance_id: str,
-    store: EmbeddingStore,
-    ft: FrequencyTable,
-    params: ModelParams,
-    settings: SinkhornSettings = SinkhornSettings(),
-) -> tuple[float, np.ndarray, WindowForward]:
-    """Align, build the dependency graph, run the GCN, score the candidate.
-
-    Returns the correctness probability, the final (3, d) node
-    representations, and the full forward record.
-    """
-    feats = extract_window_features(question, window, instance_id, store, ft, settings)
-    fwd = window_forward(feats, params)
-    return fwd.p, fwd.hs[-1], fwd
+    # -log sigmoid(z) for a positive candidate, -log(1 - sigmoid(z)) otherwise.
+    loss = np.logaddexp(0.0, -logit if feats.labels[0] else logit)
+    return WindowForward(alpha=fwd.alpha[0], hs=[h[0] for h in fwd.hs], p=float(fwd.p[0]),
+                         loss_as2=float(loss))

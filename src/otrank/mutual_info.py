@@ -42,19 +42,6 @@ def build_pair_sets(labels: tuple[bool | None, bool | None, bool | None]) -> Pai
     return PairIndexSets(positive=positive, negative=negative)
 
 
-def discriminator(h_i, h_j, disc: FFNParams) -> float:
-    """Sigmoid FFN on the concatenation [h_i; h_j]; order matters."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != h_j.shape or h_i.ndim != 1:
-        raise ValueError(f"pair shapes differ: {h_i.shape} vs {h_j.shape}")
-    x = np.concatenate([h_i, h_j])
-    a1 = np.maximum(disc.w1 @ x + disc.b1, 0.0)
-    z = float((disc.w2 @ a1 + disc.b2)[0])
-    p = float(sigmoid(z))
-    return min(max(p, 1e-300), 1.0 - 1e-16)
-
-
 @dataclass(frozen=True)
 class WindowPairs:
     """The ordered pairs of B windows, positives first, padded to the longest list."""

@@ -26,22 +26,18 @@ import numpy as np
 from . import metrics as metrics_mod
 from .corpus import Corpus
 from .embeddings import EmbeddingStore, FrequencyTable, build_frequency_table
-from .errors import CheckpointError
-# extract_instance_features stays importable here: perfbench/tracing.py wraps it as a
-# training attribute.
-from .model import (  # noqa: F401
+from .errors import CheckpointError, EmptyInputError
+from .model import (
     FORWARD_CHUNK,
     Forward,
     ModelParams,
     WindowFeatures,
     add_in_order,
     extract_features,
-    extract_instance_features,
     forward,
     init_model_params,
     instance_windows,
     param_tensors,
-    score_windows,
     sigmoid,
     zero_gradients,
 )
@@ -230,12 +226,6 @@ def loss_and_gradients(batch, params: ModelParams, cfg: TrainConfig
     return loss, grads
 
 
-def gradients(
-    batch: list[WindowFeatures], params: ModelParams, cfg: TrainConfig
-) -> dict[str, np.ndarray]:
-    return loss_and_gradients(batch, params, cfg)[1]
-
-
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -309,31 +299,14 @@ def _snapshot(params, cfg, epoch, adam, rng, ft) -> Checkpoint:
     )
 
 
-def extract_corpus_features(
-    corpus: Corpus, store: EmbeddingStore, ft: FrequencyTable, settings: SinkhornSettings
-) -> list[WindowFeatures]:
-    """Alignment features for every window of a corpus, in corpus order,
-    aligned in one batch."""
-    return extract_features(instance_windows(corpus.instances), store, ft, settings)
-
-
-def _dev_metrics(dev_feats, params):
-    scores = score_windows(dev_feats, params).tolist()
-    by_q: dict[str, list] = {}
-    for f, p in zip(dev_feats, scores):
-        by_q.setdefault(f.question_id, []).append((f.window_id, p, f.labels[0]))
-    rows = []
-    for scored in by_q.values():
-        labels = {wid: label for wid, _, label in scored}
-        if not any(labels.values()):
-            continue
-        ranking = metrics_mod.rank_candidates([(wid, p) for wid, p, _ in scored])
-        rows.append(metrics_mod.question_metrics(ranking, labels))
+def _dev_metrics(instances, feats, params):
+    """Mean dev p@1, MAP and MRR over the evaluable questions; ``None`` when there are none."""
+    rows = metrics_mod.question_rows(instances,
+                                     metrics_mod.rank_features(instances, feats, params))
     if not rows:
         return None, None, None
-    n = len(rows)
-    return (sum(r[0] for r in rows) / n, sum(r[1] for r in rows) / n,
-            sum(r[2] for r in rows) / n)
+    report = metrics_mod.mean_report(rows)
+    return report.p_at_1, report.map, report.mrr
 
 
 def train(
@@ -350,7 +323,7 @@ def train(
     alongside the final one.
     """
     if not train_corpus.instances:
-        raise ValueError("training corpus is empty")
+        raise EmptyInputError("training corpus is empty")
     rng = np.random.default_rng(cfg.seed)
     params = init_model_params(rng, store.dim, cfg.hidden_size, cfg.gcn_layers)
     adam = AdamState.zeros(params)
@@ -358,9 +331,10 @@ def train(
     settings = cfg.sinkhorn_settings()
     clock = time.perf_counter
     t0 = clock()
-    feats = extract_corpus_features(train_corpus, store, ft, settings)
+    feats = extract_features(instance_windows(train_corpus.instances), store, ft, settings)
     dev_feats = (
-        extract_corpus_features(dev_corpus, store, ft, settings) if dev_corpus else None
+        extract_features(instance_windows(dev_corpus.instances), store, ft, settings)
+        if dev_corpus else None
     )
     stacked = WindowBatch.stack(feats)
     stage_s = {"align": clock() - t0, "step": 0.0, "adam": 0.0, "dev-eval": 0.0}
@@ -390,7 +364,7 @@ def train(
         p1 = ap = rr = None
         if dev_feats is not None:
             t0 = clock()
-            p1, ap, rr = _dev_metrics(dev_feats, params)
+            p1, ap, rr = _dev_metrics(dev_corpus.instances, dev_feats, params)
             stage_s["dev-eval"] += clock() - t0
             if ap is not None and ap > best_map:
                 best_map = ap
@@ -651,7 +625,7 @@ def gradcheck(
     cfg = TrainConfig(learning_rate=1e-3, batch_size=len(batch), gamma=gamma,
                       epochs=0, seed=seed, hidden_size=hidden, gcn_layers=layers)
 
-    analytic = gradients(batch, params, cfg)
+    analytic = loss_and_gradients(batch, params, cfg)[1]
     report: dict[str, float] = {}
     for name, theta in param_tensors(params).items():
         worst = 0.0

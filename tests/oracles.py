@@ -209,6 +209,17 @@ def sigmoid_oracle(z: float) -> float:
     return e / (1.0 + e)
 
 
+def discriminator_oracle(h_i, h_j, disc) -> float:
+    """The regularizer's pair probability U(h_i, h_j): sigmoid FFN on [h_i; h_j].
+
+    Clamped away from exactly 0 and 1, so its logs stay finite.
+    """
+    x = np.concatenate([np.asarray(h_i, dtype=np.float64), np.asarray(h_j, dtype=np.float64)])
+    a1 = np.maximum(disc.w1 @ x + disc.b1, 0.0)
+    z = float((disc.w2 @ a1 + disc.b2)[0])
+    return min(max(sigmoid_oracle(z), 1e-300), 1.0 - 1e-16)
+
+
 # ---------------------------------------------------------------------------
 # Straight-line scalar recomputation of the whole window scoring pipeline
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ from otrank.embeddings import FrequencyTable, build_frequency_table, write_embed
 from otrank.metrics import average_precision, precision_at_1, rank_candidates, reciprocal_rank
 from otrank.model import (
     WindowFeatures,
+    extract_features,
     init_model_params,
+    instance_windows,
     param_tensors,
     window_forward,
 )
@@ -29,7 +31,6 @@ from otrank.sinkhorn import (
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
     TrainConfig,
-    extract_corpus_features,
     gradcheck,
     joint_loss,
     load_checkpoint,
@@ -226,7 +227,8 @@ def test_criterion_7_joint_loss_degeneracy(synthetic_corpus):
     ft = build_frequency_table(corpus)
     cfg0 = TrainConfig(gamma=0.0, batch_size=16, hidden_size=32, gcn_layers=2,
                        learning_rate=1e-3)
-    feats = extract_corpus_features(corpus, store, ft, cfg0.sinkhorn_settings())
+    feats = extract_features(instance_windows(corpus.instances), store, ft,
+                             cfg0.sinkhorn_settings())
     params = init_model_params(np.random.default_rng(0), store.dim, 32, 2)
 
     # Full epoch of batches: gamma = 0 must reproduce the AS2 mean bit-for-bit.
@@ -266,7 +268,7 @@ def test_criterion_8_end_to_end_learning(synthetic_corpus):
 def test_criterion_9_mi_effect_witness(synthetic_corpus):
     train_c, _, store = synthetic_corpus
     ft = build_frequency_table(train_c)
-    feats = extract_corpus_features(train_c, store, ft, SinkhornSettings())
+    feats = extract_features(instance_windows(train_c.instances), store, ft, SinkhornSettings())
 
     def mean_mi(params):
         vals = [

@@ -27,7 +27,7 @@ from otrank.training import (
     save_checkpoint,
 )
 
-from conftest import build_tiny_store, write_tiny_jsonl
+from conftest import TINY_RECORDS, build_tiny_store, write_tiny_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -295,18 +295,23 @@ def _train_config(cli_env, tmp_path, **over):
     return path
 
 
+def _main_logging_to_stderr(argv, monkeypatch) -> int:
+    """``main(argv)`` with its own stderr log handler, as on the command line."""
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])  # lets main() install its stderr handler
+    level = root.level
+    try:
+        return main(argv)
+    finally:
+        root.setLevel(level)
+
+
 def _quiet_then_loud(argv, monkeypatch, capsys):
     """Run ``main(argv)`` at the default log level, then at info; returns both captures."""
     assert main(argv) == 0
     quiet = capsys.readouterr()
     monkeypatch.setenv("OTRANK_LOG", "info")
-    root = logging.getLogger()
-    monkeypatch.setattr(root, "handlers", [])  # lets main() install its stderr handler
-    level = root.level
-    try:
-        assert main(argv) == 0
-    finally:
-        root.setLevel(level)
+    assert _main_logging_to_stderr(argv, monkeypatch) == 0
     return quiet, capsys.readouterr()
 
 
@@ -340,6 +345,53 @@ class TestTelemetry:
         records = [json.loads(l) for l in (tmp_path / "log.jsonl").read_text().splitlines()]
         assert all(set(r) == {"epoch", "train_loss", "dev_p_at_1", "dev_map", "dev_mrr",
                               "wallclock_s"} for r in records)
+
+
+class TestNothingToScore:
+    """Input that holds nothing to count, train on or evaluate is a validation error."""
+
+    @staticmethod
+    def _exits_one(argv, message, monkeypatch, capsys):
+        rc = _main_logging_to_stderr(argv, monkeypatch)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_eval_without_positive_candidates(self, cli_env, tmp_path, monkeypatch, capsys):
+        split = tmp_path / "negatives.jsonl"
+        with split.open("w", encoding="utf-8") as fh:
+            for rec in TINY_RECORDS:
+                rec = {**rec, "candidates": [{**c, "label": 0} for c in rec["candidates"]]}
+                fh.write(json.dumps(rec) + "\n")
+        argv = ["eval", "--checkpoint", str(cli_env["ckpt"]), "--split", str(split),
+                "--embeddings", str(cli_env["emb"])]
+        self._exits_one(argv, "no evaluable questions", monkeypatch, capsys)
+
+    def test_eval_on_empty_split(self, cli_env, tmp_path, monkeypatch, capsys):
+        split = tmp_path / "empty.jsonl"
+        split.write_text("")
+        argv = ["eval", "--checkpoint", str(cli_env["ckpt"]), "--split", str(split),
+                "--embeddings", str(cli_env["emb"])]
+        self._exits_one(argv, "no evaluable questions", monkeypatch, capsys)
+
+    def test_train_on_empty_corpus(self, cli_env, tmp_path, monkeypatch, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        cfg = _train_config(cli_env, tmp_path, train_corpus=str(empty))
+        self._exits_one(["train", "--config", str(cfg)], "training corpus is empty",
+                        monkeypatch, capsys)
+        assert not (tmp_path / "out.ckpt").exists()
+
+    def test_build_freq_on_empty_corpus(self, tmp_path, monkeypatch, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        out = tmp_path / "freq.json"
+        self._exits_one(["build-freq", "--train", str(empty), "--out", str(out)],
+                        "cannot build a frequency table from an empty corpus",
+                        monkeypatch, capsys)
+        assert not out.exists()
 
 
 class TestTrainCommand:

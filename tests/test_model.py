@@ -1,4 +1,4 @@
-"""Dependency scores, edge weights, GCN, scoring head, window scoring."""
+"""The stacked scoring pass: edge scores, edge weights, GCN, head, window scoring."""
 
 import numpy as np
 import pytest
@@ -8,20 +8,17 @@ from otrank.model import (
     FFNParams,
     GCNLayer,
     WindowFeatures,
-    as2_loss,
-    dependency_score,
-    edge_weights,
-    gcn_forward,
+    extract_features,
+    forward,
     init_model_params,
+    instance_windows,
     param_tensors,
-    score_candidate,
-    score_window,
     score_windows,
     window_forward,
 )
 from otrank.sinkhorn import SinkhornSettings
 from otrank.synthetic import make_synthetic_corpus
-from otrank.training import extract_corpus_features
+from otrank.training import TrainConfig, joint_loss
 
 from oracles import (
     ffn_scalar_oracle,
@@ -46,94 +43,137 @@ def random_ffn(rng, n_in, hidden):
     )
 
 
+def random_params(rng, d, hidden=5, layers=2):
+    params = init_model_params(rng, dim=d, hidden=hidden, layers=layers)
+    params.dep = random_ffn(rng, d + 2, hidden)
+    params.head = random_ffn(rng, d, hidden)
+    return params
+
+
+def run(reps, costs, params):
+    """One window through the stacked pass."""
+    return forward(np.asarray(reps, dtype=np.float64)[None],
+                   np.asarray(costs, dtype=np.float64)[None], params)
+
+
+def cost_only_dep(d, hidden, w1_costs, b1, w2):
+    """A dependency FFN that reads only the two cost channels of an edge."""
+    w1 = np.zeros((hidden, d + 2))
+    w1[:, d:] = w1_costs
+    return FFNParams(w1=w1, b1=np.asarray(b1, dtype=np.float64),
+                     w2=np.asarray([w2], dtype=np.float64), b2=np.zeros(1))
+
+
 class TestDependencyScore:
     def test_zero_parameters_give_zero(self):
         rng = np.random.default_rng(0)
-        dep = zero_ffn(6)
-        assert dependency_score(rng.normal(size=4), rng.normal(size=4), 1.2, 3.4, dep) == 0.0
+        params = init_model_params(rng, dim=4, hidden=4, layers=1)
+        params.dep = zero_ffn(6)
+        u = run(rng.normal(size=(3, 4)), [1.2, 3.4, 0.5], params).u[0]
+        np.testing.assert_array_equal(u, np.zeros((3, 3)))
 
     def test_zero_representation_leaves_only_cost_channels(self):
         rng = np.random.default_rng(1)
-        dep = random_ffn(rng, 6, 5)
-        z = np.zeros(4)
-        r = rng.normal(size=4)
-        # r_i = 0 annihilates the product; score depends on (d_i, d_j) only.
-        a = dependency_score(z, r, 0.7, 0.9, dep)
-        b = dependency_score(z, 2 * r, 0.7, 0.9, dep)
-        assert a == pytest.approx(b, abs=1e-15)
+        params = random_params(rng, 4)
+        reps = np.vstack([np.zeros(4), rng.normal(size=(2, 4))])
+        costs = [0.7, 0.9, 1.1]
+        # r_0 = 0 annihilates the products of row 0; its scores depend on the costs only.
+        a = run(reps, costs, params).u[0, 0]
+        scaled = reps.copy()
+        scaled[1:] *= 2.0
+        b = run(scaled, costs, params).u[0, 0]
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
     def test_matches_dense_math_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            dep = random_ffn(rng, 6, 7)
-            r_i, r_j = rng.normal(size=4), rng.normal(size=4)
-            d_i, d_j = rng.uniform(0, 3, size=2)
-            x = list(r_i * r_j) + [d_i, d_j]
-            expected = ffn_scalar_oracle(
-                x, dep.w1.tolist(), dep.b1.tolist(), dep.w2.tolist(), dep.b2.tolist()
-            )
-            assert dependency_score(r_i, r_j, d_i, d_j, dep) == pytest.approx(
-                expected, abs=1e-10
-            )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dependency_score(np.zeros(3), np.zeros(4), 0.0, 0.0, zero_ffn(5))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            dependency_score(np.array([np.nan, 1.0]), np.ones(2), 0.0, 0.0, zero_ffn(4))
+            params = random_params(rng, 4, hidden=7)
+            reps, costs = rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3)
+            u = run(reps, costs, params).u[0]
+            dep = [t.tolist() for t in (params.dep.w1, params.dep.b1, params.dep.w2,
+                                        params.dep.b2)]
+            for i in range(3):
+                for j in range(3):
+                    x = list(reps[i] * reps[j]) + [costs[i], costs[j]]
+                    assert u[i, j] == pytest.approx(ffn_scalar_oracle(x, *dep), abs=1e-10)
 
 
 class TestEdgeWeights:
     def test_equal_scores(self):
-        np.testing.assert_allclose(edge_weights([2.0, 2.0, 2.0]), [1 / 3] * 3, atol=1e-15)
+        rng = np.random.default_rng(3)
+        params = init_model_params(rng, dim=4, hidden=4, layers=1)
+        params.dep = zero_ffn(6)
+        params.dep.b2[0] = 2.0
+        alpha = run(rng.normal(size=(3, 4)), [1.0, 2.0, 3.0], params).alpha[0]
+        np.testing.assert_allclose(alpha, np.full((3, 3), 1 / 3), atol=1e-15)
 
     def test_log_two_closed_form(self):
-        np.testing.assert_allclose(
-            edge_weights([np.log(2.0), 0.0, 0.0]), [0.5, 0.25, 0.25], atol=1e-15
-        )
+        # One hidden unit relu(d_i + d_j - 1.5) with costs (1, 0, 0) fires only on
+        # edge (0, 0), so row 0 of the scores is (log 2, 0, 0).
+        params = init_model_params(np.random.default_rng(4), dim=2, hidden=1, layers=1)
+        params.dep = cost_only_dep(2, 1, [[1.0, 1.0]], [-1.5], [2.0 * np.log(2.0)])
+        alpha = run(np.ones((3, 2)), [1.0, 0.0, 0.0], params).alpha[0]
+        np.testing.assert_allclose(alpha[0], [0.5, 0.25, 0.25], atol=1e-15)
+        np.testing.assert_allclose(alpha[1:], np.full((2, 3), 1 / 3), atol=1e-15)
 
     def test_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        u = rng.normal(size=3)
-        np.testing.assert_array_equal(edge_weights(u), edge_weights(u + 123.456))
+        rng = np.random.default_rng(5)
+        params = random_params(rng, 4)
+        reps, costs = rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3)
+        before = run(reps, costs, params)
+        params.dep.b2[0] += 123.456
+        after = run(reps, costs, params)
+        np.testing.assert_allclose(after.u[0] - before.u[0], np.full((3, 3), 123.456),
+                                   atol=1e-12)
+        # The shifted scores carry the rounding of the addition, hence not bitwise.
+        np.testing.assert_allclose(after.alpha[0], before.alpha[0], rtol=0, atol=1e-13)
 
     def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            w = edge_weights(rng.normal(size=3) * 10)
-            assert abs(w.sum() - 1.0) <= 1e-12
-            assert np.all((w > 0) & (w < 1))
+        rng = np.random.default_rng(6)
+        params = random_params(rng, 4)
+        fwd = forward(rng.normal(size=(50, 3, 4)), rng.uniform(0, 3, size=(50, 3)), params)
+        assert np.max(np.abs(fwd.alpha.sum(axis=2) - 1.0)) <= 1e-12
+        assert np.all((fwd.alpha > 0) & (fwd.alpha < 1))
 
     def test_matches_softmax_oracle(self):
-        rng = np.random.default_rng(5)
-        u = rng.normal(size=3)
-        np.testing.assert_allclose(edge_weights(u), softmax_oracle(list(u)), atol=1e-15)
+        rng = np.random.default_rng(7)
+        params = random_params(rng, 4)
+        fwd = run(rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3), params)
+        for i in range(3):
+            np.testing.assert_allclose(fwd.alpha[0, i], softmax_oracle(list(fwd.u[0, i])),
+                                       atol=1e-15)
 
 
 class TestGcnForward:
     def test_identity_layer_fixes_nonnegative_input(self):
-        h0 = np.abs(np.random.default_rng(6).normal(size=(3, 4)))
-        gcn = [GCNLayer(w=np.eye(4), b=np.zeros(4))]
-        np.testing.assert_allclose(gcn_forward(np.eye(3), h0, gcn), h0, atol=1e-15)
+        rng = np.random.default_rng(8)
+        params = init_model_params(rng, dim=4, hidden=4, layers=1)
+        # Edge scores -1e4 * |d_i - d_j|: with distinct costs, alpha is exactly the identity.
+        params.dep = cost_only_dep(4, 2, [[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0], [-1e4, -1e4])
+        params.gcn = [GCNLayer(w=np.eye(4), b=np.zeros(4))]
+        h0 = np.abs(rng.normal(size=(3, 4)))
+        fwd = run(h0, [0.0, 1.0, 2.0], params)
+        np.testing.assert_array_equal(fwd.alpha[0], np.eye(3))
+        np.testing.assert_allclose(fwd.hs[-1][0], h0, atol=1e-15)
 
     def test_large_negative_bias_saturates_to_zero(self):
-        rng = np.random.default_rng(7)
-        h0 = rng.normal(size=(3, 4))
-        alpha = np.full((3, 3), 1 / 3)
-        gcn = [GCNLayer(w=rng.normal(size=(4, 4)), b=np.full(4, -1e6))]
-        np.testing.assert_array_equal(gcn_forward(alpha, h0, gcn), np.zeros((3, 4)))
+        rng = np.random.default_rng(9)
+        params = random_params(rng, 4)
+        params.gcn[-1].b[...] = -1e6
+        fwd = run(rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3), params)
+        np.testing.assert_array_equal(fwd.hs[-1][0], np.zeros((3, 4)))
 
     def test_matches_per_node_summation_oracle(self):
-        rng = np.random.default_rng(8)
+        rng = np.random.default_rng(10)
         d = 4
-        h0 = rng.normal(size=(3, d))
-        alpha = np.stack([softmax_oracle(list(rng.normal(size=3))) for _ in range(3)])
-        layers = [GCNLayer(w=rng.normal(size=(d, d)), b=rng.normal(size=d)) for _ in range(2)]
-        got = gcn_forward(alpha, h0, layers)
-        h = h0.tolist()
-        for layer in layers:
+        params = random_params(rng, d)
+        for layer in params.gcn:
+            layer.w[...] = rng.normal(size=(d, d))
+            layer.b[...] = rng.normal(size=d)
+        fwd = run(rng.normal(size=(3, d)), rng.uniform(0, 3, size=3), params)
+        alpha = fwd.alpha[0]
+        h = fwd.hs[0][0].tolist()
+        for layer, got in zip(params.gcn, fwd.hs[1:]):
             agg = [
                 [sum(alpha[i][j] * h[j][t] for j in range(3)) for t in range(d)]
                 for i in range(3)
@@ -145,65 +185,86 @@ class TestGcnForward:
                 ]
                 for i in range(3)
             ]
-        np.testing.assert_allclose(got, h, atol=1e-10)
+            np.testing.assert_allclose(got[0], h, atol=1e-10)
 
     def test_output_nonnegative(self):
-        rng = np.random.default_rng(9)
-        layers = [GCNLayer(w=rng.normal(size=(5, 5)), b=rng.normal(size=5)) for _ in range(3)]
-        alpha = np.stack([softmax_oracle(list(rng.normal(size=3))) for _ in range(3)])
-        out = gcn_forward(alpha, rng.normal(size=(3, 5)), layers)
-        assert np.all(out >= 0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gcn_forward(np.eye(2), np.zeros((3, 4)), [GCNLayer(np.eye(4), np.zeros(4))])
+        rng = np.random.default_rng(11)
+        params = random_params(rng, 5, layers=3)
+        for layer in params.gcn:
+            layer.w[...] = rng.normal(size=(5, 5))
+            layer.b[...] = rng.normal(size=5)
+        fwd = forward(rng.normal(size=(20, 3, 5)), rng.uniform(0, 3, size=(20, 3)), params)
+        assert all(np.all(h >= 0) for h in fwd.hs[1:])
 
 
 class TestScoreCandidate:
     def test_zero_parameters_give_half(self):
-        assert score_candidate(np.ones(4), zero_ffn(4)) == 0.5
+        rng = np.random.default_rng(12)
+        params = random_params(rng, 4)
+        params.head = zero_ffn(4)
+        fwd = run(rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3), params)
+        assert fwd.logit[0] == 0.0 and fwd.p[0] == 0.5
 
     def test_large_logit_stays_below_one(self):
-        head = zero_ffn(2)
-        head.b2[0] = 20.0
-        p = score_candidate(np.zeros(2), head)
+        rng = np.random.default_rng(13)
+        params = random_params(rng, 2)
+        params.head = zero_ffn(2)
+        params.head.b2[0] = 20.0
+        p = run(rng.normal(size=(3, 2)), rng.uniform(0, 3, size=3), params).p[0]
         assert p < 1.0
         assert 1.0 - p <= 1e-8
 
     def test_matches_sigmoid_oracle(self):
-        rng = np.random.default_rng(10)
-        head = random_ffn(rng, 4, 6)
-        h1 = rng.normal(size=4)
-        z = ffn_scalar_oracle(
-            list(h1), head.w1.tolist(), head.b1.tolist(), head.w2.tolist(), head.b2.tolist()
-        )
-        assert score_candidate(h1, head) == pytest.approx(sigmoid_oracle(z), abs=1e-12)
+        rng = np.random.default_rng(14)
+        params = random_params(rng, 4, hidden=6)
+        fwd = run(rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3), params)
+        head = [t.tolist() for t in (params.head.w1, params.head.b1, params.head.w2,
+                                     params.head.b2)]
+        z = ffn_scalar_oracle(list(fwd.hs[-1][0, 0]), *head)
+        assert fwd.logit[0] == pytest.approx(z, abs=1e-12)
+        assert fwd.p[0] == pytest.approx(sigmoid_oracle(z), abs=1e-12)
 
     def test_strictly_interior(self):
-        rng = np.random.default_rng(11)
-        head = random_ffn(rng, 3, 4)
-        head.b2[0] = 500.0  # saturating logit
-        p = score_candidate(rng.normal(size=3), head)
-        assert 0.0 < p < 1.0
+        rng = np.random.default_rng(15)
+        params = random_params(rng, 3)
+        reps, costs = rng.normal(size=(3, 3)), rng.uniform(0, 3, size=3)
+        for bias in (500.0, -800.0):  # saturating logits
+            params.head.b2[0] = bias
+            assert 0.0 < run(reps, costs, params).p[0] < 1.0
 
 
 class TestAs2Loss:
+    def _window(self, rng, label, logit):
+        params = random_params(rng, 4)
+        params.head = zero_ffn(4)
+        params.head.b2[0] = logit
+        feats = WindowFeatures("q", "w", rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3),
+                               (label, None, None))
+        return feats, params
+
     def test_half_is_log_two(self):
-        assert as2_loss(0.5, True) == pytest.approx(np.log(2.0), abs=1e-15)
-        assert as2_loss(0.5, False) == pytest.approx(np.log(2.0), abs=1e-15)
+        rng = np.random.default_rng(16)
+        for label in (True, False):
+            feats, params = self._window(rng, label, 0.0)
+            assert window_forward(feats, params).p == 0.5
+            assert window_forward(feats, params).loss_as2 == pytest.approx(np.log(2.0),
+                                                                           abs=1e-15)
 
     def test_point_nine_true(self):
-        assert as2_loss(0.9, True) == pytest.approx(-np.log(0.9), abs=1e-15)
+        feats, params = self._window(np.random.default_rng(17), True, np.log(9.0))
+        fwd = window_forward(feats, params)
+        assert fwd.p == pytest.approx(0.9, abs=1e-15)
+        assert fwd.loss_as2 == pytest.approx(-np.log(0.9), abs=1e-15)
 
     def test_batch_mean_rule(self):
-        a, b = as2_loss(0.9, True), as2_loss(0.2, False)
-        assert np.mean([a, b]) == pytest.approx((a + b) / 2.0, abs=1e-16)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            as2_loss(0.0, True)
-        with pytest.raises(ValueError):
-            as2_loss(1.0, False)
+        rng = np.random.default_rng(18)
+        params = random_params(rng, 4)
+        batch = [WindowFeatures("q", f"w{k}", rng.normal(size=(3, 4)),
+                                rng.uniform(0, 3, size=3), (label, None, None))
+                 for k, label in enumerate((True, False))]
+        a, b = (window_forward(f, params).loss_as2 for f in batch)
+        cfg = TrainConfig(gamma=0.0, hidden_size=5, gcn_layers=2)
+        assert joint_loss(batch, params, cfg) == pytest.approx((a + b) / 2.0, abs=1e-16)
 
 
 def make_features(rng, dim, labels=(True, False, None)):
@@ -277,15 +338,18 @@ class TestWindowForward:
             np.testing.assert_allclose(fwd.hs[-1], h_ref, atol=1e-8)
 
 
+def tiny_window_features(store, ft, inst, window=0):
+    return extract_features([(inst.question, inst.windows[window], inst.question_id)],
+                            store, ft, SinkhornSettings())[0]
+
+
 class TestScoreWindow:
     def test_golden_fixture_score(self, tiny_corpus, tiny_store, tiny_ft):
         # Frozen from the reference run (params seed 7, dim 4, hidden 5, L 2).
         inst = tiny_corpus.instances[0]
         params = init_model_params(np.random.default_rng(7), dim=4, hidden=5, layers=2)
-        p, h_final, fwd = score_window(
-            inst.question, inst.windows[0], "q1", tiny_store, tiny_ft, params,
-            SinkhornSettings(),
-        )
+        fwd = window_forward(tiny_window_features(tiny_store, tiny_ft, inst), params)
+        p, h_final = fwd.p, fwd.hs[-1]
         assert p == pytest.approx(0.49573228692785337, abs=1e-9)
         np.testing.assert_allclose(
             h_final[0],
@@ -297,17 +361,16 @@ class TestScoreWindow:
     def test_identical_windows_identical_scores(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]
         params = init_model_params(np.random.default_rng(8), dim=4, hidden=5, layers=2)
-        args = (inst.question, inst.windows[0], "q1", tiny_store, tiny_ft, params)
-        assert score_window(*args)[0] == score_window(*args)[0]
+        feats = [tiny_window_features(tiny_store, tiny_ft, inst) for _ in range(2)]
+        a, b = score_windows(feats, params)
+        assert a == b
 
     def test_window_with_padding_context(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[1]
         params = init_model_params(np.random.default_rng(9), dim=4, hidden=5, layers=2)
-        p, h_final, _ = score_window(
-            inst.question, inst.windows[0], "q2", tiny_store, tiny_ft, params
-        )
-        assert 0 < p < 1
-        assert np.all(np.isfinite(h_final))
+        fwd = window_forward(tiny_window_features(tiny_store, tiny_ft, inst), params)
+        assert 0 < fwd.p < 1
+        assert np.all(np.isfinite(fwd.hs[-1]))
 
 
 class TestBatchedScores:
@@ -315,8 +378,8 @@ class TestBatchedScores:
         # BERT width: 60 windows at d=768, scored in several stacked chunks.
         corpus, _, store = make_synthetic_corpus(n_train=12, n_dev=1, n_candidates=5,
                                                  dim=768, seed=4)
-        feats = extract_corpus_features(corpus, store, build_frequency_table(corpus),
-                                        SinkhornSettings())
+        feats = extract_features(instance_windows(corpus.instances), store,
+                                 build_frequency_table(corpus), SinkhornSettings())
         params = init_model_params(np.random.default_rng(6), dim=768, hidden=400, layers=2)
         scores = score_windows(feats, params)
         assert len(scores) == len(feats) == 60

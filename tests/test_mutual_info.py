@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from otrank.model import FFNParams, init_model_params, window_forward
+from otrank.model import FFNParams, extract_features, init_model_params, window_forward
 from otrank.mutual_info import (
     PairIndexSets,
     WindowPairs,
     build_pair_sets,
-    discriminator,
     mi_backward,
     mi_forward,
     mi_loss,
 )
 
-from oracles import ffn_scalar_oracle, sigmoid_oracle
+from oracles import discriminator_oracle, ffn_scalar_oracle, sigmoid_oracle
 
 
 def zero_disc(dim, hidden=4):
@@ -62,41 +61,48 @@ class TestBuildPairSets:
                 assert i in (0, 1, 2) and j in (0, 1, 2)
 
 
+def pair_logits(h, labels, disc):
+    """Discriminator logit of every ordered pair of one window, from :func:`mi_forward`."""
+    (group,) = mi_forward(h[None], WindowPairs.of([build_pair_sets(labels)]), disc).groups
+    return {(int(i), int(j)): z for i, j, z in zip(group.i[0], group.j[0], group.z[0])}
+
+
 class TestDiscriminator:
     def test_zero_parameters_give_half(self):
         rng = np.random.default_rng(0)
-        disc = zero_disc(4)
-        assert discriminator(rng.normal(size=4), rng.normal(size=4), disc) == 0.5
+        logits = pair_logits(rng.normal(size=(3, 4)), (True, True, False), zero_disc(4))
+        assert len(logits) == 4
+        assert all(z == 0.0 and sigmoid_oracle(z) == 0.5 for z in logits.values())
 
     def test_matches_dense_math_oracle(self):
         rng = np.random.default_rng(1)
         disc = random_disc(rng, 4)
-        a, b = rng.normal(size=4), rng.normal(size=4)
-        z = ffn_scalar_oracle(
-            list(a) + list(b),
-            disc.w1.tolist(), disc.b1.tolist(), disc.w2.tolist(), disc.b2.tolist(),
-        )
-        assert discriminator(a, b, disc) == pytest.approx(sigmoid_oracle(z), abs=1e-12)
+        h = rng.normal(size=(3, 4))
+        logits = pair_logits(h, (True, True, True), disc)
+        assert len(logits) == 6
+        for (i, j), z in logits.items():
+            expected = ffn_scalar_oracle(
+                list(h[i]) + list(h[j]),
+                disc.w1.tolist(), disc.b1.tolist(), disc.w2.tolist(), disc.b2.tolist(),
+            )
+            assert z == pytest.approx(expected, abs=1e-12)
+            assert sigmoid_oracle(z) == pytest.approx(sigmoid_oracle(expected), abs=1e-12)
 
     def test_order_sensitive_both_match_oracles(self):
         rng = np.random.default_rng(2)
         disc = random_disc(rng, 3)
-        a, b = rng.normal(size=3), rng.normal(size=3)
+        h = rng.normal(size=(3, 3))
+        logits = pair_logits(h, (True, True, False), disc)
 
         def oracle(x, y):
-            z = ffn_scalar_oracle(
+            return ffn_scalar_oracle(
                 list(x) + list(y),
                 disc.w1.tolist(), disc.b1.tolist(), disc.w2.tolist(), disc.b2.tolist(),
             )
-            return sigmoid_oracle(z)
 
-        assert discriminator(a, b, disc) == pytest.approx(oracle(a, b), abs=1e-12)
-        assert discriminator(b, a, disc) == pytest.approx(oracle(b, a), abs=1e-12)
-        assert discriminator(a, b, disc) != discriminator(b, a, disc)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            discriminator(np.zeros(3), np.zeros(4), zero_disc(3))
+        assert logits[0, 1] == pytest.approx(oracle(h[0], h[1]), abs=1e-12)
+        assert logits[1, 0] == pytest.approx(oracle(h[1], h[0]), abs=1e-12)
+        assert logits[0, 1] != logits[1, 0]
 
 
 class TestMiLoss:
@@ -128,21 +134,20 @@ class TestMiLoss:
         disc = random_disc(rng, 4)
         h = rng.normal(size=(3, 4))
         sets = build_pair_sets((True, True, False))
-        expected = sum(-np.log(discriminator(h[i], h[j], disc)) for i, j in sets.positive)
+        expected = sum(-np.log(discriminator_oracle(h[i], h[j], disc))
+                       for i, j in sets.positive)
         expected += sum(
-            -np.log(1.0 - discriminator(h[i], h[j], disc)) for i, j in sets.negative
+            -np.log(1.0 - discriminator_oracle(h[i], h[j], disc)) for i, j in sets.negative
         )
         assert mi_loss(h, sets, disc) == pytest.approx(expected, abs=1e-10)
 
     def test_golden_fixture_value(self, tiny_corpus, tiny_store, tiny_ft):
         # Frozen from the reference run: q1-w1 representations under params
         # seed 7, with (answer, answer, non-answer) labels.
-        from otrank.model import extract_window_features
-
         inst = tiny_corpus.instances[0]
         params = init_model_params(np.random.default_rng(7), dim=4, hidden=5, layers=2)
-        feats = extract_window_features(inst.question, inst.windows[0], "q1",
-                                        tiny_store, tiny_ft)
+        feats = extract_features([(inst.question, inst.windows[0], "q1")], tiny_store,
+                                 tiny_ft)[0]
         fwd = window_forward(feats, params)
         val = mi_loss(fwd.hs[-1], build_pair_sets((True, True, False)), params.disc)
         assert val == pytest.approx(2.7729528113559097, abs=1e-9)

@@ -11,7 +11,9 @@ import otrank.training as training
 from otrank.errors import CheckpointError, EmbeddingKeyError
 from otrank.model import (
     WindowFeatures,
+    extract_features,
     init_model_params,
+    instance_windows,
     param_tensors,
     zero_gradients,
 )
@@ -23,9 +25,7 @@ from otrank.training import (
     TrainConfig,
     WindowBatch,
     adam_step,
-    extract_corpus_features,
     gradcheck,
-    gradients,
     joint_loss,
     load_checkpoint,
     loss_and_gradients,
@@ -99,7 +99,7 @@ class TestGradients:
         for t in param_tensors(params).values():
             t[...] = 0.0
         batch = random_batch(rng, 4, n=4)
-        grads = gradients(batch, params, micro_cfg(gamma=0.0, batch_size=4))
+        grads = loss_and_gradients(batch, params, micro_cfg(gamma=0.0, batch_size=4))[1]
         ys = [1.0 if f.labels[0] else 0.0 for f in batch]
         expected = np.mean([0.5 - y for y in ys])
         assert grads["head.b2"][0] == pytest.approx(expected, abs=1e-15)
@@ -116,7 +116,7 @@ class TestGradients:
             t[...] = rng.uniform(-0.5, 0.5, size=t.shape)
         batch = random_batch(rng, dim)
         cfg = micro_cfg(gamma=0.3)
-        analytic = gradients(batch, params, cfg)
+        analytic = loss_and_gradients(batch, params, cfg)[1]
         step = 1e-4
         rng_pick = np.random.default_rng(4)
         for name, tensor in param_tensors(params).items():
@@ -139,15 +139,15 @@ class TestGradients:
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
         feats = random_batch(rng, 4, n=1)[0]
         cfg = micro_cfg()
-        single = gradients([feats], params, cfg)
-        doubled = gradients([feats, feats], params, cfg)
+        single = loss_and_gradients([feats], params, cfg)[1]
+        doubled = loss_and_gradients([feats, feats], params, cfg)[1]
         for name in single:
             np.testing.assert_array_equal(single[name], doubled[name])
 
     def test_gamma_zero_never_touches_disc(self):
         rng = np.random.default_rng(6)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        grads = gradients(random_batch(rng, 4), params, micro_cfg(gamma=0.0))
+        grads = loss_and_gradients(random_batch(rng, 4), params, micro_cfg(gamma=0.0))[1]
         for name in ("disc.w1", "disc.b1", "disc.w2", "disc.b2"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
 
@@ -407,14 +407,14 @@ class TestGradcheck:
         assert set(report.per_tensor) == expected
 
     def test_detects_corrupted_gradient(self, monkeypatch):
-        real = training.gradients
+        real = training.loss_and_gradients
 
         def corrupted(batch, params, cfg):
-            grads = real(batch, params, cfg)
+            loss, grads = real(batch, params, cfg)
             grads["gcn.1.w"] = grads["gcn.1.w"] + 0.05
-            return grads
+            return loss, grads
 
-        monkeypatch.setattr(training, "gradients", corrupted)
+        monkeypatch.setattr(training, "loss_and_gradients", corrupted)
         report = gradcheck(seed=0)
         assert not report.ok
         assert report.per_tensor["gcn.1.w"] > 1e-4
@@ -432,7 +432,7 @@ class TestCorpusExtraction:
         corpus, _, store = make_synthetic_corpus(seed=0)
         ft = build_frequency_table(corpus)
         settings = SinkhornSettings()
-        feats = extract_corpus_features(corpus, store, ft, settings)
+        feats = extract_features(instance_windows(corpus.instances), store, ft, settings)
         windows = [(inst, w) for inst in corpus.instances for w in inst.windows]
         assert len(feats) == len(windows)
         for f, (inst, w) in zip(feats, windows):
