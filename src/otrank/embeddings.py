@@ -76,9 +76,11 @@ def marginal_distribution(tokens: list[Token], ft: FrequencyTable) -> np.ndarray
 class EmbeddingStore:
     """In-memory map from (instance, window, role) to a (tokens x dim) array.
 
-    Vectors are held as float64 for downstream numerics but serialized as
-    float32, matching the file contract. Immutable once loaded; concurrent
-    reads are safe.
+    Each sentence is held as it was given: float64 from :meth:`add_sentence`,
+    or, for a loaded store, read-only float32 views of the file's bytes.
+    :meth:`sentence_vectors` widens to float64 on access, which is exact, so
+    the numerics downstream see the same values either way. Immutable once
+    loaded; concurrent reads are safe.
     """
 
     dim: int
@@ -95,14 +97,15 @@ class EmbeddingStore:
         self._sentences[(instance_id, window_id, role)] = arr
 
     def sentence_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
-        """Token vectors for one sentence, in token order."""
+        """Token vectors for one sentence, in token order, as float64."""
         key = (instance_id, window_id, role)
         try:
-            return self._sentences[key]
+            arr = self._sentences[key]
         except KeyError:
             raise EmbeddingKeyError(
                 f"no embeddings for instance={instance_id!r} window={window_id!r} role={role!r}"
             ) from None
+        return np.asarray(arr, dtype=np.float64)
 
     @property
     def num_records(self) -> int:
@@ -110,6 +113,7 @@ class EmbeddingStore:
         return sum(arr.shape[0] for arr in self._sentences.values())
 
     def sorted_items(self):
+        """Every (key, array) pair in key order, each array as held."""
         return sorted(self._sentences.items(), key=lambda kv: kv[0])
 
 
@@ -144,65 +148,99 @@ def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n", "utf-8")
 
 
-class _Reader:
-    def __init__(self, raw: bytes, path: Path):
-        self.raw = raw
-        self.pos = 0
-        self.path = path
+class ByteReader:
+    """Bounds-checked cursor over a file's bytes.
 
-    def take(self, n: int) -> bytes:
+    Every failure (a read past the end, a string that is not UTF-8) raises
+    ``error``, naming the file.
+    """
+
+    def __init__(self, raw: bytes | memoryview, path: Path, error: type[Exception]):
+        self.raw, self.pos, self.path, self.error = raw, 0, path, error
+
+    def take(self, n: int) -> bytes | memoryview:
         if self.pos + n > len(self.raw):
-            raise EmbeddingStoreError(f"{self.path.name}: truncated file")
+            raise self.error(f"{self.path.name}: truncated file")
         out = self.raw[self.pos : self.pos + n]
         self.pos += n
         return out
 
-    def read_str(self) -> str:
-        (n,) = struct.unpack("<I", self.take(4))
-        return self.take(n).decode("utf-8")
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def read_str(self, len_fmt: str = "<I") -> str:
+        """A UTF-8 string prefixed by its byte length, packed as ``len_fmt``."""
+        start = self.pos
+        (n,) = self.unpack(len_fmt)
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path.name}: string at byte {start} is not UTF-8") from None
 
 
 def load_embedding_store(path: str | Path) -> EmbeddingStore:
     """Read a binary embedding file back into an :class:`EmbeddingStore`.
 
     Validates the magic/version, the declared record count, and that every
-    sentence has contiguous token indices 0..T-1.
+    sentence has token indices 0..T-1, each once. The records of one sentence
+    are parsed as a run: the records that follow with the same key header
+    are taken as one strided view of indices and one of float32 vectors over
+    the file's bytes, without copying. A sentence whose records come in
+    several runs or out of index order is joined and put in index order.
     """
     path = Path(path)
-    rd = _Reader(path.read_bytes(), path)
+    raw = path.read_bytes()
+    rd = ByteReader(memoryview(raw), path, EmbeddingStoreError)
     if rd.take(4) != MAGIC:
         raise EmbeddingStoreError(f"{path.name}: bad magic, not an embedding store")
-    version, dim, count = struct.unpack("<IIQ", rd.take(16))
+    version, dim, count = rd.unpack("<IIQ")
     if version != FORMAT_VERSION:
         raise EmbeddingStoreError(f"{path.name}: unsupported format version {version}")
     if dim == 0:
         raise EmbeddingStoreError(f"{path.name}: dimension must be positive")
 
-    tokens: dict[tuple[str, str, str], dict[int, np.ndarray]] = {}
-    for _ in range(count):
+    runs: dict[tuple[str, str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+    done = 0
+    while done < count:
+        start = rd.pos
         inst = rd.read_str()
         win = rd.read_str()
-        role = rd.take(1).decode("ascii")
+        role = str(rd.take(1), "latin-1")
         if role not in _ROLES:
             raise EmbeddingStoreError(f"{path.name}: unknown role byte {role!r}")
-        (idx,) = struct.unpack("<I", rd.take(4))
-        vec = np.frombuffer(rd.take(4 * dim), dtype="<f4").astype(np.float64)
-        sent = tokens.setdefault((inst, win, role), {})
-        if idx in sent:
-            raise EmbeddingStoreError(
-                f"{path.name}: duplicate token index {idx} for ({inst!r}, {win!r}, {role!r})"
-            )
-        sent[idx] = vec
-    if rd.pos != len(rd.raw):
-        raise EmbeddingStoreError(f"{path.name}: {len(rd.raw) - rd.pos} trailing bytes")
+        prefix = raw[start : rd.pos]
+        rd.take(4 + 4 * dim)  # the run's first record must be whole
+        size = rd.pos - start
+        limit = min(count - done, (len(raw) - start) // size)
+        n = 1
+        while n < limit and raw.startswith(prefix, start + n * size):
+            n += 1
+        rd.pos = start + n * size
+        body = start + len(prefix)
+        idx = np.ndarray((n,), "<u4", raw, body, (size,))
+        vecs = np.ndarray((n, dim), "<f4", raw, body + 4, (size, 4))
+        runs.setdefault((inst, win, role), []).append((idx, vecs))
+        done += n
+    if rd.pos != len(raw):
+        raise EmbeddingStoreError(f"{path.name}: {len(raw) - rd.pos} trailing bytes")
 
+    # The bytes of the indices 0, 1, 2, ..., to check a sentence's indices in one compare.
+    counting = np.arange(done, dtype="<u4").tobytes()
     store = EmbeddingStore(dim=dim)
-    for key, by_idx in tokens.items():
-        n = len(by_idx)
-        if sorted(by_idx) != list(range(n)):
-            raise EmbeddingStoreError(
-                f"{path.name}: token indices for {key!r} are not contiguous from 0"
-            )
-        store._sentences[key] = np.stack([by_idx[i] for i in range(n)])
+    for key, parts in runs.items():
+        idx, vecs = parts[0] if len(parts) == 1 else (
+            np.concatenate([i for i, _ in parts]), np.concatenate([v for _, v in parts]))
+        if idx.tobytes() != counting[: 4 * len(idx)]:
+            order = np.argsort(idx, kind="stable")
+            idx, vecs = idx[order], vecs[order]
+            dup = idx[1:][idx[1:] == idx[:-1]]
+            if dup.size:
+                raise EmbeddingStoreError(
+                    f"{path.name}: duplicate token index {dup[0]} for {key!r}"
+                )
+            if idx.tobytes() != counting[: 4 * len(idx)]:
+                raise EmbeddingStoreError(
+                    f"{path.name}: token indices for {key!r} are not contiguous from 0"
+                )
+        store._sentences[key] = vecs
     return store
-

@@ -15,6 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import logging
+import math
 import struct
 import time
 import zlib
@@ -25,11 +26,13 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .corpus import Corpus
-from .embeddings import EmbeddingStore, FrequencyTable, build_frequency_table
+from .embeddings import ByteReader, EmbeddingStore, FrequencyTable, build_frequency_table
 from .errors import CheckpointError, EmptyInputError
 from .model import (
     FORWARD_CHUNK,
+    FFNParams,
     Forward,
+    GCNLayer,
     ModelParams,
     WindowFeatures,
     add_in_order,
@@ -75,6 +78,19 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.hidden_size < 1:
+            raise ValueError("hidden_size must be at least 1")
+        if self.gcn_layers < 1:
+            raise ValueError("gcn_layers must be at least 1")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if self.sinkhorn_max_iter < 1:
+            raise ValueError("sinkhorn_max_iter must be at least 1")
+        if not self.sinkhorn_eps_scale > 0:
+            raise ValueError("sinkhorn_eps_scale must be positive")
+        if not self.sinkhorn_tol > 0:
+            raise ValueError("sinkhorn_tol must be positive")
 
     def sinkhorn_settings(self) -> SinkhornSettings:
         return SinkhornSettings(
@@ -409,32 +425,17 @@ def _pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-class _CkptReader:
-    def __init__(self, raw: bytes, path: Path):
-        self.raw, self.pos, self.path = raw, 0, path
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.raw):
-            raise CheckpointError(f"{self.path.name}: truncated checkpoint")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _unpack_tensors(rd: _CkptReader) -> dict[str, np.ndarray]:
+def _unpack_tensors(rd: ByteReader) -> dict[str, np.ndarray]:
+    """Decode one tensor table as read-only views of the reader's bytes."""
     (count,) = rd.unpack("<I")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = rd.unpack("<H")
-        name = rd.take(nlen).decode("utf-8")
+        name = rd.read_str("<H")
+        if name in out:
+            raise CheckpointError(f"{rd.path.name}: tensor {name} appears twice")
         (ndim,) = rd.unpack("<B")
         shape = rd.unpack(f"<{ndim}I")
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(rd.take(8 * size), dtype="<f8").reshape(shape).copy()
-        out[name] = arr
+        out[name] = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
     return out
 
 
@@ -473,18 +474,29 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
 
 
 def _params_from_tensors(dim: int, layers: int, hidden: int,
-                         tensors: dict[str, np.ndarray]) -> ModelParams:
-    rng = np.random.default_rng(0)
-    params = init_model_params(rng, dim, hidden, layers)
+                         tensors: dict[str, np.ndarray], name: str) -> ModelParams:
+    """Copy decoded tensors into fresh, aligned parameter arrays of the
+    header's sizes, laid out as :func:`init_model_params` lays them out."""
+
+    def ffn(n_in: int) -> FFNParams:
+        return FFNParams(w1=np.empty((hidden, n_in)), b1=np.empty(hidden),
+                         w2=np.empty((1, hidden)), b2=np.empty(1))
+
+    params = ModelParams(
+        dep=ffn(dim + 2),
+        gcn=[GCNLayer(w=np.empty((dim, dim)), b=np.empty(dim)) for _ in range(layers)],
+        head=ffn(dim),
+        disc=ffn(2 * dim),
+    )
     expected = param_tensors(params)
     if set(expected) != set(tensors):
-        raise CheckpointError("checkpoint tensor names do not match the model layout")
-    for name, target in expected.items():
-        if tensors[name].shape != target.shape:
+        raise CheckpointError(f"{name}: checkpoint tensor names do not match the model layout")
+    for key, target in expected.items():
+        if tensors[key].shape != target.shape:
             raise CheckpointError(
-                f"tensor {name} has shape {tensors[name].shape}, expected {target.shape}"
+                f"{name}: tensor {key} has shape {tensors[key].shape}, expected {target.shape}"
             )
-        target[...] = tensors[name]
+        target[...] = tensors[key]
     return params
 
 
@@ -536,29 +548,48 @@ def _check_meta(meta, name: str) -> TrainConfig:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    The parameters are fresh, aligned, writable arrays. The Adam moments are
+    read-only views of the file's bytes: :func:`adam_step` rebinds them and
+    never writes into them.
+    """
     path = Path(path)
-    raw = path.read_bytes()
+    raw = memoryview(path.read_bytes())
     if len(raw) < 4 or raw[:4] != CKPT_MAGIC:
         raise CheckpointError(f"{path.name}: bad magic, not a checkpoint")
-    payload, crc_raw = raw[:-4], raw[-4:]
-    (crc,) = struct.unpack("<I", crc_raw)
+    payload = raw[:-4]
+    (crc,) = struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CheckpointError(f"{path.name}: CRC mismatch, file is corrupt")
-    rd = _CkptReader(payload, path)
+    rd = ByteReader(payload, path, CheckpointError)
     rd.take(4)
     version, dim, layers, hidden = rd.unpack("<IIII")
     if version != CKPT_VERSION:
         raise CheckpointError(f"{path.name}: unsupported checkpoint version {version}")
+    sizes = f"d={dim}, layers={layers}, hidden={hidden}"
+    if min(dim, layers, hidden) < 1:
+        raise CheckpointError(f"{path.name}: header sizes must be at least 1, got {sizes}")
+    # The parameters alone hold more floats than this, so a header that fails it
+    # is corrupt; the check keeps a bad header from sizing the arrays built below.
+    if 8 * (hidden * dim + layers * dim * dim) > len(payload):
+        raise CheckpointError(f"{path.name}: header sizes {sizes} need more bytes than "
+                              "the file holds")
     (meta_len,) = rd.unpack("<Q")
     try:
-        meta = json.loads(rd.take(meta_len).decode("utf-8"))
+        meta = json.loads(str(rd.take(meta_len), "utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: {exc}") from None
     config = _check_meta(meta, path.name)
-    params = _params_from_tensors(dim, layers, hidden, _unpack_tensors(rd))
+    params = _params_from_tensors(dim, layers, hidden, _unpack_tensors(rd), path.name)
     adam = AdamState(m=_unpack_tensors(rd), v=_unpack_tensors(rd), t=meta["adam_t"])
     if rd.pos != len(payload):
         raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
+    shapes = {name: t.shape for name, t in param_tensors(params).items()}
+    for which, moments in (("first", adam.m), ("second", adam.v)):
+        if {name: t.shape for name, t in moments.items()} != shapes:
+            raise CheckpointError(f"{path.name}: Adam {which} moments do not match the "
+                                  "parameter layout")
     ft = None
     if meta["freq_table"] is not None:
         ft = FrequencyTable(

@@ -1,6 +1,8 @@
 """Command-line surface: commands, exit codes, idempotence, validation."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import logging
 import re
@@ -9,6 +11,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otrank.cli import build_parser, main
 from otrank.corpus import load_corpus
@@ -232,6 +236,11 @@ class TestBadScoringInputs:
         assert str(key) in capsys.readouterr().err
 
 
+def _with_crc(payload: bytes) -> bytes:
+    """A checkpoint payload followed by its CRC, so the parser behind the CRC check reads it."""
+    return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+
+
 def _rewrite_meta(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON metadata.
 
@@ -243,9 +252,8 @@ def _rewrite_meta(src, dst, edit):
     meta = json.loads(raw[head + 8:head + 8 + meta_len])
     edit(meta)
     meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-    payload = (raw[:head] + struct.pack("<Q", len(meta_raw)) + meta_raw
-               + raw[head + 8 + meta_len:-4])
-    dst.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+    dst.write_bytes(_with_crc(raw[:head] + struct.pack("<Q", len(meta_raw)) + meta_raw
+                              + raw[head + 8 + meta_len:-4]))
 
 
 class TestCheckpointMetadata:
@@ -275,6 +283,80 @@ class TestCheckpointMetadata:
         same = tmp_path / "same.ckpt"
         _rewrite_meta(cli_env["ckpt"], same, lambda m: None)
         assert load_checkpoint(same).config == load_checkpoint(cli_env["ckpt"]).config
+
+
+def _first_role_byte(raw: bytes) -> int:
+    """Offset of the role byte of an embedding store's first record."""
+    pos = 4 + 16  # magic, version, dim, count
+    for _ in range(2):  # instance id, window id
+        (n,) = struct.unpack_from("<I", raw, pos)
+        pos += 4 + n
+    return pos
+
+
+def _set_byte(raw: bytes, pos: int, value: int) -> bytes:
+    return raw[:pos] + bytes([value]) + raw[pos + 1:]
+
+
+def _set_header(raw: bytes, field: int, value: int) -> bytes:
+    """Checkpoint bytes with header u32 ``field`` (0 version, 1 d, 2 L, 3 hidden) replaced."""
+    pos = 4 + 4 * field
+    return _with_crc(raw[:pos] + struct.pack("<I", value) + raw[pos + 4:-4])
+
+
+def _rename_first_tensor(raw: bytes) -> bytes:
+    pos = raw.index(b"dep.w1")
+    return _with_crc(_set_byte(raw, pos, 0xFF)[:-4])
+
+
+class TestCorruptInputs:
+    """Damaged files exit 1 with an error naming the file, never with a traceback."""
+
+    @pytest.mark.parametrize("target,corrupt,says", [
+        ("emb", lambda raw: _set_byte(raw, _first_role_byte(raw), 0xFF), "unknown role byte"),
+        ("emb", lambda raw: _set_byte(raw, 4 + 16 + 4, 0xFF), "not UTF-8"),
+        ("ckpt", _rename_first_tensor, "not UTF-8"),
+        ("ckpt", lambda raw: _set_header(raw, 1, 0), "d=0"),
+        ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
+        ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
+        ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30), "need more bytes"),
+    ], ids=["store-role-byte", "store-instance-id", "ckpt-tensor-name", "ckpt-dim-0",
+            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge"])
+    def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
+        bad = tmp_path / f"bad.{target}"
+        bad.write_bytes(corrupt(cli_env[target].read_bytes()))
+        rc = main(_scoring_argv("rerank", cli_env, tmp_path, **{target: bad}))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert bad.name in err and says in err
+        assert "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        target=st.sampled_from(["emb", "ckpt"]),
+        edit=st.one_of(
+            st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+            st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),
+            st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16)),
+        ),
+    )
+    def test_fuzzed_inputs_exit_zero_or_one(self, cli_env, target, edit):
+        raw = cli_env[target].read_bytes()
+        body = raw[:-4] if target == "ckpt" else raw
+        if edit[0] == "flip":
+            pos = edit[1] % len(body)
+            body = _set_byte(body, pos, body[pos] ^ edit[2])
+        elif edit[0] == "truncate":
+            body = body[: edit[1] % len(body)]
+        else:
+            body = body + edit[1]
+        bad = cli_env["dir"] / f"fuzzed.{target}"
+        bad.write_bytes(_with_crc(body) if target == "ckpt" else body)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(_scoring_argv("rerank", cli_env, cli_env["dir"], **{target: bad}))
+        assert rc in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 def _train_config(cli_env, tmp_path, **over):
@@ -427,6 +509,19 @@ class TestTrainCommand:
         cfg_path = _train_config(cli_env, tmp_path, bogus=1)
         assert main(["train", "--config", str(cfg_path)]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("gcn_layers", 0), ("hidden_size", 0), ("sinkhorn_max_iter", 0),
+        ("sinkhorn_eps_scale", 0.0), ("sinkhorn_tol", 0.0), ("adam_beta1", 1.0),
+        ("adam_beta2", -0.1),
+    ])
+    def test_bad_value_rejected(self, field, value, cli_env, tmp_path, capsys):
+        cfg_path = _train_config(cli_env, tmp_path, **{field: value})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "bad training configuration" in err and field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
 
     def test_missing_required_path_rejected(self, cli_env, tmp_path, capsys):
         cfg = {"train_corpus": str(cli_env["corpus"]), "embeddings": str(cli_env["emb"])}

@@ -24,6 +24,19 @@ from otrank.errors import EmbeddingKeyError, EmbeddingStoreError
 from conftest import build_tiny_store
 
 
+def _write_records(path, dim, records):
+    """An embedding store file holding ``records`` of (instance, window, role,
+    token index, vector), in the order given."""
+    with path.open("wb") as fh:
+        fh.write(b"OTRK" + struct.pack("<IIQ", 1, dim, len(records)))
+        for inst, win, role, idx, vec in records:
+            for s in (inst, win):
+                raw = s.encode()
+                fh.write(struct.pack("<I", len(raw)) + raw)
+            fh.write(role.encode() + struct.pack("<I", idx))
+            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+
+
 class TestFrequencyTable:
     def test_counts_questions_not_occurrences(self, tiny_corpus):
         ft = build_frequency_table(tiny_corpus)
@@ -174,19 +187,54 @@ class TestEmbeddingStore:
             store.add_sentence("i", "w", ROLE_C, np.zeros((2, 3)))
 
     def test_noncontiguous_token_indices(self, tmp_path):
-        # Handcraft a file whose single sentence starts at token index 1.
+        # A file whose single sentence starts at token index 1.
         path = tmp_path / "gap.bin"
-        with path.open("wb") as fh:
-            fh.write(b"OTRK")
-            fh.write(struct.pack("<IIQ", 1, 2, 1))
-            for s in ("inst", "win"):
-                raw = s.encode()
-                fh.write(struct.pack("<I", len(raw)) + raw)
-            fh.write(b"c")
-            fh.write(struct.pack("<I", 1))  # index 1, index 0 missing
-            fh.write(np.zeros(2, dtype="<f4").tobytes())
+        _write_records(path, 2, [("inst", "win", "c", 1, np.zeros(2))])
         with pytest.raises(EmbeddingStoreError, match="contiguous"):
             load_embedding_store(path)
+
+    def test_interleaved_out_of_order_records_load_as_sorted(self, tiny_store, tmp_path):
+        records = [(*key, i, arr[i]) for key, arr in tiny_store.sorted_items()
+                   for i in range(arr.shape[0])]
+        order = np.random.default_rng(5).permutation(len(records))
+        shuffled = tmp_path / "shuffled.bin"
+        _write_records(shuffled, tiny_store.dim, [records[k] for k in order])
+        sorted_path = tmp_path / "sorted.bin"
+        write_embedding_store(sorted_path, tiny_store)
+        a, b = load_embedding_store(shuffled), load_embedding_store(sorted_path)
+        assert [k for k, _ in a.sorted_items()] == [k for k, _ in b.sorted_items()]
+        for key, _ in b.sorted_items():
+            np.testing.assert_array_equal(a.sentence_vectors(*key), b.sentence_vectors(*key),
+                                          strict=True)
+        # The sorted file is what writing either store gives back.
+        again = tmp_path / "again.bin"
+        write_embedding_store(again, a)
+        assert again.read_bytes() == sorted_path.read_bytes()
+
+    @pytest.mark.parametrize("indices", [(0, 1, 1), (1, 0, 1), (0, 2, 2, 1)])
+    @pytest.mark.parametrize("split_run", [False, True])
+    def test_duplicate_index_names_key_and_index(self, indices, split_run, tmp_path):
+        dup = max(set(i for i in indices if indices.count(i) > 1))
+        records = [("i", "w", "c", i, np.zeros(2)) for i in indices]
+        if split_run:  # another sentence's record between them: two runs of one key
+            records.insert(1, ("j", "w", "c", 0, np.zeros(2)))
+        path = tmp_path / "dup.bin"
+        _write_records(path, 2, records)
+        with pytest.raises(EmbeddingStoreError,
+                           match=rf"duplicate token index {dup} for \('i', 'w', 'c'\)"):
+            load_embedding_store(path)
+
+    def test_loaded_vectors_are_widened_float32(self, tmp_path):
+        x = np.array([[0.1, 1 / 3, -2.7182818, 1e-40], [3.0, np.pi, 1e30, -0.0]])
+        store = EmbeddingStore(dim=4)
+        store.add_sentence("i", "w", ROLE_C, x)
+        assert store.sentence_vectors("i", "w", ROLE_C) is store.sorted_items()[0][1]
+        path = tmp_path / "emb.bin"
+        write_embedding_store(path, store)
+        got = load_embedding_store(path).sentence_vectors("i", "w", ROLE_C)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.float64(np.float32(x)), strict=True)
+        assert got.tobytes() == x.astype(np.float32).astype(np.float64).tobytes()
 
     def test_store_rebuild_matches(self, tiny_corpus):
         # Building twice from the same corpus yields identical stores.

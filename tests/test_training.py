@@ -381,6 +381,22 @@ class TestCheckpointIO:
         save_checkpoint(second, load_checkpoint(path))
         assert path.read_bytes() == second.read_bytes()
 
+    def test_loaded_arrays(self, small_synth, tmp_path):
+        # Parameters are fresh arrays BLAS takes as they are; the moments are
+        # read-only views of the file, which Adam replaces and never writes.
+        _, path = self._roundtrip(small_synth, tmp_path)
+        loaded = load_checkpoint(path)
+        for name, t in param_tensors(loaded.params).items():
+            assert t.flags.aligned and t.flags.writeable and t.flags.c_contiguous, name
+            assert t.dtype == np.float64
+        for moments in (loaded.adam.m, loaded.adam.v):
+            assert moments and not any(t.flags.writeable for t in moments.values())
+        before = {name: t.copy() for name, t in loaded.adam.m.items()}
+        grads = {name: np.ones_like(t) for name, t in param_tensors(loaded.params).items()}
+        adam_step(loaded.params, grads, loaded.adam, loaded.config)
+        assert all(loaded.adam.m[name].flags.writeable for name in before)
+        assert any(not np.array_equal(loaded.adam.m[name], before[name]) for name in before)
+
     def test_corruption_detected(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
         raw = bytearray(path.read_bytes())
