@@ -59,9 +59,11 @@ feats = extract_features(instance_windows(train_corpus.instances), store, ft,
 
 
 def mean_mi(params):
+    # feats is one FeatureSet: row k holds window k's reps, costs and label codes.
     values = [
-        mi_loss(window_forward(f, params).hs[-1], build_pair_sets(f.labels), params.disc)
-        for f in feats
+        mi_loss(window_forward(feats, k, params).hs[-1], build_pair_sets(feats.labels[k]),
+                params.disc)
+        for k in range(len(feats))
     ]
     return float(np.mean(values))
 

@@ -32,7 +32,7 @@ from .metrics import (  # noqa: F401
     rank_candidates,
     rank_questions,
 )
-from .model import extract_features, extract_instance_features, window_forward  # noqa: F401
+from .model import align_windows, extract_instance_features, window_forward  # noqa: F401
 from .training import TrainConfig, gradcheck, load_checkpoint, save_checkpoint, train
 
 logger = logging.getLogger("otrank")
@@ -205,13 +205,12 @@ def _cmd_align(args) -> int:
         raise OtrankError(
             f"window {args.window_id!r} not found under question {args.question_id!r}"
         )
-    feats = extract_features([(inst.question, window, inst.question_id)], store,
-                             ckpt.freq_table, ckpt.config.sinkhorn_settings(),
-                             keep_alignments=True)[0]
+    results = align_windows([(inst.question, window, inst.question_id)], store,
+                            ckpt.freq_table, ckpt.config.sinkhorn_settings())
     sentences = (window.cand, window.prev, window.next)
     roles = ("candidate", "prev", "next")
     report = {"question_id": inst.question_id, "window_id": window.id, "pairs": []}
-    for role, sent, res in zip(roles, sentences, feats.alignments):
+    for role, sent, res in zip(roles, sentences, results):
         surfaces = [sent.tokens[res.sentence_token_indices[j]].surface for j in res.relevant]
         report["pairs"].append(
             {

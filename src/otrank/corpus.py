@@ -192,11 +192,15 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
     path = Path(path)
     instances: list[QAInstance] = []
     seen_qids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path.name} line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusFormatError(f"{where}: not UTF-8") from None
             if not line.strip():
                 continue
-            where = f"{path.name} line {lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:

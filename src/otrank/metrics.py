@@ -77,7 +77,7 @@ def question_metrics(ranking: Ranking, labels: dict[str, bool]) -> tuple[int, fl
 def rank_features(instances, feats, params) -> list[Ranking]:
     """Rank the windows of every question from their features, in order.
 
-    ``feats`` holds the :class:`~otrank.model.WindowFeatures` of every window of
+    ``feats`` is the :class:`~otrank.model.FeatureSet` of every window of
     ``instances``, in corpus order; one :func:`score_windows` call scores them all.
     """
     scores = score_windows(feats, params).tolist()
@@ -85,8 +85,7 @@ def rank_features(instances, feats, params) -> list[Ranking]:
     lo = 0
     for inst in instances:
         hi = lo + len(inst.windows)
-        rankings.append(rank_candidates([(f.window_id, p) for f, p in
-                                         zip(feats[lo:hi], scores[lo:hi])]))
+        rankings.append(rank_candidates([(w.id, p) for w, p in zip(inst.windows, scores[lo:hi])]))
         lo = hi
     return rankings
 

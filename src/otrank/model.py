@@ -148,36 +148,49 @@ def sigmoid(z):
     return out
 
 
-@dataclass
-class WindowFeatures:
-    """Alignment-derived constants for one window; training never changes them."""
+@dataclass(frozen=True)
+class FeatureSet:
+    """Alignment-derived constants of N windows, stacked; training never changes them.
 
-    question_id: str
-    window_id: str
-    reps: np.ndarray  # (3, d) in NODE_ORDER
-    costs: np.ndarray  # (3,)
-    labels: tuple[bool, bool | None, bool | None]
-    alignments: tuple[AlignmentResult, ...] | None = None
-    unconverged: int = 0
+    Rows follow the items they were extracted from; columns follow
+    :data:`NODE_ORDER`. A label code is 1 for an answer, 0 for a non-answer
+    and -1 for unknown (padding, or a context sentence without a label).
+    Compare codes with 1; -1 is truthy.
+    """
+
+    reps: np.ndarray  # (N, 3, d)
+    costs: np.ndarray  # (N, 3)
+    labels: np.ndarray  # (N, 3) int8 label codes
+
+    def take(self, rows) -> "FeatureSet":
+        """The windows at ``rows`` (a slice gives views, an index array copies)."""
+        return FeatureSet(reps=self.reps[rows], costs=self.costs[rows], labels=self.labels[rows])
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
 
 
-def extract_features(
+def _label_code(label: bool | None) -> int:
+    return -1 if label is None else int(label)
+
+
+def align_windows(
     items,
     store: EmbeddingStore,
     ft: FrequencyTable | None,
     settings: SinkhornSettings = SinkhornSettings(),
-    keep_alignments: bool = False,
-) -> list[WindowFeatures]:
-    """Alignment features for ``(question, window, instance_id)`` items, in order.
+) -> list[AlignmentResult]:
+    """Align the candidate, prev and next sentence of ``(question, window, instance_id)``
+    items: three results per item, in :data:`NODE_ORDER`.
 
-    Every sentence alignment of the items (candidate, prev and next of each
-    window) goes into one :func:`align_sentences` call, so a whole split is
-    solved in one batch. Logs one info line with the batch's Sinkhorn
-    statistics, and warns when some alignments did not converge.
+    Every sentence alignment goes into one :func:`align_sentences` call, so a
+    whole split is solved in one batch. Logs one info line with the batch's
+    Sinkhorn statistics, and warns when some alignments did not converge.
 
     Raises :class:`MissingFrequencyTableError` when ``ft`` is None, and
     :class:`EmbeddingStoreError` naming the (instance, window, role) key when
-    the vectors of a pair give a non-finite cost.
+    a sentence's vector count differs from its token count or the vectors of
+    a pair give a non-finite cost.
     """
     if ft is None:
         raise MissingFrequencyTableError("checkpoint carries no frequency table; cannot align")
@@ -185,11 +198,11 @@ def extract_features(
     items = list(items)
     pairs = []
     for question, window, instance_id in items:
-        q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, ROLE_Q)
+        q_vecs = _sentence_vectors(store, question, (instance_id, QUESTION_WINDOW_ID, ROLE_Q))
         for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
             s_vecs = None
             if not sent.is_padding:
-                s_vecs = store.sentence_vectors(instance_id, window.id, role)
+                s_vecs = _sentence_vectors(store, sent, (instance_id, window.id, role))
             pairs.append((question, sent, q_vecs, s_vecs))
     try:
         results = align_sentences(pairs, ft, settings)
@@ -203,22 +216,39 @@ def extract_features(
             f"non-finite embedding values: the vectors of (instance, window, role) = {key} "
             "give a non-finite transport cost"
         ) from None
-
-    feats = []
-    for w, (question, window, instance_id) in enumerate(items):
-        rows = results[3 * w : 3 * w + 3]
-        feats.append(WindowFeatures(
-            question_id=instance_id,
-            window_id=window.id,
-            reps=np.stack([res.representation for res in rows]),
-            costs=np.array([res.cost for res in rows]),
-            labels=(bool(window.cand.label), window.prev.label, window.next.label),
-            alignments=tuple(rows) if keep_alignments else None,
-            unconverged=sum(0 if res.plan.converged else 1 for res in rows),
-        ))
     _log_alignment_stats([res.plan for res, (_, sent, _, _) in zip(results, pairs)
                           if not sent.is_padding], time.perf_counter() - started)
-    return feats
+    return results
+
+
+def _sentence_vectors(store: EmbeddingStore, sent: Sentence, key) -> np.ndarray:
+    vecs = store.sentence_vectors(*key)
+    if vecs.shape[0] != len(sent.tokens):
+        raise EmbeddingStoreError(
+            f"the embedding store holds {vecs.shape[0]} vectors for (instance, window, role) = "
+            f"{key}, but the corpus sentence has {len(sent.tokens)} tokens"
+        )
+    return vecs
+
+
+def extract_features(
+    items,
+    store: EmbeddingStore,
+    ft: FrequencyTable | None,
+    settings: SinkhornSettings = SinkhornSettings(),
+) -> FeatureSet:
+    """The :class:`FeatureSet` of ``(question, window, instance_id)`` items, in order:
+    :func:`align_windows`, stacked."""
+    items = list(items)
+    results = align_windows(items, store, ft, settings)
+    n = len(items)
+    return FeatureSet(
+        reps=np.array([res.representation for res in results]).reshape(n, 3, store.dim),
+        costs=np.array([res.cost for res in results]).reshape(n, 3),
+        labels=np.array([(1 if w.cand.label else 0, _label_code(w.prev.label),
+                          _label_code(w.next.label)) for _, w, _ in items],
+                        dtype=np.int8).reshape(n, 3),
+    )
 
 
 def _log_alignment_stats(plans: list[TransportPlan], seconds: float) -> None:
@@ -243,7 +273,7 @@ def extract_instance_features(
     store: EmbeddingStore,
     ft: FrequencyTable | None,
     settings: SinkhornSettings = SinkhornSettings(),
-) -> list[WindowFeatures]:
+) -> FeatureSet:
     return extract_features(instance_windows([inst]), store, ft, settings)
 
 
@@ -319,17 +349,16 @@ def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams) -> Forward
                    logit=logit, p=p)
 
 
-def score_windows(feats: list[WindowFeatures], params: ModelParams) -> np.ndarray:
+def score_windows(feats: FeatureSet, params: ModelParams) -> np.ndarray:
     """Correctness probabilities ``(N,)`` of the windows, in order.
 
-    Stacks and runs ``FORWARD_CHUNK`` windows at a time, so memory stays flat
-    however large the split.
+    Runs ``FORWARD_CHUNK`` windows at a time, so memory stays flat however
+    large the split. Each chunk is a contiguous slice of the stacked arrays.
     """
     p = np.empty(len(feats))
     for lo in range(0, len(feats), FORWARD_CHUNK):
-        chunk = feats[lo : lo + FORWARD_CHUNK]
-        p[lo : lo + len(chunk)] = forward(np.stack([f.reps for f in chunk]),
-                                          np.stack([f.costs for f in chunk]), params).p
+        hi = lo + FORWARD_CHUNK
+        p[lo:hi] = forward(feats.reps[lo:hi], feats.costs[lo:hi], params).p
     return p
 
 
@@ -359,11 +388,11 @@ class WindowForward:
     loss_as2: float  # binary cross entropy of the candidate label, from the logit
 
 
-def window_forward(feats: WindowFeatures, params: ModelParams) -> WindowForward:
-    """Score one window: the one-window call of :func:`forward`."""
-    fwd = forward(feats.reps[None], feats.costs[None], params)
+def window_forward(feats: FeatureSet, k: int, params: ModelParams) -> WindowForward:
+    """Score window ``k`` of ``feats`` alone: the one-window call of :func:`forward`."""
+    fwd = forward(feats.reps[k : k + 1], feats.costs[k : k + 1], params)
     logit = float(fwd.logit[0])
     # -log sigmoid(z) for a positive candidate, -log(1 - sigmoid(z)) otherwise.
-    loss = np.logaddexp(0.0, -logit if feats.labels[0] else logit)
+    loss = np.logaddexp(0.0, -logit if feats.labels[k, 0] == 1 else logit)
     return WindowForward(alpha=fwd.alpha[0], hs=[h[0] for h in fwd.hs], p=float(fwd.p[0]),
                          loss_as2=float(loss))

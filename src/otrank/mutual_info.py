@@ -30,13 +30,15 @@ class PairIndexSets:
         return bool(self.positive or self.negative)
 
 
-def build_pair_sets(labels: tuple[bool | None, bool | None, bool | None]) -> PairIndexSets:
+def build_pair_sets(labels) -> PairIndexSets:
     """Enumerate answer/answer and answer/non-answer ordered pairs.
 
-    ``None`` (unknown) labels are treated as non-answers.
+    ``labels`` holds the three label codes of a window (1 answer, 0 not, -1
+    unknown; see :class:`otrank.model.FeatureSet`) or its three labels as
+    ``True``/``False``/``None``. Only a label equal to 1 is an answer.
     """
-    answers = [i for i, lab in enumerate(labels) if lab is True]
-    others = [i for i, lab in enumerate(labels) if lab is not True]
+    answers = [i for i, lab in enumerate(labels) if lab == 1]
+    others = [i for i, lab in enumerate(labels) if lab != 1]
     positive = tuple((i, j) for i in answers for j in answers if i != j)
     negative = tuple((i, j) for i in answers for j in others)
     return PairIndexSets(positive=positive, negative=negative)
@@ -63,9 +65,18 @@ class WindowPairs:
         return cls(i=i, j=j, count=np.array([len(p) for p in lists], dtype=np.intp),
                    positive=np.array([len(s.positive) for s in sets], dtype=np.intp))
 
-    def take(self, rows) -> "WindowPairs":
-        return WindowPairs(i=self.i[rows], j=self.j[rows], count=self.count[rows],
-                           positive=self.positive[rows])
+    @classmethod
+    def of_labels(cls, labels: np.ndarray) -> "WindowPairs":
+        """The pairs of B windows from their ``(B, 3)`` label codes, by table lookup."""
+        mask = (labels == 1) @ _ANSWER_BITS
+        t = _PAIRS_BY_MASK
+        return cls(i=t.i[mask], j=t.j[mask], count=t.count[mask], positive=t.positive[mask])
+
+
+# Row m holds the pairs of a window whose answer nodes are the set bits of m.
+_ANSWER_BITS = np.array([1, 2, 4])
+_PAIRS_BY_MASK = WindowPairs.of([build_pair_sets([(m >> b) & 1 for b in range(3)])
+                                 for m in range(8)])
 
 
 @dataclass

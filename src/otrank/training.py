@@ -30,11 +30,11 @@ from .embeddings import ByteReader, EmbeddingStore, FrequencyTable, build_freque
 from .errors import CheckpointError, EmptyInputError
 from .model import (
     FORWARD_CHUNK,
+    FeatureSet,
     FFNParams,
     Forward,
     GCNLayer,
     ModelParams,
-    WindowFeatures,
     add_in_order,
     extract_features,
     forward,
@@ -44,7 +44,7 @@ from .model import (
     sigmoid,
     zero_gradients,
 )
-from .mutual_info import MIForward, WindowPairs, build_pair_sets, mi_backward, mi_forward
+from .mutual_info import MIForward, WindowPairs, mi_backward, mi_forward
 from .sinkhorn import SinkhornSettings
 
 logger = logging.getLogger(__name__)
@@ -100,78 +100,43 @@ class TrainConfig:
         )
 
 
-@dataclass(frozen=True)
-class WindowBatch:
-    """Stacked training inputs of B windows: what one step reads.
-
-    :func:`train` stacks each split once and takes every batch by row index,
-    so the label-derived MI pairs are worked out once per split.
-    """
-
-    reps: np.ndarray  # (B, 3, d)
-    costs: np.ndarray  # (B, 3)
-    y: np.ndarray  # (B,) candidate labels as 1.0 / 0.0
-    pairs: WindowPairs
-
-    @classmethod
-    def stack(cls, feats: list[WindowFeatures]) -> "WindowBatch":
-        return cls(
-            reps=np.stack([f.reps for f in feats]),
-            costs=np.stack([f.costs for f in feats]),
-            y=np.array([1.0 if f.labels[0] else 0.0 for f in feats]),
-            pairs=WindowPairs.of([build_pair_sets(f.labels) for f in feats]),
-        )
-
-    def take(self, rows) -> "WindowBatch":
-        return WindowBatch(reps=self.reps[rows], costs=self.costs[rows], y=self.y[rows],
-                           pairs=self.pairs.take(rows))
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-
-def _stacked(batch) -> WindowBatch:
-    if len(batch) == 0:
-        raise ValueError("batch must be nonempty")
-    return batch if isinstance(batch, WindowBatch) else WindowBatch.stack(batch)
-
-
-def _mean_terms(batch: WindowBatch, params: ModelParams, gamma: float,
+def _mean_terms(feats: FeatureSet, params: ModelParams, gamma: float,
                 grads: dict[str, np.ndarray] | None = None) -> tuple[float, float]:
-    """Mean candidate BCE and mean regularizer term over the batch.
+    """Mean candidate BCE and mean regularizer term over the windows of ``feats``.
 
     Runs ``FORWARD_CHUNK`` windows at a time. With ``grads``, also adds every
     window's gradient to it, window after window (see :func:`_backward`).
     """
-    n = len(batch)
+    n = len(feats)
+    if n == 0:
+        raise ValueError("batch must be nonempty")
     as2 = np.empty(n)
     mi = np.zeros(n)
     for lo in range(0, n, FORWARD_CHUNK):
-        chunk = batch.take(slice(lo, lo + FORWARD_CHUNK))
+        chunk = feats.take(slice(lo, lo + FORWARD_CHUNK))
+        y = np.where(chunk.labels[:, 0] == 1, 1.0, 0.0)
         fwd = forward(chunk.reps, chunk.costs, params)
         # -log sigmoid(z) for positive candidates, -log(1 - sigmoid(z)) otherwise.
-        as2[lo : lo + len(chunk)] = np.logaddexp(0.0, np.where(chunk.y == 1.0, -fwd.logit,
+        as2[lo : lo + len(chunk)] = np.logaddexp(0.0, np.where(y == 1.0, -fwd.logit,
                                                                 fwd.logit))
         mi_fwd = None
         if gamma != 0.0:
-            mi_fwd = mi_forward(fwd.hs[-1], chunk.pairs, params.disc)
+            mi_fwd = mi_forward(fwd.hs[-1], WindowPairs.of_labels(chunk.labels), params.disc)
             mi[lo : lo + len(chunk)] = mi_fwd.loss
         if grads is not None:
-            _backward(chunk, fwd, mi_fwd, params, 1.0 / n, gamma / n, grads)
+            _backward(y, fwd, mi_fwd, params, 1.0 / n, gamma / n, grads)
     return float(np.mean(as2)), (0.0 if gamma == 0.0 else float(np.mean(mi)))
 
 
-def joint_loss(batch, params: ModelParams, cfg: TrainConfig) -> float:
-    """Mean candidate BCE plus ``gamma`` times the mean regularizer term.
-
-    ``batch`` is a nonempty list of :class:`WindowFeatures` or a :class:`WindowBatch`.
-    """
-    as2, mi = _mean_terms(_stacked(batch), params, cfg.gamma)
+def joint_loss(feats: FeatureSet, params: ModelParams, cfg: TrainConfig) -> float:
+    """Mean candidate BCE plus ``gamma`` times the mean regularizer term, over a
+    nonempty :class:`FeatureSet`."""
+    as2, mi = _mean_terms(feats, params, cfg.gamma)
     return as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
 
 
 def _backward(
-    batch: WindowBatch,
+    y: np.ndarray,
     fwd: Forward,
     mi_fwd: MIForward | None,
     params: ModelParams,
@@ -179,7 +144,8 @@ def _backward(
     s_mi: float,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Add the gradient contribution of every window of ``batch`` to ``grads``.
+    """Add the gradient contribution of every window of ``fwd`` to ``grads``;
+    ``y`` holds the candidate labels as 1.0 / 0.0.
 
     Each weight gradient is a stack of per-window products, added to the
     running sum in window order (:func:`add_in_order`), so the result is
@@ -191,7 +157,7 @@ def _backward(
     dh = np.zeros_like(fwd.hs[-1])
 
     # Scoring head: BCE-through-sigmoid collapses to (sigma(z) - y).
-    dlogit = s_as2 * (sigmoid(fwd.logit) - batch.y)
+    dlogit = s_as2 * (sigmoid(fwd.logit) - y)
     dz1 = dlogit[:, None] * params.head.w2[0]
     dz1 *= fwd.head_z1 > 0
     dh[:, 0] += (params.head.w1.T @ dz1[:, :, None])[:, :, 0]
@@ -227,18 +193,15 @@ def _backward(
     add("dep.b1", dz1_dep.sum(axis=1))
 
 
-def loss_and_gradients(batch, params: ModelParams, cfg: TrainConfig
+def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig
                        ) -> tuple[float, dict[str, np.ndarray]]:
-    """Joint loss plus exact reverse-mode derivatives for every tensor.
-
-    ``batch`` is a nonempty list of :class:`WindowFeatures` or a :class:`WindowBatch`.
-    """
-    batch = _stacked(batch)
+    """Joint loss over a nonempty :class:`FeatureSet`, plus exact reverse-mode
+    derivatives for every tensor."""
     grads = zero_gradients(params)
-    as2, mi = _mean_terms(batch, params, cfg.gamma, grads)
+    as2, mi = _mean_terms(feats, params, cfg.gamma, grads)
     loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
     if not np.isfinite(loss):
-        raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(batch)} windows")
+        raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(feats)} windows")
     return loss, grads
 
 
@@ -352,7 +315,6 @@ def train(
         extract_features(instance_windows(dev_corpus.instances), store, ft, settings)
         if dev_corpus else None
     )
-    stacked = WindowBatch.stack(feats)
     stage_s = {"align": clock() - t0, "step": 0.0, "adam": 0.0, "dev-eval": 0.0}
 
     history: list[EpochRecord] = []
@@ -363,7 +325,7 @@ def train(
         order = rng.permutation(len(feats))
         total = 0.0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = stacked.take(order[lo : lo + cfg.batch_size])
+            batch = feats.take(order[lo : lo + cfg.batch_size])
             t0 = clock()
             try:
                 loss, grads = loss_and_gradients(batch, params, cfg)
@@ -435,7 +397,12 @@ def _unpack_tensors(rd: ByteReader) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{rd.path.name}: tensor {name} appears twice")
         (ndim,) = rd.unpack("<B")
         shape = rd.unpack(f"<{ndim}I")
-        out[name] = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+        data = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8")
+        try:
+            out[name] = data.reshape(shape)
+        except ValueError:  # a zero-size shape whose other sizes overflow
+            raise CheckpointError(f"{rd.path.name}: tensor {name} has an impossible shape "
+                                  f"{shape}") from None
     return out
 
 
@@ -642,17 +609,10 @@ def gradcheck(
     for tensor in param_tensors(params).values():
         tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
 
-    label_sets = [(True, True, False), (False, True, None), (True, None, None)]
-    batch = [
-        WindowFeatures(
-            question_id="gc",
-            window_id=f"w{k}",
-            reps=rng.normal(size=(3, dim)),
-            costs=rng.uniform(0.5, 2.0, size=3),
-            labels=labels,
-        )
-        for k, labels in enumerate(label_sets)
-    ]
+    labels = np.array([[1, 1, 0], [0, 1, -1], [1, -1, -1]], dtype=np.int8)
+    draws = [(rng.normal(size=(3, dim)), rng.uniform(0.5, 2.0, size=3)) for _ in labels]
+    batch = FeatureSet(reps=np.stack([r for r, _ in draws]),
+                       costs=np.stack([c for _, c in draws]), labels=labels)
     cfg = TrainConfig(learning_rate=1e-3, batch_size=len(batch), gamma=gamma,
                       epochs=0, seed=seed, hidden_size=hidden, gcn_layers=layers)
 

@@ -11,6 +11,7 @@ import itertools
 import logging
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -375,7 +376,33 @@ def p1_oracle(ranked_labels) -> int:
 # The forward pass, the regularizer and the hand-written backward pass as they
 # stood before batching, kept verbatim apart from their names: one window at a
 # time, one ``+=`` per window and tensor. The stacked training step and scorer
-# must reproduce them bit for bit.
+# must reproduce them bit for bit. They read one ``Window`` record per window.
+
+
+class Window(NamedTuple):
+    """One window's features, labels as ``True``/``False``/``None`` in node order."""
+
+    reps: np.ndarray  # (3, d)
+    costs: np.ndarray  # (3,)
+    labels: tuple
+
+
+def feature_set(windows):
+    """The library's stacked ``FeatureSet`` of a nonempty list of ``Window`` records."""
+    from otrank.model import FeatureSet
+
+    codes = [[-1 if lab is None else (1 if lab else 0) for lab in w.labels] for w in windows]
+    return FeatureSet(reps=np.stack([w.reps for w in windows]),
+                      costs=np.stack([w.costs for w in windows]),
+                      labels=np.array(codes, dtype=np.int8))
+
+
+def window_records(feats):
+    """The ``Window`` records of a ``FeatureSet``, label codes decoded."""
+    decode = {1: True, 0: False, -1: None}
+    return [Window(feats.reps[k], feats.costs[k],
+                   tuple(decode[c] for c in feats.labels[k].tolist()))
+            for k in range(len(feats))]
 
 
 class _Record:

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion. Every tolerance and budget is pinned here, not configurable.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,7 +14,6 @@ from otrank.corpus import ROLE_CANDIDATE, ROLE_PREV, make_sentence, padding_sent
 from otrank.embeddings import FrequencyTable, build_frequency_table, write_embedding_store
 from otrank.metrics import average_precision, precision_at_1, rank_candidates, reciprocal_rank
 from otrank.model import (
-    WindowFeatures,
     extract_features,
     init_model_params,
     instance_windows,
@@ -39,7 +39,9 @@ from otrank.training import (
 )
 
 from oracles import (
+    Window,
     ap_oracle,
+    feature_set,
     lp_transport_oracle,
     p1_oracle,
     rr_oracle,
@@ -171,8 +173,8 @@ def test_criterion_5_forward_oracles():
         params = init_model_params(rng, dim=dim, hidden=hidden, layers=2)
         for t in param_tensors(params).values():
             t += rng.normal(size=t.shape) * 0.3
-        feats = WindowFeatures("q", "w", reps, costs, (True, False, None))
-        fwd = window_forward(feats, params)
+        feats = feature_set([Window(reps, costs, (True, False, None))])
+        fwd = window_forward(feats, 0, params)
         assert np.max(np.abs(fwd.alpha.sum(axis=1) - 1.0)) <= 1e-12
 
         dep = (params.dep.w1.tolist(), params.dep.b1.tolist(),
@@ -233,20 +235,19 @@ def test_criterion_7_joint_loss_degeneracy(synthetic_corpus):
 
     # Full epoch of batches: gamma = 0 must reproduce the AS2 mean bit-for-bit.
     for lo in range(0, len(feats), cfg0.batch_size):
-        batch = feats[lo : lo + cfg0.batch_size]
-        as2 = float(np.mean([window_forward(f, params).loss_as2 for f in batch]))
+        batch = feats.take(slice(lo, lo + cfg0.batch_size))
+        as2 = float(np.mean([window_forward(batch, k, params).loss_as2
+                             for k in range(len(batch))]))
         assert joint_loss(batch, params, cfg0) == as2
 
     # All-empty MI index sets: any gamma reproduces the AS2 loss bit-for-bit.
-    neutered = [
-        WindowFeatures(f.question_id, f.window_id, f.reps, f.costs,
-                       (False, None, None))
-        for f in feats[:32]
-    ]
+    first = feats.take(slice(0, 32))
+    neutered = dataclasses.replace(first,
+                                   labels=np.tile(np.int8([0, -1, -1]), (len(first), 1)))
     cfg_g = TrainConfig(gamma=0.7, batch_size=16, hidden_size=32, gcn_layers=2,
                         learning_rate=1e-3)
     for lo in range(0, len(neutered), 16):
-        batch = neutered[lo : lo + 16]
+        batch = neutered.take(slice(lo, lo + 16))
         assert joint_loss(batch, params, cfg_g) == joint_loss(batch, params, cfg0)
     _report(7, "joint loss degenerates to the ranking loss")
 
@@ -272,9 +273,9 @@ def test_criterion_9_mi_effect_witness(synthetic_corpus):
 
     def mean_mi(params):
         vals = [
-            mi_loss(window_forward(f, params).hs[-1], build_pair_sets(f.labels),
+            mi_loss(window_forward(feats, k, params).hs[-1], build_pair_sets(feats.labels[k]),
                     params.disc)
-            for f in feats
+            for k in range(len(feats))
         ]
         return float(np.mean(vals))
 

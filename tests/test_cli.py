@@ -202,9 +202,10 @@ class TestAlign:
         assert "zzz" in capsys.readouterr().err
 
 
-def _scoring_argv(command, cli_env, tmp_path, ckpt=None, emb=None):
+def _scoring_argv(command, cli_env, tmp_path, ckpt=None, emb=None, corpus=None):
     argv = [command, "--checkpoint", str(ckpt or cli_env["ckpt"]),
-            "--split", str(cli_env["corpus"]), "--embeddings", str(emb or cli_env["emb"])]
+            "--split", str(corpus or cli_env["corpus"]),
+            "--embeddings", str(emb or cli_env["emb"])]
     if command == "rerank":
         return argv + ["--out", str(tmp_path / "rank.jsonl")]
     if command == "align":
@@ -234,6 +235,23 @@ class TestBadScoringInputs:
         rc = main(_scoring_argv("rerank", cli_env, tmp_path, emb=emb))
         assert rc == 1
         assert str(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,key,counts", [
+        ("moons ?", "moons today ?", ("q1", QUESTION_WINDOW_ID, "q"), ("7 vectors", "8 tokens")),
+        ("confirmed moons .", "confirmed moons today .", ("q1", "q1-w1", "c"),
+         ("8 vectors", "9 tokens")),
+    ], ids=["question", "candidate"])
+    @pytest.mark.parametrize("command", ["rerank", "align"])
+    def test_token_count_mismatch_names_its_key(self, command, old, new, key, counts, cli_env,
+                                                tmp_path, capsys):
+        # The corpus sentence has one word more than its store entry has vectors.
+        bad = tmp_path / "longer.jsonl"
+        bad.write_text(cli_env["corpus"].read_text().replace(old, new, 1))
+        rc = main(_scoring_argv(command, cli_env, tmp_path, corpus=bad))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert str(key) in err and all(c in err for c in counts)
+        assert "Traceback" not in err
 
 
 def _with_crc(payload: bytes) -> bytes:
@@ -320,8 +338,9 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
         ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
         ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30), "need more bytes"),
+        ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
     ], ids=["store-role-byte", "store-instance-id", "ckpt-tensor-name", "ckpt-dim-0",
-            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge"])
+            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
         bad = tmp_path / f"bad.{target}"
         bad.write_bytes(corrupt(cli_env[target].read_bytes()))
@@ -333,7 +352,7 @@ class TestCorruptInputs:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
-        target=st.sampled_from(["emb", "ckpt"]),
+        target=st.sampled_from(["emb", "ckpt", "corpus"]),
         edit=st.one_of(
             st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
             st.tuples(st.just("truncate"), st.integers(0, 1 << 20)),

@@ -165,7 +165,7 @@ class TestEvaluate:
         import otrank.metrics as metrics_mod
 
         def oracle_scores(feats, params):
-            return np.array([1.0 if f.labels[0] else 0.0 for f in feats])
+            return np.where(feats.labels[:, 0] == 1, 1.0, 0.0)
 
         monkeypatch.setattr(metrics_mod, "score_windows", oracle_scores)
         report = metrics_mod.evaluate(dev_c, ckpt, store)
@@ -183,7 +183,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(
             metrics_mod, "score_windows",
-            lambda feats, params: np.array([0.0 if f.labels[0] else 1.0 for f in feats]),
+            lambda feats, params: np.where(feats.labels[:, 0] == 1, 0.0, 1.0),
         )
         report = metrics_mod.evaluate(dev_c, ckpt, store)
         n = len(dev_c.instances[0].windows)

@@ -7,7 +7,6 @@ from otrank.embeddings import build_frequency_table
 from otrank.model import (
     FFNParams,
     GCNLayer,
-    WindowFeatures,
     extract_features,
     forward,
     init_model_params,
@@ -21,11 +20,14 @@ from otrank.synthetic import make_synthetic_corpus
 from otrank.training import TrainConfig, joint_loss
 
 from oracles import (
+    Window,
+    feature_set,
     ffn_scalar_oracle,
     scalar_score_window,
     sigmoid_oracle,
     softmax_oracle,
     window_forward_loop,
+    window_records,
 )
 
 
@@ -238,68 +240,61 @@ class TestAs2Loss:
         params = random_params(rng, 4)
         params.head = zero_ffn(4)
         params.head.b2[0] = logit
-        feats = WindowFeatures("q", "w", rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3),
-                               (label, None, None))
+        feats = feature_set([Window(rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3),
+                                    (label, None, None))])
         return feats, params
 
     def test_half_is_log_two(self):
         rng = np.random.default_rng(16)
         for label in (True, False):
             feats, params = self._window(rng, label, 0.0)
-            assert window_forward(feats, params).p == 0.5
-            assert window_forward(feats, params).loss_as2 == pytest.approx(np.log(2.0),
-                                                                           abs=1e-15)
+            assert window_forward(feats, 0, params).p == 0.5
+            assert window_forward(feats, 0, params).loss_as2 == pytest.approx(np.log(2.0),
+                                                                              abs=1e-15)
 
     def test_point_nine_true(self):
         feats, params = self._window(np.random.default_rng(17), True, np.log(9.0))
-        fwd = window_forward(feats, params)
+        fwd = window_forward(feats, 0, params)
         assert fwd.p == pytest.approx(0.9, abs=1e-15)
         assert fwd.loss_as2 == pytest.approx(-np.log(0.9), abs=1e-15)
 
     def test_batch_mean_rule(self):
         rng = np.random.default_rng(18)
         params = random_params(rng, 4)
-        batch = [WindowFeatures("q", f"w{k}", rng.normal(size=(3, 4)),
-                                rng.uniform(0, 3, size=3), (label, None, None))
-                 for k, label in enumerate((True, False))]
-        a, b = (window_forward(f, params).loss_as2 for f in batch)
+        batch = feature_set([Window(rng.normal(size=(3, 4)), rng.uniform(0, 3, size=3),
+                                    (label, None, None)) for label in (True, False)])
+        a, b = (window_forward(batch, k, params).loss_as2 for k in range(2))
         cfg = TrainConfig(gamma=0.0, hidden_size=5, gcn_layers=2)
         assert joint_loss(batch, params, cfg) == pytest.approx((a + b) / 2.0, abs=1e-16)
 
 
 def make_features(rng, dim, labels=(True, False, None)):
-    return WindowFeatures(
-        question_id="q",
-        window_id="w",
-        reps=rng.normal(size=(3, dim)),
-        costs=rng.uniform(0.2, 2.5, size=3),
-        labels=labels,
-    )
+    return feature_set([Window(reps=rng.normal(size=(3, dim)),
+                               costs=rng.uniform(0.2, 2.5, size=3), labels=labels)])
 
 
 class TestWindowForward:
     def test_alpha_rows_sum_to_one(self):
         rng = np.random.default_rng(12)
         params = init_model_params(rng, dim=5, hidden=7, layers=2)
-        fwd = window_forward(make_features(rng, 5), params)
+        fwd = window_forward(make_features(rng, 5), 0, params)
         np.testing.assert_allclose(fwd.alpha.sum(axis=1), np.ones(3), atol=1e-12)
 
     def test_purity(self):
         rng = np.random.default_rng(13)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
         feats = make_features(rng, 4)
-        assert window_forward(feats, params).p == window_forward(feats, params).p
+        assert window_forward(feats, 0, params).p == window_forward(feats, 0, params).p
 
     def test_all_padding_contexts_finite(self):
         rng = np.random.default_rng(14)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        feats = WindowFeatures(
-            question_id="q", window_id="w",
+        feats = feature_set([Window(
             reps=np.vstack([rng.normal(size=(1, 4)), np.zeros((2, 4))]),
             costs=np.array([1.3, 0.0, 0.0]),
             labels=(True, None, None),
-        )
-        fwd = window_forward(feats, params)
+        )])
+        fwd = window_forward(feats, 0, params)
         assert np.isfinite(fwd.p) and 0 < fwd.p < 1
         assert np.all(np.isfinite(fwd.hs[-1]))
 
@@ -309,11 +304,10 @@ class TestWindowForward:
         ctx = rng.normal(size=4)
         reps = np.stack([rng.normal(size=4), ctx, ctx.copy()])
         costs = np.array([1.0, 0.8, 0.8])
-        feats = WindowFeatures("q", "w", reps, costs, (True, False, False))
-        swapped = WindowFeatures(
-            "q", "w", reps[[0, 2, 1]].copy(), costs[[0, 2, 1]].copy(), (True, False, False)
-        )
-        assert window_forward(feats, params).p == window_forward(swapped, params).p
+        feats = feature_set([Window(reps, costs, (True, False, False))])
+        swapped = feature_set([Window(reps[[0, 2, 1]].copy(), costs[[0, 2, 1]].copy(),
+                                      (True, False, False))])
+        assert window_forward(feats, 0, params).p == window_forward(swapped, 0, params).p
 
     def test_matches_scalar_recomputation(self):
         # Straight-line scalar replay of the scoring stage, d <= 4.
@@ -325,22 +319,22 @@ class TestWindowForward:
             for t in param_tensors(params).values():
                 t += rng.normal(size=t.shape) * 0.3
             feats = make_features(rng, d)
-            fwd = window_forward(feats, params)
+            fwd = window_forward(feats, 0, params)
             dep = (params.dep.w1.tolist(), params.dep.b1.tolist(),
                    params.dep.w2.tolist(), params.dep.b2.tolist())
             head = (params.head.w1.tolist(), params.head.b1.tolist(),
                     params.head.w2.tolist(), params.head.b2.tolist())
             layers = [(l.w.tolist(), l.b.tolist()) for l in params.gcn]
             p_ref, h_ref = scalar_score_window(
-                feats.reps.tolist(), feats.costs.tolist(), dep, layers, head
+                feats.reps[0].tolist(), feats.costs[0].tolist(), dep, layers, head
             )
             assert fwd.p == pytest.approx(p_ref, abs=1e-8)
             np.testing.assert_allclose(fwd.hs[-1], h_ref, atol=1e-8)
 
 
-def tiny_window_features(store, ft, inst, window=0):
-    return extract_features([(inst.question, inst.windows[window], inst.question_id)],
-                            store, ft, SinkhornSettings())[0]
+def tiny_window_features(store, ft, inst, window=0, copies=1):
+    return extract_features([(inst.question, inst.windows[window], inst.question_id)] * copies,
+                            store, ft, SinkhornSettings())
 
 
 class TestScoreWindow:
@@ -348,7 +342,7 @@ class TestScoreWindow:
         # Frozen from the reference run (params seed 7, dim 4, hidden 5, L 2).
         inst = tiny_corpus.instances[0]
         params = init_model_params(np.random.default_rng(7), dim=4, hidden=5, layers=2)
-        fwd = window_forward(tiny_window_features(tiny_store, tiny_ft, inst), params)
+        fwd = window_forward(tiny_window_features(tiny_store, tiny_ft, inst), 0, params)
         p, h_final = fwd.p, fwd.hs[-1]
         assert p == pytest.approx(0.49573228692785337, abs=1e-9)
         np.testing.assert_allclose(
@@ -361,14 +355,14 @@ class TestScoreWindow:
     def test_identical_windows_identical_scores(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]
         params = init_model_params(np.random.default_rng(8), dim=4, hidden=5, layers=2)
-        feats = [tiny_window_features(tiny_store, tiny_ft, inst) for _ in range(2)]
+        feats = tiny_window_features(tiny_store, tiny_ft, inst, copies=2)
         a, b = score_windows(feats, params)
         assert a == b
 
     def test_window_with_padding_context(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[1]
         params = init_model_params(np.random.default_rng(9), dim=4, hidden=5, layers=2)
-        fwd = window_forward(tiny_window_features(tiny_store, tiny_ft, inst), params)
+        fwd = window_forward(tiny_window_features(tiny_store, tiny_ft, inst), 0, params)
         assert 0 < fwd.p < 1
         assert np.all(np.isfinite(fwd.hs[-1]))
 
@@ -383,9 +377,12 @@ class TestBatchedScores:
         params = init_model_params(np.random.default_rng(6), dim=768, hidden=400, layers=2)
         scores = score_windows(feats, params)
         assert len(scores) == len(feats) == 60
-        for f, p in zip(feats, scores):
-            assert p == window_forward_loop(f, params).p
+        for w, p in zip(window_records(feats), scores):
+            assert p == window_forward_loop(w, params).p
 
-    def test_empty_list_scores_nothing(self):
+    def test_empty_set_scores_nothing(self, tiny_store, tiny_ft):
+        feats = extract_features([], tiny_store, tiny_ft)
+        assert feats.reps.shape == (0, 3, tiny_store.dim)
+        assert feats.costs.shape == feats.labels.shape == (0, 3)
         params = init_model_params(np.random.default_rng(0), dim=4, hidden=5, layers=1)
-        assert score_windows([], params).shape == (0,)
+        assert score_windows(feats, params).shape == (0,)

@@ -1,5 +1,7 @@
 """Pair index sets, the discriminator, and the regularizer loss."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,24 @@ class TestBuildPairSets:
             assert not (set(sets.positive) & set(sets.negative))
             for i, j in sets.positive + sets.negative:
                 assert i in (0, 1, 2) and j in (0, 1, 2)
+
+    def test_label_codes_equal_their_labels(self):
+        decode = {1: True, 0: False, -1: None}
+        for codes in itertools.product((-1, 0, 1), repeat=3):
+            assert build_pair_sets(np.int8(codes)) == build_pair_sets(
+                tuple(decode[c] for c in codes))
+
+
+class TestWindowPairsOfLabels:
+    def test_table_rows_equal_the_pair_sets(self):
+        rows = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int8)
+        got = WindowPairs.of_labels(rows)
+        for k, codes in enumerate(rows):
+            want = WindowPairs.of([build_pair_sets(codes)])
+            count = int(want.count[0])
+            assert got.count[k] == count and got.positive[k] == want.positive[0]
+            np.testing.assert_array_equal(got.i[k, :count], want.i[0, :count])
+            np.testing.assert_array_equal(got.j[k, :count], want.j[0, :count])
 
 
 def pair_logits(h, labels, disc):
@@ -147,8 +167,8 @@ class TestMiLoss:
         inst = tiny_corpus.instances[0]
         params = init_model_params(np.random.default_rng(7), dim=4, hidden=5, layers=2)
         feats = extract_features([(inst.question, inst.windows[0], "q1")], tiny_store,
-                                 tiny_ft)[0]
-        fwd = window_forward(feats, params)
+                                 tiny_ft)
+        fwd = window_forward(feats, 0, params)
         val = mi_loss(fwd.hs[-1], build_pair_sets((True, True, False)), params.disc)
         assert val == pytest.approx(2.7729528113559097, abs=1e-9)
 

@@ -1,17 +1,21 @@
 """The package surface: explicit exports, and the benchmark tracer's targets."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import otrank
+from otrank import model
+from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# Per-sentence and per-window twins of the batched path, and one-use wrappers,
-# that the package no longer has.
+# Per-sentence and per-window twins of the batched path, one-use wrappers, and the
+# per-window feature and batch types, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
-           "extract_corpus_features", "gradients", "store_checksum")
+           "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
+           "WindowBatch", "_stacked")
 
 
 def test_every_export_resolves():
@@ -25,6 +29,12 @@ def test_no_removed_name_is_exported():
     for module in ("model", "mutual_info", "training", "embeddings", "metrics", "cli"):
         mod = importlib.import_module(f"otrank.{module}")
         assert not [name for name in REMOVED if hasattr(mod, name)], module
+
+
+def test_one_feature_type():
+    # Features pass as one stacked FeatureSet; alignments come from align_windows.
+    assert "keep_alignments" not in inspect.signature(model.extract_features).parameters
+    assert not hasattr(WindowPairs, "take")
 
 
 def test_every_trace_target_resolves():

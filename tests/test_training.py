@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 import otrank.training as training
 from otrank.errors import CheckpointError, EmbeddingKeyError
 from otrank.model import (
-    WindowFeatures,
+    FeatureSet,
+    align_windows,
     extract_features,
     init_model_params,
     instance_windows,
     param_tensors,
+    window_forward,
     zero_gradients,
 )
 from otrank.embeddings import build_frequency_table
@@ -23,7 +25,6 @@ from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
     AdamState,
     TrainConfig,
-    WindowBatch,
     adam_step,
     gradcheck,
     joint_loss,
@@ -33,7 +34,7 @@ from otrank.training import (
     train,
 )
 
-from oracles import loss_and_gradients_loop, reference_window_features
+from oracles import Window, feature_set, loss_and_gradients_loop, reference_window_features
 
 
 def micro_cfg(**kw):
@@ -43,12 +44,10 @@ def micro_cfg(**kw):
     return TrainConfig(**defaults)
 
 
-def random_batch(rng, dim, n=3):
+def random_windows(rng, dim, n=3):
     label_sets = [(True, True, False), (False, True, None), (True, None, None)]
     return [
-        WindowFeatures(
-            question_id="q",
-            window_id=f"w{k}",
+        Window(
             reps=rng.normal(size=(3, dim)),
             costs=rng.uniform(0.3, 2.0, size=3),
             labels=label_sets[k % len(label_sets)],
@@ -57,24 +56,26 @@ def random_batch(rng, dim, n=3):
     ]
 
 
+def random_batch(rng, dim, n=3):
+    return feature_set(random_windows(rng, dim, n))
+
+
 class TestJointLoss:
     def test_gamma_zero_equals_as2_bitwise(self):
         rng = np.random.default_rng(0)
         params = init_model_params(rng, dim=5, hidden=8, layers=2)
         batch = random_batch(rng, 5)
-        from otrank.model import window_forward
-
-        as2 = float(np.mean([window_forward(f, params).loss_as2 for f in batch]))
+        as2 = float(np.mean([window_forward(batch, k, params).loss_as2
+                             for k in range(len(batch))]))
         assert joint_loss(batch, params, micro_cfg(gamma=0.0)) == as2
 
     def test_empty_mi_sets_equal_as2_for_any_gamma(self):
         rng = np.random.default_rng(1)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        batch = [
-            WindowFeatures("q", f"w{k}", rng.normal(size=(3, 4)),
-                           rng.uniform(0.2, 1.5, size=3), (False, None, None))
-            for k in range(3)
-        ]
+        batch = feature_set([
+            Window(rng.normal(size=(3, 4)), rng.uniform(0.2, 1.5, size=3), (False, None, None))
+            for _ in range(3)
+        ])
         for gamma in (0.3, 1.7):
             a = joint_loss(batch, params, micro_cfg(gamma=gamma))
             b = joint_loss(batch, params, micro_cfg(gamma=0.0))
@@ -89,7 +90,8 @@ class TestJointLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            joint_loss([], None, micro_cfg())
+            joint_loss(FeatureSet(reps=np.zeros((0, 3, 4)), costs=np.zeros((0, 3)),
+                                  labels=np.zeros((0, 3), dtype=np.int8)), None, micro_cfg())
 
 
 class TestGradients:
@@ -98,9 +100,10 @@ class TestGradients:
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
         for t in param_tensors(params).values():
             t[...] = 0.0
-        batch = random_batch(rng, 4, n=4)
-        grads = loss_and_gradients(batch, params, micro_cfg(gamma=0.0, batch_size=4))[1]
-        ys = [1.0 if f.labels[0] else 0.0 for f in batch]
+        windows = random_windows(rng, 4, n=4)
+        grads = loss_and_gradients(feature_set(windows), params,
+                                   micro_cfg(gamma=0.0, batch_size=4))[1]
+        ys = [1.0 if w.labels[0] else 0.0 for w in windows]
         expected = np.mean([0.5 - y for y in ys])
         assert grads["head.b2"][0] == pytest.approx(expected, abs=1e-15)
         # With everything zero, ReLU gates shut every other path.
@@ -137,10 +140,10 @@ class TestGradients:
     def test_duplicated_window_same_gradient(self):
         rng = np.random.default_rng(5)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        feats = random_batch(rng, 4, n=1)[0]
+        window = random_windows(rng, 4, n=1)[0]
         cfg = micro_cfg()
-        single = loss_and_gradients([feats], params, cfg)[1]
-        doubled = loss_and_gradients([feats, feats], params, cfg)[1]
+        single = loss_and_gradients(feature_set([window]), params, cfg)[1]
+        doubled = loss_and_gradients(feature_set([window, window]), params, cfg)[1]
         for name in single:
             np.testing.assert_array_equal(single[name], doubled[name])
 
@@ -155,10 +158,10 @@ class TestGradients:
     def test_non_finite_loss_aborts(self):
         rng = np.random.default_rng(7)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        feats = random_batch(rng, 4, n=1)[0]
-        feats.reps[0, 0] = np.inf
+        feats = random_batch(rng, 4, n=1)
+        feats.reps[0, 0, 0] = np.inf
         with pytest.raises(FloatingPointError):
-            loss_and_gradients([feats], params, micro_cfg())
+            loss_and_gradients(feats, params, micro_cfg())
 
 
 CONTEXT_LABELS = st.sampled_from([True, False, None])
@@ -181,14 +184,14 @@ def step_cases(draw):
     for t in param_tensors(params).values():
         t += rng.normal(size=t.shape) * 0.3
     batch = []
-    for k, (label, pad) in enumerate(zip(labels, padded)):
+    for label, pad in zip(labels, padded):
         reps = rng.normal(size=(3, dim))
         costs = rng.uniform(0.2, 2.0, size=3)
         if pad:  # padding context sentences: zero representation and cost, no label
             reps[1:] = 0.0
             costs[1:] = 0.0
             label = (label[0], None, None)
-        batch.append(WindowFeatures("q", f"w{k}", reps, costs, label))
+        batch.append(Window(reps, costs, label))
     cfg = micro_cfg(gamma=gamma, hidden_size=hidden, gcn_layers=layers)
     return batch, params, cfg
 
@@ -199,21 +202,20 @@ class TestBatchedStepEqualsLoop:
     def test_loss_and_every_gradient_bitwise(self, case):
         batch, params, cfg = case
         loss, grads = loss_and_gradients_loop(batch, params, cfg)
-        for stacked in (batch, WindowBatch.stack(batch)):
-            got_loss, got = loss_and_gradients(stacked, params, cfg)
-            assert got_loss == loss
-            assert list(got) == list(grads)
-            for name, g in grads.items():
-                assert got[name].shape == g.shape, name
-                assert got[name].tobytes() == g.tobytes(), name
+        got_loss, got = loss_and_gradients(feature_set(batch), params, cfg)
+        assert got_loss == loss
+        assert list(got) == list(grads)
+        for name, g in grads.items():
+            assert got[name].shape == g.shape, name
+            assert got[name].tobytes() == g.tobytes(), name
 
     def test_taken_rows_equal_their_list(self):
         rng = np.random.default_rng(3)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        feats = random_batch(rng, 4, n=9)
+        windows = random_windows(rng, 4, n=9)
         rows = [7, 2, 2, 5]
-        a = loss_and_gradients(WindowBatch.stack(feats).take(rows), params, micro_cfg())
-        b = loss_and_gradients([feats[r] for r in rows], params, micro_cfg())
+        a = loss_and_gradients(feature_set(windows).take(rows), params, micro_cfg())
+        b = loss_and_gradients_loop([windows[r] for r in rows], params, micro_cfg())
         assert a[0] == b[0]
         for name in a[1]:
             assert a[1][name].tobytes() == b[1][name].tobytes()
@@ -448,15 +450,21 @@ class TestCorpusExtraction:
         corpus, _, store = make_synthetic_corpus(seed=0)
         ft = build_frequency_table(corpus)
         settings = SinkhornSettings()
-        feats = extract_features(instance_windows(corpus.instances), store, ft, settings)
+        items = instance_windows(corpus.instances)
+        feats = extract_features(items, store, ft, settings)
+        results = align_windows(items, store, ft, settings)
         windows = [(inst, w) for inst in corpus.instances for w in inst.windows]
-        assert len(feats) == len(windows)
-        for f, (inst, w) in zip(feats, windows):
+        assert len(feats) == len(windows) and len(results) == 3 * len(windows)
+        assert feats.labels.dtype == np.int8
+        code = {True: 1, False: 0, None: -1}
+        for k, (inst, w) in enumerate(windows):
             reps, costs, unconverged = reference_window_features(
                 inst.question, w, inst.question_id, store, ft, settings
             )
-            assert (f.question_id, f.window_id) == (inst.question_id, w.id)
-            np.testing.assert_array_equal(f.reps, reps, strict=True)
-            np.testing.assert_array_equal(f.costs, costs, strict=True)
-            assert f.unconverged == unconverged
-            assert f.labels == (bool(w.cand.label), w.prev.label, w.next.label)
+            np.testing.assert_array_equal(feats.reps[k], reps, strict=True)
+            np.testing.assert_array_equal(feats.costs[k], costs, strict=True)
+            plans = [res.plan for res in results[3 * k : 3 * k + 3]]
+            assert sum(0 if tp.converged else 1 for tp in plans) == unconverged
+            assert feats.labels[k].tolist() == [
+                code[lab] for lab in (bool(w.cand.label), w.prev.label, w.next.label)
+            ]
