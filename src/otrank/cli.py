@@ -168,8 +168,14 @@ def _cmd_eval(args) -> int:
     if len(split_paths) > 1 and not args.combine_dev_test:
         raise OtrankError("multiple --split files require --combine-dev-test")
     instances = []
+    source = {}  # question_id -> the split file that holds it
     for sp in split_paths:
-        instances.extend(load_corpus(_require_file(sp, "corpus split"), split="test").instances)
+        for inst in load_corpus(_require_file(sp, "corpus split"), split="test").instances:
+            if inst.question_id in source:
+                raise OtrankError(f"question_id {inst.question_id!r} is in both "
+                                  f"{source[inst.question_id]} and {sp}")
+            source[inst.question_id] = sp
+            instances.append(inst)
     from .corpus import Corpus
 
     corpus = Corpus(instances=tuple(instances), split="test")

@@ -35,10 +35,10 @@ from .embeddings import (
 )
 from .errors import EmbeddingStoreError, MissingFrequencyTableError
 from .sinkhorn import (  # noqa: F401  (align_sentence: see the note in cli.py)
-    AlignmentResult,
+    Alignments,
     NonFiniteCostError,
+    PlanGroup,
     SinkhornSettings,
-    TransportPlan,
     align_sentence,
     align_sentences,
 )
@@ -179,13 +179,16 @@ def align_windows(
     store: EmbeddingStore,
     ft: FrequencyTable | None,
     settings: SinkhornSettings = SinkhornSettings(),
-) -> list[AlignmentResult]:
+) -> Alignments:
     """Align the candidate, prev and next sentence of ``(question, window, instance_id)``
-    items: three results per item, in :data:`NODE_ORDER`.
+    items: three alignments per item, in :data:`NODE_ORDER`. Indexing the result
+    gives each alignment's ``AlignmentResult``.
 
     Every sentence alignment goes into one :func:`align_sentences` call, so a
-    whole split is solved in one batch. Logs one info line with the batch's
-    Sinkhorn statistics, and warns when some alignments did not converge.
+    whole split is solved in one batch. A question's vectors are looked up
+    once per question object and instance id. Logs one info line with the
+    batch's Sinkhorn statistics, and warns when some alignments did not
+    converge.
 
     Raises :class:`MissingFrequencyTableError` when ``ft`` is None, and
     :class:`EmbeddingStoreError` naming the (instance, window, role) key when
@@ -196,29 +199,36 @@ def align_windows(
         raise MissingFrequencyTableError("checkpoint carries no frequency table; cannot align")
     started = time.perf_counter()
     items = list(items)
-    pairs = []
-    for question, window, instance_id in items:
-        q_vecs = _sentence_vectors(store, question, (instance_id, QUESTION_WINDOW_ID, ROLE_Q))
-        for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
-            s_vecs = None
-            if not sent.is_padding:
-                s_vecs = _sentence_vectors(store, sent, (instance_id, window.id, role))
-            pairs.append((question, sent, q_vecs, s_vecs))
+    question_vectors = {}  # the items hold every keyed question, so no id is reused
+
+    def pairs():
+        # Lazily, so that each sentence's float64 vectors live only until its
+        # content rows are taken.
+        for question, window, instance_id in items:
+            key = (id(question), instance_id)
+            if key not in question_vectors:
+                question_vectors[key] = _sentence_vectors(
+                    store, question, (instance_id, QUESTION_WINDOW_ID, ROLE_Q))
+            for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
+                s_vecs = None
+                if not sent.is_padding:
+                    s_vecs = _sentence_vectors(store, sent, (instance_id, window.id, role))
+                yield question, sent, question_vectors[key], s_vecs
+
     try:
-        results = align_sentences(pairs, ft, settings)
+        alignments = align_sentences(pairs(), ft, settings)
     except NonFiniteCostError as exc:
         question, window, instance_id = items[exc.index // 3]
         key = (instance_id, window.id, NODE_ROLES[exc.index % 3])
-        q_vecs = pairs[exc.index][2]
+        q_vecs = question_vectors[(id(question), instance_id)]
         if not np.all(np.isfinite(q_vecs[content_token_indices(question)])):
             key = (instance_id, QUESTION_WINDOW_ID, ROLE_Q)
         raise EmbeddingStoreError(
             f"non-finite embedding values: the vectors of (instance, window, role) = {key} "
             "give a non-finite transport cost"
         ) from None
-    _log_alignment_stats([res.plan for res, (_, sent, _, _) in zip(results, pairs)
-                          if not sent.is_padding], time.perf_counter() - started)
-    return results
+    _log_alignment_stats(alignments.groups, time.perf_counter() - started)
+    return alignments
 
 
 def _sentence_vectors(store: EmbeddingStore, sent: Sentence, key) -> np.ndarray:
@@ -238,33 +248,36 @@ def extract_features(
     settings: SinkhornSettings = SinkhornSettings(),
 ) -> FeatureSet:
     """The :class:`FeatureSet` of ``(question, window, instance_id)`` items, in order:
-    :func:`align_windows`, stacked."""
+    the arrays of :func:`align_windows`, three rows to a window."""
     items = list(items)
-    results = align_windows(items, store, ft, settings)
+    alignments = align_windows(items, store, ft, settings)
     n = len(items)
     return FeatureSet(
-        reps=np.array([res.representation for res in results]).reshape(n, 3, store.dim),
-        costs=np.array([res.cost for res in results]).reshape(n, 3),
+        reps=alignments.reps.reshape(n, 3, store.dim),
+        costs=alignments.costs.reshape(n, 3),
         labels=np.array([(1 if w.cand.label else 0, _label_code(w.prev.label),
                           _label_code(w.next.label)) for _, w, _ in items],
                         dtype=np.int8).reshape(n, 3),
     )
 
 
-def _log_alignment_stats(plans: list[TransportPlan], seconds: float) -> None:
-    unconverged = sum(0 if tp.converged else 1 for tp in plans)
+def _log_alignment_stats(groups: list[PlanGroup], seconds: float) -> None:
+    iters = np.concatenate([grp.iterations for grp in groups] or [np.zeros(0, np.int64)])
+    converged = np.concatenate([grp.converged for grp in groups] or [np.zeros(0, bool)])
+    unconverged = int(np.count_nonzero(~converged))
     if unconverged:
         logger.warning("%d sentence alignments did not converge; using best iterates",
                        unconverged)
     if not logger.isEnabledFor(logging.INFO):
         return
-    iters = [tp.iterations_used for tp in plans]
-    p50, p95 = np.percentile(iters, [50, 95]) if iters else (0, 0)
-    worst = max((tp.violation for tp in plans if tp.converged), default=0.0)
+    violations = np.concatenate([grp.violations[grp.converged] for grp in groups]
+                                or [np.zeros(0)])
+    p50, p95 = np.percentile(iters, [50, 95]) if iters.size else (0, 0)
     logger.info(
         "aligned %d sentences in %.3f s: sinkhorn iterations p50/p95/max %g/%g/%d, "
         "%d unconverged, worst marginal violation %.3e over converged plans",
-        len(plans), seconds, p50, p95, max(iters, default=0), unconverged, worst,
+        iters.size, seconds, p50, p95, iters.max(initial=0), unconverged,
+        violations.max(initial=0.0),
     )
 
 

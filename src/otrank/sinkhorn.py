@@ -17,6 +17,7 @@ swapped problem is exactly the transpose. The fixed point is the usual one:
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,14 +86,48 @@ class NonFiniteCostError(ValueError):
 
 
 def _logsumexp(M: np.ndarray, axis: int) -> np.ndarray:
-    mx = M.max(axis=axis)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    return safe + np.log(np.exp(M - np.expand_dims(safe, axis)).sum(axis=axis))
+    """Log-sum-exp along ``axis``; ``M`` is scratch and is overwritten."""
+    mx = M.max(axis=axis, keepdims=True)
+    finite = np.isfinite(mx)
+    if not finite.all():
+        mx[~finite] = 0.0  # an all -inf line shifts by 0 and sums to exp(-inf) = 0
+    M -= mx
+    np.exp(M, out=M)
+    out = M.sum(axis=axis)
+    np.log(out, out=out)
+    out += mx.squeeze(axis)
+    return out
 
 
-def _build(f: np.ndarray, g: np.ndarray, D: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    # -inf potentials (zero marginal entries) exponentiate to exact zeros.
-    return np.exp((f[:, :, None] + g[:, None, :] - D) / eps[:, None, None])
+def _update(h: np.ndarray, eps_log_marginal: np.ndarray, M: np.ndarray, e3: np.ndarray,
+            axis: int) -> np.ndarray:
+    """The damped update ``0.5 * (h + eps*log(marginal) - eps*logsumexp(M / eps))``
+    of one stacked potential; ``M`` holds the other potential minus the cost and
+    is scratch."""
+    M /= e3
+    lse = _logsumexp(M, axis)
+    lse *= e3[:, :, 0]
+    out = h + eps_log_marginal
+    out -= lse
+    out *= 0.5
+    return out
+
+
+def _worst_gap(sums: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """Per problem, the largest ``|sums - marginal|``; ``sums`` is scratch."""
+    sums -= marginal
+    return np.abs(sums, out=sums).max(axis=1)
+
+
+def _build(f: np.ndarray, g: np.ndarray, D: np.ndarray, e3: np.ndarray) -> np.ndarray:
+    """``exp((f_i + g_j - D_ij) / eps)`` for stacked potentials; ``e3`` is eps as ``(B, 1, 1)``.
+
+    -inf potentials (zero marginal entries) exponentiate to exact zeros.
+    """
+    plan = f[:, :, None] + g[:, None, :]
+    plan -= D
+    plan /= e3
+    return np.exp(plan, out=plan)
 
 
 def sinkhorn_plan(
@@ -109,6 +144,25 @@ def sinkhorn_plan(
     iteration, the convergence test and the best-iterate fallback.
     """
     return sinkhorn_plans([p], [q], [D], [eps], max_iter, tol)[0]
+
+
+@dataclass
+class PlanGroup:
+    """The problems of one ``(n, m)`` shape, solved together, as stacked arrays."""
+
+    members: np.ndarray  # (B,) positions of the problems in their batch
+    costs: np.ndarray  # (B, n, m)
+    plans: np.ndarray  # (B, n, m); the best iterate where unconverged
+    epsilon: np.ndarray  # (B,)
+    iterations: np.ndarray  # (B,) iteration of each plan
+    converged: np.ndarray  # (B,) bool
+    violations: np.ndarray  # (B,)
+
+    def plan(self, b: int) -> TransportPlan:
+        return TransportPlan(plan=self.plans[b], epsilon=float(self.epsilon[b]),
+                             iterations_used=int(self.iterations[b]),
+                             converged=bool(self.converged[b]),
+                             violation=float(self.violations[b]))
 
 
 def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
@@ -128,11 +182,20 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
     it is solved alone. Converged problems leave the active set after every
     iteration, so a slow problem only keeps itself iterating.
     """
+    results: list[TransportPlan | None] = [None] * len(costs)
+    for grp in _solve_groups(ps, qs, costs, eps, max_iter, tol):
+        for b, k in enumerate(grp.members):
+            results[k] = grp.plan(b)
+    return results
+
+
+def _solve_groups(ps, qs, costs, eps, max_iter: int, tol: float) -> list[PlanGroup]:
+    """:func:`sinkhorn_plans`, with each shape group's results left stacked."""
     count = len(costs)
     if not len(ps) == len(qs) == len(eps) == count:
         raise ValueError("a batch needs one p, q, cost matrix and eps per problem")
     arrays = []
-    groups: dict[tuple[int, int], list[int]] = {}
+    by_shape: dict[tuple[int, int], list[int]] = {}
     for k in range(count):
         p = np.asarray(ps[k], dtype=np.float64)
         q = np.asarray(qs[k], dtype=np.float64)
@@ -141,28 +204,26 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
             raise ValueError(f"{_where(k, count)}marginal shapes {p.shape}/{q.shape} "
                              f"do not match cost {D.shape}")
         arrays.append((p, q, D))
-        groups.setdefault(D.shape, []).append(k)
+        by_shape.setdefault(D.shape, []).append(k)
 
-    results: list[TransportPlan | None] = [None] * count
-    unconverged = []
-    for members in groups.values():
+    groups = []
+    for members in by_shape.values():
         P = np.stack([arrays[k][0] for k in members])
         Q = np.stack([arrays[k][1] for k in members])
         D = np.stack([arrays[k][2] for k in members])
         E = np.array([eps[k] for k in members], dtype=np.float64)
         _validate(members, count, P, Q, D, E)
         f, g, iters, viol, converged = _solve_group(P, Q, D, E, max_iter, tol)
-        plans = _build(f, g, D, E)
-        for b, k in enumerate(members):
-            results[k] = TransportPlan(plan=plans[b], epsilon=float(E[b]),
-                                       iterations_used=int(iters[b]),
-                                       converged=bool(converged[b]), violation=float(viol[b]))
-            if not converged[b]:
-                unconverged.append(k)
-    for k in sorted(unconverged):
+        groups.append(PlanGroup(members=np.array(members), costs=D,
+                                plans=_build(f, g, D, E[:, None, None]), epsilon=E,
+                                iterations=iters, converged=converged, violations=viol))
+    unconverged = sorted((int(k), float(v)) for grp in groups
+                         for k, v in zip(grp.members[~grp.converged],
+                                         grp.violations[~grp.converged]))
+    for k, violation in unconverged:
         logger.warning("%ssinkhorn did not converge in %d iterations (best violation %.3e)",
-                       _where(k, count), max_iter, results[k].violation)
-    return results
+                       _where(k, count), max_iter, violation)
+    return groups
 
 
 def _where(k: int, count: int) -> str:
@@ -174,17 +235,18 @@ def _validate(members, count, P, Q, D, E) -> None:
     if bad.any():
         k = members[int(np.argmax(bad))]
         raise NonFiniteCostError(k, f"{_where(k, count)}cost matrix contains non-finite entries")
-    bad = ~(E > 0)
+    bad = ~((E > 0) & np.isfinite(E))
     if bad.any():
         b = int(np.argmax(bad))
         raise ValueError(f"{_where(members[b], count)}regularization strength must be "
-                         f"positive, got {E[b]}")
+                         f"positive and finite, got {E[b]}")
     for name, V in (("p", P), ("q", Q)):
-        bad = np.any(V < 0, axis=1) | (np.abs(V.sum(axis=1) - 1.0) > 1e-9)
+        bad = (~np.isfinite(V).all(axis=1) | np.any(V < 0, axis=1)
+               | (np.abs(V.sum(axis=1) - 1.0) > 1e-9))
         if bad.any():
             k = members[int(np.argmax(bad))]
-            raise ValueError(f"{_where(k, count)}marginal {name} must be nonnegative "
-                             "and sum to 1")
+            raise ValueError(f"{_where(k, count)}marginal {name} must be finite, "
+                             "nonnegative and sum to 1")
 
 
 def _solve_group(P, Q, D, E, max_iter: int, tol: float):
@@ -197,7 +259,9 @@ def _solve_group(P, Q, D, E, max_iter: int, tol: float):
     reduces the contiguous last axis, the g-update the strided axis 1 (it
     used to reduce the rows of the ``D.T`` view), and the column sums a
     contiguous transposed copy of the plan (they used to come from a plan
-    rebuilt from ``D.T``). Stacking thus changes no bit.
+    rebuilt from ``D.T``). Stacking thus changes no bit. Working in place in
+    the iteration's temporaries applies the same float operations to every
+    element, so it changes none either.
     """
     B, n, m = D.shape
     with np.errstate(divide="ignore"):
@@ -210,26 +274,31 @@ def _solve_group(P, Q, D, E, max_iter: int, tol: float):
     converged = np.zeros(B, dtype=bool)
 
     # The active set: group positions of the problems still iterating, and
-    # their rows of every per-problem array.
+    # their rows of every per-problem array, eps * log(marginal) included.
     active = np.arange(B)
+    e3 = E[:, None, None]
+    ELP, ELQ = E[:, None] * LP, E[:, None] * LQ
     f, g = np.zeros((B, n)), np.zeros((B, m))
     for it in range(1, max_iter + 1):
-        e2, e3 = E[:, None], E[:, None, None]
-        f_new = 0.5 * (f + e2 * LP - e2 * _logsumexp((g[:, None, :] - D) / e3, axis=2))
-        g_new = 0.5 * (g + e2 * LQ - e2 * _logsumexp((f[:, :, None] - D) / e3, axis=1))
-        f, g = f_new, g_new
-        plan = _build(f, g, D, E)
-        row = np.abs(plan.sum(axis=2) - P).max(axis=1)
-        col_sums = np.ascontiguousarray(plan.transpose(0, 2, 1)).sum(axis=2)
-        col = np.abs(col_sums - Q).max(axis=1)
+        f, g = (_update(f, ELP, g[:, None, :] - D, e3, axis=2),
+                _update(g, ELQ, f[:, :, None] - D, e3, axis=1))
+        plan = _build(f, g, D, e3)
+        row = _worst_gap(plan.sum(axis=2), P)
+        col = _worst_gap(np.ascontiguousarray(plan.transpose(0, 2, 1)).sum(axis=2), Q)
         viol = np.where(col > row, col, row)  # Python's max(row, col), NaN included
 
         better = viol < best_viol[active]
-        idx = active[better]
-        best_f[idx] = f[better]
-        best_g[idx] = g[better]
-        best_iter[idx] = it
-        best_viol[idx] = viol[better]
+        if better.all():
+            best_f[active] = f
+            best_g[active] = g
+            best_iter[active] = it
+            best_viol[active] = viol
+        else:
+            idx = active[better]
+            best_f[idx] = f[better]
+            best_g[idx] = g[better]
+            best_iter[idx] = it
+            best_viol[idx] = viol[better]
         done = viol <= tol
         if done.any():
             converged[active[done]] = True
@@ -237,39 +306,84 @@ def _solve_group(P, Q, D, E, max_iter: int, tol: float):
             if not keep.any():
                 break
             active, f, g = active[keep], f[keep], g[keep]
-            P, Q, LP, LQ, D, E = P[keep], Q[keep], LP[keep], LQ[keep], D[keep], E[keep]
+            P, Q, ELP, ELQ, D, e3 = P[keep], Q[keep], ELP[keep], ELQ[keep], D[keep], e3[keep]
     return best_f, best_g, best_iter, best_viol, converged
 
 
+def transport_costs(plans: np.ndarray, costs: np.ndarray) -> np.ndarray:
+    """Frobenius inner products of stacked plans ``(B, n, m)`` with their costs: ``(B,)``.
+
+    Each problem's products are summed as one contiguous run, which is how
+    numpy sums a single contiguous ``(n, m)`` array.
+    """
+    if plans.shape != costs.shape:
+        raise ValueError(f"shape mismatch: plan {plans.shape[1:]} vs cost {costs.shape[1:]}")
+    return (plans * costs).reshape(len(plans), -1).sum(axis=1)
+
+
 def transport_cost(plan: np.ndarray, D: np.ndarray) -> float:
-    """Frobenius inner product of a plan with its cost matrix."""
+    """Frobenius inner product of a plan with its cost matrix: the one-problem
+    call of :func:`transport_costs`."""
     plan = np.asarray(plan, dtype=np.float64)
     D = np.asarray(D, dtype=np.float64)
-    if plan.shape != D.shape:
-        raise ValueError(f"shape mismatch: plan {plan.shape} vs cost {D.shape}")
-    return float(np.sum(plan * D))
+    return float(transport_costs(plan[None], D[None])[0])
 
 
-def relevant_context(plan: np.ndarray) -> list[int]:
-    """Column indices selected by row-wise argmax, deduplicated and ascending.
+def relevant_contexts(plans: np.ndarray) -> np.ndarray:
+    """Relevant-context masks ``(B, m)`` of stacked plans ``(B, n, m)``: column
+    ``j`` of plan ``b`` is relevant when it is the argmax of some row.
 
     Ties resolve to the smallest column index.
     """
-    plan = np.asarray(plan)
-    if plan.ndim != 2 or plan.shape[0] == 0:
+    if plans.ndim != 3 or plans.shape[1] == 0:
         raise ValueError("plan must have at least one row")
-    return sorted({int(np.argmax(row)) for row in plan})
+    B, _, m = plans.shape
+    mask = np.zeros((B, m), dtype=bool)
+    mask[np.arange(B)[:, None], plans.argmax(axis=2)] = True
+    return mask
+
+
+def relevant_context(plan: np.ndarray) -> list[int]:
+    """Column indices selected by row-wise argmax, deduplicated and ascending:
+    the one-problem call of :func:`relevant_contexts`."""
+    plan = np.asarray(plan)
+    if plan.ndim != 2:
+        raise ValueError("plan must have at least one row")
+    return np.flatnonzero(relevant_contexts(plan[None])[0]).tolist()
+
+
+def sentence_representations(vectors: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """Means ``(B, d)`` of the rows of stacked vectors ``(B, m, d)`` that the
+    masks ``(B, m)`` select.
+
+    numpy sums the ``k`` rows of a ``(k, d)`` array left to right when
+    ``d > 1`` but pairwise when ``d == 1``. So the problems are gathered by
+    their count ``k`` of relevant rows into ``(B_k, k, d)`` stacks, each of
+    which numpy reduces as it reduces each problem's ``(k, d)`` rows alone.
+    """
+    counts = relevant.sum(axis=1)
+    if not counts.all():
+        raise ValueError("relevant set must be nonempty")
+    B, _, d = vectors.shape
+    out = np.empty((B, d))
+    for k in np.unique(counts):
+        rows = counts == k
+        out[rows] = vectors[relevant & rows[:, None]].reshape(-1, k, d).mean(axis=1)
+    return out
 
 
 def sentence_representation(sentence_embeddings, relevant) -> np.ndarray:
-    """Mean of the embedding vectors selected as relevant context."""
+    """Mean of the embedding vectors whose row indices ``relevant`` holds (as a
+    set): the one-problem call of :func:`sentence_representations`."""
     vecs = np.asarray(sentence_embeddings, dtype=np.float64)
     idx = list(relevant)
     if not idx:
         raise ValueError("relevant set must be nonempty")
     if min(idx) < 0 or max(idx) >= vecs.shape[0]:
         raise ValueError("relevant index out of range")
-    return vecs[idx].mean(axis=0)
+    mask = np.zeros((1, vecs.shape[0]), dtype=bool)
+    mask[0, idx] = True
+    return sentence_representations(vecs[None], mask)[0]
 
 
 def align_sentence(
@@ -287,21 +401,16 @@ def align_sentence(
     return align_sentences([(question, s, question_vectors, sentence_vectors)], ft, settings)[0]
 
 
-@dataclass
-class _Prepared:
-    """One non-padding pair, ready for the solver."""
+@dataclass(frozen=True)
+class _QuestionSide:
+    """What every alignment of one question shares."""
 
-    p: np.ndarray
-    q: np.ndarray
-    D: np.ndarray
-    eps: float
-    sentence_vectors: np.ndarray
-    question_token_indices: tuple[int, ...]
-    sentence_token_indices: tuple[int, ...]
+    token_indices: tuple[int, ...]  # the content tokens
+    p: np.ndarray  # their frequency marginal
+    points: np.ndarray  # their vectors, float64
 
 
-def _prepare(question: Sentence, s: Sentence, question_vectors, sentence_vectors,
-             ft: FrequencyTable, settings: SinkhornSettings) -> AlignmentResult | _Prepared:
+def _question_side(question: Sentence, question_vectors, ft: FrequencyTable) -> _QuestionSide:
     q_vecs = np.asarray(question_vectors, dtype=np.float64)
     q_idx = content_token_indices(question)
     if not q_idx:
@@ -310,79 +419,124 @@ def _prepare(question: Sentence, s: Sentence, question_vectors, sentence_vectors
         raise ValueError(
             f"question has {len(question.tokens)} tokens but {q_vecs.shape[0]} vectors"
         )
-    q_tokens = [question.tokens[i] for i in q_idx]
-    p = marginal_distribution(q_tokens, ft)
+    return _QuestionSide(token_indices=tuple(q_idx),
+                         p=marginal_distribution([question.tokens[i] for i in q_idx], ft),
+                         points=q_vecs[q_idx])
 
-    if s.is_padding:
-        dim = q_vecs.shape[1]
-        plan = TransportPlan(
-            plan=p[:, None].copy(), epsilon=0.0, iterations_used=0, converged=True,
-            violation=0.0,
-        )
-        return AlignmentResult(
-            plan=plan,
-            cost=0.0,
-            relevant=(0,),
-            representation=np.zeros(dim),
-            question_token_indices=tuple(q_idx),
-            sentence_token_indices=(0,),
-        )
 
-    s_vecs = np.asarray(sentence_vectors, dtype=np.float64)
-    if s_vecs.shape[0] != len(s.tokens):
-        raise ValueError(f"sentence has {len(s.tokens)} tokens but {s_vecs.shape[0]} vectors")
-    s_idx = content_token_indices(s)
-    if not s_idx:
-        raise ValueError("cannot align a sentence with no tokens")
-    s_tokens = [s.tokens[j] for j in s_idx]
+@dataclass(frozen=True, eq=False)
+class Alignments(Sequence):
+    """The alignments of a batch of pairs, stacked: row ``k`` is pair ``k``'s.
 
-    D = cost_matrix(q_vecs[q_idx], s_vecs[s_idx])
-    eps = settings.eps_scale * float(D.mean())
-    if not (eps > 0):
-        eps = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
-    return _Prepared(p=p, q=marginal_distribution(s_tokens, ft), D=D, eps=eps,
-                     sentence_vectors=s_vecs, question_token_indices=tuple(q_idx),
-                     sentence_token_indices=tuple(s_idx))
+    Indexing gives pair ``k``'s :class:`AlignmentResult`, built on demand.
+    """
+
+    reps: np.ndarray  # (K, d) sentence representations; zero for padding
+    costs: np.ndarray  # (K,) transport costs; zero for padding
+    groups: list[PlanGroup]  # the problems of the non-padding pairs, by shape
+    relevant: list[np.ndarray]  # per group, its (B, m) relevant-context masks
+    locate: np.ndarray  # (K, 2) group and row of each pair's problem; -1 for padding
+    question_sides: list[_QuestionSide]  # per pair
+    sentence_token_indices: list[tuple[int, ...]]  # per pair
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        side = self.question_sides[k]
+        g, b = self.locate[k]
+        if g < 0:
+            plan = TransportPlan(plan=side.p[:, None].copy(), epsilon=0.0, iterations_used=0,
+                                 converged=True, violation=0.0)
+            relevant = (0,)
+        else:
+            plan = self.groups[g].plan(b)
+            relevant = tuple(np.flatnonzero(self.relevant[g][b]).tolist())
+        return AlignmentResult(plan=plan, cost=float(self.costs[k]), relevant=relevant,
+                               representation=self.reps[k],
+                               question_token_indices=side.token_indices,
+                               sentence_token_indices=self.sentence_token_indices[k])
 
 
 def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = SinkhornSettings()
-                    ) -> list[AlignmentResult]:
+                    ) -> Alignments:
     """Align a batch of ``(question, sentence, question_vectors, sentence_vectors)``
-    pairs, solving every transport problem in one :func:`sinkhorn_plans` call.
+    pairs, solving every transport problem in one batch (see :func:`sinkhorn_plans`).
 
     Per pair: filters both token lists, builds frequency marginals and the
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
-    relevant-context embeddings into the sentence representation.
+    relevant-context embeddings into the sentence representation. The
+    question side (filter, marginal, filtered vectors) is built once per
+    question object and vector array; relevant contexts, costs and pooling run
+    once per shape group, bit-equal to their one-problem calls.
 
     Padding sentences short-circuit: zero cost, zero representation, and the
     single padding token as relevant context.
 
     A non-finite cost matrix raises :class:`NonFiniteCostError` whose
-    ``index`` is the pair's position in ``pairs``.
+    ``index`` is the pair's position in ``pairs``. All pairs need one vector
+    dimension.
     """
-    prepared = [_prepare(*pair, ft, settings) for pair in pairs]
-    pending = [k for k, item in enumerate(prepared) if isinstance(item, _Prepared)]
+    sides_of: dict[tuple[int, int], tuple] = {}
+    sides, s_indices = [], []
+    pending, points, ps, qs, cost_matrices, eps = [], [], [], [], [], []
+    for k, (question, s, question_vectors, sentence_vectors) in enumerate(pairs):
+        # Keyed on the objects themselves; the entry holds them, so no id is reused.
+        key = (id(question), id(question_vectors))
+        if key not in sides_of:
+            sides_of[key] = (question, question_vectors,
+                             _question_side(question, question_vectors, ft))
+        side = sides_of[key][2]
+        sides.append(side)
+        if s.is_padding:
+            s_indices.append((0,))
+            continue
+        s_vecs = np.asarray(sentence_vectors, dtype=np.float64)
+        if s_vecs.shape[0] != len(s.tokens):
+            raise ValueError(f"sentence has {len(s.tokens)} tokens but {s_vecs.shape[0]} vectors")
+        s_idx = content_token_indices(s)
+        if not s_idx:
+            raise ValueError("cannot align a sentence with no tokens")
+        s_indices.append(tuple(s_idx))
+        pts = s_vecs[s_idx]
+        D = cost_matrix(side.points, pts)
+        e = settings.eps_scale * float(D.mean())
+        if not (e > 0):
+            e = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
+        pending.append(k)
+        points.append(pts)
+        ps.append(side.p)
+        qs.append(marginal_distribution([s.tokens[j] for j in s_idx], ft))
+        cost_matrices.append(D)
+        eps.append(e)
+    dims = {side.points.shape[1] for _, _, side in sides_of.values()}
+    if len(dims) > 1:
+        raise ValueError(f"pairs of one batch need one vector dimension, got {sorted(dims)}")
     try:
-        plans = sinkhorn_plans([prepared[k].p for k in pending], [prepared[k].q for k in pending],
-                               [prepared[k].D for k in pending], [prepared[k].eps for k in pending],
-                               settings.max_iter, settings.tol)
+        groups = _solve_groups(ps, qs, cost_matrices, eps, settings.max_iter, settings.tol)
     except NonFiniteCostError as exc:
         k = pending[exc.index]
         raise NonFiniteCostError(k, f"pair {k}: cost matrix contains non-finite entries") from None
-    for k, tp in zip(pending, plans):
-        # Each prepared pair is dropped as soon as its result replaces it, and
-        # the representation re-selects its filtered rows, so no copy of them
-        # lives through the batch.
-        x = prepared[k]
-        rel = relevant_context(tp.plan)
-        prepared[k] = AlignmentResult(
-            plan=tp,
-            cost=transport_cost(tp.plan, x.D),
-            relevant=tuple(rel),
-            representation=sentence_representation(
-                x.sentence_vectors[list(x.sentence_token_indices)], rel
-            ),
-            question_token_indices=x.question_token_indices,
-            sentence_token_indices=x.sentence_token_indices,
-        )
-    return prepared
+    del ps, qs, cost_matrices
+
+    count = len(sides)
+    reps = np.zeros((count, dims.pop() if dims else 0))
+    costs = np.zeros(count)
+    locate = np.full((count, 2), -1)
+    relevant = []
+    pending = np.array(pending, dtype=np.int64)
+    for g, grp in enumerate(groups):
+        rows = pending[grp.members]
+        mask = relevant_contexts(grp.plans)
+        costs[rows] = transport_costs(grp.plans, grp.costs)
+        vectors = np.stack([points[b] for b in grp.members])
+        for b in grp.members:
+            points[b] = None  # the group's stack now holds them
+        reps[rows] = sentence_representations(vectors, mask)
+        locate[rows, 0] = g
+        locate[rows, 1] = np.arange(len(rows))
+        relevant.append(mask)
+    return Alignments(reps, costs, groups, relevant, locate, sides, s_indices)

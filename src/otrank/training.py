@@ -70,10 +70,12 @@ class TrainConfig:
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        # JSON configs and checkpoint metadata can spell Infinity and NaN.
+        for name in ("learning_rate", "adam_eps", "sinkhorn_eps_scale", "sinkhorn_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be nonnegative and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -87,10 +89,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in [0, 1)")
         if self.sinkhorn_max_iter < 1:
             raise ValueError("sinkhorn_max_iter must be at least 1")
-        if not self.sinkhorn_eps_scale > 0:
-            raise ValueError("sinkhorn_eps_scale must be positive")
-        if not self.sinkhorn_tol > 0:
-            raise ValueError("sinkhorn_tol must be positive")
 
     def sinkhorn_settings(self) -> SinkhornSettings:
         return SinkhornSettings(
@@ -511,7 +509,7 @@ def _check_meta(meta, name: str) -> TrainConfig:
     try:
         return TrainConfig(**config)
     except ValueError as exc:
-        raise CheckpointError(f"{name}: bad config: {exc}") from None
+        raise CheckpointError(f"{name}: bad training configuration: {exc}") from None
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

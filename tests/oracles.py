@@ -42,6 +42,35 @@ def mean_oracle(vectors, idx):
     return [sum(col) / len(chosen) for col in zip(*chosen)]
 
 
+# The per-pair post-solve functions as they stood before the grouped pass,
+# kept verbatim: the group operations must reproduce them bit for bit.
+
+
+def transport_cost_per_pair(plan, D) -> float:
+    plan = np.asarray(plan, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    if plan.shape != D.shape:
+        raise ValueError(f"shape mismatch: plan {plan.shape} vs cost {D.shape}")
+    return float(np.sum(plan * D))
+
+
+def relevant_context_per_pair(plan) -> list[int]:
+    plan = np.asarray(plan)
+    if plan.ndim != 2 or plan.shape[0] == 0:
+        raise ValueError("plan must have at least one row")
+    return sorted({int(np.argmax(row)) for row in plan})
+
+
+def sentence_representation_per_pair(sentence_embeddings, relevant):
+    vecs = np.asarray(sentence_embeddings, dtype=np.float64)
+    idx = list(relevant)
+    if not idx:
+        raise ValueError("relevant set must be nonempty")
+    if min(idx) < 0 or max(idx) >= vecs.shape[0]:
+        raise ValueError("relevant index out of range")
+    return vecs[idx].mean(axis=0)
+
+
 def lp_transport_oracle(p, q, D) -> float:
     """Exact optimal transport cost via enumeration of basic feasible solutions.
 
@@ -139,18 +168,14 @@ def reference_window_features(question, window, instance_id, store, ft, settings
     """One window's ``(reps, costs, unconverged)``, aligned sentence by sentence.
 
     The per-window extraction as it stood before batching, on
-    :func:`sinkhorn_plan_loop`. It reuses the library's per-alignment helpers
-    (token filtering, marginals, costs, pooling), which the batched extractor
-    must call with the same inputs; each has its own oracle test.
+    :func:`sinkhorn_plan_loop` and the per-pair post-solve functions above.
+    It reuses the library's token filtering, marginals and cost matrix, which
+    the batched extractor must call with the same inputs; each has its own
+    oracle test.
     """
     from otrank.corpus import content_token_indices
     from otrank.embeddings import QUESTION_WINDOW_ID, marginal_distribution
-    from otrank.sinkhorn import (
-        cost_matrix,
-        relevant_context,
-        sentence_representation,
-        transport_cost,
-    )
+    from otrank.sinkhorn import cost_matrix
 
     q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, "q")
     q_idx = content_token_indices(question)
@@ -171,9 +196,9 @@ def reference_window_features(question, window, instance_id, store, ft, settings
             eps = 1e-12
         q = marginal_distribution([sent.tokens[j] for j in s_idx], ft)
         plan, _, converged, _ = sinkhorn_plan_loop(p, q, D, eps, settings.max_iter, settings.tol)
-        rel = relevant_context(plan)
-        reps[row] = sentence_representation(s_pts, rel)
-        costs[row] = transport_cost(plan, D)
+        rel = relevant_context_per_pair(plan)
+        reps[row] = sentence_representation_per_pair(s_pts, rel)
+        costs[row] = transport_cost_per_pair(plan, D)
         unconverged += 0 if converged else 1
     return reps, costs, unconverged
 

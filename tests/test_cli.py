@@ -120,6 +120,20 @@ class TestEval:
         ])
         assert rc == 0
 
+    def test_question_in_two_split_files_rejected(self, cli_env, tmp_path, capsys):
+        again = tmp_path / "again.jsonl"
+        again.write_bytes(cli_env["corpus"].read_bytes())
+        rc = main([
+            "eval", "--checkpoint", str(cli_env["ckpt"]),
+            "--split", str(cli_env["corpus"]), "--split", str(again),
+            "--embeddings", str(cli_env["emb"]),
+            "--combine-dev-test", "--out", str(tmp_path / "c.json"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "'q1'" in err and str(cli_env["corpus"]) in err and str(again) in err
+        assert not (tmp_path / "c.json").exists()
+
     def test_two_splits_without_flag_rejected(self, cli_env, tmp_path, capsys):
         rc = main([
             "eval", "--checkpoint", str(cli_env["ckpt"]),
@@ -296,6 +310,17 @@ class TestCheckpointMetadata:
         assert named in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps", "sinkhorn_eps_scale",
+                                       "sinkhorn_tol", "gamma"])
+    def test_non_finite_config_value_exits_one(self, field, cli_env, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_meta(cli_env["ckpt"], bad, lambda m: m["config"].update({field: float("nan")}))
+        rc = main(_scoring_argv("rerank", cli_env, tmp_path, ckpt=bad))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "bad training configuration" in err and field in err
+        assert "Traceback" not in err
 
     def test_untouched_metadata_still_loads(self, cli_env, tmp_path):
         same = tmp_path / "same.ckpt"
@@ -532,7 +557,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("field,value", [
         ("gcn_layers", 0), ("hidden_size", 0), ("sinkhorn_max_iter", 0),
         ("sinkhorn_eps_scale", 0.0), ("sinkhorn_tol", 0.0), ("adam_beta1", 1.0),
-        ("adam_beta2", -0.1),
+        ("adam_beta2", -0.1), ("learning_rate", float("inf")), ("adam_eps", float("inf")),
+        ("sinkhorn_eps_scale", float("inf")), ("sinkhorn_tol", float("inf")),
+        ("gamma", float("nan")),
     ])
     def test_bad_value_rejected(self, field, value, cli_env, tmp_path, capsys):
         cfg_path = _train_config(cli_env, tmp_path, **{field: value})

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from otrank.embeddings import build_frequency_table
+from otrank import sinkhorn
+from otrank.corpus import ROLE_QUESTION, content_token_indices, make_sentence
+from otrank.embeddings import ROLE_Q, build_frequency_table
 from otrank.model import (
     FFNParams,
     GCNLayer,
@@ -386,3 +388,44 @@ class TestBatchedScores:
         assert feats.costs.shape == feats.labels.shape == (0, 3)
         params = init_model_params(np.random.default_rng(0), dim=4, hidden=5, layers=1)
         assert score_windows(feats, params).shape == (0,)
+
+
+class TestQuestionSide:
+    def test_prepared_once_per_question(self, tiny_corpus, tiny_store, tiny_ft, monkeypatch):
+        lookups, marginals = [], []
+        lookup, marginal = tiny_store.sentence_vectors, sinkhorn.marginal_distribution
+
+        def counted_lookup(instance_id, window_id, role):
+            lookups.append(role)
+            return lookup(instance_id, window_id, role)
+
+        def counted_marginal(tokens, ft):
+            marginals.append(tuple(tokens))
+            return marginal(tokens, ft)
+
+        monkeypatch.setattr(tiny_store, "sentence_vectors", counted_lookup)
+        monkeypatch.setattr(sinkhorn, "marginal_distribution", counted_marginal)
+        items = instance_windows(tiny_corpus.instances)
+        extract_features(items, tiny_store, tiny_ft)
+        sentences = sum(not s.is_padding for _, w, _ in items for s in (w.cand, w.prev, w.next))
+        assert len(items) > len(tiny_corpus.instances)
+        assert lookups.count(ROLE_Q) == len(tiny_corpus.instances)
+        assert len(lookups) == len(tiny_corpus.instances) + sentences
+        assert len(marginals) == len(tiny_corpus.instances) + sentences
+        for inst in tiny_corpus.instances:
+            q_tokens = tuple(inst.question.tokens[i] for i in content_token_indices(inst.question))
+            assert marginals.count(q_tokens) == 1
+
+    def test_keyed_on_the_question_object_not_its_id(self, tiny_corpus, tiny_store, tiny_ft):
+        inst = tiny_corpus.instances[0]
+        # Same token count as the stored question, other content words.
+        other = make_sentence("Which moons orbit the big planet ?", ROLE_QUESTION)
+        assert len(other.tokens) == len(inst.question.tokens)
+        w = inst.windows[0]
+        both = extract_features([(inst.question, w, inst.question_id),
+                                 (other, w, inst.question_id)], tiny_store, tiny_ft)
+        for k, question in enumerate((inst.question, other)):
+            alone = extract_features([(question, w, inst.question_id)], tiny_store, tiny_ft)
+            np.testing.assert_array_equal(both.reps[k], alone.reps[0], strict=True)
+            np.testing.assert_array_equal(both.costs[k], alone.costs[0], strict=True)
+        assert not np.array_equal(both.costs[0], both.costs[1])

@@ -16,18 +16,24 @@ from otrank.sinkhorn import (
     align_sentences,
     cost_matrix,
     relevant_context,
+    relevant_contexts,
     sentence_representation,
+    sentence_representations,
     sinkhorn_plan,
     sinkhorn_plans,
     transport_cost,
+    transport_costs,
 )
 
 from oracles import (
     euclidean_cost_oracle,
     lp_transport_oracle,
     mean_oracle,
+    relevant_context_per_pair,
+    sentence_representation_per_pair,
     sinkhorn_plan_loop,
     transport_cost_oracle,
+    transport_cost_per_pair,
 )
 
 
@@ -257,6 +263,76 @@ class TestBatchedSolver:
     def test_mismatched_batch_lengths_rejected(self):
         with pytest.raises(ValueError, match="one p, q"):
             sinkhorn_plans([np.ones(1)], [], [np.ones((1, 1))], [0.1])
+
+    def test_nan_marginal_entry_names_its_problem(self):
+        D = np.ones((2, 2))
+        p = np.full(2, 0.5)
+        with pytest.raises(ValueError, match="problem 1: marginal q must be finite"):
+            sinkhorn_plans([p, p], [p, np.array([np.nan, 0.5])], [D, D], [0.1, 0.1])
+        with pytest.raises(ValueError, match="marginal p must be finite"):
+            sinkhorn_plan(np.array([np.nan, 0.5]), p, D, eps=0.1)
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_non_finite_eps_names_its_problem(self, eps):
+        D = np.ones((2, 2))
+        p = np.full(2, 0.5)
+        with pytest.raises(ValueError, match="problem 2: regularization strength must be "
+                                             "positive and finite"):
+            sinkhorn_plans([p] * 3, [p] * 3, [D] * 3, [0.1, 0.1, eps])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@st.composite
+def plan_groups(draw):
+    """One shape group: plans, costs, vectors, and masks of any size to pool by.
+    Shapes and mask sizes cross numpy's 9- and 128-term pairwise-sum blocks;
+    plans drawn from a few levels have argmax ties, and some vectors are -0.0."""
+    B = draw(st.integers(1, 4))
+    n = draw(st.sampled_from([1, 2, 3, 8, 9, 10, 17, 40]))
+    m = draw(st.sampled_from([1, 2, 7, 8, 9, 10, 16, 127, 128, 129, 140]))
+    d = draw(st.sampled_from([1, 2, 16, 768]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        plans = rng.integers(0, 3, size=(B, n, m)) / 3.0  # ties
+    else:
+        plans = rng.random((B, n, m)) / (n * m)
+    costs = rng.random((B, n, m)) * 4.0
+    vectors = rng.normal(size=(B, m, d))
+    vectors[rng.random((B, m)) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = -0.0
+    masks = rng.random((B, m)) < draw(st.sampled_from([0.1, 0.5, 0.9, 1.0]))
+    masks[np.arange(B), rng.integers(m, size=B)] = True
+    return plans, costs, vectors, masks
+
+
+class TestGroupedPostSolve:
+    """The group operations against the per-pair functions they replaced, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(group=plan_groups())
+    def test_bitwise_equal_to_the_per_pair_functions(self, group):
+        plans, costs, vectors, masks = group
+        relevant = relevant_contexts(plans)
+        totals = transport_costs(plans, costs)
+        for b in range(len(plans)):
+            rel = relevant_context_per_pair(plans[b])
+            assert np.flatnonzero(relevant[b]).tolist() == rel == relevant_context(plans[b])
+            assert _bits(totals[b]) == _bits(transport_cost_per_pair(plans[b], costs[b]))
+            assert _bits(transport_cost(plans[b], costs[b])) == _bits(totals[b])
+        for mask in (relevant, masks):
+            reps = sentence_representations(vectors, mask)
+            for b in range(len(plans)):
+                idx = np.flatnonzero(mask[b]).tolist()
+                want = sentence_representation_per_pair(vectors[b], idx)
+                assert _bits(reps[b]) == _bits(want)
+                assert _bits(sentence_representation(vectors[b], idx)) == _bits(want)
+
+    def test_empty_relevant_set_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            sentence_representations(np.zeros((2, 3, 1)), np.array([[True, False, False],
+                                                                   [False, False, False]]))
 
 
 class TestTransportCost:

@@ -10,12 +10,13 @@ from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# Per-sentence and per-window twins of the batched path, one-use wrappers, and the
-# per-window feature and batch types, that the package no longer has.
+# Per-sentence and per-window twins of the batched path, one-use wrappers, the
+# per-window feature and batch types, and the per-pair alignment preparation, that
+# the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
-           "WindowBatch", "_stacked")
+           "WindowBatch", "_stacked", "_prepare", "_Prepared")
 
 
 def test_every_export_resolves():
@@ -26,7 +27,8 @@ def test_every_export_resolves():
 
 def test_no_removed_name_is_exported():
     assert not set(REMOVED) & set(otrank.__all__)
-    for module in ("model", "mutual_info", "training", "embeddings", "metrics", "cli"):
+    for module in ("model", "mutual_info", "training", "embeddings", "metrics", "cli",
+                   "sinkhorn"):
         mod = importlib.import_module(f"otrank.{module}")
         assert not [name for name in REMOVED if hasattr(mod, name)], module
 
