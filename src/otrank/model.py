@@ -18,6 +18,7 @@ module can run the matching hand-written backward pass.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -295,100 +296,144 @@ def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
     return [(inst.question, w, inst.question_id) for inst in instances for w in inst.windows]
 
 
-FORWARD_CHUNK = 16  # windows per stacked pass; bounds the (B, 9, hidden) temporaries
+# Windows per stacked pass. With one reused Workspace, 64 ran the training step
+# (d=16, hidden 400) faster than 16 or 32, since numpy's per-call cost is paid once
+# per chunk, for about 5 MB of buffers; scoring at d=768 ran as fast at all three.
+FORWARD_CHUNK = 64
 
 # Directed edge (i, j) is row 3 * i + j of the dependency-FFN inputs.
 _EDGE_I = np.repeat(np.arange(3), 3)
 _EDGE_J = np.tile(np.arange(3), 3)
 
 
+class Workspace:
+    """Named scratch arrays that the chunks of a training step or scoring pass reuse.
+
+    :meth:`take` hands out the leading elements of a named flat buffer as a
+    C-contiguous array of the asked shape. A buffer grows (at least doubling)
+    when a larger shape is asked for and is reused otherwise, so once the
+    first full chunk has run, a run of chunks allocates none of its large
+    intermediates. What :meth:`take` returns holds stale values until
+    written, and the next request of the same name hands out the same memory:
+    an array stays valid only until then.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            # Doubling bounds the regrowths of a buffer whose size follows the data.
+            grown = 0 if buf is None else 2 * buf.size
+            buf = self._buffers[name] = np.empty(max(size, grown), dtype)
+        return buf[:size].reshape(shape)
+
+
 @dataclass
 class Forward:
-    """Every intermediate of one stacked scoring pass over B windows, for the backward sweep."""
+    """Every intermediate of one stacked scoring pass over B windows, for the backward sweep.
+
+    ReLU layers keep only their activations: an activation is positive exactly
+    where its pre-activation is, which is all the backward sweep reads of the
+    latter.
+    """
 
     x_pairs: np.ndarray  # (B, 9, d+2) dependency-FFN inputs, row-major over (i, j)
-    z1_dep: np.ndarray  # (B, 9, hidden) pre-activations
     a1_dep: np.ndarray  # (B, 9, hidden)
     u: np.ndarray  # (B, 3, 3) edge scores
     alpha: np.ndarray  # (B, 3, 3) row-stochastic edge weights
     aggregated: list[np.ndarray]  # per layer: alpha @ h_{l-1}, (B, 3, d)
-    pre: list[np.ndarray]  # per layer: pre-ReLU activations, (B, 3, d)
     hs: list[np.ndarray]  # h_0 .. h_L, (B, 3, d)
-    head_z1: np.ndarray  # (B, hidden)
     head_a1: np.ndarray  # (B, hidden)
     logit: np.ndarray  # (B,)
     p: np.ndarray  # (B,) clamped away from exactly 0 and 1
 
 
-def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams) -> Forward:
+def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams,
+            ws: Workspace | None = None) -> Forward:
     """Score B windows from stacked ``(B, 3, d)`` reps and ``(B, 3)`` costs.
 
     Every product is a stack of the one-window products, in the one-window
     operand orientation, so each window's numbers are bit-equal to scoring it
     alone, whatever else is in the batch. Flattening a product over windows
     (one ``(B*9, d+2)`` GEMM, say) lets BLAS pick another kernel for the
-    larger matrix, which moves bits.
+    larger matrix, which moves bits. Every intermediate but the ``(B,)`` ones
+    is written into ``ws`` (a fresh :class:`Workspace` when None), so the
+    record is valid until the next pass through the same workspace.
     """
+    ws = Workspace() if ws is None else ws
     b, _, d = reps.shape
-    x_pairs = np.empty((b, 9, d + 2))
-    for k, (i, j) in enumerate(zip(_EDGE_I, _EDGE_J)):  # in place: no (B, 9, d) temporaries
+    x_pairs = ws.take("x_pairs", (b, 9, d + 2))
+    for k, (i, j) in enumerate(zip(_EDGE_I, _EDGE_J)):
         np.multiply(reps[:, i], reps[:, j], out=x_pairs[:, k, :d])
     x_pairs[:, :, d] = costs[:, _EDGE_I]
     x_pairs[:, :, d + 1] = costs[:, _EDGE_J]
-    z1_dep = x_pairs @ params.dep.w1.T
-    z1_dep += params.dep.b1
-    a1_dep = np.maximum(z1_dep, 0.0)
-    u = (a1_dep @ params.dep.w2.T + params.dep.b2).reshape(b, 3, 3)
+    a1_dep = np.matmul(x_pairs, params.dep.w1.T,
+                       out=ws.take("a1_dep", (b, 9, len(params.dep.b1))))
+    a1_dep += params.dep.b1
+    np.maximum(a1_dep, 0.0, out=a1_dep)
+    u = np.matmul(a1_dep, params.dep.w2.T, out=ws.take("u", (b, 9, 1)))
+    u += params.dep.b2
+    u = u.reshape(b, 3, 3)
 
-    shifted = np.exp(u - u.max(axis=2, keepdims=True))
-    alpha = shifted / shifted.sum(axis=2, keepdims=True)
+    alpha = ws.take("alpha", (b, 3, 3))
+    np.subtract(u, u.max(axis=2, keepdims=True), out=alpha)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=2, keepdims=True)
 
     hs = [reps]
     aggregated: list[np.ndarray] = []
-    pre: list[np.ndarray] = []
-    for layer in params.gcn:
-        s = alpha @ hs[-1]
-        z = s @ layer.w.T + layer.b
+    for l, layer in enumerate(params.gcn):
+        s = np.matmul(alpha, hs[-1], out=ws.take(f"aggregated.{l}", (b, 3, d)))
+        h = np.matmul(s, layer.w.T, out=ws.take(f"h.{l + 1}", (b, 3, d)))
+        h += layer.b
         aggregated.append(s)
-        pre.append(z)
-        hs.append(np.maximum(z, 0.0))
+        hs.append(np.maximum(h, 0.0, out=h))
 
-    head_z1 = (params.head.w1 @ hs[-1][:, 0, :, None])[:, :, 0] + params.head.b1
-    head_a1 = np.maximum(head_z1, 0.0)
+    head_a1 = np.matmul(params.head.w1, hs[-1][:, 0, :, None],
+                        out=ws.take("head_a1", (b, len(params.head.b1), 1)))[:, :, 0]
+    head_a1 += params.head.b1
+    np.maximum(head_a1, 0.0, out=head_a1)
     logit = (params.head.w2 @ head_a1[:, :, None])[:, 0, 0] + params.head.b2[0]
     p = np.clip(sigmoid(logit), 1e-300, 1.0 - 1e-16)
-    return Forward(x_pairs=x_pairs, z1_dep=z1_dep, a1_dep=a1_dep, u=u, alpha=alpha,
-                   aggregated=aggregated, pre=pre, hs=hs, head_z1=head_z1, head_a1=head_a1,
-                   logit=logit, p=p)
+    return Forward(x_pairs=x_pairs, a1_dep=a1_dep, u=u, alpha=alpha, aggregated=aggregated,
+                   hs=hs, head_a1=head_a1, logit=logit, p=p)
 
 
-def score_windows(feats: FeatureSet, params: ModelParams) -> np.ndarray:
+def score_windows(feats: FeatureSet, params: ModelParams,
+                  ws: Workspace | None = None) -> np.ndarray:
     """Correctness probabilities ``(N,)`` of the windows, in order.
 
-    Runs ``FORWARD_CHUNK`` windows at a time, so memory stays flat however
-    large the split. Each chunk is a contiguous slice of the stacked arrays.
+    Runs ``FORWARD_CHUNK`` windows at a time through one workspace (``ws``, or
+    a fresh one), so memory stays flat however large the split. Each chunk is
+    a contiguous slice of the stacked arrays.
     """
+    ws = Workspace() if ws is None else ws
     p = np.empty(len(feats))
     for lo in range(0, len(feats), FORWARD_CHUNK):
         hi = lo + FORWARD_CHUNK
-        p[lo:hi] = forward(feats.reps[lo:hi], feats.costs[lo:hi], params).p
+        p[lo:hi] = forward(feats.reps[lo:hi], feats.costs[lo:hi], params, ws).p
     return p
 
 
-def add_in_order(acc: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``acc + rows[0] + rows[1] + ...``, added left to right.
+def add_in_order(acc: np.ndarray, rows: np.ndarray) -> None:
+    """``acc += rows[0] + rows[1] + ...``, in place, added left to right.
 
     This is what a ``+=`` loop over the rows computes, bit for bit: numpy
     reduces an outer axis sequentially, and ``acc + rows[0]`` is exact to
     reorder. A length-1 tensor would make the reduction one-dimensional,
-    which numpy sums pairwise, so it is accumulated instead. ``rows`` is a
-    scratch array: its first row is overwritten.
+    which numpy sums pairwise, so it is accumulated instead. Folding the rows
+    in consecutive blocks gives the same bits. ``rows`` is a scratch array:
+    its first row is overwritten.
     """
     rows = rows.reshape((-1,) + acc.shape)
     rows[0] += acc
     if acc.size == 1:
-        return np.cumsum(rows.reshape(-1))[-1:].reshape(acc.shape)
-    return rows.sum(axis=0)
+        acc[...] = np.cumsum(rows.reshape(-1))[-1]
+    else:
+        np.sum(rows, axis=0, out=acc)
 
 
 @dataclass

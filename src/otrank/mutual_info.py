@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FFNParams, add_in_order, sigmoid
+from .model import FFNParams, Workspace, add_in_order, sigmoid
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,12 @@ _PAIRS_BY_MASK = WindowPairs.of([build_pair_sets([(m >> b) & 1 for b in range(3)
 class PairGroup:
     """The windows of a batch that have the same pair and positive counts, stacked."""
 
-    rows: np.ndarray  # (G,) window positions in the batch
+    rows: np.ndarray  # (G,) window positions in the batch, ascending
     i: np.ndarray  # (G, P)
     j: np.ndarray  # (G, P)
     n_positive: int
     x: np.ndarray  # (G, P, 2d) concatenated pair inputs
-    z1: np.ndarray  # (G, P, hidden)
-    a1: np.ndarray  # (G, P, hidden)
+    a1: np.ndarray  # (G, P, hidden) hidden activations
     z: np.ndarray  # (G, P) discriminator logits
 
 
@@ -101,31 +100,51 @@ class MIForward:
     loss: np.ndarray  # (B,) per-window terms; 0 for windows without pairs
 
 
-def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams) -> MIForward:
+def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
+               ws: Workspace | None = None) -> MIForward:
     """Compute each window's regularizer term from final representations ``(B, 3, d)``.
 
     A window's term is ``sum(-log U)`` over its positive pairs plus
     ``sum(-log(1-U))`` over its negative pairs, evaluated stably from the
     discriminator logits; empty index sets contribute zero. Windows are
-    grouped by pair count and run as stacked ``(G, P, 2d)`` products, which
-    keep each window's numbers bit-equal to running it alone (one flat
-    ``(sum P, 2d)`` GEMM would not).
+    grouped by pair and positive count and run as stacked ``(G, P, 2d)``
+    products, which keep each window's numbers bit-equal to running it alone
+    (one flat ``(sum P, 2d)`` GEMM would not). The groups' arrays are consecutive
+    segments of ``ws`` buffers (a fresh :class:`Workspace` when None).
     """
-    loss = np.zeros(h.shape[0])
+    ws = Workspace() if ws is None else ws
+    b, _, d = h.shape
+    hidden = disc.w1.shape[0]
+    n = int(pairs.count.sum())
+    x_all = ws.take("mi.x", (n, 2 * d))
+    a1_all = ws.take("mi.a1", (n, hidden))
+    z_all = ws.take("mi.z", (n,))
+    loss = np.zeros(b)
     groups = []
-    for count, n_pos in np.unique(np.stack([pairs.count, pairs.positive], axis=1), axis=0):
+    at = 0
+    # One key per (pair count, positive count), ascending in both.
+    stride = pairs.i.shape[1] + 1
+    key = pairs.count * stride + pairs.positive
+    for k in np.flatnonzero(np.bincount(key)):
+        count, n_pos = divmod(int(k), stride)
         if count == 0:
             continue
-        rows = np.flatnonzero((pairs.count == count) & (pairs.positive == n_pos))
+        rows = np.flatnonzero(key == k)
+        seg = slice(at, at + rows.size * count)
+        at = seg.stop
         i, j = pairs.i[rows, :count], pairs.j[rows, :count]
-        x = np.concatenate([h[rows[:, None], i], h[rows[:, None], j]], axis=2)
-        z1 = x @ disc.w1.T + disc.b1
-        a1 = np.maximum(z1, 0.0)
-        z = a1 @ disc.w2.T[:, 0] + disc.b2[0]
+        x = x_all[seg].reshape(rows.size, count, 2 * d)
+        x[:, :, :d] = h[rows[:, None], i]
+        x[:, :, d:] = h[rows[:, None], j]
+        a1 = np.matmul(x, disc.w1.T, out=a1_all[seg].reshape(rows.size, count, hidden))
+        a1 += disc.b1
+        np.maximum(a1, 0.0, out=a1)
+        z = np.matmul(a1, disc.w2.T[:, 0], out=z_all[seg].reshape(rows.size, count))
+        z += disc.b2[0]
         # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
         loss[rows] = (np.logaddexp(0.0, -z[:, :n_pos]).sum(axis=1)
                       + np.logaddexp(0.0, z[:, n_pos:]).sum(axis=1))
-        groups.append(PairGroup(rows=rows, i=i, j=j, n_positive=n_pos, x=x, z1=z1, a1=a1, z=z))
+        groups.append(PairGroup(rows=rows, i=i, j=j, n_positive=n_pos, x=x, a1=a1, z=z))
     return MIForward(groups=groups, loss=loss)
 
 
@@ -137,39 +156,62 @@ def mi_loss(h, sets: PairIndexSets, disc: FFNParams) -> float:
 
 def mi_backward(
     fwd: MIForward, disc: FFNParams, scale: float, grads: dict[str, np.ndarray],
-    dh: np.ndarray,
+    dh: np.ndarray, ws: Workspace | None = None,
 ) -> None:
     """Accumulate ``scale * d(loss)`` into the disc gradients and node grads ``dh`` (B, 3, d).
 
     Each window's disc gradient is added to ``grads`` in window order, and its
     node gradients are added to ``dh`` pair after pair: the ``i`` row, then
-    the ``j`` row.
+    the ``j`` row. Scratch arrays come from ``ws`` (a fresh workspace when None).
     """
-    d = dh.shape[2]
     if not fwd.groups:
         return
-    # Windows without pairs add exact zeros, so only windows with pairs are stacked.
-    rows = np.sort(np.concatenate([g.rows for g in fwd.groups]))
-    contrib = {name: np.empty((len(rows),) + grads[name].shape)
-               for name in ("disc.w1", "disc.b1", "disc.w2", "disc.b2")}
+    ws = Workspace() if ws is None else ws
+    d = dh.shape[2]
+    hidden = disc.w1.shape[0]
+    # Windows without pairs add exact zeros, so only windows with pairs count:
+    # each one's group, its row in the group and its rank among them.
+    group = np.full(dh.shape[0], -1)
+    row = np.empty(dh.shape[0], dtype=np.intp)
+    for k, g in enumerate(fwd.groups):
+        group[g.rows] = k
+        row[g.rows] = np.arange(len(g.rows))
+    with_pairs = np.flatnonzero(group >= 0)
+    slot = np.cumsum(group >= 0) - 1
+    contrib = {name: ws.take(f"mi.{name}", (len(with_pairs),) + grads[name].shape)
+               for name in ("disc.b1", "disc.w2", "disc.b2")}
+    dz1_all = ws.take("mi.dz1", (sum(g.z.size for g in fwd.groups), hidden))
+    dz1s = []
+    at = 0
     for g in fwd.groups:
-        at = np.searchsorted(rows, g.rows)
+        n_rows, count = g.z.shape
         sig = sigmoid(g.z)
         dz = np.empty_like(g.z)
         dz[:, :g.n_positive] = sig[:, :g.n_positive] - 1.0  # d(-log sigmoid(z))/dz
         dz[:, g.n_positive:] = sig[:, g.n_positive:]  # d(-log(1 - sigmoid(z)))/dz
         dz *= scale
 
-        contrib["disc.w2"][at] = dz[:, None, :] @ g.a1
-        contrib["disc.b2"][at, 0] = dz.sum(axis=1)
-        dz1 = dz[:, :, None] * disc.w2[0]
-        dz1 *= g.z1 > 0
-        contrib["disc.w1"][at] = dz1.transpose(0, 2, 1) @ g.x
-        contrib["disc.b1"][at] = dz1.sum(axis=1)
+        slots = slot[g.rows]
+        contrib["disc.w2"][slots] = dz[:, None, :] @ g.a1
+        contrib["disc.b2"][slots, 0] = dz.sum(axis=1)
+        dz1 = np.multiply(dz[:, :, None], disc.w2[0],
+                          out=dz1_all[at : at + g.z.size].reshape(n_rows, count, hidden))
+        at += g.z.size
+        dz1 *= np.greater(g.a1, 0.0, out=ws.take("mi.mask", g.a1.shape, bool))
+        contrib["disc.b1"][slots] = np.sum(dz1, axis=1, out=ws.take("mi.b1_rows",
+                                                                       (n_rows, hidden)))
+        dz1s.append(dz1)
 
-        dx = dz1 @ disc.w1  # (G, P, 2d)
-        for k in range(g.i.shape[1]):
+        dx = np.matmul(dz1, disc.w1, out=ws.take("mi.dx", g.x.shape))
+        for k in range(count):
             dh[g.rows, g.i[:, k]] += dx[:, k, :d]
             dh[g.rows, g.j[:, k]] += dx[:, k, d:]
+    # A window's (hidden, 2d) disc.w1 product is too large to stack for a
+    # chunk: each one is added as it is made, in window order.
+    w1 = grads["disc.w1"]
+    product = ws.take("mi.w1_product", w1.shape)
+    for w in with_pairs:
+        k, r = group[w], row[w]
+        w1 += np.matmul(dz1s[k][r].T, fwd.groups[k].x[r], out=product)
     for name, stacked in contrib.items():
-        grads[name] = add_in_order(grads[name], stacked)
+        add_in_order(grads[name], stacked)

@@ -35,6 +35,7 @@ from .model import (
     Forward,
     GCNLayer,
     ModelParams,
+    Workspace,
     add_in_order,
     extract_features,
     forward,
@@ -51,6 +52,10 @@ logger = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"OTCK"
 CKPT_VERSION = 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,13 @@ class TrainConfig:
     sinkhorn_tol: float = 1e-6
 
     def __post_init__(self):
-        # JSON configs and checkpoint metadata can spell Infinity and NaN.
+        # JSON configs and checkpoint metadata can spell any type, Infinity and NaN.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _is_int(f.default) and not _is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("learning_rate", "adam_eps", "sinkhorn_eps_scale", "sinkhorn_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -99,30 +110,34 @@ class TrainConfig:
 
 
 def _mean_terms(feats: FeatureSet, params: ModelParams, gamma: float,
-                grads: dict[str, np.ndarray] | None = None) -> tuple[float, float]:
+                grads: dict[str, np.ndarray] | None = None,
+                ws: Workspace | None = None) -> tuple[float, float]:
     """Mean candidate BCE and mean regularizer term over the windows of ``feats``.
 
-    Runs ``FORWARD_CHUNK`` windows at a time. With ``grads``, also adds every
-    window's gradient to it, window after window (see :func:`_backward`).
+    Runs ``FORWARD_CHUNK`` windows at a time through one workspace (``ws``, or
+    a fresh one). With ``grads``, also adds every window's gradient to it,
+    window after window (see :func:`_backward`).
     """
     n = len(feats)
     if n == 0:
         raise ValueError("batch must be nonempty")
+    ws = Workspace() if ws is None else ws
     as2 = np.empty(n)
     mi = np.zeros(n)
     for lo in range(0, n, FORWARD_CHUNK):
         chunk = feats.take(slice(lo, lo + FORWARD_CHUNK))
         y = np.where(chunk.labels[:, 0] == 1, 1.0, 0.0)
-        fwd = forward(chunk.reps, chunk.costs, params)
+        fwd = forward(chunk.reps, chunk.costs, params, ws)
         # -log sigmoid(z) for positive candidates, -log(1 - sigmoid(z)) otherwise.
         as2[lo : lo + len(chunk)] = np.logaddexp(0.0, np.where(y == 1.0, -fwd.logit,
                                                                 fwd.logit))
         mi_fwd = None
         if gamma != 0.0:
-            mi_fwd = mi_forward(fwd.hs[-1], WindowPairs.of_labels(chunk.labels), params.disc)
+            mi_fwd = mi_forward(fwd.hs[-1], WindowPairs.of_labels(chunk.labels), params.disc,
+                                ws)
             mi[lo : lo + len(chunk)] = mi_fwd.loss
         if grads is not None:
-            _backward(y, fwd, mi_fwd, params, 1.0 / n, gamma / n, grads)
+            _backward(y, fwd, mi_fwd, params, 1.0 / n, gamma / n, grads, ws)
     return float(np.mean(as2)), (0.0 if gamma == 0.0 else float(np.mean(mi)))
 
 
@@ -133,6 +148,26 @@ def joint_loss(feats: FeatureSet, params: ModelParams, cfg: TrainConfig) -> floa
     return as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
 
 
+# Bytes of per-window weight-gradient products built at once. Blocks of this size
+# already amortize numpy's per-call cost; a stack of the whole chunk only holds
+# more memory.
+STACK_BYTES = 1 << 20
+
+
+def _fold_products(acc: np.ndarray, op, a: np.ndarray, b: np.ndarray, ws: Workspace) -> None:
+    """``acc += op(a[0], b[0]) + op(a[1], b[1]) + ...``, added in window order.
+
+    ``op`` is ``np.matmul`` or ``np.multiply``, and each product has
+    ``acc``'s shape. The products are built a block of windows at a time in
+    the ``"stack"`` buffer of ``ws`` and folded by :func:`add_in_order`, which
+    gives the bits of one fold over the whole stack.
+    """
+    block = max(1, STACK_BYTES // acc.nbytes)
+    for lo in range(0, len(a), block):
+        hi = min(lo + block, len(a))
+        add_in_order(acc, op(a[lo:hi], b[lo:hi], out=ws.take("stack", (hi - lo,) + acc.shape)))
+
+
 def _backward(
     y: np.ndarray,
     fwd: Forward,
@@ -141,62 +176,77 @@ def _backward(
     s_as2: float,
     s_mi: float,
     grads: dict[str, np.ndarray],
+    ws: Workspace,
 ) -> None:
     """Add the gradient contribution of every window of ``fwd`` to ``grads``;
     ``y`` holds the candidate labels as 1.0 / 0.0.
 
     Each weight gradient is a stack of per-window products, added to the
-    running sum in window order (:func:`add_in_order`), so the result is
-    bit-equal to accumulating one window at a time.
+    running sum in window order (:func:`_fold_products`), so the result is
+    bit-equal to accumulating one window at a time. Scratch arrays come from
+    ``ws``; the sweep overwrites ``fwd.a1_dep`` once it has read it.
     """
-    def add(name, rows):
-        grads[name] = add_in_order(grads[name], rows)
+    b, _, d = fwd.hs[-1].shape
+    hidden = fwd.head_a1.shape[1]
 
-    dh = np.zeros_like(fwd.hs[-1])
+    def relu_mask(a, name):  # where the pre-activation was positive
+        return np.greater(a, 0.0, out=ws.take(name, a.shape, bool))
+
+    dh = ws.take("dh", (b, 3, d))
+    dh.fill(0.0)
 
     # Scoring head: BCE-through-sigmoid collapses to (sigma(z) - y).
     dlogit = s_as2 * (sigmoid(fwd.logit) - y)
-    dz1 = dlogit[:, None] * params.head.w2[0]
-    dz1 *= fwd.head_z1 > 0
-    dh[:, 0] += (params.head.w1.T @ dz1[:, :, None])[:, :, 0]
-    add("head.w2", dlogit[:, None] * fwd.head_a1)
-    add("head.w1", dz1[:, :, None] * fwd.hs[-1][:, 0, None, :])
-    add("head.b2", dlogit)  # add() overwrites its rows, so these two go last
-    add("head.b1", dz1)
+    dz1 = np.multiply(dlogit[:, None], params.head.w2[0], out=ws.take("head.dz1", (b, hidden)))
+    dz1 *= relu_mask(fwd.head_a1, "head.mask")
+    dh[:, 0] += np.matmul(params.head.w1.T, dz1[:, :, None],
+                          out=ws.take("head.dh", (b, d, 1)))[:, :, 0]
+    _fold_products(grads["head.w2"], np.multiply, dlogit[:, None, None],
+                   fwd.head_a1[:, None, :], ws)
+    _fold_products(grads["head.w1"], np.multiply, dz1[:, :, None], fwd.hs[-1][:, 0, None, :], ws)
+    add_in_order(grads["head.b2"], dlogit)  # these two overwrite a row of their scratch
+    add_in_order(grads["head.b1"], dz1)
 
     if mi_fwd is not None and s_mi != 0.0:
-        mi_backward(mi_fwd, params.disc, s_mi, grads, dh)
+        mi_backward(mi_fwd, params.disc, s_mi, grads, dh, ws)
 
     # Graph layers, last to first; edge weights feed every layer.
     alpha_t = fwd.alpha.transpose(0, 2, 1)
     dalpha = np.zeros_like(fwd.alpha)
+    dz = ws.take("gcn.dz", (b, 3, d))
+    ds = ws.take("gcn.ds", (b, 3, d))
     for l in range(len(params.gcn) - 1, -1, -1):
-        dz = dh * (fwd.pre[l] > 0)
-        add(f"gcn.{l}.w", dz.transpose(0, 2, 1) @ fwd.aggregated[l])
-        add(f"gcn.{l}.b", dz.sum(axis=1))
-        ds = dz @ params.gcn[l].w
+        np.multiply(dh, relu_mask(fwd.hs[l + 1], "gcn.mask"), out=dz)
+        _fold_products(grads[f"gcn.{l}.w"], np.matmul, dz.transpose(0, 2, 1),
+                       fwd.aggregated[l], ws)
+        add_in_order(grads[f"gcn.{l}.b"], np.sum(dz, axis=1, out=ws.take("gcn.b_rows", (b, d))))
+        np.matmul(dz, params.gcn[l].w, out=ds)
         dalpha += ds @ fwd.hs[l].transpose(0, 2, 1)
-        dh = alpha_t @ ds
+        np.matmul(alpha_t, ds, out=dh)
 
     # Row softmax.
     du = fwd.alpha * (dalpha - np.sum(dalpha * fwd.alpha, axis=2, keepdims=True))
 
     # Dependency FFN; its inputs are alignment constants, so backprop stops here.
     du9 = du.reshape(-1, 9)
-    add("dep.w2", du9[:, None, :] @ fwd.a1_dep)
-    add("dep.b2", du9.sum(axis=1))
-    dz1_dep = du9[:, :, None] * params.dep.w2[0]
-    dz1_dep *= fwd.z1_dep > 0
-    add("dep.w1", dz1_dep.transpose(0, 2, 1) @ fwd.x_pairs)
-    add("dep.b1", dz1_dep.sum(axis=1))
+    _fold_products(grads["dep.w2"], np.matmul, du9[:, None, :], fwd.a1_dep, ws)
+    add_in_order(grads["dep.b2"], du9.sum(axis=1))
+    mask = relu_mask(fwd.a1_dep, "dep.mask")
+    # a1_dep is read no more, so its buffer takes the gradient.
+    dz1_dep = np.multiply(du9[:, :, None], params.dep.w2[0], out=fwd.a1_dep)
+    dz1_dep *= mask
+    _fold_products(grads["dep.w1"], np.matmul, dz1_dep.transpose(0, 2, 1), fwd.x_pairs, ws)
+    add_in_order(grads["dep.b1"], np.sum(dz1_dep, axis=1,
+                                         out=ws.take("dep.b1_rows", (b, dz1_dep.shape[2]))))
 
 
-def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig
-                       ) -> tuple[float, dict[str, np.ndarray]]:
+def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig,
+                       ws: Workspace | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Joint loss over a nonempty :class:`FeatureSet`, plus exact reverse-mode
-    derivatives for every tensor."""
+    derivatives for every tensor. Scratch arrays come from ``ws`` (a fresh
+    :class:`~otrank.model.Workspace` when None); the results never alias it."""
     grads = zero_gradients(params)
-    as2, mi = _mean_terms(feats, params, cfg.gamma, grads)
+    as2, mi = _mean_terms(feats, params, cfg.gamma, grads, ws)
     loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(feats)} windows")
@@ -220,7 +270,10 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected Adam update, in place, in fixed tensor order."""
+    """One bias-corrected Adam update of the parameters and moments, in place,
+    in fixed tensor order. A read-only moment (a loaded checkpoint's moments
+    are views of its bytes) is copied once, before its first update.
+    """
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     bc1 = 1.0 - b1**state.t
@@ -230,11 +283,15 @@ def adam_step(
         if g.shape != theta.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape}"
                              f" for {name}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * (g * g)
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        for moments in (state.m, state.v):
+            if not moments[name].flags.writeable:
+                moments[name] = moments[name].copy()
+        m, v = state.m[name], state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
     return state
 
 
@@ -276,10 +333,10 @@ def _snapshot(params, cfg, epoch, adam, rng, ft) -> Checkpoint:
     )
 
 
-def _dev_metrics(instances, feats, params):
+def _dev_metrics(instances, feats, params, ws=None):
     """Mean dev p@1, MAP and MRR over the evaluable questions; ``None`` when there are none."""
     rows = metrics_mod.question_rows(instances,
-                                     metrics_mod.rank_features(instances, feats, params))
+                                     metrics_mod.rank_features(instances, feats, params, ws))
     if not rows:
         return None, None, None
     report = metrics_mod.mean_report(rows)
@@ -297,7 +354,8 @@ def train(
     Candidate windows are shuffled each epoch and consumed in batches of
     ``cfg.batch_size``. Missing embeddings fail during feature extraction,
     before the first epoch. The checkpoint with the best dev MAP is retained
-    alongside the final one.
+    alongside the final one. The step and dev-eval share one
+    :class:`~otrank.model.Workspace` for the whole run.
     """
     if not train_corpus.instances:
         raise EmptyInputError("training corpus is empty")
@@ -314,6 +372,7 @@ def train(
         if dev_corpus else None
     )
     stage_s = {"align": clock() - t0, "step": 0.0, "adam": 0.0, "dev-eval": 0.0}
+    ws = Workspace()
 
     history: list[EpochRecord] = []
     best: Checkpoint | None = None
@@ -326,7 +385,7 @@ def train(
             batch = feats.take(order[lo : lo + cfg.batch_size])
             t0 = clock()
             try:
-                loss, grads = loss_and_gradients(batch, params, cfg)
+                loss, grads = loss_and_gradients(batch, params, cfg, ws)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"epoch {epoch}, windows {lo}..{lo + len(batch)}: {exc}"
@@ -340,7 +399,7 @@ def train(
         p1 = ap = rr = None
         if dev_feats is not None:
             t0 = clock()
-            p1, ap, rr = _dev_metrics(dev_corpus.instances, dev_feats, params)
+            p1, ap, rr = _dev_metrics(dev_corpus.instances, dev_feats, params, ws)
             stage_s["dev-eval"] += clock() - t0
             if ap is not None and ap > best_map:
                 best_map = ap
@@ -468,10 +527,6 @@ def _params_from_tensors(dim: int, layers: int, hidden: int,
 _META_KEYS = ("adam_t", "config", "epoch", "freq_table", "rng_state")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_meta(meta, name: str) -> TrainConfig:
     """Validate the checkpoint's metadata blob; returns its training config.
 
@@ -493,19 +548,13 @@ def _check_meta(meta, name: str) -> TrainConfig:
     config = meta["config"]
     if not isinstance(config, dict):
         raise CheckpointError(f"{name}: metadata 'config' is not a JSON object")
-    defaults = {f.name: f.default for f in fields(TrainConfig)}
-    unknown = sorted(set(config) - set(defaults))
+    known = {f.name for f in fields(TrainConfig)}
+    unknown = sorted(set(config) - known)
     if unknown:
         raise CheckpointError(f"{name}: unknown config keys {unknown}")
-    missing = sorted(set(defaults) - set(config))
+    missing = sorted(known - set(config))
     if missing:
         raise CheckpointError(f"{name}: config lacks keys {missing}")
-    for key, default in defaults.items():
-        value = config[key]
-        ok = _is_int(value) if _is_int(default) else (
-            isinstance(value, (int, float)) and not isinstance(value, bool))
-        if not ok:
-            raise CheckpointError(f"{name}: config {key!r} has the wrong type: {value!r}")
     try:
         return TrainConfig(**config)
     except ValueError as exc:
@@ -516,8 +565,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The parameters are fresh, aligned, writable arrays. The Adam moments are
-    read-only views of the file's bytes: :func:`adam_step` rebinds them and
-    never writes into them.
+    read-only views of the file's bytes: :func:`adam_step` copies each one
+    before its first update.
     """
     path = Path(path)
     raw = memoryview(path.read_bytes())

@@ -559,7 +559,8 @@ class TestTrainCommand:
         ("sinkhorn_eps_scale", 0.0), ("sinkhorn_tol", 0.0), ("adam_beta1", 1.0),
         ("adam_beta2", -0.1), ("learning_rate", float("inf")), ("adam_eps", float("inf")),
         ("sinkhorn_eps_scale", float("inf")), ("sinkhorn_tol", float("inf")),
-        ("gamma", float("nan")),
+        ("gamma", float("nan")), ("batch_size", True), ("epochs", 1.5), ("seed", 1.5),
+        ("hidden_size", 5.5), ("gcn_layers", 2.0), ("sinkhorn_max_iter", 2.5),
     ])
     def test_bad_value_rejected(self, field, value, cli_env, tmp_path, capsys):
         cfg_path = _train_config(cli_env, tmp_path, **{field: value})

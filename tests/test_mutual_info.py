@@ -161,6 +161,24 @@ class TestMiLoss:
         )
         assert mi_loss(h, sets, disc) == pytest.approx(expected, abs=1e-10)
 
+    def test_pair_sets_no_label_pattern_gives(self):
+        # One batch mixes counts a three-node label pattern never has (one pair,
+        # a positive with three negatives) with a labelled window.
+        rng = np.random.default_rng(10)
+        disc = random_disc(rng, 4)
+        h = rng.normal(size=(3, 3, 4))
+        batch = [PairIndexSets(positive=((0, 1),), negative=()),
+                 PairIndexSets(positive=((2, 0),), negative=((2, 1), (1, 0), (0, 2))),
+                 build_pair_sets((True, False, True))]
+        loss = mi_forward(h, WindowPairs.of(batch), disc).loss
+        for w, sets in enumerate(batch):
+            expected = sum(-np.log(discriminator_oracle(h[w, i], h[w, j], disc))
+                           for i, j in sets.positive)
+            expected += sum(-np.log(1.0 - discriminator_oracle(h[w, i], h[w, j], disc))
+                            for i, j in sets.negative)
+            assert loss[w] == pytest.approx(expected, abs=1e-10)
+            assert loss[w] == mi_loss(h[w], sets, disc)
+
     def test_golden_fixture_value(self, tiny_corpus, tiny_store, tiny_ft):
         # Frozen from the reference run: q1-w1 representations under params
         # seed 7, with (answer, answer, non-answer) labels.

@@ -1,6 +1,7 @@
 """Joint loss, gradients, Adam, the training loop, checkpoints, gradcheck."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,15 @@ from hypothesis import strategies as st
 import otrank.training as training
 from otrank.errors import CheckpointError, EmbeddingKeyError
 from otrank.model import (
+    FORWARD_CHUNK,
     FeatureSet,
+    Workspace,
     align_windows,
     extract_features,
     init_model_params,
     instance_windows,
     param_tensors,
+    score_windows,
     window_forward,
     zero_gradients,
 )
@@ -34,7 +38,13 @@ from otrank.training import (
     train,
 )
 
-from oracles import Window, feature_set, loss_and_gradients_loop, reference_window_features
+from oracles import (
+    Window,
+    feature_set,
+    loss_and_gradients_loop,
+    reference_window_features,
+    window_forward_loop,
+)
 
 
 def micro_cfg(**kw):
@@ -169,9 +179,10 @@ CONTEXT_LABELS = st.sampled_from([True, False, None])
 
 @st.composite
 def step_cases(draw):
-    """A random model and batch: 1-70 windows (crossing the chunk boundary), every
-    label pattern, padding windows with zero context reps, 1-3 GCN layers."""
-    n = draw(st.integers(1, 70))
+    """A random model and batch: up to two chunks and six windows (two chunk
+    boundaries and a short last chunk), every label pattern, padding windows with
+    zero context reps, 1-3 GCN layers."""
+    n = draw(st.integers(1, 2 * FORWARD_CHUNK + 6))
     labels = draw(st.lists(st.tuples(st.booleans(), CONTEXT_LABELS, CONTEXT_LABELS),
                            min_size=n, max_size=n))
     padded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
@@ -219,6 +230,51 @@ class TestBatchedStepEqualsLoop:
         assert a[0] == b[0]
         for name in a[1]:
             assert a[1][name].tobytes() == b[1][name].tobytes()
+
+
+def labelled_windows(rng, dim, n):
+    """``n`` random windows with labels drawn from every pattern."""
+    context = [True, False, None]
+    return [Window(rng.normal(size=(3, dim)), rng.uniform(0.2, 2.0, size=3),
+                   (bool(rng.integers(2)), context[rng.integers(3)], context[rng.integers(3)]))
+            for _ in range(n)]
+
+
+class TestWorkspace:
+    def test_reused_workspace_leaves_no_stale_values(self):
+        # A long batch fills every buffer; the shorter batch and the scoring pass
+        # after it read leading views that hold the long batch's numbers.
+        rng = np.random.default_rng(21)
+        params = init_model_params(rng, dim=6, hidden=16, layers=2)
+        cfg = micro_cfg(gamma=0.3, hidden_size=16)
+        ws = Workspace()
+        for n in (70, 5):
+            windows = labelled_windows(rng, 6, n)
+            loss, grads = loss_and_gradients(feature_set(windows), params, cfg, ws)
+            want_loss, want = loss_and_gradients_loop(windows, params, cfg)
+            assert loss == want_loss
+            for name, g in want.items():
+                assert grads[name].tobytes() == g.tobytes(), (n, name)
+        dev = labelled_windows(rng, 6, 9)
+        p = score_windows(feature_set(dev), params, ws)
+        assert p.tobytes() == np.array([window_forward_loop(w, params).p for w in dev]).tobytes()
+
+    def test_warm_step_allocates_little(self):
+        # A warm step allocates the returned gradients (0.23 MB) and small
+        # per-chunk arrays, 0.39 MB in all; fresh chunk stacks took 3.8 MB.
+        rng = np.random.default_rng(22)
+        params = init_model_params(rng, dim=16, hidden=400, layers=2)
+        batch = feature_set(labelled_windows(rng, 16, 64))
+        cfg = TrainConfig(gamma=0.3)
+        ws = Workspace()
+        loss_and_gradients(batch, params, cfg, ws)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(batch, params, cfg, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 500_000
 
 
 class TestAdamStep:
@@ -385,7 +441,7 @@ class TestCheckpointIO:
 
     def test_loaded_arrays(self, small_synth, tmp_path):
         # Parameters are fresh arrays BLAS takes as they are; the moments are
-        # read-only views of the file, which Adam replaces and never writes.
+        # read-only views of the file, which Adam copies before its first write.
         _, path = self._roundtrip(small_synth, tmp_path)
         loaded = load_checkpoint(path)
         for name, t in param_tensors(loaded.params).items():
