@@ -96,6 +96,9 @@ def _cmd_train(args) -> int:
         raise OtrankError("config file must hold a JSON object")
 
     paths = {k: raw.pop(k, None) for k in _CONFIG_PATH_KEYS}
+    for key, value in paths.items():
+        if value is not None and not isinstance(value, str):
+            raise OtrankError(f"config key {key!r} must be a path string, not {json.dumps(value)}")
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = set(raw) - known
     if unknown:

@@ -298,7 +298,9 @@ def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
 
 # Windows per stacked pass. With one reused Workspace, 64 ran the training step
 # (d=16, hidden 400) faster than 16 or 32, since numpy's per-call cost is paid once
-# per chunk, for about 5 MB of buffers; scoring at d=768 ran as fast at all three.
+# per chunk, for about 5 MB of buffers. Scoring at d=768 with the flat GEMMs ran
+# as fast at 32 as at 64 (benchmark eval_wide, 5 seeds: median 438 against 435
+# windows/s, 2-vCPU x86_64, one BLAS thread), with 6 MB less peak memory at 32.
 FORWARD_CHUNK = 64
 
 # Directed edge (i, j) is row 3 * i + j of the dependency-FFN inputs.
@@ -355,23 +357,28 @@ def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams,
             ws: Workspace | None = None) -> Forward:
     """Score B windows from stacked ``(B, 3, d)`` reps and ``(B, 3)`` costs.
 
-    Every product is a stack of the one-window products, in the one-window
-    operand orientation, so each window's numbers are bit-equal to scoring it
-    alone, whatever else is in the batch. Flattening a product over windows
-    (one ``(B*9, d+2)`` GEMM, say) lets BLAS pick another kernel for the
-    larger matrix, which moves bits. Every intermediate but the ``(B,)`` ones
-    is written into ``ws`` (a fresh :class:`Workspace` when None), so the
-    record is valid until the next pass through the same workspace.
+    Dependency layer 1 and each GCN layer are one flat GEMM over the chunk,
+    ``(B*9, d+2) @ w1.T`` and ``(B*3, d) @ W.T``, so a wide weight is read
+    once per chunk rather than once per window; the other products are
+    stacks of the one-window products. A row's bits can depend on the GEMM's
+    shape and on the row's position in it (BLAS picks kernels and tiles by
+    size), never on the other rows' values. At d=16 and d=768 with hidden
+    400 each window's numbers are bit-equal to scoring it alone, whatever
+    the batch; elsewhere they agree to rounding. Every intermediate but the
+    ``(B,)`` ones is written into ``ws`` (a fresh :class:`Workspace` when
+    None), so the record is valid until the next pass through the same
+    workspace.
     """
     ws = Workspace() if ws is None else ws
     b, _, d = reps.shape
+    hidden = len(params.dep.b1)
     x_pairs = ws.take("x_pairs", (b, 9, d + 2))
     for k, (i, j) in enumerate(zip(_EDGE_I, _EDGE_J)):
         np.multiply(reps[:, i], reps[:, j], out=x_pairs[:, k, :d])
     x_pairs[:, :, d] = costs[:, _EDGE_I]
     x_pairs[:, :, d + 1] = costs[:, _EDGE_J]
-    a1_dep = np.matmul(x_pairs, params.dep.w1.T,
-                       out=ws.take("a1_dep", (b, 9, len(params.dep.b1))))
+    a1_dep = ws.take("a1_dep", (b, 9, hidden))
+    np.matmul(x_pairs.reshape(b * 9, d + 2), params.dep.w1.T, out=a1_dep.reshape(b * 9, hidden))
     a1_dep += params.dep.b1
     np.maximum(a1_dep, 0.0, out=a1_dep)
     u = np.matmul(a1_dep, params.dep.w2.T, out=ws.take("u", (b, 9, 1)))
@@ -387,7 +394,8 @@ def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams,
     aggregated: list[np.ndarray] = []
     for l, layer in enumerate(params.gcn):
         s = np.matmul(alpha, hs[-1], out=ws.take(f"aggregated.{l}", (b, 3, d)))
-        h = np.matmul(s, layer.w.T, out=ws.take(f"h.{l + 1}", (b, 3, d)))
+        h = ws.take(f"h.{l + 1}", (b, 3, d))
+        np.matmul(s.reshape(b * 3, d), layer.w.T, out=h.reshape(b * 3, d))
         h += layer.b
         aggregated.append(s)
         hs.append(np.maximum(h, 0.0, out=h))

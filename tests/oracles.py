@@ -401,7 +401,8 @@ def p1_oracle(ranked_labels) -> int:
 # The forward pass, the regularizer and the hand-written backward pass as they
 # stood before batching, kept verbatim apart from their names: one window at a
 # time, one ``+=`` per window and tensor. The stacked training step and scorer
-# must reproduce them bit for bit. They read one ``Window`` record per window.
+# must reproduce them bit for bit at the shipped shapes (d=16 and d=768 with
+# hidden 400) and to rounding elsewhere. They read one ``Window`` record per window.
 
 
 class Window(NamedTuple):

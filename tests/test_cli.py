@@ -570,6 +570,18 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out.ckpt").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("train_corpus", 7), ("embeddings", True), ("checkpoint_out", ["a"]),
+        ("dev_corpus", {}), ("log_out", 7),
+    ])
+    def test_non_string_path_rejected(self, key, value, cli_env, tmp_path, capsys):
+        cfg_path = _train_config(cli_env, tmp_path, **{key: value})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert key in err and "path string" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
+
     def test_missing_required_path_rejected(self, cli_env, tmp_path, capsys):
         cfg = {"train_corpus": str(cli_env["corpus"]), "embeddings": str(cli_env["emb"])}
         path = tmp_path / "cfg.json"

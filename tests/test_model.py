@@ -7,6 +7,8 @@ from otrank import sinkhorn
 from otrank.corpus import ROLE_QUESTION, content_token_indices, make_sentence
 from otrank.embeddings import ROLE_Q, build_frequency_table
 from otrank.model import (
+    FORWARD_CHUNK,
+    FeatureSet,
     FFNParams,
     GCNLayer,
     extract_features,
@@ -388,6 +390,28 @@ class TestBatchedScores:
         assert feats.costs.shape == feats.labels.shape == (0, 3)
         params = init_model_params(np.random.default_rng(0), dim=4, hidden=5, layers=1)
         assert score_windows(feats, params).shape == (0,)
+
+
+class TestNeighbourIndependence:
+    # Flat GEMMs over a chunk may round a row by its position, never by the other
+    # rows' values. At (40, 7) some scores differ from scoring alone in the last bits.
+    @pytest.mark.parametrize("dim,hidden", [(768, 400), (40, 7)])
+    def test_score_ignores_the_other_windows(self, dim, hidden):
+        rng = np.random.default_rng(dim)
+        params = init_model_params(rng, dim, hidden, 2)
+        n = FORWARD_CHUNK
+        feats = FeatureSet(reps=rng.normal(size=(n, 3, dim)),
+                           costs=rng.uniform(0.2, 2.0, size=(n, 3)),
+                           labels=np.zeros((n, 3), np.int8))
+        p = score_windows(feats, params)
+        assert p.tobytes() == score_windows(feats, params).tobytes()
+        for kept in (0, 1):  # replace every other window: the odd ones, then the even ones
+            reps, costs = feats.reps.copy(), feats.costs.copy()
+            reps[1 - kept::2] = rng.normal(size=reps[1 - kept::2].shape)
+            costs[1 - kept::2] = rng.uniform(0.2, 2.0, size=costs[1 - kept::2].shape)
+            q = score_windows(FeatureSet(reps=reps, costs=costs, labels=feats.labels), params)
+            assert q[kept::2].tobytes() == p[kept::2].tobytes()
+            assert not np.array_equal(q[1 - kept::2], p[1 - kept::2])
 
 
 class TestQuestionSide:

@@ -178,16 +178,16 @@ CONTEXT_LABELS = st.sampled_from([True, False, None])
 
 
 @st.composite
-def step_cases(draw):
-    """A random model and batch: up to two chunks and six windows (two chunk
-    boundaries and a short last chunk), every label pattern, padding windows with
-    zero context reps, 1-3 GCN layers."""
-    n = draw(st.integers(1, 2 * FORWARD_CHUNK + 6))
+def step_cases(draw, dims=(3, 16, 40), hiddens=(1, 7, 64), max_windows=2 * FORWARD_CHUNK + 6):
+    """A random model and batch: by default up to two chunks and six windows (two
+    chunk boundaries and a short last chunk), every label pattern, padding windows
+    with zero context reps, 1-3 GCN layers."""
+    n = draw(st.integers(1, max_windows))
     labels = draw(st.lists(st.tuples(st.booleans(), CONTEXT_LABELS, CONTEXT_LABELS),
                            min_size=n, max_size=n))
     padded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    dim = draw(st.sampled_from([3, 16, 40]))
-    hidden = draw(st.sampled_from([1, 7, 64]))
+    dim = draw(st.sampled_from(dims))
+    hidden = draw(st.sampled_from(hiddens))
     layers = draw(st.integers(1, 3))
     gamma = draw(st.sampled_from([0.0, 0.3, 1.7]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -207,18 +207,47 @@ def step_cases(draw):
     return batch, params, cfg
 
 
+def assert_step_bitwise(case):
+    batch, params, cfg = case
+    loss, grads = loss_and_gradients_loop(batch, params, cfg)
+    got_loss, got = loss_and_gradients(feature_set(batch), params, cfg)
+    assert got_loss == loss
+    assert list(got) == list(grads)
+    for name, g in grads.items():
+        assert got[name].shape == g.shape, name
+        assert got[name].tobytes() == g.tobytes(), name
+
+
 class TestBatchedStepEqualsLoop:
     @settings(max_examples=40, deadline=None)
     @given(case=step_cases())
-    def test_loss_and_every_gradient_bitwise(self, case):
+    def test_loss_and_every_gradient_within_rounding(self, case):
+        # The flat GEMMs of the forward may round differently from the one-window
+        # products away from the shipped shapes (BLAS picks kernels by size).
+        # Over 400 examples, 106 moved bits (all at d=40 or at d=16, hidden 1); the
+        # worst loss error was 3.6e-16 relative, the worst gradient entry error
+        # 1.4e-15 times the largest gradient entry. A per-tensor relative bound
+        # would not do: dep.b2's gradient is zero up to cancellation noise, since
+        # the edge softmax is shift-invariant.
         batch, params, cfg = case
         loss, grads = loss_and_gradients_loop(batch, params, cfg)
         got_loss, got = loss_and_gradients(feature_set(batch), params, cfg)
-        assert got_loss == loss
+        assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         assert list(got) == list(grads)
+        scale = max(float(np.abs(g).max()) for g in grads.values())
         for name, g in grads.items():
             assert got[name].shape == g.shape, name
-            assert got[name].tobytes() == g.tobytes(), name
+            assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=step_cases(dims=(16,), hiddens=(400,)))
+    def test_bitwise_at_the_benchmark_width(self, case):
+        assert_step_bitwise(case)
+
+    @settings(max_examples=6, deadline=None)
+    @given(case=step_cases(dims=(768,), hiddens=(400,), max_windows=9))
+    def test_bitwise_at_bert_width(self, case):
+        assert_step_bitwise(case)
 
     def test_taken_rows_equal_their_list(self):
         rng = np.random.default_rng(3)
