@@ -101,21 +101,31 @@ def _split_chunk(chunk: str) -> list[Token]:
     return [_token(p) for p in parts]
 
 
-def tokenize(text: str) -> list[Token]:
+def tokenize(text: str, chunks: dict[str, tuple[Token, ...]] | None = None) -> list[Token]:
     """Deterministically tokenize raw text.
 
     Lowercases, splits on whitespace, and peels leading/trailing punctuation
     characters off each chunk into their own tokens. Tokens that are pure
     punctuation or appear in the stoplist are marked non-content.
+
+    ``chunks`` maps each whitespace chunk already seen to its tokens; pass one
+    dictionary to several calls to tokenize each distinct chunk once. Tokens
+    are frozen, so sentences may share them.
     """
+    if chunks is None:
+        chunks = {}
     out: list[Token] = []
     for chunk in text.split():
-        out.extend(_split_chunk(chunk))
+        tokens = chunks.get(chunk)
+        if tokens is None:
+            tokens = chunks[chunk] = tuple(_split_chunk(chunk))
+        out.extend(tokens)
     return out
 
 
-def make_sentence(text: str, role: str, label: bool | None = None) -> Sentence:
-    return Sentence(text=text, tokens=tuple(tokenize(text)), role=role, label=label)
+def make_sentence(text: str, role: str, label: bool | None = None,
+                  chunks: dict[str, tuple[Token, ...]] | None = None) -> Sentence:
+    return Sentence(text=text, tokens=tuple(tokenize(text, chunks)), role=role, label=label)
 
 
 def padding_sentence(role: str) -> Sentence:
@@ -165,13 +175,13 @@ def _as_optional_label(value, where: str) -> bool | None:
     return _as_label(value, where)
 
 
-def _context_sentence(text, label, role: str, where: str) -> Sentence | None:
+def _context_sentence(text, label, role: str, where: str, chunks: dict) -> Sentence | None:
     # Whitespace-only context is treated as absent (padded later).
     if text is None or (isinstance(text, str) and not text.strip()):
         return None
     if not isinstance(text, str):
         raise CorpusFormatError(f"{where}: context text must be a string or null")
-    return make_sentence(text, role, label=_as_optional_label(label, where))
+    return make_sentence(text, role, label=_as_optional_label(label, where), chunks=chunks)
 
 
 def load_corpus(path: str | Path, split: str) -> Corpus:
@@ -186,12 +196,14 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
 
     All sentences are tokenized, missing contexts padded, and invariants
     validated. Raises :class:`CorpusFormatError` naming the offending line.
+    Each distinct whitespace chunk of the file is tokenized once.
     """
     if split not in ("train", "dev", "test"):
         raise CorpusFormatError(f"unknown split {split!r}")
     path = Path(path)
     instances: list[QAInstance] = []
     seen_qids: set[str] = set()
+    chunks: dict[str, tuple[Token, ...]] = {}
     with path.open("rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path.name} line {lineno}"
@@ -205,11 +217,11 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
-            instances.append(_parse_instance(rec, where, seen_qids))
+            instances.append(_parse_instance(rec, where, seen_qids, chunks))
     return Corpus(instances=tuple(instances), split=split)
 
 
-def _parse_instance(rec, where: str, seen_qids: set[str]) -> QAInstance:
+def _parse_instance(rec, where: str, seen_qids: set[str], chunks: dict) -> QAInstance:
     if not isinstance(rec, dict):
         raise CorpusFormatError(f"{where}: record must be a JSON object")
     qid = rec.get("question_id")
@@ -222,7 +234,7 @@ def _parse_instance(rec, where: str, seen_qids: set[str]) -> QAInstance:
     qtext = rec.get("question")
     if not isinstance(qtext, str) or not qtext.strip():
         raise CorpusFormatError(f"{where}: missing or empty question text")
-    question = make_sentence(qtext, ROLE_QUESTION)
+    question = make_sentence(qtext, ROLE_QUESTION, chunks=chunks)
 
     cands = rec.get("candidates")
     if not isinstance(cands, list) or not cands:
@@ -245,9 +257,10 @@ def _parse_instance(rec, where: str, seen_qids: set[str]) -> QAInstance:
             raise CorpusFormatError(f"{cwhere}: missing or empty candidate text")
         if "label" not in c or c["label"] is None:
             raise CorpusFormatError(f"{cwhere}: candidate is missing its label")
-        cand = make_sentence(text, ROLE_CANDIDATE, label=_as_label(c["label"], cwhere))
-        prev = _context_sentence(c.get("prev"), c.get("prev_label"), ROLE_PREV, cwhere)
-        nxt = _context_sentence(c.get("next"), c.get("next_label"), ROLE_NEXT, cwhere)
+        cand = make_sentence(text, ROLE_CANDIDATE, label=_as_label(c["label"], cwhere),
+                             chunks=chunks)
+        prev = _context_sentence(c.get("prev"), c.get("prev_label"), ROLE_PREV, cwhere, chunks)
+        nxt = _context_sentence(c.get("next"), c.get("next_label"), ROLE_NEXT, cwhere, chunks)
         windows.append(pad_context(CandidateWindow(id=wid, cand=cand, prev=prev, next=nxt)))
     return QAInstance(question_id=qid, question=question, windows=tuple(windows))
 

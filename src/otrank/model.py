@@ -228,7 +228,7 @@ def align_windows(
             f"non-finite embedding values: the vectors of (instance, window, role) = {key} "
             "give a non-finite transport cost"
         ) from None
-    _log_alignment_stats(alignments.groups, time.perf_counter() - started)
+    _log_alignment_stats(alignment_stats(alignments.groups), time.perf_counter() - started)
     return alignments
 
 
@@ -262,23 +262,40 @@ def extract_features(
     )
 
 
-def _log_alignment_stats(groups: list[PlanGroup], seconds: float) -> None:
+@dataclass(frozen=True)
+class AlignmentStats:
+    """The Sinkhorn numerics of one alignment batch."""
+
+    count: int  # alignments solved
+    iterations_p50: float
+    iterations_p95: float
+    iterations_max: int
+    unconverged: int
+    worst_violation: float  # the largest marginal violation over converged plans
+
+
+def alignment_stats(groups: list[PlanGroup]) -> AlignmentStats:
+    """The :class:`AlignmentStats` of the solved shape groups of one batch."""
     iters = np.concatenate([grp.iterations for grp in groups] or [np.zeros(0, np.int64)])
     converged = np.concatenate([grp.converged for grp in groups] or [np.zeros(0, bool)])
-    unconverged = int(np.count_nonzero(~converged))
-    if unconverged:
-        logger.warning("%d sentence alignments did not converge; using best iterates",
-                       unconverged)
-    if not logger.isEnabledFor(logging.INFO):
-        return
     violations = np.concatenate([grp.violations[grp.converged] for grp in groups]
                                 or [np.zeros(0)])
-    p50, p95 = np.percentile(iters, [50, 95]) if iters.size else (0, 0)
+    p50, p95 = np.percentile(iters, [50, 95]) if iters.size else (0.0, 0.0)
+    return AlignmentStats(count=int(iters.size), iterations_p50=float(p50),
+                          iterations_p95=float(p95), iterations_max=int(iters.max(initial=0)),
+                          unconverged=int(np.count_nonzero(~converged)),
+                          worst_violation=float(violations.max(initial=0.0)))
+
+
+def _log_alignment_stats(stats: AlignmentStats, seconds: float) -> None:
+    if stats.unconverged:
+        logger.warning("%d sentence alignments did not converge; using best iterates",
+                       stats.unconverged)
     logger.info(
         "aligned %d sentences in %.3f s: sinkhorn iterations p50/p95/max %g/%g/%d, "
         "%d unconverged, worst marginal violation %.3e over converged plans",
-        iters.size, seconds, p50, p95, iters.max(initial=0), unconverged,
-        violations.max(initial=0.0),
+        stats.count, seconds, stats.iterations_p50, stats.iterations_p95,
+        stats.iterations_max, stats.unconverged, stats.worst_violation,
     )
 
 

@@ -148,7 +148,8 @@ def sinkhorn_plan(
 
 @dataclass
 class PlanGroup:
-    """The problems of one ``(n, m)`` shape, solved together, as stacked arrays."""
+    """The problems of one ``(n, m)`` shape as stacked arrays, cut from the
+    padded stack of their summation bucket (see :func:`_solve_groups`)."""
 
     members: np.ndarray  # (B,) positions of the problems in their batch
     costs: np.ndarray  # (B, n, m)
@@ -176,11 +177,12 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
     with ``converged=False`` (callers keep going; a warning is logged per
     problem).
 
-    Problems are grouped by their exact cost shape, and each group is solved
-    as stacked ``(B, n, m)`` arrays without padding, so every problem goes
-    through the same floating-point operations, in the same order, as when
-    it is solved alone. Converged problems leave the active set after every
-    iteration, so a slow problem only keeps itself iterating.
+    The problems of one summation bucket, roughly those whose extents agree
+    in ``n // 8`` and ``m // 8``, are solved together as one ``(B, N, M)``
+    stack padded with zero mass (see :func:`_solve_groups`). The padding
+    changes no bit: every problem's plan, iteration count and violation are
+    those of solving it alone. Converged problems leave the active set after
+    every iteration, so a slow problem only keeps itself iterating.
     """
     results: list[TransportPlan | None] = [None] * len(costs)
     for grp in _solve_groups(ps, qs, costs, eps, max_iter, tol):
@@ -189,8 +191,53 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
     return results
 
 
+# numpy sums a contiguous run of up to 128 terms as blocks of 8 (eight
+# interleaved accumulators) and then a left-to-right remainder. A longer run is
+# split in two at a point that depends on its length.
+_PAIRWISE_BLOCK = 128
+
+
+def _extent_bucket(n: int) -> int:
+    return n // 8 if n <= _PAIRWISE_BLOCK else n
+
+
+def _bucket(n: int, m: int) -> tuple[int, int]:
+    """The summation bucket of an ``(n, m)`` problem; ``m == 1`` has its own."""
+    return _extent_bucket(n), _extent_bucket(m) if m > 1 else -1
+
+
 def _solve_groups(ps, qs, costs, eps, max_iter: int, tol: float) -> list[PlanGroup]:
-    """:func:`sinkhorn_plans`, with each shape group's results left stacked."""
+    """:func:`sinkhorn_plans`, with each shape group's results left stacked.
+
+    The problems are grouped by exact shape and the shapes by the bucket key
+    ``(n // 8, m // 8 if m > 1 else -1)``. Each bucket is solved as one
+    ``(B, N, M)`` stack, ``N`` and ``M`` its largest extents. Its padding rows
+    and columns carry zero mass at zero cost, and every reduction over a
+    padded axis only gains trailing exact zeros, so no bit moves:
+
+    - numpy adds a contiguous run of fewer than 8 terms left to right, and a
+      run of 8 to 128 terms as whole blocks of 8 followed by a left-to-right
+      remainder. Within a bucket the count of whole blocks is the same, so a
+      trailing zero only lengthens the remainder. Above 128 terms the split
+      point depends on the length, so such an extent is a bucket of its own;
+    - a strided axis, which the g-update reduces when ``M > 1``, is added
+      strictly left to right. When ``M == 1`` that axis is contiguous and
+      added blockwise, so a single-column problem padded to two columns would
+      change its order of summation: ``m == 1`` never shares a bucket with
+      wider problems;
+    - padding entries are ``-inf`` before every max, so they never win it.
+
+    The padding is marked by its own row and column masks, never by zero
+    marginal entries. Its potentials start at ``-inf``. Those of real
+    zero-marginal entries start at 0, as in the one-problem solve, and reach
+    ``-inf`` in the first update. A ``-inf`` potential stays ``-inf``, so the
+    padding adds exact zeros to every sum.
+
+    The results are cut back to exact-shape :class:`PlanGroup` s, so the
+    post-solve runs on exact shapes: a padded plan's flattened cost sum
+    would regroup numpy's accumulators, and a padded row would take column
+    0 as its argmax.
+    """
     count = len(costs)
     if not len(ps) == len(qs) == len(eps) == count:
         raise ValueError("a batch needs one p, q, cost matrix and eps per problem")
@@ -206,24 +253,43 @@ def _solve_groups(ps, qs, costs, eps, max_iter: int, tol: float) -> list[PlanGro
         arrays.append((p, q, D))
         by_shape.setdefault(D.shape, []).append(k)
 
-    groups = []
-    for members in by_shape.values():
+    stacks: dict[tuple[int, int], tuple] = {}
+    by_bucket: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for shape, members in by_shape.items():
         P = np.stack([arrays[k][0] for k in members])
         Q = np.stack([arrays[k][1] for k in members])
         D = np.stack([arrays[k][2] for k in members])
         E = np.array([eps[k] for k in members], dtype=np.float64)
         _validate(members, count, P, Q, D, E)
-        f, g, iters, viol, converged = _solve_group(P, Q, D, E, max_iter, tol)
-        groups.append(PlanGroup(members=np.array(members), costs=D,
-                                plans=_build(f, g, D, E[:, None, None]), epsilon=E,
-                                iterations=iters, converged=converged, violations=viol))
-    unconverged = sorted((int(k), float(v)) for grp in groups
+        stacks[shape] = P, Q, D, E
+        by_bucket.setdefault(_bucket(*shape), []).append(shape)
+
+    groups: dict[tuple[int, int], PlanGroup] = {}
+    for shapes in by_bucket.values():
+        bounds = np.cumsum([0] + [len(by_shape[shape]) for shape in shapes]).tolist()
+        spans = [(n, m, lo, hi) for (n, m), lo, hi in zip(shapes, bounds, bounds[1:])]
+        B, N, M = bounds[-1], max(n for n, _ in shapes), max(m for _, m in shapes)
+        P, Q, D, E = np.zeros((B, N)), np.zeros((B, M)), np.zeros((B, N, M)), np.empty(B)
+        rows, cols = np.zeros((B, N), dtype=bool), np.zeros((B, M), dtype=bool)
+        for n, m, lo, hi in spans:
+            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m], E[lo:hi] = stacks[n, m]
+            rows[lo:hi, :n] = True
+            cols[lo:hi, :m] = True
+        f, g, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, max_iter, tol)
+        for n, m, lo, hi in spans:
+            Ds, Es = stacks[n, m][2:]
+            groups[n, m] = PlanGroup(
+                members=np.array(by_shape[n, m]), costs=Ds,
+                plans=_build(f[lo:hi, :n], g[lo:hi, :m], Ds, Es[:, None, None]),
+                epsilon=Es, iterations=iters[lo:hi], converged=converged[lo:hi],
+                violations=viol[lo:hi])
+    unconverged = sorted((int(k), float(v)) for grp in groups.values()
                          for k, v in zip(grp.members[~grp.converged],
                                          grp.violations[~grp.converged]))
     for k, violation in unconverged:
         logger.warning("%ssinkhorn did not converge in %d iterations (best violation %.3e)",
                        _where(k, count), max_iter, violation)
-    return groups
+    return [groups[shape] for shape in by_shape]
 
 
 def _where(k: int, count: int) -> str:
@@ -249,19 +315,21 @@ def _validate(members, count, P, Q, D, E) -> None:
                              "nonnegative and sum to 1")
 
 
-def _solve_group(P, Q, D, E, max_iter: int, tol: float):
-    """Iterate one shape group; returns the best potentials, their iteration and
-    violation, and the converged flags, per problem.
+def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
+    """Iterate one bucket's padded stack; returns the best potentials, their
+    iteration and violation, and the converged flags, per problem.
 
-    numpy sums a contiguous axis as ``a[0] + (a[1] + a[2] + ...)`` (pairwise
-    from 9 terms on) but a strided axis strictly left to right, so each
-    reduction keeps the layout of the single-problem solver: the f-update
-    reduces the contiguous last axis, the g-update the strided axis 1 (it
-    used to reduce the rows of the ``D.T`` view), and the column sums a
-    contiguous transposed copy of the plan (they used to come from a plan
-    rebuilt from ``D.T``). Stacking thus changes no bit. Working in place in
-    the iteration's temporaries applies the same float operations to every
-    element, so it changes none either.
+    ``rows`` and ``cols`` mark the real (unpadded) entries; the potentials of
+    the others start at ``-inf`` (see :func:`_solve_groups`).
+
+    numpy adds a contiguous axis blockwise (see :func:`_solve_groups`) but a
+    strided axis strictly left to right, so each reduction keeps the layout
+    of the single-problem solver: the f-update reduces the contiguous last
+    axis, the g-update the strided axis 1 (it used to reduce the rows of the
+    ``D.T`` view), and the column sums a contiguous transposed copy of the
+    plan (they used to come from a plan rebuilt from ``D.T``). Stacking thus
+    changes no bit. Working in place in the iteration's temporaries applies
+    the same float operations to every element, so it changes none either.
     """
     B, n, m = D.shape
     with np.errstate(divide="ignore"):
@@ -278,7 +346,7 @@ def _solve_group(P, Q, D, E, max_iter: int, tol: float):
     active = np.arange(B)
     e3 = E[:, None, None]
     ELP, ELQ = E[:, None] * LP, E[:, None] * LQ
-    f, g = np.zeros((B, n)), np.zeros((B, m))
+    f, g = np.where(rows, 0.0, -np.inf), np.where(cols, 0.0, -np.inf)
     for it in range(1, max_iter + 1):
         f, g = (_update(f, ELP, g[:, None, :] - D, e3, axis=2),
                 _update(g, ELQ, f[:, :, None] - D, e3, axis=1))

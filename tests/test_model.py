@@ -8,9 +8,12 @@ from otrank.corpus import ROLE_QUESTION, content_token_indices, make_sentence
 from otrank.embeddings import ROLE_Q, build_frequency_table
 from otrank.model import (
     FORWARD_CHUNK,
+    AlignmentStats,
     FeatureSet,
     FFNParams,
     GCNLayer,
+    align_windows,
+    alignment_stats,
     extract_features,
     forward,
     init_model_params,
@@ -412,6 +415,25 @@ class TestNeighbourIndependence:
             q = score_windows(FeatureSet(reps=reps, costs=costs, labels=feats.labels), params)
             assert q[kept::2].tobytes() == p[kept::2].tobytes()
             assert not np.array_equal(q[1 - kept::2], p[1 - kept::2])
+
+
+class TestAlignmentStats:
+    def test_summarises_every_plan(self, tiny_corpus, tiny_store, tiny_ft):
+        items = instance_windows(tiny_corpus.instances)
+        groups = align_windows(items, tiny_store, tiny_ft, SinkhornSettings(max_iter=80)).groups
+        plans = [grp.plan(b) for grp in groups for b in range(len(grp.members))]
+        iters = [tp.iterations_used for tp in plans]
+        stats = alignment_stats(groups)
+        assert 0 < stats.unconverged < stats.count == len(plans)
+        assert stats.unconverged == sum(not tp.converged for tp in plans)
+        assert (stats.iterations_p50, stats.iterations_p95) == tuple(np.percentile(iters, [50, 95]))
+        assert stats.iterations_max == max(iters)
+        assert stats.worst_violation == max(tp.violation for tp in plans if tp.converged)
+
+    def test_empty_batch(self):
+        assert alignment_stats([]) == AlignmentStats(count=0, iterations_p50=0.0,
+                                                     iterations_p95=0.0, iterations_max=0,
+                                                     unconverged=0, worst_violation=0.0)
 
 
 class TestQuestionSide:

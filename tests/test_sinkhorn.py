@@ -194,8 +194,10 @@ def _count_warnings(logger_name, fn):
 @st.composite
 def problem_batches(draw):
     """Mixed-shape batches: each drawn shape, plus 1x1, 1xm and nx1, holds one
-    or more problems; some marginals have zero entries."""
-    shape = st.tuples(st.integers(1, 10), st.integers(1, 10))
+    or more problems; some marginals have zero entries. Extents reach 20, so
+    a batch can span several summation buckets of the padded solver on both
+    axes."""
+    shape = st.tuples(st.integers(1, 20), st.integers(1, 20))
     pool = draw(st.lists(shape, min_size=1, max_size=4))
     pool += [(1, 1), (1, pool[0][1]), (pool[0][0], 1)]
     shapes = pool + draw(st.lists(st.sampled_from(pool), max_size=12))
@@ -213,6 +215,22 @@ def problem_batches(draw):
         problems.append((p, q, D, eps))
     order = rng.permutation(len(problems))
     return [problems[k] for k in order]
+
+
+def _problems(shapes, seed, zeros):
+    """One problem per shape at eps 0.1 * mean cost; with ``zeros``, one entry of
+    each marginal longer than 1 is zero."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for n, m in shapes:
+        D = cost_matrix(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+        p, q = random_marginal(rng, n), random_marginal(rng, m)
+        for v in (p, q):
+            if zeros and v.size > 1:
+                v[rng.integers(v.size)] = 0.0
+                v /= v.sum()
+        problems.append((p, q, D, 0.1 * D.mean()))
+    return problems
 
 
 class TestBatchedSolver:
@@ -235,6 +253,31 @@ class TestBatchedSolver:
             assert tp.iterations_used == iterations
             assert tp.converged == converged
             assert tp.violation == violation
+
+    @pytest.mark.parametrize("max_iter", [1, 500])
+    def test_single_column_problems_keep_their_own_bucket(self, max_iter):
+        # A (9, 1) problem padded to two columns would have its g-update sums
+        # taken left to right rather than blockwise, and its plan would move
+        # (by about 4e-17, in about half of these batches at 500 iterations).
+        for seed in range(8):
+            problems = _problems([(9, 1), (9, 2), (10, 2), (9, 1), (10, 2)], seed, zeros=True)
+            self._assert_bitwise_equal_to_the_loop(problems, max_iter)
+
+    @pytest.mark.parametrize("max_iter", [1, 30])
+    def test_extents_past_the_pairwise_block_are_not_padded(self, max_iter):
+        # numpy splits a run of more than 128 terms at a length-dependent point.
+        problems = _problems([(128, 2), (129, 2), (2, 128), (2, 129), (3, 250), (3, 255)],
+                             17, zeros=False)
+        self._assert_bitwise_equal_to_the_loop(problems, max_iter)
+
+    @staticmethod
+    def _assert_bitwise_equal_to_the_loop(problems, max_iter):
+        ps, qs, Ds, eps = (list(col) for col in zip(*problems))
+        for tp, problem in zip(sinkhorn_plans(ps, qs, Ds, eps, max_iter, 1e-9), problems):
+            plan, iterations, converged, violation = sinkhorn_plan_loop(*problem, max_iter, 1e-9)
+            np.testing.assert_array_equal(tp.plan, plan, strict=True)
+            assert (tp.iterations_used, tp.converged, tp.violation) == (
+                iterations, converged, violation)
 
     def test_one_problem_call_is_the_batch_entry(self):
         rng = np.random.default_rng(14)
