@@ -334,7 +334,8 @@ class Workspace:
     first full chunk has run, a run of chunks allocates none of its large
     intermediates. What :meth:`take` returns holds stale values until
     written, and the next request of the same name hands out the same memory:
-    an array stays valid only until then.
+    an array stays valid only until then. A request with another dtype than
+    the buffer's replaces the buffer.
     """
 
     def __init__(self) -> None:
@@ -343,6 +344,8 @@ class Workspace:
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
         buf = self._buffers.get(name)
+        if buf is not None and buf.dtype != dtype:
+            buf = None
         if buf is None or buf.size < size:
             # Doubling bounds the regrowths of a buffer whose size follows the data.
             grown = 0 if buf is None else 2 * buf.size
@@ -441,24 +444,6 @@ def score_windows(feats: FeatureSet, params: ModelParams,
         hi = lo + FORWARD_CHUNK
         p[lo:hi] = forward(feats.reps[lo:hi], feats.costs[lo:hi], params, ws).p
     return p
-
-
-def add_in_order(acc: np.ndarray, rows: np.ndarray) -> None:
-    """``acc += rows[0] + rows[1] + ...``, in place, added left to right.
-
-    This is what a ``+=`` loop over the rows computes, bit for bit: numpy
-    reduces an outer axis sequentially, and ``acc + rows[0]`` is exact to
-    reorder. A length-1 tensor would make the reduction one-dimensional,
-    which numpy sums pairwise, so it is accumulated instead. Folding the rows
-    in consecutive blocks gives the same bits. ``rows`` is a scratch array:
-    its first row is overwritten.
-    """
-    rows = rows.reshape((-1,) + acc.shape)
-    rows[0] += acc
-    if acc.size == 1:
-        acc[...] = np.cumsum(rows.reshape(-1))[-1]
-    else:
-        np.sum(rows, axis=0, out=acc)
 
 
 @dataclass

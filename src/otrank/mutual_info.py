@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FFNParams, Workspace, add_in_order, sigmoid
+from .model import FFNParams, Workspace, sigmoid
 
 
 @dataclass(frozen=True)
@@ -81,22 +81,28 @@ _PAIRS_BY_MASK = WindowPairs.of([build_pair_sets([(m >> b) & 1 for b in range(3)
 
 @dataclass
 class PairGroup:
-    """The windows of a batch that have the same pair and positive counts, stacked."""
+    """The windows of a batch that have the same pair and positive counts."""
 
     rows: np.ndarray  # (G,) window positions in the batch, ascending
     i: np.ndarray  # (G, P)
     j: np.ndarray  # (G, P)
     n_positive: int
-    x: np.ndarray  # (G, P, 2d) concatenated pair inputs
-    a1: np.ndarray  # (G, P, hidden) hidden activations
-    z: np.ndarray  # (G, P) discriminator logits
+    seg: slice  # the group's rows of the flat MIForward arrays, window after window
+    z: np.ndarray  # (G, P) discriminator logits, a view of MIForward.z
 
 
 @dataclass
 class MIForward:
-    """Intermediates of the regularizer over a batch of windows, for backprop."""
+    """Intermediates of the regularizer over a batch of windows, for backprop.
+
+    Every pair of the batch is one row of the flat arrays, and each group is
+    the consecutive segment ``seg`` of them.
+    """
 
     groups: list[PairGroup]
+    x: np.ndarray  # (sum P, 2d) concatenated pair inputs
+    a1: np.ndarray  # (sum P, hidden) hidden activations
+    z: np.ndarray  # (sum P,) discriminator logits
     loss: np.ndarray  # (B,) per-window terms; 0 for windows without pairs
 
 
@@ -110,7 +116,8 @@ def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
     grouped by pair and positive count and run as stacked ``(G, P, 2d)``
     products, which keep each window's numbers bit-equal to running it alone
     (one flat ``(sum P, 2d)`` GEMM would not). The groups' arrays are consecutive
-    segments of ``ws`` buffers (a fresh :class:`Workspace` when None).
+    segments of flat ``ws`` buffers (a fresh :class:`Workspace` when None),
+    which the record keeps.
     """
     ws = Workspace() if ws is None else ws
     b, _, d = h.shape
@@ -144,8 +151,8 @@ def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
         # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
         loss[rows] = (np.logaddexp(0.0, -z[:, :n_pos]).sum(axis=1)
                       + np.logaddexp(0.0, z[:, n_pos:]).sum(axis=1))
-        groups.append(PairGroup(rows=rows, i=i, j=j, n_positive=n_pos, x=x, a1=a1, z=z))
-    return MIForward(groups=groups, loss=loss)
+        groups.append(PairGroup(rows=rows, i=i, j=j, n_positive=n_pos, seg=seg, z=z))
+    return MIForward(groups=groups, x=x_all, a1=a1_all, z=z_all, loss=loss)
 
 
 def mi_loss(h, sets: PairIndexSets, disc: FFNParams) -> float:
@@ -160,58 +167,32 @@ def mi_backward(
 ) -> None:
     """Accumulate ``scale * d(loss)`` into the disc gradients and node grads ``dh`` (B, 3, d).
 
-    Each window's disc gradient is added to ``grads`` in window order, and its
-    node gradients are added to ``dh`` pair after pair: the ``i`` row, then
-    the ``j`` row. Scratch arrays come from ``ws`` (a fresh workspace when None).
+    Each disc weight gradient is one product over every pair of the batch, and
+    each bias gradient one sum. The node gradients are added to ``dh`` group
+    after group, pair after pair: the ``i`` row, then the ``j`` row. Scratch
+    arrays come from ``ws`` (a fresh workspace when None).
     """
-    if not fwd.groups:
+    n = fwd.z.size
+    if n == 0:
         return
     ws = Workspace() if ws is None else ws
     d = dh.shape[2]
     hidden = disc.w1.shape[0]
-    # Windows without pairs add exact zeros, so only windows with pairs count:
-    # each one's group, its row in the group and its rank among them.
-    group = np.full(dh.shape[0], -1)
-    row = np.empty(dh.shape[0], dtype=np.intp)
-    for k, g in enumerate(fwd.groups):
-        group[g.rows] = k
-        row[g.rows] = np.arange(len(g.rows))
-    with_pairs = np.flatnonzero(group >= 0)
-    slot = np.cumsum(group >= 0) - 1
-    contrib = {name: ws.take(f"mi.{name}", (len(with_pairs),) + grads[name].shape)
-               for name in ("disc.b1", "disc.w2", "disc.b2")}
-    dz1_all = ws.take("mi.dz1", (sum(g.z.size for g in fwd.groups), hidden))
-    dz1s = []
-    at = 0
+    dz = sigmoid(fwd.z)  # d(-log(1 - sigmoid(z)))/dz for negatives
     for g in fwd.groups:
-        n_rows, count = g.z.shape
-        sig = sigmoid(g.z)
-        dz = np.empty_like(g.z)
-        dz[:, :g.n_positive] = sig[:, :g.n_positive] - 1.0  # d(-log sigmoid(z))/dz
-        dz[:, g.n_positive:] = sig[:, g.n_positive:]  # d(-log(1 - sigmoid(z)))/dz
-        dz *= scale
+        dz[g.seg].reshape(g.z.shape)[:, :g.n_positive] -= 1.0  # d(-log sigmoid(z))/dz
+    dz *= scale
 
-        slots = slot[g.rows]
-        contrib["disc.w2"][slots] = dz[:, None, :] @ g.a1
-        contrib["disc.b2"][slots, 0] = dz.sum(axis=1)
-        dz1 = np.multiply(dz[:, :, None], disc.w2[0],
-                          out=dz1_all[at : at + g.z.size].reshape(n_rows, count, hidden))
-        at += g.z.size
-        dz1 *= np.greater(g.a1, 0.0, out=ws.take("mi.mask", g.a1.shape, bool))
-        contrib["disc.b1"][slots] = np.sum(dz1, axis=1, out=ws.take("mi.b1_rows",
-                                                                       (n_rows, hidden)))
-        dz1s.append(dz1)
+    grads["disc.w2"] += np.matmul(dz[None], fwd.a1, out=ws.take("mi.product", (1, hidden)))
+    grads["disc.b2"] += dz.sum()
+    dz1 = np.multiply(dz[:, None], disc.w2[0], out=ws.take("mi.dz1", (n, hidden)))
+    dz1 *= np.greater(fwd.a1, 0.0, out=ws.take("mi.mask", (n, hidden), bool))
+    grads["disc.b1"] += dz1.sum(axis=0)
+    grads["disc.w1"] += np.matmul(dz1.T, fwd.x, out=ws.take("mi.product", disc.w1.shape))
 
-        dx = np.matmul(dz1, disc.w1, out=ws.take("mi.dx", g.x.shape))
-        for k in range(count):
-            dh[g.rows, g.i[:, k]] += dx[:, k, :d]
-            dh[g.rows, g.j[:, k]] += dx[:, k, d:]
-    # A window's (hidden, 2d) disc.w1 product is too large to stack for a
-    # chunk: each one is added as it is made, in window order.
-    w1 = grads["disc.w1"]
-    product = ws.take("mi.w1_product", w1.shape)
-    for w in with_pairs:
-        k, r = group[w], row[w]
-        w1 += np.matmul(dz1s[k][r].T, fwd.groups[k].x[r], out=product)
-    for name, stacked in contrib.items():
-        add_in_order(grads[name], stacked)
+    dx = np.matmul(dz1, disc.w1, out=ws.take("mi.dx", (n, 2 * d)))
+    for g in fwd.groups:
+        dx_g = dx[g.seg].reshape(g.z.shape + (2 * d,))
+        for k in range(g.z.shape[1]):
+            dh[g.rows, g.i[:, k]] += dx_g[:, k, :d]
+            dh[g.rows, g.j[:, k]] += dx_g[:, k, d:]

@@ -36,7 +36,6 @@ from .model import (
     GCNLayer,
     ModelParams,
     Workspace,
-    add_in_order,
     extract_features,
     forward,
     init_model_params,
@@ -115,8 +114,8 @@ def _mean_terms(feats: FeatureSet, params: ModelParams, gamma: float,
     """Mean candidate BCE and mean regularizer term over the windows of ``feats``.
 
     Runs ``FORWARD_CHUNK`` windows at a time through one workspace (``ws``, or
-    a fresh one). With ``grads``, also adds every window's gradient to it,
-    window after window (see :func:`_backward`).
+    a fresh one). With ``grads``, also adds the gradient of each chunk to it
+    (see :func:`_backward`).
     """
     n = len(feats)
     if n == 0:
@@ -148,26 +147,6 @@ def joint_loss(feats: FeatureSet, params: ModelParams, cfg: TrainConfig) -> floa
     return as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
 
 
-# Bytes of per-window weight-gradient products built at once. Blocks of this size
-# already amortize numpy's per-call cost; a stack of the whole chunk only holds
-# more memory.
-STACK_BYTES = 1 << 20
-
-
-def _fold_products(acc: np.ndarray, op, a: np.ndarray, b: np.ndarray, ws: Workspace) -> None:
-    """``acc += op(a[0], b[0]) + op(a[1], b[1]) + ...``, added in window order.
-
-    ``op`` is ``np.matmul`` or ``np.multiply``, and each product has
-    ``acc``'s shape. The products are built a block of windows at a time in
-    the ``"stack"`` buffer of ``ws`` and folded by :func:`add_in_order`, which
-    gives the bits of one fold over the whole stack.
-    """
-    block = max(1, STACK_BYTES // acc.nbytes)
-    for lo in range(0, len(a), block):
-        hi = min(lo + block, len(a))
-        add_in_order(acc, op(a[lo:hi], b[lo:hi], out=ws.take("stack", (hi - lo,) + acc.shape)))
-
-
 def _backward(
     y: np.ndarray,
     fwd: Forward,
@@ -181,16 +160,21 @@ def _backward(
     """Add the gradient contribution of every window of ``fwd`` to ``grads``;
     ``y`` holds the candidate labels as 1.0 / 0.0.
 
-    Each weight gradient is a stack of per-window products, added to the
-    running sum in window order (:func:`_fold_products`), so the result is
-    bit-equal to accumulating one window at a time. Scratch arrays come from
-    ``ws``; the sweep overwrites ``fwd.a1_dep`` once it has read it.
+    Each weight gradient is one flat GEMM over the chunk's rows, for example
+    ``(B*9, hidden).T @ (B*9, d+2)`` for dependency layer 1, and each bias
+    gradient one sum; both are added to ``grads``. Against accumulating one
+    window at a time, the summation order differs, so the gradients agree to
+    rounding, not bit for bit. Scratch arrays come from ``ws``; the sweep
+    overwrites ``fwd.a1_dep`` once it has read it.
     """
     b, _, d = fwd.hs[-1].shape
     hidden = fwd.head_a1.shape[1]
 
     def relu_mask(a, name):  # where the pre-activation was positive
         return np.greater(a, 0.0, out=ws.take(name, a.shape, bool))
+
+    def add_product(name, a, c):  # grads[name] += a @ c
+        grads[name] += np.matmul(a, c, out=ws.take("product", grads[name].shape))
 
     dh = ws.take("dh", (b, 3, d))
     dh.fill(0.0)
@@ -199,13 +183,11 @@ def _backward(
     dlogit = s_as2 * (sigmoid(fwd.logit) - y)
     dz1 = np.multiply(dlogit[:, None], params.head.w2[0], out=ws.take("head.dz1", (b, hidden)))
     dz1 *= relu_mask(fwd.head_a1, "head.mask")
-    dh[:, 0] += np.matmul(params.head.w1.T, dz1[:, :, None],
-                          out=ws.take("head.dh", (b, d, 1)))[:, :, 0]
-    _fold_products(grads["head.w2"], np.multiply, dlogit[:, None, None],
-                   fwd.head_a1[:, None, :], ws)
-    _fold_products(grads["head.w1"], np.multiply, dz1[:, :, None], fwd.hs[-1][:, 0, None, :], ws)
-    add_in_order(grads["head.b2"], dlogit)  # these two overwrite a row of their scratch
-    add_in_order(grads["head.b1"], dz1)
+    dh[:, 0] += np.matmul(dz1, params.head.w1, out=ws.take("head.dh", (b, d)))
+    add_product("head.w2", dlogit[None], fwd.head_a1)
+    add_product("head.w1", dz1.T, fwd.hs[-1][:, 0])
+    grads["head.b2"] += dlogit.sum()
+    grads["head.b1"] += dz1.sum(axis=0)
 
     if mi_fwd is not None and s_mi != 0.0:
         mi_backward(mi_fwd, params.disc, s_mi, grads, dh, ws)
@@ -217,10 +199,10 @@ def _backward(
     ds = ws.take("gcn.ds", (b, 3, d))
     for l in range(len(params.gcn) - 1, -1, -1):
         np.multiply(dh, relu_mask(fwd.hs[l + 1], "gcn.mask"), out=dz)
-        _fold_products(grads[f"gcn.{l}.w"], np.matmul, dz.transpose(0, 2, 1),
-                       fwd.aggregated[l], ws)
-        add_in_order(grads[f"gcn.{l}.b"], np.sum(dz, axis=1, out=ws.take("gcn.b_rows", (b, d))))
-        np.matmul(dz, params.gcn[l].w, out=ds)
+        dz_rows = dz.reshape(b * 3, d)
+        add_product(f"gcn.{l}.w", dz_rows.T, fwd.aggregated[l].reshape(b * 3, d))
+        grads[f"gcn.{l}.b"] += dz_rows.sum(axis=0)
+        np.matmul(dz_rows, params.gcn[l].w, out=ds.reshape(b * 3, d))
         dalpha += ds @ fwd.hs[l].transpose(0, 2, 1)
         np.matmul(alpha_t, ds, out=dh)
 
@@ -228,16 +210,16 @@ def _backward(
     du = fwd.alpha * (dalpha - np.sum(dalpha * fwd.alpha, axis=2, keepdims=True))
 
     # Dependency FFN; its inputs are alignment constants, so backprop stops here.
-    du9 = du.reshape(-1, 9)
-    _fold_products(grads["dep.w2"], np.matmul, du9[:, None, :], fwd.a1_dep, ws)
-    add_in_order(grads["dep.b2"], du9.sum(axis=1))
-    mask = relu_mask(fwd.a1_dep, "dep.mask")
+    du_row = du.reshape(1, b * 9)
+    a1_rows = fwd.a1_dep.reshape(b * 9, hidden)
+    add_product("dep.w2", du_row, a1_rows)
+    grads["dep.b2"] += du_row.sum()
+    mask = relu_mask(a1_rows, "dep.mask")
     # a1_dep is read no more, so its buffer takes the gradient.
-    dz1_dep = np.multiply(du9[:, :, None], params.dep.w2[0], out=fwd.a1_dep)
+    dz1_dep = np.multiply(du_row.T, params.dep.w2[0], out=a1_rows)
     dz1_dep *= mask
-    _fold_products(grads["dep.w1"], np.matmul, dz1_dep.transpose(0, 2, 1), fwd.x_pairs, ws)
-    add_in_order(grads["dep.b1"], np.sum(dz1_dep, axis=1,
-                                         out=ws.take("dep.b1_rows", (b, dz1_dep.shape[2]))))
+    add_product("dep.w1", dz1_dep.T, fwd.x_pairs.reshape(b * 9, d + 2))
+    grads["dep.b1"] += dz1_dep.sum(axis=0)
 
 
 def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig,

@@ -245,6 +245,48 @@ class TestMiGradients:
                 numeric = (up - down) / (2 * step)
                 assert abs(dh[0, i, t] - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
+    def test_multi_group_batch_matches_finite_differences(self):
+        # The groups (one pair; two pairs; four pairs, windows 0 and 4) are not in
+        # window order, and window 1 has no pairs: every flat row must meet the
+        # window and pair it came from. No workspace is passed.
+        rng = np.random.default_rng(11)
+        dim, hidden = 3, 5
+        disc = random_disc(rng, dim, hidden)
+        h = rng.normal(size=(5, 3, dim))
+        batch = [build_pair_sets((True, True, False)), build_pair_sets((False, None, False)),
+                 PairIndexSets(positive=((2, 1),), negative=()),
+                 build_pair_sets((False, True, None)), build_pair_sets((True, False, True))]
+        pairs = WindowPairs.of(batch)
+        grads = {name: np.zeros_like(t) for name, t in (
+            ("disc.w1", disc.w1), ("disc.b1", disc.b1), ("disc.w2", disc.w2),
+            ("disc.b2", disc.b2))}
+        dh = np.zeros_like(h)
+        fwd = mi_forward(h, pairs, disc)
+        assert len(fwd.groups) == 3
+        mi_backward(fwd, disc, 1.0, grads, dh)
+
+        def total():
+            return float(mi_forward(h, pairs, disc).loss.sum())
+
+        step = 1e-4
+        checks = [(name, tensor, grads[name]) for name, tensor in (
+            ("disc.w1", disc.w1), ("disc.b1", disc.b1), ("disc.w2", disc.w2),
+            ("disc.b2", disc.b2))] + [("h", h, dh)]
+        for name, tensor, analytic in checks:
+            flat = tensor.reshape(-1)
+            gflat = analytic.reshape(-1)
+            for k in range(flat.size):
+                orig = flat[k]
+                flat[k] = orig + step
+                up = total()
+                flat[k] = orig - step
+                down = total()
+                flat[k] = orig
+                numeric = (up - down) / (2 * step)
+                rel = abs(gflat[k] - numeric) / max(abs(gflat[k]), abs(numeric), 1e-3)
+                assert rel <= 1e-4, (name, k, rel)
+        np.testing.assert_array_equal(dh[1], 0.0)
+
     def test_training_decreases_loss_on_correlated_pairs(self):
         # Positive pairs share a common latent vector; negatives are
         # independent. Plain gradient descent on the discriminator must

@@ -154,8 +154,9 @@ class TestGradients:
         cfg = micro_cfg()
         single = loss_and_gradients(feature_set([window]), params, cfg)[1]
         doubled = loss_and_gradients(feature_set([window, window]), params, cfg)[1]
-        for name in single:
-            np.testing.assert_array_equal(single[name], doubled[name])
+        # A flat GEMM adds the two halves g/2 + g/2 in its own order, so the
+        # gradients agree to rounding, not bit for bit.
+        assert_gradients_within_rounding(doubled, single)
 
     def test_gamma_zero_never_touches_disc(self):
         rng = np.random.default_rng(6)
@@ -207,15 +208,24 @@ def step_cases(draw, dims=(3, 16, 40), hiddens=(1, 7, 64), max_windows=2 * FORWA
     return batch, params, cfg
 
 
-def assert_step_bitwise(case):
+def assert_gradients_within_rounding(got, want):
+    """Every gradient of ``got`` within 1e-12 times the largest entry of ``want``."""
+    assert list(got) == list(want)
+    scale = max(float(np.abs(g).max()) for g in want.values())
+    for name, g in want.items():
+        assert got[name].shape == g.shape, name
+        assert np.abs(got[name] - g).max() <= 1e-12 * scale, name
+
+
+def assert_step_matches_loop(case):
+    """The loss bit-equal to the per-window loop and every gradient within rounding
+    of it: the forward's flat GEMMs are bit-equal to the one-window products at the
+    shipped widths, the backward's flat weight-gradient GEMMs sum in another order."""
     batch, params, cfg = case
     loss, grads = loss_and_gradients_loop(batch, params, cfg)
     got_loss, got = loss_and_gradients(feature_set(batch), params, cfg)
     assert got_loss == loss
-    assert list(got) == list(grads)
-    for name, g in grads.items():
-        assert got[name].shape == g.shape, name
-        assert got[name].tobytes() == g.tobytes(), name
+    assert_gradients_within_rounding(got, grads)
 
 
 class TestBatchedStepEqualsLoop:
@@ -242,12 +252,12 @@ class TestBatchedStepEqualsLoop:
     @settings(max_examples=40, deadline=None)
     @given(case=step_cases(dims=(16,), hiddens=(400,)))
     def test_bitwise_at_the_benchmark_width(self, case):
-        assert_step_bitwise(case)
+        assert_step_matches_loop(case)
 
     @settings(max_examples=6, deadline=None)
     @given(case=step_cases(dims=(768,), hiddens=(400,), max_windows=9))
     def test_bitwise_at_bert_width(self, case):
-        assert_step_bitwise(case)
+        assert_step_matches_loop(case)
 
     def test_taken_rows_equal_their_list(self):
         rng = np.random.default_rng(3)
@@ -257,8 +267,7 @@ class TestBatchedStepEqualsLoop:
         a = loss_and_gradients(feature_set(windows).take(rows), params, micro_cfg())
         b = loss_and_gradients_loop([windows[r] for r in rows], params, micro_cfg())
         assert a[0] == b[0]
-        for name in a[1]:
-            assert a[1][name].tobytes() == b[1][name].tobytes()
+        assert_gradients_within_rounding(a[1], b[1])
 
 
 def labelled_windows(rng, dim, n):
@@ -280,13 +289,26 @@ class TestWorkspace:
         for n in (70, 5):
             windows = labelled_windows(rng, 6, n)
             loss, grads = loss_and_gradients(feature_set(windows), params, cfg, ws)
+            fresh_loss, fresh = loss_and_gradients(feature_set(windows), params, cfg,
+                                                   Workspace())
+            assert loss == fresh_loss
+            assert list(grads) == list(fresh)
+            for name, g in fresh.items():
+                assert grads[name].tobytes() == g.tobytes(), (n, name)
             want_loss, want = loss_and_gradients_loop(windows, params, cfg)
             assert loss == want_loss
-            for name, g in want.items():
-                assert grads[name].tobytes() == g.tobytes(), (n, name)
+            assert_gradients_within_rounding(grads, want)
         dev = labelled_windows(rng, 6, 9)
         p = score_windows(feature_set(dev), params, ws)
         assert p.tobytes() == np.array([window_forward_loop(w, params).p for w in dev]).tobytes()
+
+    @pytest.mark.parametrize("first, second", [(bool, np.float64), (np.float64, bool)])
+    def test_take_gives_the_dtype_asked_for(self, first, second):
+        ws = Workspace()
+        ws.take("x", (4,), first)
+        got = ws.take("x", (2,), second)
+        assert got.dtype == second and got.shape == (2,)
+        assert np.shares_memory(ws.take("x", (2,), second), got)
 
     def test_warm_step_allocates_little(self):
         # A warm step allocates the returned gradients (0.23 MB) and small
