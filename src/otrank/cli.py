@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .corpus import load_corpus
+from .corpus import Corpus, load_corpus
 from .embeddings import build_frequency_table, load_embedding_store
 from .errors import OtrankError
 # evaluate, extract_instance_features, rank_candidates and window_forward are not
@@ -179,8 +179,6 @@ def _cmd_eval(args) -> int:
                                   f"{source[inst.question_id]} and {sp}")
             source[inst.question_id] = sp
             instances.append(inst)
-    from .corpus import Corpus
-
     corpus = Corpus(instances=tuple(instances), split="test")
     rows = per_question_rows(corpus, ckpt, store)
     report = mean_report(rows)
@@ -242,6 +240,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise OtrankError(f"--seed must be nonnegative, got {args.seed}")
     report = gradcheck(seed=args.seed)
     _dump_json(
         {

@@ -46,63 +46,56 @@ def build_pair_sets(labels) -> PairIndexSets:
 
 @dataclass(frozen=True)
 class WindowPairs:
-    """The ordered pairs of B windows, positives first, padded to the longest list."""
+    """The ordered pairs of a batch as one flat list of P pairs.
 
-    i: np.ndarray  # (B, width) first node of each pair
-    j: np.ndarray  # (B, width) second node
-    count: np.ndarray  # (B,) pairs in use
-    positive: np.ndarray  # (B,) how many of them are positive
+    Pairs run window after window, and each window's positives come first.
+    """
+
+    window: np.ndarray  # (P,) batch position of the pair's window, ascending
+    i: np.ndarray  # (P,) first node of the pair
+    j: np.ndarray  # (P,) second node
+    positive: np.ndarray  # (P,) True for an answer/answer pair
 
     @classmethod
     def of(cls, sets: list[PairIndexSets]) -> "WindowPairs":
-        lists = [s.positive + s.negative for s in sets]
-        width = max((len(p) for p in lists), default=0)
-        i = np.zeros((len(lists), width), dtype=np.intp)
-        j = np.zeros((len(lists), width), dtype=np.intp)
-        for w, pairs in enumerate(lists):
-            for k, (a, b) in enumerate(pairs):
-                i[w, k], j[w, k] = a, b
-        return cls(i=i, j=j, count=np.array([len(p) for p in lists], dtype=np.intp),
-                   positive=np.array([len(s.positive) for s in sets], dtype=np.intp))
+        rows = [(w, a, b, pos) for w, s in enumerate(sets)
+                for pos, pairs in ((True, s.positive), (False, s.negative)) for a, b in pairs]
+        window, i, j, positive = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+        return cls(window=window, i=i, j=j, positive=positive.astype(bool))
 
     @classmethod
     def of_labels(cls, labels: np.ndarray) -> "WindowPairs":
         """The pairs of B windows from their ``(B, 3)`` label codes, by table lookup."""
         mask = (labels == 1) @ _ANSWER_BITS
+        count = _TABLE_COUNT[mask]
+        window = np.repeat(np.arange(mask.size), count)
+        start = np.cumsum(count) - count  # each window's first pair in the batch
+        # A pair's table row is its window's first table row plus its place in the window.
+        rows = np.arange(window.size) + np.repeat(_TABLE_START[mask] - start, count)
         t = _PAIRS_BY_MASK
-        return cls(i=t.i[mask], j=t.j[mask], count=t.count[mask], positive=t.positive[mask])
+        return cls(window=window, i=t.i[rows], j=t.j[rows], positive=t.positive[rows])
 
 
-# Row m holds the pairs of a window whose answer nodes are the set bits of m.
+# Table window m holds the pairs of a window whose answer nodes are the set bits
+# of m; they are rows _TABLE_START[m] to _TABLE_START[m] + _TABLE_COUNT[m].
 _ANSWER_BITS = np.array([1, 2, 4])
 _PAIRS_BY_MASK = WindowPairs.of([build_pair_sets([(m >> b) & 1 for b in range(3)])
                                  for m in range(8)])
-
-
-@dataclass
-class PairGroup:
-    """The windows of a batch that have the same pair and positive counts."""
-
-    rows: np.ndarray  # (G,) window positions in the batch, ascending
-    i: np.ndarray  # (G, P)
-    j: np.ndarray  # (G, P)
-    n_positive: int
-    seg: slice  # the group's rows of the flat MIForward arrays, window after window
-    z: np.ndarray  # (G, P) discriminator logits, a view of MIForward.z
+_TABLE_COUNT = np.bincount(_PAIRS_BY_MASK.window, minlength=8)
+_TABLE_START = np.cumsum(_TABLE_COUNT) - _TABLE_COUNT
 
 
 @dataclass
 class MIForward:
     """Intermediates of the regularizer over a batch of windows, for backprop.
 
-    Every pair of the batch is one row of the flat arrays, and each group is
-    the consecutive segment ``seg`` of them.
+    Row p of the flat arrays is pair p of ``pairs``.
     """
 
-    groups: list[PairGroup]
-    x: np.ndarray  # (sum P, 2d) concatenated pair inputs
-    a1: np.ndarray  # (sum P, hidden) hidden activations
-    z: np.ndarray  # (sum P,) discriminator logits
+    pairs: WindowPairs
+    x: np.ndarray  # (P, 2d) concatenated pair inputs
+    a1: np.ndarray  # (P, hidden) hidden activations
+    z: np.ndarray  # (P,) discriminator logits
     loss: np.ndarray  # (B,) per-window terms; 0 for windows without pairs
 
 
@@ -112,47 +105,30 @@ def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
 
     A window's term is ``sum(-log U)`` over its positive pairs plus
     ``sum(-log(1-U))`` over its negative pairs, evaluated stably from the
-    discriminator logits; empty index sets contribute zero. Windows are
-    grouped by pair and positive count and run as stacked ``(G, P, 2d)``
-    products, which keep each window's numbers bit-equal to running it alone
-    (one flat ``(sum P, 2d)`` GEMM would not). The groups' arrays are consecutive
-    segments of flat ``ws`` buffers (a fresh :class:`Workspace` when None),
-    which the record keeps.
+    discriminator logits; empty index sets contribute zero. Every pair of the
+    batch is one row of a ``(P, 2d)`` input, run through one GEMM and one
+    matrix-vector product; BLAS may round a row differently from running its
+    window alone, so a term agrees with the per-window loop to rounding. Each
+    sum adds a window's terms in pair order, as ``pos.sum() + neg.sum()`` does.
+    The flat arrays are ``ws`` buffers (a fresh :class:`Workspace` when None).
     """
     ws = Workspace() if ws is None else ws
     b, _, d = h.shape
-    hidden = disc.w1.shape[0]
-    n = int(pairs.count.sum())
-    x_all = ws.take("mi.x", (n, 2 * d))
-    a1_all = ws.take("mi.a1", (n, hidden))
-    z_all = ws.take("mi.z", (n,))
-    loss = np.zeros(b)
-    groups = []
-    at = 0
-    # One key per (pair count, positive count), ascending in both.
-    stride = pairs.i.shape[1] + 1
-    key = pairs.count * stride + pairs.positive
-    for k in np.flatnonzero(np.bincount(key)):
-        count, n_pos = divmod(int(k), stride)
-        if count == 0:
-            continue
-        rows = np.flatnonzero(key == k)
-        seg = slice(at, at + rows.size * count)
-        at = seg.stop
-        i, j = pairs.i[rows, :count], pairs.j[rows, :count]
-        x = x_all[seg].reshape(rows.size, count, 2 * d)
-        x[:, :, :d] = h[rows[:, None], i]
-        x[:, :, d:] = h[rows[:, None], j]
-        a1 = np.matmul(x, disc.w1.T, out=a1_all[seg].reshape(rows.size, count, hidden))
-        a1 += disc.b1
-        np.maximum(a1, 0.0, out=a1)
-        z = np.matmul(a1, disc.w2.T[:, 0], out=z_all[seg].reshape(rows.size, count))
-        z += disc.b2[0]
-        # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
-        loss[rows] = (np.logaddexp(0.0, -z[:, :n_pos]).sum(axis=1)
-                      + np.logaddexp(0.0, z[:, n_pos:]).sum(axis=1))
-        groups.append(PairGroup(rows=rows, i=i, j=j, n_positive=n_pos, seg=seg, z=z))
-    return MIForward(groups=groups, x=x_all, a1=a1_all, z=z_all, loss=loss)
+    n = pairs.i.size
+    x = ws.take("mi.x", (n, 2 * d))
+    x[:, :d] = h[pairs.window, pairs.i]
+    x[:, d:] = h[pairs.window, pairs.j]
+    a1 = np.matmul(x, disc.w1.T, out=ws.take("mi.a1", (n, disc.w1.shape[0])))
+    a1 += disc.b1
+    np.maximum(a1, 0.0, out=a1)
+    z = np.matmul(a1, disc.w2[0], out=ws.take("mi.z", (n,)))
+    z += disc.b2[0]
+    # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
+    term = np.logaddexp(0.0, np.where(pairs.positive, -z, z))
+    pos, neg = pairs.positive, ~pairs.positive
+    loss = (np.bincount(pairs.window[pos], term[pos], minlength=b)
+            + np.bincount(pairs.window[neg], term[neg], minlength=b))
+    return MIForward(pairs=pairs, x=x, a1=a1, z=z, loss=loss)
 
 
 def mi_loss(h, sets: PairIndexSets, disc: FFNParams) -> float:
@@ -168,8 +144,8 @@ def mi_backward(
     """Accumulate ``scale * d(loss)`` into the disc gradients and node grads ``dh`` (B, 3, d).
 
     Each disc weight gradient is one product over every pair of the batch, and
-    each bias gradient one sum. The node gradients are added to ``dh`` group
-    after group, pair after pair: the ``i`` row, then the ``j`` row. Scratch
+    each bias gradient one sum. The node gradients are added to ``dh`` in one
+    scatter, pair after pair: the ``i`` row, then the ``j`` row. Scratch
     arrays come from ``ws`` (a fresh workspace when None).
     """
     n = fwd.z.size
@@ -178,9 +154,9 @@ def mi_backward(
     ws = Workspace() if ws is None else ws
     d = dh.shape[2]
     hidden = disc.w1.shape[0]
+    pairs = fwd.pairs
     dz = sigmoid(fwd.z)  # d(-log(1 - sigmoid(z)))/dz for negatives
-    for g in fwd.groups:
-        dz[g.seg].reshape(g.z.shape)[:, :g.n_positive] -= 1.0  # d(-log sigmoid(z))/dz
+    dz[pairs.positive] -= 1.0  # d(-log sigmoid(z))/dz
     dz *= scale
 
     grads["disc.w2"] += np.matmul(dz[None], fwd.a1, out=ws.take("mi.product", (1, hidden)))
@@ -191,8 +167,6 @@ def mi_backward(
     grads["disc.w1"] += np.matmul(dz1.T, fwd.x, out=ws.take("mi.product", disc.w1.shape))
 
     dx = np.matmul(dz1, disc.w1, out=ws.take("mi.dx", (n, 2 * d)))
-    for g in fwd.groups:
-        dx_g = dx[g.seg].reshape(g.z.shape + (2 * d,))
-        for k in range(g.z.shape[1]):
-            dh[g.rows, g.i[:, k]] += dx_g[:, k, :d]
-            dh[g.rows, g.j[:, k]] += dx_g[:, k, d:]
+    windows = np.repeat(pairs.window, 2)
+    nodes = np.stack([pairs.i, pairs.j], axis=1).reshape(2 * n)
+    np.add.at(dh, (windows, nodes), dx.reshape(2 * n, d))

@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.hidden_size < 1:
             raise ValueError("hidden_size must be at least 1")
         if self.gcn_layers < 1:

@@ -560,7 +560,7 @@ class TestTrainCommand:
         ("adam_beta2", -0.1), ("learning_rate", float("inf")), ("adam_eps", float("inf")),
         ("sinkhorn_eps_scale", float("inf")), ("sinkhorn_tol", float("inf")),
         ("gamma", float("nan")), ("batch_size", True), ("epochs", 1.5), ("seed", 1.5),
-        ("hidden_size", 5.5), ("gcn_layers", 2.0), ("sinkhorn_max_iter", 2.5),
+        ("seed", -1), ("hidden_size", 5.5), ("gcn_layers", 2.0), ("sinkhorn_max_iter", 2.5),
     ])
     def test_bad_value_rejected(self, field, value, cli_env, tmp_path, capsys):
         cfg_path = _train_config(cli_env, tmp_path, **{field: value})
@@ -604,6 +604,13 @@ class TestGradcheckCommand:
         main(["gradcheck", "--seed", "1", "--out", str(a)])
         main(["gradcheck", "--seed", "1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "gc.json"
+        assert main(["gradcheck", "--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestParser:

@@ -73,18 +73,20 @@ class TestWindowPairsOfLabels:
     def test_table_rows_equal_the_pair_sets(self):
         rows = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int8)
         got = WindowPairs.of_labels(rows)
+        assert np.all(np.diff(got.window) >= 0)  # window after window
         for k, codes in enumerate(rows):
-            want = WindowPairs.of([build_pair_sets(codes)])
-            count = int(want.count[0])
-            assert got.count[k] == count and got.positive[k] == want.positive[0]
-            np.testing.assert_array_equal(got.i[k, :count], want.i[0, :count])
-            np.testing.assert_array_equal(got.j[k, :count], want.j[0, :count])
+            sets = build_pair_sets(codes)
+            at = got.window == k
+            assert list(zip(got.i[at].tolist(), got.j[at].tolist())) == list(
+                sets.positive + sets.negative)
+            assert got.positive[at].tolist() == (
+                [True] * len(sets.positive) + [False] * len(sets.negative))
 
 
 def pair_logits(h, labels, disc):
     """Discriminator logit of every ordered pair of one window, from :func:`mi_forward`."""
-    (group,) = mi_forward(h[None], WindowPairs.of([build_pair_sets(labels)]), disc).groups
-    return {(int(i), int(j)): z for i, j, z in zip(group.i[0], group.j[0], group.z[0])}
+    fwd = mi_forward(h[None], WindowPairs.of([build_pair_sets(labels)]), disc)
+    return {(int(i), int(j)): z for i, j, z in zip(fwd.pairs.i, fwd.pairs.j, fwd.z)}
 
 
 class TestDiscriminator:
@@ -245,10 +247,9 @@ class TestMiGradients:
                 numeric = (up - down) / (2 * step)
                 assert abs(dh[0, i, t] - numeric) <= 1e-6 * max(1.0, abs(numeric))
 
-    def test_multi_group_batch_matches_finite_differences(self):
-        # The groups (one pair; two pairs; four pairs, windows 0 and 4) are not in
-        # window order, and window 1 has no pairs: every flat row must meet the
-        # window and pair it came from. No workspace is passed.
+    def test_mixed_pair_count_batch_matches_finite_differences(self):
+        # Windows of one, two and four pairs, and window 1 with none: every flat
+        # row must meet the window and pair it came from. No workspace is passed.
         rng = np.random.default_rng(11)
         dim, hidden = 3, 5
         disc = random_disc(rng, dim, hidden)
@@ -262,7 +263,6 @@ class TestMiGradients:
             ("disc.b2", disc.b2))}
         dh = np.zeros_like(h)
         fwd = mi_forward(h, pairs, disc)
-        assert len(fwd.groups) == 3
         mi_backward(fwd, disc, 1.0, grads, dh)
 
         def total():
@@ -286,6 +286,34 @@ class TestMiGradients:
                 rel = abs(gflat[k] - numeric) / max(abs(gflat[k]), abs(numeric), 1e-3)
                 assert rel <= 1e-4, (name, k, rel)
         np.testing.assert_array_equal(dh[1], 0.0)
+
+    def test_a_window_ignores_its_neighbours(self):
+        # Changing the other windows' representations, with the labels and the
+        # batch size kept, leaves a window's term and node gradients bit for bit.
+        rng = np.random.default_rng(12)
+        dim, hidden = 5, 7
+        disc = random_disc(rng, dim, hidden)
+        labels = np.array([(1, 1, 0), (0, -1, 0), (1, 0, -1), (1, 1, 1), (1, -1, 1),
+                           (0, 1, 1), (1, 1, -1)], dtype=np.int8)
+        pairs = WindowPairs.of_labels(labels)
+        h = rng.normal(size=(len(labels), 3, dim))
+
+        def run(h):
+            grads = {name: np.zeros_like(t) for name, t in (
+                ("disc.w1", disc.w1), ("disc.b1", disc.b1), ("disc.w2", disc.w2),
+                ("disc.b2", disc.b2))}
+            dh = np.zeros_like(h)
+            fwd = mi_forward(h, pairs, disc)
+            mi_backward(fwd, disc, 0.5, grads, dh)
+            return fwd.loss, dh
+
+        loss, dh = run(h)
+        for w in range(len(labels)):
+            other = rng.normal(size=h.shape) * 3.0
+            other[w] = h[w]
+            got_loss, got_dh = run(other)
+            assert got_loss[w].tobytes() == loss[w].tobytes(), w
+            assert got_dh[w].tobytes() == dh[w].tobytes(), w
 
     def test_training_decreases_loss_on_correlated_pairs(self):
         # Positive pairs share a common latent vector; negatives are
