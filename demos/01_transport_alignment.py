@@ -13,12 +13,10 @@ from otrank import (
     SinkhornSettings,
     align_sentence,
     cost_matrix,
-    relevant_context,
-    sentence_representation,
     sinkhorn_plan,
-    transport_cost,
 )
 from otrank.corpus import make_sentence
+from otrank.sinkhorn import relevant_contexts, sentence_representations, transport_costs
 
 # =========================================================================
 # 1. Raw Sinkhorn on a tiny 2x3 problem.
@@ -47,10 +45,11 @@ assert np.allclose(tp.plan.sum(axis=0), q, atol=1e-8)
 assert tp.plan[0, 0] > tp.plan[0, 1]
 assert tp.plan[1, 1] > tp.plan[1, 0]
 
-print("transport cost:", round(transport_cost(tp.plan, D), 4))
+# The post-solve steps take stacks of problems; [None] makes a stack of one.
+print("transport cost:", round(transport_costs(tp.plan[None], D[None])[0], 4))
 
 # Row-wise argmax picks the "relevant" target for each source point.
-print("relevant targets:", relevant_context(tp.plan))
+print("relevant targets:", np.flatnonzero(relevant_contexts(tp.plan[None])[0]).tolist())
 
 # =========================================================================
 # 2. Full sentence alignment.
@@ -90,7 +89,9 @@ assert "comet" in [kept[j] for j in res.relevant]
 assert "century" in [kept[j] for j in res.relevant]
 
 # Pooling is just the mean of the selected word vectors.
-manual = sentence_representation(c_vecs[list(res.sentence_token_indices)], res.relevant)
+kept_vecs = c_vecs[list(res.sentence_token_indices)]
+mask = np.isin(np.arange(len(kept_vecs)), res.relevant)
+manual = sentence_representations(kept_vecs[None], mask[None])[0]
 assert np.allclose(manual, res.representation)
 
 print("\nalignment demo OK")

@@ -25,11 +25,8 @@ from .sinkhorn import (
     align_sentence,
     align_sentences,
     cost_matrix,
-    relevant_context,
-    sentence_representation,
     sinkhorn_plan,
     sinkhorn_plans,
-    transport_cost,
 )
 from .synthetic import make_synthetic_corpus
 from .training import TrainConfig, gradcheck, load_checkpoint, train
@@ -52,13 +49,10 @@ __all__ = [
     "load_embedding_store",
     "make_synthetic_corpus",
     "marginal_distribution",
-    "relevant_context",
     "save_corpus",
     "score_windows",
-    "sentence_representation",
     "sinkhorn_plan",
     "sinkhorn_plans",
     "train",
-    "transport_cost",
     "write_embedding_store",
 ]

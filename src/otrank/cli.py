@@ -59,26 +59,29 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _require_parent(path: str, what: str) -> Path:
+def _require_parent(path: str | None, what: str) -> Path | None:
+    """``path`` once its directory is known to exist; None when no path is given."""
+    if not path:
+        return None
     p = Path(path)
     if not p.parent.is_dir():
         raise OtrankError(f"output directory for {what} does not exist: {p.parent}")
     return p
 
 
-def _dump_json(obj, out: str | None) -> None:
+def _dump_json(obj, out: Path | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        Path(out).write_text(text, "utf-8")
+        out.write_text(text, "utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _cmd_build_freq(args) -> int:
-    corpus = load_corpus(_require_file(args.train, "training corpus"), split="train")
     out = _require_parent(args.out, "frequency table")
+    corpus = load_corpus(_require_file(args.train, "training corpus"), split="train")
     ft = build_frequency_table(corpus)
-    _dump_json({"counts": ft.counts, "num_questions": ft.num_questions}, str(out))
+    _dump_json({"counts": ft.counts, "num_questions": ft.num_questions}, out)
     logger.info("wrote frequency table for %d questions to %s", ft.num_questions, out)
     return 0
 
@@ -118,7 +121,7 @@ def _cmd_train(args) -> int:
     train_path = _require_file(paths["train_corpus"], "training corpus")
     emb_path = _require_file(paths["embeddings"], "embedding store")
     ckpt_out = _require_parent(paths["checkpoint_out"], "checkpoint")
-    log_out = _require_parent(paths["log_out"], "training log") if paths.get("log_out") else None
+    log_out = _require_parent(paths["log_out"], "training log")
     dev = (
         load_corpus(_require_file(paths["dev_corpus"], "dev corpus"), split="dev")
         if paths.get("dev_corpus")
@@ -145,9 +148,9 @@ def _load_eval_inputs(args):
 
 
 def _cmd_rerank(args) -> int:
+    out = _require_parent(args.out, "rankings")
     ckpt, store = _load_eval_inputs(args)
     corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
-    out = _require_parent(args.out, "rankings")
     rankings = rank_questions(corpus.instances, ckpt, store)
     with out.open("w", encoding="utf-8") as fh:
         for inst, ranking in zip(corpus.instances, rankings):
@@ -166,6 +169,8 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    out = _require_parent(args.out, "report")
+    per_question = _require_parent(args.per_question, "per-question TSV")
     ckpt, store = _load_eval_inputs(args)
     split_paths = args.split
     if len(split_paths) > 1 and not args.combine_dev_test:
@@ -189,12 +194,10 @@ def _cmd_eval(args) -> int:
             "mrr": report.mrr,
             "questions": report.num_questions_evaluated,
         },
-        args.out,
+        out,
     )
-    if args.per_question:
-        with _require_parent(args.per_question, "per-question TSV").open(
-            "w", encoding="utf-8"
-        ) as fh:
+    if per_question:
+        with per_question.open("w", encoding="utf-8") as fh:
             fh.write("question_id\tp_at_1\tap\trr\n")
             for qid, p1, ap, rr in rows:
                 fh.write(f"{qid}\t{p1}\t{ap!r}\t{rr!r}\n")
@@ -202,6 +205,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    out = _require_parent(args.out, "report")
     ckpt, store = _load_eval_inputs(args)
     corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
     inst = next((i for i in corpus.instances if i.question_id == args.question_id), None)
@@ -235,11 +239,12 @@ def _cmd_align(args) -> int:
                 ),
             }
         )
-    _dump_json(report, args.out)
+    _dump_json(report, out)
     return 0
 
 
 def _cmd_gradcheck(args) -> int:
+    out = _require_parent(args.out, "report")
     if args.seed < 0:
         raise OtrankError(f"--seed must be nonnegative, got {args.seed}")
     report = gradcheck(seed=args.seed)
@@ -251,7 +256,7 @@ def _cmd_gradcheck(args) -> int:
             "step": report.step,
             "ok": report.ok,
         },
-        args.out,
+        out,
     )
     return 0 if report.ok else 1
 

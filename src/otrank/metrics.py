@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .corpus import Corpus
-from .errors import EmptyInputError
+from .errors import EmbeddingStoreError, EmptyInputError
 from .model import extract_features, instance_windows, score_windows
 
 logger = logging.getLogger(__name__)
@@ -97,7 +97,13 @@ def rank_questions(instances, checkpoint, store) -> list[Ranking]:
     All windows of ``instances`` are aligned in one batch. ``checkpoint`` must
     provide ``params``, ``freq_table``, and a config with ``sinkhorn_settings()``
     (see :class:`otrank.training.Checkpoint`). Logs the windows per second at info.
+
+    Raises :class:`EmbeddingStoreError` before aligning anything when the
+    store's vector dimension is not the model's.
     """
+    if store.dim != checkpoint.params.dim:
+        raise EmbeddingStoreError(f"the embedding store holds d={store.dim} vectors, but the "
+                                  f"checkpoint's model takes d={checkpoint.params.dim}")
     started = time.perf_counter()
     feats = extract_features(instance_windows(instances), store, checkpoint.freq_table,
                              checkpoint.config.sinkhorn_settings())

@@ -64,17 +64,29 @@ class AlignmentResult:
 
 
 def cost_matrix(xs, ys) -> np.ndarray:
-    """Pairwise Euclidean distances, shape (len(xs), len(ys))."""
+    """Pairwise Euclidean distances: ``(n, m)`` for ``(n, d)`` and ``(m, d)``
+    point sets, ``(B, n, m)`` for ``(B, n, d)`` and ``(B, m, d)`` stacks.
+
+    Built one row of ``xs`` at a time into one reused ``(B, m, d)``
+    difference buffer; each entry sums the same contiguous run over ``d``, so
+    a stack's costs are bit-equal to its problems' built alone.
+    """
     X = np.asarray(xs, dtype=np.float64)
     Y = np.asarray(ys, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ValueError("point sets must be 2-D arrays of row vectors")
-    if X.shape[0] == 0 or Y.shape[0] == 0:
+    if X.ndim not in (2, 3) or Y.ndim != X.ndim:
+        raise ValueError("point sets must be 2-D arrays of row vectors or 3-D stacks of them")
+    if X.shape[-2] == 0 or Y.shape[-2] == 0:
         raise ValueError("point sets must be nonempty")
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    if X.shape[-1] != Y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {X.shape[-1]} vs {Y.shape[-1]}")
+    if X.shape[:-2] != Y.shape[:-2]:
+        raise ValueError(f"stack size mismatch: {X.shape[0]} vs {Y.shape[0]}")
+    D = np.empty(X.shape[:-1] + Y.shape[-2:-1])
+    diff = np.empty(Y.shape)
+    for i in range(X.shape[-2]):
+        np.subtract(X[..., i, None, :], Y, out=diff)
+        np.sqrt(np.einsum("...jk,...jk->...j", diff, diff), out=D[..., i, :])
+    return D
 
 
 class NonFiniteCostError(ValueError):
@@ -177,15 +189,34 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
     with ``converged=False`` (callers keep going; a warning is logged per
     problem).
 
-    The problems of one summation bucket, roughly those whose extents agree
-    in ``n // 8`` and ``m // 8``, are solved together as one ``(B, N, M)``
-    stack padded with zero mass (see :func:`_solve_groups`). The padding
-    changes no bit: every problem's plan, iteration count and violation are
-    those of solving it alone. Converged problems leave the active set after
-    every iteration, so a slow problem only keeps itself iterating.
+    The entry point for loose arrays: the problems are checked, stacked by
+    exact ``(n, m)`` shape and solved by :func:`_solve_groups`, one padded
+    stack per summation bucket. The padding changes no bit: every problem's
+    plan, iteration count and violation are those of solving it alone.
+    Converged problems leave the active set after every iteration, so a slow
+    problem only keeps itself iterating.
     """
-    results: list[TransportPlan | None] = [None] * len(costs)
-    for grp in _solve_groups(ps, qs, costs, eps, max_iter, tol):
+    count = len(costs)
+    if not len(ps) == len(qs) == len(eps) == count:
+        raise ValueError("a batch needs one p, q, cost matrix and eps per problem")
+    arrays = []
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for k in range(count):
+        p = np.asarray(ps[k], dtype=np.float64)
+        q = np.asarray(qs[k], dtype=np.float64)
+        D = np.asarray(costs[k], dtype=np.float64)
+        if D.ndim != 2 or p.shape != (D.shape[0],) or q.shape != (D.shape[1],):
+            raise ValueError(f"{_where(k, count)}marginal shapes {p.shape}/{q.shape} "
+                             f"do not match cost {D.shape}")
+        arrays.append((p, q, D))
+        by_shape.setdefault(D.shape, []).append(k)
+    stacks = []
+    for members in by_shape.values():
+        P, Q, D = (np.stack(column) for column in zip(*(arrays[k] for k in members)))
+        stacks.append((np.array(members), P, Q, D,
+                       np.array([eps[k] for k in members], dtype=np.float64)))
+    results: list[TransportPlan | None] = [None] * count
+    for grp in _solve_groups(stacks, count, max_iter, tol):
         for b, k in enumerate(grp.members):
             results[k] = grp.plan(b)
     return results
@@ -206,14 +237,19 @@ def _bucket(n: int, m: int) -> tuple[int, int]:
     return _extent_bucket(n), _extent_bucket(m) if m > 1 else -1
 
 
-def _solve_groups(ps, qs, costs, eps, max_iter: int, tol: float) -> list[PlanGroup]:
-    """:func:`sinkhorn_plans`, with each shape group's results left stacked.
+def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGroup]:
+    """Solve exact-shape stacks of problems, leaving each shape's results stacked.
 
-    The problems are grouped by exact shape and the shapes by the bucket key
-    ``(n // 8, m // 8 if m > 1 else -1)``. Each bucket is solved as one
-    ``(B, N, M)`` stack, ``N`` and ``M`` its largest extents. Its padding rows
-    and columns carry zero mass at zero cost, and every reduction over a
-    padded axis only gains trailing exact zeros, so no bit moves:
+    ``stacks`` holds one ``(members, P, Q, D, E)`` tuple per ``(n, m)`` shape:
+    the problems' positions in a batch of ``count``, their marginals ``(B, n)``
+    and ``(B, m)``, costs ``(B, n, m)`` and regularization strengths ``(B,)``.
+    The result holds one :class:`PlanGroup` per stack, in order.
+
+    The shapes are grouped by the bucket key ``(n // 8, m // 8 if m > 1 else
+    -1)``. Each bucket is solved as one ``(B, N, M)`` stack, ``N`` and ``M``
+    its largest extents. Its padding rows and columns carry zero mass at zero
+    cost, and every reduction over a padded axis only gains trailing exact
+    zeros, so no bit moves:
 
     - numpy adds a contiguous run of fewer than 8 terms left to right, and a
       run of 8 to 128 terms as whole blocks of 8 followed by a left-to-right
@@ -233,70 +269,50 @@ def _solve_groups(ps, qs, costs, eps, max_iter: int, tol: float) -> list[PlanGro
     ``-inf`` in the first update. A ``-inf`` potential stays ``-inf``, so the
     padding adds exact zeros to every sum.
 
-    The results are cut back to exact-shape :class:`PlanGroup` s, so the
-    post-solve runs on exact shapes: a padded plan's flattened cost sum
-    would regroup numpy's accumulators, and a padded row would take column
-    0 as its argmax.
+    The results are cut back to the exact shapes, so the post-solve runs on
+    exact shapes: a padded plan's flattened cost sum would regroup numpy's
+    accumulators, and a padded row would take column 0 as its argmax.
     """
-    count = len(costs)
-    if not len(ps) == len(qs) == len(eps) == count:
-        raise ValueError("a batch needs one p, q, cost matrix and eps per problem")
-    arrays = []
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for k in range(count):
-        p = np.asarray(ps[k], dtype=np.float64)
-        q = np.asarray(qs[k], dtype=np.float64)
-        D = np.asarray(costs[k], dtype=np.float64)
-        if D.ndim != 2 or p.shape != (D.shape[0],) or q.shape != (D.shape[1],):
-            raise ValueError(f"{_where(k, count)}marginal shapes {p.shape}/{q.shape} "
-                             f"do not match cost {D.shape}")
-        arrays.append((p, q, D))
-        by_shape.setdefault(D.shape, []).append(k)
+    by_bucket: dict[tuple[int, int], list[int]] = {}
+    for s, stack in enumerate(stacks):
+        _validate(count, *stack)
+        by_bucket.setdefault(_bucket(*stack[3].shape[1:]), []).append(s)
 
-    stacks: dict[tuple[int, int], tuple] = {}
-    by_bucket: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for shape, members in by_shape.items():
-        P = np.stack([arrays[k][0] for k in members])
-        Q = np.stack([arrays[k][1] for k in members])
-        D = np.stack([arrays[k][2] for k in members])
-        E = np.array([eps[k] for k in members], dtype=np.float64)
-        _validate(members, count, P, Q, D, E)
-        stacks[shape] = P, Q, D, E
-        by_bucket.setdefault(_bucket(*shape), []).append(shape)
-
-    groups: dict[tuple[int, int], PlanGroup] = {}
-    for shapes in by_bucket.values():
-        bounds = np.cumsum([0] + [len(by_shape[shape]) for shape in shapes]).tolist()
-        spans = [(n, m, lo, hi) for (n, m), lo, hi in zip(shapes, bounds, bounds[1:])]
+    groups: list[PlanGroup | None] = [None] * len(stacks)
+    for bucket in by_bucket.values():
+        shapes = [stacks[s][3].shape[1:] for s in bucket]
+        bounds = np.cumsum([0] + [len(stacks[s][0]) for s in bucket]).tolist()
+        spans = [(s, n, m, lo, hi)
+                 for s, (n, m), lo, hi in zip(bucket, shapes, bounds, bounds[1:])]
         B, N, M = bounds[-1], max(n for n, _ in shapes), max(m for _, m in shapes)
         P, Q, D, E = np.zeros((B, N)), np.zeros((B, M)), np.zeros((B, N, M)), np.empty(B)
         rows, cols = np.zeros((B, N), dtype=bool), np.zeros((B, M), dtype=bool)
-        for n, m, lo, hi in spans:
-            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m], E[lo:hi] = stacks[n, m]
+        for s, n, m, lo, hi in spans:
+            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m], E[lo:hi] = stacks[s][1:]
             rows[lo:hi, :n] = True
             cols[lo:hi, :m] = True
         f, g, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, max_iter, tol)
-        for n, m, lo, hi in spans:
-            Ds, Es = stacks[n, m][2:]
-            groups[n, m] = PlanGroup(
-                members=np.array(by_shape[n, m]), costs=Ds,
+        for s, n, m, lo, hi in spans:
+            members, _, _, Ds, Es = stacks[s]
+            groups[s] = PlanGroup(
+                members=members, costs=Ds,
                 plans=_build(f[lo:hi, :n], g[lo:hi, :m], Ds, Es[:, None, None]),
                 epsilon=Es, iterations=iters[lo:hi], converged=converged[lo:hi],
                 violations=viol[lo:hi])
-    unconverged = sorted((int(k), float(v)) for grp in groups.values()
+    unconverged = sorted((int(k), float(v)) for grp in groups
                          for k, v in zip(grp.members[~grp.converged],
                                          grp.violations[~grp.converged]))
     for k, violation in unconverged:
         logger.warning("%ssinkhorn did not converge in %d iterations (best violation %.3e)",
                        _where(k, count), max_iter, violation)
-    return [groups[shape] for shape in by_shape]
+    return groups
 
 
 def _where(k: int, count: int) -> str:
     return f"problem {k}: " if count > 1 else ""
 
 
-def _validate(members, count, P, Q, D, E) -> None:
+def _validate(count, members, P, Q, D, E) -> None:
     bad = ~np.isfinite(D).all(axis=(1, 2))
     if bad.any():
         k = members[int(np.argmax(bad))]
@@ -389,14 +405,6 @@ def transport_costs(plans: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return (plans * costs).reshape(len(plans), -1).sum(axis=1)
 
 
-def transport_cost(plan: np.ndarray, D: np.ndarray) -> float:
-    """Frobenius inner product of a plan with its cost matrix: the one-problem
-    call of :func:`transport_costs`."""
-    plan = np.asarray(plan, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
-    return float(transport_costs(plan[None], D[None])[0])
-
-
 def relevant_contexts(plans: np.ndarray) -> np.ndarray:
     """Relevant-context masks ``(B, m)`` of stacked plans ``(B, n, m)``: column
     ``j`` of plan ``b`` is relevant when it is the argmax of some row.
@@ -409,15 +417,6 @@ def relevant_contexts(plans: np.ndarray) -> np.ndarray:
     mask = np.zeros((B, m), dtype=bool)
     mask[np.arange(B)[:, None], plans.argmax(axis=2)] = True
     return mask
-
-
-def relevant_context(plan: np.ndarray) -> list[int]:
-    """Column indices selected by row-wise argmax, deduplicated and ascending:
-    the one-problem call of :func:`relevant_contexts`."""
-    plan = np.asarray(plan)
-    if plan.ndim != 2:
-        raise ValueError("plan must have at least one row")
-    return np.flatnonzero(relevant_contexts(plan[None])[0]).tolist()
 
 
 def sentence_representations(vectors: np.ndarray, relevant: np.ndarray) -> np.ndarray:
@@ -438,20 +437,6 @@ def sentence_representations(vectors: np.ndarray, relevant: np.ndarray) -> np.nd
         rows = counts == k
         out[rows] = vectors[relevant & rows[:, None]].reshape(-1, k, d).mean(axis=1)
     return out
-
-
-def sentence_representation(sentence_embeddings, relevant) -> np.ndarray:
-    """Mean of the embedding vectors whose row indices ``relevant`` holds (as a
-    set): the one-problem call of :func:`sentence_representations`."""
-    vecs = np.asarray(sentence_embeddings, dtype=np.float64)
-    idx = list(relevant)
-    if not idx:
-        raise ValueError("relevant set must be nonempty")
-    if min(idx) < 0 or max(idx) >= vecs.shape[0]:
-        raise ValueError("relevant index out of range")
-    mask = np.zeros((1, vecs.shape[0]), dtype=bool)
-    mask[0, idx] = True
-    return sentence_representations(vecs[None], mask)[0]
 
 
 def align_sentence(
@@ -532,25 +517,30 @@ class Alignments(Sequence):
 def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = SinkhornSettings()
                     ) -> Alignments:
     """Align a batch of ``(question, sentence, question_vectors, sentence_vectors)``
-    pairs, solving every transport problem in one batch (see :func:`sinkhorn_plans`).
+    pairs, solving every transport problem in one batch.
 
     Per pair: filters both token lists, builds frequency marginals and the
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
     relevant-context embeddings into the sentence representation. The
     question side (filter, marginal, filtered vectors) is built once per
-    question object and vector array; relevant contexts, costs and pooling run
-    once per shape group, bit-equal to their one-problem calls.
+    question object and vector array. A sentence keeps its content indices,
+    content rows and marginal; everything else runs on one stack per exact
+    ``(n, m)`` shape: one :func:`cost_matrix` call builds the shape's costs,
+    one row mean its ``eps``, :func:`_solve_groups` solves it, and relevant
+    contexts, costs and pooling run on its stacked plans, bit-equal to
+    building and solving each pair alone.
 
     Padding sentences short-circuit: zero cost, zero representation, and the
     single padding token as relevant context.
 
     A non-finite cost matrix raises :class:`NonFiniteCostError` whose
-    ``index`` is the pair's position in ``pairs``. All pairs need one vector
-    dimension.
+    ``index`` is the pair's position in ``pairs``; an unconverged warning
+    names that position too. All pairs need one vector dimension.
     """
     sides_of: dict[tuple[int, int], tuple] = {}
     sides, s_indices = [], []
-    pending, points, ps, qs, cost_matrices, eps = [], [], [], [], [], []
+    points, qs = {}, {}  # the content rows and marginal of each non-padding pair
+    by_shape: dict[tuple[int, int], list[int]] = {}
     for k, (question, s, question_vectors, sentence_vectors) in enumerate(pairs):
         # Keyed on the objects themselves; the entry holds them, so no id is reused.
         key = (id(question), id(question_vectors))
@@ -569,42 +559,36 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         if not s_idx:
             raise ValueError("cannot align a sentence with no tokens")
         s_indices.append(tuple(s_idx))
-        pts = s_vecs[s_idx]
-        D = cost_matrix(side.points, pts)
-        e = settings.eps_scale * float(D.mean())
-        if not (e > 0):
-            e = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
-        pending.append(k)
-        points.append(pts)
-        ps.append(side.p)
-        qs.append(marginal_distribution([s.tokens[j] for j in s_idx], ft))
-        cost_matrices.append(D)
-        eps.append(e)
-    dims = {side.points.shape[1] for _, _, side in sides_of.values()}
+        points[k] = s_vecs[s_idx]
+        qs[k] = marginal_distribution([s.tokens[j] for j in s_idx], ft)
+        by_shape.setdefault((len(side.p), len(s_idx)), []).append(k)
+    dims = ({side.points.shape[1] for _, _, side in sides_of.values()}
+            | {pts.shape[1] for pts in points.values()})
     if len(dims) > 1:
         raise ValueError(f"pairs of one batch need one vector dimension, got {sorted(dims)}")
-    try:
-        groups = _solve_groups(ps, qs, cost_matrices, eps, settings.max_iter, settings.tol)
-    except NonFiniteCostError as exc:
-        k = pending[exc.index]
-        raise NonFiniteCostError(k, f"pair {k}: cost matrix contains non-finite entries") from None
-    del ps, qs, cost_matrices
 
+    stacks = []
+    for members in map(np.array, by_shape.values()):
+        D = cost_matrix(np.stack([sides[k].points for k in members]),
+                        np.stack([points[k] for k in members]))
+        E = settings.eps_scale * D.reshape(len(members), -1).mean(axis=1)
+        E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
+        stacks.append((members, np.stack([sides[k].p for k in members]),
+                       np.stack([qs.pop(k) for k in members]), D, E))
     count = len(sides)
+    groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
+    del stacks  # the groups keep the costs; the marginals need not outlive the solve
+
     reps = np.zeros((count, dims.pop() if dims else 0))
     costs = np.zeros(count)
     locate = np.full((count, 2), -1)
     relevant = []
-    pending = np.array(pending, dtype=np.int64)
     for g, grp in enumerate(groups):
-        rows = pending[grp.members]
         mask = relevant_contexts(grp.plans)
-        costs[rows] = transport_costs(grp.plans, grp.costs)
-        vectors = np.stack([points[b] for b in grp.members])
-        for b in grp.members:
-            points[b] = None  # the group's stack now holds them
-        reps[rows] = sentence_representations(vectors, mask)
-        locate[rows, 0] = g
-        locate[rows, 1] = np.arange(len(rows))
+        costs[grp.members] = transport_costs(grp.plans, grp.costs)
+        vectors = np.stack([points.pop(k) for k in grp.members])
+        reps[grp.members] = sentence_representations(vectors, mask)
+        locate[grp.members, 0] = g
+        locate[grp.members, 1] = np.arange(len(grp.members))
         relevant.append(mask)
     return Alignments(reps, costs, groups, relevant, locate, sides, s_indices)

@@ -42,8 +42,14 @@ def mean_oracle(vectors, idx):
     return [sum(col) / len(chosen) for col in zip(*chosen)]
 
 
-# The per-pair post-solve functions as they stood before the grouped pass,
-# kept verbatim: the group operations must reproduce them bit for bit.
+# The per-pair cost build (its arithmetic, without its input checks) and
+# post-solve functions as they stood before the stacked passes, kept verbatim:
+# the stacked operations must reproduce them bit for bit.
+
+
+def cost_matrix_per_pair(X, Y) -> np.ndarray:
+    diff = X[:, None, :] - Y[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def transport_cost_per_pair(plan, D) -> float:
@@ -168,14 +174,13 @@ def reference_window_features(question, window, instance_id, store, ft, settings
     """One window's ``(reps, costs, unconverged)``, aligned sentence by sentence.
 
     The per-window extraction as it stood before batching, on
-    :func:`sinkhorn_plan_loop` and the per-pair post-solve functions above.
-    It reuses the library's token filtering, marginals and cost matrix, which
-    the batched extractor must call with the same inputs; each has its own
-    oracle test.
+    :func:`sinkhorn_plan_loop` and the per-pair cost build and post-solve
+    functions above. It reuses the library's token filtering and marginals,
+    which the batched extractor must call with the same inputs; each has its
+    own oracle test.
     """
     from otrank.corpus import content_token_indices
     from otrank.embeddings import QUESTION_WINDOW_ID, marginal_distribution
-    from otrank.sinkhorn import cost_matrix
 
     q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, "q")
     q_idx = content_token_indices(question)
@@ -190,7 +195,7 @@ def reference_window_features(question, window, instance_id, store, ft, settings
         s_vecs = store.sentence_vectors(instance_id, window.id, role)
         s_idx = content_token_indices(sent)
         s_pts = s_vecs[s_idx]
-        D = cost_matrix(q_vecs[q_idx], s_pts)
+        D = cost_matrix_per_pair(q_vecs[q_idx], s_pts)
         eps = settings.eps_scale * float(D.mean())
         if not (eps > 0):
             eps = 1e-12

@@ -26,7 +26,7 @@ from otrank.sinkhorn import (
     align_sentence,
     cost_matrix,
     sinkhorn_plan,
-    transport_cost,
+    transport_costs,
 )
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
@@ -87,7 +87,7 @@ def test_criterion_2_lp_oracle_agreement():
         q = rng.dirichlet(np.ones(m))
         exact = lp_transport_oracle(p, q, D)
         tp = sinkhorn_plan(p, q, D, eps=0.01 * D.mean(), max_iter=200000, tol=1e-9)
-        cost = transport_cost(tp.plan, D)
+        cost = transport_costs(tp.plan[None], D[None])[0]
         assert abs(cost - exact) / exact <= 0.02, (cost, exact)
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"LP sweep took {elapsed:.2f}s"

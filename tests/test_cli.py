@@ -268,6 +268,58 @@ class TestBadScoringInputs:
         assert "Traceback" not in err
 
 
+class TestStoreDimension:
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    def test_store_and_checkpoint_dimensions_differ(self, command, cli_env, tmp_path,
+                                                     monkeypatch, capsys):
+        ckpt = load_checkpoint(cli_env["ckpt"])
+        params = init_model_params(np.random.default_rng(7), ckpt.params.dim + 3, 5, 2)
+        wide = tmp_path / "wide.ckpt"
+        save_checkpoint(wide, dataclasses.replace(ckpt, params=params,
+                                                  adam=AdamState.zeros(params)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("aligned before checking the dimensions")
+
+        monkeypatch.setattr("otrank.metrics.extract_features", never)
+        rc = main(_scoring_argv(command, cli_env, tmp_path, ckpt=wide))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "d=4" in captured.err and "d=7" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (tmp_path / "rank.jsonl").exists()
+
+
+class TestMissingOutputDirectory:
+    @pytest.mark.parametrize("command,outs,unwritten", [
+        ("eval", {"--out": "nodir/r.json"}, "nodir/r.json"),
+        ("eval", {"--out": "ok.json", "--per-question": "nodir/pq.tsv"}, "ok.json"),
+        ("rerank", {"--out": "nodir/rank.jsonl"}, "nodir/rank.jsonl"),
+        ("align", {"--out": "nodir/a.json"}, "nodir/a.json"),
+        ("gradcheck", {"--out": "nodir/g.json"}, "nodir/g.json"),
+        ("build-freq", {"--out": "nodir/f.json"}, "nodir/f.json"),
+    ], ids=["eval", "eval-per-question", "rerank", "align", "gradcheck", "build-freq"])
+    def test_exits_one_before_loading_anything(self, command, outs, unwritten, cli_env,
+                                              tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("loaded or computed before checking the output paths")
+
+        for name in ("load_checkpoint", "load_embedding_store", "load_corpus", "gradcheck"):
+            monkeypatch.setattr(f"otrank.cli.{name}", never)
+        scoring = ["--checkpoint", str(cli_env["ckpt"]), "--split", str(cli_env["corpus"]),
+                   "--embeddings", str(cli_env["emb"])]
+        inputs = {"build-freq": ["--train", str(cli_env["corpus"])], "gradcheck": [],
+                  "align": scoring + ["--question-id", "q1", "--window-id", "q1-w1"]}
+        argv = [command, *inputs.get(command, scoring)]
+        for flag, path in outs.items():
+            argv += [flag, str(tmp_path / path)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"does not exist: {tmp_path / 'nodir'}" in err and "Traceback" not in err
+        assert not (tmp_path / unwritten).exists()
+
+
 def _with_crc(payload: bytes) -> bytes:
     """A checkpoint payload followed by its CRC, so the parser behind the CRC check reads it."""
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)

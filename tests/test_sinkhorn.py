@@ -15,17 +15,15 @@ from otrank.sinkhorn import (
     align_sentence,
     align_sentences,
     cost_matrix,
-    relevant_context,
     relevant_contexts,
-    sentence_representation,
     sentence_representations,
     sinkhorn_plan,
     sinkhorn_plans,
-    transport_cost,
     transport_costs,
 )
 
 from oracles import (
+    cost_matrix_per_pair,
     euclidean_cost_oracle,
     lp_transport_oracle,
     mean_oracle,
@@ -76,6 +74,33 @@ class TestCostMatrix:
         D = cost_matrix(rng.normal(size=(5, 3)), rng.normal(size=(6, 3)))
         assert np.all(D >= 0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), B=st.integers(1, 5), d=st.sampled_from([1, 16, 768]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stack_bitwise_equal_to_per_pair_costs(self, data, B, d, seed):
+        extent = st.one_of(st.integers(1, 20), st.just(129))
+        n = data.draw(extent)
+        # At d=768 a 129 x 129 per-pair reference difference would take 100 MB.
+        m = data.draw(st.integers(1, 20) if d == 768 and n == 129 else extent)
+        rng = np.random.default_rng(seed)
+        X, Y = rng.normal(size=(B, n, d)), rng.normal(size=(B, m, d))
+        if data.draw(st.booleans()):
+            Y[:, 0] = X[:, 0]  # exact zero distances
+        D = cost_matrix(X, Y)
+        assert D.shape == (B, n, m)
+        means = D.reshape(B, -1).mean(axis=1)
+        for b in range(B):
+            want = cost_matrix_per_pair(X[b], Y[b])
+            np.testing.assert_array_equal(D[b], want, strict=True)
+            np.testing.assert_array_equal(cost_matrix(X[b], Y[b]), want, strict=True)
+            assert _bits(means[b]) == _bits(float(want.mean()))
+        with pytest.raises(ValueError, match="stack size mismatch"):
+            cost_matrix(X, np.concatenate([Y, Y[:1]]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cost_matrix(X, np.concatenate([Y, Y[..., :1]], axis=2))
+        with pytest.raises(ValueError):
+            cost_matrix(X, Y[0])
+
 
 class TestSinkhornPlan:
     def test_one_by_one(self):
@@ -101,7 +126,7 @@ class TestSinkhornPlan:
             p, q = random_marginal(rng, n), random_marginal(rng, m)
             exact = lp_transport_oracle(p, q, D)
             tp = sinkhorn_plan(p, q, D, eps=0.01 * D.mean(), max_iter=200000, tol=1e-9)
-            cost = transport_cost(tp.plan, D)
+            cost = transport_costs(tp.plan[None], D[None])[0]
             assert cost == pytest.approx(exact, rel=0.02)
 
     def test_non_finite_cost_rejected(self):
@@ -143,7 +168,7 @@ class TestSinkhornPlan:
             for scale in (1.0, 0.1, 0.01):
                 tp = sinkhorn_plan(p, q, D, scale * D.mean(), max_iter=200000, tol=1e-10)
                 assert tp.converged
-                costs.append(transport_cost(tp.plan, D))
+                costs.append(transport_costs(tp.plan[None], D[None])[0])
             assert costs[0] >= costs[1] - 1e-9
             assert costs[1] >= costs[2] - 1e-9
 
@@ -361,16 +386,18 @@ class TestGroupedPostSolve:
         totals = transport_costs(plans, costs)
         for b in range(len(plans)):
             rel = relevant_context_per_pair(plans[b])
-            assert np.flatnonzero(relevant[b]).tolist() == rel == relevant_context(plans[b])
+            alone = np.flatnonzero(relevant_contexts(plans[b][None])[0]).tolist()
+            assert np.flatnonzero(relevant[b]).tolist() == rel == alone
             assert _bits(totals[b]) == _bits(transport_cost_per_pair(plans[b], costs[b]))
-            assert _bits(transport_cost(plans[b], costs[b])) == _bits(totals[b])
+            assert _bits(transport_costs(plans[b][None], costs[b][None])[0]) == _bits(totals[b])
         for mask in (relevant, masks):
             reps = sentence_representations(vectors, mask)
             for b in range(len(plans)):
                 idx = np.flatnonzero(mask[b]).tolist()
                 want = sentence_representation_per_pair(vectors[b], idx)
                 assert _bits(reps[b]) == _bits(want)
-                assert _bits(sentence_representation(vectors[b], idx)) == _bits(want)
+                alone = sentence_representations(vectors[b][None], mask[b][None])[0]
+                assert _bits(alone) == _bits(want)
 
     def test_empty_relevant_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -380,46 +407,52 @@ class TestGroupedPostSolve:
 
 class TestTransportCost:
     def test_single_cell(self):
-        assert transport_cost(np.array([[1.0]]), np.array([[2.5]])) == 2.5
+        assert transport_costs(np.array([[[1.0]]]), np.array([[[2.5]]]))[0] == 2.5
 
     def test_zero_cost_matrix(self):
-        assert transport_cost(np.full((3, 2), 0.2), np.zeros((3, 2))) == 0.0
+        assert transport_costs(np.full((3, 2), 0.2)[None], np.zeros((1, 3, 2)))[0] == 0.0
 
     def test_matches_double_loop(self):
         rng = np.random.default_rng(9)
         plan = rng.random((2, 2))
         D = rng.random((2, 2))
-        assert transport_cost(plan, D) == pytest.approx(
+        assert transport_costs(plan[None], D[None])[0] == pytest.approx(
             transport_cost_oracle(plan, D), abs=1e-12
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            transport_cost(np.zeros((2, 2)), np.zeros((2, 3)))
+            transport_costs(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
 
 
 class TestRelevantContext:
+    @staticmethod
+    def _columns(plan) -> list[int]:
+        return np.flatnonzero(relevant_contexts(np.array(plan)[None])[0]).tolist()
+
     def test_two_rows_two_columns(self):
-        assert relevant_context(np.array([[0.1, 0.4], [0.3, 0.2]])) == [0, 1]
+        assert self._columns([[0.1, 0.4], [0.3, 0.2]]) == [0, 1]
 
     def test_union_collapses(self):
-        assert relevant_context(np.array([[0.5, 0.1], [0.9, 0.2]])) == [0]
+        assert self._columns([[0.5, 0.1], [0.9, 0.2]]) == [0]
 
     def test_tie_breaks_to_smallest_index(self):
-        assert relevant_context(np.array([[0.25, 0.25]])) == [0]
+        assert self._columns([[0.25, 0.25]]) == [0]
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError):
-            relevant_context(np.zeros((0, 3)))
+            relevant_contexts(np.zeros((0, 3))[None])
 
 
 class TestSentenceRepresentation:
     def test_mean_of_two(self):
-        rep = sentence_representation([[1.0, 0.0], [0.0, 1.0]], [0, 1])
+        rep = sentence_representations(np.array([[1.0, 0.0], [0.0, 1.0]])[None],
+                                       np.array([[True, True]]))[0]
         np.testing.assert_allclose(rep, [0.5, 0.5])
 
     def test_singleton(self):
-        rep = sentence_representation([[1.0, 2.0], [3.0, 4.0]], [0])
+        rep = sentence_representations(np.array([[1.0, 2.0], [3.0, 4.0]])[None],
+                                       np.array([[True, False]]))[0]
         np.testing.assert_array_equal(rep, [1.0, 2.0])
 
     def test_matches_mean_oracle(self):
@@ -427,12 +460,13 @@ class TestSentenceRepresentation:
         vecs = rng.normal(size=(5, 3))
         idx = [0, 2, 4]
         np.testing.assert_allclose(
-            sentence_representation(vecs, idx), mean_oracle(vecs.tolist(), idx), atol=1e-12
+            sentence_representations(vecs[None], np.isin(np.arange(5), idx)[None])[0],
+            mean_oracle(vecs.tolist(), idx), atol=1e-12
         )
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            sentence_representation(np.zeros((2, 2)), [])
+            sentence_representations(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
 
 
 class TestAlignSentence:

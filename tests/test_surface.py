@@ -12,13 +12,14 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Per-sentence and per-window twins of the batched path, one-use wrappers, the
 # per-window feature and batch types, the per-pair alignment preparation, the
-# per-window weight-gradient fold and the regularizer's pair-count groups, that the
-# package no longer has.
+# per-window weight-gradient fold, the regularizer's pair-count groups and the
+# one-problem post-solve wrappers, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
            "WindowBatch", "_stacked", "_prepare", "_Prepared", "add_in_order", "_fold_products",
-           "STACK_BYTES", "PairGroup")
+           "STACK_BYTES", "PairGroup", "transport_cost", "relevant_context",
+           "sentence_representation")
 
 
 def test_every_export_resolves():
