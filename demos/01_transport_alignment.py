@@ -59,8 +59,8 @@ print("relevant targets:", np.flatnonzero(relevant_contexts(tp.plan[None])[0]).t
 # becomes the sentence representation.
 # =========================================================================
 
-question = make_sentence("Which comet visits every century ?", "question")
-candidate = make_sentence("The comet returns once a century .", "candidate")
+question = make_sentence("Which comet visits every century ?")
+candidate = make_sentence("The comet returns once a century .")
 print("\nquestion tokens kept:",
       [t.normalized for t in question.tokens if t.is_content])
 print("candidate tokens kept:",

@@ -7,8 +7,6 @@ near-perfect dev metrics within a few epochs. Also demonstrates the effect
 of the mutual-information regularizer on the discriminator loss.
 """
 
-import numpy as np
-
 from otrank import (
     TrainConfig,
     build_frequency_table,
@@ -17,8 +15,8 @@ from otrank import (
     make_synthetic_corpus,
     train,
 )
-from otrank.model import instance_windows, window_forward
-from otrank.mutual_info import build_pair_sets, mi_loss
+from otrank.model import forward, instance_windows
+from otrank.mutual_info import WindowPairs, mi_forward
 
 # A small corpus keeps this demo quick; scale n_train up for a longer run.
 train_corpus, dev_corpus, store = make_synthetic_corpus(
@@ -59,13 +57,9 @@ feats = extract_features(instance_windows(train_corpus.instances), store, ft,
 
 
 def mean_mi(params):
-    # feats is one FeatureSet: row k holds window k's reps, costs and label codes.
-    values = [
-        mi_loss(window_forward(feats, k, params).hs[-1], build_pair_sets(feats.labels[k]),
-                params.disc)
-        for k in range(len(feats))
-    ]
-    return float(np.mean(values))
+    # feats is one FeatureSet: row k holds window k's reps, costs and answer mask.
+    h = forward(feats.reps, feats.costs, params).hs[-1]
+    return float(mi_forward(h, WindowPairs.of_labels(feats.labels), params.disc).loss.mean())
 
 
 with_reg = mean_mi(result.final.params)

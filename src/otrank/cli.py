@@ -60,12 +60,15 @@ def _require_file(path: str, what: str) -> Path:
 
 
 def _require_parent(path: str | None, what: str) -> Path | None:
-    """``path`` once its directory is known to exist; None when no path is given."""
+    """``path`` once its directory is known to exist and it is not a directory itself;
+    None when no path is given."""
     if not path:
         return None
     p = Path(path)
     if not p.parent.is_dir():
         raise OtrankError(f"output directory for {what} does not exist: {p.parent}")
+    if p.is_dir():
+        raise OtrankError(f"output path for {what} is a directory: {p}")
     return p
 
 

@@ -21,11 +21,6 @@ from pathlib import Path
 
 from .errors import CorpusFormatError
 
-ROLE_QUESTION = "question"
-ROLE_CANDIDATE = "candidate"
-ROLE_PREV = "prev"
-ROLE_NEXT = "next"
-
 PAD_TEXT = "<pad>"
 
 _PUNCT = frozenset(string.punctuation)
@@ -50,7 +45,6 @@ class Token:
 class Sentence:
     text: str
     tokens: tuple[Token, ...]
-    role: str
     is_padding: bool = False
     label: bool | None = None
 
@@ -123,15 +117,15 @@ def tokenize(text: str, chunks: dict[str, tuple[Token, ...]] | None = None) -> l
     return out
 
 
-def make_sentence(text: str, role: str, label: bool | None = None,
+def make_sentence(text: str, label: bool | None = None,
                   chunks: dict[str, tuple[Token, ...]] | None = None) -> Sentence:
-    return Sentence(text=text, tokens=tuple(tokenize(text, chunks)), role=role, label=label)
+    return Sentence(text=text, tokens=tuple(tokenize(text, chunks)), label=label)
 
 
-def padding_sentence(role: str) -> Sentence:
+def padding_sentence() -> Sentence:
     """The fixed single-token placeholder used for missing context."""
     tok = Token(surface=PAD_TEXT, normalized=PAD_TEXT, is_content=False)
-    return Sentence(text=PAD_TEXT, tokens=(tok,), role=role, is_padding=True, label=None)
+    return Sentence(text=PAD_TEXT, tokens=(tok,), is_padding=True, label=None)
 
 
 def content_tokens(s: Sentence) -> list[Token]:
@@ -154,8 +148,8 @@ def content_token_indices(s: Sentence) -> list[int]:
 
 def pad_context(w: CandidateWindow) -> CandidateWindow:
     """Replace any absent prev/next sentence by a padding sentence. Idempotent."""
-    prev = w.prev if w.prev is not None else padding_sentence(ROLE_PREV)
-    nxt = w.next if w.next is not None else padding_sentence(ROLE_NEXT)
+    prev = w.prev if w.prev is not None else padding_sentence()
+    nxt = w.next if w.next is not None else padding_sentence()
     if prev is w.prev and nxt is w.next:
         return w
     return replace(w, prev=prev, next=nxt)
@@ -175,13 +169,13 @@ def _as_optional_label(value, where: str) -> bool | None:
     return _as_label(value, where)
 
 
-def _context_sentence(text, label, role: str, where: str, chunks: dict) -> Sentence | None:
+def _context_sentence(text, label, where: str, chunks: dict) -> Sentence | None:
     # Whitespace-only context is treated as absent (padded later).
     if text is None or (isinstance(text, str) and not text.strip()):
         return None
     if not isinstance(text, str):
         raise CorpusFormatError(f"{where}: context text must be a string or null")
-    return make_sentence(text, role, label=_as_optional_label(label, where), chunks=chunks)
+    return make_sentence(text, label=_as_optional_label(label, where), chunks=chunks)
 
 
 def load_corpus(path: str | Path, split: str) -> Corpus:
@@ -234,7 +228,7 @@ def _parse_instance(rec, where: str, seen_qids: set[str], chunks: dict) -> QAIns
     qtext = rec.get("question")
     if not isinstance(qtext, str) or not qtext.strip():
         raise CorpusFormatError(f"{where}: missing or empty question text")
-    question = make_sentence(qtext, ROLE_QUESTION, chunks=chunks)
+    question = make_sentence(qtext, chunks=chunks)
 
     cands = rec.get("candidates")
     if not isinstance(cands, list) or not cands:
@@ -257,10 +251,9 @@ def _parse_instance(rec, where: str, seen_qids: set[str], chunks: dict) -> QAIns
             raise CorpusFormatError(f"{cwhere}: missing or empty candidate text")
         if "label" not in c or c["label"] is None:
             raise CorpusFormatError(f"{cwhere}: candidate is missing its label")
-        cand = make_sentence(text, ROLE_CANDIDATE, label=_as_label(c["label"], cwhere),
-                             chunks=chunks)
-        prev = _context_sentence(c.get("prev"), c.get("prev_label"), ROLE_PREV, cwhere, chunks)
-        nxt = _context_sentence(c.get("next"), c.get("next_label"), ROLE_NEXT, cwhere, chunks)
+        cand = make_sentence(text, label=_as_label(c["label"], cwhere), chunks=chunks)
+        prev = _context_sentence(c.get("prev"), c.get("prev_label"), cwhere, chunks)
+        nxt = _context_sentence(c.get("next"), c.get("next_label"), cwhere, chunks)
         windows.append(pad_context(CandidateWindow(id=wid, cand=cand, prev=prev, next=nxt)))
     return QAInstance(question_id=qid, question=question, windows=tuple(windows))
 

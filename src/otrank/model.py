@@ -154,14 +154,18 @@ class FeatureSet:
     """Alignment-derived constants of N windows, stacked; training never changes them.
 
     Rows follow the items they were extracted from; columns follow
-    :data:`NODE_ORDER`. A label code is 1 for an answer, 0 for a non-answer
-    and -1 for unknown (padding, or a context sentence without a label).
-    Compare codes with 1; -1 is truthy.
+    :data:`NODE_ORDER`. ``labels`` is the answer mask: True where the sentence
+    is a labelled answer, False for non-answers, unlabelled context and padding.
     """
 
     reps: np.ndarray  # (N, 3, d)
     costs: np.ndarray  # (N, 3)
-    labels: np.ndarray  # (N, 3) int8 label codes
+    labels: np.ndarray  # (N, 3) bool answer mask
+
+    def __post_init__(self):
+        if self.labels.dtype != bool:
+            raise ValueError("FeatureSet labels must be a bool answer mask, "
+                             f"not {self.labels.dtype}")
 
     def take(self, rows) -> "FeatureSet":
         """The windows at ``rows`` (a slice gives views, an index array copies)."""
@@ -169,10 +173,6 @@ class FeatureSet:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
-
-
-def _label_code(label: bool | None) -> int:
-    return -1 if label is None else int(label)
 
 
 def align_windows(
@@ -256,9 +256,8 @@ def extract_features(
     return FeatureSet(
         reps=alignments.reps.reshape(n, 3, store.dim),
         costs=alignments.costs.reshape(n, 3),
-        labels=np.array([(1 if w.cand.label else 0, _label_code(w.prev.label),
-                          _label_code(w.next.label)) for _, w, _ in items],
-                        dtype=np.int8).reshape(n, 3),
+        labels=np.array([[bool(s.label) for s in (w.cand, w.prev, w.next)]
+                         for _, w, _ in items], dtype=bool).reshape(n, 3),
     )
 
 
@@ -461,6 +460,6 @@ def window_forward(feats: FeatureSet, k: int, params: ModelParams) -> WindowForw
     fwd = forward(feats.reps[k : k + 1], feats.costs[k : k + 1], params)
     logit = float(fwd.logit[0])
     # -log sigmoid(z) for a positive candidate, -log(1 - sigmoid(z)) otherwise.
-    loss = np.logaddexp(0.0, -logit if feats.labels[k, 0] == 1 else logit)
+    loss = np.logaddexp(0.0, -logit if feats.labels[k, 0] else logit)
     return WindowForward(alpha=fwd.alpha[0], hs=[h[0] for h in fwd.hs], p=float(fwd.p[0]),
                          loss_as2=float(loss))

@@ -1,13 +1,15 @@
 """Mutual-information regularizer over the three sentence representations.
 
-Within a window, sentences labeled as correct answers form the answer set.
-A small discriminator network reads ordered pairs of final GCN
-representations and is pushed (through a binary cross-entropy sum) toward 1
-on answer/answer pairs and 0 on answer/non-answer pairs, encouraging answer
-sentences to share information and answer/non-answer pairs not to.
+Within a window, the sentences that the answer mask of
+:class:`otrank.model.FeatureSet` marks form the answer set. A small
+discriminator network reads ordered pairs of final GCN representations and is
+pushed (through a binary cross-entropy sum) toward 1 on answer/answer pairs
+and 0 on answer/other pairs, encouraging answer sentences to share information
+and answer/other pairs not to.
 
-Unknown context labels count as non-answers; self-pairs are excluded from
-the positive set. Pairs never cross window boundaries.
+Self-pairs are excluded from the positive set, and pairs never cross window
+boundaries. :meth:`WindowPairs.of_labels` reads a batch's pairs from one
+8-row table indexed by the three mask bits of each window.
 """
 
 from __future__ import annotations
@@ -17,31 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FFNParams, Workspace, sigmoid
-
-
-@dataclass(frozen=True)
-class PairIndexSets:
-    """Ordered index pairs over (candidate, prev, next) = (0, 1, 2)."""
-
-    positive: tuple[tuple[int, int], ...]
-    negative: tuple[tuple[int, int], ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.positive or self.negative)
-
-
-def build_pair_sets(labels) -> PairIndexSets:
-    """Enumerate answer/answer and answer/non-answer ordered pairs.
-
-    ``labels`` holds the three label codes of a window (1 answer, 0 not, -1
-    unknown; see :class:`otrank.model.FeatureSet`) or its three labels as
-    ``True``/``False``/``None``. Only a label equal to 1 is an answer.
-    """
-    answers = [i for i, lab in enumerate(labels) if lab == 1]
-    others = [i for i, lab in enumerate(labels) if lab != 1]
-    positive = tuple((i, j) for i in answers for j in answers if i != j)
-    negative = tuple((i, j) for i in answers for j in others)
-    return PairIndexSets(positive=positive, negative=negative)
 
 
 @dataclass(frozen=True)
@@ -57,16 +34,9 @@ class WindowPairs:
     positive: np.ndarray  # (P,) True for an answer/answer pair
 
     @classmethod
-    def of(cls, sets: list[PairIndexSets]) -> "WindowPairs":
-        rows = [(w, a, b, pos) for w, s in enumerate(sets)
-                for pos, pairs in ((True, s.positive), (False, s.negative)) for a, b in pairs]
-        window, i, j, positive = np.array(rows, dtype=np.intp).reshape(-1, 4).T
-        return cls(window=window, i=i, j=j, positive=positive.astype(bool))
-
-    @classmethod
     def of_labels(cls, labels: np.ndarray) -> "WindowPairs":
-        """The pairs of B windows from their ``(B, 3)`` label codes, by table lookup."""
-        mask = (labels == 1) @ _ANSWER_BITS
+        """The pairs of B windows from their ``(B, 3)`` answer mask, by table lookup."""
+        mask = labels @ _ANSWER_BITS
         count = _TABLE_COUNT[mask]
         window = np.repeat(np.arange(mask.size), count)
         start = np.cumsum(count) - count  # each window's first pair in the batch
@@ -76,11 +46,21 @@ class WindowPairs:
         return cls(window=window, i=t.i[rows], j=t.j[rows], positive=t.positive[rows])
 
 
+def _pairs_by_mask() -> WindowPairs:
+    rows = []
+    for m in range(8):
+        answers = [b for b in range(3) if m >> b & 1]
+        others = [b for b in range(3) if not m >> b & 1]
+        rows += [(m, i, j, True) for i in answers for j in answers if i != j]
+        rows += [(m, i, j, False) for i in answers for j in others]
+    window, i, j, positive = np.array(rows, dtype=np.intp).T
+    return WindowPairs(window=window, i=i, j=j, positive=positive.astype(bool))
+
+
 # Table window m holds the pairs of a window whose answer nodes are the set bits
 # of m; they are rows _TABLE_START[m] to _TABLE_START[m] + _TABLE_COUNT[m].
 _ANSWER_BITS = np.array([1, 2, 4])
-_PAIRS_BY_MASK = WindowPairs.of([build_pair_sets([(m >> b) & 1 for b in range(3)])
-                                 for m in range(8)])
+_PAIRS_BY_MASK = _pairs_by_mask()
 _TABLE_COUNT = np.bincount(_PAIRS_BY_MASK.window, minlength=8)
 _TABLE_START = np.cumsum(_TABLE_COUNT) - _TABLE_COUNT
 
@@ -129,12 +109,6 @@ def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
     loss = (np.bincount(pairs.window[pos], term[pos], minlength=b)
             + np.bincount(pairs.window[neg], term[neg], minlength=b))
     return MIForward(pairs=pairs, x=x, a1=a1, z=z, loss=loss)
-
-
-def mi_loss(h, sets: PairIndexSets, disc: FFNParams) -> float:
-    """Regularizer value for one window's final representations ``h`` (3 x d)."""
-    h = np.asarray(h, dtype=np.float64)
-    return float(mi_forward(h[None], WindowPairs.of([sets]), disc).loss[0])
 
 
 def mi_backward(

@@ -13,17 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import (
-    ROLE_CANDIDATE,
-    ROLE_NEXT,
-    ROLE_PREV,
-    ROLE_QUESTION,
-    CandidateWindow,
-    Corpus,
-    QAInstance,
-    make_sentence,
-    pad_context,
-)
+from .corpus import CandidateWindow, Corpus, QAInstance, make_sentence, pad_context
 from .embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -73,7 +63,7 @@ def make_synthetic_corpus(
         for qn in range(count):
             inst_id = f"{name}-q{qn:04d}"
             q_len = int(rng.integers(3, 7))
-            question = make_sentence(_words(rng, q_len), ROLE_QUESTION)
+            question = make_sentence(_words(rng, q_len))
             store.add_sentence(
                 inst_id, QUESTION_WINDOW_ID, ROLE_Q,
                 _vectors(rng, center_answer, len(question.tokens), noise),
@@ -84,29 +74,25 @@ def make_synthetic_corpus(
                 wid = f"{inst_id}-w{ci}"
                 is_correct = ci == correct
                 cand_center = center_answer if is_correct else center_distract
-                cand = make_sentence(_words(rng, int(rng.integers(3, 7))),
-                                     ROLE_CANDIDATE, label=is_correct)
+                cand = make_sentence(_words(rng, int(rng.integers(3, 7))), label=is_correct)
                 store.add_sentence(
                     inst_id, wid, ROLE_C,
                     _vectors(rng, cand_center, len(cand.tokens), noise),
                 )
                 ctx_rate = answer_context_rate if is_correct else distractor_context_rate
                 ctx = {}
-                for role_name, role_byte in ((ROLE_PREV, ROLE_P), (ROLE_NEXT, ROLE_N)):
+                for role in (ROLE_P, ROLE_N):
                     answerish = bool(rng.random() < ctx_rate)
                     ctx_center = center_answer if answerish else center_distract
-                    sent = make_sentence(_words(rng, int(rng.integers(3, 7))),
-                                         role_name, label=answerish)
+                    sent = make_sentence(_words(rng, int(rng.integers(3, 7))), label=answerish)
                     store.add_sentence(
-                        inst_id, wid, role_byte,
+                        inst_id, wid, role,
                         _vectors(rng, ctx_center, len(sent.tokens), noise),
                     )
-                    ctx[role_name] = sent
+                    ctx[role] = sent
                 windows.append(
                     pad_context(
-                        CandidateWindow(
-                            id=wid, cand=cand, prev=ctx[ROLE_PREV], next=ctx[ROLE_NEXT]
-                        )
+                        CandidateWindow(id=wid, cand=cand, prev=ctx[ROLE_P], next=ctx[ROLE_N])
                     )
                 )
             instances.append(

@@ -16,6 +16,7 @@ import copy
 import json
 import logging
 import math
+import reprlib
 import struct
 import time
 import zlib
@@ -127,11 +128,11 @@ def _mean_terms(feats: FeatureSet, params: ModelParams, gamma: float,
     mi = np.zeros(n)
     for lo in range(0, n, FORWARD_CHUNK):
         chunk = feats.take(slice(lo, lo + FORWARD_CHUNK))
-        y = np.where(chunk.labels[:, 0] == 1, 1.0, 0.0)
+        y = chunk.labels[:, 0].astype(np.float64)
         fwd = forward(chunk.reps, chunk.costs, params, ws)
         # -log sigmoid(z) for positive candidates, -log(1 - sigmoid(z)) otherwise.
-        as2[lo : lo + len(chunk)] = np.logaddexp(0.0, np.where(y == 1.0, -fwd.logit,
-                                                                fwd.logit))
+        as2[lo : lo + len(chunk)] = np.logaddexp(
+            0.0, np.where(chunk.labels[:, 0], -fwd.logit, fwd.logit))
         mi_fwd = None
         if gamma != 0.0:
             mi_fwd = mi_forward(fwd.hs[-1], WindowPairs.of_labels(chunk.labels), params.disc,
@@ -525,10 +526,21 @@ def _check_meta(meta, name: str) -> TrainConfig:
         if not _is_int(meta[key]) or meta[key] < 0:
             raise CheckpointError(f"{name}: metadata {key!r} must be a nonnegative integer")
     ft = meta["freq_table"]
-    if ft is not None and not (isinstance(ft, dict) and isinstance(ft.get("counts"), dict)
-                               and _is_int(ft.get("num_questions"))):
-        raise CheckpointError(f"{name}: metadata 'freq_table' needs a 'counts' object and an "
-                              "integer 'num_questions'")
+    if ft is not None:
+        if not (isinstance(ft, dict) and isinstance(ft.get("counts"), dict)
+                and _is_int(ft.get("num_questions"))):
+            raise CheckpointError(f"{name}: metadata 'freq_table' needs a 'counts' object and "
+                                  "an integer 'num_questions'")
+        total = ft["num_questions"]
+        # Counts become float64 marginal weights, which hold every integer below 2**53.
+        if not 0 <= total < 2**53:
+            raise CheckpointError(f"{name}: metadata 'freq_table' 'num_questions' must lie in "
+                                  f"[0, 2**53), got {reprlib.repr(total)}")
+        for word, count in ft["counts"].items():
+            if not (_is_int(count) and 0 <= count <= total):
+                raise CheckpointError(
+                    f"{name}: metadata 'freq_table' count of {word!r} must be an integer in "
+                    f"[0, num_questions = {total}], got {reprlib.repr(count)}")
     config = meta["config"]
     if not isinstance(config, dict):
         raise CheckpointError(f"{name}: metadata 'config' is not a JSON object")
@@ -640,7 +652,7 @@ def gradcheck(
     for tensor in param_tensors(params).values():
         tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
 
-    labels = np.array([[1, 1, 0], [0, 1, -1], [1, -1, -1]], dtype=np.int8)
+    labels = np.array([[True, True, False], [False, True, False], [True, False, False]])
     draws = [(rng.normal(size=(3, dim)), rng.uniform(0.5, 2.0, size=3)) for _ in labels]
     batch = FeatureSet(reps=np.stack([r for r, _ in draws]),
                        costs=np.stack([c for _, c in draws]), labels=labels)

@@ -411,7 +411,10 @@ def p1_oracle(ranked_labels) -> int:
 
 
 class Window(NamedTuple):
-    """One window's features, labels as ``True``/``False``/``None`` in node order."""
+    """One window's features, labels as ``True``/``False``/``None`` in node order.
+
+    Only ``True`` marks an answer; ``None`` (unknown) counts as a non-answer.
+    """
 
     reps: np.ndarray  # (3, d)
     costs: np.ndarray  # (3,)
@@ -422,18 +425,29 @@ def feature_set(windows):
     """The library's stacked ``FeatureSet`` of a nonempty list of ``Window`` records."""
     from otrank.model import FeatureSet
 
-    codes = [[-1 if lab is None else (1 if lab else 0) for lab in w.labels] for w in windows]
     return FeatureSet(reps=np.stack([w.reps for w in windows]),
                       costs=np.stack([w.costs for w in windows]),
-                      labels=np.array(codes, dtype=np.int8))
+                      labels=np.array([[bool(lab) for lab in w.labels] for w in windows]))
 
 
 def window_records(feats):
-    """The ``Window`` records of a ``FeatureSet``, label codes decoded."""
-    decode = {1: True, 0: False, -1: None}
-    return [Window(feats.reps[k], feats.costs[k],
-                   tuple(decode[c] for c in feats.labels[k].tolist()))
+    """The ``Window`` records of a ``FeatureSet``, with its answer mask as labels."""
+    return [Window(feats.reps[k], feats.costs[k], tuple(feats.labels[k].tolist()))
             for k in range(len(feats))]
+
+
+def pair_sets_oracle(labels):
+    """One window's ordered node pairs as ``(positive, negative)`` tuples.
+
+    Positives are the answer/answer pairs without self-pairs, negatives the
+    answer/other pairs, each in row-major order over the nodes. A true label
+    (``True`` or a set mask bit) is an answer; ``False`` and ``None`` are not.
+    """
+    answers = [i for i, lab in enumerate(labels) if lab]
+    others = [i for i, lab in enumerate(labels) if not lab]
+    positive = tuple((i, j) for i in answers for j in answers if i != j)
+    negative = tuple((i, j) for i in answers for j in others)
+    return positive, negative
 
 
 class _Record:
@@ -497,8 +511,10 @@ def window_forward_loop(feats, params):
 
 
 def mi_forward_loop(h, sets, disc):
-    """One window's regularizer term with its intermediates."""
-    pairs = sets.positive + sets.negative
+    """One window's regularizer term with its intermediates, from the
+    ``(positive, negative)`` pairs of :func:`pair_sets_oracle`."""
+    positive, negative = sets
+    pairs = positive + negative
     d = h.shape[1]
     if not pairs:
         empty = np.zeros((0, 0))
@@ -508,7 +524,7 @@ def mi_forward_loop(h, sets, disc):
     z1 = x @ disc.w1.T + disc.b1
     a1 = np.maximum(z1, 0.0)
     z = a1 @ disc.w2.T[:, 0] + disc.b2[0]
-    n_pos = len(sets.positive)
+    n_pos = len(positive)
     loss = float(np.logaddexp(0.0, -z[:n_pos]).sum() + np.logaddexp(0.0, z[n_pos:]).sum())
     return _Record(pairs=pairs, n_positive=n_pos, x=x, z1=z1, a1=a1, z=z, loss=loss)
 
@@ -539,14 +555,12 @@ def mi_backward_loop(fwd, disc, scale, grads, dh):
 
 def forward_losses_loop(batch, params, gamma):
     """Forward every window; returns (fwd records, mi records, as2 mean, mi mean)."""
-    from otrank.mutual_info import build_pair_sets
-
     fwds = [window_forward_loop(f, params) for f in batch]
     as2 = float(np.mean([f.loss_as2 for f in fwds]))
     if gamma == 0.0:
         return fwds, None, as2, 0.0
     mis = [
-        mi_forward_loop(fwd.hs[-1], build_pair_sets(f.labels), params.disc)
+        mi_forward_loop(fwd.hs[-1], pair_sets_oracle(f.labels), params.disc)
         for f, fwd in zip(batch, fwds)
     ]
     return fwds, mis, as2, float(np.mean([m.loss for m in mis]))

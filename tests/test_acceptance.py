@@ -10,17 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from otrank.corpus import ROLE_CANDIDATE, ROLE_PREV, make_sentence, padding_sentence
+from otrank.corpus import make_sentence, padding_sentence
 from otrank.embeddings import FrequencyTable, build_frequency_table, write_embedding_store
 from otrank.metrics import average_precision, precision_at_1, rank_candidates, reciprocal_rank
 from otrank.model import (
     extract_features,
+    forward,
     init_model_params,
     instance_windows,
     param_tensors,
     window_forward,
 )
-from otrank.mutual_info import build_pair_sets, mi_loss
+from otrank.mutual_info import WindowPairs, mi_forward
 from otrank.sinkhorn import (
     SinkhornSettings,
     align_sentence,
@@ -128,15 +129,15 @@ def _random_tiny_instance(rng, dim):
     def words(k):
         return " ".join(f"xq{rng.integers(0, 40)}" for _ in range(k))
 
-    question = make_sentence(words(int(rng.integers(2, 5))), "question")
+    question = make_sentence(words(int(rng.integers(2, 5))))
     q_vecs = rng.normal(size=(len(question.tokens), dim))
     sentences = []
     for _ in range(3):
         if rng.random() < 0.15:
-            sent = padding_sentence(ROLE_PREV)
+            sent = padding_sentence()
             vecs = None
         else:
-            sent = make_sentence(words(int(rng.integers(2, 5))), ROLE_CANDIDATE)
+            sent = make_sentence(words(int(rng.integers(2, 5))))
             vecs = rng.normal(size=(len(sent.tokens), dim))
         sentences.append((sent, vecs))
     counts = {f"xq{i}": int(rng.integers(0, 6)) for i in range(40)}
@@ -242,8 +243,7 @@ def test_criterion_7_joint_loss_degeneracy(synthetic_corpus):
 
     # All-empty MI index sets: any gamma reproduces the AS2 loss bit-for-bit.
     first = feats.take(slice(0, 32))
-    neutered = dataclasses.replace(first,
-                                   labels=np.tile(np.int8([0, -1, -1]), (len(first), 1)))
+    neutered = dataclasses.replace(first, labels=np.zeros((len(first), 3), bool))
     cfg_g = TrainConfig(gamma=0.7, batch_size=16, hidden_size=32, gcn_layers=2,
                         learning_rate=1e-3)
     for lo in range(0, len(neutered), 16):
@@ -272,12 +272,8 @@ def test_criterion_9_mi_effect_witness(synthetic_corpus):
     feats = extract_features(instance_windows(train_c.instances), store, ft, SinkhornSettings())
 
     def mean_mi(params):
-        vals = [
-            mi_loss(window_forward(feats, k, params).hs[-1], build_pair_sets(feats.labels[k]),
-                    params.disc)
-            for k in range(len(feats))
-        ]
-        return float(np.mean(vals))
+        h = forward(feats.reps, feats.costs, params).hs[-1]
+        return float(mi_forward(h, WindowPairs.of_labels(feats.labels), params.disc).loss.mean())
 
     for seed in (0, 1, 2):
         with_mi = train(train_c, store,

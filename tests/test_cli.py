@@ -290,6 +290,24 @@ class TestStoreDimension:
         assert not (tmp_path / "rank.jsonl").exists()
 
 
+def _never_load(monkeypatch):
+    """Make every loader and every long computation of the command line fail the test."""
+    def never(*args, **kwargs):
+        raise AssertionError("loaded or computed before checking the output paths")
+
+    for name in ("load_checkpoint", "load_embedding_store", "load_corpus", "gradcheck", "train"):
+        monkeypatch.setattr(f"otrank.cli.{name}", never)
+
+
+def _input_argv(command, cli_env):
+    """``command`` and its input options, without output options."""
+    scoring = ["--checkpoint", str(cli_env["ckpt"]), "--split", str(cli_env["corpus"]),
+               "--embeddings", str(cli_env["emb"])]
+    inputs = {"build-freq": ["--train", str(cli_env["corpus"])], "gradcheck": [],
+              "align": scoring + ["--question-id", "q1", "--window-id", "q1-w1"]}
+    return [command, *inputs.get(command, scoring)]
+
+
 class TestMissingOutputDirectory:
     @pytest.mark.parametrize("command,outs,unwritten", [
         ("eval", {"--out": "nodir/r.json"}, "nodir/r.json"),
@@ -301,16 +319,8 @@ class TestMissingOutputDirectory:
     ], ids=["eval", "eval-per-question", "rerank", "align", "gradcheck", "build-freq"])
     def test_exits_one_before_loading_anything(self, command, outs, unwritten, cli_env,
                                               tmp_path, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("loaded or computed before checking the output paths")
-
-        for name in ("load_checkpoint", "load_embedding_store", "load_corpus", "gradcheck"):
-            monkeypatch.setattr(f"otrank.cli.{name}", never)
-        scoring = ["--checkpoint", str(cli_env["ckpt"]), "--split", str(cli_env["corpus"]),
-                   "--embeddings", str(cli_env["emb"])]
-        inputs = {"build-freq": ["--train", str(cli_env["corpus"])], "gradcheck": [],
-                  "align": scoring + ["--question-id", "q1", "--window-id", "q1-w1"]}
-        argv = [command, *inputs.get(command, scoring)]
+        _never_load(monkeypatch)
+        argv = _input_argv(command, cli_env)
         for flag, path in outs.items():
             argv += [flag, str(tmp_path / path)]
         rc = main(argv)
@@ -318,6 +328,39 @@ class TestMissingOutputDirectory:
         assert rc == 1
         assert f"does not exist: {tmp_path / 'nodir'}" in err and "Traceback" not in err
         assert not (tmp_path / unwritten).exists()
+
+
+class TestOutputPathIsADirectory:
+    # Every output option of every command; "dir" is an existing directory.
+    @pytest.mark.parametrize("command,outs", [
+        ("build-freq", {"--out": "dir"}),
+        ("train", {"checkpoint_out": "dir", "log_out": "log.jsonl"}),
+        ("train", {"checkpoint_out": "out.ckpt", "log_out": "dir"}),
+        ("rerank", {"--out": "dir"}),
+        ("eval", {"--out": "dir"}),
+        ("eval", {"--out": "ok.json", "--per-question": "dir"}),
+        ("align", {"--out": "dir"}),
+        ("gradcheck", {"--out": "dir"}),
+    ], ids=["build-freq", "train-checkpoint-out", "train-log-out", "rerank", "eval",
+            "eval-per-question", "align", "gradcheck"])
+    def test_exits_one_naming_the_directory(self, command, outs, cli_env, tmp_path,
+                                            monkeypatch, capsys):
+        _never_load(monkeypatch)
+        (tmp_path / "dir").mkdir()
+        paths = {key: str(tmp_path / name) for key, name in outs.items()}
+        if command == "train":
+            argv = ["train", "--config", str(_train_config(cli_env, tmp_path, **paths))]
+        else:
+            argv = _input_argv(command, cli_env)
+            for flag, path in paths.items():
+                argv += [flag, path]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"is a directory: {tmp_path / 'dir'}" in err and "Traceback" not in err
+        assert list((tmp_path / "dir").iterdir()) == []
+        written = {p.name for p in tmp_path.iterdir()} - {"dir", "cfg.json"}
+        assert written == set()
 
 
 def _with_crc(payload: bytes) -> bytes:
@@ -349,8 +392,16 @@ class TestCheckpointMetadata:
         (lambda m: m.pop("epoch"), "epoch"),
         (lambda m: m.update(adam_t=-3), "adam_t"),
         (lambda m: m.update(freq_table={"counts": []}), "freq_table"),
+        (lambda m: m["freq_table"]["counts"].update(zebra="x"), "'freq_table' count of 'zebra'"),
+        (lambda m: m["freq_table"]["counts"].update(zebra=None), "'freq_table' count of 'zebra'"),
+        (lambda m: m["freq_table"]["counts"].update(zebra=True), "'freq_table' count of 'zebra'"),
+        (lambda m: m["freq_table"]["counts"].update(zebra=10**400),
+         "'freq_table' count of 'zebra'"),
+        (lambda m: m["freq_table"].update(num_questions=2**53), "'freq_table' 'num_questions'"),
     ], ids=["unknown-config-key", "bad-value", "bad-type", "missing-config-key",
-            "missing-field", "bad-field", "bad-freq-table"])
+            "missing-field", "bad-field", "bad-freq-table", "freq-count-text",
+            "freq-count-null", "freq-count-bool", "freq-count-above-questions",
+            "freq-questions-2-53"])
     @pytest.mark.parametrize("command", ["rerank", "eval"])
     def test_bad_metadata_exits_one_naming_the_key(self, command, edit, named, cli_env,
                                                    tmp_path, capsys):

@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 
 from otrank.corpus import (
     PAD_TEXT,
-    ROLE_CANDIDATE,
-    ROLE_NEXT,
-    ROLE_PREV,
     CandidateWindow,
     content_tokens,
     load_corpus,
@@ -69,23 +66,23 @@ class TestTokenize:
 
 class TestContentTokens:
     def test_stopword_only_sentence_falls_back(self):
-        s = make_sentence("it is what it is", ROLE_CANDIDATE)
+        s = make_sentence("it is what it is")
         assert content_tokens(s) == list(s.tokens)
 
     def test_stoplist_golden(self):
-        s = make_sentence("Ada Lovelace has been honored", ROLE_CANDIDATE)
+        s = make_sentence("Ada Lovelace has been honored")
         assert [t.normalized for t in content_tokens(s)] == ["ada", "lovelace", "honored"]
 
     def test_padding_has_no_content(self):
-        assert content_tokens(padding_sentence(ROLE_PREV)) == []
+        assert content_tokens(padding_sentence()) == []
 
     def test_zero_token_sentence(self):
-        s = make_sentence("", ROLE_CANDIDATE)
+        s = make_sentence("")
         assert content_tokens(s) == []
 
     @given(st.text(max_size=80))
     def test_subset_preserving_order(self, text):
-        s = make_sentence(text, ROLE_CANDIDATE)
+        s = make_sentence(text)
         kept = content_tokens(s)
         filtered = [t for t in s.tokens if t.is_content]
         if s.tokens and not filtered:
@@ -96,18 +93,18 @@ class TestContentTokens:
 
 class TestPadContext:
     def _window(self, prev, nxt):
-        cand = make_sentence("Mars has two moons .", ROLE_CANDIDATE, label=False)
+        cand = make_sentence("Mars has two moons .", label=False)
         return CandidateWindow(id="w", cand=cand, prev=prev, next=nxt)
 
     def test_missing_prev_is_padded(self):
-        w = pad_context(self._window(None, make_sentence("Next one .", ROLE_NEXT)))
+        w = pad_context(self._window(None, make_sentence("Next one .")))
         assert w.prev.is_padding and w.prev.text == PAD_TEXT
         assert w.prev.label is None
         assert len(w.prev.tokens) == 1
 
     def test_fully_present_window_unchanged(self):
         w = self._window(
-            make_sentence("Before .", ROLE_PREV), make_sentence("After .", ROLE_NEXT)
+            make_sentence("Before ."), make_sentence("After .")
         )
         assert pad_context(w) == w
 

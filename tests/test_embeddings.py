@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from otrank.corpus import Corpus, make_sentence, ROLE_CANDIDATE
+from otrank.corpus import Corpus, make_sentence
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -83,7 +83,7 @@ class TestFrequencyTable:
 
 class TestMarginalDistribution:
     def _tokens(self, words):
-        return list(make_sentence(" ".join(words), ROLE_CANDIDATE).tokens)
+        return list(make_sentence(" ".join(words)).tokens)
 
     def test_equal_counts(self):
         ft = FrequencyTable(counts={"alpha": 2, "beta": 2}, num_questions=4)

@@ -165,7 +165,7 @@ class TestEvaluate:
         import otrank.metrics as metrics_mod
 
         def oracle_scores(feats, params, ws=None):
-            return np.where(feats.labels[:, 0] == 1, 1.0, 0.0)
+            return np.where(feats.labels[:, 0], 1.0, 0.0)
 
         monkeypatch.setattr(metrics_mod, "score_windows", oracle_scores)
         report = metrics_mod.evaluate(dev_c, ckpt, store)
@@ -183,7 +183,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(
             metrics_mod, "score_windows",
-            lambda feats, params, ws=None: np.where(feats.labels[:, 0] == 1, 0.0, 1.0),
+            lambda feats, params, ws=None: np.where(feats.labels[:, 0], 0.0, 1.0),
         )
         report = metrics_mod.evaluate(dev_c, ckpt, store)
         n = len(dev_c.instances[0].windows)

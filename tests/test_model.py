@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from otrank import sinkhorn
-from otrank.corpus import ROLE_QUESTION, content_token_indices, make_sentence
+from otrank.corpus import content_token_indices, make_sentence
 from otrank.embeddings import ROLE_Q, build_frequency_table
 from otrank.model import (
     FORWARD_CHUNK,
@@ -394,6 +394,12 @@ class TestBatchedScores:
         params = init_model_params(np.random.default_rng(0), dim=4, hidden=5, layers=1)
         assert score_windows(feats, params).shape == (0,)
 
+    def test_labels_other_than_an_answer_mask_are_rejected(self):
+        # Label codes of -1/0/1 would index the regularizer's pair table with -1.
+        for labels in (np.array([[1, 0, -1]], np.int8), np.ones((1, 3))):
+            with pytest.raises(ValueError, match="labels"):
+                FeatureSet(reps=np.zeros((1, 3, 2)), costs=np.zeros((1, 3)), labels=labels)
+
 
 class TestNeighbourIndependence:
     # Flat GEMMs over a chunk may round a row by its position, never by the other
@@ -405,7 +411,7 @@ class TestNeighbourIndependence:
         n = FORWARD_CHUNK
         feats = FeatureSet(reps=rng.normal(size=(n, 3, dim)),
                            costs=rng.uniform(0.2, 2.0, size=(n, 3)),
-                           labels=np.zeros((n, 3), np.int8))
+                           labels=np.zeros((n, 3), bool))
         p = score_windows(feats, params)
         assert p.tobytes() == score_windows(feats, params).tobytes()
         for kept in (0, 1):  # replace every other window: the odd ones, then the even ones
@@ -465,7 +471,7 @@ class TestQuestionSide:
     def test_keyed_on_the_question_object_not_its_id(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]
         # Same token count as the stored question, other content words.
-        other = make_sentence("Which moons orbit the big planet ?", ROLE_QUESTION)
+        other = make_sentence("Which moons orbit the big planet ?")
         assert len(other.tokens) == len(inst.question.tokens)
         w = inst.windows[0]
         both = extract_features([(inst.question, w, inst.question_id),

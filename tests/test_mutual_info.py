@@ -1,4 +1,4 @@
-"""Pair index sets, the discriminator, and the regularizer loss."""
+"""The regularizer's pair lists, the discriminator, and the regularizer loss."""
 
 import itertools
 
@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from otrank.model import FFNParams, extract_features, init_model_params, window_forward
-from otrank.mutual_info import (
-    PairIndexSets,
-    WindowPairs,
-    build_pair_sets,
-    mi_backward,
-    mi_forward,
-    mi_loss,
-)
+from otrank.mutual_info import WindowPairs, mi_backward, mi_forward
 
-from oracles import discriminator_oracle, ffn_scalar_oracle, sigmoid_oracle
+from oracles import discriminator_oracle, ffn_scalar_oracle, pair_sets_oracle, sigmoid_oracle
 
 
 def zero_disc(dim, hidden=4):
@@ -32,60 +25,85 @@ def random_disc(rng, dim, hidden=6):
     )
 
 
+def mask(*labels):
+    """The ``(1, 3)`` answer mask of one window's labels: only True is an answer, as
+    in :class:`otrank.model.FeatureSet`."""
+    return np.array([[lab is True for lab in labels]])
+
+
+def pairs_of(*windows):
+    """The ``WindowPairs`` of windows given as ``(positive, negative)`` pair tuples."""
+    rows = [(w, i, j, pos) for w, sets in enumerate(windows)
+            for pos, pairs in zip((True, False), sets) for i, j in pairs]
+    window, i, j, positive = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    return WindowPairs(window=window, i=i, j=j, positive=positive.astype(bool))
+
+
+def pair_sets(labels):
+    """One window's ``(positive, negative)`` pairs as :meth:`WindowPairs.of_labels` gives them."""
+    pairs = WindowPairs.of_labels(mask(*labels))
+    ij = list(zip(pairs.i.tolist(), pairs.j.tolist()))
+    flags = pairs.positive.tolist()
+    return (tuple(p for p, pos in zip(ij, flags) if pos),
+            tuple(p for p, pos in zip(ij, flags) if not pos))
+
+
+def window_loss(h, pairs, disc):
+    """One window's regularizer term: :func:`mi_forward` on a batch of one."""
+    return float(mi_forward(np.asarray(h, dtype=np.float64)[None], pairs, disc).loss[0])
+
+
 class TestBuildPairSets:
     def test_two_answers_one_non_answer(self):
-        sets = build_pair_sets((True, True, False))
-        assert set(sets.positive) == {(0, 1), (1, 0)}
-        assert set(sets.negative) == {(0, 2), (1, 2)}
+        positive, negative = pair_sets((True, True, False))
+        assert set(positive) == {(0, 1), (1, 0)}
+        assert set(negative) == {(0, 2), (1, 2)}
 
     def test_no_answers(self):
-        sets = build_pair_sets((False, False, False))
-        assert sets.positive == () and sets.negative == ()
-        assert not sets
+        positive, negative = pair_sets((False, False, False))
+        assert positive == () and negative == ()
+        assert WindowPairs.of_labels(mask(False, False, False)).window.size == 0
 
     def test_unknown_labels_are_non_answers(self):
-        sets = build_pair_sets((True, None, None))
-        assert sets.positive == ()
-        assert set(sets.negative) == {(0, 1), (0, 2)}
+        positive, negative = pair_sets((True, None, None))
+        assert positive == ()
+        assert set(negative) == {(0, 1), (0, 2)}
 
     def test_all_answers(self):
-        sets = build_pair_sets((True, True, True))
-        assert len(sets.positive) == 6  # all ordered pairs, no self-pairs
-        assert sets.negative == ()
-        assert all(i != j for i, j in sets.positive)
+        positive, negative = pair_sets((True, True, True))
+        assert len(positive) == 6  # all ordered pairs, no self-pairs
+        assert negative == ()
+        assert all(i != j for i, j in positive)
 
     def test_disjoint_and_in_range(self):
         for bits in range(27):
             labels = tuple((None, True, False)[(bits // 3**k) % 3] for k in range(3))
-            sets = build_pair_sets(labels)
-            assert not (set(sets.positive) & set(sets.negative))
-            for i, j in sets.positive + sets.negative:
+            positive, negative = pair_sets(labels)
+            assert not (set(positive) & set(negative))
+            for i, j in positive + negative:
                 assert i in (0, 1, 2) and j in (0, 1, 2)
-
-    def test_label_codes_equal_their_labels(self):
-        decode = {1: True, 0: False, -1: None}
-        for codes in itertools.product((-1, 0, 1), repeat=3):
-            assert build_pair_sets(np.int8(codes)) == build_pair_sets(
-                tuple(decode[c] for c in codes))
 
 
 class TestWindowPairsOfLabels:
     def test_table_rows_equal_the_pair_sets(self):
-        rows = np.array(list(itertools.product((-1, 0, 1), repeat=3)), dtype=np.int8)
+        rows = np.array(list(itertools.product((False, True), repeat=3)))
         got = WindowPairs.of_labels(rows)
         assert np.all(np.diff(got.window) >= 0)  # window after window
-        for k, codes in enumerate(rows):
-            sets = build_pair_sets(codes)
+        assert got.window.dtype == got.i.dtype == got.j.dtype == np.intp
+        assert got.positive.dtype == bool
+        for k, labels in enumerate(rows):
+            positive, negative = pair_sets_oracle(labels)
             at = got.window == k
-            assert list(zip(got.i[at].tolist(), got.j[at].tolist())) == list(
-                sets.positive + sets.negative)
-            assert got.positive[at].tolist() == (
-                [True] * len(sets.positive) + [False] * len(sets.negative))
+            pairs = list(zip(got.i[at].tolist(), got.j[at].tolist()))
+            assert pairs == list(positive + negative)
+            assert got.positive[at].tolist() == [True] * len(positive) + [False] * len(negative)
+            assert not (set(pairs[:len(positive)]) & set(pairs[len(positive):]))
+            assert all(i in (0, 1, 2) and j in (0, 1, 2) for i, j in pairs)
 
 
 def pair_logits(h, labels, disc):
     """Discriminator logit of every ordered pair of one window, from :func:`mi_forward`."""
-    fwd = mi_forward(h[None], WindowPairs.of([build_pair_sets(labels)]), disc)
+    fwd = mi_forward(h[None], WindowPairs.of_labels(mask(*labels)), disc)
     return {(int(i), int(j)): z for i, j, z in zip(fwd.pairs.i, fwd.pairs.j, fwd.z)}
 
 
@@ -131,14 +149,15 @@ class TestMiLoss:
     def test_empty_sets_give_zero(self):
         rng = np.random.default_rng(3)
         disc = random_disc(rng, 4)
-        sets = PairIndexSets(positive=(), negative=())
-        assert mi_loss(rng.normal(size=(3, 4)), sets, disc) == 0.0
+        empty = WindowPairs(window=np.zeros(0, np.intp), i=np.zeros(0, np.intp),
+                            j=np.zeros(0, np.intp), positive=np.zeros(0, bool))
+        assert window_loss(rng.normal(size=(3, 4)), empty, disc) == 0.0
 
     def test_zero_discriminator_closed_form(self):
         # Every term is ln 2 when U == 0.5; two positives + two negatives.
         rng = np.random.default_rng(4)
-        sets = build_pair_sets((True, True, False))
-        val = mi_loss(rng.normal(size=(3, 4)), sets, zero_disc(4))
+        pairs = WindowPairs.of_labels(mask(True, True, False))
+        val = window_loss(rng.normal(size=(3, 4)), pairs, zero_disc(4))
         assert val == pytest.approx(4.0 * np.log(2.0), abs=1e-12)
 
     def test_nonnegative_and_zero_iff_empty(self):
@@ -146,22 +165,22 @@ class TestMiLoss:
         disc = random_disc(rng, 4)
         for labels in [(True, True, False), (True, None, None), (False, False, False),
                        (True, True, True), (False, True, None)]:
-            sets = build_pair_sets(labels)
-            val = mi_loss(rng.normal(size=(3, 4)), sets, disc)
+            pairs = WindowPairs.of_labels(mask(*labels))
+            val = window_loss(rng.normal(size=(3, 4)), pairs, disc)
             assert val >= 0.0
-            assert (val == 0.0) == (not sets)
+            assert (val == 0.0) == (pairs.window.size == 0)
 
     def test_matches_per_pair_definition(self):
         rng = np.random.default_rng(6)
         disc = random_disc(rng, 4)
         h = rng.normal(size=(3, 4))
-        sets = build_pair_sets((True, True, False))
-        expected = sum(-np.log(discriminator_oracle(h[i], h[j], disc))
-                       for i, j in sets.positive)
+        positive, negative = pair_sets_oracle((True, True, False))
+        expected = sum(-np.log(discriminator_oracle(h[i], h[j], disc)) for i, j in positive)
         expected += sum(
-            -np.log(1.0 - discriminator_oracle(h[i], h[j], disc)) for i, j in sets.negative
+            -np.log(1.0 - discriminator_oracle(h[i], h[j], disc)) for i, j in negative
         )
-        assert mi_loss(h, sets, disc) == pytest.approx(expected, abs=1e-10)
+        pairs = WindowPairs.of_labels(mask(True, True, False))
+        assert window_loss(h, pairs, disc) == pytest.approx(expected, abs=1e-10)
 
     def test_pair_sets_no_label_pattern_gives(self):
         # One batch mixes counts a three-node label pattern never has (one pair,
@@ -169,17 +188,17 @@ class TestMiLoss:
         rng = np.random.default_rng(10)
         disc = random_disc(rng, 4)
         h = rng.normal(size=(3, 3, 4))
-        batch = [PairIndexSets(positive=((0, 1),), negative=()),
-                 PairIndexSets(positive=((2, 0),), negative=((2, 1), (1, 0), (0, 2))),
-                 build_pair_sets((True, False, True))]
-        loss = mi_forward(h, WindowPairs.of(batch), disc).loss
-        for w, sets in enumerate(batch):
+        batch = [(((0, 1),), ()),
+                 (((2, 0),), ((2, 1), (1, 0), (0, 2))),
+                 pair_sets_oracle((True, False, True))]
+        loss = mi_forward(h, pairs_of(*batch), disc).loss
+        for w, (positive, negative) in enumerate(batch):
             expected = sum(-np.log(discriminator_oracle(h[w, i], h[w, j], disc))
-                           for i, j in sets.positive)
+                           for i, j in positive)
             expected += sum(-np.log(1.0 - discriminator_oracle(h[w, i], h[w, j], disc))
-                            for i, j in sets.negative)
+                            for i, j in negative)
             assert loss[w] == pytest.approx(expected, abs=1e-10)
-            assert loss[w] == mi_loss(h[w], sets, disc)
+            assert loss[w] == window_loss(h[w], pairs_of((positive, negative)), disc)
 
     def test_golden_fixture_value(self, tiny_corpus, tiny_store, tiny_ft):
         # Frozen from the reference run: q1-w1 representations under params
@@ -189,7 +208,8 @@ class TestMiLoss:
         feats = extract_features([(inst.question, inst.windows[0], "q1")], tiny_store,
                                  tiny_ft)
         fwd = window_forward(feats, 0, params)
-        val = mi_loss(fwd.hs[-1], build_pair_sets((True, True, False)), params.disc)
+        val = window_loss(fwd.hs[-1], WindowPairs.of_labels(mask(True, True, False)),
+                          params.disc)
         assert val == pytest.approx(2.7729528113559097, abs=1e-9)
 
 
@@ -199,13 +219,13 @@ class TestMiGradients:
         dim, hidden = 4, 5
         disc = random_disc(rng, dim, hidden)
         h = rng.normal(size=(3, dim))
-        sets = build_pair_sets((True, True, False))
+        pairs = WindowPairs.of_labels(mask(True, True, False))
 
         grads = {
             "disc.w1": np.zeros_like(disc.w1), "disc.b1": np.zeros_like(disc.b1),
             "disc.w2": np.zeros_like(disc.w2), "disc.b2": np.zeros_like(disc.b2),
         }
-        fwd = mi_forward(h[None], WindowPairs.of([sets]), disc)
+        fwd = mi_forward(h[None], pairs, disc)
         mi_backward(fwd, disc, 1.0, grads, np.zeros((1, 3, dim)))
 
         step = 1e-4
@@ -216,9 +236,9 @@ class TestMiGradients:
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + step
-                up = mi_loss(h, sets, disc)
+                up = window_loss(h, pairs, disc)
                 flat[k] = orig - step
-                down = mi_loss(h, sets, disc)
+                down = window_loss(h, pairs, disc)
                 flat[k] = orig
                 numeric = (up - down) / (2 * step)
                 rel = abs(gflat[k] - numeric) / max(abs(gflat[k]), abs(numeric), 1e-3)
@@ -228,21 +248,21 @@ class TestMiGradients:
         rng = np.random.default_rng(8)
         disc = random_disc(rng, 3)
         h = rng.normal(size=(3, 3))
-        sets = build_pair_sets((True, False, True))
+        pairs = WindowPairs.of_labels(mask(True, False, True))
         grads = {
             "disc.w1": np.zeros_like(disc.w1), "disc.b1": np.zeros_like(disc.b1),
             "disc.w2": np.zeros_like(disc.w2), "disc.b2": np.zeros_like(disc.b2),
         }
         dh = np.zeros((1, 3, 3))
-        mi_backward(mi_forward(h[None], WindowPairs.of([sets]), disc), disc, 1.0, grads, dh)
+        mi_backward(mi_forward(h[None], pairs, disc), disc, 1.0, grads, dh)
         step = 1e-5
         for i in range(3):
             for t in range(3):
                 orig = h[i, t]
                 h[i, t] = orig + step
-                up = mi_loss(h, sets, disc)
+                up = window_loss(h, pairs, disc)
                 h[i, t] = orig - step
-                down = mi_loss(h, sets, disc)
+                down = window_loss(h, pairs, disc)
                 h[i, t] = orig
                 numeric = (up - down) / (2 * step)
                 assert abs(dh[0, i, t] - numeric) <= 1e-6 * max(1.0, abs(numeric))
@@ -254,10 +274,10 @@ class TestMiGradients:
         dim, hidden = 3, 5
         disc = random_disc(rng, dim, hidden)
         h = rng.normal(size=(5, 3, dim))
-        batch = [build_pair_sets((True, True, False)), build_pair_sets((False, None, False)),
-                 PairIndexSets(positive=((2, 1),), negative=()),
-                 build_pair_sets((False, True, None)), build_pair_sets((True, False, True))]
-        pairs = WindowPairs.of(batch)
+        batch = [pair_sets_oracle((True, True, False)), pair_sets_oracle((False, None, False)),
+                 (((2, 1),), ()),
+                 pair_sets_oracle((False, True, None)), pair_sets_oracle((True, False, True))]
+        pairs = pairs_of(*batch)
         grads = {name: np.zeros_like(t) for name, t in (
             ("disc.w1", disc.w1), ("disc.b1", disc.b1), ("disc.w2", disc.w2),
             ("disc.b2", disc.b2))}
@@ -293,8 +313,9 @@ class TestMiGradients:
         rng = np.random.default_rng(12)
         dim, hidden = 5, 7
         disc = random_disc(rng, dim, hidden)
-        labels = np.array([(1, 1, 0), (0, -1, 0), (1, 0, -1), (1, 1, 1), (1, -1, 1),
-                           (0, 1, 1), (1, 1, -1)], dtype=np.int8)
+        labels = np.array([(True, True, False), (False, False, False), (True, False, False),
+                           (True, True, True), (True, False, True), (False, True, True),
+                           (True, True, False)])
         pairs = WindowPairs.of_labels(labels)
         h = rng.normal(size=(len(labels), 3, dim))
 
@@ -331,7 +352,7 @@ class TestMiGradients:
                 rng.normal(size=dim),
             ]))
         h = np.stack(windows)
-        pairs = WindowPairs.of([build_pair_sets((True, True, False))] * len(windows))
+        pairs = WindowPairs.of_labels(np.tile(mask(True, True, False), (len(windows), 1)))
 
         grads_keys = ("disc.w1", "disc.b1", "disc.w2", "disc.b2")
         tensors = {"disc.w1": disc.w1, "disc.b1": disc.b1,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otrank.corpus import ROLE_CANDIDATE, ROLE_PREV, make_sentence, padding_sentence
+from otrank.corpus import make_sentence, padding_sentence
 from otrank.embeddings import QUESTION_WINDOW_ID, ROLE_C, ROLE_Q
 from otrank.sinkhorn import (
     NonFiniteCostError,
@@ -471,7 +471,7 @@ class TestSentenceRepresentation:
 
 class TestAlignSentence:
     def test_self_alignment_near_zero_cost(self, tiny_ft):
-        q = make_sentence("galaxies collide slowly", ROLE_CANDIDATE)
+        q = make_sentence("galaxies collide slowly")
         rng = np.random.default_rng(11)
         vecs = 3.0 * rng.normal(size=(3, 4))
         res = align_sentence(q, q, vecs, vecs, tiny_ft,
@@ -482,7 +482,7 @@ class TestAlignSentence:
     def test_padding_sentence_rule(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]
         qv = tiny_store.sentence_vectors("q1", QUESTION_WINDOW_ID, ROLE_Q)
-        res = align_sentence(inst.question, padding_sentence(ROLE_PREV), qv, None, tiny_ft)
+        res = align_sentence(inst.question, padding_sentence(), qv, None, tiny_ft)
         assert res.cost == 0.0
         np.testing.assert_array_equal(res.representation, np.zeros(4))
         assert res.relevant == (0,)
@@ -521,15 +521,15 @@ class TestAlignSentence:
         np.testing.assert_allclose(res.representation, golden_rep, atol=1e-12)
 
     def test_stopword_only_sentence_uses_fallback(self, tiny_ft):
-        q = make_sentence("galaxies collide", ROLE_CANDIDATE)
-        s = make_sentence("it is", ROLE_CANDIDATE)
+        q = make_sentence("galaxies collide")
+        s = make_sentence("it is")
         rng = np.random.default_rng(12)
         res = align_sentence(q, s, rng.normal(size=(2, 4)), rng.normal(size=(2, 4)), tiny_ft)
         assert res.sentence_token_indices == (0, 1)
 
     def test_vector_count_mismatch(self, tiny_ft):
-        q = make_sentence("galaxies collide", ROLE_CANDIDATE)
-        s = make_sentence("stars merge", ROLE_CANDIDATE)
+        q = make_sentence("galaxies collide")
+        s = make_sentence("stars merge")
         rng = np.random.default_rng(13)
         with pytest.raises(ValueError, match="tokens but"):
             align_sentence(q, s, rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), tiny_ft)
@@ -555,13 +555,13 @@ class TestAlignSentences:
             assert res.relevant == alone.relevant
 
     def test_non_finite_vector_names_the_pair(self, tiny_ft):
-        q = make_sentence("galaxies collide", ROLE_CANDIDATE)
-        s = make_sentence("stars merge", ROLE_CANDIDATE)
+        q = make_sentence("galaxies collide")
+        s = make_sentence("stars merge")
         rng = np.random.default_rng(15)
         qv, good = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
         bad = good.copy()
         bad[1, 2] = np.inf
-        pad = padding_sentence(ROLE_PREV)
+        pad = padding_sentence()
         with pytest.raises(NonFiniteCostError) as info:
             align_sentences([(q, s, qv, good), (q, pad, qv, None), (q, s, qv, bad)], tiny_ft)
         assert info.value.index == 2

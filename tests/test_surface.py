@@ -12,14 +12,16 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 # Per-sentence and per-window twins of the batched path, one-use wrappers, the
 # per-window feature and batch types, the per-pair alignment preparation, the
-# per-window weight-gradient fold, the regularizer's pair-count groups and the
-# one-problem post-solve wrappers, that the package no longer has.
+# per-window weight-gradient fold, the regularizer's pair-count groups, the
+# one-problem post-solve wrappers, the label codes with their pair-set type and
+# per-window regularizer, and the sentence role names, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
            "WindowBatch", "_stacked", "_prepare", "_Prepared", "add_in_order", "_fold_products",
            "STACK_BYTES", "PairGroup", "transport_cost", "relevant_context",
-           "sentence_representation")
+           "sentence_representation", "PairIndexSets", "build_pair_sets", "mi_loss",
+           "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT")
 
 
 def test_every_export_resolves():
@@ -31,7 +33,7 @@ def test_every_export_resolves():
 def test_no_removed_name_is_exported():
     assert not set(REMOVED) & set(otrank.__all__)
     for module in ("model", "mutual_info", "training", "embeddings", "metrics", "cli",
-                   "sinkhorn"):
+                   "sinkhorn", "corpus"):
         mod = importlib.import_module(f"otrank.{module}")
         assert not [name for name in REMOVED if hasattr(mod, name)], module
 

@@ -102,7 +102,7 @@ class TestJointLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             joint_loss(FeatureSet(reps=np.zeros((0, 3, 4)), costs=np.zeros((0, 3)),
-                                  labels=np.zeros((0, 3), dtype=np.int8)), None, micro_cfg())
+                                  labels=np.zeros((0, 3), dtype=bool)), None, micro_cfg())
 
 
 class TestGradients:
@@ -398,6 +398,18 @@ class TestAdamStep:
             adam_step(params, bad, AdamState.zeros(params), micro_cfg())
 
 
+def _relabel_contexts(corpus, old, new):
+    """``corpus`` with every context label that ``is old`` set to ``new``."""
+    def relabel(s):
+        return dataclasses.replace(s, label=new) if s.label is old else s
+
+    return dataclasses.replace(corpus, instances=tuple(
+        dataclasses.replace(inst, windows=tuple(
+            dataclasses.replace(w, prev=relabel(w.prev), next=relabel(w.next))
+            for w in inst.windows))
+        for inst in corpus.instances))
+
+
 @pytest.fixture(scope="module")
 def small_synth():
     return make_synthetic_corpus(n_train=20, n_dev=8, n_candidates=3, dim=6, seed=5)
@@ -430,6 +442,20 @@ class TestTrain:
             da, db = dataclasses.asdict(ra), dataclasses.asdict(rb)
             da.pop("wallclock_s"), db.pop("wallclock_s")
             assert da == db
+
+    def test_unknown_context_labels_train_like_non_answers(self, small_synth, tmp_path):
+        # The answer mask is all that training reads of a label, so a corpus whose
+        # unlabelled contexts are relabelled False trains to the same bytes.
+        train_c, _, store = small_synth
+        unknown = _relabel_contexts(train_c, False, None)
+        assert any(s.label is None for inst in unknown.instances for w in inst.windows
+                   for s in (w.prev, w.next))
+        known = _relabel_contexts(unknown, None, False)
+        cfg = micro_cfg(epochs=2, seed=13, gamma=0.3)
+        pa, pb = tmp_path / "unknown.ckpt", tmp_path / "known.ckpt"
+        save_checkpoint(pa, train(unknown, store, cfg).final)
+        save_checkpoint(pb, train(known, store, cfg).final)
+        assert pa.read_bytes() == pb.read_bytes()
 
     def test_loss_decreases_on_separable_fixture(self, small_synth):
         train_c, _, store = small_synth
@@ -572,8 +598,7 @@ class TestCorpusExtraction:
         results = align_windows(items, store, ft, settings)
         windows = [(inst, w) for inst in corpus.instances for w in inst.windows]
         assert len(feats) == len(windows) and len(results) == 3 * len(windows)
-        assert feats.labels.dtype == np.int8
-        code = {True: 1, False: 0, None: -1}
+        assert feats.labels.dtype == bool
         for k, (inst, w) in enumerate(windows):
             reps, costs, unconverged = reference_window_features(
                 inst.question, w, inst.question_id, store, ft, settings
@@ -583,5 +608,5 @@ class TestCorpusExtraction:
             plans = [res.plan for res in results[3 * k : 3 * k + 3]]
             assert sum(0 if tp.converged else 1 for tp in plans) == unconverged
             assert feats.labels[k].tolist() == [
-                code[lab] for lab in (bool(w.cand.label), w.prev.label, w.next.label)
+                lab is True for lab in (w.cand.label, w.prev.label, w.next.label)
             ]
