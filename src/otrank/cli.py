@@ -72,6 +72,12 @@ def _require_parent(path: str | None, what: str) -> Path | None:
     return p
 
 
+def _require_distinct(first: Path | None, second: Path | None, names: str) -> None:
+    """Reject two output paths that resolve to one file; ``names`` names both."""
+    if first and second and first.resolve() == second.resolve():
+        raise OtrankError(f"{names} name the same file: {first}")
+
+
 def _dump_json(obj, out: Path | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
@@ -125,6 +131,7 @@ def _cmd_train(args) -> int:
     emb_path = _require_file(paths["embeddings"], "embedding store")
     ckpt_out = _require_parent(paths["checkpoint_out"], "checkpoint")
     log_out = _require_parent(paths["log_out"], "training log")
+    _require_distinct(ckpt_out, log_out, "config keys 'checkpoint_out' and 'log_out'")
     dev = (
         load_corpus(_require_file(paths["dev_corpus"], "dev corpus"), split="dev")
         if paths.get("dev_corpus")
@@ -174,6 +181,7 @@ def _cmd_rerank(args) -> int:
 def _cmd_eval(args) -> int:
     out = _require_parent(args.out, "report")
     per_question = _require_parent(args.per_question, "per-question TSV")
+    _require_distinct(out, per_question, "--out and --per-question")
     ckpt, store = _load_eval_inputs(args)
     split_paths = args.split
     if len(split_paths) > 1 and not args.combine_dev_test:

@@ -5,13 +5,21 @@ cost, then distills the coupling into (a) a transport cost used as a
 question-relevance feature and (b) a "relevant context" word subset whose
 mean embedding represents the sentence.
 
-The solver runs in the log domain for stability at small regularization.
+The solver iterates in the kernel domain (Cuturi 2013): the plan is
+``diag(u) @ K @ diag(v)`` with ``K = exp((f_i + g_j - D_ij) / eps)``, and an
+iteration is one product ``K v``, one product ``K^T u`` and elementwise
+updates of the scalings ``u, v``, with no ``exp`` or ``log``.
 Updates are simultaneous half-steps of both dual potentials rather than
 alternating full row/column scalings: averaging the previous potential with
 its scaling update keeps the iteration convergent while making the whole
 trajectory symmetric under swapping the two point sets, so the plan for the
-swapped problem is exactly the transpose. The fixed point is the usual one:
-``plan = diag(u) @ exp(-D/eps) @ diag(v)``.
+swapped problem is exactly the transpose. In scalings the half-step is
+``u <- sqrt(u * p / (K v))``, ``v <- sqrt(v * q / (K^T u))``.
+
+Stability at small regularization comes from absorption (Schmitzer 2019,
+§3): when a scaling leaves a fixed bound, ``eps * log`` of it is folded into
+the potentials ``f, g`` and ``K`` is rebuilt, so the scalings stay bounded
+and the iteration follows the log-domain one up to rounding.
 """
 
 from __future__ import annotations
@@ -97,49 +105,84 @@ class NonFiniteCostError(ValueError):
         self.index = index
 
 
-def _logsumexp(M: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp along ``axis``; ``M`` is scratch and is overwritten."""
-    mx = M.max(axis=axis, keepdims=True)
-    finite = np.isfinite(mx)
-    if not finite.all():
-        mx[~finite] = 0.0  # an all -inf line shifts by 0 and sums to exp(-inf) = 0
-    M -= mx
-    np.exp(M, out=M)
-    out = M.sum(axis=axis)
-    np.log(out, out=out)
-    out += mx.squeeze(axis)
-    return out
+# A scaling is folded into its potential once it leaves [1 / _BOUND, _BOUND].
+# Products and ratios of in-bound scalings with kernel rows (columns) whose
+# largest entry is at least exp(_FLOOR) stay far from overflow and underflow.
+# A plan row (column) keeps a log deficit down to _DEFICIT exactly: half of it
+# in the kernel times an in-bound scaling is still a normal double.
+_BOUND = 1e50
+_FLOOR = -2.0 * np.log(_BOUND)
+_DEFICIT = 2.0 * (np.log(np.finfo(np.float64).tiny) + np.log(_BOUND))
 
 
-def _update(h: np.ndarray, eps_log_marginal: np.ndarray, M: np.ndarray, e3: np.ndarray,
-            axis: int) -> np.ndarray:
-    """The damped update ``0.5 * (h + eps*log(marginal) - eps*logsumexp(M / eps))``
-    of one stacked potential; ``M`` holds the other potential minus the cost and
-    is scratch."""
-    M /= e3
-    lse = _logsumexp(M, axis)
-    lse *= e3[:, :, 0]
-    out = h + eps_log_marginal
-    out -= lse
-    out *= 0.5
-    return out
+def _exp_masked(L: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``exp(L)`` where ``mask`` holds, 1 elsewhere; ``L`` is scratch."""
+    L[~mask] = 0.0
+    return np.exp(L, out=L)
 
 
-def _worst_gap(sums: np.ndarray, marginal: np.ndarray) -> np.ndarray:
-    """Per problem, the largest ``|sums - marginal|``; ``sums`` is scratch."""
-    sums -= marginal
-    return np.abs(sums, out=sums).max(axis=1)
+def _products(K, Kt, uv, out, n: int, scratch) -> None:
+    """``K v`` into ``out[:, :n]`` and ``K^T u`` into ``out[:, n:]``, where ``u``
+    and ``v`` are ``uv[:, :n]`` and ``uv[:, n:]``.
 
-
-def _build(f: np.ndarray, g: np.ndarray, D: np.ndarray, e3: np.ndarray) -> np.ndarray:
-    """``exp((f_i + g_j - D_ij) / eps)`` for stacked potentials; ``e3`` is eps as ``(B, 1, 1)``.
-
-    -inf potentials (zero marginal entries) exponentiate to exact zeros.
+    Each sum runs over a contiguous axis of a contiguous stack, as a lone
+    problem's does (see :func:`_solve_groups`).
     """
-    plan = f[:, :, None] + g[:, None, :]
-    plan -= D
-    plan /= e3
-    return np.exp(plan, out=plan)
+    tmp = scratch[:K.size].reshape(K.shape)
+    np.multiply(K, uv[:, None, n:], out=tmp).sum(axis=2, out=out[:, :n])
+    tmp = tmp.reshape(Kt.shape)
+    np.multiply(Kt, uv[:, None, :n], out=tmp).sum(axis=2, out=out[:, n:])
+
+
+def _absorb(FG, uv, D, e3, n: int):
+    """Fold the nonzero scalings into the potentials and rebuild the kernel.
+
+    Returns the new potentials, scalings, kernel and its contiguous transpose.
+    The kernel is ``exp((f_i + g_j - D_ij) / eps)`` wherever both scalings are
+    nonzero and 1 elsewhere, where its products are exact zeros.
+
+    A live row (column) whose largest kernel entry is below ``exp(_FLOOR)``
+    keeps half of that log deficit in its scaling, so a plan row far below
+    the smallest double stays the product of two representable factors. A
+    potential whose row (column) lies below ``exp(_DEFICIT)`` is first raised
+    to it; such a plan row is below 1e-515 either way. Row and column terms
+    are added as one sum, which keeps the swapped problem's kernel the exact
+    transpose.
+    """
+    e2 = e3[:, :, 0]
+    live = uv > 0.0
+    with np.errstate(divide="ignore"):
+        FG = np.where(live, FG + e2 * np.log(uv), FG)
+    L = FG[:, :n, None] + FG[:, None, n:]
+    L -= D
+    L /= e3
+    real = live[:, :n, None] & live[:, None, n:]
+    L[~real] = -np.inf
+    top = np.concatenate([L.max(axis=2), L.max(axis=1)], axis=1)
+    lift = np.where(live & (top < _DEFICIT), _DEFICIT - top, 0.0)
+    if lift.any():
+        FG += e2 * lift
+        L += lift[:, :n, None] + lift[:, None, n:]
+        top = np.concatenate([L.max(axis=2), L.max(axis=1)], axis=1)
+    half = np.where(live & (top < _FLOOR), 0.5 * top, 0.0)
+    if half.any():
+        L -= half[:, :n, None] + half[:, None, n:]
+        FG -= e2 * half
+    K = _exp_masked(L, real)
+    return (FG, np.where(half < 0.0, np.exp(half), live), K,
+            np.ascontiguousarray(K.transpose(0, 2, 1)))
+
+
+def _plans(F, G, u, v, D, e3) -> np.ndarray:
+    """The plans ``u_i exp((f_i + g_j - D_ij) / eps) v_j`` of stacked potentials
+    and scalings; ``e3`` is eps as ``(B, 1, 1)``."""
+    w = u[:, :, None] * v[:, None, :]
+    L = F[:, :, None] + G[:, None, :]
+    L -= D
+    L /= e3
+    plan = _exp_masked(L, w > 0.0)
+    plan *= w
+    return plan
 
 
 def sinkhorn_plan(
@@ -183,10 +226,11 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
     """Solve a batch of entropic OT problems; problem ``k`` is
     ``(ps[k], qs[k], costs[k], eps[k])``.
 
-    Each problem iterates damped log-domain potential updates until the worst
-    row or column marginal violation of its reconstructed plan falls below
-    ``tol``. If the budget runs out, its result is the best iterate seen,
-    with ``converged=False`` (callers keep going; a warning is logged per
+    Each problem iterates damped kernel-domain scaling updates, with
+    absorption into its potentials (see :func:`_solve_group`), until the
+    worst row or column marginal violation of its plan falls below ``tol``.
+    If the budget runs out, its result is the best iterate seen, with
+    ``converged=False`` (callers keep going; a warning is logged per
     problem).
 
     The entry point for loose arrays: the problems are checked, stacked by
@@ -233,8 +277,8 @@ def _extent_bucket(n: int) -> int:
 
 
 def _bucket(n: int, m: int) -> tuple[int, int]:
-    """The summation bucket of an ``(n, m)`` problem; ``m == 1`` has its own."""
-    return _extent_bucket(n), _extent_bucket(m) if m > 1 else -1
+    """The summation bucket of an ``(n, m)`` problem."""
+    return _extent_bucket(n), _extent_bucket(m)
 
 
 def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGroup]:
@@ -245,29 +289,26 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
     and ``(B, m)``, costs ``(B, n, m)`` and regularization strengths ``(B,)``.
     The result holds one :class:`PlanGroup` per stack, in order.
 
-    The shapes are grouped by the bucket key ``(n // 8, m // 8 if m > 1 else
-    -1)``. Each bucket is solved as one ``(B, N, M)`` stack, ``N`` and ``M``
-    its largest extents. Its padding rows and columns carry zero mass at zero
-    cost, and every reduction over a padded axis only gains trailing exact
-    zeros, so no bit moves:
+    The shapes are grouped by the bucket key ``(n // 8, m // 8)``. Each bucket
+    is solved as one ``(B, N, M)`` stack, ``N`` and ``M`` its largest extents.
+    Every sum of the iteration runs over the contiguous last axis of a
+    contiguous stack, ``K`` or its contiguous transpose, as a lone problem's
+    does. Padding rows and columns carry zero mass at zero cost, and each sum
+    over a padded axis only gains trailing exact zeros, so no bit moves:
 
     - numpy adds a contiguous run of fewer than 8 terms left to right, and a
       run of 8 to 128 terms as whole blocks of 8 followed by a left-to-right
       remainder. Within a bucket the count of whole blocks is the same, so a
       trailing zero only lengthens the remainder. Above 128 terms the split
       point depends on the length, so such an extent is a bucket of its own;
-    - a strided axis, which the g-update reduces when ``M > 1``, is added
-      strictly left to right. When ``M == 1`` that axis is contiguous and
-      added blockwise, so a single-column problem padded to two columns would
-      change its order of summation: ``m == 1`` never shares a bucket with
-      wider problems;
-    - padding entries are ``-inf`` before every max, so they never win it.
+    - the padding's scalings are 0 from the start and its kernel entries 1,
+      so it adds exact zeros to every product; the row and column minima of
+      the first half-step and every max skip it.
 
     The padding is marked by its own row and column masks, never by zero
-    marginal entries. Its potentials start at ``-inf``. Those of real
-    zero-marginal entries start at 0, as in the one-problem solve, and reach
-    ``-inf`` in the first update. A ``-inf`` potential stays ``-inf``, so the
-    padding adds exact zeros to every sum.
+    marginal entries. The scalings of real zero-marginal entries start at 1,
+    as in the one-problem solve, and reach 0 in the first update; from then
+    on their kernel entries are 1 as well.
 
     The results are cut back to the exact shapes, so the post-solve runs on
     exact shapes: a padded plan's flattened cost sum would regroup numpy's
@@ -291,12 +332,13 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
             P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m], E[lo:hi] = stacks[s][1:]
             rows[lo:hi, :n] = True
             cols[lo:hi, :m] = True
-        f, g, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, max_iter, tol)
+        FG, uv, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, max_iter, tol)
         for s, n, m, lo, hi in spans:
             members, _, _, Ds, Es = stacks[s]
             groups[s] = PlanGroup(
                 members=members, costs=Ds,
-                plans=_build(f[lo:hi, :n], g[lo:hi, :m], Ds, Es[:, None, None]),
+                plans=_plans(FG[lo:hi, :n], FG[lo:hi, N:N + m], uv[lo:hi, :n],
+                             uv[lo:hi, N:N + m], Ds, Es[:, None, None]),
                 epsilon=Es, iterations=iters[lo:hi], converged=converged[lo:hi],
                 violations=viol[lo:hi])
     unconverged = sorted((int(k), float(v)) for grp in groups
@@ -332,55 +374,89 @@ def _validate(count, members, P, Q, D, E) -> None:
 
 
 def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
-    """Iterate one bucket's padded stack; returns the best potentials, their
-    iteration and violation, and the converged flags, per problem.
+    """Iterate one bucket's padded stack; returns the best potentials and
+    scalings (each as one ``(B, n + m)`` array, rows first), their iteration
+    and violation, and the converged flags, per problem.
 
-    ``rows`` and ``cols`` mark the real (unpadded) entries; the potentials of
-    the others start at ``-inf`` (see :func:`_solve_groups`).
+    ``rows`` and ``cols`` mark the real (unpadded) entries; the scalings of
+    the others start, and stay, at 0 (see :func:`_solve_groups`).
 
-    numpy adds a contiguous axis blockwise (see :func:`_solve_groups`) but a
-    strided axis strictly left to right, so each reduction keeps the layout
-    of the single-problem solver: the f-update reduces the contiguous last
-    axis, the g-update the strided axis 1 (it used to reduce the rows of the
-    ``D.T`` view), and the column sums a contiguous transposed copy of the
-    plan (they used to come from a plan rebuilt from ``D.T``). Stacking thus
-    changes no bit. Working in place in the iteration's temporaries applies
-    the same float operations to every element, so it changes none either.
+    The state is potentials ``f, g`` and scalings ``u, v`` with plan
+    ``u_i exp((f_i + g_j - D_ij) / eps) v_j``; the kernel ``K`` is the middle
+    factor. The damped simultaneous half-step of the potentials is
+    ``u <- sqrt(u * p / (K v))``, ``v <- sqrt(v * q / (K^T u))``, and the
+    products ``K v`` and ``K^T u`` of the new scalings give both the plan's
+    row and column sums, ``u * K v`` and ``v * K^T u``, and the next step.
+
+    From zero potentials, the first half-step divides each row (column) of
+    ``exp(-D / eps)`` by its largest entry, ``exp(-min_j D_ij / eps)``, and
+    keeps half of that factor's log in the potential, so it is exact however
+    far a row lies from every column. After that step, and whenever a nonzero scaling
+    leaves ``[1 / _BOUND, _BOUND]``, the problem's scalings are absorbed into
+    its potentials and its kernel is rebuilt (see :func:`_absorb`).
+
+    Each product multiplies a contiguous stack (``K``, or its contiguous
+    transpose) by the scalings and sums its contiguous last axis, which is how
+    a lone problem sums, so stacking changes no bit (see
+    :func:`_solve_groups`). Every other step is elementwise, a max, or a
+    reduction that does not depend on the order of its terms. Working in
+    place applies the same float operations to every element, so it changes
+    no bit either.
     """
     B, n, m = D.shape
-    with np.errstate(divide="ignore"):
-        LP = np.log(P)
-        LQ = np.log(Q)
-    best_f = np.zeros((B, n))
-    best_g = np.zeros((B, m))
+    e3 = E[:, None, None]
+    real = rows[:, :, None] & cols[:, None, :]
+    a = np.min(D, axis=2, where=cols[:, None, :], initial=np.inf)
+    b = np.min(D, axis=1, where=rows[:, :, None], initial=np.inf)
+    PQ = np.concatenate([P, Q], axis=1)
+    uv = np.concatenate([rows, cols], axis=1).astype(np.float64)
+    best_FG = np.zeros((B, n + m))
+    best_uv = uv.copy()
     best_iter = np.zeros(B, dtype=np.int64)
     best_viol = np.full(B, np.inf)
     converged = np.zeros(B, dtype=bool)
 
     # The active set: group positions of the problems still iterating, and
-    # their rows of every per-problem array, eps * log(marginal) included.
+    # their rows of every per-problem array but the costs.
     active = np.arange(B)
-    e3 = E[:, None, None]
-    ELP, ELQ = E[:, None] * LP, E[:, None] * LQ
-    f, g = np.where(rows, 0.0, -np.inf), np.where(cols, 0.0, -np.inf)
+    FG = 0.5 * np.concatenate([a, b], axis=1)
+    # The products of the first half-step. Each shifted kernel is its own
+    # product buffer and is dropped before the next one is built.
+    prod = np.empty((B, n + m))
+    R = _exp_masked((a[:, :, None] - D) / e3, real)
+    np.multiply(R, uv[:, None, n:], out=R).sum(axis=2, out=prod[:, :n])
+    del R
+    Ct = np.ascontiguousarray(_exp_masked((b[:, None, :] - D) / e3, real).transpose(0, 2, 1))
+    np.multiply(Ct, uv[:, None, :n], out=Ct).sum(axis=2, out=prod[:, n:])
+    del Ct
     for it in range(1, max_iter + 1):
-        f, g = (_update(f, ELP, g[:, None, :] - D, e3, axis=2),
-                _update(g, ELQ, f[:, :, None] - D, e3, axis=1))
-        plan = _build(f, g, D, e3)
-        row = _worst_gap(plan.sum(axis=2), P)
-        col = _worst_gap(np.ascontiguousarray(plan.transpose(0, 2, 1)).sum(axis=2), Q)
-        viol = np.where(col > row, col, row)  # Python's max(row, col), NaN included
+        uv *= PQ
+        uv /= prod
+        np.sqrt(uv, out=uv)
+        if it == 1:
+            FG, uv, K, Kt = _absorb(FG, uv, D, e3, n)
+            scratch = np.empty(D.size)
+        else:
+            far = ((uv > _BOUND) | ((uv < 1.0 / _BOUND) & (uv > 0.0))).any(axis=1)
+            if far.any():
+                idx = np.flatnonzero(far)
+                FG[idx], uv[idx], K[idx], Kt[idx] = _absorb(FG[idx], uv[idx], D[active[idx]],
+                                                            e3[idx], n)
+        _products(K, Kt, uv, prod, n, scratch)
+        gap = uv * prod
+        gap -= PQ
+        viol = np.abs(gap, out=gap).max(axis=1)
 
         better = viol < best_viol[active]
         if better.all():
-            best_f[active] = f
-            best_g[active] = g
+            best_FG[active] = FG
+            best_uv[active] = uv
             best_iter[active] = it
             best_viol[active] = viol
         else:
             idx = active[better]
-            best_f[idx] = f[better]
-            best_g[idx] = g[better]
+            best_FG[idx] = FG[better]
+            best_uv[idx] = uv[better]
             best_iter[idx] = it
             best_viol[idx] = viol[better]
         done = viol <= tol
@@ -389,9 +465,13 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
             keep = ~done
             if not keep.any():
                 break
-            active, f, g = active[keep], f[keep], g[keep]
-            P, Q, ELP, ELQ, D, e3 = P[keep], Q[keep], ELP[keep], ELQ[keep], D[keep], e3[keep]
-    return best_f, best_g, best_iter, best_viol, converged
+            active, FG, uv, prod = active[keep], FG[keep], uv[keep], prod[keep]
+            PQ, e3 = PQ[keep], e3[keep]
+            # One stack at a time, so only one old stack is alive with its copy;
+            # the costs are only read when absorbing, by group position.
+            K = K[keep]
+            Kt = Kt[keep]
+    return best_FG, best_uv, best_iter, best_viol, converged
 
 
 def transport_costs(plans: np.ndarray, costs: np.ndarray) -> np.ndarray:

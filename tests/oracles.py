@@ -170,11 +170,98 @@ def sinkhorn_plan_loop(p, q, D, eps, max_iter=500, tol=1e-6):
     return best_plan, best_iter, False, best_viol
 
 
+# The kernel-domain solver's constants, frozen with the loop below.
+_KERNEL_BOUND = 1e50
+_KERNEL_FLOOR = -2.0 * np.log(_KERNEL_BOUND)
+_KERNEL_DEFICIT = 2.0 * (np.log(np.finfo(np.float64).tiny) + np.log(_KERNEL_BOUND))
+
+
+def _kernel_absorb(f, g, u, v, D, eps):
+    """Fold the nonzero scalings into the potentials and rebuild the kernel.
+    A potential whose live row (column) of the log kernel peaks below the
+    deficit bound is raised to it; then a live row (column) peaking below the
+    floor keeps half of its peak in its scaling."""
+    live_u, live_v = u > 0, v > 0
+    with np.errstate(divide="ignore"):
+        f = np.where(live_u, f + eps * np.log(u), f)
+        g = np.where(live_v, g + eps * np.log(v), g)
+    L = (f[:, None] + g[None, :] - D) / eps
+    live = live_u[:, None] & live_v[None, :]
+
+    def peaks(L):
+        masked = np.where(live, L, -np.inf)
+        return masked.max(axis=1), masked.max(axis=0)
+
+    row_top, col_top = peaks(L)
+    r = np.where(live_u & (row_top < _KERNEL_DEFICIT), _KERNEL_DEFICIT - row_top, 0.0)
+    c = np.where(live_v & (col_top < _KERNEL_DEFICIT), _KERNEL_DEFICIT - col_top, 0.0)
+    if r.any() or c.any():
+        f, g = f + eps * r, g + eps * c
+        L = L + (r[:, None] + c[None, :])
+        row_top, col_top = peaks(L)
+    s = np.where(live_u & (row_top < _KERNEL_FLOOR), 0.5 * row_top, 0.0)
+    t = np.where(live_v & (col_top < _KERNEL_FLOOR), 0.5 * col_top, 0.0)
+    K = np.exp(np.where(live, L - (s[:, None] + t[None, :]), 0.0))
+    return (f - eps * s, g - eps * t, np.where(s < 0, np.exp(s), np.where(live_u, 1.0, 0.0)),
+            np.where(t < 0, np.exp(t), np.where(live_v, 1.0, 0.0)), K)
+
+
+def _out_of_bound(x):
+    return bool(((x > _KERNEL_BOUND) | ((x < 1.0 / _KERNEL_BOUND) & (x > 0))).any())
+
+
+def sinkhorn_kernel_loop(p, q, D, eps, max_iter=500, tol=1e-6):
+    """The kernel-domain solver with absorption, one problem at a time.
+
+    The batched solver must reproduce it bit for bit. Same returns and
+    warning as :func:`sinkhorn_plan_loop`, whose trajectory it follows up to
+    rounding: the plan is ``u_i exp((f_i + g_j - D_ij) / eps) v_j``, the
+    damped half-step is ``u <- sqrt(u p / K v)``, ``v <- sqrt(v q / K^T u)``,
+    and the first one starts from zero potentials with each row (column) of
+    ``exp(-D / eps)`` divided by its largest entry.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    D = np.asarray(D, dtype=np.float64)
+    n, m = D.shape
+    a = D.min(axis=1)
+    b = D.min(axis=0)
+    f, g = 0.5 * a, 0.5 * b
+    u, v = np.ones(n), np.ones(m)
+    Kv = (np.exp((a[:, None] - D) / eps) * v[None, :]).sum(axis=1)
+    Ktu = (np.ascontiguousarray(np.exp((b[None, :] - D) / eps).T) * u[None, :]).sum(axis=1)
+
+    def plan_of(f, g, u, v):
+        w = u[:, None] * v[None, :]
+        return np.exp(np.where(w > 0, (f[:, None] + g[None, :] - D) / eps, 0.0)) * w
+
+    best_viol = np.inf
+    best = (np.zeros(n), np.zeros(m), u, v)
+    best_iter = 0
+    for it in range(1, max_iter + 1):
+        u = np.sqrt(u * p / Kv)
+        v = np.sqrt(v * q / Ktu)
+        if it == 1 or _out_of_bound(u) or _out_of_bound(v):
+            f, g, u, v, K = _kernel_absorb(f, g, u, v, D, eps)
+            Kt = np.ascontiguousarray(K.T)
+        Kv = (K * v[None, :]).sum(axis=1)
+        Ktu = (Kt * u[None, :]).sum(axis=1)
+        viol = max(np.max(np.abs(u * Kv - p)), np.max(np.abs(v * Ktu - q)))
+        if viol < best_viol:
+            best_viol, best, best_iter = viol, (f, g, u, v), it
+        if viol <= tol:
+            return plan_of(f, g, u, v), it, True, viol
+    logging.getLogger("oracles").warning(
+        "sinkhorn did not converge in %d iterations (best violation %.3e)", max_iter, best_viol
+    )
+    return plan_of(*best), best_iter, False, best_viol
+
+
 def reference_window_features(question, window, instance_id, store, ft, settings):
     """One window's ``(reps, costs, unconverged)``, aligned sentence by sentence.
 
-    The per-window extraction as it stood before batching, on
-    :func:`sinkhorn_plan_loop` and the per-pair cost build and post-solve
+    The per-window extraction as it stood before batching, now on
+    :func:`sinkhorn_kernel_loop`, with the per-pair cost build and post-solve
     functions above. It reuses the library's token filtering and marginals,
     which the batched extractor must call with the same inputs; each has its
     own oracle test.
@@ -200,7 +287,8 @@ def reference_window_features(question, window, instance_id, store, ft, settings
         if not (eps > 0):
             eps = 1e-12
         q = marginal_distribution([sent.tokens[j] for j in s_idx], ft)
-        plan, _, converged, _ = sinkhorn_plan_loop(p, q, D, eps, settings.max_iter, settings.tol)
+        plan, _, converged, _ = sinkhorn_kernel_loop(p, q, D, eps, settings.max_iter,
+                                                       settings.tol)
         rel = relevant_context_per_pair(plan)
         reps[row] = sentence_representation_per_pair(s_pts, rel)
         costs[row] = transport_cost_per_pair(plan, D)

@@ -363,6 +363,44 @@ class TestOutputPathIsADirectory:
         assert written == set()
 
 
+class TestOutputPathsCoincide:
+    # The second path is spelled differently but names the same file.
+    @pytest.mark.parametrize("command,outs,names", [
+        ("train", {"checkpoint_out": "same.out", "log_out": "./same.out"},
+         "'checkpoint_out' and 'log_out'"),
+        ("train", {"checkpoint_out": "same.out", "log_out": "sub/../same.out"},
+         "'checkpoint_out' and 'log_out'"),
+        ("eval", {"--out": "same.out", "--per-question": "./same.out"},
+         "--out and --per-question"),
+    ], ids=["train", "train-dotdot", "eval"])
+    def test_exits_one_naming_both(self, command, outs, names, cli_env, tmp_path,
+                                   monkeypatch, capsys):
+        _never_load(monkeypatch)
+        (tmp_path / "sub").mkdir()
+        paths = {key: f"{tmp_path}/{name}" for key, name in outs.items()}
+        if command == "train":
+            argv = ["train", "--config", str(_train_config(cli_env, tmp_path, **paths))]
+        else:
+            argv = _input_argv(command, cli_env)
+            for flag, path in paths.items():
+                argv += [flag, path]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"{names} name the same file" in err and "Traceback" not in err
+        assert not (tmp_path / "same.out").exists()
+
+    @pytest.mark.parametrize("spelling", ["./same.out", "same.out"])
+    def test_relative_spellings_of_one_file(self, spelling, cli_env, tmp_path, monkeypatch,
+                                            capsys):
+        _never_load(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        argv = _input_argv("eval", cli_env) + ["--out", "same.out", "--per-question", spelling]
+        assert main(argv) == 1
+        assert "--out and --per-question name the same file" in capsys.readouterr().err
+        assert not (tmp_path / "same.out").exists()
+
+
 def _with_crc(payload: bytes) -> bytes:
     """A checkpoint payload followed by its CRC, so the parser behind the CRC check reads it."""
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)

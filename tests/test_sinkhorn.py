@@ -29,6 +29,7 @@ from oracles import (
     mean_oracle,
     relevant_context_per_pair,
     sentence_representation_per_pair,
+    sinkhorn_kernel_loop,
     sinkhorn_plan_loop,
     transport_cost_oracle,
     transport_cost_per_pair,
@@ -269,7 +270,7 @@ class TestBatchedSolver:
         )
         want, want_warnings = _count_warnings(
             "oracles",
-            lambda: [sinkhorn_plan_loop(*problem, max_iter, tol) for problem in problems],
+            lambda: [sinkhorn_kernel_loop(*problem, max_iter, tol) for problem in problems],
         )
         assert got_warnings == want_warnings
         for tp, (plan, iterations, converged, violation) in zip(got, want):
@@ -280,10 +281,10 @@ class TestBatchedSolver:
             assert tp.violation == violation
 
     @pytest.mark.parametrize("max_iter", [1, 500])
-    def test_single_column_problems_keep_their_own_bucket(self, max_iter):
-        # A (9, 1) problem padded to two columns would have its g-update sums
-        # taken left to right rather than blockwise, and its plan would move
-        # (by about 4e-17, in about half of these batches at 500 iterations).
+    def test_single_column_problems_share_a_padded_bucket(self, max_iter):
+        # A (9, 1) problem shares a bucket with the (9, 2) ones and is padded
+        # to two columns: its K v sums gain a trailing exact zero and its
+        # K^T u sums run over the same contiguous rows, so no bit moves.
         for seed in range(8):
             problems = _problems([(9, 1), (9, 2), (10, 2), (9, 1), (10, 2)], seed, zeros=True)
             self._assert_bitwise_equal_to_the_loop(problems, max_iter)
@@ -299,7 +300,7 @@ class TestBatchedSolver:
     def _assert_bitwise_equal_to_the_loop(problems, max_iter):
         ps, qs, Ds, eps = (list(col) for col in zip(*problems))
         for tp, problem in zip(sinkhorn_plans(ps, qs, Ds, eps, max_iter, 1e-9), problems):
-            plan, iterations, converged, violation = sinkhorn_plan_loop(*problem, max_iter, 1e-9)
+            plan, iterations, converged, violation = sinkhorn_kernel_loop(*problem, max_iter, 1e-9)
             np.testing.assert_array_equal(tp.plan, plan, strict=True)
             assert (tp.iterations_used, tp.converged, tp.violation) == (
                 iterations, converged, violation)
@@ -347,6 +348,104 @@ class TestBatchedSolver:
         with pytest.raises(ValueError, match="problem 2: regularization strength must be "
                                              "positive and finite"):
             sinkhorn_plans([p] * 3, [p] * 3, [D] * 3, [0.1, 0.1, eps])
+
+
+# The kernel-domain plan against the log-domain one. Both round the same
+# exact iteration; the log domain's plan alone carries a relative error of
+# about max(D / eps) ulps (up to ~200 at eps_scale 0.01), so 1e-13 on entries
+# at most 1 is a rounding-level bound.
+LOG_DOMAIN_PLAN_TOL = 1e-13
+
+
+def _random_problems(seed, scale, count):
+    """Mixed shapes up to 20 x 20 in 3-D, eps ``scale * mean(D)``; half the
+    marginals longer than 1 get one zero entry."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for _ in range(count):
+        n, m = rng.integers(1, 21, size=2)
+        D = cost_matrix(rng.normal(size=(n, 3)), rng.normal(size=(m, 3)))
+        p, q = random_marginal(rng, n), random_marginal(rng, m)
+        for v in (p, q):
+            if v.size > 1 and rng.random() < 0.5:
+                v[rng.integers(v.size)] = 0.0
+                v /= v.sum()
+        problems.append((p, q, D, scale * D.mean()))
+    return problems
+
+
+def _assert_feasible(tp, p, q):
+    assert np.isfinite(tp.plan).all() and np.all(tp.plan >= 0)
+    if tp.converged:
+        assert np.max(np.abs(tp.plan.sum(axis=1) - p)) <= 1e-6
+        assert np.max(np.abs(tp.plan.sum(axis=0) - q)) <= 1e-6
+
+
+class TestKernelDomain:
+    """The kernel-domain solver against the log-domain loop it replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(problems=problem_batches(), tol=st.sampled_from([1e-6, 1e-9]))
+    def test_follows_the_log_domain_loop(self, problems, tol):
+        ps, qs, Ds, eps = (list(col) for col in zip(*problems))
+        for tp, problem in zip(sinkhorn_plans(ps, qs, Ds, eps, 500, tol), problems):
+            plan, iterations, converged, _ = sinkhorn_plan_loop(*problem, 500, tol)
+            assert tp.converged == converged
+            # An unconverged problem's best iterate is picked among violations
+            # equal to rounding on a plateau, so only a converged plan is
+            # compared.
+            if converged:
+                assert tp.iterations_used == iterations
+                assert relevant_context_per_pair(tp.plan) == relevant_context_per_pair(plan)
+                assert np.max(np.abs(tp.plan - plan)) <= LOG_DOMAIN_PLAN_TOL
+
+    @pytest.mark.parametrize("scale", [0.003, 0.001])
+    def test_small_eps_converges_as_the_log_domain_does(self, scale):
+        # Without absorption, exp(-D / eps) underflows in these batches and
+        # the kernel iteration converges none of them at 0.001.
+        problems = _random_problems(0, scale, 50)
+        assert max(float((D / eps).max()) for _, _, D, eps in problems) > 745
+        ps, qs, Ds, eps = (list(col) for col in zip(*problems))
+        got = sinkhorn_plans(ps, qs, Ds, eps)
+        want = [sinkhorn_plan_loop(*problem) for problem in problems]
+        assert [tp.converged for tp in got] == [converged for _, _, converged, _ in want]
+        assert sum(tp.converged for tp in got) > 0
+        for tp, (p, q, _, _) in zip(got, problems):
+            _assert_feasible(tp, p, q)
+
+    def test_row_whose_kernel_underflows(self):
+        # Question point 0 lies so far from every sentence point that all of
+        # exp(-D[0] / eps) is zero, while the other rows are ordinary.
+        rng = np.random.default_rng(21)
+        X, Y = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        X[0] += 80.0
+        D = cost_matrix(X, Y)
+        eps = 0.1
+        assert not np.exp(-D[0] / eps).any() and np.exp(-D[1:] / eps).all()
+        p, q = random_marginal(rng, 4), random_marginal(rng, 5)
+        other = _problems([(3, 5)], 22, zeros=True)[0]
+        tp, _ = sinkhorn_plans([p, other[0]], [q, other[1]], [D, other[2]], [eps, other[3]])
+        plan, iterations, converged, _ = sinkhorn_plan_loop(p, q, D, eps)
+        assert tp.converged and converged
+        _assert_feasible(tp, p, q)
+        assert np.max(np.abs(tp.plan - plan)) <= 1e-9
+
+    def test_row_past_the_deficit_bound_is_lifted(self):
+        # Row 0's nearest column has no mass, so after the first half-step
+        # its plan row lies near exp(-1250), past what two doubles hold; the
+        # same holds for column 2. Both are lifted, and the solve converges,
+        # stays finite and keeps its swap symmetry.
+        X = np.array([[0.0, 0.0], [20.0, 0.0]])
+        Y = np.array([[0.0, 0.1], [20.0, 0.1], [0.0, 25.0]])
+        D = cost_matrix(X, Y)
+        p, q, eps = np.array([0.5, 0.5]), np.array([0.0, 0.5, 0.5]), 0.01
+        tp = sinkhorn_plan(p, q, D, eps)
+        swapped = sinkhorn_plan(q, p, D.T, eps)
+        plan, _, converged, _ = sinkhorn_plan_loop(p, q, D, eps)
+        assert tp.converged and converged
+        _assert_feasible(tp, p, q)
+        np.testing.assert_array_equal(swapped.plan, tp.plan.T)
+        assert np.max(np.abs(tp.plan - plan)) <= 1e-9
 
 
 def _bits(x) -> bytes:

@@ -14,14 +14,16 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # per-window feature and batch types, the per-pair alignment preparation, the
 # per-window weight-gradient fold, the regularizer's pair-count groups, the
 # one-problem post-solve wrappers, the label codes with their pair-set type and
-# per-window regularizer, and the sentence role names, that the package no longer has.
+# per-window regularizer, the sentence role names, and the log-domain solver's
+# steps, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
            "WindowBatch", "_stacked", "_prepare", "_Prepared", "add_in_order", "_fold_products",
            "STACK_BYTES", "PairGroup", "transport_cost", "relevant_context",
            "sentence_representation", "PairIndexSets", "build_pair_sets", "mi_loss",
-           "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT")
+           "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT",
+           "_logsumexp", "_update", "_worst_gap", "_build")
 
 
 def test_every_export_resolves():
