@@ -72,10 +72,15 @@ def _require_parent(path: str | None, what: str) -> Path | None:
     return p
 
 
-def _require_distinct(first: Path | None, second: Path | None, names: str) -> None:
-    """Reject two output paths that resolve to one file; ``names`` names both."""
-    if first and second and first.resolve() == second.resolve():
-        raise OtrankError(f"{names} name the same file: {first}")
+def _require_distinct(outputs, inputs) -> None:
+    """Reject an output path that resolves to another output or to an input, naming
+    both; each argument lists ``(name, path or None)`` pairs."""
+    outs = [(name, Path(path)) for name, path in outputs if path]
+    others = outs + [(name, Path(path)) for name, path in inputs if path]
+    for k, (name, path) in enumerate(outs):
+        for other, other_path in others[k + 1:]:
+            if path.resolve() == other_path.resolve():
+                raise OtrankError(f"{name} and {other} name the same file: {path}")
 
 
 def _dump_json(obj, out: Path | None) -> None:
@@ -88,6 +93,7 @@ def _dump_json(obj, out: Path | None) -> None:
 
 def _cmd_build_freq(args) -> int:
     out = _require_parent(args.out, "frequency table")
+    _require_distinct([("--out", out)], [("--train", args.train)])
     corpus = load_corpus(_require_file(args.train, "training corpus"), split="train")
     ft = build_frequency_table(corpus)
     _dump_json({"counts": ft.counts, "num_questions": ft.num_questions}, out)
@@ -131,7 +137,9 @@ def _cmd_train(args) -> int:
     emb_path = _require_file(paths["embeddings"], "embedding store")
     ckpt_out = _require_parent(paths["checkpoint_out"], "checkpoint")
     log_out = _require_parent(paths["log_out"], "training log")
-    _require_distinct(ckpt_out, log_out, "config keys 'checkpoint_out' and 'log_out'")
+    _require_distinct([("'checkpoint_out'", ckpt_out), ("'log_out'", log_out)],
+                      [(f"'{key}'", paths[key]) for key in ("train_corpus", "dev_corpus",
+                                                            "embeddings")])
     dev = (
         load_corpus(_require_file(paths["dev_corpus"], "dev corpus"), split="dev")
         if paths.get("dev_corpus")
@@ -151,7 +159,10 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_inputs(args):
+def _load_eval_inputs(args, outputs, splits: list[str]):
+    """The checkpoint and store, once no path of ``outputs`` names an input."""
+    _require_distinct(outputs, [("--split", sp) for sp in splits]
+                      + [("--checkpoint", args.checkpoint), ("--embeddings", args.embeddings)])
     ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     store = load_embedding_store(_require_file(args.embeddings, "embedding store"))
     return ckpt, store
@@ -159,7 +170,7 @@ def _load_eval_inputs(args):
 
 def _cmd_rerank(args) -> int:
     out = _require_parent(args.out, "rankings")
-    ckpt, store = _load_eval_inputs(args)
+    ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
     corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
     rankings = rank_questions(corpus.instances, ckpt, store)
     with out.open("w", encoding="utf-8") as fh:
@@ -181,8 +192,8 @@ def _cmd_rerank(args) -> int:
 def _cmd_eval(args) -> int:
     out = _require_parent(args.out, "report")
     per_question = _require_parent(args.per_question, "per-question TSV")
-    _require_distinct(out, per_question, "--out and --per-question")
-    ckpt, store = _load_eval_inputs(args)
+    ckpt, store = _load_eval_inputs(args, [("--out", out), ("--per-question", per_question)],
+                                    args.split)
     split_paths = args.split
     if len(split_paths) > 1 and not args.combine_dev_test:
         raise OtrankError("multiple --split files require --combine-dev-test")
@@ -217,7 +228,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_align(args) -> int:
     out = _require_parent(args.out, "report")
-    ckpt, store = _load_eval_inputs(args)
+    ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
     corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
     inst = next((i for i in corpus.instances if i.question_id == args.question_id), None)
     if inst is None:

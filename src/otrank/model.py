@@ -68,13 +68,28 @@ class GCNLayer:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors. Declaration order here fixes the checkpoint
-    serialization order and the gradient/optimizer iteration order."""
+    """All trainable tensors, as views of one flat float64 buffer.
 
+    Declaration order here fixes the layout of ``flat``, the checkpoint
+    serialization order and the gradient/optimizer order. A gradient and each
+    Adam moment is a flat buffer of the same layout, which :meth:`like` carves.
+    """
+
+    flat: np.ndarray  # (n,) the tensors below, back to back
     dep: FFNParams  # input d + 2
     gcn: list[GCNLayer]
     head: FFNParams  # input d
     disc: FFNParams  # input 2d
+
+    @classmethod
+    def zeros(cls, dim: int, hidden: int, layers: int) -> "ModelParams":
+        """All-zero tensors of these sizes over a fresh buffer."""
+        size = sum(math.prod(shape) for _, shape in _layout(dim, hidden, layers))
+        return _carve(np.zeros(size), dim, hidden, layers)
+
+    def like(self, flat: np.ndarray) -> "ModelParams":
+        """The tensors of ``flat``, another buffer of this layout, as views of it."""
+        return _carve(flat, self.dim, self.hidden, self.layers)
 
     @property
     def dim(self) -> int:
@@ -89,54 +104,59 @@ class ModelParams:
         return len(self.gcn)
 
 
-def _init_linear(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(n_in)
-    return rng.uniform(-bound, bound, size=(n_out, n_in))
+def _layout(dim: int, hidden: int, layers: int) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every trainable tensor, in declaration order."""
+
+    def ffn(name: str, n_in: int):
+        return [(f"{name}.w1", (hidden, n_in)), (f"{name}.b1", (hidden,)),
+                (f"{name}.w2", (1, hidden)), (f"{name}.b2", (1,))]
+
+    gcn = [(f"gcn.{l}.{key}", shape) for l in range(layers)
+           for key, shape in (("w", (dim, dim)), ("b", (dim,)))]
+    return ffn("dep", dim + 2) + gcn + ffn("head", dim) + ffn("disc", 2 * dim)
 
 
-def _init_ffn(rng: np.random.Generator, n_in: int, hidden: int) -> FFNParams:
-    return FFNParams(
-        w1=_init_linear(rng, hidden, n_in),
-        b1=np.zeros(hidden),
-        w2=_init_linear(rng, 1, hidden),
-        b2=np.zeros(1),
-    )
+def _views(flat: np.ndarray, dim: int, hidden: int, layers: int) -> dict[str, np.ndarray]:
+    out: dict[str, np.ndarray] = {}
+    lo = 0
+    for name, shape in _layout(dim, hidden, layers):
+        hi = lo + math.prod(shape)
+        out[name] = flat[lo:hi].reshape(shape)
+        lo = hi
+    if flat.shape != (lo,):
+        raise ValueError(f"a buffer of shape {flat.shape} does not hold the {lo} parameters "
+                         f"of d={dim}, hidden={hidden}, layers={layers}")
+    return out
+
+
+def _carve(flat: np.ndarray, dim: int, hidden: int, layers: int) -> ModelParams:
+    t = _views(flat, dim, hidden, layers)
+
+    def ffn(name: str) -> FFNParams:
+        return FFNParams(*(t[f"{name}.{key}"] for key in ("w1", "b1", "w2", "b2")))
+
+    gcn = [GCNLayer(w=t[f"gcn.{l}.w"], b=t[f"gcn.{l}.b"]) for l in range(layers)]
+    return ModelParams(flat=flat, dep=ffn("dep"), gcn=gcn, head=ffn("head"), disc=ffn("disc"))
 
 
 def init_model_params(
     rng: np.random.Generator, dim: int, hidden: int = 400, layers: int = 2
 ) -> ModelParams:
-    """Seeded scaled-uniform init (+-1/sqrt(fan_in) weights, zero biases)."""
+    """Seeded scaled-uniform init (+-1/sqrt(fan_in) weights, zero biases); the
+    weights are drawn one after another in declaration order."""
     if layers < 1:
         raise ValueError("need at least one graph-convolution layer")
-    dep = _init_ffn(rng, dim + 2, hidden)
-    gcn = [GCNLayer(w=_init_linear(rng, dim, dim), b=np.zeros(dim)) for _ in range(layers)]
-    head = _init_ffn(rng, dim, hidden)
-    disc = _init_ffn(rng, 2 * dim, hidden)
-    return ModelParams(dep=dep, gcn=gcn, head=head, disc=disc)
+    params = ModelParams.zeros(dim, hidden, layers)
+    for w in param_tensors(params).values():
+        if w.ndim == 2:
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def param_tensors(params: ModelParams) -> dict[str, np.ndarray]:
-    """Named views of every trainable tensor, in fixed declaration order."""
-    out: dict[str, np.ndarray] = {
-        "dep.w1": params.dep.w1,
-        "dep.b1": params.dep.b1,
-        "dep.w2": params.dep.w2,
-        "dep.b2": params.dep.b2,
-    }
-    for l, layer in enumerate(params.gcn):
-        out[f"gcn.{l}.w"] = layer.w
-        out[f"gcn.{l}.b"] = layer.b
-    for name, ffn in (("head", params.head), ("disc", params.disc)):
-        out[f"{name}.w1"] = ffn.w1
-        out[f"{name}.b1"] = ffn.b1
-        out[f"{name}.w2"] = ffn.w2
-        out[f"{name}.b2"] = ffn.b2
-    return out
-
-
-def zero_gradients(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(t) for name, t in param_tensors(params).items()}
+    """Named views of every trainable tensor in ``params.flat``, in declaration order."""
+    return _views(params.flat, params.dim, params.hidden, params.layers)
 
 
 def sigmoid(z):

@@ -12,7 +12,6 @@ seed, so identical seeds produce bit-identical checkpoints.
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -32,9 +31,7 @@ from .errors import CheckpointError, EmptyInputError
 from .model import (
     FORWARD_CHUNK,
     FeatureSet,
-    FFNParams,
     Forward,
-    GCNLayer,
     ModelParams,
     Workspace,
     extract_features,
@@ -43,7 +40,6 @@ from .model import (
     instance_windows,
     param_tensors,
     sigmoid,
-    zero_gradients,
 )
 from .mutual_info import MIForward, WindowPairs, mi_backward, mi_forward
 from .sinkhorn import SinkhornSettings
@@ -226,12 +222,13 @@ def _backward(
 
 
 def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig,
-                       ws: Workspace | None = None) -> tuple[float, dict[str, np.ndarray]]:
+                       ws: Workspace | None = None) -> tuple[float, np.ndarray]:
     """Joint loss over a nonempty :class:`FeatureSet`, plus exact reverse-mode
-    derivatives for every tensor. Scratch arrays come from ``ws`` (a fresh
-    :class:`~otrank.model.Workspace` when None); the results never alias it."""
-    grads = zero_gradients(params)
-    as2, mi = _mean_terms(feats, params, cfg.gamma, grads, ws)
+    derivatives as one fresh flat buffer in the layout of ``params.flat``. Scratch
+    arrays come from ``ws`` (a fresh :class:`~otrank.model.Workspace` when None);
+    the results never alias it."""
+    grads = np.zeros_like(params.flat)
+    as2, mi = _mean_terms(feats, params, cfg.gamma, param_tensors(params.like(grads)), ws)
     loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(feats)} windows")
@@ -240,43 +237,38 @@ def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig,
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's step count and moments, each moment a flat buffer in the parameter layout."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros(cls, params: ModelParams) -> "AdamState":
-        return cls(m=zero_gradients(params), v=zero_gradients(params), t=0)
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), t=0)
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: np.ndarray,
     state: AdamState,
     cfg: TrainConfig,
 ) -> AdamState:
-    """One bias-corrected Adam update of the parameters and moments, in place,
-    in fixed tensor order. A read-only moment (a loaded checkpoint's moments
-    are views of its bytes) is copied once, before its first update.
-    """
+    """One bias-corrected Adam update of ``params.flat`` and the moments, in place,
+    from a flat gradient of the same layout: one elementwise pass, in which each
+    entry goes through the operations of an update tensor by tensor, in order."""
+    if grads.shape != params.flat.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.flat.shape}")
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, theta in param_tensors(params).items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {theta.shape}"
-                             f" for {name}")
-        for moments in (state.m, state.v):
-            if not moments[name].flags.writeable:
-                moments[name] = moments[name].copy()
-        m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        theta -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
     return state
 
 
@@ -308,12 +300,13 @@ class TrainResult:
 
 
 def _snapshot(params, cfg, epoch, adam, rng, ft) -> Checkpoint:
+    # Fresh buffers with views of their own: training goes on updating the live ones.
     return Checkpoint(
-        params=copy.deepcopy(params),
+        params=params.like(params.flat.copy()),
         config=cfg,
         epoch=epoch,
-        adam=copy.deepcopy(adam),
-        rng_state=copy.deepcopy(rng.bit_generator.state),
+        adam=AdamState(m=adam.m.copy(), v=adam.v.copy(), t=adam.t),
+        rng_state=rng.bit_generator.state,  # a fresh dict on every read
         freq_table=ft,
     )
 
@@ -429,27 +422,7 @@ def _pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_tensors(rd: ByteReader) -> dict[str, np.ndarray]:
-    """Decode one tensor table as read-only views of the reader's bytes."""
-    (count,) = rd.unpack("<I")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = rd.read_str("<H")
-        if name in out:
-            raise CheckpointError(f"{rd.path.name}: tensor {name} appears twice")
-        (ndim,) = rd.unpack("<B")
-        shape = rd.unpack(f"<{ndim}I")
-        data = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8")
-        try:
-            out[name] = data.reshape(shape)
-        except ValueError:  # a zero-size shape whose other sizes overflow
-            raise CheckpointError(f"{rd.path.name}: tensor {name} has an impossible shape "
-                                  f"{shape}") from None
-    return out
-
-
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    tensors = param_tensors(ckpt.params)
     meta = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
@@ -474,39 +447,38 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         ),
         struct.pack("<Q", len(meta_raw)),
         meta_raw,
-        _pack_tensors(tensors),
-        _pack_tensors(ckpt.adam.m),
-        _pack_tensors(ckpt.adam.v),
+        *(_pack_tensors(param_tensors(ckpt.params.like(flat)))
+          for flat in (ckpt.params.flat, ckpt.adam.m, ckpt.adam.v)),
     ]
     payload = b"".join(body)
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
-def _params_from_tensors(dim: int, layers: int, hidden: int,
-                         tensors: dict[str, np.ndarray], name: str) -> ModelParams:
-    """Copy decoded tensors into fresh, aligned parameter arrays of the
-    header's sizes, laid out as :func:`init_model_params` lays them out."""
-
-    def ffn(n_in: int) -> FFNParams:
-        return FFNParams(w1=np.empty((hidden, n_in)), b1=np.empty(hidden),
-                         w2=np.empty((1, hidden)), b2=np.empty(1))
-
-    params = ModelParams(
-        dep=ffn(dim + 2),
-        gcn=[GCNLayer(w=np.empty((dim, dim)), b=np.empty(dim)) for _ in range(layers)],
-        head=ffn(dim),
-        disc=ffn(2 * dim),
-    )
-    expected = param_tensors(params)
-    if set(expected) != set(tensors):
-        raise CheckpointError(f"{name}: checkpoint tensor names do not match the model layout")
-    for key, target in expected.items():
-        if tensors[key].shape != target.shape:
-            raise CheckpointError(
-                f"{name}: tensor {key} has shape {tensors[key].shape}, expected {target.shape}"
-            )
-        target[...] = tensors[key]
-    return params
+def _decode_tensors(rd: ByteReader, dim: int, hidden: int, layers: int) -> ModelParams:
+    """Decode one tensor table into a fresh flat buffer laid out for the
+    header's sizes, checking every name and shape against that layout."""
+    out = ModelParams.zeros(dim, hidden, layers)
+    expected = param_tensors(out)
+    seen: set[str] = set()
+    (count,) = rd.unpack("<I")
+    for _ in range(count):
+        name = rd.read_str("<H")
+        if name in seen:
+            raise CheckpointError(f"{rd.path.name}: tensor {name} appears twice")
+        seen.add(name)
+        (ndim,) = rd.unpack("<B")
+        shape = rd.unpack(f"<{ndim}I")
+        data = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8")
+        if name not in expected:
+            break  # reported below
+        if shape != expected[name].shape:
+            raise CheckpointError(f"{rd.path.name}: tensor {name} has shape {shape}, "
+                                  f"expected {expected[name].shape}")
+        expected[name][...] = data.reshape(shape)
+    if seen != set(expected):
+        raise CheckpointError(f"{rd.path.name}: checkpoint tensor names do not match the "
+                              "model layout")
+    return out
 
 
 _META_KEYS = ("adam_t", "config", "epoch", "freq_table", "rng_state")
@@ -560,9 +532,9 @@ def _check_meta(meta, name: str) -> TrainConfig:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    The parameters are fresh, aligned, writable arrays. The Adam moments are
-    read-only views of the file's bytes: :func:`adam_step` copies each one
-    before its first update.
+    The parameters and both Adam moments are each decoded into a fresh,
+    writable flat buffer in the layout of :class:`~otrank.model.ModelParams`,
+    so nothing returned keeps the file's bytes alive.
     """
     path = Path(path)
     raw = memoryview(path.read_bytes())
@@ -591,15 +563,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: {exc}") from None
     config = _check_meta(meta, path.name)
-    params = _params_from_tensors(dim, layers, hidden, _unpack_tensors(rd), path.name)
-    adam = AdamState(m=_unpack_tensors(rd), v=_unpack_tensors(rd), t=meta["adam_t"])
+    params = _decode_tensors(rd, dim, hidden, layers)
+    adam = AdamState(m=_decode_tensors(rd, dim, hidden, layers).flat,
+                     v=_decode_tensors(rd, dim, hidden, layers).flat, t=meta["adam_t"])
     if rd.pos != len(payload):
         raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
-    shapes = {name: t.shape for name, t in param_tensors(params).items()}
-    for which, moments in (("first", adam.m), ("second", adam.v)):
-        if {name: t.shape for name, t in moments.items()} != shapes:
-            raise CheckpointError(f"{path.name}: Adam {which} moments do not match the "
-                                  "parameter layout")
     ft = None
     if meta["freq_table"] is not None:
         ft = FrequencyTable(
@@ -649,8 +617,7 @@ def gradcheck(
     """
     rng = np.random.default_rng(seed)
     params = init_model_params(rng, dim, hidden, layers)
-    for tensor in param_tensors(params).values():
-        tensor[...] = rng.uniform(-0.5, 0.5, size=tensor.shape)
+    params.flat[...] = rng.uniform(-0.5, 0.5, size=params.flat.shape)
 
     labels = np.array([[True, True, False], [False, True, False], [True, False, False]])
     draws = [(rng.normal(size=(3, dim)), rng.uniform(0.5, 2.0, size=3)) for _ in labels]
@@ -659,7 +626,7 @@ def gradcheck(
     cfg = TrainConfig(learning_rate=1e-3, batch_size=len(batch), gamma=gamma,
                       epochs=0, seed=seed, hidden_size=hidden, gcn_layers=layers)
 
-    analytic = loss_and_gradients(batch, params, cfg)[1]
+    analytic = param_tensors(params.like(loss_and_gradients(batch, params, cfg)[1]))
     report: dict[str, float] = {}
     for name, theta in param_tensors(params).items():
         worst = 0.0

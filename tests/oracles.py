@@ -693,20 +693,47 @@ def window_backward_loop(feats, params, fwd, mi_fwd, s_as2, s_mi, grads):
     grads["dep.b1"] += dz1_dep.sum(axis=0)
 
 
+def named_tensors(params):
+    """Every trainable tensor of ``params`` by name, in declaration order, read
+    from its fields."""
+    out = {f"dep.{k}": getattr(params.dep, k) for k in ("w1", "b1", "w2", "b2")}
+    for l, layer in enumerate(params.gcn):
+        out[f"gcn.{l}.w"] = layer.w
+        out[f"gcn.{l}.b"] = layer.b
+    for name in ("head", "disc"):
+        out.update({f"{name}.{k}": getattr(getattr(params, name), k)
+                    for k in ("w1", "b1", "w2", "b2")})
+    return out
+
+
 def loss_and_gradients_loop(batch, params, cfg):
     """Joint loss and every gradient tensor, window after window."""
-    from otrank.model import zero_gradients
-
     if not batch:
         raise ValueError("batch must be nonempty")
     fwds, mis, as2, mi = forward_losses_loop(batch, params, cfg.gamma)
     loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(batch)} windows")
-    grads = zero_gradients(params)
+    grads = {name: np.zeros_like(t) for name, t in named_tensors(params).items()}
     s_as2 = 1.0 / len(batch)
     s_mi = cfg.gamma / len(batch)
     for k, (feats, fwd) in enumerate(zip(batch, fwds)):
         window_backward_loop(feats, params, fwd, None if mis is None else mis[k],
                              s_as2, s_mi, grads)
     return loss, grads
+
+
+def adam_step_loop(params, grads, m, v, t, cfg):
+    """Adam's step ``t`` (counted from 1), tensor by tensor and in place, on the
+    named tensors ``params`` with the named gradients ``grads`` and moments
+    ``m`` and ``v``."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    for name, theta in params.items():
+        g = grads[name]
+        m[name] *= b1
+        m[name] += (1.0 - b1) * g
+        v[name] *= b2
+        v[name] += (1.0 - b2) * (g * g)
+        theta -= cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.adam_eps)

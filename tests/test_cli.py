@@ -364,7 +364,8 @@ class TestOutputPathIsADirectory:
 
 
 class TestOutputPathsCoincide:
-    # The second path is spelled differently but names the same file.
+    # The second path is spelled differently but names the same file. A path
+    # under "in/" names one of the command's input files (see cli_env).
     @pytest.mark.parametrize("command,outs,names", [
         ("train", {"checkpoint_out": "same.out", "log_out": "./same.out"},
          "'checkpoint_out' and 'log_out'"),
@@ -372,12 +373,32 @@ class TestOutputPathsCoincide:
          "'checkpoint_out' and 'log_out'"),
         ("eval", {"--out": "same.out", "--per-question": "./same.out"},
          "--out and --per-question"),
-    ], ids=["train", "train-dotdot", "eval"])
+        ("rerank", {"--out": "in/./tiny.jsonl"}, "--out and --split"),
+        ("rerank", {"--out": "in/./pin.ckpt"}, "--out and --checkpoint"),
+        ("rerank", {"--out": "in/./emb.bin"}, "--out and --embeddings"),
+        ("align", {"--out": "in/./tiny.jsonl"}, "--out and --split"),
+        ("align", {"--out": "in/./pin.ckpt"}, "--out and --checkpoint"),
+        ("eval", {"--out": "in/./tiny.jsonl"}, "--out and --split"),
+        ("eval", {"--split": "in/no_ft.ckpt", "--per-question": "in/./no_ft.ckpt"},
+         "--per-question and --split"),
+        ("eval", {"--out": "in/./pin.ckpt"}, "--out and --checkpoint"),
+        ("eval", {"--per-question": "in/./emb.bin"}, "--per-question and --embeddings"),
+        ("build-freq", {"--out": "in/./tiny.jsonl"}, "--out and --train"),
+        ("train", {"checkpoint_out": "in/./tiny.jsonl"}, "'checkpoint_out' and 'train_corpus'"),
+        ("train", {"dev_corpus": "in/no_ft.ckpt", "log_out": "in/./no_ft.ckpt"},
+         "'log_out' and 'dev_corpus'"),
+        ("train", {"log_out": "in/./emb.bin"}, "'log_out' and 'embeddings'"),
+    ], ids=["train", "train-dotdot", "eval", "rerank-split", "rerank-checkpoint",
+            "rerank-embeddings", "align-split", "align-checkpoint", "eval-split",
+            "eval-second-split", "eval-checkpoint", "eval-embeddings", "build-freq-train",
+            "train-train-corpus", "train-dev-corpus", "train-embeddings"])
     def test_exits_one_naming_both(self, command, outs, names, cli_env, tmp_path,
                                    monkeypatch, capsys):
         _never_load(monkeypatch)
         (tmp_path / "sub").mkdir()
-        paths = {key: f"{tmp_path}/{name}" for key, name in outs.items()}
+        inputs = {p: p.read_bytes() for p in cli_env["dir"].iterdir()}
+        paths = {key: (f"{cli_env['dir']}/{name[3:]}" if name.startswith("in/")
+                       else f"{tmp_path}/{name}") for key, name in outs.items()}
         if command == "train":
             argv = ["train", "--config", str(_train_config(cli_env, tmp_path, **paths))]
         else:
@@ -389,6 +410,7 @@ class TestOutputPathsCoincide:
         assert rc == 1
         assert f"{names} name the same file" in err and "Traceback" not in err
         assert not (tmp_path / "same.out").exists()
+        assert {p: p.read_bytes() for p in cli_env["dir"].iterdir()} == inputs
 
     @pytest.mark.parametrize("spelling", ["./same.out", "same.out"])
     def test_relative_spellings_of_one_file(self, spelling, cli_env, tmp_path, monkeypatch,

@@ -30,6 +30,7 @@ from oracles import (
     Window,
     feature_set,
     ffn_scalar_oracle,
+    named_tensors,
     scalar_score_window,
     sigmoid_oracle,
     softmax_oracle,
@@ -71,6 +72,28 @@ def cost_only_dep(d, hidden, w1_costs, b1, w2):
     w1[:, d:] = w1_costs
     return FFNParams(w1=w1, b1=np.asarray(b1, dtype=np.float64),
                      w2=np.asarray([w2], dtype=np.float64), b2=np.zeros(1))
+
+
+class TestParameterLayout:
+    def test_named_views_tile_the_flat_buffer_in_declaration_order(self):
+        params = init_model_params(np.random.default_rng(0), dim=5, hidden=7, layers=3)
+        tensors = param_tensors(params)
+        fields = named_tensors(params)
+        assert list(tensors) == list(fields)
+        start = params.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, t in tensors.items():
+            assert t.__array_interface__["data"][0] == start + 8 * offset, name
+            assert t.flags.c_contiguous and t.shape == fields[name].shape, name
+            assert np.shares_memory(fields[name], t), name
+            offset += t.size
+        assert params.flat.shape == (offset,) and params.flat.flags.c_contiguous
+        assert params.flat.tobytes() == b"".join(t.tobytes() for t in tensors.values())
+
+    def test_a_buffer_of_another_size_is_rejected(self):
+        params = init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=1)
+        with pytest.raises(ValueError, match="does not hold"):
+            params.like(np.zeros(params.flat.size + 1))
 
 
 class TestDependencyScore:

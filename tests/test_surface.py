@@ -14,8 +14,9 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # per-window feature and batch types, the per-pair alignment preparation, the
 # per-window weight-gradient fold, the regularizer's pair-count groups, the
 # one-problem post-solve wrappers, the label codes with their pair-set type and
-# per-window regularizer, the sentence role names, and the log-domain solver's
-# steps, that the package no longer has.
+# per-window regularizer, the sentence role names, the log-domain solver's
+# steps, and the per-tensor gradient dict and checkpoint skeleton that the flat
+# parameter buffer replaced, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -23,7 +24,8 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "STACK_BYTES", "PairGroup", "transport_cost", "relevant_context",
            "sentence_representation", "PairIndexSets", "build_pair_sets", "mi_loss",
            "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT",
-           "_logsumexp", "_update", "_worst_gap", "_build")
+           "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
+           "_params_from_tensors")
 
 
 def test_every_export_resolves():

@@ -1,6 +1,7 @@
 """Joint loss, gradients, Adam, the training loop, checkpoints, gradcheck."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,6 @@ from otrank.model import (
     param_tensors,
     score_windows,
     window_forward,
-    zero_gradients,
 )
 from otrank.embeddings import build_frequency_table
 from otrank.sinkhorn import SinkhornSettings
@@ -40,6 +40,7 @@ from otrank.training import (
 
 from oracles import (
     Window,
+    adam_step_loop,
     feature_set,
     forward_losses_loop,
     loss_and_gradients_loop,
@@ -69,6 +70,12 @@ def random_windows(rng, dim, n=3):
 
 def random_batch(rng, dim, n=3):
     return feature_set(random_windows(rng, dim, n))
+
+
+def named_gradients(feats, params, cfg, ws=None):
+    """``loss_and_gradients`` with the flat gradient as named tensors."""
+    loss, grads = loss_and_gradients(feats, params, cfg, ws)
+    return loss, param_tensors(params.like(grads))
 
 
 class TestJointLoss:
@@ -112,8 +119,8 @@ class TestGradients:
         for t in param_tensors(params).values():
             t[...] = 0.0
         windows = random_windows(rng, 4, n=4)
-        grads = loss_and_gradients(feature_set(windows), params,
-                                   micro_cfg(gamma=0.0, batch_size=4))[1]
+        grads = named_gradients(feature_set(windows), params,
+                                micro_cfg(gamma=0.0, batch_size=4))[1]
         ys = [1.0 if w.labels[0] else 0.0 for w in windows]
         expected = np.mean([0.5 - y for y in ys])
         assert grads["head.b2"][0] == pytest.approx(expected, abs=1e-15)
@@ -130,7 +137,7 @@ class TestGradients:
             t[...] = rng.uniform(-0.5, 0.5, size=t.shape)
         batch = random_batch(rng, dim)
         cfg = micro_cfg(gamma=0.3)
-        analytic = loss_and_gradients(batch, params, cfg)[1]
+        analytic = named_gradients(batch, params, cfg)[1]
         step = 1e-4
         rng_pick = np.random.default_rng(4)
         for name, tensor in param_tensors(params).items():
@@ -153,8 +160,8 @@ class TestGradients:
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
         window = random_windows(rng, 4, n=1)[0]
         cfg = micro_cfg()
-        single = loss_and_gradients(feature_set([window]), params, cfg)[1]
-        doubled = loss_and_gradients(feature_set([window, window]), params, cfg)[1]
+        single = named_gradients(feature_set([window]), params, cfg)[1]
+        doubled = named_gradients(feature_set([window, window]), params, cfg)[1]
         # A flat GEMM adds the two halves g/2 + g/2 in its own order, so the
         # gradients agree to rounding, not bit for bit.
         assert_gradients_within_rounding(doubled, single)
@@ -162,7 +169,7 @@ class TestGradients:
     def test_gamma_zero_never_touches_disc(self):
         rng = np.random.default_rng(6)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
-        grads = loss_and_gradients(random_batch(rng, 4), params, micro_cfg(gamma=0.0))[1]
+        grads = named_gradients(random_batch(rng, 4), params, micro_cfg(gamma=0.0))[1]
         for name in ("disc.w1", "disc.b1", "disc.w2", "disc.b2"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
 
@@ -227,7 +234,7 @@ def assert_step_matches_loop(case):
     batch, params, cfg = case
     loss, grads = loss_and_gradients_loop(batch, params, cfg)
     feats = feature_set(batch)
-    got_loss, got = loss_and_gradients(feats, params, cfg)
+    got_loss, got = named_gradients(feats, params, cfg)
     as2 = forward_losses_loop(batch, params, cfg.gamma)[2]
     assert training._mean_terms(feats, params, cfg.gamma)[0] == as2
     if cfg.gamma == 0.0:
@@ -251,7 +258,7 @@ class TestBatchedStepEqualsLoop:
         # the edge softmax is shift-invariant.
         batch, params, cfg = case
         loss, grads = loss_and_gradients_loop(batch, params, cfg)
-        got_loss, got = loss_and_gradients(feature_set(batch), params, cfg)
+        got_loss, got = named_gradients(feature_set(batch), params, cfg)
         assert abs(got_loss - loss) <= 1e-12 * abs(loss)
         assert list(got) == list(grads)
         scale = max(float(np.abs(g).max()) for g in grads.values())
@@ -274,7 +281,7 @@ class TestBatchedStepEqualsLoop:
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
         windows = random_windows(rng, 4, n=9)
         rows = [7, 2, 2, 5]
-        a = loss_and_gradients(feature_set(windows).take(rows), params, micro_cfg())
+        a = named_gradients(feature_set(windows).take(rows), params, micro_cfg())
         b = loss_and_gradients_loop([windows[r] for r in rows], params, micro_cfg())
         assert a[0] == b[0]
         assert_gradients_within_rounding(a[1], b[1])
@@ -298,9 +305,8 @@ class TestWorkspace:
         ws = Workspace()
         for n in (70, 5):
             windows = labelled_windows(rng, 6, n)
-            loss, grads = loss_and_gradients(feature_set(windows), params, cfg, ws)
-            fresh_loss, fresh = loss_and_gradients(feature_set(windows), params, cfg,
-                                                   Workspace())
+            loss, grads = named_gradients(feature_set(windows), params, cfg, ws)
+            fresh_loss, fresh = named_gradients(feature_set(windows), params, cfg, Workspace())
             assert loss == fresh_loss
             assert list(grads) == list(fresh)
             for name, g in fresh.items():
@@ -342,60 +348,75 @@ class TestAdamStep:
     def test_zero_gradient_is_fixed_point(self):
         rng = np.random.default_rng(8)
         params = init_model_params(rng, dim=3, hidden=4, layers=1)
-        before = {k: v.copy() for k, v in param_tensors(params).items()}
+        before = params.flat.copy()
         state = AdamState.zeros(params)
-        adam_step(params, zero_gradients(params), state, micro_cfg())
-        for name, t in param_tensors(params).items():
-            np.testing.assert_array_equal(t, before[name])
+        adam_step(params, np.zeros_like(params.flat), state, micro_cfg())
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_moments_decay_under_zero_gradient(self):
         rng = np.random.default_rng(9)
         params = init_model_params(rng, dim=3, hidden=4, layers=1)
         state = AdamState.zeros(params)
-        g = {k: np.full_like(v, 0.5) for k, v in param_tensors(params).items()}
         cfg = micro_cfg()
-        adam_step(params, g, state, cfg)
-        m_before = {k: v.copy() for k, v in state.m.items()}
-        adam_step(params, zero_gradients(params), state, cfg)
-        for name in m_before:
-            np.testing.assert_allclose(
-                state.m[name], cfg.adam_beta1 * m_before[name], atol=1e-18
-            )
+        adam_step(params, np.full_like(params.flat, 0.5), state, cfg)
+        m_before = state.m.copy()
+        adam_step(params, np.zeros_like(params.flat), state, cfg)
+        np.testing.assert_allclose(state.m, cfg.adam_beta1 * m_before, atol=1e-18)
 
     def test_single_step_hand_formula(self):
         rng = np.random.default_rng(10)
         params = init_model_params(rng, dim=3, hidden=4, layers=1)
-        before = {k: v.copy() for k, v in param_tensors(params).items()}
-        grads = {k: rng.normal(size=v.shape) for k, v in param_tensors(params).items()}
+        before = params.flat.copy()
+        g = rng.normal(size=params.flat.shape)
         cfg = micro_cfg(learning_rate=0.01)
-        adam_step(params, grads, AdamState.zeros(params), cfg)
-        for name, t in param_tensors(params).items():
-            g = grads[name]
-            # After bias correction from zero moments: m_hat = g, v_hat = g^2.
-            expected = before[name] - cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
-            np.testing.assert_allclose(t, expected, atol=1e-12)
+        adam_step(params, g, AdamState.zeros(params), cfg)
+        # After bias correction from zero moments: m_hat = g, v_hat = g^2.
+        expected = before - cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
+        np.testing.assert_allclose(params.flat, expected, atol=1e-12)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         rng = np.random.default_rng(11)
         params = init_model_params(rng, dim=2, hidden=3, layers=1)
         state = AdamState.zeros(params)
         cfg = micro_cfg(learning_rate=1e-3)
-        g = {k: np.full_like(v, 2.0) for k, v in param_tensors(params).items()}
-        prev = {k: v.copy() for k, v in param_tensors(params).items()}
+        g = np.full_like(params.flat, 2.0)
         for _ in range(400):
-            prev = {k: v.copy() for k, v in param_tensors(params).items()}
+            prev = params.flat.copy()
             adam_step(params, g, state, cfg)
-        for name, t in param_tensors(params).items():
-            delta = np.abs(t - prev[name])
-            np.testing.assert_allclose(delta, cfg.learning_rate, rtol=1e-6)
+        np.testing.assert_allclose(np.abs(params.flat - prev), cfg.learning_rate, rtol=1e-6)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(12)
         params = init_model_params(rng, dim=3, hidden=4, layers=1)
-        bad = zero_gradients(params)
-        bad["head.b2"] = np.zeros(2)
+        bad = np.zeros(params.flat.size - 1)
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, bad, AdamState.zeros(params), micro_cfg())
+
+    @pytest.mark.parametrize("start", ["zero moments", "loaded checkpoint"])
+    def test_flat_steps_equal_the_per_tensor_loop(self, start, small_synth, tmp_path):
+        if start == "zero moments":
+            params = init_model_params(np.random.default_rng(13), dim=6, hidden=8, layers=2)
+            state, cfg = AdamState.zeros(params), micro_cfg()
+            ref_params, ref_state = params.like(params.flat.copy()), AdamState.zeros(params)
+        else:
+            train_c, _, store = small_synth
+            path = tmp_path / "m.ckpt"
+            save_checkpoint(path, train(train_c, store, micro_cfg(epochs=1)).final)
+            ckpt, ref = load_checkpoint(path), load_checkpoint(path)
+            params, state, cfg = ckpt.params, ckpt.adam, ckpt.config
+            ref_params, ref_state = ref.params, ref.adam
+            assert state.t > 0 and np.any(state.v != 0.0)
+        # The reference keeps each tensor in an array of its own.
+        theta, m, v = ({name: t.copy() for name, t in param_tensors(ref_params.like(flat)).items()}
+                       for flat in (ref_params.flat, ref_state.m, ref_state.v))
+        rng = np.random.default_rng(14)
+        for t in range(state.t + 1, state.t + 6):
+            g = rng.normal(size=params.flat.shape)
+            adam_step(params, g, state, cfg)
+            adam_step_loop(theta, param_tensors(params.like(g)), m, v, t, cfg)
+        assert state.t == t
+        for flat, tensors in ((params.flat, theta), (state.m, m), (state.v, v)):
+            assert flat.tobytes() == b"".join(a.tobytes() for a in tensors.values())
 
 
 def _relabel_contexts(corpus, old, new):
@@ -482,6 +503,19 @@ class TestTrain:
         with pytest.raises(EmbeddingKeyError):
             train(train_c, empty, micro_cfg(epochs=1))
 
+    def test_best_snapshot_keeps_its_epoch(self, small_synth, tmp_path):
+        # A snapshot whose views alias the live buffer would save the final state.
+        train_c, dev_c, store = small_synth
+        cfg = micro_cfg(epochs=3, learning_rate=1e-3)
+        result = train(train_c, store, cfg, dev_corpus=dev_c)
+        assert result.best.epoch < cfg.epochs
+        again = train(train_c, store, dataclasses.replace(cfg, epochs=result.best.epoch),
+                      dev_corpus=dev_c)
+        best, retrained = tmp_path / "best.ckpt", tmp_path / "retrained.ckpt"
+        save_checkpoint(best, result.best)
+        save_checkpoint(retrained, dataclasses.replace(again.final, config=cfg))
+        assert best.read_bytes() == retrained.read_bytes()
+
     def test_best_checkpoint_tracks_dev_map(self, small_synth):
         train_c, dev_c, store = small_synth
         result = train(train_c, store, micro_cfg(epochs=3, learning_rate=1e-3),
@@ -514,11 +548,9 @@ class TestCheckpointIO:
         assert loaded.rng_state == ckpt.rng_state
         assert loaded.freq_table.counts == ckpt.freq_table.counts
         assert loaded.freq_table.num_questions == ckpt.freq_table.num_questions
-        for name, t in param_tensors(ckpt.params).items():
-            np.testing.assert_array_equal(param_tensors(loaded.params)[name], t)
-        for name in ckpt.adam.m:
-            np.testing.assert_array_equal(loaded.adam.m[name], ckpt.adam.m[name])
-            np.testing.assert_array_equal(loaded.adam.v[name], ckpt.adam.v[name])
+        for got, want in ((loaded.params.flat, ckpt.params.flat), (loaded.adam.m, ckpt.adam.m),
+                          (loaded.adam.v, ckpt.adam.v)):
+            np.testing.assert_array_equal(got, want, strict=True)
 
     def test_save_load_save_byte_identical(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
@@ -527,20 +559,48 @@ class TestCheckpointIO:
         assert path.read_bytes() == second.read_bytes()
 
     def test_loaded_arrays(self, small_synth, tmp_path):
-        # Parameters are fresh arrays BLAS takes as they are; the moments are
-        # read-only views of the file, which Adam copies before its first write.
+        # Parameters and both moments are fresh, writable flat buffers that own
+        # their memory, so none keeps the file's bytes alive; the named tensors
+        # are views BLAS takes as they are.
         _, path = self._roundtrip(small_synth, tmp_path)
         loaded = load_checkpoint(path)
+        flats = (loaded.params.flat, loaded.adam.m, loaded.adam.v)
+        for flat in flats:
+            assert flat.dtype == np.float64 and flat.shape == loaded.params.flat.shape
+            assert flat.flags.owndata and flat.flags.writeable and flat.flags.c_contiguous
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(flats, 2))
         for name, t in param_tensors(loaded.params).items():
             assert t.flags.aligned and t.flags.writeable and t.flags.c_contiguous, name
-            assert t.dtype == np.float64
-        for moments in (loaded.adam.m, loaded.adam.v):
-            assert moments and not any(t.flags.writeable for t in moments.values())
-        before = {name: t.copy() for name, t in loaded.adam.m.items()}
-        grads = {name: np.ones_like(t) for name, t in param_tensors(loaded.params).items()}
-        adam_step(loaded.params, grads, loaded.adam, loaded.config)
-        assert all(loaded.adam.m[name].flags.writeable for name in before)
-        assert any(not np.array_equal(loaded.adam.m[name], before[name]) for name in before)
+            assert np.shares_memory(t, loaded.params.flat), name
+        m = loaded.adam.m
+        before = m.copy()
+        adam_step(loaded.params, np.ones_like(loaded.params.flat), loaded.adam, loaded.config)
+        assert loaded.adam.m is m and not np.array_equal(m, before)
+
+    @pytest.mark.parametrize("table,edit,says", [
+        (0, lambda t: t.pop("gcn.1.b"), "names do not match the model layout"),
+        (1, lambda t: t.update({"head.b2": np.zeros(2)}),
+         r"head.b2 has shape \(2,\), expected \(1,\)"),
+        (2, lambda t: t.update({"extra": np.zeros(1)}), "names do not match the model layout"),
+    ], ids=["params-missing", "first-moment-shape", "second-moment-extra"])
+    def test_every_tensor_table_must_match_the_layout(self, table, edit, says, tmp_path,
+                                                       monkeypatch):
+        # One decoder reads the parameter table and both moment tables.
+        params = init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=2)
+        ckpt = training.Checkpoint(params=params, config=micro_cfg(hidden_size=4), epoch=0,
+                                   adam=AdamState.zeros(params), rng_state={})
+        real, tables = training._pack_tensors, []
+
+        def pack(tensors):
+            tables.append(dict(tensors))
+            if len(tables) == table + 1:
+                edit(tables[-1])
+            return real(tables[-1])
+
+        monkeypatch.setattr(training, "_pack_tensors", pack)
+        save_checkpoint(tmp_path / "bad.ckpt", ckpt)
+        with pytest.raises(CheckpointError, match=says):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_corruption_detected(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
@@ -572,7 +632,7 @@ class TestGradcheck:
 
         def corrupted(batch, params, cfg):
             loss, grads = real(batch, params, cfg)
-            grads["gcn.1.w"] = grads["gcn.1.w"] + 0.05
+            params.like(grads).gcn[1].w += 0.05
             return loss, grads
 
         monkeypatch.setattr(training, "loss_and_gradients", corrupted)
