@@ -78,9 +78,11 @@ class EmbeddingStore:
 
     Each sentence is held as it was given: float64 from :meth:`add_sentence`,
     or, for a loaded store, read-only float32 views of the file's bytes.
-    :meth:`sentence_vectors` widens to float64 on access, which is exact, so
-    the numerics downstream see the same values either way. Immutable once
-    loaded; concurrent reads are safe.
+    :meth:`stored_vectors` returns a sentence as held; alignment reads it so,
+    and widens only the content rows it gathers. :meth:`sentence_vectors`
+    widens the whole sentence to float64. Widening is exact, so the numerics
+    downstream see the same values either way. Immutable once loaded;
+    concurrent reads are safe.
     """
 
     dim: int
@@ -96,16 +98,18 @@ class EmbeddingStore:
             raise ValueError("a sentence needs at least one token vector")
         self._sentences[(instance_id, window_id, role)] = arr
 
-    def sentence_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
-        """Token vectors for one sentence, in token order, as float64."""
-        key = (instance_id, window_id, role)
+    def stored_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
+        """Token vectors for one sentence, in token order, as held (float64 or float32)."""
         try:
-            arr = self._sentences[key]
+            return self._sentences[(instance_id, window_id, role)]
         except KeyError:
             raise EmbeddingKeyError(
                 f"no embeddings for instance={instance_id!r} window={window_id!r} role={role!r}"
             ) from None
-        return np.asarray(arr, dtype=np.float64)
+
+    def sentence_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
+        """Token vectors for one sentence, in token order, as float64."""
+        return np.asarray(self.stored_vectors(instance_id, window_id, role), dtype=np.float64)
 
     @property
     def num_records(self) -> int:
@@ -178,6 +182,9 @@ class ByteReader:
             raise self.error(f"{self.path.name}: string at byte {start} is not UTF-8") from None
 
 
+_U32 = struct.Struct("<I")
+
+
 def load_embedding_store(path: str | Path) -> EmbeddingStore:
     """Read a binary embedding file back into an :class:`EmbeddingStore`.
 
@@ -187,6 +194,9 @@ def load_embedding_store(path: str | Path) -> EmbeddingStore:
     are taken as one strided view of indices and one of float32 vectors over
     the file's bytes, without copying. A sentence whose records come in
     several runs or out of index order is joined and put in index order.
+    A run's key header is read with ``struct.unpack_from`` on the bytes,
+    with the bounds and UTF-8 checks of :class:`ByteReader` written inline,
+    since per-run method calls were most of the load time at small ``dim``.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -199,30 +209,47 @@ def load_embedding_store(path: str | Path) -> EmbeddingStore:
     if dim == 0:
         raise EmbeddingStoreError(f"{path.name}: dimension must be positive")
 
+    truncated = f"{path.name}: truncated file"
+    end, record = len(raw), 4 + 4 * dim  # a record's token index and vector
     runs: dict[tuple[str, str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+    pos = rd.pos
     done = 0
     while done < count:
-        start = rd.pos
-        inst = rd.read_str()
-        win = rd.read_str()
-        role = str(rd.take(1), "latin-1")
+        start = pos
+        key = []
+        for _ in range(2):  # instance id, window id
+            if pos + 4 > end:
+                raise EmbeddingStoreError(truncated)
+            (n,) = _U32.unpack_from(raw, pos)
+            if pos + 4 + n > end:
+                raise EmbeddingStoreError(truncated)
+            try:
+                key.append(str(raw[pos + 4 : pos + 4 + n], "utf-8"))
+            except UnicodeDecodeError:
+                raise EmbeddingStoreError(
+                    f"{path.name}: string at byte {pos} is not UTF-8") from None
+            pos += 4 + n
+        if pos >= end:
+            raise EmbeddingStoreError(truncated)
+        role = chr(raw[pos])
         if role not in _ROLES:
             raise EmbeddingStoreError(f"{path.name}: unknown role byte {role!r}")
-        prefix = raw[start : rd.pos]
-        rd.take(4 + 4 * dim)  # the run's first record must be whole
-        size = rd.pos - start
-        limit = min(count - done, (len(raw) - start) // size)
+        pos += 1
+        if pos + record > end:  # the run's first record must be whole
+            raise EmbeddingStoreError(truncated)
+        prefix = raw[start:pos]
+        size = pos + record - start
+        limit = min(count - done, (end - start) // size)
         n = 1
         while n < limit and raw.startswith(prefix, start + n * size):
             n += 1
-        rd.pos = start + n * size
-        body = start + len(prefix)
-        idx = np.ndarray((n,), "<u4", raw, body, (size,))
-        vecs = np.ndarray((n, dim), "<f4", raw, body + 4, (size, 4))
-        runs.setdefault((inst, win, role), []).append((idx, vecs))
+        idx = np.ndarray((n,), "<u4", raw, pos, (size,))
+        vecs = np.ndarray((n, dim), "<f4", raw, pos + 4, (size, 4))
+        runs.setdefault((key[0], key[1], role), []).append((idx, vecs))
+        pos = start + n * size
         done += n
-    if rd.pos != len(raw):
-        raise EmbeddingStoreError(f"{path.name}: {len(raw) - rd.pos} trailing bytes")
+    if pos != end:
+        raise EmbeddingStoreError(f"{path.name}: {end - pos} trailing bytes")
 
     # The bytes of the indices 0, 1, 2, ..., to check a sentence's indices in one compare.
     counting = np.arange(done, dtype="<u4").tobytes()

@@ -223,8 +223,8 @@ def align_windows(
     question_vectors = {}  # the items hold every keyed question, so no id is reused
 
     def pairs():
-        # Lazily, so that each sentence's float64 vectors live only until its
-        # content rows are taken.
+        # The vectors as the store holds them: align_sentences widens only the
+        # content rows it gathers, so no whole sentence is copied.
         for question, window, instance_id in items:
             key = (id(question), instance_id)
             if key not in question_vectors:
@@ -253,7 +253,7 @@ def align_windows(
 
 
 def _sentence_vectors(store: EmbeddingStore, sent: Sentence, key) -> np.ndarray:
-    vecs = store.sentence_vectors(*key)
+    vecs = store.stored_vectors(*key)
     if vecs.shape[0] != len(sent.tokens):
         raise EmbeddingStoreError(
             f"the embedding store holds {vecs.shape[0]} vectors for (instance, window, role) = "

@@ -126,12 +126,42 @@ def _products(K, Kt, uv, out, n: int, scratch) -> None:
     and ``v`` are ``uv[:, :n]`` and ``uv[:, n:]``.
 
     Each sum runs over a contiguous axis of a contiguous stack, as a lone
-    problem's does (see :func:`_solve_groups`).
+    problem's does (see :func:`_solve_groups`), through :func:`_row_sums`.
     """
     tmp = scratch[:K.size].reshape(K.shape)
-    np.multiply(K, uv[:, None, n:], out=tmp).sum(axis=2, out=out[:, :n])
+    _row_sums(np.multiply(K, uv[:, None, n:], out=tmp), out[:, :n])
     tmp = tmp.reshape(Kt.shape)
-    np.multiply(Kt, uv[:, None, :n], out=tmp).sum(axis=2, out=out[:, n:])
+    _row_sums(np.multiply(Kt, uv[:, None, :n], out=tmp), out[:, n:])
+
+
+# numpy sums a contiguous run of fewer than 8 terms left to right.
+_SHORT_RUN = 8
+# Below this many runs, one reduction call costs less than one add per term.
+_FEW_ROWS = 512
+
+
+def _row_sums(t: np.ndarray, out: np.ndarray) -> None:
+    """``t.sum(axis=2, out=out)`` of a contiguous ``(B, r, c)`` stack, bit for bit.
+
+    numpy adds a run of fewer than 8 terms left to right, and its reduction
+    starts from ``+0.0``, so a sum of negative zeros is ``+0.0``. Such runs
+    are summed here as the same ordered adds over strided slices, one per
+    term, starting from ``t[..., 0] + 0.0``, which avoids the reduction's
+    per-run cost. Measured with one BLAS thread: at ``(1500, 6, 6)`` the
+    reduction takes 133 µs and the adds 24 µs. The adds read strided memory
+    once per term, so they break even at about 14 terms and lose at 30 (694
+    against 400 µs); a run of 8 or more, which numpy adds in blocks, keeps
+    the reduction. So do fewer than 512 runs, where the adds' per-call cost
+    is the larger part (at ``(20, 6, 6)``, 7.9 against 3.4 µs); on the
+    benchmark's rerank inputs that leaves the solve 1.5 ms faster.
+    """
+    B, r, c = t.shape
+    if c >= _SHORT_RUN or B * r < _FEW_ROWS:
+        t.sum(axis=2, out=out)
+        return
+    np.add(t[..., 0], 0.0, out=out)
+    for j in range(1, c):
+        out += t[..., j]
 
 
 def _absorb(FG, uv, D, e3, n: int):
@@ -544,7 +574,7 @@ class _QuestionSide:
 
 
 def _question_side(question: Sentence, question_vectors, ft: FrequencyTable) -> _QuestionSide:
-    q_vecs = np.asarray(question_vectors, dtype=np.float64)
+    q_vecs = np.asarray(question_vectors)
     q_idx = content_token_indices(question)
     if not q_idx:
         raise ValueError("question has no tokens to align")
@@ -554,7 +584,7 @@ def _question_side(question: Sentence, question_vectors, ft: FrequencyTable) -> 
         )
     return _QuestionSide(token_indices=tuple(q_idx),
                          p=marginal_distribution([question.tokens[i] for i in q_idx], ft),
-                         points=q_vecs[q_idx])
+                         points=np.asarray(q_vecs[q_idx], dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,12 +633,24 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
     relevant-context embeddings into the sentence representation. The
     question side (filter, marginal, filtered vectors) is built once per
-    question object and vector array. A sentence keeps its content indices,
-    content rows and marginal; everything else runs on one stack per exact
-    ``(n, m)`` shape: one :func:`cost_matrix` call builds the shape's costs,
-    one row mean its ``eps``, :func:`_solve_groups` solves it, and relevant
-    contexts, costs and pooling run on its stacked plans, bit-equal to
-    building and solving each pair alone.
+    question object and vector array. A sentence only has its content
+    indices taken and its content words numbered; the rest runs on one stack
+    per exact ``(n, m)`` shape:
+
+    - its content rows are gathered once, from the vectors as given (say,
+      float32 views of a store's bytes), into one float64 ``(B, m, d)``
+      stack, which is exact. That stack is the cost build's sentence side
+      and, after the solve, what pooling reads; it is dropped once pooled;
+    - its sentence marginals are one ``(B, m)`` gather of smoothed counts,
+      each distinct word looked up in ``ft`` once per call, divided by its
+      row sums. A row of a contiguous ``(B, m)`` array sums as a lone
+      ``(m,)`` array does, so each row is bit-equal to
+      :func:`marginal_distribution` of its words;
+    - one :func:`cost_matrix` call builds its costs, one row mean its
+      ``eps``, :func:`_solve_groups` solves it, and relevant contexts, costs
+      and pooling run on its stacked plans.
+
+    So every result is bit-equal to building and solving each pair alone.
 
     Padding sentences short-circuit: zero cost, zero representation, and the
     single padding token as relevant context.
@@ -619,8 +661,10 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     """
     sides_of: dict[tuple[int, int], tuple] = {}
     sides, s_indices = [], []
-    points, qs = {}, {}  # the content rows and marginal of each non-padding pair
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    words: dict[str, int] = {}  # the distinct content words of the sentences, numbered
+    # Per exact (n, m) shape: each pair's position, sentence vectors as given,
+    # content indices and the numbers of its content words.
+    by_shape: dict[tuple[int, int], list[tuple]] = {}
     for k, (question, s, question_vectors, sentence_vectors) in enumerate(pairs):
         # Keyed on the objects themselves; the entry holds them, so no id is reused.
         key = (id(question), id(question_vectors))
@@ -632,42 +676,51 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         if s.is_padding:
             s_indices.append((0,))
             continue
-        s_vecs = np.asarray(sentence_vectors, dtype=np.float64)
+        s_vecs = np.asarray(sentence_vectors)
         if s_vecs.shape[0] != len(s.tokens):
             raise ValueError(f"sentence has {len(s.tokens)} tokens but {s_vecs.shape[0]} vectors")
         s_idx = content_token_indices(s)
         if not s_idx:
             raise ValueError("cannot align a sentence with no tokens")
         s_indices.append(tuple(s_idx))
-        points[k] = s_vecs[s_idx]
-        qs[k] = marginal_distribution([s.tokens[j] for j in s_idx], ft)
-        by_shape.setdefault((len(side.p), len(s_idx)), []).append(k)
+        tokens = s.tokens
+        by_shape.setdefault((len(side.p), len(s_idx)), []).append(
+            (k, s_vecs, s_idx, [words.setdefault(tokens[j].normalized, len(words))
+                                for j in s_idx]))
     dims = ({side.points.shape[1] for _, _, side in sides_of.values()}
-            | {pts.shape[1] for pts in points.values()})
+            | {s_vecs.shape[1] for members in by_shape.values() for _, s_vecs, _, _ in members})
     if len(dims) > 1:
         raise ValueError(f"pairs of one batch need one vector dimension, got {sorted(dims)}")
+    d = dims.pop() if dims else 0
+    weights = np.array([ft.smoothed(word) for word in words], dtype=np.float64)
 
-    stacks = []
-    for members in map(np.array, by_shape.values()):
-        D = cost_matrix(np.stack([sides[k].points for k in members]),
-                        np.stack([points[k] for k in members]))
-        E = settings.eps_scale * D.reshape(len(members), -1).mean(axis=1)
+    stacks, content = [], []
+    for (_, m), members in by_shape.items():
+        ks, vectors, indices, numbers = zip(*members)
+        ks = np.array(ks)
+        Y = np.empty((len(ks), m, d))
+        for y, s_vecs, s_idx in zip(Y, vectors, indices):
+            y[...] = s_vecs[s_idx]
+        W = weights[np.array(numbers)]
+        D = cost_matrix(np.stack([sides[k].points for k in ks]), Y)
+        E = settings.eps_scale * D.reshape(len(ks), -1).mean(axis=1)
         E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
-        stacks.append((members, np.stack([sides[k].p for k in members]),
-                       np.stack([qs.pop(k) for k in members]), D, E))
+        stacks.append((ks, np.stack([sides[k].p for k in ks]),
+                       W / W.sum(axis=1, keepdims=True), D, E))
+        content.append(Y)
     count = len(sides)
     groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
     del stacks  # the groups keep the costs; the marginals need not outlive the solve
 
-    reps = np.zeros((count, dims.pop() if dims else 0))
+    reps = np.zeros((count, d))
     costs = np.zeros(count)
     locate = np.full((count, 2), -1)
     relevant = []
     for g, grp in enumerate(groups):
         mask = relevant_contexts(grp.plans)
         costs[grp.members] = transport_costs(grp.plans, grp.costs)
-        vectors = np.stack([points.pop(k) for k in grp.members])
-        reps[grp.members] = sentence_representations(vectors, mask)
+        reps[grp.members] = sentence_representations(content[g], mask)
+        content[g] = None  # pooled: the shape's content rows are not read again
         locate[grp.members, 0] = g
         locate[grp.members, 1] = np.arange(len(grp.members))
         relevant.append(mask)

@@ -236,6 +236,19 @@ class TestEmbeddingStore:
         np.testing.assert_array_equal(got, np.float64(np.float32(x)), strict=True)
         assert got.tobytes() == x.astype(np.float32).astype(np.float64).tobytes()
 
+    def test_stored_vectors_are_held_as_loaded(self, tmp_path):
+        x = np.array([[0.1, 1 / 3, -2.7182818, 1e-40], [3.0, np.pi, 1e30, -0.0]])
+        store = EmbeddingStore(dim=4)
+        store.add_sentence("i", "w", ROLE_C, x)
+        assert store.stored_vectors("i", "w", ROLE_C) is store.sorted_items()[0][1]
+        path = tmp_path / "emb.bin"
+        write_embedding_store(path, store)
+        held = load_embedding_store(path).stored_vectors("i", "w", ROLE_C)
+        assert held.dtype == np.float32 and not held.flags.writeable
+        np.testing.assert_array_equal(held, np.float32(x), strict=True)
+        with pytest.raises(EmbeddingKeyError, match="no-such-window"):
+            store.stored_vectors("i", "no-such-window", ROLE_C)
+
     def test_store_rebuild_matches(self, tiny_corpus):
         # Building twice from the same corpus yields identical stores.
         a = build_tiny_store(tiny_corpus)

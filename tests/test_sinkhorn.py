@@ -1,14 +1,22 @@
 """Optimal transport: costs, plans, relevant context, sentence pooling."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otrank.corpus import make_sentence, padding_sentence
-from otrank.embeddings import QUESTION_WINDOW_ID, ROLE_C, ROLE_Q
+from otrank import sinkhorn
+from otrank.corpus import content_tokens, make_sentence, padding_sentence
+from otrank.embeddings import (
+    QUESTION_WINDOW_ID,
+    ROLE_C,
+    ROLE_Q,
+    FrequencyTable,
+    marginal_distribution,
+)
 from otrank.sinkhorn import (
     NonFiniteCostError,
     SinkhornSettings,
@@ -664,3 +672,89 @@ class TestAlignSentences:
         with pytest.raises(NonFiniteCostError) as info:
             align_sentences([(q, s, qv, good), (q, pad, qv, None), (q, s, qv, bad)], tiny_ft)
         assert info.value.index == 2
+
+    def test_float32_vectors_give_the_bits_of_their_widening(self, tiny_corpus, tiny_store,
+                                                              tiny_ft):
+        narrow, wide = [], []
+        for inst in tiny_corpus.instances:
+            qv = tiny_store.sentence_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
+            qv = qv.astype(np.float32)
+            for w in inst.windows:
+                for sent, role in ((w.cand, "c"), (w.prev, "p"), (w.next, "n")):
+                    sv = None if sent.is_padding else tiny_store.sentence_vectors(
+                        inst.question_id, w.id, role).astype(np.float32)
+                    narrow.append((inst.question, sent, qv, sv))
+                    wide.append((inst.question, sent, qv.astype(np.float64),
+                                 None if sv is None else sv.astype(np.float64)))
+        got, want = align_sentences(narrow, tiny_ft), align_sentences(wide, tiny_ft)
+        np.testing.assert_array_equal(got.reps, want.reps, strict=True)
+        np.testing.assert_array_equal(got.costs, want.costs, strict=True)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.plan.plan, b.plan.plan, strict=True)
+            assert a.relevant == b.relevant
+            assert a.plan.iterations_used == b.plan.iterations_used
+
+
+_VOCAB = [f"word{i}" for i in range(12)]
+
+
+def _solver_stacks(pairs, ft):
+    """The ``(members, P, Q, D, E)`` stacks that ``align_sentences`` hands the solver."""
+    stacks = []
+    solve = sinkhorn._solve_groups
+
+    def capture(batch, *args):
+        stacks.extend(batch)
+        return solve(batch, *args)
+
+    with mock.patch.object(sinkhorn, "_solve_groups", capture):
+        align_sentences(pairs, ft, SinkhornSettings(max_iter=1))
+    return stacks
+
+
+class TestGatheredMarginals:
+    # Each sentence comes with its reversal, so every shape stacks at least two
+    # rows; lengths up to 140 cross numpy's summation boundaries at 8 and 128.
+    @settings(max_examples=60, deadline=None)
+    @given(sentences=st.lists(st.integers(1, 140).flatmap(
+               lambda m: st.lists(st.sampled_from(_VOCAB), min_size=m, max_size=m)),
+               min_size=1, max_size=4),
+           counts=st.dictionaries(st.sampled_from(_VOCAB[:8]),
+                                  st.integers(0, 2**53 - 1) | st.integers(0, 3)))
+    def test_rows_equal_marginal_distribution_bitwise(self, sentences, counts):
+        # Words outside ``counts`` are unseen, and a count of 0 floors to 1 too.
+        ft = FrequencyTable(counts=counts, num_questions=1)
+        question = make_sentence("alpha beta gamma")
+        rng = np.random.default_rng(len(sentences))
+        qv = rng.normal(size=(3, 2))
+        sents = [make_sentence(" ".join(ws)) for words in sentences
+                 for ws in (words, words[::-1])]
+        pairs = [(question, s, qv, rng.normal(size=(len(s.tokens), 2))) for s in sents]
+        rows = 0
+        for members, _, Q, _, _ in _solver_stacks(pairs, ft):
+            for b, k in enumerate(members):
+                want = marginal_distribution(content_tokens(sents[k]), ft)
+                assert Q[b].tobytes() == want.tobytes()
+                rows += 1
+        assert rows == len(sents)
+
+
+class TestShortRunSums:
+    VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1.0, -3.5, 0.1,
+                       1e300, -1e300, 1.5e307])
+
+    @pytest.mark.parametrize("c", range(1, 9))
+    def test_ordered_adds_equal_the_reduction(self, c):
+        rng = np.random.default_rng(c)
+        # Both sides of the run count below which the reduction is kept.
+        for B, r in ((1, 3), (7, 5), (sinkhorn._FEW_ROWS, 1), (sinkhorn._FEW_ROWS // 2, 3)):
+            for trial in range(4):
+                t = rng.choice(self.VALUES, size=(B, r, c))
+                if trial % 2:
+                    t = np.where(rng.random(t.shape) < 0.5, t, rng.normal(size=t.shape))
+                if trial == 3:
+                    t[: B // 2] = -0.0
+                out = np.full((B, r + 2), np.nan)
+                sinkhorn._row_sums(t, out[:, 1 : r + 1])
+                assert out[:, 1 : r + 1].tobytes() == t.sum(axis=2).tobytes()
+                assert np.isnan(out[:, [0, r + 1]]).all()
