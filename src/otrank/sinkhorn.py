@@ -136,7 +136,8 @@ def _products(K, Kt, uv, out, n: int, scratch) -> None:
 
 # numpy sums a contiguous run of fewer than 8 terms left to right.
 _SHORT_RUN = 8
-# Below this many runs, one reduction call costs less than one add per term.
+# Below this many runs, one reduction call costs less than one add per term;
+# 128 to 1024 gave the same solve time on the benchmark's rerank inputs.
 _FEW_ROWS = 512
 
 
@@ -147,13 +148,11 @@ def _row_sums(t: np.ndarray, out: np.ndarray) -> None:
     starts from ``+0.0``, so a sum of negative zeros is ``+0.0``. Such runs
     are summed here as the same ordered adds over strided slices, one per
     term, starting from ``t[..., 0] + 0.0``, which avoids the reduction's
-    per-run cost. Measured with one BLAS thread: at ``(1500, 6, 6)`` the
-    reduction takes 133 µs and the adds 24 µs. The adds read strided memory
-    once per term, so they break even at about 14 terms and lose at 30 (694
-    against 400 µs); a run of 8 or more, which numpy adds in blocks, keeps
-    the reduction. So do fewer than 512 runs, where the adds' per-call cost
-    is the larger part (at ``(20, 6, 6)``, 7.9 against 3.4 µs); on the
-    benchmark's rerank inputs that leaves the solve 1.5 ms faster.
+    per-run cost: at ``(1500, 6, 6)`` the reduction takes 135 µs and the adds
+    30 µs (x86_64, one BLAS thread). A run of 8 or more, which numpy adds in
+    interleaved blocks, keeps the reduction, and so do fewer than 512 runs,
+    where the adds' per-call cost is the larger part (at ``(20, 6, 6)``, 5.2
+    against 2.7 µs).
     """
     B, r, c = t.shape
     if c >= _SHORT_RUN or B * r < _FEW_ROWS:
@@ -683,9 +682,8 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         if not s_idx:
             raise ValueError("cannot align a sentence with no tokens")
         s_indices.append(tuple(s_idx))
-        tokens = s.tokens
         by_shape.setdefault((len(side.p), len(s_idx)), []).append(
-            (k, s_vecs, s_idx, [words.setdefault(tokens[j].normalized, len(words))
+            (k, s_vecs, s_idx, [words.setdefault(s.tokens[j].normalized, len(words))
                                 for j in s_idx]))
     dims = ({side.points.shape[1] for _, _, side in sides_of.values()}
             | {s_vecs.shape[1] for members in by_shape.values() for _, s_vecs, _, _ in members})
