@@ -59,10 +59,12 @@ def _require_file(path: str, what: str) -> Path:
     return p
 
 
-def _require_parent(path: str | None, what: str) -> Path | None:
+def _require_parent(path: str | None, what: str, required: str | None = None) -> Path | None:
     """``path`` once its directory is known to exist and it is not a directory itself;
-    None when no path is given."""
+    None when no path is given, unless ``required`` names the option that must give it."""
     if not path:
+        if required:
+            raise OtrankError(f"{required} needs a path for the {what}, got an empty one")
         return None
     p = Path(path)
     if not p.parent.is_dir():
@@ -92,7 +94,7 @@ def _dump_json(obj, out: Path | None) -> None:
 
 
 def _cmd_build_freq(args) -> int:
-    out = _require_parent(args.out, "frequency table")
+    out = _require_parent(args.out, "frequency table", required="--out")
     _require_distinct([("--out", out)], [("--train", args.train)])
     corpus = load_corpus(_require_file(args.train, "training corpus"), split="train")
     ft = build_frequency_table(corpus)
@@ -169,7 +171,7 @@ def _load_eval_inputs(args, outputs, splits: list[str]):
 
 
 def _cmd_rerank(args) -> int:
-    out = _require_parent(args.out, "rankings")
+    out = _require_parent(args.out, "rankings", required="--out")
     ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
     corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
     rankings = rank_questions(corpus.instances, ckpt, store)

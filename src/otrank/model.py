@@ -223,8 +223,9 @@ def align_windows(
     question_vectors = {}  # the items hold every keyed question, so no id is reused
 
     def pairs():
-        # The vectors as the store holds them: align_sentences widens only the
-        # content rows it gathers, so no whole sentence is copied.
+        # The vectors as the store holds them: align_sentences prepares a question
+        # as it prepares a sentence and widens only the content rows it gathers,
+        # so no whole question or sentence is copied.
         for question, window, instance_id in items:
             key = (id(question), instance_id)
             if key not in question_vectors:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence, content_token_indices
-from .embeddings import FrequencyTable, marginal_distribution
+from .embeddings import FrequencyTable
 
 logger = logging.getLogger(__name__)
 
@@ -453,10 +453,10 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
     # product buffer and is dropped before the next one is built.
     prod = np.empty((B, n + m))
     R = _exp_masked((a[:, :, None] - D) / e3, real)
-    np.multiply(R, uv[:, None, n:], out=R).sum(axis=2, out=prod[:, :n])
+    _row_sums(np.multiply(R, uv[:, None, n:], out=R), prod[:, :n])
     del R
     Ct = np.ascontiguousarray(_exp_masked((b[:, None, :] - D) / e3, real).transpose(0, 2, 1))
-    np.multiply(Ct, uv[:, None, :n], out=Ct).sum(axis=2, out=prod[:, n:])
+    _row_sums(np.multiply(Ct, uv[:, None, :n], out=Ct), prod[:, n:])
     del Ct
     for it in range(1, max_iter + 1):
         uv *= PQ
@@ -563,29 +563,6 @@ def align_sentence(
     return align_sentences([(question, s, question_vectors, sentence_vectors)], ft, settings)[0]
 
 
-@dataclass(frozen=True)
-class _QuestionSide:
-    """What every alignment of one question shares."""
-
-    token_indices: tuple[int, ...]  # the content tokens
-    p: np.ndarray  # their frequency marginal
-    points: np.ndarray  # their vectors, float64
-
-
-def _question_side(question: Sentence, question_vectors, ft: FrequencyTable) -> _QuestionSide:
-    q_vecs = np.asarray(question_vectors)
-    q_idx = content_token_indices(question)
-    if not q_idx:
-        raise ValueError("question has no tokens to align")
-    if q_vecs.shape[0] != len(question.tokens):
-        raise ValueError(
-            f"question has {len(question.tokens)} tokens but {q_vecs.shape[0]} vectors"
-        )
-    return _QuestionSide(token_indices=tuple(q_idx),
-                         p=marginal_distribution([question.tokens[i] for i in q_idx], ft),
-                         points=np.asarray(q_vecs[q_idx], dtype=np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class Alignments(Sequence):
     """The alignments of a batch of pairs, stacked: row ``k`` is pair ``k``'s.
@@ -596,9 +573,10 @@ class Alignments(Sequence):
     reps: np.ndarray  # (K, d) sentence representations; zero for padding
     costs: np.ndarray  # (K,) transport costs; zero for padding
     groups: list[PlanGroup]  # the problems of the non-padding pairs, by shape
-    relevant: list[np.ndarray]  # per group, its (B, m) relevant-context masks
     locate: np.ndarray  # (K, 2) group and row of each pair's problem; -1 for padding
-    question_sides: list[_QuestionSide]  # per pair
+    weights: np.ndarray  # the smoothed count of each numbered content word
+    # Per pair: its question's content indices and content word numbers.
+    questions: list[tuple[tuple[int, ...], list[int]]]
     sentence_token_indices: list[tuple[int, ...]]  # per pair
 
     def __len__(self) -> int:
@@ -608,18 +586,19 @@ class Alignments(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]
-        side = self.question_sides[k]
+        q_idx, q_words = self.questions[k]
         g, b = self.locate[k]
         if g < 0:
-            plan = TransportPlan(plan=side.p[:, None].copy(), epsilon=0.0, iterations_used=0,
+            w = self.weights[q_words]
+            plan = TransportPlan(plan=(w / w.sum())[:, None], epsilon=0.0, iterations_used=0,
                                  converged=True, violation=0.0)
             relevant = (0,)
         else:
-            plan = self.groups[g].plan(b)
-            relevant = tuple(np.flatnonzero(self.relevant[g][b]).tolist())
+            grp = self.groups[g]
+            plan = grp.plan(b)
+            relevant = tuple(np.flatnonzero(relevant_contexts(grp.plans[b:b + 1])[0]).tolist())
         return AlignmentResult(plan=plan, cost=float(self.costs[k]), relevant=relevant,
-                               representation=self.reps[k],
-                               question_token_indices=side.token_indices,
+                               representation=self.reps[k], question_token_indices=q_idx,
                                sentence_token_indices=self.sentence_token_indices[k])
 
 
@@ -630,20 +609,24 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
 
     Per pair: filters both token lists, builds frequency marginals and the
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
-    relevant-context embeddings into the sentence representation. The
-    question side (filter, marginal, filtered vectors) is built once per
-    question object and vector array. A sentence only has its content
-    indices taken and its content words numbered; the rest runs on one stack
-    per exact ``(n, m)`` shape:
+    relevant-context embeddings into the sentence representation. Both sides
+    are prepared alike: each has its vector count checked, its content
+    indices taken and its content words numbered, a question once per
+    question object and vector array, a sentence once per pair. The rest
+    runs on one stack per exact ``(n, m)`` shape:
 
-    - its content rows are gathered once, from the vectors as given (say,
-      float32 views of a store's bytes), into one float64 ``(B, m, d)``
-      stack, which is exact. That stack is the cost build's sentence side
-      and, after the solve, what pooling reads; it is dropped once pooled;
-    - its sentence marginals are one ``(B, m)`` gather of smoothed counts,
-      each distinct word looked up in ``ft`` once per call, divided by its
-      row sums. A row of a contiguous ``(B, m)`` array sums as a lone
-      ``(m,)`` array does, so each row is bit-equal to
+    - its content rows are gathered from the vectors as given (say, float32
+      views of a store's bytes) into float64 ``(B, m, d)`` sentence and
+      ``(B, n, d)`` question stacks, which is exact; a question's rows are
+      gathered once per run of consecutive pairs that share it. The sentence
+      stack is the cost build's sentence side and, after the solve, what
+      pooling reads; it is dropped once pooled. The question stack is built
+      once the sentence stack is filled and lives only through the cost
+      build;
+    - its marginals are one ``(B, n)`` and one ``(B, m)`` gather of smoothed
+      counts, each distinct word looked up in ``ft`` once per call, divided
+      by their row sums. A row of a contiguous ``(B, m)`` array sums as a
+      lone ``(m,)`` array does, so each row is bit-equal to
       :func:`marginal_distribution` of its words;
     - one :func:`cost_matrix` call builds its costs, one row mean its
       ``eps``, :func:`_solve_groups` solves it, and relevant contexts, costs
@@ -658,68 +641,80 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     ``index`` is the pair's position in ``pairs``; an unconverged warning
     names that position too. All pairs need one vector dimension.
     """
-    sides_of: dict[tuple[int, int], tuple] = {}
-    sides, s_indices = [], []
-    words: dict[str, int] = {}  # the distinct content words of the sentences, numbered
-    # Per exact (n, m) shape: each pair's position, sentence vectors as given,
-    # content indices and the numbers of its content words.
+    words: dict[str, int] = {}  # the distinct content words of both sides, numbered
+
+    def prepare(what: str, sent: Sentence, vectors):
+        """The vectors as given, content indices and content word numbers of one side."""
+        vecs = np.asarray(vectors)
+        if vecs.shape[0] != len(sent.tokens):
+            raise ValueError(f"{what} has {len(sent.tokens)} tokens but {vecs.shape[0]} vectors")
+        idx = tuple(content_token_indices(sent))
+        if not idx:
+            raise ValueError(f"{what} has no tokens to align")
+        return vecs, idx, [words.setdefault(sent.tokens[j].normalized, len(words)) for j in idx]
+
+    prepared: dict[tuple[int, int], tuple] = {}
+    questions, s_indices = [], []
+    # Per exact (n, m) shape: each pair's position and its two prepared sides.
     by_shape: dict[tuple[int, int], list[tuple]] = {}
     for k, (question, s, question_vectors, sentence_vectors) in enumerate(pairs):
         # Keyed on the objects themselves; the entry holds them, so no id is reused.
         key = (id(question), id(question_vectors))
-        if key not in sides_of:
-            sides_of[key] = (question, question_vectors,
-                             _question_side(question, question_vectors, ft))
-        side = sides_of[key][2]
-        sides.append(side)
+        if key not in prepared:
+            prepared[key] = (question, question_vectors,
+                             prepare("question", question, question_vectors))
+        q = prepared[key][2]
+        questions.append(q[1:])
         if s.is_padding:
             s_indices.append((0,))
             continue
-        s_vecs = np.asarray(sentence_vectors)
-        if s_vecs.shape[0] != len(s.tokens):
-            raise ValueError(f"sentence has {len(s.tokens)} tokens but {s_vecs.shape[0]} vectors")
-        s_idx = content_token_indices(s)
-        if not s_idx:
-            raise ValueError("cannot align a sentence with no tokens")
-        s_indices.append(tuple(s_idx))
-        by_shape.setdefault((len(side.p), len(s_idx)), []).append(
-            (k, s_vecs, s_idx, [words.setdefault(s.tokens[j].normalized, len(words))
-                                for j in s_idx]))
-    dims = ({side.points.shape[1] for _, _, side in sides_of.values()}
-            | {s_vecs.shape[1] for members in by_shape.values() for _, s_vecs, _, _ in members})
+        side = prepare("sentence", s, sentence_vectors)
+        s_indices.append(side[1])
+        by_shape.setdefault((len(q[1]), len(side[1])), []).append((k, q, side))
+    dims = ({q[0].shape[1] for _, _, q in prepared.values()}
+            | {side[0].shape[1] for members in by_shape.values() for _, _, side in members})
     if len(dims) > 1:
         raise ValueError(f"pairs of one batch need one vector dimension, got {sorted(dims)}")
     d = dims.pop() if dims else 0
     weights = np.array([ft.smoothed(word) for word in words], dtype=np.float64)
 
+    def rows(sides, length: int) -> np.ndarray:
+        # A run of one side (a question that consecutive pairs share) is
+        # gathered once and broadcast over its rows.
+        out = np.empty((len(sides), length, d))
+        lo = 0
+        for hi in range(1, len(sides) + 1):
+            if hi == len(sides) or sides[hi] is not sides[lo]:
+                vecs, idx, _ = sides[lo]
+                out[lo:hi] = vecs[list(idx)]
+                lo = hi
+        return out
+
+    def marginals(sides) -> np.ndarray:
+        W = weights[np.array([numbers for _, _, numbers in sides])]
+        return W / W.sum(axis=1, keepdims=True)
+
     stacks, content = [], []
-    for (_, m), members in by_shape.items():
-        ks, vectors, indices, numbers = zip(*members)
+    for (n, m), members in by_shape.items():
+        ks, qs, ss = zip(*members)
         ks = np.array(ks)
-        Y = np.empty((len(ks), m, d))
-        for y, s_vecs, s_idx in zip(Y, vectors, indices):
-            y[...] = s_vecs[s_idx]
-        W = weights[np.array(numbers)]
-        D = cost_matrix(np.stack([sides[k].points for k in ks]), Y)
+        Y = rows(ss, m)
+        D = cost_matrix(rows(qs, n), Y)
         E = settings.eps_scale * D.reshape(len(ks), -1).mean(axis=1)
         E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
-        stacks.append((ks, np.stack([sides[k].p for k in ks]),
-                       W / W.sum(axis=1, keepdims=True), D, E))
+        stacks.append((ks, marginals(qs), marginals(ss), D, E))
         content.append(Y)
-    count = len(sides)
+    count = len(questions)
     groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
     del stacks  # the groups keep the costs; the marginals need not outlive the solve
 
     reps = np.zeros((count, d))
     costs = np.zeros(count)
     locate = np.full((count, 2), -1)
-    relevant = []
     for g, grp in enumerate(groups):
-        mask = relevant_contexts(grp.plans)
         costs[grp.members] = transport_costs(grp.plans, grp.costs)
-        reps[grp.members] = sentence_representations(content[g], mask)
+        reps[grp.members] = sentence_representations(content[g], relevant_contexts(grp.plans))
         content[g] = None  # pooled: the shape's content rows are not read again
         locate[grp.members, 0] = g
         locate[grp.members, 1] = np.arange(len(grp.members))
-        relevant.append(mask)
-    return Alignments(reps, costs, groups, relevant, locate, sides, s_indices)
+    return Alignments(reps, costs, groups, locate, weights, questions, s_indices)

@@ -423,6 +423,24 @@ class TestOutputPathsCoincide:
         assert not (tmp_path / "same.out").exists()
 
 
+
+class TestEmptyOutputPath:
+    @pytest.mark.parametrize("command", ["rerank", "build-freq"])
+    def test_required_output_exits_one_naming_it(self, command, cli_env, monkeypatch, capsys):
+        _never_load(monkeypatch)
+        rc = main(_input_argv(command, cli_env) + ["--out", ""])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--out needs a path" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["gradcheck", "eval"])
+    def test_optional_output_is_not_given(self, command, cli_env, monkeypatch):
+        # The output checks pass, so the command goes on to its first load.
+        _never_load(monkeypatch)
+        with pytest.raises(AssertionError, match="before checking the output paths"):
+            main(_input_argv(command, cli_env) + ["--out", ""])
+
 def _with_crc(payload: bytes) -> bytes:
     """A checkpoint payload followed by its CRC, so the parser behind the CRC check reads it."""
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otrank import sinkhorn
-from otrank.corpus import CandidateWindow, content_token_indices, make_sentence
+from otrank.corpus import CandidateWindow, make_sentence
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_Q,
@@ -478,19 +478,19 @@ class TestAlignmentStats:
 
 class TestQuestionSide:
     def test_prepared_once_per_question(self, tiny_corpus, tiny_store, tiny_ft, monkeypatch):
-        lookups, marginals = [], []
-        lookup, marginal = tiny_store.stored_vectors, sinkhorn.marginal_distribution
+        lookups, filtered = [], []
+        lookup, content = tiny_store.stored_vectors, sinkhorn.content_token_indices
 
         def counted_lookup(instance_id, window_id, role):
             lookups.append(role)
             return lookup(instance_id, window_id, role)
 
-        def counted_marginal(tokens, ft):
-            marginals.append(tuple(tokens))
-            return marginal(tokens, ft)
+        def counted_content(sent):
+            filtered.append(sent)
+            return content(sent)
 
         monkeypatch.setattr(tiny_store, "stored_vectors", counted_lookup)
-        monkeypatch.setattr(sinkhorn, "marginal_distribution", counted_marginal)
+        monkeypatch.setattr(sinkhorn, "content_token_indices", counted_content)
         items = instance_windows(tiny_corpus.instances)
         extract_features(items, tiny_store, tiny_ft)
         sentences = sum(not s.is_padding for _, w, _ in items for s in (w.cand, w.prev, w.next))
@@ -498,8 +498,7 @@ class TestQuestionSide:
         assert lookups.count(ROLE_Q) == len(tiny_corpus.instances)
         assert len(lookups) == len(tiny_corpus.instances) + sentences
         for inst in tiny_corpus.instances:
-            q_tokens = tuple(inst.question.tokens[i] for i in content_token_indices(inst.question))
-            assert marginals.count(q_tokens) == 1
+            assert sum(sent is inst.question for sent in filtered) == 1
 
     def test_keyed_on_the_question_object_not_its_id(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]

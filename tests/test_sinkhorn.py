@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otrank import sinkhorn
-from otrank.corpus import content_tokens, make_sentence, padding_sentence
+from otrank.corpus import (
+    content_token_indices,
+    content_tokens,
+    make_sentence,
+    padding_sentence,
+)
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -661,6 +666,24 @@ class TestAlignSentences:
             assert res.cost == alone.cost
             assert res.relevant == alone.relevant
 
+    def test_questions_in_runs_and_interleaved(self, tiny_ft):
+        # Questions of one shape and one set of words, each with vectors of its
+        # own (one question object with two arrays too), met in runs and
+        # alternately: every pair keeps its own question's rows.
+        rng = np.random.default_rng(16)
+        q1, q2 = make_sentence("galaxies collide"), make_sentence("galaxies collide")
+        v1, v2, v3 = (rng.normal(size=(2, 4)) for _ in range(3))
+        s = make_sentence("stars merge")
+        pairs = [(q, s, v, rng.normal(size=(2, 4)))
+                 for q, v in ((q1, v1), (q1, v1), (q2, v2), (q1, v1), (q1, v3), (q2, v2), (q2, v2))]
+        batch = align_sentences(pairs, tiny_ft)
+        assert len(batch.groups) == 1
+        for res, pair in zip(batch, pairs):
+            alone = align_sentence(*pair, tiny_ft)
+            assert res.cost == alone.cost
+            np.testing.assert_array_equal(res.plan.plan, alone.plan.plan, strict=True)
+            np.testing.assert_array_equal(res.representation, alone.representation, strict=True)
+
     def test_non_finite_vector_names_the_pair(self, tiny_ft):
         q = make_sentence("galaxies collide")
         s = make_sentence("stars merge")
@@ -699,7 +722,8 @@ _VOCAB = [f"word{i}" for i in range(12)]
 
 
 def _solver_stacks(pairs, ft):
-    """The ``(members, P, Q, D, E)`` stacks that ``align_sentences`` hands the solver."""
+    """The ``(members, P, Q, D, E)`` stacks that ``align_sentences`` hands the
+    solver, and its result."""
     stacks = []
     solve = sinkhorn._solve_groups
 
@@ -708,35 +732,55 @@ def _solver_stacks(pairs, ft):
         return solve(batch, *args)
 
     with mock.patch.object(sinkhorn, "_solve_groups", capture):
-        align_sentences(pairs, ft, SinkhornSettings(max_iter=1))
-    return stacks
+        alignments = align_sentences(pairs, ft, SinkhornSettings(max_iter=1))
+    return stacks, alignments
+
+
+def _word_lists(max_size):
+    return st.lists(st.integers(1, 140).flatmap(
+        lambda m: st.lists(st.sampled_from(_VOCAB), min_size=m, max_size=m)),
+        min_size=1, max_size=max_size)
 
 
 class TestGatheredMarginals:
     # Each sentence comes with its reversal, so every shape stacks at least two
     # rows; lengths up to 140 cross numpy's summation boundaries at 8 and 128.
+    # Both sides draw on one vocabulary, so words are shared and repeated
+    # within and across them; every question also meets a padding sentence.
     @settings(max_examples=60, deadline=None)
-    @given(sentences=st.lists(st.integers(1, 140).flatmap(
-               lambda m: st.lists(st.sampled_from(_VOCAB), min_size=m, max_size=m)),
-               min_size=1, max_size=4),
+    @given(questions=_word_lists(3), sentences=_word_lists(4),
            counts=st.dictionaries(st.sampled_from(_VOCAB[:8]),
                                   st.integers(0, 2**53 - 1) | st.integers(0, 3)))
-    def test_rows_equal_marginal_distribution_bitwise(self, sentences, counts):
+    def test_rows_equal_marginal_distribution_bitwise(self, questions, sentences, counts):
         # Words outside ``counts`` are unseen, and a count of 0 floors to 1 too.
         ft = FrequencyTable(counts=counts, num_questions=1)
-        question = make_sentence("alpha beta gamma")
         rng = np.random.default_rng(len(sentences))
-        qv = rng.normal(size=(3, 2))
         sents = [make_sentence(" ".join(ws)) for words in sentences
                  for ws in (words, words[::-1])]
-        pairs = [(question, s, qv, rng.normal(size=(len(s.tokens), 2))) for s in sents]
+        pairs = []
+        for words in questions:
+            question = make_sentence(" ".join(words))
+            qv = rng.normal(size=(len(question.tokens), 2))
+            pairs += [(question, s, qv, rng.normal(size=(len(s.tokens), 2))) for s in sents]
+            pairs.append((question, padding_sentence(), qv, None))
+        want = [marginal_distribution(content_tokens(s), ft) for s in sents]
+        stacks, alignments = _solver_stacks(pairs, ft)
         rows = 0
-        for members, _, Q, _, _ in _solver_stacks(pairs, ft):
+        for members, P, Q, _, _ in stacks:
             for b, k in enumerate(members):
-                want = marginal_distribution(content_tokens(sents[k]), ft)
-                assert Q[b].tobytes() == want.tobytes()
+                question = pairs[k][0]
+                assert P[b].tobytes() == marginal_distribution(content_tokens(question),
+                                                               ft).tobytes()
+                assert Q[b].tobytes() == want[k % (len(sents) + 1)].tobytes()
                 rows += 1
-        assert rows == len(sents)
+        assert rows == len(questions) * len(sents)
+        for k, (question, s, _, _) in enumerate(pairs):
+            res = alignments[k]
+            assert res.question_token_indices == tuple(content_token_indices(question))
+            if s.is_padding:
+                p = marginal_distribution(content_tokens(question), ft)
+                assert res.plan.plan.shape == (len(p), 1)
+                assert res.plan.plan.tobytes() == p.tobytes()
 
 
 class TestShortRunSums:

@@ -15,8 +15,9 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # per-window weight-gradient fold, the regularizer's pair-count groups, the
 # one-problem post-solve wrappers, the label codes with their pair-set type and
 # per-window regularizer, the sentence role names, the log-domain solver's
-# steps, and the per-tensor gradient dict and checkpoint skeleton that the flat
-# parameter buffer replaced, that the package no longer has.
+# steps, the per-tensor gradient dict and checkpoint skeleton that the flat
+# parameter buffer replaced, and the question side's own alignment preparation,
+# that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -25,7 +26,7 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "sentence_representation", "PairIndexSets", "build_pair_sets", "mi_loss",
            "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT",
            "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
-           "_params_from_tensors")
+           "_params_from_tensors", "_QuestionSide", "_question_side")
 
 
 def test_every_export_resolves():
