@@ -162,10 +162,14 @@ def _cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args, outputs, splits: list[str]):
-    """The checkpoint and store, once no path of ``outputs`` names an input."""
+    """The checkpoint, without its Adam moments, and the store, once no path of
+    ``outputs`` names an input and several ``splits`` come with --combine-dev-test
+    (only ``eval`` takes several)."""
     _require_distinct(outputs, [("--split", sp) for sp in splits]
                       + [("--checkpoint", args.checkpoint), ("--embeddings", args.embeddings)])
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    if len(splits) > 1 and not args.combine_dev_test:
+        raise OtrankError("multiple --split files require --combine-dev-test")
+    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), moments=False)
     store = load_embedding_store(_require_file(args.embeddings, "embedding store"))
     return ckpt, store
 
@@ -196,12 +200,9 @@ def _cmd_eval(args) -> int:
     per_question = _require_parent(args.per_question, "per-question TSV")
     ckpt, store = _load_eval_inputs(args, [("--out", out), ("--per-question", per_question)],
                                     args.split)
-    split_paths = args.split
-    if len(split_paths) > 1 and not args.combine_dev_test:
-        raise OtrankError("multiple --split files require --combine-dev-test")
     instances = []
     source = {}  # question_id -> the split file that holds it
-    for sp in split_paths:
+    for sp in args.split:
         for inst in load_corpus(_require_file(sp, "corpus split"), split="test").instances:
             if inst.question_id in source:
                 raise OtrankError(f"question_id {inst.question_id!r} is in both "

@@ -12,6 +12,7 @@ distribution.
 from __future__ import annotations
 
 import json
+import mmap
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -153,21 +154,28 @@ def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
 
 
 class ByteReader:
-    """Bounds-checked cursor over a file's bytes.
+    """Bounds-checked cursor over a file's bytes, or over their first ``end``.
 
-    Every failure (a read past the end, a string that is not UTF-8) raises
-    ``error``, naming the file.
+    Every failure (a read past ``end``, a string that is not UTF-8) raises
+    ``error``, naming the file. Over an ``mmap`` a read returns a copy, so
+    nothing read keeps the mapping exported.
     """
 
-    def __init__(self, raw: bytes | memoryview, path: Path, error: type[Exception]):
+    def __init__(self, raw: bytes | memoryview | mmap.mmap, path: Path,
+                 error: type[Exception], end: int | None = None):
         self.raw, self.pos, self.path, self.error = raw, 0, path, error
+        self.end = len(raw) if end is None else end
+
+    def skip(self, n: int) -> int:
+        """Step over ``n`` bytes; returns the offset they start at."""
+        if self.pos + n > self.end:
+            raise self.error(f"{self.path.name}: truncated file")
+        self.pos += n
+        return self.pos - n
 
     def take(self, n: int) -> bytes | memoryview:
-        if self.pos + n > len(self.raw):
-            raise self.error(f"{self.path.name}: truncated file")
-        out = self.raw[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        start = self.skip(n)
+        return self.raw[start : self.pos]
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))

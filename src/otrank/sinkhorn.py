@@ -71,13 +71,22 @@ class AlignmentResult:
     sentence_token_indices: tuple[int, ...]
 
 
+# A stack's costs are built a block of problems at a time, sized so that the
+# block's (b, m, d) difference buffer stays in a core's L2 cache: each row of
+# the block's question points is subtracted into it and then reduced from it,
+# and at d=768 one buffer for a whole stack would be as large as its content
+# rows and fall out of cache between the two passes.
+_COST_BLOCK_BYTES = 256 * 1024
+
+
 def cost_matrix(xs, ys) -> np.ndarray:
     """Pairwise Euclidean distances: ``(n, m)`` for ``(n, d)`` and ``(m, d)``
     point sets, ``(B, n, m)`` for ``(B, n, d)`` and ``(B, m, d)`` stacks.
 
-    Built one row of ``xs`` at a time into one reused ``(B, m, d)``
-    difference buffer; each entry sums the same contiguous run over ``d``, so
-    a stack's costs are bit-equal to its problems' built alone.
+    Built a block of problems at a time (at most ``_COST_BLOCK_BYTES`` of
+    differences, at least one problem), one row of ``xs`` at a time into one
+    reused difference buffer; each entry sums the same contiguous run over
+    ``d``, so a stack's costs are bit-equal to its problems' built alone.
     """
     X = np.asarray(xs, dtype=np.float64)
     Y = np.asarray(ys, dtype=np.float64)
@@ -90,10 +99,15 @@ def cost_matrix(xs, ys) -> np.ndarray:
     if X.shape[:-2] != Y.shape[:-2]:
         raise ValueError(f"stack size mismatch: {X.shape[0]} vs {Y.shape[0]}")
     D = np.empty(X.shape[:-1] + Y.shape[-2:-1])
-    diff = np.empty(Y.shape)
-    for i in range(X.shape[-2]):
-        np.subtract(X[..., i, None, :], Y, out=diff)
-        np.sqrt(np.einsum("...jk,...jk->...j", diff, diff), out=D[..., i, :])
+    Xs, Ys, Ds = (A.reshape((-1,) + A.shape[-2:]) for A in (X, Y, D))
+    block = max(1, _COST_BLOCK_BYTES // max(1, Ys.itemsize * Ys.shape[1] * Ys.shape[2]))
+    diff = np.empty((min(block, len(Ys)),) + Ys.shape[1:])
+    for lo in range(0, len(Ys), block):
+        x, y, out = Xs[lo : lo + block], Ys[lo : lo + block], Ds[lo : lo + block]
+        buf = diff[: len(y)]
+        for i in range(x.shape[1]):
+            np.subtract(x[:, i, None, :], y, out=buf)
+            np.sqrt(np.einsum("bjk,bjk->bj", buf, buf), out=out[:, i, :])
     return D
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import mmap
 import reprlib
 import struct
 import time
@@ -277,7 +278,7 @@ class Checkpoint:
     params: ModelParams
     config: TrainConfig
     epoch: int
-    adam: AdamState
+    adam: AdamState | None  # None when loaded with moments=False
     rng_state: dict
     freq_table: FrequencyTable | None = None
 
@@ -423,6 +424,9 @@ def _pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    if ckpt.adam is None:
+        raise ValueError("cannot save a checkpoint without its Adam moments "
+                         "(it was loaded with moments=False)")
     meta = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
@@ -454,10 +458,9 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
-def _decode_tensors(rd: ByteReader, dim: int, hidden: int, layers: int) -> ModelParams:
-    """Decode one tensor table into a fresh flat buffer laid out for the
-    header's sizes, checking every name and shape against that layout."""
-    out = ModelParams.zeros(dim, hidden, layers)
+def _decode_tensors(rd: ByteReader, out: ModelParams, copy: bool = True) -> None:
+    """Walk one tensor table, checking every name and shape against the layout
+    of ``out``; with ``copy``, copy each tensor's floats from the file into it."""
     expected = param_tensors(out)
     seen: set[str] = set()
     (count,) = rd.unpack("<I")
@@ -468,17 +471,18 @@ def _decode_tensors(rd: ByteReader, dim: int, hidden: int, layers: int) -> Model
         seen.add(name)
         (ndim,) = rd.unpack("<B")
         shape = rd.unpack(f"<{ndim}I")
-        data = np.frombuffer(rd.take(8 * math.prod(shape)), dtype="<f8")
+        size = math.prod(shape)
+        start = rd.skip(8 * size)
         if name not in expected:
             break  # reported below
         if shape != expected[name].shape:
             raise CheckpointError(f"{rd.path.name}: tensor {name} has shape {shape}, "
                                   f"expected {expected[name].shape}")
-        expected[name][...] = data.reshape(shape)
+        if copy:
+            expected[name][...] = np.frombuffer(rd.raw, "<f8", size, start).reshape(shape)
     if seen != set(expected):
         raise CheckpointError(f"{rd.path.name}: checkpoint tensor names do not match the "
                               "model layout")
-    return out
 
 
 _META_KEYS = ("adam_t", "config", "epoch", "freq_table", "rng_state")
@@ -529,45 +533,63 @@ def _check_meta(meta, name: str) -> TrainConfig:
         raise CheckpointError(f"{name}: bad training configuration: {exc}") from None
 
 
-def load_checkpoint(path: str | Path) -> Checkpoint:
+def load_checkpoint(path: str | Path, *, moments: bool = True) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    The parameters and both Adam moments are each decoded into a fresh,
-    writable flat buffer in the layout of :class:`~otrank.model.ModelParams`,
-    so nothing returned keeps the file's bytes alive.
+    The file is mapped read-only while it loads: the CRC runs over the mapped
+    bytes, and each tensor kept is copied out of the mapping into a fresh,
+    writable flat buffer in the layout of :class:`~otrank.model.ModelParams`.
+    Nothing returned refers to the mapping, which is closed before this
+    returns. With ``moments=False`` both Adam moment tables are checked
+    against the layout but not copied, and ``adam`` is None; scoring reads
+    only the parameters, the config and the frequency table.
     """
     path = Path(path)
-    raw = memoryview(path.read_bytes())
-    if len(raw) < 4 or raw[:4] != CKPT_MAGIC:
-        raise CheckpointError(f"{path.name}: bad magic, not a checkpoint")
-    payload = raw[:-4]
-    (crc,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise CheckpointError(f"{path.name}: CRC mismatch, file is corrupt")
-    rd = ByteReader(payload, path, CheckpointError)
-    rd.take(4)
-    version, dim, layers, hidden = rd.unpack("<IIII")
-    if version != CKPT_VERSION:
-        raise CheckpointError(f"{path.name}: unsupported checkpoint version {version}")
-    sizes = f"d={dim}, layers={layers}, hidden={hidden}"
-    if min(dim, layers, hidden) < 1:
-        raise CheckpointError(f"{path.name}: header sizes must be at least 1, got {sizes}")
-    # The parameters alone hold more floats than this, so a header that fails it
-    # is corrupt; the check keeps a bad header from sizing the arrays built below.
-    if 8 * (hidden * dim + layers * dim * dim) > len(payload):
-        raise CheckpointError(f"{path.name}: header sizes {sizes} need more bytes than "
-                              "the file holds")
-    (meta_len,) = rd.unpack("<Q")
-    try:
-        meta = json.loads(str(rd.take(meta_len), "utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: {exc}") from None
-    config = _check_meta(meta, path.name)
-    params = _decode_tensors(rd, dim, hidden, layers)
-    adam = AdamState(m=_decode_tensors(rd, dim, hidden, layers).flat,
-                     v=_decode_tensors(rd, dim, hidden, layers).flat, t=meta["adam_t"])
-    if rd.pos != len(payload):
-        raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
+    with open(path, "rb") as fh:
+        if fh.read(4) != CKPT_MAGIC:  # also a file too short to map
+            raise CheckpointError(f"{path.name}: bad magic, not a checkpoint")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+            payload = len(raw) - 4
+            (crc,) = struct.unpack_from("<I", raw, payload)
+            with memoryview(raw) as view:
+                intact = zlib.crc32(view[:payload]) & 0xFFFFFFFF == crc
+            if not intact:
+                raise CheckpointError(f"{path.name}: CRC mismatch, file is corrupt")
+            rd = ByteReader(raw, path, CheckpointError, end=payload)
+            rd.take(4)
+            version, dim, layers, hidden = rd.unpack("<IIII")
+            if version != CKPT_VERSION:
+                raise CheckpointError(f"{path.name}: unsupported checkpoint version {version}")
+            sizes = f"d={dim}, layers={layers}, hidden={hidden}"
+            if min(dim, layers, hidden) < 1:
+                raise CheckpointError(f"{path.name}: header sizes must be at least 1, "
+                                      f"got {sizes}")
+            # The parameters alone hold more floats than this, so a header that fails
+            # it is corrupt; the check keeps a bad header from sizing the arrays built
+            # below.
+            if 8 * (hidden * dim + layers * dim * dim) > payload:
+                raise CheckpointError(f"{path.name}: header sizes {sizes} need more bytes "
+                                      "than the file holds")
+            (meta_len,) = rd.unpack("<Q")
+            try:
+                meta = json.loads(str(rd.take(meta_len), "utf-8"))
+            except ValueError as exc:  # bad UTF-8 or bad JSON
+                raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: "
+                                      f"{exc}") from None
+            config = _check_meta(meta, path.name)
+            params = ModelParams.zeros(dim, hidden, layers)
+            _decode_tensors(rd, params)
+            adam = None
+            if moments:
+                adam = AdamState.zeros(params)
+                adam.t = meta["adam_t"]
+                _decode_tensors(rd, params.like(adam.m))
+                _decode_tensors(rd, params.like(adam.v))
+            else:
+                _decode_tensors(rd, params, copy=False)
+                _decode_tensors(rd, params, copy=False)
+            if rd.pos != payload:
+                raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
     ft = None
     if meta["freq_table"] is not None:
         ft = FrequencyTable(

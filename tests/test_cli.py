@@ -143,6 +143,20 @@ class TestEval:
         assert rc == 1
         assert "combine-dev-test" in capsys.readouterr().err
 
+    def test_two_splits_without_flag_rejected_before_loading(self, cli_env, tmp_path, capsys):
+        # The usage error, not the error of the checkpoint it would have loaded.
+        bad = tmp_path / "corrupt.ckpt"
+        bad.write_bytes(_set_byte(cli_env["ckpt"].read_bytes(), 100, 0))
+        rc = main([
+            "eval", "--checkpoint", str(bad),
+            "--split", str(cli_env["corpus"]), "--split", str(cli_env["corpus"]),
+            "--embeddings", str(cli_env["emb"]), "--out", str(tmp_path / "x.json"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "multiple --split files require --combine-dev-test" in err
+        assert "corrupt.ckpt" not in err and "Traceback" not in err
+
     def test_missing_embeddings_names_path(self, cli_env, tmp_path, capsys):
         missing = tmp_path / "ghost.bin"
         rc = main([
@@ -266,6 +280,20 @@ class TestBadScoringInputs:
         assert rc == 1
         assert str(key) in err and all(c in err for c in counts)
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["rerank", "eval", "align"])
+def test_scoring_commands_leave_the_moments_undecoded(command, cli_env, tmp_path,
+                                                      monkeypatch):
+    loaded = []
+
+    def spy(path, **kwargs):
+        loaded.append(load_checkpoint(path, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr("otrank.cli.load_checkpoint", spy)
+    assert main(_scoring_argv(command, cli_env, tmp_path)) == 0
+    assert [ckpt.adam for ckpt in loaded] == [None]
 
 
 class TestStoreDimension:
@@ -544,9 +572,14 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
         ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
         ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30), "need more bytes"),
+        # Shorter than the magic; an empty file cannot be mapped.
+        ("ckpt", lambda raw: b"", "bad magic"),
+        ("ckpt", lambda raw: raw[:1], "bad magic"),
+        ("ckpt", lambda raw: raw[:3], "bad magic"),
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
     ], ids=["store-role-byte", "store-instance-id", "ckpt-tensor-name", "ckpt-dim-0",
-            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "corpus-not-utf8"])
+            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-empty", "ckpt-1-byte",
+            "ckpt-3-bytes", "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
         bad = tmp_path / f"bad.{target}"
         bad.write_bytes(corrupt(cli_env[target].read_bytes()))

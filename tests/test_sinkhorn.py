@@ -115,6 +115,20 @@ class TestCostMatrix:
         with pytest.raises(ValueError):
             cost_matrix(X, Y[0])
 
+    @pytest.mark.parametrize("B,n,m,d,block", [(40, 6, 6, 768, 7), (900, 3, 5, 16, 409),
+                                               (3, 2, 50, 768, 1)])
+    def test_stack_spanning_blocks_bitwise_equal_to_lone_problems(self, B, n, m, d, block):
+        # Partial last blocks, and blocks of one problem: 50 x 768 differences
+        # exceed the bound alone.
+        assert max(1, sinkhorn._COST_BLOCK_BYTES // (8 * m * d)) == block
+        rng = np.random.default_rng(B)
+        X, Y = rng.normal(size=(B, n, d)), rng.normal(size=(B, m, d))
+        Y[::3, 0] = X[::3, 0]  # exact zero distances
+        D = cost_matrix(X, Y)
+        for b in range(B):
+            np.testing.assert_array_equal(D[b], cost_matrix_per_pair(X[b], Y[b]), strict=True)
+            np.testing.assert_array_equal(D[b], cost_matrix(X[b], Y[b]), strict=True)
+
 
 class TestSinkhornPlan:
     def test_one_by_one(self):

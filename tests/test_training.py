@@ -599,16 +599,53 @@ class TestCheckpointIO:
 
         monkeypatch.setattr(training, "_pack_tensors", pack)
         save_checkpoint(tmp_path / "bad.ckpt", ckpt)
-        with pytest.raises(CheckpointError, match=says):
-            load_checkpoint(tmp_path / "bad.ckpt")
+        for moments in (True, False):  # the scoring load checks the moment tables too
+            with pytest.raises(CheckpointError, match=says):
+                load_checkpoint(tmp_path / "bad.ckpt", moments=moments)
 
     def test_corruption_detected(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[100] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="CRC"):
-            load_checkpoint(path)
+        good = path.read_bytes()
+        # A byte of the metadata, and one of the second moments, which the
+        # scoring load does not copy.
+        for pos in (100, len(good) - 12):
+            raw = bytearray(good)
+            raw[pos] ^= 0xFF
+            path.write_bytes(bytes(raw))
+            for moments in (True, False):
+                with pytest.raises(CheckpointError, match="CRC"):
+                    load_checkpoint(path, moments=moments)
+
+    def test_scoring_load_equals_full_load(self, small_synth, tmp_path):
+        _, path = self._roundtrip(small_synth, tmp_path)
+        full = load_checkpoint(path)
+        scoring = load_checkpoint(path, moments=False)
+        assert scoring.adam is None
+        np.testing.assert_array_equal(scoring.params.flat, full.params.flat, strict=True)
+        flat = scoring.params.flat
+        assert flat.flags.owndata and flat.flags.writeable and flat.flags.c_contiguous
+        assert (scoring.config, scoring.epoch, scoring.rng_state) == (
+            full.config, full.epoch, full.rng_state)
+        assert scoring.freq_table.counts == full.freq_table.counts
+        assert scoring.freq_table.num_questions == full.freq_table.num_questions
+
+    def test_saving_without_moments_names_them(self, small_synth, tmp_path):
+        _, path = self._roundtrip(small_synth, tmp_path)
+        out = tmp_path / "again.ckpt"
+        with pytest.raises(ValueError, match="without its Adam moments"):
+            save_checkpoint(out, load_checkpoint(path, moments=False))
+        assert not out.exists()
+
+    def test_loaded_checkpoint_outlives_its_file(self, small_synth, tmp_path):
+        # The file is mapped only while it loads: rewriting it in place (same
+        # inode) leaves what was loaded as it was.
+        ckpt, path = self._roundtrip(small_synth, tmp_path)
+        loaded = [load_checkpoint(path), load_checkpoint(path, moments=False)]
+        path.write_bytes(bytes(len(path.read_bytes())))
+        for got in loaded:
+            np.testing.assert_array_equal(got.params.flat, ckpt.params.flat, strict=True)
+        np.testing.assert_array_equal(loaded[0].adam.m, ckpt.adam.m, strict=True)
+        np.testing.assert_array_equal(loaded[0].adam.v, ckpt.adam.v, strict=True)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
