@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .corpus import Corpus, load_corpus
 from .embeddings import build_frequency_table, load_embedding_store
-from .errors import OtrankError
+from .errors import EmptyInputError, OtrankError
 # evaluate, extract_instance_features, rank_candidates and window_forward are not
 # called here, and model imports align_sentence without calling it: the benchmark's
 # tracer (perfbench/tracing.py) wraps them as attributes of these modules.
@@ -162,22 +162,32 @@ def _cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args, outputs, splits: list[str]):
-    """The checkpoint, without its Adam moments, and the store, once no path of
-    ``outputs`` names an input and several ``splits`` come with --combine-dev-test
-    (only ``eval`` takes several)."""
+    """The ``splits`` as one test corpus, then the checkpoint without its Adam moments,
+    then the store; first checks that no path of ``outputs`` names an input and that
+    several ``splits`` (only ``eval`` takes several) come with --combine-dev-test."""
     _require_distinct(outputs, [("--split", sp) for sp in splits]
                       + [("--checkpoint", args.checkpoint), ("--embeddings", args.embeddings)])
     if len(splits) > 1 and not args.combine_dev_test:
         raise OtrankError("multiple --split files require --combine-dev-test")
+    instances = []
+    source = {}  # question_id -> the split file that holds it
+    for sp in splits:
+        for inst in load_corpus(_require_file(sp, "corpus split"), split="test").instances:
+            if inst.question_id in source:
+                raise OtrankError(f"question_id {inst.question_id!r} is in both "
+                                  f"{source[inst.question_id]} and {sp}")
+            source[inst.question_id] = sp
+            instances.append(inst)
+    if not instances:
+        raise EmptyInputError(f"no questions to score in {', '.join(splits)}")
     ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), moments=False)
     store = load_embedding_store(_require_file(args.embeddings, "embedding store"))
-    return ckpt, store
+    return Corpus(instances=tuple(instances), split="test"), ckpt, store
 
 
 def _cmd_rerank(args) -> int:
     out = _require_parent(args.out, "rankings", required="--out")
-    ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
-    corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
+    corpus, ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
     rankings = rank_questions(corpus.instances, ckpt, store)
     with out.open("w", encoding="utf-8") as fh:
         for inst, ranking in zip(corpus.instances, rankings):
@@ -198,18 +208,8 @@ def _cmd_rerank(args) -> int:
 def _cmd_eval(args) -> int:
     out = _require_parent(args.out, "report")
     per_question = _require_parent(args.per_question, "per-question TSV")
-    ckpt, store = _load_eval_inputs(args, [("--out", out), ("--per-question", per_question)],
-                                    args.split)
-    instances = []
-    source = {}  # question_id -> the split file that holds it
-    for sp in args.split:
-        for inst in load_corpus(_require_file(sp, "corpus split"), split="test").instances:
-            if inst.question_id in source:
-                raise OtrankError(f"question_id {inst.question_id!r} is in both "
-                                  f"{source[inst.question_id]} and {sp}")
-            source[inst.question_id] = sp
-            instances.append(inst)
-    corpus = Corpus(instances=tuple(instances), split="test")
+    corpus, ckpt, store = _load_eval_inputs(
+        args, [("--out", out), ("--per-question", per_question)], args.split)
     rows = per_question_rows(corpus, ckpt, store)
     report = mean_report(rows)
     _dump_json(
@@ -231,8 +231,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_align(args) -> int:
     out = _require_parent(args.out, "report")
-    ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
-    corpus = load_corpus(_require_file(args.split, "corpus split"), split="test")
+    corpus, ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
     inst = next((i for i in corpus.instances if i.question_id == args.question_id), None)
     if inst is None:
         raise OtrankError(f"question {args.question_id!r} not found in {args.split}")

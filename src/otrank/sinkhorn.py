@@ -233,8 +233,8 @@ def sinkhorn_plan(
     q: np.ndarray,
     D: np.ndarray,
     eps: float,
-    max_iter: int = 500,
-    tol: float = 1e-6,
+    max_iter: int = SinkhornSettings.max_iter,
+    tol: float = SinkhornSettings.tol,
 ) -> TransportPlan:
     """Solve entropic OT between marginals ``p`` and ``q`` under cost ``D``.
 
@@ -264,8 +264,8 @@ class PlanGroup:
                              violation=float(self.violations[b]))
 
 
-def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = 500, tol: float = 1e-6
-                   ) -> list[TransportPlan]:
+def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = SinkhornSettings.max_iter,
+                   tol: float = SinkhornSettings.tol) -> list[TransportPlan]:
     """Solve a batch of entropic OT problems; problem ``k`` is
     ``(ps[k], qs[k], costs[k], eps[k])``.
 

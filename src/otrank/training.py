@@ -67,9 +67,9 @@ class TrainConfig:
     adam_eps: float = 1e-8
     hidden_size: int = 400
     gcn_layers: int = 2
-    sinkhorn_eps_scale: float = 0.1
-    sinkhorn_max_iter: int = 500
-    sinkhorn_tol: float = 1e-6
+    sinkhorn_eps_scale: float = SinkhornSettings.eps_scale
+    sinkhorn_max_iter: int = SinkhornSettings.max_iter
+    sinkhorn_tol: float = SinkhornSettings.tol
 
     def __post_init__(self):
         # JSON configs and checkpoint metadata can spell any type, Infinity and NaN.
@@ -144,7 +144,7 @@ def joint_loss(feats: FeatureSet, params: ModelParams, cfg: TrainConfig) -> floa
     """Mean candidate BCE plus ``gamma`` times the mean regularizer term, over a
     nonempty :class:`FeatureSet`."""
     as2, mi = _mean_terms(feats, params, cfg.gamma)
-    return as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
+    return as2 + cfg.gamma * mi
 
 
 def _backward(
@@ -230,7 +230,7 @@ def loss_and_gradients(feats: FeatureSet, params: ModelParams, cfg: TrainConfig,
     the results never alias it."""
     grads = np.zeros_like(params.flat)
     as2, mi = _mean_terms(feats, params, cfg.gamma, param_tensors(params.like(grads)), ws)
-    loss = as2 if cfg.gamma == 0.0 else as2 + cfg.gamma * mi
+    loss = as2 + cfg.gamma * mi
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(feats)} windows")
     return loss, grads

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import otrank.cli
 from otrank.cli import build_parser, main
 from otrank.corpus import load_corpus
 from otrank.embeddings import (
@@ -294,6 +295,34 @@ def test_scoring_commands_leave_the_moments_undecoded(command, cli_env, tmp_path
     monkeypatch.setattr("otrank.cli.load_checkpoint", spy)
     assert main(_scoring_argv(command, cli_env, tmp_path)) == 0
     assert [ckpt.adam for ckpt in loaded] == [None]
+
+
+@pytest.mark.parametrize("command", ["rerank", "eval", "align"])
+def test_scoring_commands_load_the_split_first(command, cli_env, tmp_path, monkeypatch):
+    loads = []
+    for name in ("load_corpus", "load_checkpoint", "load_embedding_store"):
+        def spy(*args, _name=name, _load=getattr(otrank.cli, name), **kwargs):
+            loads.append((_name, kwargs))
+            return _load(*args, **kwargs)
+
+        monkeypatch.setattr(f"otrank.cli.{name}", spy)
+    assert main(_scoring_argv(command, cli_env, tmp_path)) == 0
+    assert loads == [("load_corpus", {"split": "test"}),
+                     ("load_checkpoint", {"moments": False}), ("load_embedding_store", {})]
+
+
+@pytest.mark.parametrize("command", ["rerank", "eval", "align"])
+def test_malformed_split_wins_over_a_truncated_checkpoint(command, cli_env, tmp_path, capsys):
+    split = tmp_path / "broken.jsonl"
+    split.write_text(cli_env["corpus"].read_text() + "{not json\n")
+    ckpt = tmp_path / "short.ckpt"
+    raw = cli_env["ckpt"].read_bytes()
+    ckpt.write_bytes(raw[:len(raw) // 2])
+    rc = main(_scoring_argv(command, cli_env, tmp_path, ckpt=ckpt, corpus=split))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "broken.jsonl line 3: invalid JSON" in err
+    assert "short.ckpt" not in err and "Traceback" not in err
 
 
 class TestStoreDimension:
@@ -714,7 +743,21 @@ class TestNothingToScore:
         split.write_text("")
         argv = ["eval", "--checkpoint", str(cli_env["ckpt"]), "--split", str(split),
                 "--embeddings", str(cli_env["emb"])]
-        self._exits_one(argv, "no evaluable questions", monkeypatch, capsys)
+        self._exits_one(argv, f"no questions to score in {split}", monkeypatch, capsys)
+
+    @pytest.mark.parametrize("command", ["rerank", "eval", "align"])
+    def test_empty_split_exits_one_before_loading_the_rest(self, command, cli_env, tmp_path,
+                                                           monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("loaded the checkpoint or the store for an empty split")
+
+        for name in ("load_checkpoint", "load_embedding_store"):
+            monkeypatch.setattr(f"otrank.cli.{name}", never)
+        split = tmp_path / "blank.jsonl"
+        split.write_text("\n  \n")
+        argv = _scoring_argv(command, cli_env, tmp_path, corpus=split)
+        self._exits_one(argv, f"no questions to score in {split}", monkeypatch, capsys)
+        assert not (tmp_path / "rank.jsonl").exists()
 
     def test_train_on_empty_corpus(self, cli_env, tmp_path, monkeypatch, capsys):
         empty = tmp_path / "empty.jsonl"
