@@ -9,12 +9,12 @@ The solver iterates in the kernel domain (Cuturi 2013): the plan is
 ``diag(u) @ K @ diag(v)`` with ``K = exp((f_i + g_j - D_ij) / eps)``, and an
 iteration is one product ``K v``, one product ``K^T u`` and elementwise
 updates of the scalings ``u, v``, with no ``exp`` or ``log``.
-Updates are simultaneous half-steps of both dual potentials rather than
-alternating full row/column scalings: averaging the previous potential with
-its scaling update keeps the iteration convergent while making the whole
-trajectory symmetric under swapping the two point sets, so the plan for the
-swapped problem is exactly the transpose. In scalings the half-step is
-``u <- sqrt(u * p / (K v))``, ``v <- sqrt(v * q / (K^T u))``.
+Updates alternate full row and column scalings (Peyré & Cuturi 2019, §4.2):
+``u <- p / (K v)``, then ``v <- q / (K^T u)`` with the new ``u``. The
+iteration is not symmetric in the two point sets, so each problem is solved
+in one canonical orientation, its shorter side as rows (a square problem
+picks its side by comparing bytes), and the swapped problem's plan is then
+exactly the transpose.
 
 Stability at small regularization comes from absorption (Schmitzer 2019,
 §3): when a scaling leaves a fixed bound, ``eps * log`` of it is folded into
@@ -135,17 +135,14 @@ def _exp_masked(L: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.exp(L, out=L)
 
 
-def _products(K, Kt, uv, out, n: int, scratch) -> None:
-    """``K v`` into ``out[:, :n]`` and ``K^T u`` into ``out[:, n:]``, where ``u``
-    and ``v`` are ``uv[:, :n]`` and ``uv[:, n:]``.
+def _product(K, w, out, scratch) -> None:
+    """``K w`` of a contiguous ``(B, r, c)`` stack and ``(B, c)`` scalings into
+    ``out`` ``(B, r)``.
 
     Each sum runs over a contiguous axis of a contiguous stack, as a lone
     problem's does (see :func:`_solve_groups`), through :func:`_row_sums`.
     """
-    tmp = scratch[:K.size].reshape(K.shape)
-    _row_sums(np.multiply(K, uv[:, None, n:], out=tmp), out[:, :n])
-    tmp = tmp.reshape(Kt.shape)
-    _row_sums(np.multiply(Kt, uv[:, None, :n], out=tmp), out[:, n:])
+    _row_sums(np.multiply(K, w[:, None, :], out=scratch[:K.size].reshape(K.shape)), out)
 
 
 # numpy sums a contiguous run of fewer than 8 terms left to right.
@@ -188,9 +185,7 @@ def _absorb(FG, uv, D, e3, n: int):
     keeps half of that log deficit in its scaling, so a plan row far below
     the smallest double stays the product of two representable factors. A
     potential whose row (column) lies below ``exp(_DEFICIT)`` is first raised
-    to it; such a plan row is below 1e-515 either way. Row and column terms
-    are added as one sum, which keeps the swapped problem's kernel the exact
-    transpose.
+    to it; such a plan row is below 1e-515 either way.
     """
     e2 = e3[:, :, 0]
     live = uv > 0.0
@@ -269,9 +264,10 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = SinkhornSettings.max_iter
     """Solve a batch of entropic OT problems; problem ``k`` is
     ``(ps[k], qs[k], costs[k], eps[k])``.
 
-    Each problem iterates damped kernel-domain scaling updates, with
-    absorption into its potentials (see :func:`_solve_group`), until the
-    worst row or column marginal violation of its plan falls below ``tol``.
+    Each problem iterates alternating kernel-domain scaling updates in its
+    canonical orientation, with absorption into its potentials (see
+    :func:`_solve_groups` and :func:`_solve_group`), until the worst row or
+    column marginal violation of its plan falls below ``tol``.
     If the budget runs out, its result is the best iterate seen, with
     ``converged=False`` (callers keep going; a warning is logged per
     problem).
@@ -332,12 +328,19 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
     and ``(B, m)``, costs ``(B, n, m)`` and regularization strengths ``(B,)``.
     The result holds one :class:`PlanGroup` per stack, in order.
 
-    The shapes are grouped by the bucket key ``(n // 8, m // 8)``. Each bucket
-    is solved as one ``(B, N, M)`` stack, ``N`` and ``M`` its largest extents.
-    Every sum of the iteration runs over the contiguous last axis of a
-    contiguous stack, ``K`` or its contiguous transpose, as a lone problem's
-    does. Padding rows and columns carry zero mass at zero cost, and each sum
-    over a padded axis only gains trailing exact zeros, so no bit moves:
+    Each problem is solved in its canonical orientation (see :func:`_swapped`).
+    One solved as its transpose has its potentials and scalings swapped back
+    before its plan, an elementwise product of them, is built. So the swapped
+    problem ``(q, p, D^T)``, which has the same orientation, gets exactly the
+    transposed plan, iteration count and violation.
+
+    The oriented shapes are grouped by the bucket key ``(n // 8, m // 8)``.
+    Each bucket is solved as one ``(B, N, M)`` stack, ``N`` and ``M`` its
+    largest extents. Every sum of the iteration runs over the contiguous last
+    axis of a contiguous stack, ``K`` or its contiguous transpose, as a lone
+    problem's does. Padding rows and columns carry zero mass at zero cost, and
+    each sum over a padded axis only gains trailing exact zeros, so no bit
+    moves:
 
     - numpy adds a contiguous run of fewer than 8 terms left to right, and a
       run of 8 to 128 terms as whole blocks of 8 followed by a left-to-right
@@ -345,12 +348,12 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
       trailing zero only lengthens the remainder. Above 128 terms the split
       point depends on the length, so such an extent is a bucket of its own;
     - the padding's scalings are 0 from the start and its kernel entries 1,
-      so it adds exact zeros to every product; the row and column minima of
-      the first half-step and every max skip it.
+      so it adds exact zeros to every product; the row minima of the first
+      step and every max skip it.
 
     The padding is marked by its own row and column masks, never by zero
     marginal entries. The scalings of real zero-marginal entries start at 1,
-    as in the one-problem solve, and reach 0 in the first update; from then
+    as in the one-problem solve, and reach 0 in their first update; from then
     on their kernel entries are 1 as well.
 
     The results are cut back to the exact shapes, so the post-solve runs on
@@ -358,13 +361,17 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
     accumulators, and a padded row would take column 0 as its argmax.
     """
     by_bucket: dict[tuple[int, int], list[int]] = {}
-    for s, stack in enumerate(stacks):
-        _validate(count, *stack)
-        by_bucket.setdefault(_bucket(*stack[3].shape[1:]), []).append(s)
+    oriented = []
+    for s, (members, P, Q, D, E) in enumerate(stacks):
+        _validate(count, members, P, Q, D, E)
+        swap = _swapped(P, Q, D)
+        P, Q, D, _ = _orient(swap, (P, Q), (D, D.transpose(0, 2, 1)))
+        oriented.append((swap, P, Q, D))
+        by_bucket.setdefault(_bucket(*D.shape[1:]), []).append(s)
 
     groups: list[PlanGroup | None] = [None] * len(stacks)
     for bucket in by_bucket.values():
-        shapes = [stacks[s][3].shape[1:] for s in bucket]
+        shapes = [oriented[s][3].shape[1:] for s in bucket]
         bounds = np.cumsum([0] + [len(stacks[s][0]) for s in bucket]).tolist()
         spans = [(s, n, m, lo, hi)
                  for s, (n, m), lo, hi in zip(bucket, shapes, bounds, bounds[1:])]
@@ -372,16 +379,17 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
         P, Q, D, E = np.zeros((B, N)), np.zeros((B, M)), np.zeros((B, N, M)), np.empty(B)
         rows, cols = np.zeros((B, N), dtype=bool), np.zeros((B, M), dtype=bool)
         for s, n, m, lo, hi in spans:
-            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m], E[lo:hi] = stacks[s][1:]
+            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m] = oriented[s][1:]
+            E[lo:hi] = stacks[s][4]
             rows[lo:hi, :n] = True
             cols[lo:hi, :m] = True
         FG, uv, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, max_iter, tol)
         for s, n, m, lo, hi in spans:
             members, _, _, Ds, Es = stacks[s]
+            F, G, u, v = _orient(oriented[s][0], (FG[lo:hi, :n], FG[lo:hi, N:N + m]),
+                                 (uv[lo:hi, :n], uv[lo:hi, N:N + m]))
             groups[s] = PlanGroup(
-                members=members, costs=Ds,
-                plans=_plans(FG[lo:hi, :n], FG[lo:hi, N:N + m], uv[lo:hi, :n],
-                             uv[lo:hi, N:N + m], Ds, Es[:, None, None]),
+                members=members, costs=Ds, plans=_plans(F, G, u, v, Ds, Es[:, None, None]),
                 epsilon=Es, iterations=iters[lo:hi], converged=converged[lo:hi],
                 violations=viol[lo:hi])
     unconverged = sorted((int(k), float(v)) for grp in groups
@@ -391,6 +399,42 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
         logger.warning("%ssinkhorn did not converge in %d iterations (best violation %.3e)",
                        _where(k, count), max_iter, violation)
     return groups
+
+
+def _swapped(P, Q, D) -> np.ndarray:
+    """Whether each problem of an exact-shape stack is solved as its transpose
+    ``(q, p, D^T)``: its canonical orientation has the shorter side as rows.
+
+    A square problem compares the bytes of ``(p, D)`` with those of
+    ``(q, D^T)``, both C order, and is transposed when the second is smaller,
+    so it and its swapped problem pick the same orientation. A problem equal
+    to its own transpose has no canonical side and keeps its own; its plan is
+    symmetric only up to the tolerance.
+    """
+    B, n, m = D.shape
+    if n != m:
+        return np.full(B, n > m)
+    X = np.concatenate([P, D.reshape(B, -1)], axis=1).view(np.uint8)
+    Y = np.concatenate([Q, D.transpose(0, 2, 1).reshape(B, -1)], axis=1).view(np.uint8)
+    differ = X != Y
+    first = differ.argmax(axis=1)
+    b = np.arange(B)
+    return differ[b, first] & (Y[b, first] < X[b, first])
+
+
+def _orient(swap, *pairs) -> list[np.ndarray]:
+    """Each ``(x, y)`` pair of stacks as ``(y, x)`` for the problems ``swap``
+    marks; a stack that is swapped only in part is square."""
+    out = []
+    for x, y in pairs:
+        if swap.all():
+            out += [y, x]
+        elif swap.any():
+            where = swap.reshape((-1,) + (1,) * (x.ndim - 1))
+            out += [np.where(where, y, x), np.where(where, x, y)]
+        else:
+            out += [x, y]
+    return out
 
 
 def _where(k: int, count: int) -> str:
@@ -426,17 +470,23 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
 
     The state is potentials ``f, g`` and scalings ``u, v`` with plan
     ``u_i exp((f_i + g_j - D_ij) / eps) v_j``; the kernel ``K`` is the middle
-    factor. The damped simultaneous half-step of the potentials is
-    ``u <- sqrt(u * p / (K v))``, ``v <- sqrt(v * q / (K^T u))``, and the
-    products ``K v`` and ``K^T u`` of the new scalings give both the plan's
-    row and column sums, ``u * K v`` and ``v * K^T u``, and the next step.
+    factor. An iteration is the row scaling ``u <- p / (K v)``, then the
+    column scaling ``v <- q / (K^T u)`` with the new ``u``. After it the
+    plan's columns ``v * K^T u`` match ``q`` to rounding, and its rows are
+    ``u * K v``, where ``K v`` of the new ``v`` is also the next row step's
+    product: an iteration costs one ``K v`` and one ``K^T u``.
 
-    From zero potentials, the first half-step divides each row (column) of
-    ``exp(-D / eps)`` by its largest entry, ``exp(-min_j D_ij / eps)``, and
-    keeps half of that factor's log in the potential, so it is exact however
-    far a row lies from every column. After that step, and whenever a nonzero scaling
-    leaves ``[1 / _BOUND, _BOUND]``, the problem's scalings are absorbed into
-    its potentials and its kernel is rebuilt (see :func:`_absorb`).
+    From zero potentials and unit scalings, the first row step divides each
+    row of ``exp(-D / eps)`` by its largest entry, ``exp(-min_j D_ij / eps)``,
+    and keeps that factor's log in the potential ``f``, so it is exact however
+    far a row lies from every column. After that step the scalings are
+    absorbed into the potentials and the kernel is rebuilt (see
+    :func:`_absorb`), which lifts and floors the columns against the live
+    rows. A problem is absorbed again after a column step that takes a
+    nonzero scaling out of ``[1 / _BOUND, _BOUND]``, and after the first
+    column step when some of its columns have no mass: that step empties
+    them, and a row whose nearest columns they were is lifted and floored
+    against the columns left.
 
     Each product multiplies a contiguous stack (``K``, or its contiguous
     transpose) by the scalings and sums its contiguous last axis, which is how
@@ -448,44 +498,45 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
     """
     B, n, m = D.shape
     e3 = E[:, None, None]
-    real = rows[:, :, None] & cols[:, None, :]
     a = np.min(D, axis=2, where=cols[:, None, :], initial=np.inf)
-    b = np.min(D, axis=1, where=rows[:, :, None], initial=np.inf)
     PQ = np.concatenate([P, Q], axis=1)
     uv = np.concatenate([rows, cols], axis=1).astype(np.float64)
+    # Problems whose first column step leaves some column without mass.
+    dying = (cols & (Q == 0.0)).any(axis=1)
     best_FG = np.zeros((B, n + m))
     best_uv = uv.copy()
     best_iter = np.zeros(B, dtype=np.int64)
     best_viol = np.full(B, np.inf)
     converged = np.zeros(B, dtype=bool)
 
+    FG = np.concatenate([a, np.zeros((B, m))], axis=1)
+    prod = np.empty((B, n + m))  # K v, then K^T u
+    # The first kernel is its own product buffer and is dropped before the
+    # kernel of the first absorption is built.
+    R = _exp_masked((a[:, :, None] - D) / e3, rows[:, :, None] & cols[:, None, :])
+    _product(R, uv[:, n:], prod[:, :n], R.reshape(-1))
+    del R
     # The active set: group positions of the problems still iterating, and
     # their rows of every per-problem array but the costs.
     active = np.arange(B)
-    FG = 0.5 * np.concatenate([a, b], axis=1)
-    # The products of the first half-step. Each shifted kernel is its own
-    # product buffer and is dropped before the next one is built.
-    prod = np.empty((B, n + m))
-    R = _exp_masked((a[:, :, None] - D) / e3, real)
-    _row_sums(np.multiply(R, uv[:, None, n:], out=R), prod[:, :n])
-    del R
-    Ct = np.ascontiguousarray(_exp_masked((b[:, None, :] - D) / e3, real).transpose(0, 2, 1))
-    _row_sums(np.multiply(Ct, uv[:, None, :n], out=Ct), prod[:, n:])
-    del Ct
     for it in range(1, max_iter + 1):
-        uv *= PQ
-        uv /= prod
-        np.sqrt(uv, out=uv)
+        np.divide(PQ[:, :n], prod[:, :n], out=uv[:, :n])
         if it == 1:
             FG, uv, K, Kt = _absorb(FG, uv, D, e3, n)
             scratch = np.empty(D.size)
-        else:
-            far = ((uv > _BOUND) | ((uv < 1.0 / _BOUND) & (uv > 0.0))).any(axis=1)
-            if far.any():
-                idx = np.flatnonzero(far)
-                FG[idx], uv[idx], K[idx], Kt[idx] = _absorb(FG[idx], uv[idx], D[active[idx]],
-                                                            e3[idx], n)
-        _products(K, Kt, uv, prod, n, scratch)
+        _product(Kt, uv[:, :n], prod[:, n:], scratch)
+        np.divide(PQ[:, n:], prod[:, n:], out=uv[:, n:])
+        far = ((uv > _BOUND) | ((uv < 1.0 / _BOUND) & (uv > 0.0))).any(axis=1)
+        if it == 1:
+            far |= dying
+        if far.any():
+            idx = np.flatnonzero(far)
+            FG[idx], uv[idx], K[idx], Kt[idx] = _absorb(FG[idx], uv[idx], D[active[idx]],
+                                                        e3[idx], n)
+            sums = np.empty((len(idx), m))  # the absorbed plans' column sums
+            _product(Kt[idx], uv[idx, :n], sums, scratch)
+            prod[idx, n:] = sums
+        _product(K, uv[:, n:], prod[:, :n], scratch)
         gap = uv * prod
         gap -= PQ
         viol = np.abs(gap, out=gap).max(axis=1)

@@ -116,7 +116,7 @@ def lp_transport_oracle(p, q, D) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Frozen per-problem Sinkhorn loop
+# Per-problem Sinkhorn loops
 # ---------------------------------------------------------------------------
 
 
@@ -127,11 +127,12 @@ def _logsumexp_rows_loop(M):
 
 
 def sinkhorn_plan_loop(p, q, D, eps, max_iter=500, tol=1e-6):
-    """The single-problem solver as it stood before batching, kept verbatim.
+    """The damped simultaneous half-step solver that alternating Sinkhorn
+    replaced, kept verbatim as a witness of the old path: the library must
+    reach the same limit in at most half its iterations.
 
-    The batched solver must reproduce it bit for bit. Returns
-    ``(plan, iterations_used, converged, best_violation)``, and logs one
-    warning on the ``oracles`` logger when the budget runs out.
+    Returns ``(plan, iterations_used, converged, best_violation)``, and logs
+    one warning on the ``oracles`` logger when the budget runs out.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -167,6 +168,65 @@ def sinkhorn_plan_loop(p, q, D, eps, max_iter=500, tol=1e-6):
     logging.getLogger("oracles").warning(
         "sinkhorn did not converge in %d iterations (best violation %.3e)", max_iter, best_viol
     )
+    return best_plan, best_iter, False, best_viol
+
+
+def _warn_unconverged(max_iter, best_viol):
+    logging.getLogger("oracles").warning(
+        "sinkhorn did not converge in %d iterations (best violation %.3e)", max_iter, best_viol
+    )
+
+
+def _canonical(loop):
+    """``loop`` run in a problem's canonical orientation, its shorter side as
+    rows: a square problem is transposed when the bytes of ``(q, D^T)`` sort
+    before those of ``(p, D)``. A transposed problem's plan is transposed back."""
+
+    def solve(p, q, D, eps, max_iter=500, tol=1e-6):
+        p = np.asarray(p, dtype=np.float64)
+        q = np.asarray(q, dtype=np.float64)
+        D = np.ascontiguousarray(D, dtype=np.float64)
+        n, m = D.shape
+        if n > m or (n == m and q.tobytes() + D.T.tobytes() < p.tobytes() + D.tobytes()):
+            plan, iterations, converged, violation = loop(
+                q, p, np.ascontiguousarray(D.T), eps, max_iter, tol)
+            return plan.T, iterations, converged, violation
+        return loop(p, q, D, eps, max_iter, tol)
+
+    solve.__doc__ = loop.__doc__
+    return solve
+
+
+@_canonical
+def sinkhorn_log_loop(p, q, D, eps, max_iter, tol):
+    """Alternating Sinkhorn in the log domain, one problem at a time, in the
+    canonical orientation: ``f <- eps log p - eps LSE_j((g_j - D_ij) / eps)``,
+    then ``g`` from the new ``f``, from ``f = g = 0``. Same returns and
+    warning as :func:`sinkhorn_plan_loop`.
+    """
+    n, m = D.shape
+    with np.errstate(divide="ignore"):
+        lp = np.log(p)
+        lq = np.log(q)
+    f = np.zeros(n)
+    g = np.zeros(m)
+
+    def build(f, g):
+        return np.exp((f[:, None] + g[None, :] - D) / eps)
+
+    best_viol = np.inf
+    best_plan = build(f, g)
+    best_iter = 0
+    for it in range(1, max_iter + 1):
+        f = eps * lp - eps * _logsumexp_rows_loop((g[None, :] - D) / eps)
+        g = eps * lq - eps * _logsumexp_rows_loop((f[None, :] - D.T) / eps)
+        plan = build(f, g)
+        viol = max(np.max(np.abs(plan.sum(axis=1) - p)), np.max(np.abs(plan.sum(axis=0) - q)))
+        if viol < best_viol:
+            best_viol, best_plan, best_iter = viol, plan, it
+        if viol <= tol:
+            return plan, it, True, viol
+    _warn_unconverged(max_iter, best_viol)
     return best_plan, best_iter, False, best_viol
 
 
@@ -210,26 +270,23 @@ def _out_of_bound(x):
     return bool(((x > _KERNEL_BOUND) | ((x < 1.0 / _KERNEL_BOUND) & (x > 0))).any())
 
 
-def sinkhorn_kernel_loop(p, q, D, eps, max_iter=500, tol=1e-6):
+@_canonical
+def sinkhorn_kernel_loop(p, q, D, eps, max_iter, tol):
     """The kernel-domain solver with absorption, one problem at a time.
 
     The batched solver must reproduce it bit for bit. Same returns and
-    warning as :func:`sinkhorn_plan_loop`, whose trajectory it follows up to
-    rounding: the plan is ``u_i exp((f_i + g_j - D_ij) / eps) v_j``, the
-    damped half-step is ``u <- sqrt(u p / K v)``, ``v <- sqrt(v q / K^T u)``,
-    and the first one starts from zero potentials with each row (column) of
-    ``exp(-D / eps)`` divided by its largest entry.
+    warning as :func:`sinkhorn_log_loop`, whose trajectory it follows up to
+    rounding: the plan is ``u_i exp((f_i + g_j - D_ij) / eps) v_j`` and an
+    iteration is ``u <- p / (K v)``, then ``v <- q / (K^T u)``. The first row
+    step starts from unit scalings with each row of ``exp(-D / eps)`` divided
+    by its largest entry, and is absorbed; so is the first column step when a
+    column has no mass, and any step that leaves a scaling out of bounds.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    D = np.asarray(D, dtype=np.float64)
     n, m = D.shape
     a = D.min(axis=1)
-    b = D.min(axis=0)
-    f, g = 0.5 * a, 0.5 * b
+    f, g = a, np.zeros(m)
     u, v = np.ones(n), np.ones(m)
     Kv = (np.exp((a[:, None] - D) / eps) * v[None, :]).sum(axis=1)
-    Ktu = (np.ascontiguousarray(np.exp((b[None, :] - D) / eps).T) * u[None, :]).sum(axis=1)
 
     def plan_of(f, g, u, v):
         w = u[:, None] * v[None, :]
@@ -239,21 +296,24 @@ def sinkhorn_kernel_loop(p, q, D, eps, max_iter=500, tol=1e-6):
     best = (np.zeros(n), np.zeros(m), u, v)
     best_iter = 0
     for it in range(1, max_iter + 1):
-        u = np.sqrt(u * p / Kv)
-        v = np.sqrt(v * q / Ktu)
-        if it == 1 or _out_of_bound(u) or _out_of_bound(v):
+        u = p / Kv
+        if it == 1:
             f, g, u, v, K = _kernel_absorb(f, g, u, v, D, eps)
             Kt = np.ascontiguousarray(K.T)
-        Kv = (K * v[None, :]).sum(axis=1)
         Ktu = (Kt * u[None, :]).sum(axis=1)
+        v = q / Ktu
+        if (_out_of_bound(u) or _out_of_bound(v)
+                or (it == 1 and bool((q == 0).any()))):
+            f, g, u, v, K = _kernel_absorb(f, g, u, v, D, eps)
+            Kt = np.ascontiguousarray(K.T)
+            Ktu = (Kt * u[None, :]).sum(axis=1)
+        Kv = (K * v[None, :]).sum(axis=1)
         viol = max(np.max(np.abs(u * Kv - p)), np.max(np.abs(v * Ktu - q)))
         if viol < best_viol:
             best_viol, best, best_iter = viol, (f, g, u, v), it
         if viol <= tol:
             return plan_of(f, g, u, v), it, True, viol
-    logging.getLogger("oracles").warning(
-        "sinkhorn did not converge in %d iterations (best violation %.3e)", max_iter, best_viol
-    )
+    _warn_unconverged(max_iter, best_viol)
     return plan_of(*best), best_iter, False, best_viol
 
 
@@ -365,15 +425,10 @@ def scalar_sinkhorn(p, q, D, eps, max_iter, tol):
 
     best_viol, best_plan = math.inf, plan_of(f, g)
     for _ in range(max_iter):
-        f_new = [
-            0.5 * (f[i] + eps * lp[i] - eps * _lse([(g[j] - D[i][j]) / eps for j in range(m)]))
-            for i in range(n)
-        ]
-        g_new = [
-            0.5 * (g[j] + eps * lq[j] - eps * _lse([(f[i] - D[i][j]) / eps for i in range(n)]))
-            for j in range(m)
-        ]
-        f, g = f_new, g_new
+        f = [eps * lp[i] - eps * _lse([(g[j] - D[i][j]) / eps for j in range(m)])
+             for i in range(n)]
+        g = [eps * lq[j] - eps * _lse([(f[i] - D[i][j]) / eps for i in range(n)])
+             for j in range(m)]
         plan = plan_of(f, g)
         viol = 0.0
         for i in range(n):

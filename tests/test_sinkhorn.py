@@ -43,6 +43,7 @@ from oracles import (
     relevant_context_per_pair,
     sentence_representation_per_pair,
     sinkhorn_kernel_loop,
+    sinkhorn_log_loop,
     sinkhorn_plan_loop,
     transport_cost_oracle,
     transport_cost_per_pair,
@@ -212,6 +213,38 @@ class TestSinkhornPlan:
             assert a.iterations_used == b.iterations_used
             assert a.converged == b.converged
             np.testing.assert_array_equal(a.plan, b.plan.T)
+
+    def test_square_swap_symmetry_is_exact(self):
+        # A square problem picks its side by comparing bytes. Each problem
+        # here is stacked with its swapped one, and exactly one of the two is
+        # solved transposed, so the 8 x 8 stack is transposed only in part.
+        rng = np.random.default_rng(23)
+        problems = []
+        for n in (2, 3, 5, 8, 8, 8):
+            D = cost_matrix(rng.normal(size=(n, 4)), rng.normal(size=(n, 4)))
+            p, q = random_marginal(rng, n), random_marginal(rng, n)
+            assert p.tobytes() + D.tobytes() != q.tobytes() + D.T.tobytes()
+            problems += [(p, q, D, 0.3 * D.mean()), (q, p, D.T, 0.3 * D.mean())]
+        got = sinkhorn_plans(*(list(col) for col in zip(*problems)), 400, 1e-8)
+        for a, b in zip(got[::2], got[1::2]):
+            assert (a.iterations_used, a.converged, a.violation) == (
+                b.iterations_used, b.converged, b.violation)
+            np.testing.assert_array_equal(a.plan, b.plan.T)
+        for tp, problem in zip(got, problems):
+            np.testing.assert_array_equal(tp.plan, sinkhorn_plan(*problem, 400, 1e-8).plan)
+
+    def test_problem_equal_to_its_transpose_is_symmetric_to_the_tolerance(self):
+        # Such a problem has no canonical side, and the alternating iteration
+        # treats rows and columns differently: its plan is symmetric only to
+        # the tolerance.
+        rng = np.random.default_rng(26)
+        C = cost_matrix(rng.normal(size=(6, 4)), rng.normal(size=(6, 4)))
+        D = C + C.T
+        p = random_marginal(rng, 6)
+        assert D.tobytes() == D.T.tobytes()
+        tp = sinkhorn_plan(p, p, D, 0.1 * D.mean())
+        assert tp.converged
+        assert np.max(np.abs(tp.plan - tp.plan.T)) <= 1e-6
 
     def test_nonconvergence_returns_best_iterate(self, caplog):
         rng = np.random.default_rng(8)
@@ -409,14 +442,14 @@ def _assert_feasible(tp, p, q):
 
 
 class TestKernelDomain:
-    """The kernel-domain solver against the log-domain loop it replaced."""
+    """The kernel-domain solver against the alternating log-domain loop."""
 
     @settings(max_examples=40, deadline=None)
     @given(problems=problem_batches(), tol=st.sampled_from([1e-6, 1e-9]))
     def test_follows_the_log_domain_loop(self, problems, tol):
         ps, qs, Ds, eps = (list(col) for col in zip(*problems))
         for tp, problem in zip(sinkhorn_plans(ps, qs, Ds, eps, 500, tol), problems):
-            plan, iterations, converged, _ = sinkhorn_plan_loop(*problem, 500, tol)
+            plan, iterations, converged, _ = sinkhorn_log_loop(*problem, 500, tol)
             assert tp.converged == converged
             # An unconverged problem's best iterate is picked among violations
             # equal to rounding on a plateau, so only a converged plan is
@@ -434,9 +467,11 @@ class TestKernelDomain:
         assert max(float((D / eps).max()) for _, _, D, eps in problems) > 745
         ps, qs, Ds, eps = (list(col) for col in zip(*problems))
         got = sinkhorn_plans(ps, qs, Ds, eps)
-        want = [sinkhorn_plan_loop(*problem) for problem in problems]
+        want = [sinkhorn_log_loop(*problem) for problem in problems]
         assert [tp.converged for tp in got] == [converged for _, _, converged, _ in want]
         assert sum(tp.converged for tp in got) > 0
+        damped = [sinkhorn_plan_loop(*problem)[2] for problem in problems]
+        assert sum(tp.converged for tp in got) >= sum(damped)
         for tp, (p, q, _, _) in zip(got, problems):
             _assert_feasible(tp, p, q)
 
@@ -452,27 +487,65 @@ class TestKernelDomain:
         p, q = random_marginal(rng, 4), random_marginal(rng, 5)
         other = _problems([(3, 5)], 22, zeros=True)[0]
         tp, _ = sinkhorn_plans([p, other[0]], [q, other[1]], [D, other[2]], [eps, other[3]])
-        plan, iterations, converged, _ = sinkhorn_plan_loop(p, q, D, eps)
+        plan, iterations, converged, _ = sinkhorn_log_loop(p, q, D, eps)
         assert tp.converged and converged
         _assert_feasible(tp, p, q)
         assert np.max(np.abs(tp.plan - plan)) <= 1e-9
 
     def test_row_past_the_deficit_bound_is_lifted(self):
-        # Row 0's nearest column has no mass, so after the first half-step
-        # its plan row lies near exp(-1250), past what two doubles hold; the
-        # same holds for column 2. Both are lifted, and the solve converges,
-        # stays finite and keeps its swap symmetry.
+        # The first row step, which still counts column 0, leaves column 2
+        # near exp(-2490) of every row, past what two doubles hold, so column
+        # 2 is lifted. Column 0 is row 0's nearest and has no mass; once the
+        # first column step empties it, the problem is absorbed again. The
+        # solve converges, stays finite and keeps its swap symmetry.
         X = np.array([[0.0, 0.0], [20.0, 0.0]])
         Y = np.array([[0.0, 0.1], [20.0, 0.1], [0.0, 25.0]])
         D = cost_matrix(X, Y)
         p, q, eps = np.array([0.5, 0.5]), np.array([0.0, 0.5, 0.5]), 0.01
         tp = sinkhorn_plan(p, q, D, eps)
         swapped = sinkhorn_plan(q, p, D.T, eps)
-        plan, _, converged, _ = sinkhorn_plan_loop(p, q, D, eps)
+        plan, _, converged, _ = sinkhorn_log_loop(p, q, D, eps)
         assert tp.converged and converged
         _assert_feasible(tp, p, q)
         np.testing.assert_array_equal(swapped.plan, tp.plan.T)
         assert np.max(np.abs(tp.plan - plan)) <= 1e-9
+
+    def test_row_whose_nearest_column_has_no_mass(self):
+        # Each of row 0's other columns lies near another row, so none is
+        # lifted, and row 0's kernel entries on them underflow: once the
+        # first column step empties column 0, only absorbing the problem
+        # again keeps row 0's products nonzero.
+        X = np.array([[0.0, 0.0], [20.0, 0.0], [0.0, 25.1]])
+        Y = np.array([[0.0, 0.1], [20.0, 0.1], [0.0, 25.0], [20.0, 0.2]])
+        D = cost_matrix(X, Y)
+        p, q, eps = np.array([0.2, 0.4, 0.4]), np.array([0.0, 0.3, 0.4, 0.3]), 0.01
+        assert not np.exp((D[0, 0] - D[0, 1:]) / eps).any()
+        tp = sinkhorn_plan(p, q, D, eps)
+        plan, _, converged, _ = sinkhorn_log_loop(p, q, D, eps)
+        assert tp.converged and converged
+        _assert_feasible(tp, p, q)
+        assert np.max(np.abs(tp.plan - plan)) <= 1e-9
+
+
+class TestAgainstTheDampedWitness:
+    """The alternating solver against the damped half-step loop it replaced:
+    the same limit, in at most half the iterations."""
+
+    def test_converges_to_the_same_plans(self):
+        problems = _random_problems(0, 0.1, 200)
+        ps, qs, Ds, eps = (list(col) for col in zip(*problems))
+        for tp, problem in zip(sinkhorn_plans(ps, qs, Ds, eps, 5000, 1e-12), problems):
+            plan, _, converged, _ = sinkhorn_plan_loop(*problem, 5000, 1e-12)
+            assert tp.converged and converged
+            assert np.max(np.abs(tp.plan - plan)) <= 1e-9
+
+    def test_takes_at_most_half_the_iterations(self):
+        problems = _random_problems(0, 0.1, 200)
+        ps, qs, Ds, eps = (list(col) for col in zip(*problems))
+        got = sinkhorn_plans(ps, qs, Ds, eps, 500, 1e-6)
+        want = [sinkhorn_plan_loop(*problem, 500, 1e-6) for problem in problems]
+        assert all(tp.converged for tp in got) and all(w[2] for w in want)
+        assert 2 * sum(tp.iterations_used for tp in got) <= sum(w[1] for w in want)
 
 
 def _bits(x) -> bytes:
@@ -630,13 +703,13 @@ class TestAlignSentence:
         assert res.sentence_token_indices == (0, 1, 3, 5, 6)
         assert res.relevant == (0, 4)
         assert res.plan.converged
-        assert res.cost == pytest.approx(1.9527314514996632, abs=1e-9)
+        assert res.cost == pytest.approx(1.952732138374774, abs=1e-9)
         golden_plan = np.array(
             [
-                [0.0027973150021331607, 0.15903277686147163, 0.11308892136556371,
-                 0.025127348223622135, 0.1999527007921437],
-                [0.19720220375644246, 0.040967515405147946, 0.08691114343677939,
-                 0.17487228108881767, 4.779406587746399e-05],
+                [0.00279733860005669, 0.15903274366924325, 0.1130891852453142,
+                 0.025127529149888146, 0.1999522063445777],
+                [0.19720266139994336, 0.04096725633075674, 0.0869108147546858,
+                 0.17487247085011187, 4.7793655422325904e-05],
             ]
         )
         np.testing.assert_allclose(res.plan.plan, golden_plan, atol=1e-9)
