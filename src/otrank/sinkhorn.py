@@ -10,11 +10,13 @@ The solver iterates in the kernel domain (Cuturi 2013): the plan is
 iteration is one product ``K v``, one product ``K^T u`` and elementwise
 updates of the scalings ``u, v``, with no ``exp`` or ``log``.
 Updates alternate full row and column scalings (Peyré & Cuturi 2019, §4.2):
-``u <- p / (K v)``, then ``v <- q / (K^T u)`` with the new ``u``. The
-iteration is not symmetric in the two point sets, so each problem is solved
-in one canonical orientation, its shorter side as rows (a square problem
-picks its side by comparing bytes), and the swapped problem's plan is then
-exactly the transpose.
+``u <- p / (K v)``, then ``v <- q / (K^T u)`` with the new ``u``, from a
+start that splits the costs evenly between the two sides. The iteration is
+not symmetric in the two point sets, so each problem is solved in one
+canonical orientation, its shorter side as rows (a square problem picks its
+side by comparing bytes), and the swapped problem's plan is then exactly the
+transpose. A problem equal to its own transpose takes a symmetric step
+instead, so its plan is exactly symmetric.
 
 Stability at small regularization comes from absorption (Schmitzer 2019,
 §3): when a scaling leaves a fixed bound, ``eps * log`` of it is folded into
@@ -328,7 +330,7 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
     and ``(B, m)``, costs ``(B, n, m)`` and regularization strengths ``(B,)``.
     The result holds one :class:`PlanGroup` per stack, in order.
 
-    Each problem is solved in its canonical orientation (see :func:`_swapped`).
+    Each problem is solved in its canonical orientation (see :func:`_orientation`).
     One solved as its transpose has its potentials and scalings swapped back
     before its plan, an elementwise product of them, is built. So the swapped
     problem ``(q, p, D^T)``, which has the same orientation, gets exactly the
@@ -348,13 +350,13 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
       trailing zero only lengthens the remainder. Above 128 terms the split
       point depends on the length, so such an extent is a bucket of its own;
     - the padding's scalings are 0 from the start and its kernel entries 1,
-      so it adds exact zeros to every product; the row minima of the first
-      step and every max skip it.
+      so it adds exact zeros to every product; the column minima and row
+      maxima of the start and every max skip it.
 
     The padding is marked by its own row and column masks, never by zero
-    marginal entries. The scalings of real zero-marginal entries start at 1,
-    as in the one-problem solve, and reach 0 in their first update; from then
-    on their kernel entries are 1 as well.
+    marginal entries. Real zero-marginal columns start with scaling 0 and
+    real zero-marginal rows reach it in their first update, as in the
+    one-problem solve; from then on their kernel entries are 1 as well.
 
     The results are cut back to the exact shapes, so the post-solve runs on
     exact shapes: a padded plan's flattened cost sum would regroup numpy's
@@ -364,9 +366,9 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
     oriented = []
     for s, (members, P, Q, D, E) in enumerate(stacks):
         _validate(count, members, P, Q, D, E)
-        swap = _swapped(P, Q, D)
+        swap, own = _orientation(P, Q, D)
         P, Q, D, _ = _orient(swap, (P, Q), (D, D.transpose(0, 2, 1)))
-        oriented.append((swap, P, Q, D))
+        oriented.append((swap, P, Q, D, own))
         by_bucket.setdefault(_bucket(*D.shape[1:]), []).append(s)
 
     groups: list[PlanGroup | None] = [None] * len(stacks)
@@ -378,12 +380,13 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
         B, N, M = bounds[-1], max(n for n, _ in shapes), max(m for _, m in shapes)
         P, Q, D, E = np.zeros((B, N)), np.zeros((B, M)), np.zeros((B, N, M)), np.empty(B)
         rows, cols = np.zeros((B, N), dtype=bool), np.zeros((B, M), dtype=bool)
+        sym = np.empty(B, dtype=bool)
         for s, n, m, lo, hi in spans:
-            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m] = oriented[s][1:]
+            P[lo:hi, :n], Q[lo:hi, :m], D[lo:hi, :n, :m], sym[lo:hi] = oriented[s][1:]
             E[lo:hi] = stacks[s][4]
             rows[lo:hi, :n] = True
             cols[lo:hi, :m] = True
-        FG, uv, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, max_iter, tol)
+        FG, uv, iters, viol, converged = _solve_group(P, Q, D, E, rows, cols, sym, max_iter, tol)
         for s, n, m, lo, hi in spans:
             members, _, _, Ds, Es = stacks[s]
             F, G, u, v = _orient(oriented[s][0], (FG[lo:hi, :n], FG[lo:hi, N:N + m]),
@@ -401,25 +404,26 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
     return groups
 
 
-def _swapped(P, Q, D) -> np.ndarray:
-    """Whether each problem of an exact-shape stack is solved as its transpose
-    ``(q, p, D^T)``: its canonical orientation has the shorter side as rows.
+def _orientation(P, Q, D) -> tuple[np.ndarray, np.ndarray]:
+    """Per problem of an exact-shape stack: whether it is solved as its
+    transpose ``(q, p, D^T)``, and whether it equals its transpose.
 
-    A square problem compares the bytes of ``(p, D)`` with those of
-    ``(q, D^T)``, both C order, and is transposed when the second is smaller,
-    so it and its swapped problem pick the same orientation. A problem equal
-    to its own transpose has no canonical side and keeps its own; its plan is
-    symmetric only up to the tolerance.
+    The canonical orientation has the shorter side as rows. A square problem
+    compares the bytes of ``(p, D)`` with those of ``(q, D^T)``, both C
+    order, and is transposed when the second is smaller, so it and its
+    swapped problem pick the same orientation. A problem whose two byte
+    strings are equal has no canonical side; it keeps its own and is solved
+    by a symmetric step (see :func:`_solve_group`).
     """
     B, n, m = D.shape
     if n != m:
-        return np.full(B, n > m)
+        return np.full(B, n > m), np.zeros(B, dtype=bool)
     X = np.concatenate([P, D.reshape(B, -1)], axis=1).view(np.uint8)
     Y = np.concatenate([Q, D.transpose(0, 2, 1).reshape(B, -1)], axis=1).view(np.uint8)
     differ = X != Y
     first = differ.argmax(axis=1)
     b = np.arange(B)
-    return differ[b, first] & (Y[b, first] < X[b, first])
+    return differ[b, first] & (Y[b, first] < X[b, first]), ~differ[b, first]
 
 
 def _orient(swap, *pairs) -> list[np.ndarray]:
@@ -460,13 +464,14 @@ def _validate(count, members, P, Q, D, E) -> None:
                              "nonnegative and sum to 1")
 
 
-def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
+def _solve_group(P, Q, D, E, rows, cols, sym, max_iter: int, tol: float):
     """Iterate one bucket's padded stack; returns the best potentials and
     scalings (each as one ``(B, n + m)`` array, rows first), their iteration
     and violation, and the converged flags, per problem.
 
     ``rows`` and ``cols`` mark the real (unpadded) entries; the scalings of
-    the others start, and stay, at 0 (see :func:`_solve_groups`).
+    the others start, and stay, at 0 (see :func:`_solve_groups`). ``sym``
+    marks the problems equal to their own transpose.
 
     The state is potentials ``f, g`` and scalings ``u, v`` with plan
     ``u_i exp((f_i + g_j - D_ij) / eps) v_j``; the kernel ``K`` is the middle
@@ -476,17 +481,30 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
     ``u * K v``, where ``K v`` of the new ``v`` is also the next row step's
     product: an iteration costs one ``K v`` and one ``K^T u``.
 
-    From zero potentials and unit scalings, the first row step divides each
-    row of ``exp(-D / eps)`` by its largest entry, ``exp(-min_j D_ij / eps)``,
-    and keeps that factor's log in the potential ``f``, so it is exact however
-    far a row lies from every column. After that step the scalings are
-    absorbed into the potentials and the kernel is rebuilt (see
-    :func:`_absorb`), which lifts and floors the columns against the live
-    rows. A problem is absorbed again after a column step that takes a
-    nonzero scaling out of ``[1 / _BOUND, _BOUND]``, and after the first
-    column step when some of its columns have no mass: that step empties
-    them, and a row whose nearest columns they were is lifted and floored
-    against the columns left.
+    The start splits the costs evenly between the two sides. Columns start
+    at ``g_j = (min_i D_ij + eps log q_j) / 2`` with unit scalings (0 for a
+    column without mass, which so never enters a row's largest entry), and
+    the first row step divides each row of the kernel by its largest entry,
+    whose log it keeps in the potential ``f``, so it is exact however far a
+    row lies from every column. The first column step goes half way,
+    ``v <- sqrt(v * q / (K^T u))``. When a sentence restates the question,
+    the two point sets nearly coincide and the kernel is nearly a
+    permutation: no step moves mass between its nearly separate blocks, so
+    how each block's scale is shared between ``u`` and ``v`` stays about
+    where the first iteration left it, and only an even split is near the
+    solution's (README, "Start"). After the first row step
+    the scalings are absorbed into the potentials and the kernel is rebuilt
+    (see :func:`_absorb`), and again after a column step that takes a
+    nonzero scaling out of ``[1 / _BOUND, _BOUND]``.
+
+    A problem equal to its own transpose has a symmetric solution, ``f = g``
+    and ``u = v``, but an alternating step breaks the symmetry and leaves the
+    blocks' shares where it broke them. Such a problem instead takes the
+    averaged step of symmetric Sinkhorn (Feydy et al. 2019),
+    ``u <- sqrt(u * p / (K u))``, ``v = u``, from zero potentials: its first
+    step divides each row of ``exp(-D / eps)`` by its largest entry as above
+    and keeps half of that factor's log in ``f = g``. Its plan is exactly
+    symmetric.
 
     Each product multiplies a contiguous stack (``K``, or its contiguous
     transpose) by the scalings and sums its contiguous last axis, which is how
@@ -497,38 +515,55 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
     no bit either.
     """
     B, n, m = D.shape
+    k = min(n, m)  # a symmetric problem's rows and columns lie in the first k
     e3 = E[:, None, None]
-    a = np.min(D, axis=2, where=cols[:, None, :], initial=np.inf)
     PQ = np.concatenate([P, Q], axis=1)
-    uv = np.concatenate([rows, cols], axis=1).astype(np.float64)
-    # Problems whose first column step leaves some column without mass.
-    dying = (cols & (Q == 0.0)).any(axis=1)
+    uv = np.concatenate([rows, cols & (Q > 0.0)], axis=1).astype(np.float64)
+    live = uv[:, None, n:] > 0.0
+    b = np.min(D, axis=1, where=rows[:, :, None], initial=np.inf)
+    with np.errstate(divide="ignore"):
+        g = np.where(live[:, 0] & ~sym[:, None], 0.5 * (b + E[:, None] * np.log(Q)), 0.0)
+    # The first kernel is its own product buffer and is dropped before the
+    # kernel of the first absorption is built.
+    R = g[:, None, :] - D
+    FG = np.concatenate([-np.max(R, axis=2, where=live, initial=-np.inf), g], axis=1)
+    del b, g
+    R += FG[:, :n, None]
+    R /= e3
+    _exp_masked(R, live & rows[:, :, None])
+    prod = np.empty((B, n + m))  # K v, then K^T u
+    _product(R, uv[:, n:], prod[:, :n], R.reshape(-1))
+    del R
+    any_sym = bool(sym.any())
+    if any_sym:  # the half-step keeps half of the row shift on each side
+        FG[sym, :n] *= 0.5
+        FG[sym, n:n + k] = FG[sym, :k]
     best_FG = np.zeros((B, n + m))
     best_uv = uv.copy()
     best_iter = np.zeros(B, dtype=np.int64)
     best_viol = np.full(B, np.inf)
     converged = np.zeros(B, dtype=bool)
 
-    FG = np.concatenate([a, np.zeros((B, m))], axis=1)
-    prod = np.empty((B, n + m))  # K v, then K^T u
-    # The first kernel is its own product buffer and is dropped before the
-    # kernel of the first absorption is built.
-    R = _exp_masked((a[:, :, None] - D) / e3, rows[:, :, None] & cols[:, None, :])
-    _product(R, uv[:, n:], prod[:, :n], R.reshape(-1))
-    del R
     # The active set: group positions of the problems still iterating, and
     # their rows of every per-problem array but the costs.
     active = np.arange(B)
     for it in range(1, max_iter + 1):
-        np.divide(PQ[:, :n], prod[:, :n], out=uv[:, :n])
+        if any_sym:
+            step = PQ[:, :n] / prod[:, :n]
+            step[sym] = np.sqrt(uv[sym, :n] * step[sym])
+            uv[:, :n] = step
+            uv[sym, n:n + k] = uv[sym, :k]
+        else:
+            np.divide(PQ[:, :n], prod[:, :n], out=uv[:, :n])
         if it == 1:
             FG, uv, K, Kt = _absorb(FG, uv, D, e3, n)
             scratch = np.empty(D.size)
         _product(Kt, uv[:, :n], prod[:, n:], scratch)
-        np.divide(PQ[:, n:], prod[:, n:], out=uv[:, n:])
-        far = ((uv > _BOUND) | ((uv < 1.0 / _BOUND) & (uv > 0.0))).any(axis=1)
+        steps = ~sym[:, None] if any_sym else True  # a symmetric problem keeps v = u
+        np.divide(PQ[:, n:], prod[:, n:], out=uv[:, n:], where=steps)
         if it == 1:
-            far |= dying
+            np.sqrt(uv[:, n:], out=uv[:, n:], where=steps)
+        far = ((uv > _BOUND) | ((uv < 1.0 / _BOUND) & (uv > 0.0))).any(axis=1)
         if far.any():
             idx = np.flatnonzero(far)
             FG[idx], uv[idx], K[idx], Kt[idx] = _absorb(FG[idx], uv[idx], D[active[idx]],
@@ -560,7 +595,8 @@ def _solve_group(P, Q, D, E, rows, cols, max_iter: int, tol: float):
             if not keep.any():
                 break
             active, FG, uv, prod = active[keep], FG[keep], uv[keep], prod[keep]
-            PQ, e3 = PQ[keep], e3[keep]
+            PQ, e3, sym = PQ[keep], e3[keep], sym[keep]
+            any_sym = bool(sym.any())
             # One stack at a time, so only one old stack is alive with its copy;
             # the costs are only read when absorbing, by group position.
             K = K[keep]

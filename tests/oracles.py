@@ -180,36 +180,42 @@ def _warn_unconverged(max_iter, best_viol):
 def _canonical(loop):
     """``loop`` run in a problem's canonical orientation, its shorter side as
     rows: a square problem is transposed when the bytes of ``(q, D^T)`` sort
-    before those of ``(p, D)``. A transposed problem's plan is transposed back."""
+    before those of ``(p, D)``. A transposed problem's plan is transposed back.
+    ``loop`` is told whether the problem equals its own transpose."""
 
     def solve(p, q, D, eps, max_iter=500, tol=1e-6):
         p = np.asarray(p, dtype=np.float64)
         q = np.asarray(q, dtype=np.float64)
         D = np.ascontiguousarray(D, dtype=np.float64)
         n, m = D.shape
-        if n > m or (n == m and q.tobytes() + D.T.tobytes() < p.tobytes() + D.tobytes()):
+        X, Y = p.tobytes() + D.tobytes(), q.tobytes() + D.T.tobytes()
+        if n > m or (n == m and Y < X):
             plan, iterations, converged, violation = loop(
-                q, p, np.ascontiguousarray(D.T), eps, max_iter, tol)
+                q, p, np.ascontiguousarray(D.T), eps, max_iter, tol, False)
             return plan.T, iterations, converged, violation
-        return loop(p, q, D, eps, max_iter, tol)
+        return loop(p, q, D, eps, max_iter, tol, n == m and X == Y)
 
     solve.__doc__ = loop.__doc__
     return solve
 
 
 @_canonical
-def sinkhorn_log_loop(p, q, D, eps, max_iter, tol):
+def sinkhorn_log_loop(p, q, D, eps, max_iter, tol, sym):
     """Alternating Sinkhorn in the log domain, one problem at a time, in the
     canonical orientation: ``f <- eps log p - eps LSE_j((g_j - D_ij) / eps)``,
-    then ``g`` from the new ``f``, from ``f = g = 0``. Same returns and
-    warning as :func:`sinkhorn_plan_loop`.
+    then ``g`` from the new ``f``, from ``g_j = (min_i D_ij + eps log q_j) / 2``
+    (``-inf`` where ``q_j = 0``); the first ``g`` step goes half way. A
+    problem equal to its own transpose (``sym``) instead takes the symmetric
+    half-step ``f <- (f + eps log p - eps LSE_j((f_j - D_ij) / eps)) / 2``,
+    ``g = f``, from ``f = 0``. Same returns and warning as
+    :func:`sinkhorn_plan_loop`.
     """
     n, m = D.shape
     with np.errstate(divide="ignore"):
         lp = np.log(p)
         lq = np.log(q)
     f = np.zeros(n)
-    g = np.zeros(m)
+    g = np.zeros(m) if sym else np.where(q > 0, 0.5 * (D.min(axis=0) + eps * lq), -np.inf)
 
     def build(f, g):
         return np.exp((f[:, None] + g[None, :] - D) / eps)
@@ -218,8 +224,13 @@ def sinkhorn_log_loop(p, q, D, eps, max_iter, tol):
     best_plan = build(f, g)
     best_iter = 0
     for it in range(1, max_iter + 1):
-        f = eps * lp - eps * _logsumexp_rows_loop((g[None, :] - D) / eps)
-        g = eps * lq - eps * _logsumexp_rows_loop((f[None, :] - D.T) / eps)
+        if sym:
+            f = 0.5 * (f + eps * lp - eps * _logsumexp_rows_loop((f[None, :] - D) / eps))
+            g = f
+        else:
+            f = eps * lp - eps * _logsumexp_rows_loop((g[None, :] - D) / eps)
+            step = eps * lq - eps * _logsumexp_rows_loop((f[None, :] - D.T) / eps)
+            g = 0.5 * (g + step) if it == 1 else step
         plan = build(f, g)
         viol = max(np.max(np.abs(plan.sum(axis=1) - p)), np.max(np.abs(plan.sum(axis=0) - q)))
         if viol < best_viol:
@@ -271,22 +282,33 @@ def _out_of_bound(x):
 
 
 @_canonical
-def sinkhorn_kernel_loop(p, q, D, eps, max_iter, tol):
+def sinkhorn_kernel_loop(p, q, D, eps, max_iter, tol, sym):
     """The kernel-domain solver with absorption, one problem at a time.
 
     The batched solver must reproduce it bit for bit. Same returns and
     warning as :func:`sinkhorn_log_loop`, whose trajectory it follows up to
     rounding: the plan is ``u_i exp((f_i + g_j - D_ij) / eps) v_j`` and an
-    iteration is ``u <- p / (K v)``, then ``v <- q / (K^T u)``. The first row
-    step starts from unit scalings with each row of ``exp(-D / eps)`` divided
-    by its largest entry, and is absorbed; so is the first column step when a
-    column has no mass, and any step that leaves a scaling out of bounds.
+    iteration is ``u <- p / (K v)``, then ``v <- q / (K^T u)``. The columns
+    start at ``g_j = (min_i D_ij + eps log q_j) / 2`` with unit scalings (0
+    where ``q_j = 0``), the first row step divides each row of the kernel by
+    its largest entry, and the first column step is ``v <- sqrt(q / (K^T u))``.
+    A problem equal to its own transpose (``sym``) iterates
+    ``u <- sqrt(u * p / (K v))``, ``v = u``, from ``f = g`` half the row
+    minima of ``D``. The first row step is absorbed, and so is any step that
+    leaves a scaling out of bounds.
     """
     n, m = D.shape
-    a = D.min(axis=1)
-    f, g = a, np.zeros(m)
-    u, v = np.ones(n), np.ones(m)
-    Kv = (np.exp((a[:, None] - D) / eps) * v[None, :]).sum(axis=1)
+    g = np.zeros(m)
+    if not sym:
+        with np.errstate(divide="ignore"):
+            g = np.where(q > 0, 0.5 * (D.min(axis=0) + eps * np.log(q)), 0.0)
+    L = g[None, :] - D
+    a = np.where(q[None, :] > 0, -L, np.inf).min(axis=1)
+    K = np.exp(np.where(q[None, :] > 0, (L + a[:, None]) / eps, 0.0))
+    f = 0.5 * a if sym else a
+    g = f if sym else g
+    u, v = np.ones(n), np.where(q > 0, 1.0, 0.0)
+    Kv = (K * v[None, :]).sum(axis=1)
 
     def plan_of(f, g, u, v):
         w = u[:, None] * v[None, :]
@@ -296,14 +318,16 @@ def sinkhorn_kernel_loop(p, q, D, eps, max_iter, tol):
     best = (np.zeros(n), np.zeros(m), u, v)
     best_iter = 0
     for it in range(1, max_iter + 1):
-        u = p / Kv
+        u = np.sqrt(u * (p / Kv)) if sym else p / Kv
+        if sym:
+            v = u
         if it == 1:
             f, g, u, v, K = _kernel_absorb(f, g, u, v, D, eps)
             Kt = np.ascontiguousarray(K.T)
         Ktu = (Kt * u[None, :]).sum(axis=1)
-        v = q / Ktu
-        if (_out_of_bound(u) or _out_of_bound(v)
-                or (it == 1 and bool((q == 0).any()))):
+        if not sym:
+            v = np.sqrt(q / Ktu) if it == 1 else q / Ktu
+        if _out_of_bound(u) or _out_of_bound(v):
             f, g, u, v, K = _kernel_absorb(f, g, u, v, D, eps)
             Kt = np.ascontiguousarray(K.T)
             Ktu = (Kt * u[None, :]).sum(axis=1)
