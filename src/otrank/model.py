@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CandidateWindow, QAInstance, Sentence, content_token_indices
+from .corpus import CandidateWindow, QAInstance, Sentence
 from .embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -37,9 +37,9 @@ from .embeddings import (
 from .errors import EmbeddingStoreError, MissingFrequencyTableError
 from .sinkhorn import (  # noqa: F401  (align_sentence: see the note in cli.py)
     Alignments,
-    NonFiniteCostError,
     PlanGroup,
     SinkhornSettings,
+    UnalignablePairError,
     align_sentence,
     align_sentences,
 )
@@ -211,10 +211,11 @@ def align_windows(
     batch's Sinkhorn statistics, and warns when some alignments did not
     converge.
 
-    Raises :class:`MissingFrequencyTableError` when ``ft`` is None, and
-    :class:`EmbeddingStoreError` naming the (instance, window, role) key when
-    a sentence's vector count differs from its token count or the vectors of
-    a pair give a non-finite cost.
+    The store's vectors go to :func:`align_sentences` as held; it alone
+    checks them. Raises :class:`MissingFrequencyTableError` when ``ft`` is
+    None, and :class:`EmbeddingStoreError` when a pair cannot be aligned,
+    naming the (instance, window, role) key of the side at fault and the
+    reason: both counts, or a non-finite cost.
     """
     if ft is None:
         raise MissingFrequencyTableError("checkpoint carries no frequency table; cannot align")
@@ -223,44 +224,30 @@ def align_windows(
     question_vectors = {}  # the items hold every keyed question, so no id is reused
 
     def pairs():
-        # The vectors as the store holds them: align_sentences prepares a question
-        # as it prepares a sentence and widens only the content rows it gathers,
-        # so no whole question or sentence is copied.
+        # The vectors as the store holds them: align_sentences widens only the
+        # content rows it gathers, so no whole question or sentence is copied.
         for question, window, instance_id in items:
             key = (id(question), instance_id)
             if key not in question_vectors:
-                question_vectors[key] = _sentence_vectors(
-                    store, question, (instance_id, QUESTION_WINDOW_ID, ROLE_Q))
+                question_vectors[key] = store.stored_vectors(instance_id, QUESTION_WINDOW_ID,
+                                                             ROLE_Q)
             for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
                 s_vecs = None
                 if not sent.is_padding:
-                    s_vecs = _sentence_vectors(store, sent, (instance_id, window.id, role))
+                    s_vecs = store.stored_vectors(instance_id, window.id, role)
                 yield question, sent, question_vectors[key], s_vecs
 
     try:
         alignments = align_sentences(pairs(), ft, settings)
-    except NonFiniteCostError as exc:
-        question, window, instance_id = items[exc.index // 3]
-        key = (instance_id, window.id, NODE_ROLES[exc.index % 3])
-        q_vecs = question_vectors[(id(question), instance_id)]
-        if not np.all(np.isfinite(q_vecs[content_token_indices(question)])):
-            key = (instance_id, QUESTION_WINDOW_ID, ROLE_Q)
+    except UnalignablePairError as exc:
+        _, window, instance_id = items[exc.index // 3]
+        key = ((instance_id, QUESTION_WINDOW_ID, ROLE_Q) if exc.question
+               else (instance_id, window.id, NODE_ROLES[exc.index % 3]))
         raise EmbeddingStoreError(
-            f"non-finite embedding values: the vectors of (instance, window, role) = {key} "
-            "give a non-finite transport cost"
-        ) from None
+            f"the embedding store's vectors for (instance, window, role) = {key} cannot be "
+            f"aligned: {exc}") from None
     _log_alignment_stats(alignment_stats(alignments.groups), time.perf_counter() - started)
     return alignments
-
-
-def _sentence_vectors(store: EmbeddingStore, sent: Sentence, key) -> np.ndarray:
-    vecs = store.stored_vectors(*key)
-    if vecs.shape[0] != len(sent.tokens):
-        raise EmbeddingStoreError(
-            f"the embedding store holds {vecs.shape[0]} vectors for (instance, window, role) = "
-            f"{key}, but the corpus sentence has {len(sent.tokens)} tokens"
-        )
-    return vecs
 
 
 def extract_features(

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Sentence, content_token_indices
-from .embeddings import FrequencyTable
+from .corpus import Sentence, content_token_indices, content_tokens
+from .embeddings import FrequencyTable, marginal_distribution
 
 logger = logging.getLogger(__name__)
 
@@ -113,12 +113,17 @@ def cost_matrix(xs, ys) -> np.ndarray:
     return D
 
 
-class NonFiniteCostError(ValueError):
-    """A cost matrix holds NaN or inf; ``index`` is its position in the batch."""
+class UnalignablePairError(ValueError):
+    """A side's vector count is not its token count, or a cost holds NaN or inf.
 
-    def __init__(self, index: int, message: str):
+    ``index`` is the pair's position in its batch; ``question`` whether its
+    question is at fault (None for :func:`sinkhorn_plans`, which has no sides).
+    """
+
+    def __init__(self, index: int, message: str, question: bool | None = None):
         super().__init__(message)
         self.index = index
+        self.question = question
 
 
 # A scaling is folded into its potential once it leaves [1 / _BOUND, _BOUND].
@@ -449,7 +454,7 @@ def _validate(count, members, P, Q, D, E) -> None:
     bad = ~np.isfinite(D).all(axis=(1, 2))
     if bad.any():
         k = members[int(np.argmax(bad))]
-        raise NonFiniteCostError(k, f"{_where(k, count)}cost matrix contains non-finite entries")
+        raise UnalignablePairError(k, f"{_where(k, count)}cost matrix contains non-finite entries")
     bad = ~((E > 0) & np.isfinite(E))
     if bad.any():
         b = int(np.argmax(bad))
@@ -668,17 +673,17 @@ def align_sentence(
 class Alignments(Sequence):
     """The alignments of a batch of pairs, stacked: row ``k`` is pair ``k``'s.
 
-    Indexing gives pair ``k``'s :class:`AlignmentResult`, built on demand.
+    Indexing derives pair ``k``'s :class:`AlignmentResult` from the pair and
+    its problem's row: the index tuples by :func:`content_token_indices`, a
+    padding pair's plan by :func:`marginal_distribution`.
     """
 
     reps: np.ndarray  # (K, d) sentence representations; zero for padding
     costs: np.ndarray  # (K,) transport costs; zero for padding
     groups: list[PlanGroup]  # the problems of the non-padding pairs, by shape
     locate: np.ndarray  # (K, 2) group and row of each pair's problem; -1 for padding
-    weights: np.ndarray  # the smoothed count of each numbered content word
-    # Per pair: its question's content indices and content word numbers.
-    questions: list[tuple[tuple[int, ...], list[int]]]
-    sentence_token_indices: list[tuple[int, ...]]  # per pair
+    pairs: list[tuple]  # the pairs as given
+    ft: FrequencyTable
 
     def __len__(self) -> int:
         return len(self.costs)
@@ -687,20 +692,22 @@ class Alignments(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]
-        q_idx, q_words = self.questions[k]
+        question, s, _, _ = self.pairs[k]
         g, b = self.locate[k]
         if g < 0:
-            w = self.weights[q_words]
-            plan = TransportPlan(plan=(w / w.sum())[:, None], epsilon=0.0, iterations_used=0,
+            p = marginal_distribution(content_tokens(question), self.ft)
+            plan = TransportPlan(plan=p[:, None], epsilon=0.0, iterations_used=0,
                                  converged=True, violation=0.0)
-            relevant = (0,)
+            relevant = s_idx = (0,)
         else:
             grp = self.groups[g]
             plan = grp.plan(b)
             relevant = tuple(np.flatnonzero(relevant_contexts(grp.plans[b:b + 1])[0]).tolist())
+            s_idx = tuple(content_token_indices(s))
         return AlignmentResult(plan=plan, cost=float(self.costs[k]), relevant=relevant,
-                               representation=self.reps[k], question_token_indices=q_idx,
-                               sentence_token_indices=self.sentence_token_indices[k])
+                               representation=self.reps[k],
+                               question_token_indices=tuple(content_token_indices(question)),
+                               sentence_token_indices=s_idx)
 
 
 def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = SinkhornSettings()
@@ -711,10 +718,11 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     Per pair: filters both token lists, builds frequency marginals and the
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
     relevant-context embeddings into the sentence representation. Both sides
-    are prepared alike: each has its vector count checked, its content
-    indices taken and its content words numbered, a question once per
-    question object and vector array, a sentence once per pair. The rest
-    runs on one stack per exact ``(n, m)`` shape:
+    are prepared alike, the one check of a pair's inputs: each has its
+    vector count checked, its content indices taken and its content words
+    numbered, a question once per question object and vector array, a
+    sentence once per pair. The rest runs on one stack per exact ``(n, m)``
+    shape:
 
     - its content rows are gathered from the vectors as given (say, float32
       views of a store's bytes) into float64 ``(B, m, d)`` sentence and
@@ -738,41 +746,38 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     Padding sentences short-circuit: zero cost, zero representation, and the
     single padding token as relevant context.
 
-    A non-finite cost matrix raises :class:`NonFiniteCostError` whose
-    ``index`` is the pair's position in ``pairs``; an unconverged warning
-    names that position too. All pairs need one vector dimension.
+    A pair that cannot be aligned raises :class:`UnalignablePairError` with
+    its position in ``pairs`` and its side at fault: for a vector count, the
+    side checked (the question first); for a non-finite cost, the question
+    if its content rows hold NaN or inf, else the sentence. An unconverged
+    warning names the position too. All pairs need one vector dimension.
     """
+    pairs = list(pairs)
     words: dict[str, int] = {}  # the distinct content words of both sides, numbered
 
-    def prepare(what: str, sent: Sentence, vectors):
+    def prepare(k: int, what: str, sent: Sentence, vectors):
         """The vectors as given, content indices and content word numbers of one side."""
         vecs = np.asarray(vectors)
         if vecs.shape[0] != len(sent.tokens):
-            raise ValueError(f"{what} has {len(sent.tokens)} tokens but {vecs.shape[0]} vectors")
+            raise UnalignablePairError(k, f"{what} has {len(sent.tokens)} tokens but "
+                                       f"{vecs.shape[0]} vectors", what == "question")
         idx = tuple(content_token_indices(sent))
         if not idx:
             raise ValueError(f"{what} has no tokens to align")
         return vecs, idx, [words.setdefault(sent.tokens[j].normalized, len(words)) for j in idx]
 
+    # Keyed on the objects' ids; ``pairs`` holds the objects, so no id is reused.
     prepared: dict[tuple[int, int], tuple] = {}
-    questions, s_indices = [], []
     # Per exact (n, m) shape: each pair's position and its two prepared sides.
     by_shape: dict[tuple[int, int], list[tuple]] = {}
     for k, (question, s, question_vectors, sentence_vectors) in enumerate(pairs):
-        # Keyed on the objects themselves; the entry holds them, so no id is reused.
         key = (id(question), id(question_vectors))
         if key not in prepared:
-            prepared[key] = (question, question_vectors,
-                             prepare("question", question, question_vectors))
-        q = prepared[key][2]
-        questions.append(q[1:])
-        if s.is_padding:
-            s_indices.append((0,))
-            continue
-        side = prepare("sentence", s, sentence_vectors)
-        s_indices.append(side[1])
-        by_shape.setdefault((len(q[1]), len(side[1])), []).append((k, q, side))
-    dims = ({q[0].shape[1] for _, _, q in prepared.values()}
+            prepared[key] = prepare(k, "question", question, question_vectors)
+        if not s.is_padding:
+            q, side = prepared[key], prepare(k, "sentence", s, sentence_vectors)
+            by_shape.setdefault((len(q[1]), len(side[1])), []).append((k, q, side))
+    dims = ({q[0].shape[1] for q in prepared.values()}
             | {side[0].shape[1] for members in by_shape.values() for _, _, side in members})
     if len(dims) > 1:
         raise ValueError(f"pairs of one batch need one vector dimension, got {sorted(dims)}")
@@ -805,8 +810,15 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
         stacks.append((ks, marginals(qs), marginals(ss), D, E))
         content.append(Y)
-    count = len(questions)
-    groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
+    count = len(pairs)
+    try:
+        groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
+    except UnalignablePairError as exc:
+        question, _, question_vectors, _ = pairs[exc.index]
+        vecs, idx, _ = prepared[(id(question), id(question_vectors))]
+        side = "sentence" if np.isfinite(vecs[list(idx)]).all() else "question"
+        raise UnalignablePairError(exc.index, f"{side} vectors give a non-finite transport cost",
+                                   side == "question") from None
     del stacks  # the groups keep the costs; the marginals need not outlive the solve
 
     reps = np.zeros((count, d))
@@ -818,4 +830,4 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         content[g] = None  # pooled: the shape's content rows are not read again
         locate[grp.members, 0] = g
         locate[grp.members, 1] = np.arange(len(grp.members))
-    return Alignments(reps, costs, groups, locate, weights, questions, s_indices)
+    return Alignments(reps, costs, groups, locate, pairs, ft)

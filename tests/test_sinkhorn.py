@@ -23,8 +23,8 @@ from otrank.embeddings import (
     marginal_distribution,
 )
 from otrank.sinkhorn import (
-    NonFiniteCostError,
     SinkhornSettings,
+    UnalignablePairError,
     align_sentence,
     align_sentences,
     cost_matrix,
@@ -388,7 +388,7 @@ class TestBatchedSolver:
         bad = D.copy()
         bad[1, 0] = np.nan
         p = np.full(2, 0.5)
-        with pytest.raises(NonFiniteCostError, match="problem 2") as info:
+        with pytest.raises(UnalignablePairError, match="problem 2") as info:
             sinkhorn_plans([p] * 3, [p] * 3, [D, D, bad], [0.1] * 3)
         assert info.value.index == 2
 
@@ -826,17 +826,26 @@ class TestAlignSentences:
             np.testing.assert_array_equal(res.plan.plan, alone.plan.plan, strict=True)
             np.testing.assert_array_equal(res.representation, alone.representation, strict=True)
 
-    def test_non_finite_vector_names_the_pair(self, tiny_ft):
-        q = make_sentence("galaxies collide")
+    @pytest.mark.parametrize("side", ["question", "sentence"])
+    @pytest.mark.parametrize("fault", ["short", "inf"])
+    def test_non_finite_vector_names_the_pair(self, tiny_ft, side, fault):
+        # The faulty pair comes behind a good pair and a padding pair; a faulty
+        # question is first met there.
+        q, q2 = make_sentence("galaxies collide"), make_sentence("galaxies collide")
         s = make_sentence("stars merge")
         rng = np.random.default_rng(15)
         qv, good = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        bad = good.copy()
-        bad[1, 2] = np.inf
+        bad = (qv if side == "question" else good).copy()
+        if fault == "short":
+            bad = bad[:1]
+        else:
+            bad[1, 2] = np.inf  # a content row of either side
+        last = (q2, s, bad, good) if side == "question" else (q, s, qv, bad)
         pad = padding_sentence()
-        with pytest.raises(NonFiniteCostError) as info:
-            align_sentences([(q, s, qv, good), (q, pad, qv, None), (q, s, qv, bad)], tiny_ft)
+        with pytest.raises(UnalignablePairError, match=side) as info:
+            align_sentences([(q, s, qv, good), (q, pad, qv, None), last], tiny_ft)
         assert info.value.index == 2
+        assert info.value.question is (side == "question")
 
     def test_float32_vectors_give_the_bits_of_their_widening(self, tiny_corpus, tiny_store,
                                                               tiny_ft):
@@ -919,6 +928,8 @@ class TestGatheredMarginals:
         for k, (question, s, _, _) in enumerate(pairs):
             res = alignments[k]
             assert res.question_token_indices == tuple(content_token_indices(question))
+            assert res.sentence_token_indices == (
+                (0,) if s.is_padding else tuple(content_token_indices(s)))
             if s.is_padding:
                 p = marginal_distribution(content_tokens(question), ft)
                 assert res.plan.plan.shape == (len(p), 1)

@@ -26,7 +26,8 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "sentence_representation", "PairIndexSets", "build_pair_sets", "mi_loss",
            "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT",
            "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
-           "_params_from_tensors", "_QuestionSide", "_question_side")
+           "_params_from_tensors", "_QuestionSide", "_question_side", "_sentence_vectors",
+           "NonFiniteCostError")
 
 
 def test_every_export_resolves():
