@@ -162,9 +162,9 @@ def _cmd_train(args) -> int:
 
 
 def _load_eval_inputs(args, outputs, splits: list[str]):
-    """The ``splits`` as one test corpus, then the checkpoint without its Adam moments,
-    then the store; first checks that no path of ``outputs`` names an input and that
-    several ``splits`` (only ``eval`` takes several) come with --combine-dev-test."""
+    """The ``splits`` as one test corpus, then the checkpoint, then the store; first
+    checks that no path of ``outputs`` names an input and that several ``splits``
+    (only ``eval`` takes several) come with --combine-dev-test."""
     _require_distinct(outputs, [("--split", sp) for sp in splits]
                       + [("--checkpoint", args.checkpoint), ("--embeddings", args.embeddings)])
     if len(splits) > 1 and not args.combine_dev_test:
@@ -180,7 +180,7 @@ def _load_eval_inputs(args, outputs, splits: list[str]):
             instances.append(inst)
     if not instances:
         raise EmptyInputError(f"no questions to score in {', '.join(splits)}")
-    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"), moments=False)
+    ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     store = load_embedding_store(_require_file(args.embeddings, "embedding store"))
     return Corpus(instances=tuple(instances), split="test"), ckpt, store
 

@@ -547,7 +547,6 @@ def _solve_group(P, Q, D, E, rows, cols, sym, max_iter: int, tol: float):
     best_uv = uv.copy()
     best_iter = np.zeros(B, dtype=np.int64)
     best_viol = np.full(B, np.inf)
-    converged = np.zeros(B, dtype=bool)
 
     # The active set: group positions of the problems still iterating, and
     # their rows of every per-problem array but the costs.
@@ -582,20 +581,13 @@ def _solve_group(P, Q, D, E, rows, cols, sym, max_iter: int, tol: float):
         viol = np.abs(gap, out=gap).max(axis=1)
 
         better = viol < best_viol[active]
-        if better.all():
-            best_FG[active] = FG
-            best_uv[active] = uv
-            best_iter[active] = it
-            best_viol[active] = viol
-        else:
-            idx = active[better]
-            best_FG[idx] = FG[better]
-            best_uv[idx] = uv[better]
-            best_iter[idx] = it
-            best_viol[idx] = viol[better]
+        idx = active[better]
+        best_FG[idx] = FG[better]
+        best_uv[idx] = uv[better]
+        best_iter[idx] = it
+        best_viol[idx] = viol[better]
         done = viol <= tol
         if done.any():
-            converged[active[done]] = True
             keep = ~done
             if not keep.any():
                 break
@@ -606,7 +598,9 @@ def _solve_group(P, Q, D, E, rows, cols, sym, max_iter: int, tol: float):
             # the costs are only read when absorbing, by group position.
             K = K[keep]
             Kt = Kt[keep]
-    return best_FG, best_uv, best_iter, best_viol, converged
+    # A problem retires at its first violation within tol, which is below every
+    # earlier one, so its best iterate is that last one.
+    return best_FG, best_uv, best_iter, best_viol, best_viol <= tol
 
 
 def transport_costs(plans: np.ndarray, costs: np.ndarray) -> np.ndarray:

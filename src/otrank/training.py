@@ -48,7 +48,7 @@ from .sinkhorn import SinkhornSettings
 logger = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"OTCK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def _is_int(value) -> bool:
@@ -278,8 +278,6 @@ class Checkpoint:
     params: ModelParams
     config: TrainConfig
     epoch: int
-    adam: AdamState | None  # None when loaded with moments=False
-    rng_state: dict
     freq_table: FrequencyTable | None = None
 
 
@@ -300,16 +298,10 @@ class TrainResult:
     history: list[EpochRecord] = field(default_factory=list)
 
 
-def _snapshot(params, cfg, epoch, adam, rng, ft) -> Checkpoint:
-    # Fresh buffers with views of their own: training goes on updating the live ones.
-    return Checkpoint(
-        params=params.like(params.flat.copy()),
-        config=cfg,
-        epoch=epoch,
-        adam=AdamState(m=adam.m.copy(), v=adam.v.copy(), t=adam.t),
-        rng_state=rng.bit_generator.state,  # a fresh dict on every read
-        freq_table=ft,
-    )
+def _snapshot(params, cfg, epoch, ft) -> Checkpoint:
+    # A fresh buffer with views of its own: training goes on updating the live one.
+    return Checkpoint(params=params.like(params.flat.copy()), config=cfg, epoch=epoch,
+                      freq_table=ft)
 
 
 def _dev_metrics(instances, feats, params, ws=None):
@@ -382,7 +374,7 @@ def train(
             stage_s["dev-eval"] += clock() - t0
             if ap is not None and ap > best_map:
                 best_map = ap
-                best = _snapshot(params, cfg, epoch, adam, rng, ft)
+                best = _snapshot(params, cfg, epoch, ft)
         record = EpochRecord(
             epoch=epoch,
             train_loss=train_loss,
@@ -398,16 +390,15 @@ def train(
         )
     logger.info("train stages: " + ", ".join(f"{k} %.3f s" for k in stage_s),
                 *stage_s.values())
-    final = _snapshot(params, cfg, cfg.epochs, adam, rng, ft)
+    final = _snapshot(params, cfg, cfg.epochs, ft)
     return TrainResult(final=final, best=best if best is not None else final, history=history)
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint file format: magic OTCK, version, d, L, hidden, a JSON metadata
-# blob (config, epoch, Adam step count, RNG state, frequency table), the
-# parameter tensors in declaration order, the Adam moment tensors, then a
-# trailing CRC32 of everything before it. All integers and floats little
-# endian; tensors are float64.
+# blob (config, epoch, frequency table), the parameter tensors in declaration
+# order, then a trailing CRC32 of everything before it. All integers and floats
+# little endian; tensors are float64.
 # ---------------------------------------------------------------------------
 
 
@@ -424,14 +415,9 @@ def _pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    if ckpt.adam is None:
-        raise ValueError("cannot save a checkpoint without its Adam moments "
-                         "(it was loaded with moments=False)")
     meta = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
-        "adam_t": ckpt.adam.t,
-        "rng_state": ckpt.rng_state,
         "freq_table": None
         if ckpt.freq_table is None
         else {
@@ -451,16 +437,15 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
         ),
         struct.pack("<Q", len(meta_raw)),
         meta_raw,
-        *(_pack_tensors(param_tensors(ckpt.params.like(flat)))
-          for flat in (ckpt.params.flat, ckpt.adam.m, ckpt.adam.v)),
+        _pack_tensors(param_tensors(ckpt.params)),
     ]
     payload = b"".join(body)
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
-def _decode_tensors(rd: ByteReader, out: ModelParams, copy: bool = True) -> None:
-    """Walk one tensor table, checking every name and shape against the layout
-    of ``out``; with ``copy``, copy each tensor's floats from the file into it."""
+def _decode_tensors(rd: ByteReader, out: ModelParams) -> None:
+    """Walk the tensor table, checking every name and shape against the layout
+    of ``out``, and copy each tensor's floats from the file into it."""
     expected = param_tensors(out)
     seen: set[str] = set()
     (count,) = rd.unpack("<I")
@@ -478,14 +463,13 @@ def _decode_tensors(rd: ByteReader, out: ModelParams, copy: bool = True) -> None
         if shape != expected[name].shape:
             raise CheckpointError(f"{rd.path.name}: tensor {name} has shape {shape}, "
                                   f"expected {expected[name].shape}")
-        if copy:
-            expected[name][...] = np.frombuffer(rd.raw, "<f8", size, start).reshape(shape)
+        expected[name][...] = np.frombuffer(rd.raw, "<f8", size, start).reshape(shape)
     if seen != set(expected):
         raise CheckpointError(f"{rd.path.name}: checkpoint tensor names do not match the "
                               "model layout")
 
 
-_META_KEYS = ("adam_t", "config", "epoch", "freq_table", "rng_state")
+_META_KEYS = ("config", "epoch", "freq_table")
 
 
 def _check_meta(meta, name: str) -> TrainConfig:
@@ -498,9 +482,8 @@ def _check_meta(meta, name: str) -> TrainConfig:
     missing = [k for k in _META_KEYS if k not in meta]
     if missing:
         raise CheckpointError(f"{name}: checkpoint metadata lacks {missing}")
-    for key in ("epoch", "adam_t"):
-        if not _is_int(meta[key]) or meta[key] < 0:
-            raise CheckpointError(f"{name}: metadata {key!r} must be a nonnegative integer")
+    if not _is_int(meta["epoch"]) or meta["epoch"] < 0:
+        raise CheckpointError(f"{name}: metadata 'epoch' must be a nonnegative integer")
     ft = meta["freq_table"]
     if ft is not None:
         if not (isinstance(ft, dict) and isinstance(ft.get("counts"), dict)
@@ -533,16 +516,13 @@ def _check_meta(meta, name: str) -> TrainConfig:
         raise CheckpointError(f"{name}: bad training configuration: {exc}") from None
 
 
-def load_checkpoint(path: str | Path, *, moments: bool = True) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The file is mapped read-only while it loads: the CRC runs over the mapped
-    bytes, and each tensor kept is copied out of the mapping into a fresh,
-    writable flat buffer in the layout of :class:`~otrank.model.ModelParams`.
-    Nothing returned refers to the mapping, which is closed before this
-    returns. With ``moments=False`` both Adam moment tables are checked
-    against the layout but not copied, and ``adam`` is None; scoring reads
-    only the parameters, the config and the frequency table.
+    bytes, and each tensor is copied out of the mapping into a fresh, writable
+    flat buffer in the layout of :class:`~otrank.model.ModelParams`. Nothing
+    returned refers to the mapping, which is closed before this returns.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -579,15 +559,6 @@ def load_checkpoint(path: str | Path, *, moments: bool = True) -> Checkpoint:
             config = _check_meta(meta, path.name)
             params = ModelParams.zeros(dim, hidden, layers)
             _decode_tensors(rd, params)
-            adam = None
-            if moments:
-                adam = AdamState.zeros(params)
-                adam.t = meta["adam_t"]
-                _decode_tensors(rd, params.like(adam.m))
-                _decode_tensors(rd, params.like(adam.v))
-            else:
-                _decode_tensors(rd, params, copy=False)
-                _decode_tensors(rd, params, copy=False)
             if rd.pos != payload:
                 raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
     ft = None
@@ -596,14 +567,7 @@ def load_checkpoint(path: str | Path, *, moments: bool = True) -> Checkpoint:
             counts=meta["freq_table"]["counts"],
             num_questions=meta["freq_table"]["num_questions"],
         )
-    return Checkpoint(
-        params=params,
-        config=config,
-        epoch=meta["epoch"],
-        adam=adam,
-        rng_state=meta["rng_state"],
-        freq_table=ft,
-    )
+    return Checkpoint(params=params, config=config, epoch=meta["epoch"], freq_table=ft)
 
 
 @dataclass

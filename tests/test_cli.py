@@ -24,13 +24,8 @@ from otrank.embeddings import (
     write_embedding_store,
 )
 from otrank.model import init_model_params, param_tensors
-from otrank.training import (
-    AdamState,
-    Checkpoint,
-    TrainConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from otrank.errors import CheckpointError
+from otrank.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import TINY_RECORDS, build_tiny_store, write_tiny_jsonl
 
@@ -47,12 +42,8 @@ def cli_env(tmp_path_factory):
     write_embedding_store(emb_path, store)
     ft = build_frequency_table(corpus)
     cfg = TrainConfig(hidden_size=5, gcn_layers=2)
-    rng = np.random.default_rng(7)
-    params = init_model_params(rng, store.dim, 5, 2)
-    ckpt = Checkpoint(
-        params=params, config=cfg, epoch=0, adam=AdamState.zeros(params),
-        rng_state=rng.bit_generator.state, freq_table=ft,
-    )
+    params = init_model_params(np.random.default_rng(7), store.dim, 5, 2)
+    ckpt = Checkpoint(params=params, config=cfg, epoch=0, freq_table=ft)
     ckpt_path = td / "pin.ckpt"
     save_checkpoint(ckpt_path, ckpt)
     no_ft_path = td / "no_ft.ckpt"
@@ -284,20 +275,6 @@ class TestBadScoringInputs:
 
 
 @pytest.mark.parametrize("command", ["rerank", "eval", "align"])
-def test_scoring_commands_leave_the_moments_undecoded(command, cli_env, tmp_path,
-                                                      monkeypatch):
-    loaded = []
-
-    def spy(path, **kwargs):
-        loaded.append(load_checkpoint(path, **kwargs))
-        return loaded[-1]
-
-    monkeypatch.setattr("otrank.cli.load_checkpoint", spy)
-    assert main(_scoring_argv(command, cli_env, tmp_path)) == 0
-    assert [ckpt.adam for ckpt in loaded] == [None]
-
-
-@pytest.mark.parametrize("command", ["rerank", "eval", "align"])
 def test_scoring_commands_load_the_split_first(command, cli_env, tmp_path, monkeypatch):
     loads = []
     for name in ("load_corpus", "load_checkpoint", "load_embedding_store"):
@@ -308,7 +285,7 @@ def test_scoring_commands_load_the_split_first(command, cli_env, tmp_path, monke
         monkeypatch.setattr(f"otrank.cli.{name}", spy)
     assert main(_scoring_argv(command, cli_env, tmp_path)) == 0
     assert loads == [("load_corpus", {"split": "test"}),
-                     ("load_checkpoint", {"moments": False}), ("load_embedding_store", {})]
+                     ("load_checkpoint", {}), ("load_embedding_store", {})]
 
 
 @pytest.mark.parametrize("command", ["rerank", "eval", "align"])
@@ -332,8 +309,7 @@ class TestStoreDimension:
         ckpt = load_checkpoint(cli_env["ckpt"])
         params = init_model_params(np.random.default_rng(7), ckpt.params.dim + 3, 5, 2)
         wide = tmp_path / "wide.ckpt"
-        save_checkpoint(wide, dataclasses.replace(ckpt, params=params,
-                                                  adam=AdamState.zeros(params)))
+        save_checkpoint(wide, dataclasses.replace(ckpt, params=params))
 
         def never(*args, **kwargs):
             raise AssertionError("aligned before checking the dimensions")
@@ -525,7 +501,7 @@ class TestCheckpointMetadata:
         (lambda m: m["config"].update(batch_size="many"), "batch_size"),
         (lambda m: m["config"].pop("gamma"), "gamma"),
         (lambda m: m.pop("epoch"), "epoch"),
-        (lambda m: m.update(adam_t=-3), "adam_t"),
+        (lambda m: m.update(epoch=-3), "'epoch' must be a nonnegative integer"),
         (lambda m: m.update(freq_table={"counts": []}), "freq_table"),
         (lambda m: m["freq_table"]["counts"].update(zebra="x"), "'freq_table' count of 'zebra'"),
         (lambda m: m["freq_table"]["counts"].update(zebra=None), "'freq_table' count of 'zebra'"),
@@ -590,6 +566,13 @@ def _rename_first_tensor(raw: bytes) -> bytes:
     return _with_crc(_set_byte(raw, pos, 0xFF)[:-4])
 
 
+def _append_table(raw: bytes) -> bytes:
+    """Checkpoint bytes with a second copy of the parameter table after the first,
+    as a version-1 file held each Adam moment."""
+    table = raw.index(b"dep.w1") - 4 - 2  # the tensor count, then the first name's length
+    return _with_crc(raw[:-4] + raw[table:-4])
+
+
 class TestCorruptInputs:
     """Damaged files exit 1 with an error naming the file, never with a traceback."""
 
@@ -601,17 +584,24 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
         ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
         ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30), "need more bytes"),
+        # Version 1 has no reader, and its moment tables are not part of version 2.
+        ("ckpt", lambda raw: _set_header(raw, 0, 1), "unsupported checkpoint version 1"),
+        ("ckpt", _append_table, "trailing bytes"),
         # Shorter than the magic; an empty file cannot be mapped.
         ("ckpt", lambda raw: b"", "bad magic"),
         ("ckpt", lambda raw: raw[:1], "bad magic"),
         ("ckpt", lambda raw: raw[:3], "bad magic"),
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
     ], ids=["store-role-byte", "store-instance-id", "ckpt-tensor-name", "ckpt-dim-0",
-            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-empty", "ckpt-1-byte",
-            "ckpt-3-bytes", "corpus-not-utf8"])
+            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-version-1",
+            "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
+            "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
         bad = tmp_path / f"bad.{target}"
         bad.write_bytes(corrupt(cli_env[target].read_bytes()))
+        if target == "ckpt":
+            with pytest.raises(CheckpointError, match=says):
+                load_checkpoint(bad)
         rc = main(_scoring_argv("rerank", cli_env, tmp_path, **{target: bad}))
         err = capsys.readouterr().err
         assert rc == 1

@@ -14,7 +14,7 @@ from otrank.metrics import (
 )
 from otrank.model import init_model_params
 from otrank.synthetic import make_synthetic_corpus
-from otrank.training import AdamState, Checkpoint, TrainConfig
+from otrank.training import Checkpoint, TrainConfig
 
 from oracles import ap_oracle, rr_oracle
 
@@ -140,12 +140,9 @@ class TestRankingProperties:
 
 
 def _checkpoint_for(store, cfg, ft, seed=0):
-    rng = np.random.default_rng(seed)
-    params = init_model_params(rng, store.dim, cfg.hidden_size, cfg.gcn_layers)
-    return Checkpoint(
-        params=params, config=cfg, epoch=0, adam=AdamState.zeros(params),
-        rng_state=rng.bit_generator.state, freq_table=ft,
-    )
+    params = init_model_params(np.random.default_rng(seed), store.dim, cfg.hidden_size,
+                               cfg.gcn_layers)
+    return Checkpoint(params=params, config=cfg, epoch=0, freq_table=ft)
 
 
 class TestEvaluate:

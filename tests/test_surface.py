@@ -1,11 +1,12 @@
 """The package surface: explicit exports, and the benchmark tracer's targets."""
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
 import otrank
-from otrank import model
+from otrank import model, training
 from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -48,6 +49,13 @@ def test_one_feature_type():
     # Features pass as one stacked FeatureSet; alignments come from align_windows.
     assert "keep_alignments" not in inspect.signature(model.extract_features).parameters
     assert not hasattr(WindowPairs, "take")
+
+
+def test_checkpoint_holds_what_is_read_back():
+    # Training starts from fresh parameters, so a checkpoint keeps no Adam state.
+    assert "moments" not in inspect.signature(training.load_checkpoint).parameters
+    assert [f.name for f in dataclasses.fields(training.Checkpoint)] == [
+        "params", "config", "epoch", "freq_table"]
 
 
 def test_every_trace_target_resolves():

@@ -1,7 +1,6 @@
 """Joint loss, gradients, Adam, the training loop, checkpoints, gradcheck."""
 
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -392,25 +391,15 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="shape"):
             adam_step(params, bad, AdamState.zeros(params), micro_cfg())
 
-    @pytest.mark.parametrize("start", ["zero moments", "loaded checkpoint"])
-    def test_flat_steps_equal_the_per_tensor_loop(self, start, small_synth, tmp_path):
-        if start == "zero moments":
-            params = init_model_params(np.random.default_rng(13), dim=6, hidden=8, layers=2)
-            state, cfg = AdamState.zeros(params), micro_cfg()
-            ref_params, ref_state = params.like(params.flat.copy()), AdamState.zeros(params)
-        else:
-            train_c, _, store = small_synth
-            path = tmp_path / "m.ckpt"
-            save_checkpoint(path, train(train_c, store, micro_cfg(epochs=1)).final)
-            ckpt, ref = load_checkpoint(path), load_checkpoint(path)
-            params, state, cfg = ckpt.params, ckpt.adam, ckpt.config
-            ref_params, ref_state = ref.params, ref.adam
-            assert state.t > 0 and np.any(state.v != 0.0)
+    def test_flat_steps_equal_the_per_tensor_loop(self):
+        # Every step after the first starts from nonzero moments.
+        params = init_model_params(np.random.default_rng(13), dim=6, hidden=8, layers=2)
+        state, cfg = AdamState.zeros(params), micro_cfg()
         # The reference keeps each tensor in an array of its own.
-        theta, m, v = ({name: t.copy() for name, t in param_tensors(ref_params.like(flat)).items()}
-                       for flat in (ref_params.flat, ref_state.m, ref_state.v))
+        theta, m, v = ({name: t.copy() for name, t in param_tensors(params.like(flat)).items()}
+                       for flat in (params.flat, state.m, state.v))
         rng = np.random.default_rng(14)
-        for t in range(state.t + 1, state.t + 6):
+        for t in range(1, 6):
             g = rng.normal(size=params.flat.shape)
             adam_step(params, g, state, cfg)
             adam_step_loop(theta, param_tensors(params.like(g)), m, v, t, cfg)
@@ -544,13 +533,9 @@ class TestCheckpointIO:
         loaded = load_checkpoint(path)
         assert loaded.config == ckpt.config
         assert loaded.epoch == ckpt.epoch
-        assert loaded.adam.t == ckpt.adam.t
-        assert loaded.rng_state == ckpt.rng_state
         assert loaded.freq_table.counts == ckpt.freq_table.counts
         assert loaded.freq_table.num_questions == ckpt.freq_table.num_questions
-        for got, want in ((loaded.params.flat, ckpt.params.flat), (loaded.adam.m, ckpt.adam.m),
-                          (loaded.adam.v, ckpt.adam.v)):
-            np.testing.assert_array_equal(got, want, strict=True)
+        np.testing.assert_array_equal(loaded.params.flat, ckpt.params.flat, strict=True)
 
     def test_save_load_save_byte_identical(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
@@ -559,93 +544,62 @@ class TestCheckpointIO:
         assert path.read_bytes() == second.read_bytes()
 
     def test_loaded_arrays(self, small_synth, tmp_path):
-        # Parameters and both moments are fresh, writable flat buffers that own
-        # their memory, so none keeps the file's bytes alive; the named tensors
-        # are views BLAS takes as they are.
+        # The parameters are a fresh, writable flat buffer that owns its memory,
+        # so it keeps none of the file's bytes alive; the named tensors are views
+        # BLAS takes as they are.
         _, path = self._roundtrip(small_synth, tmp_path)
         loaded = load_checkpoint(path)
-        flats = (loaded.params.flat, loaded.adam.m, loaded.adam.v)
-        for flat in flats:
-            assert flat.dtype == np.float64 and flat.shape == loaded.params.flat.shape
-            assert flat.flags.owndata and flat.flags.writeable and flat.flags.c_contiguous
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(flats, 2))
+        flat = loaded.params.flat
+        assert flat.dtype == np.float64 and flat.ndim == 1
+        assert flat.flags.owndata and flat.flags.writeable and flat.flags.c_contiguous
         for name, t in param_tensors(loaded.params).items():
             assert t.flags.aligned and t.flags.writeable and t.flags.c_contiguous, name
-            assert np.shares_memory(t, loaded.params.flat), name
-        m = loaded.adam.m
-        before = m.copy()
-        adam_step(loaded.params, np.ones_like(loaded.params.flat), loaded.adam, loaded.config)
-        assert loaded.adam.m is m and not np.array_equal(m, before)
+            assert np.shares_memory(t, flat), name
+        before = flat.copy()
+        adam_step(loaded.params, np.ones_like(flat), AdamState.zeros(loaded.params),
+                  loaded.config)
+        assert loaded.params.flat is flat and not np.array_equal(flat, before)
 
-    @pytest.mark.parametrize("table,edit,says", [
-        (0, lambda t: t.pop("gcn.1.b"), "names do not match the model layout"),
-        (1, lambda t: t.update({"head.b2": np.zeros(2)}),
+    @pytest.mark.parametrize("edit,says", [
+        (lambda t: t.pop("gcn.1.b"), "names do not match the model layout"),
+        (lambda t: t.update({"head.b2": np.zeros(2)}),
          r"head.b2 has shape \(2,\), expected \(1,\)"),
-        (2, lambda t: t.update({"extra": np.zeros(1)}), "names do not match the model layout"),
-    ], ids=["params-missing", "first-moment-shape", "second-moment-extra"])
-    def test_every_tensor_table_must_match_the_layout(self, table, edit, says, tmp_path,
+        (lambda t: t.update({"extra": np.zeros(1)}), "names do not match the model layout"),
+    ], ids=["params-missing", "params-shape", "params-extra"])
+    def test_every_tensor_table_must_match_the_layout(self, edit, says, tmp_path,
                                                        monkeypatch):
-        # One decoder reads the parameter table and both moment tables.
         params = init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=2)
-        ckpt = training.Checkpoint(params=params, config=micro_cfg(hidden_size=4), epoch=0,
-                                   adam=AdamState.zeros(params), rng_state={})
-        real, tables = training._pack_tensors, []
+        ckpt = training.Checkpoint(params=params, config=micro_cfg(hidden_size=4), epoch=0)
+        real = training._pack_tensors
 
         def pack(tensors):
-            tables.append(dict(tensors))
-            if len(tables) == table + 1:
-                edit(tables[-1])
-            return real(tables[-1])
+            tensors = dict(tensors)
+            edit(tensors)
+            return real(tensors)
 
         monkeypatch.setattr(training, "_pack_tensors", pack)
         save_checkpoint(tmp_path / "bad.ckpt", ckpt)
-        for moments in (True, False):  # the scoring load checks the moment tables too
-            with pytest.raises(CheckpointError, match=says):
-                load_checkpoint(tmp_path / "bad.ckpt", moments=moments)
+        with pytest.raises(CheckpointError, match=says):
+            load_checkpoint(tmp_path / "bad.ckpt")
 
     def test_corruption_detected(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
         good = path.read_bytes()
-        # A byte of the metadata, and one of the second moments, which the
-        # scoring load does not copy.
+        # A byte of the metadata, and one of the last parameter tensor.
         for pos in (100, len(good) - 12):
             raw = bytearray(good)
             raw[pos] ^= 0xFF
             path.write_bytes(bytes(raw))
-            for moments in (True, False):
-                with pytest.raises(CheckpointError, match="CRC"):
-                    load_checkpoint(path, moments=moments)
-
-    def test_scoring_load_equals_full_load(self, small_synth, tmp_path):
-        _, path = self._roundtrip(small_synth, tmp_path)
-        full = load_checkpoint(path)
-        scoring = load_checkpoint(path, moments=False)
-        assert scoring.adam is None
-        np.testing.assert_array_equal(scoring.params.flat, full.params.flat, strict=True)
-        flat = scoring.params.flat
-        assert flat.flags.owndata and flat.flags.writeable and flat.flags.c_contiguous
-        assert (scoring.config, scoring.epoch, scoring.rng_state) == (
-            full.config, full.epoch, full.rng_state)
-        assert scoring.freq_table.counts == full.freq_table.counts
-        assert scoring.freq_table.num_questions == full.freq_table.num_questions
-
-    def test_saving_without_moments_names_them(self, small_synth, tmp_path):
-        _, path = self._roundtrip(small_synth, tmp_path)
-        out = tmp_path / "again.ckpt"
-        with pytest.raises(ValueError, match="without its Adam moments"):
-            save_checkpoint(out, load_checkpoint(path, moments=False))
-        assert not out.exists()
+            with pytest.raises(CheckpointError, match="CRC"):
+                load_checkpoint(path)
 
     def test_loaded_checkpoint_outlives_its_file(self, small_synth, tmp_path):
         # The file is mapped only while it loads: rewriting it in place (same
         # inode) leaves what was loaded as it was.
         ckpt, path = self._roundtrip(small_synth, tmp_path)
-        loaded = [load_checkpoint(path), load_checkpoint(path, moments=False)]
+        loaded = load_checkpoint(path)
         path.write_bytes(bytes(len(path.read_bytes())))
-        for got in loaded:
-            np.testing.assert_array_equal(got.params.flat, ckpt.params.flat, strict=True)
-        np.testing.assert_array_equal(loaded[0].adam.m, ckpt.adam.m, strict=True)
-        np.testing.assert_array_equal(loaded[0].adam.v, ckpt.adam.v, strict=True)
+        np.testing.assert_array_equal(loaded.params.flat, ckpt.params.flat, strict=True)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
