@@ -113,7 +113,7 @@ def _cmd_train(args) -> int:
     except json.JSONDecodeError as exc:
         raise OtrankError(f"config file {cfg_path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
-        raise OtrankError("config file must hold a JSON object")
+        raise OtrankError(f"config file {cfg_path} must hold a JSON object")
 
     paths = {k: raw.pop(k, None) for k in _CONFIG_PATH_KEYS}
     for key, value in paths.items():

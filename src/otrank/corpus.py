@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -51,16 +51,13 @@ class Sentence:
 
 @dataclass(frozen=True)
 class CandidateWindow:
-    """A candidate sentence plus its surrounding context sentences.
-
-    ``prev``/``next`` may be ``None`` before :func:`pad_context` runs; after
-    padding they are always sentences (possibly padding sentences).
-    """
+    """A candidate sentence plus its surrounding context sentences; a missing
+    context is a padding sentence, so a window always holds three sentences."""
 
     id: str
     cand: Sentence
-    prev: Sentence | None
-    next: Sentence | None
+    prev: Sentence
+    next: Sentence
 
 
 @dataclass(frozen=True)
@@ -146,15 +143,6 @@ def content_token_indices(s: Sentence) -> list[int]:
     return kept if kept else list(range(len(s.tokens)))
 
 
-def pad_context(w: CandidateWindow) -> CandidateWindow:
-    """Replace any absent prev/next sentence by a padding sentence. Idempotent."""
-    prev = w.prev if w.prev is not None else padding_sentence()
-    nxt = w.next if w.next is not None else padding_sentence()
-    if prev is w.prev and nxt is w.next:
-        return w
-    return replace(w, prev=prev, next=nxt)
-
-
 def _as_label(value, where: str) -> bool:
     if value is True or value == 1:
         return True
@@ -169,10 +157,10 @@ def _as_optional_label(value, where: str) -> bool | None:
     return _as_label(value, where)
 
 
-def _context_sentence(text, label, where: str, chunks: dict) -> Sentence | None:
-    # Whitespace-only context is treated as absent (padded later).
+def _context_sentence(text, label, where: str, chunks: dict) -> Sentence:
+    # An absent, null or whitespace-only context is a padding sentence.
     if text is None or (isinstance(text, str) and not text.strip()):
-        return None
+        return padding_sentence()
     if not isinstance(text, str):
         raise CorpusFormatError(f"{where}: context text must be a string or null")
     return make_sentence(text, label=_as_optional_label(label, where), chunks=chunks)
@@ -254,7 +242,7 @@ def _parse_instance(rec, where: str, seen_qids: set[str], chunks: dict) -> QAIns
         cand = make_sentence(text, label=_as_label(c["label"], cwhere), chunks=chunks)
         prev = _context_sentence(c.get("prev"), c.get("prev_label"), cwhere, chunks)
         nxt = _context_sentence(c.get("next"), c.get("next_label"), cwhere, chunks)
-        windows.append(pad_context(CandidateWindow(id=wid, cand=cand, prev=prev, next=nxt)))
+        windows.append(CandidateWindow(id=wid, cand=cand, prev=prev, next=nxt))
     return QAInstance(question_id=qid, question=question, windows=tuple(windows))
 
 
@@ -273,8 +261,8 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         for inst in corpus.instances:
             cands = []
             for w in inst.windows:
-                prev = w.prev if w.prev is not None and not w.prev.is_padding else None
-                nxt = w.next if w.next is not None and not w.next.is_padding else None
+                prev = None if w.prev.is_padding else w.prev
+                nxt = None if w.next.is_padding else w.next
                 cands.append(
                     {
                         "id": w.id,

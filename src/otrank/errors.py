@@ -26,9 +26,5 @@ class CheckpointError(OtrankError):
     """A checkpoint file is malformed or fails its integrity check."""
 
 
-class MissingFrequencyTableError(CheckpointError, ValueError):
-    """A checkpoint carries no word-frequency table, so it cannot align."""
-
-
 class EmptyInputError(OtrankError, ValueError):
     """The input holds nothing to train on, count, or evaluate."""

@@ -34,7 +34,7 @@ from .embeddings import (
     EmbeddingStore,
     FrequencyTable,
 )
-from .errors import EmbeddingStoreError, MissingFrequencyTableError
+from .errors import EmbeddingStoreError
 from .sinkhorn import (  # noqa: F401  (align_sentence: see the note in cli.py)
     Alignments,
     PlanGroup,
@@ -198,7 +198,7 @@ class FeatureSet:
 def align_windows(
     items,
     store: EmbeddingStore,
-    ft: FrequencyTable | None,
+    ft: FrequencyTable,
     settings: SinkhornSettings = SinkhornSettings(),
 ) -> Alignments:
     """Align the candidate, prev and next sentence of ``(question, window, instance_id)``
@@ -212,13 +212,10 @@ def align_windows(
     converge.
 
     The store's vectors go to :func:`align_sentences` as held; it alone
-    checks them. Raises :class:`MissingFrequencyTableError` when ``ft`` is
-    None, and :class:`EmbeddingStoreError` when a pair cannot be aligned,
-    naming the (instance, window, role) key of the side at fault and the
-    reason: both counts, or a non-finite cost.
+    checks them. Raises :class:`EmbeddingStoreError` when a pair cannot be
+    aligned, naming the (instance, window, role) key of the side at fault and
+    the reason: both counts, or a non-finite cost.
     """
-    if ft is None:
-        raise MissingFrequencyTableError("checkpoint carries no frequency table; cannot align")
     started = time.perf_counter()
     items = list(items)
     question_vectors = {}  # the items hold every keyed question, so no id is reused
@@ -253,7 +250,7 @@ def align_windows(
 def extract_features(
     items,
     store: EmbeddingStore,
-    ft: FrequencyTable | None,
+    ft: FrequencyTable,
     settings: SinkhornSettings = SinkhornSettings(),
 ) -> FeatureSet:
     """The :class:`FeatureSet` of ``(question, window, instance_id)`` items, in order:
@@ -309,7 +306,7 @@ def _log_alignment_stats(stats: AlignmentStats, seconds: float) -> None:
 def extract_instance_features(
     inst: QAInstance,
     store: EmbeddingStore,
-    ft: FrequencyTable | None,
+    ft: FrequencyTable,
     settings: SinkhornSettings = SinkhornSettings(),
 ) -> FeatureSet:
     return extract_features(instance_windows([inst]), store, ft, settings)

@@ -50,7 +50,6 @@ class SinkhornSettings:
 @dataclass
 class TransportPlan:
     plan: np.ndarray  # (n, m), nonnegative
-    epsilon: float
     iterations_used: int
     converged: bool
     violation: float  # worst row or column marginal violation of ``plan``
@@ -254,14 +253,12 @@ class PlanGroup:
     members: np.ndarray  # (B,) positions of the problems in their batch
     costs: np.ndarray  # (B, n, m)
     plans: np.ndarray  # (B, n, m); the best iterate where unconverged
-    epsilon: np.ndarray  # (B,)
     iterations: np.ndarray  # (B,) iteration of each plan
     converged: np.ndarray  # (B,) bool
     violations: np.ndarray  # (B,)
 
     def plan(self, b: int) -> TransportPlan:
-        return TransportPlan(plan=self.plans[b], epsilon=float(self.epsilon[b]),
-                             iterations_used=int(self.iterations[b]),
+        return TransportPlan(plan=self.plans[b], iterations_used=int(self.iterations[b]),
                              converged=bool(self.converged[b]),
                              violation=float(self.violations[b]))
 
@@ -398,8 +395,7 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
                                  (uv[lo:hi, :n], uv[lo:hi, N:N + m]))
             groups[s] = PlanGroup(
                 members=members, costs=Ds, plans=_plans(F, G, u, v, Ds, Es[:, None, None]),
-                epsilon=Es, iterations=iters[lo:hi], converged=converged[lo:hi],
-                violations=viol[lo:hi])
+                iterations=iters[lo:hi], converged=converged[lo:hi], violations=viol[lo:hi])
     unconverged = sorted((int(k), float(v)) for grp in groups
                          for k, v in zip(grp.members[~grp.converged],
                                          grp.violations[~grp.converged]))
@@ -690,8 +686,8 @@ class Alignments(Sequence):
         g, b = self.locate[k]
         if g < 0:
             p = marginal_distribution(content_tokens(question), self.ft)
-            plan = TransportPlan(plan=p[:, None], epsilon=0.0, iterations_used=0,
-                                 converged=True, violation=0.0)
+            plan = TransportPlan(plan=p[:, None], iterations_used=0, converged=True,
+                                 violation=0.0)
             relevant = s_idx = (0,)
         else:
             grp = self.groups[g]

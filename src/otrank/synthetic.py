@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import CandidateWindow, Corpus, QAInstance, make_sentence, pad_context
+from .corpus import CandidateWindow, Corpus, QAInstance, make_sentence
 from .embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -91,9 +91,7 @@ def make_synthetic_corpus(
                     )
                     ctx[role] = sent
                 windows.append(
-                    pad_context(
-                        CandidateWindow(id=wid, cand=cand, prev=ctx[ROLE_P], next=ctx[ROLE_N])
-                    )
+                    CandidateWindow(id=wid, cand=cand, prev=ctx[ROLE_P], next=ctx[ROLE_N])
                 )
             instances.append(
                 QAInstance(question_id=inst_id, question=question, windows=tuple(windows))

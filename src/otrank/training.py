@@ -278,7 +278,7 @@ class Checkpoint:
     params: ModelParams
     config: TrainConfig
     epoch: int
-    freq_table: FrequencyTable | None = None
+    freq_table: FrequencyTable
 
 
 @dataclass
@@ -418,9 +418,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     meta = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
-        "freq_table": None
-        if ckpt.freq_table is None
-        else {
+        "freq_table": {
             "counts": ckpt.freq_table.counts,
             "num_questions": ckpt.freq_table.num_questions,
         },
@@ -485,21 +483,23 @@ def _check_meta(meta, name: str) -> TrainConfig:
     if not _is_int(meta["epoch"]) or meta["epoch"] < 0:
         raise CheckpointError(f"{name}: metadata 'epoch' must be a nonnegative integer")
     ft = meta["freq_table"]
-    if ft is not None:
-        if not (isinstance(ft, dict) and isinstance(ft.get("counts"), dict)
-                and _is_int(ft.get("num_questions"))):
-            raise CheckpointError(f"{name}: metadata 'freq_table' needs a 'counts' object and "
-                                  "an integer 'num_questions'")
-        total = ft["num_questions"]
-        # Counts become float64 marginal weights, which hold every integer below 2**53.
-        if not 0 <= total < 2**53:
-            raise CheckpointError(f"{name}: metadata 'freq_table' 'num_questions' must lie in "
-                                  f"[0, 2**53), got {reprlib.repr(total)}")
-        for word, count in ft["counts"].items():
-            if not (_is_int(count) and 0 <= count <= total):
-                raise CheckpointError(
-                    f"{name}: metadata 'freq_table' count of {word!r} must be an integer in "
-                    f"[0, num_questions = {total}], got {reprlib.repr(count)}")
+    if ft is None:
+        raise CheckpointError(f"{name}: metadata 'freq_table' is null: the checkpoint carries "
+                              "no frequency table, so it cannot align")
+    if not (isinstance(ft, dict) and isinstance(ft.get("counts"), dict)
+            and _is_int(ft.get("num_questions"))):
+        raise CheckpointError(f"{name}: metadata 'freq_table' needs a 'counts' object and "
+                              "an integer 'num_questions'")
+    total = ft["num_questions"]
+    # Counts become float64 marginal weights, which hold every integer below 2**53.
+    if not 0 <= total < 2**53:
+        raise CheckpointError(f"{name}: metadata 'freq_table' 'num_questions' must lie in "
+                              f"[0, 2**53), got {reprlib.repr(total)}")
+    for word, count in ft["counts"].items():
+        if not (_is_int(count) and 0 <= count <= total):
+            raise CheckpointError(
+                f"{name}: metadata 'freq_table' count of {word!r} must be an integer in "
+                f"[0, num_questions = {total}], got {reprlib.repr(count)}")
     config = meta["config"]
     if not isinstance(config, dict):
         raise CheckpointError(f"{name}: metadata 'config' is not a JSON object")
@@ -561,12 +561,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             _decode_tensors(rd, params)
             if rd.pos != payload:
                 raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
-    ft = None
-    if meta["freq_table"] is not None:
-        ft = FrequencyTable(
-            counts=meta["freq_table"]["counts"],
-            num_questions=meta["freq_table"]["num_questions"],
-        )
+    ft = FrequencyTable(counts=meta["freq_table"]["counts"],
+                        num_questions=meta["freq_table"]["num_questions"])
     return Checkpoint(params=params, config=config, epoch=meta["epoch"], freq_table=ft)
 
 

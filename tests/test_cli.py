@@ -47,7 +47,7 @@ def cli_env(tmp_path_factory):
     ckpt_path = td / "pin.ckpt"
     save_checkpoint(ckpt_path, ckpt)
     no_ft_path = td / "no_ft.ckpt"
-    save_checkpoint(no_ft_path, dataclasses.replace(ckpt, freq_table=None))
+    _rewrite_meta(ckpt_path, no_ft_path, lambda m: m.update(freq_table=None))
     return {"dir": td, "corpus": corpus_path, "emb": emb_path, "ckpt": ckpt_path,
             "no_ft_ckpt": no_ft_path, "store": store}
 
@@ -221,6 +221,17 @@ class TestAlign:
         assert rc == 1
         assert "zzz" in capsys.readouterr().err
 
+    def test_window_the_question_lacks(self, cli_env, capsys):
+        rc = main([
+            "align", "--checkpoint", str(cli_env["ckpt"]), "--split", str(cli_env["corpus"]),
+            "--embeddings", str(cli_env["emb"]), "--question-id", "q1",
+            "--window-id", "q2-w1",  # a window of another question
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "window 'q2-w1' not found under question 'q1'" in err
+        assert "Traceback" not in err
+
 
 def _scoring_argv(command, cli_env, tmp_path, ckpt=None, emb=None, corpus=None):
     argv = [command, "--checkpoint", str(ckpt or cli_env["ckpt"]),
@@ -235,12 +246,19 @@ def _scoring_argv(command, cli_env, tmp_path, ckpt=None, emb=None, corpus=None):
 
 class TestBadScoringInputs:
     @pytest.mark.parametrize("command", ["rerank", "eval", "align"])
-    def test_checkpoint_without_frequency_table(self, command, cli_env, tmp_path, capsys):
+    def test_checkpoint_without_frequency_table(self, command, cli_env, tmp_path, monkeypatch,
+                                                capsys):
+        # The checkpoint's load rejects it, so the store is never read.
+        with pytest.raises(CheckpointError, match="'freq_table' is null"):
+            load_checkpoint(cli_env["no_ft_ckpt"])
+        stores = []
+        monkeypatch.setattr("otrank.cli.load_embedding_store", stores.append)
         rc = main(_scoring_argv(command, cli_env, tmp_path, ckpt=cli_env["no_ft_ckpt"]))
         captured = capsys.readouterr()
         assert rc == 1
         assert "frequency table" in captured.err
         assert captured.out == ""
+        assert stores == []
 
     @pytest.mark.parametrize("key", [("q1", QUESTION_WINDOW_ID, "q"), ("q1", "q1-w1", "c")])
     def test_non_finite_embedding_names_its_key(self, key, cli_env, tmp_path, capsys):
@@ -479,19 +497,26 @@ def _with_crc(payload: bytes) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
+_META_AT = 4 + 16  # the metadata length follows magic, version, d, L and hidden
+
+
+def _set_meta(raw: bytes, meta_raw: bytes) -> bytes:
+    """Checkpoint bytes with ``meta_raw`` as the metadata blob, and the CRC recomputed."""
+    (meta_len,) = struct.unpack_from("<Q", raw, _META_AT)
+    return _with_crc(raw[:_META_AT] + struct.pack("<Q", len(meta_raw)) + meta_raw
+                     + raw[_META_AT + 8 + meta_len:-4])
+
+
 def _rewrite_meta(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON metadata.
 
     The CRC is recomputed, so only the metadata check can reject the file.
     """
     raw = src.read_bytes()
-    head = 4 + 16  # magic, version, d, L, hidden
-    (meta_len,) = struct.unpack("<Q", raw[head:head + 8])
-    meta = json.loads(raw[head + 8:head + 8 + meta_len])
+    (meta_len,) = struct.unpack_from("<Q", raw, _META_AT)
+    meta = json.loads(raw[_META_AT + 8:_META_AT + 8 + meta_len])
     edit(meta)
-    meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-    dst.write_bytes(_with_crc(raw[:head] + struct.pack("<Q", len(meta_raw)) + meta_raw
-                              + raw[head + 8 + meta_len:-4]))
+    dst.write_bytes(_set_meta(raw, json.dumps(meta, sort_keys=True).encode("utf-8")))
 
 
 class TestCheckpointMetadata:
@@ -502,6 +527,8 @@ class TestCheckpointMetadata:
         (lambda m: m["config"].pop("gamma"), "gamma"),
         (lambda m: m.pop("epoch"), "epoch"),
         (lambda m: m.update(epoch=-3), "'epoch' must be a nonnegative integer"),
+        (lambda m: m.update(config=[]), "metadata 'config' is not a JSON object"),
+        (lambda m: m.update(freq_table=None), "'freq_table' is null"),
         (lambda m: m.update(freq_table={"counts": []}), "freq_table"),
         (lambda m: m["freq_table"]["counts"].update(zebra="x"), "'freq_table' count of 'zebra'"),
         (lambda m: m["freq_table"]["counts"].update(zebra=None), "'freq_table' count of 'zebra'"),
@@ -510,7 +537,8 @@ class TestCheckpointMetadata:
          "'freq_table' count of 'zebra'"),
         (lambda m: m["freq_table"].update(num_questions=2**53), "'freq_table' 'num_questions'"),
     ], ids=["unknown-config-key", "bad-value", "bad-type", "missing-config-key",
-            "missing-field", "bad-field", "bad-freq-table", "freq-count-text",
+            "missing-field", "bad-field", "config-not-object", "freq-table-null",
+            "bad-freq-table", "freq-count-text",
             "freq-count-null", "freq-count-bool", "freq-count-above-questions",
             "freq-questions-2-53"])
     @pytest.mark.parametrize("command", ["rerank", "eval"])
@@ -566,6 +594,17 @@ def _rename_first_tensor(raw: bytes) -> bytes:
     return _with_crc(_set_byte(raw, pos, 0xFF)[:-4])
 
 
+def _rename_second_tensor_as_first(raw: bytes) -> bytes:
+    pos = raw.index(b"dep.b1")
+    return _with_crc(raw[:pos] + b"dep.w1" + raw[pos + 6:-4])
+
+
+def _set_store_header(raw: bytes, field: int, value: int) -> bytes:
+    """Embedding-store bytes with header u32 ``field`` (0 version, 1 dim) replaced."""
+    pos = 4 + 4 * field
+    return raw[:pos] + struct.pack("<I", value) + raw[pos + 4:]
+
+
 def _append_table(raw: bytes) -> bytes:
     """Checkpoint bytes with a second copy of the parameter table after the first,
     as a version-1 file held each Adam moment."""
@@ -579,7 +618,12 @@ class TestCorruptInputs:
     @pytest.mark.parametrize("target,corrupt,says", [
         ("emb", lambda raw: _set_byte(raw, _first_role_byte(raw), 0xFF), "unknown role byte"),
         ("emb", lambda raw: _set_byte(raw, 4 + 16 + 4, 0xFF), "not UTF-8"),
+        ("emb", lambda raw: _set_store_header(raw, 0, 2), "unsupported format version 2"),
+        ("emb", lambda raw: _set_store_header(raw, 1, 0), "dimension must be positive"),
+        ("emb", lambda raw: raw[:_first_role_byte(raw)], "truncated file"),
         ("ckpt", _rename_first_tensor, "not UTF-8"),
+        ("ckpt", _rename_second_tensor_as_first, "tensor dep.w1 appears twice"),
+        ("ckpt", lambda raw: _set_meta(raw, b"[]"), "metadata is not a JSON object"),
         ("ckpt", lambda raw: _set_header(raw, 1, 0), "d=0"),
         ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
         ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
@@ -592,7 +636,9 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: raw[:1], "bad magic"),
         ("ckpt", lambda raw: raw[:3], "bad magic"),
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
-    ], ids=["store-role-byte", "store-instance-id", "ckpt-tensor-name", "ckpt-dim-0",
+    ], ids=["store-role-byte", "store-instance-id", "store-version-2", "store-dim-0",
+            "store-before-role-byte", "ckpt-tensor-name", "ckpt-tensor-twice",
+            "ckpt-meta-not-object", "ckpt-dim-0",
             "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-version-1",
             "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
             "corpus-not-utf8"])
@@ -606,6 +652,32 @@ class TestCorruptInputs:
         err = capsys.readouterr().err
         assert rc == 1
         assert bad.name in err and says in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit,says", [
+        (lambda rec: [rec], "line 2: record must be a JSON object"),
+        (lambda rec: rec.update(candidates=[]), "line 2: candidates must be a nonempty list"),
+        (lambda rec: rec.update(candidates={}), "line 2: candidates must be a nonempty list"),
+        (lambda rec: rec.update(candidates=["q2-w1"]),
+         "line 2 candidate 0: must be a JSON object"),
+        (lambda rec: rec["candidates"][0].update(text=""),
+         "line 2 candidate 0: missing or empty candidate text"),
+        (lambda rec: rec["candidates"][0].update(label=2),
+         "line 2 candidate 0: label must be 0 or 1, got 2"),
+        (lambda rec: rec["candidates"][0].update(prev=5),
+         "line 2 candidate 0: context text must be a string or null"),
+    ], ids=["record-not-object", "candidates-empty", "candidates-not-list",
+            "candidate-not-object", "candidate-text-empty", "label-2", "context-5"])
+    def test_bad_record_exits_one_naming_the_line(self, edit, says, cli_env, tmp_path,
+                                                  capsys):
+        rec = json.loads(json.dumps(TINY_RECORDS[1]))
+        rec = edit(rec) or rec  # an edit in place returns None
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(TINY_RECORDS[0]) + "\n" + json.dumps(rec) + "\n")
+        rc = main(_scoring_argv("rerank", cli_env, tmp_path, corpus=bad))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"bad.jsonl {says}" in err
         assert "Traceback" not in err
 
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -796,6 +868,18 @@ class TestTrainCommand:
                      "--seed", "99"]) == 0
         assert load_checkpoint(tmp_path / "out.ckpt").config.seed == 99
 
+    @pytest.mark.parametrize("text,says", [
+        ('{"epochs": 1', "is not valid JSON"),
+        ('[{"epochs": 1}]', "must hold a JSON object"),
+    ], ids=["not-json", "not-object"])
+    def test_config_file_not_a_json_object_names_it(self, text, says, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {cfg_path} {says}" in err
+        assert "Traceback" not in err
+
     def test_unknown_config_key_rejected(self, cli_env, tmp_path, capsys):
         cfg_path = _train_config(cli_env, tmp_path, bogus=1)
         assert main(["train", "--config", str(cfg_path)]) == 1
@@ -808,6 +892,7 @@ class TestTrainCommand:
         ("sinkhorn_eps_scale", float("inf")), ("sinkhorn_tol", float("inf")),
         ("gamma", float("nan")), ("batch_size", True), ("epochs", 1.5), ("seed", 1.5),
         ("seed", -1), ("hidden_size", 5.5), ("gcn_layers", 2.0), ("sinkhorn_max_iter", 2.5),
+        ("batch_size", 0), ("epochs", -1), ("learning_rate", "fast"),
     ])
     def test_bad_value_rejected(self, field, value, cli_env, tmp_path, capsys):
         cfg_path = _train_config(cli_env, tmp_path, **{field: value})

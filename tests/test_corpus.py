@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from otrank.corpus import (
     PAD_TEXT,
-    CandidateWindow,
     content_tokens,
     load_corpus,
     make_sentence,
-    pad_context,
     padding_sentence,
     save_corpus,
     stopwords,
@@ -91,32 +89,6 @@ class TestContentTokens:
             assert kept == filtered
 
 
-class TestPadContext:
-    def _window(self, prev, nxt):
-        cand = make_sentence("Mars has two moons .", label=False)
-        return CandidateWindow(id="w", cand=cand, prev=prev, next=nxt)
-
-    def test_missing_prev_is_padded(self):
-        w = pad_context(self._window(None, make_sentence("Next one .")))
-        assert w.prev.is_padding and w.prev.text == PAD_TEXT
-        assert w.prev.label is None
-        assert len(w.prev.tokens) == 1
-
-    def test_fully_present_window_unchanged(self):
-        w = self._window(
-            make_sentence("Before ."), make_sentence("After .")
-        )
-        assert pad_context(w) == w
-
-    def test_both_missing(self):
-        w = pad_context(self._window(None, None))
-        assert w.prev.is_padding and w.next.is_padding
-
-    def test_idempotent(self):
-        w = pad_context(self._window(None, None))
-        assert pad_context(w) == w
-
-
 class TestLoadCorpus:
     def test_fixture_round_trip(self, tiny_corpus):
         assert len(tiny_corpus.instances) == 2
@@ -184,13 +156,20 @@ class TestLoadCorpus:
             "question_id": "q",
             "question": "Blank context ?",
             "candidates": [
-                {"id": "w", "text": "Answer .", "label": 1, "prev": "   ", "next": None}
+                {"id": "w", "text": "Answer .", "label": 1, "prev": "   "}
             ],
         }
         path = tmp_path / "ws.jsonl"
         path.write_text(json.dumps(rec) + "\n")
-        corpus = load_corpus(path, split="train")
-        assert corpus.instances[0].windows[0].prev.is_padding
+        window = load_corpus(path, split="train").instances[0].windows[0]
+        # A blank context and an absent one both load as the padding sentence.
+        assert window.prev == window.next == padding_sentence()
+        assert window.prev.text == PAD_TEXT and window.prev.label is None
+        assert len(window.prev.tokens) == 1
+
+    def test_unknown_split_named(self, tiny_corpus_path):
+        with pytest.raises(CorpusFormatError, match="unknown split 'validation'"):
+            load_corpus(tiny_corpus_path, split="validation")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

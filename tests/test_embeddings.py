@@ -134,6 +134,16 @@ class TestEmbeddingStore:
         vecs = tiny_store.sentence_vectors("q1", "q1-w2", "p")
         np.testing.assert_array_equal(vecs, np.zeros((1, tiny_store.dim)))
 
+    @pytest.mark.parametrize("role,rows,says", [
+        ("x", 2, "unknown role 'x'"),
+        (ROLE_C, 0, "at least one token vector"),
+    ], ids=["role-x", "zero-rows"])
+    def test_add_sentence_rejects(self, role, rows, says):
+        store = EmbeddingStore(dim=4)
+        with pytest.raises(ValueError, match=says):
+            store.add_sentence("q", "w", role, np.zeros((rows, 4)))
+        assert store.num_records == 0
+
     def test_missing_key_names_key(self, tiny_store):
         with pytest.raises(EmbeddingKeyError, match="no-such-window"):
             tiny_store.sentence_vectors("q1", "no-such-window", ROLE_C)

@@ -88,6 +88,10 @@ class TestReciprocalRank:
         labels = {"w0": False, "w1": False, "w2": False, "w3": True}
         assert reciprocal_rank(ranking, labels) == 0.25
 
+    def test_zero_positives_rejected(self):
+        with pytest.raises(ValueError, match="at least one relevant candidate"):
+            reciprocal_rank([("a", 0.5), ("b", 0.4)], {"a": False, "b": False})
+
     def test_random_cases_match_oracle_exactly(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
@@ -222,9 +226,3 @@ class TestEvaluate:
             instances.append(dataclasses.replace(inst, windows=windows))
         with pytest.raises(ValueError, match="no evaluable"):
             evaluate(Corpus(instances=tuple(instances), split="dev"), ckpt, store)
-
-    def test_missing_freq_table_rejected(self, synth):
-        dev_c, store, ft, cfg = synth
-        ckpt = _checkpoint_for(store, cfg, None)
-        with pytest.raises(ValueError, match="frequency table"):
-            evaluate(dev_c, ckpt, store)

@@ -101,6 +101,10 @@ class TestParameterLayout:
         assert params.flat.shape == (offset,) and params.flat.flags.c_contiguous
         assert params.flat.tobytes() == b"".join(t.tobytes() for t in tensors.values())
 
+    def test_no_graph_layer_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one graph-convolution layer"):
+            init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=0)
+
     def test_a_buffer_of_another_size_is_rejected(self):
         params = init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=1)
         with pytest.raises(ValueError, match="does not hold"):

@@ -847,6 +847,20 @@ class TestAlignSentences:
         assert info.value.index == 2
         assert info.value.question is (side == "question")
 
+    def test_sentence_without_tokens_is_rejected(self, tiny_ft):
+        q, empty = make_sentence("galaxies collide"), make_sentence("")
+        qv = np.random.default_rng(17).normal(size=(2, 4))
+        with pytest.raises(ValueError, match="sentence has no tokens to align"):
+            align_sentences([(q, empty, qv, np.zeros((0, 4)))], tiny_ft)
+
+    def test_pairs_of_two_dimensions_are_rejected(self, tiny_ft):
+        q, s = make_sentence("galaxies collide"), make_sentence("stars merge")
+        rng = np.random.default_rng(18)
+        pairs = [(q, s, rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
+                 (q, s, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))]
+        with pytest.raises(ValueError, match=r"one vector dimension, got \[3, 4\]"):
+            align_sentences(pairs, tiny_ft)
+
     def test_float32_vectors_give_the_bits_of_their_widening(self, tiny_corpus, tiny_store,
                                                               tiny_ft):
         narrow, wide = [], []

@@ -3,10 +3,12 @@
 import dataclasses
 import importlib.util
 import inspect
+import typing
 from pathlib import Path
 
 import otrank
 from otrank import model, training
+from otrank.corpus import CandidateWindow, Sentence
 from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -17,8 +19,9 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # one-problem post-solve wrappers, the label codes with their pair-set type and
 # per-window regularizer, the sentence role names, the log-domain solver's
 # steps, the per-tensor gradient dict and checkpoint skeleton that the flat
-# parameter buffer replaced, and the question side's own alignment preparation,
-# that the package no longer has.
+# parameter buffer replaced, the question side's own alignment preparation, and
+# the window padding and missing-frequency-table error that the loaders' own
+# checks replaced, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -28,7 +31,7 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT",
            "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
            "_params_from_tensors", "_QuestionSide", "_question_side", "_sentence_vectors",
-           "NonFiniteCostError")
+           "NonFiniteCostError", "pad_context", "MissingFrequencyTableError")
 
 
 def test_every_export_resolves():
@@ -40,7 +43,7 @@ def test_every_export_resolves():
 def test_no_removed_name_is_exported():
     assert not set(REMOVED) & set(otrank.__all__)
     for module in ("model", "mutual_info", "training", "embeddings", "metrics", "cli",
-                   "sinkhorn", "corpus"):
+                   "sinkhorn", "corpus", "errors", "synthetic"):
         mod = importlib.import_module(f"otrank.{module}")
         assert not [name for name in REMOVED if hasattr(mod, name)], module
 
@@ -56,6 +59,15 @@ def test_checkpoint_holds_what_is_read_back():
     assert "moments" not in inspect.signature(training.load_checkpoint).parameters
     assert [f.name for f in dataclasses.fields(training.Checkpoint)] == [
         "params", "config", "epoch", "freq_table"]
+
+
+def test_loaded_inputs_are_complete():
+    # The loaders establish that a checkpoint has its frequency table and a window
+    # its three sentences, so neither may be left out.
+    ft = {f.name: f for f in dataclasses.fields(training.Checkpoint)}["freq_table"]
+    assert ft.default is dataclasses.MISSING and ft.default_factory is dataclasses.MISSING
+    hints = typing.get_type_hints(CandidateWindow)
+    assert hints["prev"] is hints["next"] is Sentence
 
 
 def test_every_trace_target_resolves():

@@ -22,7 +22,7 @@ from otrank.model import (
     score_windows,
     window_forward,
 )
-from otrank.embeddings import build_frequency_table
+from otrank.embeddings import FrequencyTable, build_frequency_table
 from otrank.sinkhorn import SinkhornSettings
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
@@ -512,6 +512,34 @@ class TestTrain:
         maps = [r.dev_map for r in result.history]
         assert result.best.epoch == int(np.argmax(maps)) + 1
 
+    def test_dev_split_without_positives_keeps_the_final_checkpoint(self, small_synth):
+        # No dev question can be evaluated, so no epoch has dev metrics to pick a best by.
+        train_c, dev_c, store = small_synth
+        negative = dataclasses.replace(dev_c, instances=tuple(
+            dataclasses.replace(inst, windows=tuple(
+                dataclasses.replace(w, cand=dataclasses.replace(w.cand, label=False))
+                for w in inst.windows))
+            for inst in dev_c.instances))
+        result = train(train_c, store, micro_cfg(epochs=2), dev_corpus=negative)
+        assert [(r.dev_p_at_1, r.dev_map, r.dev_mrr) for r in result.history] == [
+            (None, None, None)] * 2
+        assert result.best is result.final and result.final.epoch == 2
+
+    def test_floating_point_error_names_the_epoch_and_windows(self, small_synth, monkeypatch):
+        train_c, _, store = small_synth
+        real, calls = training.loss_and_gradients, []
+
+        def overflow_on_second_batch(batch, params, cfg, ws=None):
+            calls.append(len(batch))
+            if len(calls) == 2:
+                raise FloatingPointError("overflow encountered in exp")
+            return real(batch, params, cfg, ws)
+
+        monkeypatch.setattr(training, "loss_and_gradients", overflow_on_second_batch)
+        with pytest.raises(FloatingPointError,
+                           match=r"^epoch 1, windows 4\.\.8: overflow encountered in exp$"):
+            train(train_c, store, micro_cfg(epochs=1, batch_size=4))
+
     def test_empty_corpus_rejected(self, small_synth):
         from otrank.corpus import Corpus
 
@@ -569,7 +597,9 @@ class TestCheckpointIO:
     def test_every_tensor_table_must_match_the_layout(self, edit, says, tmp_path,
                                                        monkeypatch):
         params = init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=2)
-        ckpt = training.Checkpoint(params=params, config=micro_cfg(hidden_size=4), epoch=0)
+        ckpt = training.Checkpoint(params=params, config=micro_cfg(hidden_size=4), epoch=0,
+                                   freq_table=FrequencyTable(counts={"mars": 1},
+                                                             num_questions=1))
         real = training._pack_tensors
 
         def pack(tensors):
