@@ -158,12 +158,14 @@ def _as_optional_label(value, where: str) -> bool | None:
 
 
 def _context_sentence(text, label, where: str, chunks: dict) -> Sentence:
-    # An absent, null or whitespace-only context is a padding sentence.
+    # The label is checked even when the context is absent; an absent, null or
+    # whitespace-only context is then a padding sentence, which has no label.
+    label = _as_optional_label(label, where)
     if text is None or (isinstance(text, str) and not text.strip()):
         return padding_sentence()
     if not isinstance(text, str):
         raise CorpusFormatError(f"{where}: context text must be a string or null")
-    return make_sentence(text, label=_as_optional_label(label, where), chunks=chunks)
+    return make_sentence(text, label=label, chunks=chunks)
 
 
 def load_corpus(path: str | Path, split: str) -> Corpus:

@@ -156,9 +156,8 @@ def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
 class ByteReader:
     """Bounds-checked cursor over a file's bytes, or over their first ``end``.
 
-    Every failure (a read past ``end``, a string that is not UTF-8) raises
-    ``error``, naming the file. Over an ``mmap`` a read returns a copy, so
-    nothing read keeps the mapping exported.
+    A read past ``end`` raises ``error``, naming the file. Over an ``mmap`` a
+    read returns a copy, so nothing read keeps the mapping exported.
     """
 
     def __init__(self, raw: bytes | memoryview | mmap.mmap, path: Path,
@@ -166,28 +165,14 @@ class ByteReader:
         self.raw, self.pos, self.path, self.error = raw, 0, path, error
         self.end = len(raw) if end is None else end
 
-    def skip(self, n: int) -> int:
-        """Step over ``n`` bytes; returns the offset they start at."""
+    def take(self, n: int) -> bytes | memoryview:
         if self.pos + n > self.end:
             raise self.error(f"{self.path.name}: truncated file")
         self.pos += n
-        return self.pos - n
-
-    def take(self, n: int) -> bytes | memoryview:
-        start = self.skip(n)
-        return self.raw[start : self.pos]
+        return self.raw[self.pos - n : self.pos]
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def read_str(self, len_fmt: str = "<I") -> str:
-        """A UTF-8 string prefixed by its byte length, packed as ``len_fmt``."""
-        start = self.pos
-        (n,) = self.unpack(len_fmt)
-        try:
-            return str(self.take(n), "utf-8")
-        except UnicodeDecodeError:
-            raise self.error(f"{self.path.name}: string at byte {start} is not UTF-8") from None
 
 
 _U32 = struct.Struct("<I")
@@ -202,9 +187,9 @@ def load_embedding_store(path: str | Path) -> EmbeddingStore:
     are taken as one strided view of indices and one of float32 vectors over
     the file's bytes, without copying. A sentence whose records come in
     several runs or out of index order is joined and put in index order.
-    A run's key header is read with ``struct.unpack_from`` on the bytes,
-    with the bounds and UTF-8 checks of :class:`ByteReader` written inline,
-    since per-run method calls were most of the load time at small ``dim``.
+    A run's key header is read with ``struct.unpack_from`` on the bytes, with
+    its bounds and UTF-8 checks written inline, since per-run method calls
+    were most of the load time at small ``dim``.
     """
     path = Path(path)
     raw = path.read_bytes()

@@ -11,8 +11,8 @@ correctness probability.
 
 Everything here is pure float64 numpy; parameters are plain arrays grouped
 in small dataclasses. The forward pass runs over stacked windows and records
-every intermediate (pre-activations, hidden activations) so the training
-module can run the matching hand-written backward pass.
+the intermediates that the training module's hand-written backward pass
+reads; ReLU layers keep only their activations, not their pre-activations.
 """
 
 from __future__ import annotations
@@ -70,9 +70,12 @@ class GCNLayer:
 class ModelParams:
     """All trainable tensors, as views of one flat float64 buffer.
 
-    Declaration order here fixes the layout of ``flat``, the checkpoint
-    serialization order and the gradient/optimizer order. A gradient and each
-    Adam moment is a flat buffer of the same layout, which :meth:`like` carves.
+    Declaration order here fixes the layout of ``flat`` and the gradient and
+    optimizer order. A gradient and each Adam moment is a flat buffer of the
+    same layout, which :meth:`like` carves. The scorer's tensors (dep, gcn,
+    head) lead, ``scorer_size`` floats in all, and are what a checkpoint
+    holds; the MI discriminator ``disc`` is a training objective only. A
+    loaded checkpoint's ``disc`` is zero, and nothing that scores reads it.
     """
 
     flat: np.ndarray  # (n,) the tensors below, back to back
@@ -102,6 +105,13 @@ class ModelParams:
     @property
     def layers(self) -> int:
         return len(self.gcn)
+
+
+def scorer_size(dim: int, hidden: int, layers: int) -> int:
+    """Float count of the scorer's tensors, dep, gcn and head, the leading run
+    of ``ModelParams.flat``; a closed form, so a corrupt header's huge ``layers``
+    builds no list."""
+    return hidden * (2 * dim + 6) + 2 + layers * dim * (dim + 1)
 
 
 def _layout(dim: int, hidden: int, layers: int) -> list[tuple[str, tuple[int, ...]]]:

@@ -40,6 +40,7 @@ from .model import (
     init_model_params,
     instance_windows,
     param_tensors,
+    scorer_size,
     sigmoid,
 )
 from .mutual_info import MIForward, WindowPairs, mi_backward, mi_forward
@@ -48,7 +49,7 @@ from .sinkhorn import SinkhornSettings
 logger = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"OTCK"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 
 
 def _is_int(value) -> bool:
@@ -396,25 +397,16 @@ def train(
 
 # ---------------------------------------------------------------------------
 # Checkpoint file format: magic OTCK, version, d, L, hidden, a JSON metadata
-# blob (config, epoch, frequency table), the parameter tensors in declaration
-# order, then a trailing CRC32 of everything before it. All integers and floats
-# little endian; tensors are float64.
+# blob (config, epoch, frequency table), the scorer's parameters as one run of
+# scorer_size(d, hidden, L) floats (the leading run of ModelParams.flat, in
+# declaration order, without the MI discriminator), then a trailing CRC32 of
+# everything before it. All integers and floats little endian; floats are
+# float64.
 # ---------------------------------------------------------------------------
 
 
-def _pack_tensors(tensors: dict[str, np.ndarray]) -> bytes:
-    parts = [struct.pack("<I", len(tensors))]
-    for name, arr in tensors.items():
-        raw = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
+    params = ckpt.params
     meta = {
         "config": asdict(ckpt.config),
         "epoch": ckpt.epoch,
@@ -426,45 +418,14 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     meta_raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = [
         CKPT_MAGIC,
-        struct.pack(
-            "<IIII",
-            CKPT_VERSION,
-            ckpt.params.dim,
-            ckpt.params.layers,
-            ckpt.params.hidden,
-        ),
+        struct.pack("<IIII", CKPT_VERSION, params.dim, params.layers, params.hidden),
         struct.pack("<Q", len(meta_raw)),
         meta_raw,
-        _pack_tensors(param_tensors(ckpt.params)),
+        np.asarray(params.flat[:scorer_size(params.dim, params.hidden, params.layers)],
+                   "<f8").tobytes(),
     ]
     payload = b"".join(body)
     Path(path).write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-
-
-def _decode_tensors(rd: ByteReader, out: ModelParams) -> None:
-    """Walk the tensor table, checking every name and shape against the layout
-    of ``out``, and copy each tensor's floats from the file into it."""
-    expected = param_tensors(out)
-    seen: set[str] = set()
-    (count,) = rd.unpack("<I")
-    for _ in range(count):
-        name = rd.read_str("<H")
-        if name in seen:
-            raise CheckpointError(f"{rd.path.name}: tensor {name} appears twice")
-        seen.add(name)
-        (ndim,) = rd.unpack("<B")
-        shape = rd.unpack(f"<{ndim}I")
-        size = math.prod(shape)
-        start = rd.skip(8 * size)
-        if name not in expected:
-            break  # reported below
-        if shape != expected[name].shape:
-            raise CheckpointError(f"{rd.path.name}: tensor {name} has shape {shape}, "
-                                  f"expected {expected[name].shape}")
-        expected[name][...] = np.frombuffer(rd.raw, "<f8", size, start).reshape(shape)
-    if seen != set(expected):
-        raise CheckpointError(f"{rd.path.name}: checkpoint tensor names do not match the "
-                              "model layout")
 
 
 _META_KEYS = ("config", "epoch", "freq_table")
@@ -520,9 +481,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     The file is mapped read-only while it loads: the CRC runs over the mapped
-    bytes, and each tensor is copied out of the mapping into a fresh, writable
-    flat buffer in the layout of :class:`~otrank.model.ModelParams`. Nothing
-    returned refers to the mapping, which is closed before this returns.
+    bytes, and the scorer's parameter run is copied out of the mapping into
+    the head of a fresh, writable, zeroed flat buffer in the layout of
+    :class:`~otrank.model.ModelParams`. Nothing returned refers to the
+    mapping, which is closed before this returns.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -544,23 +506,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             if min(dim, layers, hidden) < 1:
                 raise CheckpointError(f"{path.name}: header sizes must be at least 1, "
                                       f"got {sizes}")
-            # The parameters alone hold more floats than this, so a header that fails
-            # it is corrupt; the check keeps a bad header from sizing the arrays built
-            # below.
-            if 8 * (hidden * dim + layers * dim * dim) > payload:
-                raise CheckpointError(f"{path.name}: header sizes {sizes} need more bytes "
-                                      "than the file holds")
             (meta_len,) = rd.unpack("<Q")
+            meta_raw = rd.take(meta_len)
+            # The header fixes the parameter run's length, so the bytes left must be
+            # exactly that run: checked before the header sizes any array.
+            n, left = scorer_size(dim, hidden, layers), payload - rd.pos
+            if left != 8 * n:
+                raise CheckpointError(f"{path.name}: header sizes {sizes} need {8 * n} "
+                                      f"parameter bytes, the file holds {left}")
             try:
-                meta = json.loads(str(rd.take(meta_len), "utf-8"))
+                meta = json.loads(str(meta_raw, "utf-8"))
             except ValueError as exc:  # bad UTF-8 or bad JSON
                 raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: "
                                       f"{exc}") from None
             config = _check_meta(meta, path.name)
             params = ModelParams.zeros(dim, hidden, layers)
-            _decode_tensors(rd, params)
-            if rd.pos != payload:
-                raise CheckpointError(f"{path.name}: trailing bytes in checkpoint")
+            params.flat[:n] = np.frombuffer(raw, "<f8", n, rd.pos)
     ft = FrequencyTable(counts=meta["freq_table"]["counts"],
                         num_questions=meta["freq_table"]["num_questions"])
     return Checkpoint(params=params, config=config, epoch=meta["epoch"], freq_table=ft)

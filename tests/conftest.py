@@ -17,6 +17,7 @@ from otrank.embeddings import (
     EmbeddingStore,
     build_frequency_table,
 )
+from otrank.model import param_tensors
 
 TINY_RECORDS = [
     {
@@ -106,6 +107,18 @@ def build_tiny_store(corpus: Corpus, dim: int = TINY_DIM, seed: int = 42) -> Emb
                         rng.normal(size=(len(sent.tokens), dim)),
                     )
     return store
+
+
+def assert_scorer_loaded(loaded, saved) -> None:
+    """``loaded`` (parameters read back from a checkpoint) holds the scorer's
+    tensors of ``saved`` bit for bit, and a zero discriminator, which a
+    checkpoint does not store."""
+    want = param_tensors(saved)
+    for name, t in param_tensors(loaded).items():
+        if name.startswith("disc."):
+            assert not t.any(), name
+        else:
+            np.testing.assert_array_equal(t, want[name], strict=True, err_msg=name)
 
 
 @pytest.fixture(scope="session")

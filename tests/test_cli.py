@@ -23,11 +23,11 @@ from otrank.embeddings import (
     build_frequency_table,
     write_embedding_store,
 )
-from otrank.model import init_model_params, param_tensors
+from otrank.model import init_model_params
 from otrank.errors import CheckpointError
 from otrank.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
-from conftest import TINY_RECORDS, build_tiny_store, write_tiny_jsonl
+from conftest import TINY_RECORDS, assert_scorer_loaded, build_tiny_store, write_tiny_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -589,27 +589,23 @@ def _set_header(raw: bytes, field: int, value: int) -> bytes:
     return _with_crc(raw[:pos] + struct.pack("<I", value) + raw[pos + 4:-4])
 
 
-def _rename_first_tensor(raw: bytes) -> bytes:
-    pos = raw.index(b"dep.w1")
-    return _with_crc(_set_byte(raw, pos, 0xFF)[:-4])
-
-
-def _rename_second_tensor_as_first(raw: bytes) -> bytes:
-    pos = raw.index(b"dep.b1")
-    return _with_crc(raw[:pos] + b"dep.w1" + raw[pos + 6:-4])
-
-
 def _set_store_header(raw: bytes, field: int, value: int) -> bytes:
     """Embedding-store bytes with header u32 ``field`` (0 version, 1 dim) replaced."""
     pos = 4 + 4 * field
     return raw[:pos] + struct.pack("<I", value) + raw[pos + 4:]
 
 
-def _append_table(raw: bytes) -> bytes:
-    """Checkpoint bytes with a second copy of the parameter table after the first,
-    as a version-1 file held each Adam moment."""
-    table = raw.index(b"dep.w1") - 4 - 2  # the tensor count, then the first name's length
-    return _with_crc(raw[:-4] + raw[table:-4])
+def _set_run(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes with ``edit`` applied to the parameter run, the bytes between
+    the metadata and the CRC, and the CRC recomputed."""
+    (meta_len,) = struct.unpack_from("<Q", raw, _META_AT)
+    run_at = _META_AT + 8 + meta_len
+    return _with_crc(raw[:run_at] + edit(raw[run_at:-4]))
+
+
+# The pinned checkpoint's header: d=4, L=2, hidden=5, so its parameter run is
+# scorer_size = 5*(2*4+6) + 2 + 2*4*(4+1) = 112 floats, 896 bytes.
+_RUN_SAYS = "header sizes d=4, layers=2, hidden=5 need 896 parameter bytes, the file holds"
 
 
 class TestCorruptInputs:
@@ -621,26 +617,30 @@ class TestCorruptInputs:
         ("emb", lambda raw: _set_store_header(raw, 0, 2), "unsupported format version 2"),
         ("emb", lambda raw: _set_store_header(raw, 1, 0), "dimension must be positive"),
         ("emb", lambda raw: raw[:_first_role_byte(raw)], "truncated file"),
-        ("ckpt", _rename_first_tensor, "not UTF-8"),
-        ("ckpt", _rename_second_tensor_as_first, "tensor dep.w1 appears twice"),
+        ("ckpt", lambda raw: _set_run(raw, lambda run: run[:-8]), f"{_RUN_SAYS} 888"),
+        ("ckpt", lambda raw: _set_run(raw, lambda run: run + bytes(8)), f"{_RUN_SAYS} 904"),
         ("ckpt", lambda raw: _set_meta(raw, b"[]"), "metadata is not a JSON object"),
         ("ckpt", lambda raw: _set_header(raw, 1, 0), "d=0"),
         ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
         ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
-        ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30), "need more bytes"),
-        # Version 1 has no reader, and its moment tables are not part of version 2.
+        # 5*14 + 2 + 2**30 * 20 floats: checked before anything of that size is built.
+        ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30),
+         "layers=1073741824, hidden=5 need 171798692416 parameter bytes, the file holds 896"),
+        # Neither version 1 nor version 2 (named tensors, the discriminator too) has a reader.
         ("ckpt", lambda raw: _set_header(raw, 0, 1), "unsupported checkpoint version 1"),
-        ("ckpt", _append_table, "trailing bytes"),
+        ("ckpt", lambda raw: _set_header(raw, 0, 2), "unsupported checkpoint version 2"),
+        # A second copy of the run after the first, as a version-1 file held each Adam moment.
+        ("ckpt", lambda raw: _set_run(raw, lambda run: run + run), f"{_RUN_SAYS} 1792"),
         # Shorter than the magic; an empty file cannot be mapped.
         ("ckpt", lambda raw: b"", "bad magic"),
         ("ckpt", lambda raw: raw[:1], "bad magic"),
         ("ckpt", lambda raw: raw[:3], "bad magic"),
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
     ], ids=["store-role-byte", "store-instance-id", "store-version-2", "store-dim-0",
-            "store-before-role-byte", "ckpt-tensor-name", "ckpt-tensor-twice",
+            "store-before-role-byte", "ckpt-run-short", "ckpt-run-long",
             "ckpt-meta-not-object", "ckpt-dim-0",
             "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-version-1",
-            "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
+            "ckpt-version-2", "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
             "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
         bad = tmp_path / f"bad.{target}"
@@ -666,8 +666,14 @@ class TestCorruptInputs:
          "line 2 candidate 0: label must be 0 or 1, got 2"),
         (lambda rec: rec["candidates"][0].update(prev=5),
          "line 2 candidate 0: context text must be a string or null"),
+        # An absent context's label is checked too.
+        (lambda rec: rec["candidates"][0].update(prev=None, prev_label=7),
+         "line 2 candidate 0: label must be 0 or 1, got 7"),
+        (lambda rec: rec["candidates"][0].update(next="  ", next_label="yes"),
+         "line 2 candidate 0: label must be 0 or 1, got 'yes'"),
     ], ids=["record-not-object", "candidates-empty", "candidates-not-list",
-            "candidate-not-object", "candidate-text-empty", "label-2", "context-5"])
+            "candidate-not-object", "candidate-text-empty", "label-2", "context-5",
+            "absent-prev-label-7", "blank-next-label-yes"])
     def test_bad_record_exits_one_naming_the_line(self, edit, says, cli_env, tmp_path,
                                                   capsys):
         rec = json.loads(json.dumps(TINY_RECORDS[1]))
@@ -846,9 +852,7 @@ class TestTrainCommand:
         assert rc == 0
         ckpt = load_checkpoint(tmp_path / "out.ckpt")
         assert ckpt.epoch == 0
-        expected = init_model_params(np.random.default_rng(0), 4, 5, 2)
-        for name, t in param_tensors(ckpt.params).items():
-            np.testing.assert_array_equal(t, param_tensors(expected)[name])
+        assert_scorer_loaded(ckpt.params, init_model_params(np.random.default_rng(0), 4, 5, 2))
         assert (tmp_path / "log.jsonl").read_text() == ""
 
     def test_train_writes_log_records(self, cli_env, tmp_path):

@@ -1,11 +1,12 @@
 """The stacked scoring pass: edge scores, edge weights, GCN, head, window scoring."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from otrank import sinkhorn
+from otrank import model, sinkhorn
 from otrank.corpus import CandidateWindow, make_sentence
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
@@ -31,6 +32,7 @@ from otrank.model import (
     instance_windows,
     param_tensors,
     score_windows,
+    scorer_size,
     window_forward,
 )
 from otrank.sinkhorn import SinkhornSettings
@@ -100,6 +102,18 @@ class TestParameterLayout:
             offset += t.size
         assert params.flat.shape == (offset,) and params.flat.flags.c_contiguous
         assert params.flat.tobytes() == b"".join(t.tobytes() for t in tensors.values())
+
+    @pytest.mark.parametrize("dim,hidden,layers", [
+        (1, 1, 1), (3, 4, 2), (5, 7, 3), (16, 400, 2), (768, 400, 2), (2, 9, 40)])
+    def test_scorer_size_is_the_layout_before_the_discriminator(self, dim, hidden, layers):
+        # A checkpoint holds the leading scorer_size floats of the flat buffer: every
+        # tensor but the discriminator, which the layout puts last.
+        layout = model._layout(dim, hidden, layers)
+        names = [name for name, _ in layout]
+        assert names[-4:] == ["disc.w1", "disc.b1", "disc.w2", "disc.b2"]
+        assert not [name for name in names[:-4] if name.startswith("disc.")]
+        assert scorer_size(dim, hidden, layers) == sum(
+            math.prod(shape) for name, shape in layout[:-4])
 
     def test_no_graph_layer_is_rejected(self):
         with pytest.raises(ValueError, match="at least one graph-convolution layer"):

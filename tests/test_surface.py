@@ -9,6 +9,7 @@ from pathlib import Path
 import otrank
 from otrank import model, training
 from otrank.corpus import CandidateWindow, Sentence
+from otrank.embeddings import ByteReader
 from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -21,7 +22,8 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # steps, the per-tensor gradient dict and checkpoint skeleton that the flat
 # parameter buffer replaced, the question side's own alignment preparation, and
 # the window padding and missing-frequency-table error that the loaders' own
-# checks replaced, that the package no longer has.
+# checks replaced, and the checkpoint's named tensor table, that the package no
+# longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -31,7 +33,8 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "_label_code", "ROLE_QUESTION", "ROLE_CANDIDATE", "ROLE_PREV", "ROLE_NEXT",
            "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
            "_params_from_tensors", "_QuestionSide", "_question_side", "_sentence_vectors",
-           "NonFiniteCostError", "pad_context", "MissingFrequencyTableError")
+           "NonFiniteCostError", "pad_context", "MissingFrequencyTableError", "_pack_tensors",
+           "_decode_tensors")
 
 
 def test_every_export_resolves():
@@ -59,6 +62,8 @@ def test_checkpoint_holds_what_is_read_back():
     assert "moments" not in inspect.signature(training.load_checkpoint).parameters
     assert [f.name for f in dataclasses.fields(training.Checkpoint)] == [
         "params", "config", "epoch", "freq_table"]
+    # The parameters are one unnamed run of floats, so nothing reads a string back.
+    assert not hasattr(ByteReader, "read_str")
 
 
 def test_loaded_inputs_are_complete():

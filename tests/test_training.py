@@ -1,6 +1,7 @@
 """Joint loss, gradients, Adam, the training loop, checkpoints, gradcheck."""
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -20,9 +21,10 @@ from otrank.model import (
     instance_windows,
     param_tensors,
     score_windows,
+    scorer_size,
     window_forward,
 )
-from otrank.embeddings import FrequencyTable, build_frequency_table
+from otrank.embeddings import build_frequency_table
 from otrank.sinkhorn import SinkhornSettings
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
@@ -37,6 +39,7 @@ from otrank.training import (
     train,
 )
 
+from conftest import assert_scorer_loaded
 from oracles import (
     Window,
     adam_step_loop,
@@ -563,7 +566,18 @@ class TestCheckpointIO:
         assert loaded.epoch == ckpt.epoch
         assert loaded.freq_table.counts == ckpt.freq_table.counts
         assert loaded.freq_table.num_questions == ckpt.freq_table.num_questions
-        np.testing.assert_array_equal(loaded.params.flat, ckpt.params.flat, strict=True)
+        assert_scorer_loaded(loaded.params, ckpt.params)
+
+    def test_file_holds_the_header_metadata_and_scorer_run(self, small_synth, tmp_path):
+        # magic, version, d, L, hidden and the metadata length take 28 bytes; then
+        # the metadata, the scorer's floats and the CRC, and nothing else.
+        ckpt, path = self._roundtrip(small_synth, tmp_path)
+        raw = path.read_bytes()
+        (meta_len,) = struct.unpack_from("<Q", raw, 20)
+        p = ckpt.params
+        n = scorer_size(p.dim, p.hidden, p.layers)
+        assert len(raw) == 28 + meta_len + 8 * n + 4
+        assert raw[28 + meta_len:-4] == p.flat[:n].astype("<f8").tobytes()
 
     def test_save_load_save_byte_identical(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
@@ -588,30 +602,6 @@ class TestCheckpointIO:
                   loaded.config)
         assert loaded.params.flat is flat and not np.array_equal(flat, before)
 
-    @pytest.mark.parametrize("edit,says", [
-        (lambda t: t.pop("gcn.1.b"), "names do not match the model layout"),
-        (lambda t: t.update({"head.b2": np.zeros(2)}),
-         r"head.b2 has shape \(2,\), expected \(1,\)"),
-        (lambda t: t.update({"extra": np.zeros(1)}), "names do not match the model layout"),
-    ], ids=["params-missing", "params-shape", "params-extra"])
-    def test_every_tensor_table_must_match_the_layout(self, edit, says, tmp_path,
-                                                       monkeypatch):
-        params = init_model_params(np.random.default_rng(0), dim=3, hidden=4, layers=2)
-        ckpt = training.Checkpoint(params=params, config=micro_cfg(hidden_size=4), epoch=0,
-                                   freq_table=FrequencyTable(counts={"mars": 1},
-                                                             num_questions=1))
-        real = training._pack_tensors
-
-        def pack(tensors):
-            tensors = dict(tensors)
-            edit(tensors)
-            return real(tensors)
-
-        monkeypatch.setattr(training, "_pack_tensors", pack)
-        save_checkpoint(tmp_path / "bad.ckpt", ckpt)
-        with pytest.raises(CheckpointError, match=says):
-            load_checkpoint(tmp_path / "bad.ckpt")
-
     def test_corruption_detected(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
         good = path.read_bytes()
@@ -629,7 +619,7 @@ class TestCheckpointIO:
         ckpt, path = self._roundtrip(small_synth, tmp_path)
         loaded = load_checkpoint(path)
         path.write_bytes(bytes(len(path.read_bytes())))
-        np.testing.assert_array_equal(loaded.params.flat, ckpt.params.flat, strict=True)
+        assert_scorer_loaded(loaded.params, ckpt.params)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
