@@ -108,7 +108,7 @@ print("store bytes:", store_path.stat().st_size,
       "sidecar:", (workdir / "demo.emb.json").read_text().strip())
 
 loaded = load_embedding_store(store_path)
-vecs = loaded.sentence_vectors("demo-1", "demo-1-a", ROLE_C)
+vecs = loaded.stored_vectors("demo-1", "demo-1-a", ROLE_C)
 print("candidate vector block:", vecs.shape)
 
 print("\ncorpus demo OK")

@@ -80,10 +80,9 @@ class EmbeddingStore:
     Each sentence is held as it was given: float64 from :meth:`add_sentence`,
     or, for a loaded store, read-only float32 views of the file's bytes.
     :meth:`stored_vectors` returns a sentence as held; alignment reads it so,
-    and widens only the content rows it gathers. :meth:`sentence_vectors`
-    widens the whole sentence to float64. Widening is exact, so the numerics
-    downstream see the same values either way. Immutable once loaded;
-    concurrent reads are safe.
+    and widens only the content rows it gathers. Widening is exact, so the
+    numerics downstream see the same values either way. Immutable once
+    loaded; concurrent reads are safe.
     """
 
     dim: int
@@ -107,10 +106,6 @@ class EmbeddingStore:
             raise EmbeddingKeyError(
                 f"no embeddings for instance={instance_id!r} window={window_id!r} role={role!r}"
             ) from None
-
-    def sentence_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
-        """Token vectors for one sentence, in token order, as float64."""
-        return np.asarray(self.stored_vectors(instance_id, window_id, role), dtype=np.float64)
 
     @property
     def num_records(self) -> int:

@@ -74,14 +74,14 @@ def question_metrics(ranking: Ranking, labels: dict[str, bool]) -> tuple[int, fl
     )
 
 
-def rank_features(instances, feats, params, ws=None) -> list[Ranking]:
+def rank_features(instances, feats, params) -> list[Ranking]:
     """Rank the windows of every question from their features, in order.
 
     ``feats`` is the :class:`~otrank.model.FeatureSet` of every window of
     ``instances``, in corpus order; one :func:`score_windows` call scores them
-    all, through the workspace ``ws`` when given.
+    all.
     """
-    scores = score_windows(feats, params, ws).tolist()
+    scores = score_windows(feats, params).tolist()
     rankings = []
     lo = 0
     for inst in instances:

@@ -327,44 +327,16 @@ def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
     return [(inst.question, w, inst.question_id) for inst in instances for w in inst.windows]
 
 
-# Windows per stacked pass. With one reused Workspace, 64 ran the training step
-# (d=16, hidden 400) faster than 16 or 32, since numpy's per-call cost is paid once
-# per chunk, for about 5 MB of buffers. Scoring at d=768 with the flat GEMMs ran
-# as fast at 32 as at 64 (benchmark eval_wide, 5 seeds: median 438 against 435
-# windows/s, 2-vCPU x86_64, one BLAS thread), with 6 MB less peak memory at 32.
+# Windows per stacked pass. 64 ran the training step (d=16, hidden 400) faster
+# than 16 or 32, since numpy's per-call cost is paid once per chunk. Scoring at
+# d=768 with the flat GEMMs ran as fast at 32 as at 64 (benchmark eval_wide, 5
+# seeds: median 438 against 435 windows/s, 2-vCPU x86_64, one BLAS thread), with
+# 6 MB less peak memory at 32.
 FORWARD_CHUNK = 64
 
 # Directed edge (i, j) is row 3 * i + j of the dependency-FFN inputs.
 _EDGE_I = np.repeat(np.arange(3), 3)
 _EDGE_J = np.tile(np.arange(3), 3)
-
-
-class Workspace:
-    """Named scratch arrays that the chunks of a training step or scoring pass reuse.
-
-    :meth:`take` hands out the leading elements of a named flat buffer as a
-    C-contiguous array of the asked shape. A buffer grows (at least doubling)
-    when a larger shape is asked for and is reused otherwise, so once the
-    first full chunk has run, a run of chunks allocates none of its large
-    intermediates. What :meth:`take` returns holds stale values until
-    written, and the next request of the same name hands out the same memory:
-    an array stays valid only until then. A request with another dtype than
-    the buffer's replaces the buffer.
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._buffers.get(name)
-        if buf is not None and buf.dtype != dtype:
-            buf = None
-        if buf is None or buf.size < size:
-            # Doubling bounds the regrowths of a buffer whose size follows the data.
-            grown = 0 if buf is None else 2 * buf.size
-            buf = self._buffers[name] = np.empty(max(size, grown), dtype)
-        return buf[:size].reshape(shape)
 
 
 @dataclass
@@ -387,8 +359,7 @@ class Forward:
     p: np.ndarray  # (B,) clamped away from exactly 0 and 1
 
 
-def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams,
-            ws: Workspace | None = None) -> Forward:
+def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams) -> Forward:
     """Score B windows from stacked ``(B, 3, d)`` reps and ``(B, 3)`` costs.
 
     Dependency layer 1 and each GCN layer are one flat GEMM over the chunk,
@@ -398,44 +369,36 @@ def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams,
     shape and on the row's position in it (BLAS picks kernels and tiles by
     size), never on the other rows' values. At d=16 and d=768 with hidden
     400 each window's numbers are bit-equal to scoring it alone, whatever
-    the batch; elsewhere they agree to rounding. Every intermediate but the
-    ``(B,)`` ones is written into ``ws`` (a fresh :class:`Workspace` when
-    None), so the record is valid until the next pass through the same
-    workspace.
+    the batch; elsewhere they agree to rounding.
     """
-    ws = Workspace() if ws is None else ws
     b, _, d = reps.shape
     hidden = len(params.dep.b1)
-    x_pairs = ws.take("x_pairs", (b, 9, d + 2))
+    x_pairs = np.empty((b, 9, d + 2))
     for k, (i, j) in enumerate(zip(_EDGE_I, _EDGE_J)):
         np.multiply(reps[:, i], reps[:, j], out=x_pairs[:, k, :d])
     x_pairs[:, :, d] = costs[:, _EDGE_I]
     x_pairs[:, :, d + 1] = costs[:, _EDGE_J]
-    a1_dep = ws.take("a1_dep", (b, 9, hidden))
-    np.matmul(x_pairs.reshape(b * 9, d + 2), params.dep.w1.T, out=a1_dep.reshape(b * 9, hidden))
+    a1_dep = (x_pairs.reshape(b * 9, d + 2) @ params.dep.w1.T).reshape(b, 9, hidden)
     a1_dep += params.dep.b1
     np.maximum(a1_dep, 0.0, out=a1_dep)
-    u = np.matmul(a1_dep, params.dep.w2.T, out=ws.take("u", (b, 9, 1)))
+    u = a1_dep @ params.dep.w2.T
     u += params.dep.b2
     u = u.reshape(b, 3, 3)
 
-    alpha = ws.take("alpha", (b, 3, 3))
-    np.subtract(u, u.max(axis=2, keepdims=True), out=alpha)
+    alpha = u - u.max(axis=2, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=2, keepdims=True)
 
     hs = [reps]
     aggregated: list[np.ndarray] = []
-    for l, layer in enumerate(params.gcn):
-        s = np.matmul(alpha, hs[-1], out=ws.take(f"aggregated.{l}", (b, 3, d)))
-        h = ws.take(f"h.{l + 1}", (b, 3, d))
-        np.matmul(s.reshape(b * 3, d), layer.w.T, out=h.reshape(b * 3, d))
+    for layer in params.gcn:
+        s = alpha @ hs[-1]
+        h = (s.reshape(b * 3, d) @ layer.w.T).reshape(b, 3, d)
         h += layer.b
         aggregated.append(s)
         hs.append(np.maximum(h, 0.0, out=h))
 
-    head_a1 = np.matmul(params.head.w1, hs[-1][:, 0, :, None],
-                        out=ws.take("head_a1", (b, len(params.head.b1), 1)))[:, :, 0]
+    head_a1 = (params.head.w1 @ hs[-1][:, 0, :, None])[:, :, 0]
     head_a1 += params.head.b1
     np.maximum(head_a1, 0.0, out=head_a1)
     logit = (params.head.w2 @ head_a1[:, :, None])[:, 0, 0] + params.head.b2[0]
@@ -444,19 +407,16 @@ def forward(reps: np.ndarray, costs: np.ndarray, params: ModelParams,
                    hs=hs, head_a1=head_a1, logit=logit, p=p)
 
 
-def score_windows(feats: FeatureSet, params: ModelParams,
-                  ws: Workspace | None = None) -> np.ndarray:
+def score_windows(feats: FeatureSet, params: ModelParams) -> np.ndarray:
     """Correctness probabilities ``(N,)`` of the windows, in order.
 
-    Runs ``FORWARD_CHUNK`` windows at a time through one workspace (``ws``, or
-    a fresh one), so memory stays flat however large the split. Each chunk is
-    a contiguous slice of the stacked arrays.
+    Runs ``FORWARD_CHUNK`` windows at a time, so memory stays flat however
+    large the split. Each chunk is a contiguous slice of the stacked arrays.
     """
-    ws = Workspace() if ws is None else ws
     p = np.empty(len(feats))
     for lo in range(0, len(feats), FORWARD_CHUNK):
         hi = lo + FORWARD_CHUNK
-        p[lo:hi] = forward(feats.reps[lo:hi], feats.costs[lo:hi], params, ws).p
+        p[lo:hi] = forward(feats.reps[lo:hi], feats.costs[lo:hi], params).p
     return p
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FFNParams, Workspace, sigmoid
+from .model import FFNParams, sigmoid
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ class MIForward:
     loss: np.ndarray  # (B,) per-window terms; 0 for windows without pairs
 
 
-def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
-               ws: Workspace | None = None) -> MIForward:
+def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams) -> MIForward:
     """Compute each window's regularizer term from final representations ``(B, 3, d)``.
 
     A window's term is ``sum(-log U)`` over its positive pairs plus
@@ -90,18 +89,15 @@ def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
     matrix-vector product; BLAS may round a row differently from running its
     window alone, so a term agrees with the per-window loop to rounding. Each
     sum adds a window's terms in pair order, as ``pos.sum() + neg.sum()`` does.
-    The flat arrays are ``ws`` buffers (a fresh :class:`Workspace` when None).
     """
-    ws = Workspace() if ws is None else ws
     b, _, d = h.shape
-    n = pairs.i.size
-    x = ws.take("mi.x", (n, 2 * d))
+    x = np.empty((pairs.i.size, 2 * d))
     x[:, :d] = h[pairs.window, pairs.i]
     x[:, d:] = h[pairs.window, pairs.j]
-    a1 = np.matmul(x, disc.w1.T, out=ws.take("mi.a1", (n, disc.w1.shape[0])))
+    a1 = x @ disc.w1.T
     a1 += disc.b1
     np.maximum(a1, 0.0, out=a1)
-    z = np.matmul(a1, disc.w2[0], out=ws.take("mi.z", (n,)))
+    z = a1 @ disc.w2[0]
     z += disc.b2[0]
     # -log sigmoid(z) for positives, -log(1 - sigmoid(z)) for negatives.
     term = np.logaddexp(0.0, np.where(pairs.positive, -z, z))
@@ -113,34 +109,31 @@ def mi_forward(h: np.ndarray, pairs: WindowPairs, disc: FFNParams,
 
 def mi_backward(
     fwd: MIForward, disc: FFNParams, scale: float, grads: dict[str, np.ndarray],
-    dh: np.ndarray, ws: Workspace | None = None,
+    dh: np.ndarray,
 ) -> None:
     """Accumulate ``scale * d(loss)`` into the disc gradients and node grads ``dh`` (B, 3, d).
 
     Each disc weight gradient is one product over every pair of the batch, and
     each bias gradient one sum. The node gradients are added to ``dh`` in one
-    scatter, pair after pair: the ``i`` row, then the ``j`` row. Scratch
-    arrays come from ``ws`` (a fresh workspace when None).
+    scatter, pair after pair: the ``i`` row, then the ``j`` row.
     """
     n = fwd.z.size
     if n == 0:
         return
-    ws = Workspace() if ws is None else ws
     d = dh.shape[2]
-    hidden = disc.w1.shape[0]
     pairs = fwd.pairs
     dz = sigmoid(fwd.z)  # d(-log(1 - sigmoid(z)))/dz for negatives
     dz[pairs.positive] -= 1.0  # d(-log sigmoid(z))/dz
     dz *= scale
 
-    grads["disc.w2"] += np.matmul(dz[None], fwd.a1, out=ws.take("mi.product", (1, hidden)))
+    grads["disc.w2"] += dz[None] @ fwd.a1
     grads["disc.b2"] += dz.sum()
-    dz1 = np.multiply(dz[:, None], disc.w2[0], out=ws.take("mi.dz1", (n, hidden)))
-    dz1 *= np.greater(fwd.a1, 0.0, out=ws.take("mi.mask", (n, hidden), bool))
+    dz1 = dz[:, None] * disc.w2[0]
+    dz1 *= fwd.a1 > 0.0
     grads["disc.b1"] += dz1.sum(axis=0)
-    grads["disc.w1"] += np.matmul(dz1.T, fwd.x, out=ws.take("mi.product", disc.w1.shape))
+    grads["disc.w1"] += dz1.T @ fwd.x
 
-    dx = np.matmul(dz1, disc.w1, out=ws.take("mi.dx", (n, 2 * d)))
+    dx = dz1 @ disc.w1
     windows = np.repeat(pairs.window, 2)
     nodes = np.stack([pairs.i, pairs.j], axis=1).reshape(2 * n)
     np.add.at(dh, (windows, nodes), dx.reshape(2 * n, d))

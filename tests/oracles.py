@@ -353,7 +353,7 @@ def reference_window_features(question, window, instance_id, store, ft, settings
     from otrank.corpus import content_token_indices
     from otrank.embeddings import QUESTION_WINDOW_ID, marginal_distribution
 
-    q_vecs = store.sentence_vectors(instance_id, QUESTION_WINDOW_ID, "q")
+    q_vecs = np.asarray(store.stored_vectors(instance_id, QUESTION_WINDOW_ID, "q"), np.float64)
     q_idx = content_token_indices(question)
     p = marginal_distribution([question.tokens[i] for i in q_idx], ft)
     reps = np.zeros((3, store.dim))
@@ -363,7 +363,7 @@ def reference_window_features(question, window, instance_id, store, ft, settings
                                         (window.next, "n"))):
         if sent.is_padding:
             continue
-        s_vecs = store.sentence_vectors(instance_id, window.id, role)
+        s_vecs = np.asarray(store.stored_vectors(instance_id, window.id, role), np.float64)
         s_idx = content_token_indices(sent)
         s_pts = s_vecs[s_idx]
         D = cost_matrix_per_pair(q_vecs[q_idx], s_pts)

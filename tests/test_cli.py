@@ -507,16 +507,20 @@ def _set_meta(raw: bytes, meta_raw: bytes) -> bytes:
                      + raw[_META_AT + 8 + meta_len:-4])
 
 
+def _edit_meta(raw: bytes, edit) -> bytes:
+    """Checkpoint bytes with ``edit`` applied to the JSON metadata, and the CRC recomputed."""
+    (meta_len,) = struct.unpack_from("<Q", raw, _META_AT)
+    meta = json.loads(raw[_META_AT + 8:_META_AT + 8 + meta_len])
+    edit(meta)
+    return _set_meta(raw, json.dumps(meta, sort_keys=True).encode("utf-8"))
+
+
 def _rewrite_meta(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its JSON metadata.
 
     The CRC is recomputed, so only the metadata check can reject the file.
     """
-    raw = src.read_bytes()
-    (meta_len,) = struct.unpack_from("<Q", raw, _META_AT)
-    meta = json.loads(raw[_META_AT + 8:_META_AT + 8 + meta_len])
-    edit(meta)
-    dst.write_bytes(_set_meta(raw, json.dumps(meta, sort_keys=True).encode("utf-8")))
+    dst.write_bytes(_edit_meta(src.read_bytes(), edit))
 
 
 class TestCheckpointMetadata:
@@ -620,6 +624,11 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: _set_run(raw, lambda run: run[:-8]), f"{_RUN_SAYS} 888"),
         ("ckpt", lambda raw: _set_run(raw, lambda run: run + bytes(8)), f"{_RUN_SAYS} 904"),
         ("ckpt", lambda raw: _set_meta(raw, b"[]"), "metadata is not a JSON object"),
+        # A valid config whose sizes are not the header's (hidden 5, two layers).
+        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(hidden_size=400)),
+         "config 'hidden_size' = 400 contradicts the header's hidden = 5"),
+        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(gcn_layers=7)),
+         "config 'gcn_layers' = 7 contradicts the header's layers = 2"),
         ("ckpt", lambda raw: _set_header(raw, 1, 0), "d=0"),
         ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
         ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
@@ -638,7 +647,7 @@ class TestCorruptInputs:
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
     ], ids=["store-role-byte", "store-instance-id", "store-version-2", "store-dim-0",
             "store-before-role-byte", "ckpt-run-short", "ckpt-run-long",
-            "ckpt-meta-not-object", "ckpt-dim-0",
+            "ckpt-meta-not-object", "ckpt-config-hidden", "ckpt-config-layers", "ckpt-dim-0",
             "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-version-1",
             "ckpt-version-2", "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
             "corpus-not-utf8"])

@@ -126,12 +126,12 @@ class TestMarginalDistribution:
 class TestEmbeddingStore:
     def test_shape_contract(self, tiny_corpus, tiny_store):
         inst = tiny_corpus.instances[0]
-        vecs = tiny_store.sentence_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
+        vecs = tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
         assert vecs.shape == (len(inst.question.tokens), tiny_store.dim)
 
     def test_padding_is_zero_vector(self, tiny_corpus, tiny_store):
         # q1-w2 has a padded prev sentence.
-        vecs = tiny_store.sentence_vectors("q1", "q1-w2", "p")
+        vecs = tiny_store.stored_vectors("q1", "q1-w2", "p")
         np.testing.assert_array_equal(vecs, np.zeros((1, tiny_store.dim)))
 
     @pytest.mark.parametrize("role,rows,says", [
@@ -146,7 +146,7 @@ class TestEmbeddingStore:
 
     def test_missing_key_names_key(self, tiny_store):
         with pytest.raises(EmbeddingKeyError, match="no-such-window"):
-            tiny_store.sentence_vectors("q1", "no-such-window", ROLE_C)
+            tiny_store.stored_vectors("q1", "no-such-window", ROLE_C)
 
     def test_round_trip_bit_exact(self, tiny_store, tmp_path):
         path = tmp_path / "emb.bin"
@@ -154,10 +154,10 @@ class TestEmbeddingStore:
         loaded = load_embedding_store(path)
         assert loaded.dim == tiny_store.dim
         for key, arr in tiny_store.sorted_items():
-            got = loaded.sentence_vectors(*key)
-            # float64 -> float32 on write, float32 -> float64 on read; the
-            # second write/read cycle must reproduce the bytes exactly.
-            np.testing.assert_array_equal(got, arr.astype(np.float32).astype(np.float64))
+            got = loaded.stored_vectors(*key)
+            # float64 -> float32 on write, held as float32 on read; the second
+            # write/read cycle must reproduce the bytes exactly.
+            np.testing.assert_array_equal(got, arr.astype(np.float32), strict=True)
         path2 = tmp_path / "emb2.bin"
         write_embedding_store(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
@@ -214,7 +214,7 @@ class TestEmbeddingStore:
         a, b = load_embedding_store(shuffled), load_embedding_store(sorted_path)
         assert [k for k, _ in a.sorted_items()] == [k for k, _ in b.sorted_items()]
         for key, _ in b.sorted_items():
-            np.testing.assert_array_equal(a.sentence_vectors(*key), b.sentence_vectors(*key),
+            np.testing.assert_array_equal(a.stored_vectors(*key), b.stored_vectors(*key),
                                           strict=True)
         # The sorted file is what writing either store gives back.
         again = tmp_path / "again.bin"
@@ -233,18 +233,6 @@ class TestEmbeddingStore:
         with pytest.raises(EmbeddingStoreError,
                            match=rf"duplicate token index {dup} for \('i', 'w', 'c'\)"):
             load_embedding_store(path)
-
-    def test_loaded_vectors_are_widened_float32(self, tmp_path):
-        x = np.array([[0.1, 1 / 3, -2.7182818, 1e-40], [3.0, np.pi, 1e30, -0.0]])
-        store = EmbeddingStore(dim=4)
-        store.add_sentence("i", "w", ROLE_C, x)
-        assert store.sentence_vectors("i", "w", ROLE_C) is store.sorted_items()[0][1]
-        path = tmp_path / "emb.bin"
-        write_embedding_store(path, store)
-        got = load_embedding_store(path).sentence_vectors("i", "w", ROLE_C)
-        assert got.dtype == np.float64
-        np.testing.assert_array_equal(got, np.float64(np.float32(x)), strict=True)
-        assert got.tobytes() == x.astype(np.float32).astype(np.float64).tobytes()
 
     def test_stored_vectors_are_held_as_loaded(self, tmp_path):
         x = np.array([[0.1, 1 / 3, -2.7182818, 1e-40], [3.0, np.pi, 1e30, -0.0]])

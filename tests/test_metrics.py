@@ -165,7 +165,7 @@ class TestEvaluate:
         ckpt = _checkpoint_for(store, cfg, ft)
         import otrank.metrics as metrics_mod
 
-        def oracle_scores(feats, params, ws=None):
+        def oracle_scores(feats, params):
             return np.where(feats.labels[:, 0], 1.0, 0.0)
 
         monkeypatch.setattr(metrics_mod, "score_windows", oracle_scores)
@@ -184,7 +184,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(
             metrics_mod, "score_windows",
-            lambda feats, params, ws=None: np.where(feats.labels[:, 0], 0.0, 1.0),
+            lambda feats, params: np.where(feats.labels[:, 0], 0.0, 1.0),
         )
         report = metrics_mod.evaluate(dev_c, ckpt, store)
         n = len(dev_c.instances[0].windows)

@@ -735,7 +735,7 @@ class TestAlignSentence:
 
     def test_padding_sentence_rule(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]
-        qv = tiny_store.sentence_vectors("q1", QUESTION_WINDOW_ID, ROLE_Q)
+        qv = tiny_store.stored_vectors("q1", QUESTION_WINDOW_ID, ROLE_Q)
         res = align_sentence(inst.question, padding_sentence(), qv, None, tiny_ft)
         assert res.cost == 0.0
         np.testing.assert_array_equal(res.representation, np.zeros(4))
@@ -750,8 +750,8 @@ class TestAlignSentence:
         res = align_sentence(
             inst.question,
             w.cand,
-            tiny_store.sentence_vectors("q1", QUESTION_WINDOW_ID, ROLE_Q),
-            tiny_store.sentence_vectors("q1", "q1-w1", ROLE_C),
+            tiny_store.stored_vectors("q1", QUESTION_WINDOW_ID, ROLE_Q),
+            tiny_store.stored_vectors("q1", "q1-w1", ROLE_C),
             tiny_ft,
         )
         assert res.question_token_indices == (1, 5)  # planet, moons
@@ -793,10 +793,10 @@ class TestAlignSentences:
     def test_batch_matches_pair_by_pair(self, tiny_corpus, tiny_store, tiny_ft):
         pairs = []
         for inst in tiny_corpus.instances:
-            qv = tiny_store.sentence_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
+            qv = tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
             for w in inst.windows:
                 for sent, role in ((w.cand, "c"), (w.prev, "p"), (w.next, "n")):
-                    sv = None if sent.is_padding else tiny_store.sentence_vectors(
+                    sv = None if sent.is_padding else tiny_store.stored_vectors(
                         inst.question_id, w.id, role)
                     pairs.append((inst.question, sent, qv, sv))
         batch = align_sentences(pairs, tiny_ft)
@@ -865,11 +865,11 @@ class TestAlignSentences:
                                                               tiny_ft):
         narrow, wide = [], []
         for inst in tiny_corpus.instances:
-            qv = tiny_store.sentence_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
+            qv = tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
             qv = qv.astype(np.float32)
             for w in inst.windows:
                 for sent, role in ((w.cand, "c"), (w.prev, "p"), (w.next, "n")):
-                    sv = None if sent.is_padding else tiny_store.sentence_vectors(
+                    sv = None if sent.is_padding else tiny_store.stored_vectors(
                         inst.question_id, w.id, role).astype(np.float32)
                     narrow.append((inst.question, sent, qv, sv))
                     wide.append((inst.question, sent, qv.astype(np.float64),

@@ -7,9 +7,9 @@ import typing
 from pathlib import Path
 
 import otrank
-from otrank import model, training
+from otrank import metrics, model, mutual_info, training
 from otrank.corpus import CandidateWindow, Sentence
-from otrank.embeddings import ByteReader
+from otrank.embeddings import ByteReader, EmbeddingStore
 from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -22,8 +22,8 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # steps, the per-tensor gradient dict and checkpoint skeleton that the flat
 # parameter buffer replaced, the question side's own alignment preparation, and
 # the window padding and missing-frequency-table error that the loaders' own
-# checks replaced, and the checkpoint's named tensor table, that the package no
-# longer has.
+# checks replaced, the checkpoint's named tensor table, and the reused scratch
+# buffers of the training step, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -34,7 +34,7 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
            "_params_from_tensors", "_QuestionSide", "_question_side", "_sentence_vectors",
            "NonFiniteCostError", "pad_context", "MissingFrequencyTableError", "_pack_tensors",
-           "_decode_tensors")
+           "_decode_tensors", "Workspace")
 
 
 def test_every_export_resolves():
@@ -49,12 +49,24 @@ def test_no_removed_name_is_exported():
                    "sinkhorn", "corpus", "errors", "synthetic"):
         mod = importlib.import_module(f"otrank.{module}")
         assert not [name for name in REMOVED if hasattr(mod, name)], module
+    # Alignment widens only the content rows it gathers, so nothing widens a whole sentence.
+    assert not hasattr(EmbeddingStore, "sentence_vectors")
 
 
 def test_one_feature_type():
     # Features pass as one stacked FeatureSet; alignments come from align_windows.
     assert "keep_alignments" not in inspect.signature(model.extract_features).parameters
     assert not hasattr(WindowPairs, "take")
+
+
+def test_no_scratch_buffer_is_passed_in():
+    # Each intermediate is allocated where it is computed, so no pass takes a
+    # buffer to reuse.
+    passes = (model.forward, model.score_windows, mutual_info.mi_forward,
+              mutual_info.mi_backward, training._mean_terms, training._backward,
+              training.loss_and_gradients, training._dev_metrics, metrics.rank_features,
+              training.train)
+    assert [f.__name__ for f in passes if "ws" in inspect.signature(f).parameters] == []
 
 
 def test_checkpoint_holds_what_is_read_back():

@@ -14,13 +14,11 @@ from otrank.errors import CheckpointError, EmbeddingKeyError
 from otrank.model import (
     FORWARD_CHUNK,
     FeatureSet,
-    Workspace,
     align_windows,
     extract_features,
     init_model_params,
     instance_windows,
     param_tensors,
-    score_windows,
     scorer_size,
     window_forward,
 )
@@ -47,7 +45,6 @@ from oracles import (
     forward_losses_loop,
     loss_and_gradients_loop,
     reference_window_features,
-    window_forward_loop,
 )
 
 
@@ -74,9 +71,9 @@ def random_batch(rng, dim, n=3):
     return feature_set(random_windows(rng, dim, n))
 
 
-def named_gradients(feats, params, cfg, ws=None):
+def named_gradients(feats, params, cfg):
     """``loss_and_gradients`` with the flat gradient as named tensors."""
-    loss, grads = loss_and_gradients(feats, params, cfg, ws)
+    loss, grads = loss_and_gradients(feats, params, cfg)
     return loss, param_tensors(params.like(grads))
 
 
@@ -297,53 +294,24 @@ def labelled_windows(rng, dim, n):
             for _ in range(n)]
 
 
-class TestWorkspace:
-    def test_reused_workspace_leaves_no_stale_values(self):
-        # A long batch fills every buffer; the shorter batch and the scoring pass
-        # after it read leading views that hold the long batch's numbers.
-        rng = np.random.default_rng(21)
-        params = init_model_params(rng, dim=6, hidden=16, layers=2)
-        cfg = micro_cfg(gamma=0.3, hidden_size=16)
-        ws = Workspace()
-        for n in (70, 5):
-            windows = labelled_windows(rng, 6, n)
-            loss, grads = named_gradients(feature_set(windows), params, cfg, ws)
-            fresh_loss, fresh = named_gradients(feature_set(windows), params, cfg, Workspace())
-            assert loss == fresh_loss
-            assert list(grads) == list(fresh)
-            for name, g in fresh.items():
-                assert grads[name].tobytes() == g.tobytes(), (n, name)
-            want_loss, want = loss_and_gradients_loop(windows, params, cfg)
-            assert loss == want_loss
-            assert_gradients_within_rounding(grads, want)
-        dev = labelled_windows(rng, 6, 9)
-        p = score_windows(feature_set(dev), params, ws)
-        assert p.tobytes() == np.array([window_forward_loop(w, params).p for w in dev]).tobytes()
-
-    @pytest.mark.parametrize("first, second", [(bool, np.float64), (np.float64, bool)])
-    def test_take_gives_the_dtype_asked_for(self, first, second):
-        ws = Workspace()
-        ws.take("x", (4,), first)
-        got = ws.take("x", (2,), second)
-        assert got.dtype == second and got.shape == (2,)
-        assert np.shares_memory(ws.take("x", (2,), second), got)
-
-    def test_warm_step_allocates_little(self):
-        # A warm step allocates the returned gradients (0.23 MB) and small
-        # per-chunk arrays, 0.39 MB in all; fresh chunk stacks took 3.8 MB.
+class TestStepMemory:
+    def test_warm_step_writes_the_dependency_gradient_in_place(self):
+        # The backward sweep writes the dependency layer's gradient into the
+        # forward's (B*9, hidden) activations once it has read them. A warm step
+        # at the benchmark's shapes peaked at 3.92 MB so, and at 5.54 MB with a
+        # fresh array for that gradient.
         rng = np.random.default_rng(22)
         params = init_model_params(rng, dim=16, hidden=400, layers=2)
         batch = feature_set(labelled_windows(rng, 16, 64))
         cfg = TrainConfig(gamma=0.3)
-        ws = Workspace()
-        loss_and_gradients(batch, params, cfg, ws)
+        loss_and_gradients(batch, params, cfg)
         tracemalloc.start()
         try:
-            loss_and_gradients(batch, params, cfg, ws)
+            loss_and_gradients(batch, params, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 500_000
+        assert peak <= 4_500_000
 
 
 class TestAdamStep:
@@ -532,11 +500,11 @@ class TestTrain:
         train_c, _, store = small_synth
         real, calls = training.loss_and_gradients, []
 
-        def overflow_on_second_batch(batch, params, cfg, ws=None):
+        def overflow_on_second_batch(batch, params, cfg):
             calls.append(len(batch))
             if len(calls) == 2:
                 raise FloatingPointError("overflow encountered in exp")
-            return real(batch, params, cfg, ws)
+            return real(batch, params, cfg)
 
         monkeypatch.setattr(training, "loss_and_gradients", overflow_on_second_batch)
         with pytest.raises(FloatingPointError,
