@@ -21,17 +21,11 @@ from . import __version__
 from .corpus import Corpus, load_corpus
 from .embeddings import build_frequency_table, load_embedding_store
 from .errors import EmptyInputError, OtrankError
-# evaluate, extract_instance_features, rank_candidates and window_forward are not
-# called here, and model imports align_sentence without calling it: the benchmark's
-# tracer (perfbench/tracing.py) wraps them as attributes of these modules.
-# tests/test_surface.py checks that every trace target still resolves.
-from .metrics import (  # noqa: F401
-    evaluate,
-    mean_report,
-    per_question_rows,
-    rank_candidates,
-    rank_questions,
-)
+# evaluate, extract_instance_features and window_forward are not called here, and
+# model imports align_sentence without calling it: the benchmark's tracer
+# (perfbench/tracing.py) wraps them as attributes of these modules, reached only
+# through these imports. tests/test_surface.py checks that every trace target resolves.
+from .metrics import evaluate, mean_report, per_question_rows, rank_questions  # noqa: F401
 from .model import align_windows, extract_instance_features, window_forward  # noqa: F401
 from .training import TrainConfig, gradcheck, load_checkpoint, save_checkpoint, train
 
@@ -86,7 +80,7 @@ def _require_distinct(outputs, inputs) -> None:
 
 
 def _dump_json(obj, out: Path | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out:
         out.write_text(text, "utf-8")
     else:
@@ -141,7 +135,8 @@ def _cmd_train(args) -> int:
     log_out = _require_parent(paths["log_out"], "training log")
     _require_distinct([("'checkpoint_out'", ckpt_out), ("'log_out'", log_out)],
                       [(f"'{key}'", paths[key]) for key in ("train_corpus", "dev_corpus",
-                                                            "embeddings")])
+                                                            "embeddings")]
+                      + [("--config", cfg_path)])
     dev = (
         load_corpus(_require_file(paths["dev_corpus"], "dev corpus"), split="dev")
         if paths.get("dev_corpus")
@@ -156,15 +151,17 @@ def _cmd_train(args) -> int:
     if log_out:
         with log_out.open("w", encoding="utf-8") as fh:
             for rec in result.history:
-                fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True) + "\n")
+                fh.write(json.dumps(dataclasses.asdict(rec), sort_keys=True, allow_nan=False)
+                         + "\n")
     logger.info("saved checkpoint (epoch %d) to %s", result.best.epoch, ckpt_out)
     return 0
 
 
-def _load_eval_inputs(args, outputs, splits: list[str]):
+def _load_eval_inputs(args, outputs, splits: list[str], tsv_ids: bool = False):
     """The ``splits`` as one test corpus, then the checkpoint, then the store; first
     checks that no path of ``outputs`` names an input and that several ``splits``
-    (only ``eval`` takes several) come with --combine-dev-test."""
+    (only ``eval`` takes several) come with --combine-dev-test. With ``tsv_ids``, a
+    question id that holds a tab or a line break is rejected as the split is read."""
     _require_distinct(outputs, [("--split", sp) for sp in splits]
                       + [("--checkpoint", args.checkpoint), ("--embeddings", args.embeddings)])
     if len(splits) > 1 and not args.combine_dev_test:
@@ -176,6 +173,9 @@ def _load_eval_inputs(args, outputs, splits: list[str]):
             if inst.question_id in source:
                 raise OtrankError(f"question_id {inst.question_id!r} is in both "
                                   f"{source[inst.question_id]} and {sp}")
+            if tsv_ids and any(c in inst.question_id for c in "\t\n\r"):
+                raise OtrankError(f"question_id {inst.question_id!r} in {sp} holds a tab or a "
+                                  "line break, which the --per-question TSV cannot hold")
             source[inst.question_id] = sp
             instances.append(inst)
     if not instances:
@@ -198,6 +198,7 @@ def _cmd_rerank(args) -> int:
                         "ranking": [{"window_id": wid, "score": s} for wid, s in ranking],
                     },
                     sort_keys=True,
+                    allow_nan=False,
                 )
                 + "\n"
             )
@@ -209,7 +210,8 @@ def _cmd_eval(args) -> int:
     out = _require_parent(args.out, "report")
     per_question = _require_parent(args.per_question, "per-question TSV")
     corpus, ckpt, store = _load_eval_inputs(
-        args, [("--out", out), ("--per-question", per_question)], args.split)
+        args, [("--out", out), ("--per-question", per_question)], args.split,
+        tsv_ids=per_question is not None)
     rows = per_question_rows(corpus, ckpt, store)
     report = mean_report(rows)
     _dump_json(

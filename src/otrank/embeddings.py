@@ -12,7 +12,6 @@ distribution.
 from __future__ import annotations
 
 import json
-import mmap
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -148,28 +147,6 @@ def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
     Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n", "utf-8")
 
 
-class ByteReader:
-    """Bounds-checked cursor over a file's bytes, or over their first ``end``.
-
-    A read past ``end`` raises ``error``, naming the file. Over an ``mmap`` a
-    read returns a copy, so nothing read keeps the mapping exported.
-    """
-
-    def __init__(self, raw: bytes | memoryview | mmap.mmap, path: Path,
-                 error: type[Exception], end: int | None = None):
-        self.raw, self.pos, self.path, self.error = raw, 0, path, error
-        self.end = len(raw) if end is None else end
-
-    def take(self, n: int) -> bytes | memoryview:
-        if self.pos + n > self.end:
-            raise self.error(f"{self.path.name}: truncated file")
-        self.pos += n
-        return self.raw[self.pos - n : self.pos]
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 _U32 = struct.Struct("<I")
 
 
@@ -188,19 +165,21 @@ def load_embedding_store(path: str | Path) -> EmbeddingStore:
     """
     path = Path(path)
     raw = path.read_bytes()
-    rd = ByteReader(memoryview(raw), path, EmbeddingStoreError)
-    if rd.take(4) != MAGIC:
+    truncated = f"{path.name}: truncated file"
+    end = len(raw)
+    if end >= 4 and raw[:4] != MAGIC:
         raise EmbeddingStoreError(f"{path.name}: bad magic, not an embedding store")
-    version, dim, count = rd.unpack("<IIQ")
+    if end < 20:
+        raise EmbeddingStoreError(truncated)
+    version, dim, count = struct.unpack_from("<IIQ", raw, 4)
     if version != FORMAT_VERSION:
         raise EmbeddingStoreError(f"{path.name}: unsupported format version {version}")
     if dim == 0:
         raise EmbeddingStoreError(f"{path.name}: dimension must be positive")
 
-    truncated = f"{path.name}: truncated file"
-    end, record = len(raw), 4 + 4 * dim  # a record's token index and vector
+    record = 4 + 4 * dim  # a record's token index and vector
     runs: dict[tuple[str, str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
-    pos = rd.pos
+    pos = 20
     done = 0
     while done < count:
         start = pos

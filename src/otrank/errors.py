@@ -26,5 +26,9 @@ class CheckpointError(OtrankError):
     """A checkpoint file is malformed or fails its integrity check."""
 
 
+class EpsScaleError(OtrankError, ValueError):
+    """The Sinkhorn ``eps_scale`` puts a regularization strength or a plan out of range."""
+
+
 class EmptyInputError(OtrankError, ValueError):
     """The input holds nothing to train on, count, or evaluate."""

@@ -8,8 +8,8 @@ and 0 on answer/other pairs, encouraging answer sentences to share information
 and answer/other pairs not to.
 
 Self-pairs are excluded from the positive set, and pairs never cross window
-boundaries. :meth:`WindowPairs.of_labels` reads a batch's pairs from one
-8-row table indexed by the three mask bits of each window.
+boundaries. :meth:`WindowPairs.of_labels` builds a batch's pairs from its
+answer mask by broadcasting.
 """
 
 from __future__ import annotations
@@ -35,34 +35,12 @@ class WindowPairs:
 
     @classmethod
     def of_labels(cls, labels: np.ndarray) -> "WindowPairs":
-        """The pairs of B windows from their ``(B, 3)`` answer mask, by table lookup."""
-        mask = labels @ _ANSWER_BITS
-        count = _TABLE_COUNT[mask]
-        window = np.repeat(np.arange(mask.size), count)
-        start = np.cumsum(count) - count  # each window's first pair in the batch
-        # A pair's table row is its window's first table row plus its place in the window.
-        rows = np.arange(window.size) + np.repeat(_TABLE_START[mask] - start, count)
-        t = _PAIRS_BY_MASK
-        return cls(window=window, i=t.i[rows], j=t.j[rows], positive=t.positive[rows])
-
-
-def _pairs_by_mask() -> WindowPairs:
-    rows = []
-    for m in range(8):
-        answers = [b for b in range(3) if m >> b & 1]
-        others = [b for b in range(3) if not m >> b & 1]
-        rows += [(m, i, j, True) for i in answers for j in answers if i != j]
-        rows += [(m, i, j, False) for i in answers for j in others]
-    window, i, j, positive = np.array(rows, dtype=np.intp).T
-    return WindowPairs(window=window, i=i, j=j, positive=positive.astype(bool))
-
-
-# Table window m holds the pairs of a window whose answer nodes are the set bits
-# of m; they are rows _TABLE_START[m] to _TABLE_START[m] + _TABLE_COUNT[m].
-_ANSWER_BITS = np.array([1, 2, 4])
-_PAIRS_BY_MASK = _pairs_by_mask()
-_TABLE_COUNT = np.bincount(_PAIRS_BY_MASK.window, minlength=8)
-_TABLE_START = np.cumsum(_TABLE_COUNT) - _TABLE_COUNT
+        """The pairs of B windows from their ``(B, 3)`` answer mask: ``(i, j)`` is positive
+        when both are answers and ``i != j``, negative when only ``i`` is. ``np.nonzero``
+        over the ``(B, 2, 3, 3)`` grid of both sets lists them in the order above."""
+        a, b = labels[:, :, None], labels[:, None, :]
+        window, kind, i, j = np.nonzero(np.stack([a & b & ~np.eye(3, dtype=bool), a & ~b], 1))
+        return cls(window=window, i=i, j=j, positive=kind == 0)
 
 
 @dataclass

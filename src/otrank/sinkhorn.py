@@ -34,6 +34,7 @@ import numpy as np
 
 from .corpus import Sentence, content_token_indices, content_tokens
 from .embeddings import FrequencyTable, marginal_distribution
+from .errors import EpsScaleError
 
 logger = logging.getLogger(__name__)
 
@@ -741,6 +742,8 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     side checked (the question first); for a non-finite cost, the question
     if its content rows hold NaN or inf, else the sentence. An unconverged
     warning names the position too. All pairs need one vector dimension.
+    An ``eps_scale`` whose ``eps`` overflows for finite costs, or whose plans
+    come out non-finite, raises :class:`~otrank.errors.EpsScaleError`.
     """
     pairs = list(pairs)
     words: dict[str, int] = {}  # the distinct content words of both sides, numbered
@@ -798,6 +801,10 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         D = cost_matrix(rows(qs, n), Y)
         E = settings.eps_scale * D.reshape(len(ks), -1).mean(axis=1)
         E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
+        # A non-finite cost can make eps non-finite too; the solve blames its vectors.
+        if not np.isfinite(E).all() and np.isfinite(D).all():
+            raise EpsScaleError(f"sinkhorn eps_scale = {settings.eps_scale} makes the "
+                                "regularization strength eps = eps_scale * mean(cost) overflow")
         stacks.append((ks, marginals(qs), marginals(ss), D, E))
         content.append(Y)
     count = len(pairs)
@@ -815,6 +822,9 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     costs = np.zeros(count)
     locate = np.full((count, 2), -1)
     for g, grp in enumerate(groups):
+        if not np.isfinite(grp.plans).all():
+            raise EpsScaleError(f"sinkhorn eps_scale = {settings.eps_scale} is below the "
+                                "solver's range for these costs: its plans hold NaN or inf")
         costs[grp.members] = transport_costs(grp.plans, grp.costs)
         reps[grp.members] = sentence_representations(content[g], relevant_contexts(grp.plans))
         content[g] = None  # pooled: the shape's content rows are not read again

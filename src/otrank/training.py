@@ -27,7 +27,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .corpus import Corpus
-from .embeddings import ByteReader, EmbeddingStore, FrequencyTable, build_frequency_table
+from .embeddings import EmbeddingStore, FrequencyTable, build_frequency_table
 from .errors import CheckpointError, EmptyInputError
 from .model import (
     FORWARD_CHUNK,
@@ -396,7 +396,8 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
             "num_questions": ckpt.freq_table.num_questions,
         },
     }
-    meta_raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta_raw = json.dumps(meta, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False).encode("utf-8")
     body = [
         CKPT_MAGIC,
         struct.pack("<IIII", CKPT_VERSION, params.dim, params.layers, params.hidden),
@@ -478,25 +479,29 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 intact = zlib.crc32(view[:payload]) & 0xFFFFFFFF == crc
             if not intact:
                 raise CheckpointError(f"{path.name}: CRC mismatch, file is corrupt")
-            rd = ByteReader(raw, path, CheckpointError, end=payload)
-            rd.take(4)
-            version, dim, layers, hidden = rd.unpack("<IIII")
+            truncated = f"{path.name}: truncated file"
+            if payload < 20:
+                raise CheckpointError(truncated)
+            version, dim, layers, hidden = struct.unpack_from("<IIII", raw, 4)
             if version != CKPT_VERSION:
                 raise CheckpointError(f"{path.name}: unsupported checkpoint version {version}")
             sizes = f"d={dim}, layers={layers}, hidden={hidden}"
             if min(dim, layers, hidden) < 1:
                 raise CheckpointError(f"{path.name}: header sizes must be at least 1, "
                                       f"got {sizes}")
-            (meta_len,) = rd.unpack("<Q")
-            meta_raw = rd.take(meta_len)
+            if payload < 28:
+                raise CheckpointError(truncated)
+            run = 28 + struct.unpack_from("<Q", raw, 20)[0]  # the metadata ends here
+            if run > payload:
+                raise CheckpointError(truncated)
             # The header fixes the parameter run's length, so the bytes left must be
             # exactly that run: checked before the header sizes any array.
-            n, left = scorer_size(dim, hidden, layers), payload - rd.pos
+            n, left = scorer_size(dim, hidden, layers), payload - run
             if left != 8 * n:
                 raise CheckpointError(f"{path.name}: header sizes {sizes} need {8 * n} "
                                       f"parameter bytes, the file holds {left}")
             try:
-                meta = json.loads(str(meta_raw, "utf-8"))
+                meta = json.loads(str(raw[28:run], "utf-8"))
             except ValueError as exc:  # bad UTF-8 or bad JSON
                 raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: "
                                       f"{exc}") from None
@@ -507,7 +512,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                     raise CheckpointError(f"{path.name}: config '{key}' = {value} contradicts "
                                           f"the header's {size} = {held}")
             params = ModelParams.zeros(dim, hidden, layers)
-            params.flat[:n] = np.frombuffer(raw, "<f8", n, rd.pos)
+            params.flat[:n] = np.frombuffer(raw, "<f8", n, run)
     ft = FrequencyTable(counts=meta["freq_table"]["counts"],
                         num_questions=meta["freq_table"]["num_questions"])
     return Checkpoint(params=params, config=config, epoch=meta["epoch"], freq_table=ft)

@@ -103,6 +103,22 @@ class TestEval:
         assert lines[0] == "question_id\tp_at_1\tap\trr"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("qid", ["dev\tq0000", "dev\nq0000", "dev\rq0000"],
+                             ids=["tab", "lf", "cr"])
+    def test_per_question_id_with_a_tab_or_line_break_exits_one(self, qid, cli_env, tmp_path,
+                                                                 capsys):
+        split = tmp_path / "odd.jsonl"
+        split.write_text("".join(json.dumps({**rec, "question_id": f"{qid}{k}"}) + "\n"
+                                 for k, rec in enumerate(TINY_RECORDS)))
+        out, tsv = tmp_path / "r.json", tmp_path / "per_q.tsv"
+        rc = main(["eval", "--checkpoint", str(cli_env["ckpt"]), "--split", str(split),
+                   "--embeddings", str(cli_env["emb"]), "--out", str(out),
+                   "--per-question", str(tsv)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"question_id {qid + '0'!r} in {split}" in err and "Traceback" not in err
+        assert not out.exists() and not tsv.exists()
+
     def test_combined_splits(self, cli_env, tmp_path):
         rc = main([
             "eval", "--checkpoint", str(cli_env["ckpt"]),
@@ -439,15 +455,18 @@ class TestOutputPathsCoincide:
         ("train", {"dev_corpus": "in/no_ft.ckpt", "log_out": "in/./no_ft.ckpt"},
          "'log_out' and 'dev_corpus'"),
         ("train", {"log_out": "in/./emb.bin"}, "'log_out' and 'embeddings'"),
+        # _train_config writes the config file itself to cfg.json.
+        ("train", {"checkpoint_out": "cfg.json"}, "'checkpoint_out' and --config"),
+        ("train", {"log_out": "./cfg.json"}, "'log_out' and --config"),
     ], ids=["train", "train-dotdot", "eval", "rerank-split", "rerank-checkpoint",
             "rerank-embeddings", "align-split", "align-checkpoint", "eval-split",
             "eval-second-split", "eval-checkpoint", "eval-embeddings", "build-freq-train",
-            "train-train-corpus", "train-dev-corpus", "train-embeddings"])
+            "train-train-corpus", "train-dev-corpus", "train-embeddings",
+            "train-config-checkpoint", "train-config-log"])
     def test_exits_one_naming_both(self, command, outs, names, cli_env, tmp_path,
                                    monkeypatch, capsys):
         _never_load(monkeypatch)
         (tmp_path / "sub").mkdir()
-        inputs = {p: p.read_bytes() for p in cli_env["dir"].iterdir()}
         paths = {key: (f"{cli_env['dir']}/{name[3:]}" if name.startswith("in/")
                        else f"{tmp_path}/{name}") for key, name in outs.items()}
         if command == "train":
@@ -456,12 +475,18 @@ class TestOutputPathsCoincide:
             argv = _input_argv(command, cli_env)
             for flag, path in paths.items():
                 argv += [flag, path]
+
+        def input_bytes():  # the command's inputs, train's config file among them
+            files = [*cli_env["dir"].iterdir(), *tmp_path.glob("cfg.json")]
+            return {p: p.read_bytes() for p in files}
+
+        inputs = input_bytes()
         rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 1
         assert f"{names} name the same file" in err and "Traceback" not in err
         assert not (tmp_path / "same.out").exists()
-        assert {p: p.read_bytes() for p in cli_env["dir"].iterdir()} == inputs
+        assert input_bytes() == inputs
 
     @pytest.mark.parametrize("spelling", ["./same.out", "same.out"])
     def test_relative_spellings_of_one_file(self, spelling, cli_env, tmp_path, monkeypatch,
@@ -568,6 +593,19 @@ class TestCheckpointMetadata:
         assert "bad training configuration" in err and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-30])
+    def test_eps_scale_out_of_the_solvers_range_exits_one(self, scale, cli_env, tmp_path,
+                                                           capsys):
+        # Valid on its own, so the checkpoint loads; the alignment rejects it.
+        bad = tmp_path / "bad.ckpt"
+        _rewrite_meta(cli_env["ckpt"], bad,
+                      lambda m: m["config"].update(sinkhorn_eps_scale=scale))
+        rc = main(_scoring_argv("rerank", cli_env, tmp_path, ckpt=bad))
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"eps_scale = {scale} " in err and "Traceback" not in err
+        assert not (tmp_path / "rank.jsonl").exists()
+
     def test_untouched_metadata_still_loads(self, cli_env, tmp_path):
         same = tmp_path / "same.ckpt"
         _rewrite_meta(cli_env["ckpt"], same, lambda m: None)
@@ -612,6 +650,34 @@ def _set_run(raw: bytes, edit) -> bytes:
 _RUN_SAYS = "header sizes d=4, layers=2, hidden=5 need 896 parameter bytes, the file holds"
 
 
+# Every prefix of a valid store's header and first record, every prefix of a valid
+# checkpoint payload through its metadata length and first metadata byte (with
+# the CRC recomputed, so the header parse reads it), and a 20-byte payload that
+# reaches the version. Each field is checked as it is reached, so a prefix fails
+# on the first field it cuts.
+_HEADER_CASES = (
+    [(f"store-{n}", "emb", lambda raw, n=n: raw[:n], "truncated file") for n in range(22)]
+    + [(f"ckpt-{n}", "ckpt", lambda raw, n=n: _with_crc(raw[:n]),
+        "bad magic, not a checkpoint" if n < 4 else "truncated file") for n in range(30)]
+    + [("ckpt-20-version-2", "ckpt", lambda raw: _set_header(raw[:24], 0, 2),
+        "unsupported checkpoint version 2")])
+
+
+def _rerank_rejects(target, corrupt, says, cli_env, tmp_path, capsys):
+    """``rerank`` given ``corrupt`` of the ``target`` file's bytes exits 1, naming the
+    file and saying ``says``; a checkpoint's load raises the same message."""
+    bad = tmp_path / f"bad.{target}"
+    bad.write_bytes(corrupt(cli_env[target].read_bytes()))
+    if target == "ckpt":
+        with pytest.raises(CheckpointError, match=says):
+            load_checkpoint(bad)
+    rc = main(_scoring_argv("rerank", cli_env, tmp_path, **{target: bad}))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert bad.name in err and says in err
+    assert "Traceback" not in err
+
+
 class TestCorruptInputs:
     """Damaged files exit 1 with an error naming the file, never with a traceback."""
 
@@ -652,16 +718,12 @@ class TestCorruptInputs:
             "ckpt-version-2", "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
             "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
-        bad = tmp_path / f"bad.{target}"
-        bad.write_bytes(corrupt(cli_env[target].read_bytes()))
-        if target == "ckpt":
-            with pytest.raises(CheckpointError, match=says):
-                load_checkpoint(bad)
-        rc = main(_scoring_argv("rerank", cli_env, tmp_path, **{target: bad}))
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert bad.name in err and says in err
-        assert "Traceback" not in err
+        _rerank_rejects(target, corrupt, says, cli_env, tmp_path, capsys)
+
+    @pytest.mark.parametrize("target,corrupt,says", [c[1:] for c in _HEADER_CASES],
+                             ids=[c[0] for c in _HEADER_CASES])
+    def test_short_header_exits_one(self, target, corrupt, says, cli_env, tmp_path, capsys):
+        _rerank_rejects(target, corrupt, says, cli_env, tmp_path, capsys)
 
     @pytest.mark.parametrize("edit,says", [
         (lambda rec: [rec], "line 2: record must be a JSON object"),
@@ -915,6 +977,22 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "out.ckpt").exists()
 
+    @pytest.mark.parametrize("scale", [1e308, 1e-30])
+    def test_eps_scale_out_of_the_solvers_range_exits_one(self, scale, cli_env, tmp_path,
+                                                           capsys):
+        cfg_path = _train_config(cli_env, tmp_path, sinkhorn_eps_scale=scale)
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"eps_scale = {scale} " in err and "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
+        assert not (tmp_path / "log.jsonl").exists()
+
+    def test_small_eps_scale_with_finite_plans_trains(self, cli_env, tmp_path):
+        # Far below the default, unconverged on some pairs, but every plan is finite.
+        cfg_path = _train_config(cli_env, tmp_path, sinkhorn_eps_scale=1e-10)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        assert load_checkpoint(tmp_path / "out.ckpt").config.sinkhorn_eps_scale == 1e-10
+
     @pytest.mark.parametrize("key,value", [
         ("train_corpus", 7), ("embeddings", True), ("checkpoint_out", ["a"]),
         ("dev_corpus", {}), ("log_out", 7),
@@ -956,6 +1034,14 @@ class TestGradcheckCommand:
         err = capsys.readouterr().err
         assert "--seed" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_json_outputs_refuse_nan(tmp_path):
+    # A NaN that slips past every check fails the command instead of writing
+    # a JSON file that no strict reader accepts.
+    with pytest.raises(ValueError, match="JSON compliant"):
+        otrank.cli._dump_json({"map": float("nan")}, tmp_path / "report.json")
+    assert not (tmp_path / "report.json").exists()
 
 
 class TestParser:

@@ -1,6 +1,7 @@
 """Optimal transport: costs, plans, relevant context, sentence pooling."""
 
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from otrank.embeddings import (
     FrequencyTable,
     marginal_distribution,
 )
+from otrank.errors import EpsScaleError
 from otrank.sinkhorn import (
     SinkhornSettings,
     UnalignablePairError,
@@ -846,6 +848,28 @@ class TestAlignSentences:
             align_sentences([(q, s, qv, good), (q, pad, qv, None), last], tiny_ft)
         assert info.value.index == 2
         assert info.value.question is (side == "question")
+
+    @pytest.mark.parametrize("scale,says", [(1e308, "overflow"), (1e-30, "NaN or inf")])
+    def test_eps_scale_out_of_the_solvers_range_is_named(self, tiny_corpus, tiny_store,
+                                                          tiny_ft, scale, says):
+        # A scale valid on its own gives an eps that overflows, or plans that do not
+        # come out finite, for the tiny corpus's costs.
+        pairs = [(inst.question, w.cand,
+                  tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q),
+                  tiny_store.stored_vectors(inst.question_id, w.id, ROLE_C))
+                 for inst in tiny_corpus.instances for w in inst.windows]
+        with pytest.raises(EpsScaleError, match=re.escape(f"eps_scale = {scale} ") + f".*{says}"):
+            align_sentences(pairs, tiny_ft, SinkhornSettings(eps_scale=scale))
+
+    def test_non_finite_cost_is_blamed_on_its_vectors_at_any_eps_scale(self, tiny_ft):
+        q, s = make_sentence("galaxies collide"), make_sentence("stars merge")
+        rng = np.random.default_rng(19)
+        bad = rng.normal(size=(2, 4))
+        bad[0, 1] = np.inf
+        with pytest.raises(UnalignablePairError, match="sentence vectors") as info:
+            align_sentences([(q, s, rng.normal(size=(2, 4)), bad)], tiny_ft,
+                            SinkhornSettings(eps_scale=1e308))
+        assert info.value.question is False
 
     def test_sentence_without_tokens_is_rejected(self, tiny_ft):
         q, empty = make_sentence("galaxies collide"), make_sentence("")

@@ -9,7 +9,7 @@ from pathlib import Path
 import otrank
 from otrank import metrics, model, mutual_info, training
 from otrank.corpus import CandidateWindow, Sentence
-from otrank.embeddings import ByteReader, EmbeddingStore
+from otrank.embeddings import EmbeddingStore
 from otrank.mutual_info import WindowPairs
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -22,8 +22,9 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # steps, the per-tensor gradient dict and checkpoint skeleton that the flat
 # parameter buffer replaced, the question side's own alignment preparation, and
 # the window padding and missing-frequency-table error that the loaders' own
-# checks replaced, the checkpoint's named tensor table, and the reused scratch
-# buffers of the training step, that the package no longer has.
+# checks replaced, the checkpoint's named tensor table, the reused buffers of
+# the training step, the regularizer's 8-row pair table, and the header reader
+# that struct.unpack_from replaced, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -34,7 +35,8 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "_logsumexp", "_update", "_worst_gap", "_build", "zero_gradients",
            "_params_from_tensors", "_QuestionSide", "_question_side", "_sentence_vectors",
            "NonFiniteCostError", "pad_context", "MissingFrequencyTableError", "_pack_tensors",
-           "_decode_tensors", "Workspace")
+           "_decode_tensors", "Workspace", "_pairs_by_mask", "_ANSWER_BITS", "_PAIRS_BY_MASK",
+           "_TABLE_COUNT", "_TABLE_START", "ByteReader")
 
 
 def test_every_export_resolves():
@@ -74,8 +76,6 @@ def test_checkpoint_holds_what_is_read_back():
     assert "moments" not in inspect.signature(training.load_checkpoint).parameters
     assert [f.name for f in dataclasses.fields(training.Checkpoint)] == [
         "params", "config", "epoch", "freq_table"]
-    # The parameters are one unnamed run of floats, so nothing reads a string back.
-    assert not hasattr(ByteReader, "read_str")
 
 
 def test_loaded_inputs_are_complete():
