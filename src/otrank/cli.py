@@ -27,6 +27,7 @@ from .errors import EmptyInputError, OtrankError
 # through these imports. tests/test_surface.py checks that every trace target resolves.
 from .metrics import evaluate, mean_report, per_question_rows, rank_questions  # noqa: F401
 from .model import align_windows, extract_instance_features, window_forward  # noqa: F401
+from .model import instance_windows, store_keys
 from .training import TrainConfig, gradcheck, load_checkpoint, save_checkpoint, train
 
 logger = logging.getLogger("otrank")
@@ -145,7 +146,8 @@ def _cmd_train(args) -> int:
 
     logger.info("effective config: %s", json.dumps(dataclasses.asdict(cfg), sort_keys=True))
     corpus = load_corpus(train_path, split="train")
-    store = load_embedding_store(emb_path)
+    scored = corpus.instances + (dev.instances if dev else ())
+    store = load_embedding_store(emb_path, store_keys(instance_windows(scored)))
     result = train(corpus, store, cfg, dev_corpus=dev)
     save_checkpoint(ckpt_out, result.best)
     if log_out:
@@ -157,11 +159,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_eval_inputs(args, outputs, splits: list[str], tsv_ids: bool = False):
-    """The ``splits`` as one test corpus, then the checkpoint, then the store; first
-    checks that no path of ``outputs`` names an input and that several ``splits``
-    (only ``eval`` takes several) come with --combine-dev-test. With ``tsv_ids``, a
-    question id that holds a tab or a line break is rejected as the split is read."""
+def _load_eval_inputs(args, outputs, splits: list[str], tsv_ids: bool = False,
+                      items=instance_windows):
+    """The ``splits`` as one test corpus, then the checkpoint, then the store's
+    sentences of the ``items(instances)`` it scores (its every window by default);
+    first checks that no path of ``outputs`` names an input and that several
+    ``splits`` (only ``eval`` takes several) come with --combine-dev-test. With
+    ``tsv_ids``, a question id that holds a tab or a line break is rejected as the
+    split is read. Returns the corpus, the checkpoint, the store and the items."""
     _require_distinct(outputs, [("--split", sp) for sp in splits]
                       + [("--checkpoint", args.checkpoint), ("--embeddings", args.embeddings)])
     if len(splits) > 1 and not args.combine_dev_test:
@@ -181,13 +186,15 @@ def _load_eval_inputs(args, outputs, splits: list[str], tsv_ids: bool = False):
     if not instances:
         raise EmptyInputError(f"no questions to score in {', '.join(splits)}")
     ckpt = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    store = load_embedding_store(_require_file(args.embeddings, "embedding store"))
-    return Corpus(instances=tuple(instances), split="test"), ckpt, store
+    scored = items(instances)
+    store = load_embedding_store(_require_file(args.embeddings, "embedding store"),
+                                 store_keys(scored))
+    return Corpus(instances=tuple(instances), split="test"), ckpt, store, scored
 
 
 def _cmd_rerank(args) -> int:
     out = _require_parent(args.out, "rankings", required="--out")
-    corpus, ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
+    corpus, ckpt, store, _ = _load_eval_inputs(args, [("--out", out)], [args.split])
     rankings = rank_questions(corpus.instances, ckpt, store)
     with out.open("w", encoding="utf-8") as fh:
         for inst, ranking in zip(corpus.instances, rankings):
@@ -209,7 +216,7 @@ def _cmd_rerank(args) -> int:
 def _cmd_eval(args) -> int:
     out = _require_parent(args.out, "report")
     per_question = _require_parent(args.per_question, "per-question TSV")
-    corpus, ckpt, store = _load_eval_inputs(
+    corpus, ckpt, store, _ = _load_eval_inputs(
         args, [("--out", out), ("--per-question", per_question)], args.split,
         tsv_ids=per_question is not None)
     rows = per_question_rows(corpus, ckpt, store)
@@ -233,20 +240,25 @@ def _cmd_eval(args) -> int:
 
 def _cmd_align(args) -> int:
     out = _require_parent(args.out, "report")
-    corpus, ckpt, store = _load_eval_inputs(args, [("--out", out)], [args.split])
-    inst = next((i for i in corpus.instances if i.question_id == args.question_id), None)
-    if inst is None:
-        raise OtrankError(f"question {args.question_id!r} not found in {args.split}")
-    window = next((w for w in inst.windows if w.id == args.window_id), None)
-    if window is None:
-        raise OtrankError(
-            f"window {args.window_id!r} not found under question {args.question_id!r}"
-        )
-    results = align_windows([(inst.question, window, inst.question_id)], store,
-                            ckpt.freq_table, ckpt.config.sinkhorn_settings())
+
+    def the_window(instances):
+        inst = next((i for i in instances if i.question_id == args.question_id), None)
+        if inst is None:
+            raise OtrankError(f"question {args.question_id!r} not found in {args.split}")
+        window = next((w for w in inst.windows if w.id == args.window_id), None)
+        if window is None:
+            raise OtrankError(
+                f"window {args.window_id!r} not found under question {args.question_id!r}"
+            )
+        return [(inst.question, window, inst.question_id)]
+
+    _, ckpt, store, items = _load_eval_inputs(args, [("--out", out)], [args.split],
+                                              items=the_window)
+    results = align_windows(items, store, ckpt.freq_table, ckpt.config.sinkhorn_settings())
+    _, window, question_id = items[0]
     sentences = (window.cand, window.prev, window.next)
     roles = ("candidate", "prev", "next")
-    report = {"question_id": inst.question_id, "window_id": window.id, "pairs": []}
+    report = {"question_id": question_id, "window_id": window.id, "pairs": []}
     for role, sent, res in zip(roles, sentences, results):
         surfaces = [sent.tokens[res.sentence_token_indices[j]].surface for j in res.relevant]
         report["pairs"].append(

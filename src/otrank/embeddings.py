@@ -12,8 +12,10 @@ distribution.
 from __future__ import annotations
 
 import json
+import mmap
 import struct
 from collections import Counter
+from collections.abc import Container
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,7 +79,8 @@ class EmbeddingStore:
     """In-memory map from (instance, window, role) to a (tokens x dim) array.
 
     Each sentence is held as it was given: float64 from :meth:`add_sentence`,
-    or, for a loaded store, read-only float32 views of the file's bytes.
+    or, for a loaded store, a read-only float32 slice of the one buffer that
+    holds every loaded sentence.
     :meth:`stored_vectors` returns a sentence as held; alignment reads it so,
     and widens only the content rows it gathers. Widening is exact, so the
     numerics downstream see the same values either way. Immutable once
@@ -130,14 +133,27 @@ def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
     length-prefixed UTF-8, one role byte, token index u32, dim float32
     values). Records are emitted in sorted key order so writing is
     deterministic and save/load/save is byte-identical.
+
+    Raises ``ValueError``, naming the key and token index, before the file is
+    opened when a finite value is beyond float32's range; NaN and infinite
+    values are written as they are.
     """
     path = Path(path)
+    items = []
+    for key, arr in store.sorted_items():
+        with np.errstate(over="ignore"):
+            data32 = arr.astype(np.float32, copy=False)
+        overflow = np.isinf(data32) & np.isfinite(arr)
+        if overflow.any():
+            idx = int(np.argwhere(overflow)[0, 0])
+            raise ValueError(f"the vector of token {idx} of {key} holds a finite value beyond "
+                             "float32's range")
+        items.append((key, data32))
     with path.open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIQ", FORMAT_VERSION, store.dim, store.num_records))
-        for (inst, win, role), arr in store.sorted_items():
-            data32 = arr.astype(np.float32)
-            for idx in range(arr.shape[0]):
+        for (inst, win, role), data32 in items:
+            for idx in range(data32.shape[0]):
                 _write_str(fh, inst)
                 _write_str(fh, win)
                 fh.write(role.encode("ascii"))
@@ -148,93 +164,178 @@ def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
 
 
 _U32 = struct.Struct("<I")
+# The walk hands its mapped pages back to the OS every this many bytes, so that
+# the file's bytes are never resident at once; without madvise they stay until
+# the mapping closes.
+_RELEASE_BYTES = 1 << 20
+_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 
 
-def load_embedding_store(path: str | Path) -> EmbeddingStore:
+def load_embedding_store(path: str | Path,
+                         keys: Container[tuple[str, str, str]] | None = None) -> EmbeddingStore:
     """Read a binary embedding file back into an :class:`EmbeddingStore`.
 
-    Validates the magic/version, the declared record count, and that every
-    sentence has token indices 0..T-1, each once. The records of one sentence
-    are parsed as a run: the records that follow with the same key header
-    are taken as one strided view of indices and one of float32 vectors over
-    the file's bytes, without copying. A sentence whose records come in
-    several runs or out of index order is joined and put in index order.
-    A run's key header is read with ``struct.unpack_from`` on the bytes, with
-    its bounds and UTF-8 checks written inline, since per-run method calls
-    were most of the load time at small ``dim``.
+    ``keys`` holds the ``(instance, window, role)`` tuples of the sentences to
+    keep; ``None`` keeps every one. A key the file lacks is not an error here:
+    looking it up raises :class:`EmbeddingKeyError`.
+
+    Every record is checked, kept or not: the magic and version, the declared
+    record count, the key strings and role byte, and that every sentence has
+    token indices 0..T-1, each once. The kept sentences' float32 vectors are
+    copied into one ``(T, dim)`` buffer, and each sentence is held as a
+    read-only, C-contiguous slice of it, in index order also when its records
+    come in several runs or out of order. The file is mapped and walked once;
+    the walked pages are handed back as it goes and the mapping is closed
+    before returning, so none of the file's bytes stay resident.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    truncated = f"{path.name}: truncated file"
-    end = len(raw)
-    if end >= 4 and raw[:4] != MAGIC:
-        raise EmbeddingStoreError(f"{path.name}: bad magic, not an embedding store")
-    if end < 20:
-        raise EmbeddingStoreError(truncated)
-    version, dim, count = struct.unpack_from("<IIQ", raw, 4)
-    if version != FORMAT_VERSION:
-        raise EmbeddingStoreError(f"{path.name}: unsupported format version {version}")
-    if dim == 0:
-        raise EmbeddingStoreError(f"{path.name}: dimension must be positive")
+    with path.open("rb") as fh:
+        head = fh.read(20)
+        if len(head) >= 4 and head[:4] != MAGIC:
+            raise EmbeddingStoreError(f"{path.name}: bad magic, not an embedding store")
+        if len(head) < 20:  # an empty file cannot be mapped
+            raise EmbeddingStoreError(f"{path.name}: truncated file")
+        version, dim, count = struct.unpack_from("<IIQ", head, 4)
+        if version != FORMAT_VERSION:
+            raise EmbeddingStoreError(f"{path.name}: unsupported format version {version}")
+        if dim == 0:
+            raise EmbeddingStoreError(f"{path.name}: dimension must be positive")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
+            buf, index, odd = _walk_records(raw, path.name, dim, count, keys)
+    store = EmbeddingStore(dim=dim)
+    store._sentences = _check_indices(buf, index, odd, path.name)
+    return store
 
+
+def _walk_records(raw, name: str, dim: int, count: int, keys):
+    """Walk every record of the mapped file ``raw`` after its header.
+
+    A run is a stretch of records with one key header whose token indices
+    count up by one. Returns the kept runs' rows in file order as one
+    ``(rows, dim)`` float32 array; an index from each key to its first run's
+    row in that array (-1 when not kept) and length; and, for each sentence
+    not given as one run from index 0, its runs as ``(row, first index,
+    length)``. A run's key header is read with ``struct.unpack_from`` on the
+    mapping, with its bounds and UTF-8 checks written inline, since per-run
+    method calls are most of the load time at small ``dim``.
+    """
+    truncated = f"{name}: truncated file"
+    end = len(raw)
     record = 4 + 4 * dim  # a record's token index and vector
-    runs: dict[tuple[str, str, str], list[tuple[np.ndarray, np.ndarray]]] = {}
+    # No more records fit in the file than ones with two empty strings.
+    rows = np.empty((min(count, (end - 20) // (record + 9)), dim), "<f4")
+    index: dict[tuple[str, str, str], tuple[int, int]] = {}
+    odd: dict[tuple[str, str, str], list[tuple[int, int, int]]] = {}
+    pending = []  # views of the kept runs not yet copied into ``rows``
+    kept = copied = 0  # rows kept so far, and rows of those copied
+    released = 0  # the mapping's pages below this offset are handed back
     pos = 20
     done = 0
-    while done < count:
-        start = pos
-        key = []
-        for _ in range(2):  # instance id, window id
-            if pos + 4 > end:
+    try:
+        while done < count:
+            start = pos
+            key = []
+            for _ in range(2):  # instance id, window id
+                if pos + 4 > end:
+                    raise EmbeddingStoreError(truncated)
+                (n,) = _U32.unpack_from(raw, pos)
+                if pos + 4 + n > end:
+                    raise EmbeddingStoreError(truncated)
+                try:
+                    key.append(str(raw[pos + 4 : pos + 4 + n], "utf-8"))
+                except UnicodeDecodeError:
+                    raise EmbeddingStoreError(
+                        f"{name}: string at byte {pos} is not UTF-8") from None
+                pos += 4 + n
+            if pos >= end:
                 raise EmbeddingStoreError(truncated)
-            (n,) = _U32.unpack_from(raw, pos)
-            if pos + 4 + n > end:
+            role = chr(raw[pos])
+            if role not in _ROLES:
+                raise EmbeddingStoreError(f"{name}: unknown role byte {role!r}")
+            pos += 1
+            if pos + record > end:  # the run's first record must be whole
                 raise EmbeddingStoreError(truncated)
-            try:
-                key.append(str(raw[pos + 4 : pos + 4 + n], "utf-8"))
-            except UnicodeDecodeError:
-                raise EmbeddingStoreError(
-                    f"{path.name}: string at byte {pos} is not UTF-8") from None
-            pos += 4 + n
-        if pos >= end:
-            raise EmbeddingStoreError(truncated)
-        role = chr(raw[pos])
-        if role not in _ROLES:
-            raise EmbeddingStoreError(f"{path.name}: unknown role byte {role!r}")
-        pos += 1
-        if pos + record > end:  # the run's first record must be whole
-            raise EmbeddingStoreError(truncated)
-        prefix = raw[start:pos]
-        size = pos + record - start
-        limit = min(count - done, (end - start) // size)
-        n = 1
-        while n < limit and raw.startswith(prefix, start + n * size):
-            n += 1
-        idx = np.ndarray((n,), "<u4", raw, pos, (size,))
-        vecs = np.ndarray((n, dim), "<f4", raw, pos + 4, (size, 4))
-        runs.setdefault((key[0], key[1], role), []).append((idx, vecs))
-        pos = start + n * size
-        done += n
-    if pos != end:
-        raise EmbeddingStoreError(f"{path.name}: {end - pos} trailing bytes")
+            prefix = raw[start:pos]
+            size = pos + record - start
+            limit = min(count - done, (end - start) // size)
+            (first,) = _U32.unpack_from(raw, pos)
+            n = 1
+            nxt = start + size
+            header = pos + 4 - start  # a record's key header and token index
+            # The run goes on while a record's key header and token index are its next.
+            while n < limit and raw[nxt : nxt + header] == prefix + _U32.pack(first + n):
+                n += 1
+                nxt += size
+            key = (key[0], key[1], role)
+            row = -1
+            if keys is None or key in keys:
+                pending.append(np.ndarray((n, dim), "<f4", raw, pos + 4, (size, 4)))
+                row = kept
+                kept += n
+            if key not in index:
+                index[key] = (row, n)
+                if first:
+                    odd[key] = [(row, first, n)]
+            else:
+                first_row, first_n = index[key]
+                odd.setdefault(key, [(first_row, 0, first_n)]).append((row, first, n))
+            pos = nxt
+            done += n
+            if pos - released >= _RELEASE_BYTES:
+                copied = _copy_pending(pending, rows, copied)
+                page = pos - pos % mmap.PAGESIZE
+                if _MADV_DONTNEED is not None:
+                    raw.madvise(_MADV_DONTNEED, released, page - released)
+                released = page
+        if pos != end:
+            raise EmbeddingStoreError(f"{name}: {end - pos} trailing bytes")
+        _copy_pending(pending, rows, copied)
+    finally:
+        # numpy's views hold no buffer export, so closing the mapping would leave any
+        # view still referenced after an error dangling.
+        pending.clear()
+    return rows if kept == len(rows) else rows[:kept].copy(), index, odd
 
-    # The bytes of the indices 0, 1, 2, ..., to check a sentence's indices in one compare.
-    counting = np.arange(done, dtype="<u4").tobytes()
-    store = EmbeddingStore(dim=dim)
-    for key, parts in runs.items():
-        idx, vecs = parts[0] if len(parts) == 1 else (
-            np.concatenate([i for i, _ in parts]), np.concatenate([v for _, v in parts]))
-        if idx.tobytes() != counting[: 4 * len(idx)]:
-            order = np.argsort(idx, kind="stable")
-            idx, vecs = idx[order], vecs[order]
-            dup = idx[1:][idx[1:] == idx[:-1]]
-            if dup.size:
-                raise EmbeddingStoreError(
-                    f"{path.name}: duplicate token index {dup[0]} for {key!r}"
-                )
-            if idx.tobytes() != counting[: 4 * len(idx)]:
-                raise EmbeddingStoreError(
-                    f"{path.name}: token indices for {key!r} are not contiguous from 0"
-                )
-        store._sentences[key] = vecs
-    return store
+
+def _copy_pending(pending: list, rows: np.ndarray, copied: int) -> int:
+    """Copy the ``pending`` runs into ``rows`` from row ``copied`` on, in one join;
+    return the number of rows copied so far."""
+    if pending:
+        n = sum(len(v) for v in pending)
+        np.concatenate(pending, out=rows[copied : copied + n])
+        copied += n
+        pending.clear()
+    return copied
+
+
+def _check_indices(rows: np.ndarray, index, odd, name: str):
+    """The kept sentences of :func:`_walk_records`' results as read-only slices of
+    ``rows``, once each sentence of ``odd`` is known to hold each token index
+    0..T-1 once. Those are checked in the order they first appear in the file;
+    kept ones among them are gathered into index order."""
+    gathered = {}  # a kept odd sentence's rows in token order
+    for key in (k for k in index if k in odd):
+        parts = odd[key]
+        idx = np.concatenate([np.arange(first, first + n) for _, first, n in parts])
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
+        dup = idx[1:][idx[1:] == idx[:-1]]
+        if dup.size:
+            raise EmbeddingStoreError(f"{name}: duplicate token index {dup[0]} for {key!r}")
+        if np.any(idx != np.arange(len(idx))):
+            raise EmbeddingStoreError(
+                f"{name}: token indices for {key!r} are not contiguous from 0"
+            )
+        if parts[0][0] >= 0:
+            gathered[key] = np.concatenate(
+                [np.arange(row, row + n) for row, _, n in parts])[order]
+    spans = {key: span for key, span in index.items() if span[0] >= 0}
+    if gathered:
+        takes, start = [], 0
+        for key, (row, n) in spans.items():
+            takes.append(gathered.get(key, np.arange(row, row + n)))
+            spans[key] = (start, len(takes[-1]))
+            start += len(takes[-1])
+        rows = rows[np.concatenate(takes)]
+    rows.flags.writeable = False
+    return {key: rows[row : row + n] for key, (row, n) in spans.items()}

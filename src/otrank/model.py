@@ -327,6 +327,19 @@ def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
     return [(inst.question, w, inst.question_id) for inst in instances for w in inst.windows]
 
 
+def store_keys(items) -> set[tuple[str, str, str]]:
+    """The embedding-store keys that :func:`align_windows` looks up for
+    ``(question, window, instance_id)`` items: each question's, and each
+    non-padding sentence's."""
+    keys = set()
+    for _, window, instance_id in items:
+        keys.add((instance_id, QUESTION_WINDOW_ID, ROLE_Q))
+        for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
+            if not sent.is_padding:
+                keys.add((instance_id, window.id, role))
+    return keys
+
+
 # Windows per stacked pass. 64 ran the training step (d=16, hidden 400) faster
 # than 16 or 32, since numpy's per-call cost is paid once per chunk. Scoring at
 # d=768 with the flat GEMMs ran as fast at 32 as at 64 (benchmark eval_wide, 5

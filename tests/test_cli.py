@@ -308,6 +308,91 @@ class TestBadScoringInputs:
         assert "Traceback" not in err
 
 
+def _record_keys(records):
+    """The store keys of the records' questions and non-padding sentences."""
+    keys = set()
+    for rec in records:
+        qid = rec["question_id"]
+        keys.add((qid, QUESTION_WINDOW_ID, "q"))
+        for cand in rec["candidates"]:
+            keys.add((qid, cand["id"], "c"))
+            keys |= {(qid, cand["id"], role) for role, side in (("p", "prev"), ("n", "next"))
+                     if cand[side] is not None}
+    return keys
+
+
+class TestStoreKeys:
+    """Each command loads the store's sentences of what it scores, and no others."""
+
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        asked = []
+
+        def spy(path, keys=None, _load=otrank.cli.load_embedding_store):
+            asked.append(keys)
+            return _load(path, keys)
+
+        monkeypatch.setattr("otrank.cli.load_embedding_store", spy)
+        return asked
+
+    @staticmethod
+    def _one_question_splits(tmp_path):
+        paths = []
+        for rec in TINY_RECORDS:
+            paths.append(tmp_path / f"{rec['question_id']}.jsonl")
+            paths[-1].write_text(json.dumps(rec) + "\n")
+        return paths
+
+    @pytest.mark.parametrize("window,roles", [("q1-w1", "cpn"), ("q1-w2", "cn")])
+    def test_align_asks_for_its_window(self, window, roles, asked, cli_env, tmp_path):
+        argv = _scoring_argv("align", cli_env, tmp_path)
+        argv[argv.index("--window-id") + 1] = window
+        assert main(argv) == 0
+        assert asked == [{("q1", QUESTION_WINDOW_ID, "q")} | {("q1", window, r) for r in roles}]
+
+    def test_rerank_asks_for_its_split(self, asked, cli_env, tmp_path):
+        assert main(_scoring_argv("rerank", cli_env, tmp_path)) == 0
+        q2 = self._one_question_splits(tmp_path)[1]
+        assert main(_scoring_argv("rerank", cli_env, tmp_path, corpus=q2)) == 0
+        assert asked == [_record_keys(TINY_RECORDS), _record_keys(TINY_RECORDS[1:])]
+        # The padding sentences the store holds are not asked for.
+        assert len(asked[0]) < len(cli_env["store"].sorted_items())
+
+    def test_eval_asks_for_every_split(self, asked, cli_env, tmp_path):
+        q1, q2 = self._one_question_splits(tmp_path)
+        assert main(["eval", "--checkpoint", str(cli_env["ckpt"]), "--split", str(q1),
+                     "--split", str(q2), "--embeddings", str(cli_env["emb"]),
+                     "--combine-dev-test", "--out", str(tmp_path / "c.json")]) == 0
+        assert main(["eval", "--checkpoint", str(cli_env["ckpt"]), "--split", str(q1),
+                     "--embeddings", str(cli_env["emb"]), "--out", str(tmp_path / "1.json")]) == 0
+        assert asked == [_record_keys(TINY_RECORDS), _record_keys(TINY_RECORDS[:1])]
+
+    @pytest.mark.parametrize("command", ["rerank", "eval", "align", "train"])
+    def test_a_key_the_store_lacks_fails_at_lookup(self, command, asked, cli_env, tmp_path,
+                                                   capsys):
+        lacking = EmbeddingStore(dim=cli_env["store"].dim)
+        for key, arr in cli_env["store"].sorted_items():
+            if key != ("q1", "q1-w1", "n"):
+                lacking.add_sentence(*key, arr)
+        emb = tmp_path / "lacking.bin"
+        write_embedding_store(emb, lacking)
+        argv = (["train", "--config", str(_train_config(cli_env, tmp_path, embeddings=str(emb)))]
+                if command == "train" else _scoring_argv(command, cli_env, tmp_path, emb=emb))
+        assert main(argv) == 1
+        assert ("q1", "q1-w1", "n") in asked[0]
+        err = capsys.readouterr().err
+        assert "no embeddings for instance='q1' window='q1-w1' role='n'" in err
+        assert "Traceback" not in err
+
+    def test_train_asks_for_train_and_dev(self, asked, cli_env, tmp_path):
+        q1, q2 = self._one_question_splits(tmp_path)
+        assert main(["train", "--config", str(_train_config(
+            cli_env, tmp_path, train_corpus=str(q1), dev_corpus=str(q2)))]) == 0
+        assert main(["train", "--config", str(_train_config(
+            cli_env, tmp_path, train_corpus=str(q2)))]) == 0
+        assert asked == [_record_keys(TINY_RECORDS), _record_keys(TINY_RECORDS[1:])]
+
+
 @pytest.mark.parametrize("command", ["rerank", "eval", "align"])
 def test_scoring_commands_load_the_split_first(command, cli_env, tmp_path, monkeypatch):
     loads = []

@@ -1,6 +1,11 @@
 """Frequency table, marginal distributions, and the binary embedding store."""
 
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +31,51 @@ from conftest import build_tiny_store
 
 def _write_records(path, dim, records):
     """An embedding store file holding ``records`` of (instance, window, role,
-    token index, vector), in the order given."""
+    token index, vector), in the order given; an id given as bytes is written as is."""
     with path.open("wb") as fh:
         fh.write(b"OTRK" + struct.pack("<IIQ", 1, dim, len(records)))
         for inst, win, role, idx, vec in records:
             for s in (inst, win):
-                raw = s.encode()
+                raw = s if isinstance(s, bytes) else s.encode()
                 fh.write(struct.pack("<I", len(raw)) + raw)
             fh.write(role.encode() + struct.pack("<I", idx))
             fh.write(np.asarray(vec, dtype="<f4").tobytes())
+
+
+GOOD = ("good", "w", "c")
+BAD = ("bad", "w", "c")
+
+
+def _good_records():
+    return [(*GOOD, i, [i, -i]) for i in range(3)]
+
+
+def _recount(raw, delta):
+    (count,) = struct.unpack_from("<Q", raw, 12)
+    return raw[:12] + struct.pack("<Q", count + delta) + raw[20:]
+
+
+# (records after the good sentence's, an edit of the file's bytes, what the error says).
+# The bad sentence comes last, so that a kept good sentence is pending when it fails.
+_CORRUPT_STORES = {
+    "truncated": ([(*BAD, 0, [1, 2])], lambda raw: raw[:-7], "emb.bin: truncated file"),
+    "empty-file": ([], lambda raw: b"", "emb.bin: truncated file"),
+    "bad-magic": ([], lambda raw: b"NOPE" + raw[4:], "emb.bin: bad magic"),
+    "trailing-bytes": ([(*BAD, 0, [1, 2])], lambda raw: raw + b"xx",
+                       "emb.bin: 2 trailing bytes"),
+    "non-contiguous": ([(*BAD, 1, [1, 2])], None,
+                       "token indices for ('bad', 'w', 'c') are not contiguous from 0"),
+    "duplicate": ([(*BAD, i, [i, 0]) for i in (0, 1, 1)], None,
+                  "duplicate token index 1 for ('bad', 'w', 'c')"),
+    "duplicate-in-two-runs": ([(*BAD, 0, [1, 2]), ("sep", "w", "c", 0, [0, 0]),
+                               (*BAD, 0, [1, 2])], None,
+                              "duplicate token index 0 for ('bad', 'w', 'c')"),
+    "unknown-role": ([("bad", "w", "x", 0, [1, 2])], None, "unknown role byte 'x'"),
+    "non-utf8": ([(b"b\xffd", "w", "c", 0, [1, 2])], None, "is not UTF-8"),
+    "count-too-high": ([(*BAD, 0, [1, 2])], lambda raw: _recount(raw, 1),
+                       "emb.bin: truncated file"),
+    "count-too-low": ([(*BAD, 0, [1, 2])], lambda raw: _recount(raw, -1), "trailing bytes"),
+}
 
 
 class TestFrequencyTable:
@@ -254,3 +295,158 @@ class TestEmbeddingStore:
         for (ka, va), (kb, vb) in zip(a.sorted_items(), b.sorted_items()):
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
+
+    @pytest.mark.parametrize("keys", [None, set(), {GOOD}], ids=["all", "none", "good-only"])
+    @pytest.mark.parametrize("case", list(_CORRUPT_STORES))
+    def test_corrupt_store_fails_alike_for_any_keys(self, case, keys, tmp_path):
+        # A keyed load checks every record of the file, kept or skipped, as a full load does.
+        records, edit, says = _CORRUPT_STORES[case]
+        path = tmp_path / "emb.bin"
+        _write_records(path, 2, _good_records() + records)
+        if edit:
+            path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(EmbeddingStoreError) as full:
+            load_embedding_store(path)
+        assert says in str(full.value)
+        with pytest.raises(EmbeddingStoreError) as keyed:
+            load_embedding_store(path, keys)
+        assert type(keyed.value) is type(full.value) and str(keyed.value) == str(full.value)
+
+    def test_the_uncorrupted_file_loads_keyed(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        _write_records(path, 2, _good_records() + [(*BAD, 0, [1, 2])])
+        store = load_embedding_store(path, {GOOD})
+        np.testing.assert_array_equal(store.stored_vectors(*GOOD), np.float32(
+            [[0, 0], [1, -1], [2, -2]]), strict=True)
+
+    @pytest.mark.parametrize("value", [1e39, -3.5e38, np.finfo(np.float64).max])
+    def test_writer_rejects_a_finite_value_beyond_float32(self, value, tmp_path):
+        store = EmbeddingStore(dim=2)
+        store.add_sentence("i", "w", ROLE_C, [[0.0, 1.0], [2.0, 3.0]])
+        store.add_sentence("j", "w", ROLE_C, [[0.0, 1.0], [value, 0.0], [2.0, 3.0]])
+        path = tmp_path / "emb.bin"
+        with pytest.raises(ValueError, match=r"token 1 of \('j', 'w', 'c'\)"):
+            write_embedding_store(path, store)
+        assert not path.exists() and not Path(str(path) + ".json").exists()
+
+    def test_writer_keeps_nan_inf_and_float32_max(self, tmp_path):
+        x = np.array([[np.nan, np.inf], [-np.inf, float(np.finfo(np.float32).max)]])
+        store = EmbeddingStore(dim=2)
+        store.add_sentence("i", "w", ROLE_C, x)
+        path = tmp_path / "emb.bin"
+        write_embedding_store(path, store)
+        np.testing.assert_array_equal(load_embedding_store(path).stored_vectors("i", "w", ROLE_C),
+                                      np.float32(x), strict=True)
+
+
+def _store_file(store, tmp_path, name="emb.bin"):
+    path = tmp_path / name
+    write_embedding_store(path, store)
+    return path
+
+
+class TestKeyedLoad:
+    def _assert_kept(self, keyed, full, kept):
+        bases = set()
+        for key in kept:
+            got = keyed.stored_vectors(*key)
+            np.testing.assert_array_equal(got, full.stored_vectors(*key), strict=True)
+            assert got.dtype == np.float32 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            bases.add(id(got.base))
+        # Every kept sentence is a slice of one (rows, dim) buffer.
+        assert len(bases) == 1
+        assert got.base.shape == (keyed.num_records, keyed.dim)
+
+    def test_equals_the_full_load_on_every_kept_key(self, tiny_store, tmp_path):
+        path = _store_file(tiny_store, tmp_path)
+        full = load_embedding_store(path)
+        all_keys = [key for key, _ in tiny_store.sorted_items()]
+        kept, skipped = set(all_keys[::2]), all_keys[1::2]
+        missing = ("no-such-instance", "w", ROLE_C)
+        keyed = load_embedding_store(path, kept | {missing})
+        self._assert_kept(keyed, full, kept)
+        assert keyed.num_records == sum(full.stored_vectors(*k).shape[0] for k in kept)
+        assert keyed.num_records < full.num_records
+        for key in [*skipped, missing]:
+            with pytest.raises(EmbeddingKeyError, match=repr(key[1])):
+                keyed.stored_vectors(*key)
+
+    def test_full_load_is_one_buffer_too(self, tiny_store, tmp_path):
+        full = load_embedding_store(_store_file(tiny_store, tmp_path))
+        keys = [key for key, _ in tiny_store.sorted_items()]
+        self._assert_kept(full, full, keys)
+        assert full.num_records == tiny_store.num_records
+
+    def test_no_keys_loads_nothing(self, tiny_store, tmp_path):
+        store = load_embedding_store(_store_file(tiny_store, tmp_path), set())
+        assert store.num_records == 0 and store.sorted_items() == []
+        assert store.dim == tiny_store.dim
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_interleaved_out_of_order_runs_are_joined_and_sorted(self, seed, tiny_store,
+                                                                   tmp_path):
+        records = [(*key, i, arr[i]) for key, arr in tiny_store.sorted_items()
+                   for i in range(arr.shape[0])]
+        order = np.random.default_rng(seed).permutation(len(records))
+        shuffled = tmp_path / "shuffled.bin"
+        _write_records(shuffled, tiny_store.dim, [records[k] for k in order])
+        full = load_embedding_store(_store_file(tiny_store, tmp_path))
+        keys = [key for key, _ in tiny_store.sorted_items()]
+        for kept in (keys, keys[1::3]):
+            keyed = load_embedding_store(shuffled, set(kept))
+            self._assert_kept(keyed, full, kept)
+            assert [k for k, _ in keyed.sorted_items()] == sorted(kept)
+
+    def test_a_sentence_in_two_runs_is_joined(self, tmp_path):
+        path = tmp_path / "split.bin"
+        _write_records(path, 2, [(*BAD, 0, [0, 1]), (*GOOD, 0, [9, 9]), (*BAD, 2, [4, 5]),
+                                 (*BAD, 1, [2, 3])])
+        for keys in (None, {BAD}):
+            got = load_embedding_store(path, keys).stored_vectors(*BAD)
+            np.testing.assert_array_equal(got, np.float32([[0, 1], [2, 3], [4, 5]]), strict=True)
+            assert got.flags.c_contiguous and not got.flags.writeable
+
+
+# Peak resident bytes of this process: VmHWM. A child's ru_maxrss starts at its
+# parent's resident set at the fork, so it would hide growth below pytest's size.
+_MEMORY_GUARD = textwrap.dedent("""
+    import struct, sys
+    import numpy as np
+    from otrank.embeddings import load_embedding_store
+
+    def peak():
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
+
+    path, dim, sentences, tokens = sys.argv[1], 768, 1000, 8
+    rng = np.random.default_rng(0)
+    with open(path, "wb") as fh:
+        fh.write(b"OTRK" + struct.pack("<IIQ", 1, dim, sentences * tokens))
+        for s in range(sentences):
+            head = struct.pack("<I", 6) + b"i%05d" % s + struct.pack("<I", 1) + b"w" + b"c"
+            vecs = rng.standard_normal((tokens, dim)).astype("<f4")
+            fh.write(b"".join(head + struct.pack("<I", t) + vecs[t].tobytes()
+                              for t in range(tokens)))
+    before = peak()
+    store = load_embedding_store(path, {("i00500", "w", "c")})
+    assert store.num_records == tokens
+    print(peak() - before)
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_keyed_load_holds_little_of_the_file(tmp_path):
+    """A keyed load of one sentence of a 24.7 MB store at d=768, in a fresh process,
+    raises its peak resident set by less than a third of the file: the walk
+    hands the mapped pages back as it goes."""
+    path = tmp_path / "wide.bin"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_GUARD, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    size = path.stat().st_size
+    assert size > 24e6
+    grew = int(proc.stdout.split()[-1])
+    assert grew < size / 3, f"peak grew by {grew / 1e6:.1f} MB for a {size / 1e6:.1f} MB file"

@@ -33,6 +33,7 @@ from otrank.model import (
     param_tensors,
     score_windows,
     scorer_size,
+    store_keys,
     window_forward,
 )
 from otrank.sinkhorn import SinkhornSettings
@@ -517,6 +518,21 @@ class TestQuestionSide:
         assert len(lookups) == len(tiny_corpus.instances) + sentences
         for inst in tiny_corpus.instances:
             assert sum(sent is inst.question for sent in filtered) == 1
+
+    @pytest.mark.parametrize("which", [slice(None), slice(0, 1), slice(1, 2), slice(0, 0)])
+    def test_store_keys_are_the_keys_looked_up(self, which, tiny_corpus, tiny_store, tiny_ft,
+                                               monkeypatch):
+        looked_up = set()
+        lookup = tiny_store.stored_vectors
+
+        def recorded(*key):
+            looked_up.add(key)
+            return lookup(*key)
+
+        monkeypatch.setattr(tiny_store, "stored_vectors", recorded)
+        items = instance_windows(tiny_corpus.instances)[which]
+        align_windows(items, tiny_store, tiny_ft)
+        assert store_keys(items) == looked_up
 
     def test_keyed_on_the_question_object_not_its_id(self, tiny_corpus, tiny_store, tiny_ft):
         inst = tiny_corpus.instances[0]
