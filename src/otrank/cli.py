@@ -2,9 +2,9 @@
 alignment inspection, and the gradient audit.
 
 Exit codes: 0 success, 1 validation error (bad inputs, failed audit),
-2 unexpected runtime failure. Configuration precedence for ``train``:
-command-line flags > config file > built-in defaults. Set ``OTRANK_LOG``
-to error/warn/info/debug to control verbosity.
+2 unexpected runtime failure. ``train`` reads every setting from its config
+file (config file > built-in defaults); a diverging run exits 1. Set
+``OTRANK_LOG`` to error/warn/info/debug to control verbosity.
 """
 
 from __future__ import annotations
@@ -118,10 +118,6 @@ def _cmd_train(args) -> int:
     unknown = set(raw) - known
     if unknown:
         raise OtrankError(f"unknown config keys: {sorted(unknown)}")
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.epochs is not None:
-        raw["epochs"] = args.epochs
     try:
         cfg = TrainConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -148,7 +144,11 @@ def _cmd_train(args) -> int:
     corpus = load_corpus(train_path, split="train")
     scored = corpus.instances + (dev.instances if dev else ())
     store = load_embedding_store(emb_path, store_keys(instance_windows(scored)))
-    result = train(corpus, store, cfg, dev_corpus=dev)
+    try:
+        result = train(corpus, store, cfg, dev_corpus=dev)
+    except FloatingPointError as exc:
+        raise OtrankError(f"training diverged with learning_rate = {cfg.learning_rate!r} and "
+                          f"gamma = {cfg.gamma!r}: {exc}") from exc
     save_checkpoint(ckpt_out, result.best)
     if log_out:
         with log_out.open("w", encoding="utf-8") as fh:
@@ -321,10 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subcommand("train", help="train a model from a JSON config file")
     p.add_argument("--config", required=True,
                    help="JSON config with paths and hyperparameters")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed (config default: 0)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="override the config epoch count (config default: 10)")
     p.set_defaults(func=_cmd_train)
 
     p = subcommand("rerank", help="write per-question rankings as JSONL")

@@ -149,9 +149,8 @@ def _carve(flat: np.ndarray, dim: int, hidden: int, layers: int) -> ModelParams:
     return ModelParams(flat=flat, dep=ffn("dep"), gcn=gcn, head=ffn("head"), disc=ffn("disc"))
 
 
-def init_model_params(
-    rng: np.random.Generator, dim: int, hidden: int = 400, layers: int = 2
-) -> ModelParams:
+def init_model_params(rng: np.random.Generator, dim: int, hidden: int,
+                      layers: int) -> ModelParams:
     """Seeded scaled-uniform init (+-1/sqrt(fan_in) weights, zero biases); the
     weights are drawn one after another in declaration order."""
     if layers < 1:

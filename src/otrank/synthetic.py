@@ -4,9 +4,10 @@ Token embeddings live near one of two well-separated cluster centers:
 question tokens and correct-candidate tokens share the "answer" cluster,
 distractor candidates sit on the opposite cluster, and context sentences of
 answer windows are biased toward the answer cluster (and labeled
-accordingly). A scorer that reads the alignment features can therefore
-separate correct candidates, which makes these corpora useful as learning
-smoke tests with known outcomes.
+accordingly). The noise and the two context rates are module constants, so a
+corpus is fixed by its sizes and its seed. A scorer that reads the alignment
+features can therefore separate correct candidates, which makes these corpora
+useful as learning smoke tests with known outcomes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .embeddings import (
 )
 
 _VOCAB_SIZE = 300
+_NOISE = 0.15  # standard deviation of an embedding entry around its cluster center
+_ANSWER_CONTEXT_RATE = 0.7  # chance that a correct window's context sentence is answer-like
+_DISTRACTOR_CONTEXT_RATE = 0.1  # the same chance in a distractor's window
 
 
 def _words(rng: np.random.Generator, k: int) -> str:
@@ -31,8 +35,8 @@ def _words(rng: np.random.Generator, k: int) -> str:
     return " ".join(f"tok{i:03d}" for i in idx)
 
 
-def _vectors(rng: np.random.Generator, center: np.ndarray, k: int, noise: float):
-    return center + noise * rng.normal(size=(k, center.shape[0]))
+def _vectors(rng: np.random.Generator, center: np.ndarray, k: int):
+    return center + _NOISE * rng.normal(size=(k, center.shape[0]))
 
 
 def make_synthetic_corpus(
@@ -41,9 +45,6 @@ def make_synthetic_corpus(
     n_candidates: int = 5,
     dim: int = 16,
     seed: int = 0,
-    noise: float = 0.15,
-    answer_context_rate: float = 0.7,
-    distractor_context_rate: float = 0.1,
 ) -> tuple[Corpus, Corpus, EmbeddingStore]:
     """Generate (train corpus, dev corpus, embedding store).
 
@@ -54,7 +55,7 @@ def make_synthetic_corpus(
     rng = np.random.default_rng(seed)
     center_answer = rng.normal(size=dim)
     center_answer /= np.linalg.norm(center_answer)
-    center_distract = -center_answer  # separation 2 >> noise
+    center_distract = -center_answer  # separation 2 >> _NOISE
 
     store = EmbeddingStore(dim=dim)
 
@@ -66,7 +67,7 @@ def make_synthetic_corpus(
             question = make_sentence(_words(rng, q_len))
             store.add_sentence(
                 inst_id, QUESTION_WINDOW_ID, ROLE_Q,
-                _vectors(rng, center_answer, len(question.tokens), noise),
+                _vectors(rng, center_answer, len(question.tokens)),
             )
             correct = int(rng.integers(0, n_candidates))
             windows = []
@@ -77,9 +78,9 @@ def make_synthetic_corpus(
                 cand = make_sentence(_words(rng, int(rng.integers(3, 7))), label=is_correct)
                 store.add_sentence(
                     inst_id, wid, ROLE_C,
-                    _vectors(rng, cand_center, len(cand.tokens), noise),
+                    _vectors(rng, cand_center, len(cand.tokens)),
                 )
-                ctx_rate = answer_context_rate if is_correct else distractor_context_rate
+                ctx_rate = _ANSWER_CONTEXT_RATE if is_correct else _DISTRACTOR_CONTEXT_RATE
                 ctx = {}
                 for role in (ROLE_P, ROLE_N):
                     answerish = bool(rng.random() < ctx_rate)
@@ -87,7 +88,7 @@ def make_synthetic_corpus(
                     sent = make_sentence(_words(rng, int(rng.integers(3, 7))), label=answerish)
                     store.add_sentence(
                         inst_id, wid, role,
-                        _vectors(rng, ctx_center, len(sent.tokens), noise),
+                        _vectors(rng, ctx_center, len(sent.tokens)),
                     )
                     ctx[role] = sent
                 windows.append(

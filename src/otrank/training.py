@@ -349,6 +349,8 @@ def train(
             stage_s["adam"] += clock() - t1
             total += loss * len(batch)
         train_loss = total / len(feats)
+        if not math.isfinite(train_loss):
+            raise FloatingPointError(f"epoch {epoch}: non-finite mean loss {train_loss}")
         p1 = ap = rr = None
         if dev_feats is not None:
             t0 = clock()
@@ -518,6 +520,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(params=params, config=config, epoch=meta["epoch"], freq_table=ft)
 
 
+# The gradient audit's micro-model (d, hidden size, graph layers), its central
+# difference step and the largest relative error that passes.
+GRADCHECK_DIM, GRADCHECK_HIDDEN, GRADCHECK_LAYERS = 6, 8, 2
+GRADCHECK_STEP = 1e-4
+GRADCHECK_THRESHOLD = 1e-4
+
+
 @dataclass
 class GradcheckReport:
     per_tensor: dict[str, float]
@@ -533,32 +542,24 @@ class GradcheckReport:
         return self.max_rel_err <= self.threshold
 
 
-def gradcheck(
-    seed: int = 0,
-    step: float = 1e-4,
-    threshold: float = 1e-4,
-    dim: int = 6,
-    hidden: int = 8,
-    layers: int = 2,
-    gamma: float = 0.3,
-) -> GradcheckReport:
+def gradcheck(seed: int = 0) -> GradcheckReport:
     """Compare analytic gradients against central finite differences.
 
-    Builds a random micro-model and batch, then perturbs every parameter
-    entry by ``+-step``. The relative error divides by
-    ``max(|analytic|, |numeric|, 1e-3)`` so near-zero entries are judged on
-    an absolute scale.
+    Builds a random micro-model and batch from ``seed``, with the default
+    ``gamma``, then perturbs every parameter entry by ``+-GRADCHECK_STEP``.
+    The relative error divides by ``max(|analytic|, |numeric|, 1e-3)`` so
+    near-zero entries are judged on an absolute scale.
     """
     rng = np.random.default_rng(seed)
-    params = init_model_params(rng, dim, hidden, layers)
+    params = init_model_params(rng, GRADCHECK_DIM, GRADCHECK_HIDDEN, GRADCHECK_LAYERS)
     params.flat[...] = rng.uniform(-0.5, 0.5, size=params.flat.shape)
 
     labels = np.array([[True, True, False], [False, True, False], [True, False, False]])
-    draws = [(rng.normal(size=(3, dim)), rng.uniform(0.5, 2.0, size=3)) for _ in labels]
+    draws = [(rng.normal(size=(3, GRADCHECK_DIM)), rng.uniform(0.5, 2.0, size=3))
+             for _ in labels]
     batch = FeatureSet(reps=np.stack([r for r, _ in draws]),
                        costs=np.stack([c for _, c in draws]), labels=labels)
-    cfg = TrainConfig(learning_rate=1e-3, batch_size=len(batch), gamma=gamma,
-                      epochs=0, seed=seed, hidden_size=hidden, gcn_layers=layers)
+    cfg = TrainConfig(hidden_size=GRADCHECK_HIDDEN, gcn_layers=GRADCHECK_LAYERS)
 
     analytic = param_tensors(params.like(loss_and_gradients(batch, params, cfg)[1]))
     report: dict[str, float] = {}
@@ -568,13 +569,13 @@ def gradcheck(
         a_flat = analytic[name].reshape(-1)
         for k in range(flat.size):
             orig = flat[k]
-            flat[k] = orig + step
+            flat[k] = orig + GRADCHECK_STEP
             up = joint_loss(batch, params, cfg)
-            flat[k] = orig - step
+            flat[k] = orig - GRADCHECK_STEP
             down = joint_loss(batch, params, cfg)
             flat[k] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * GRADCHECK_STEP)
             a = a_flat[k]
             worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-3))
         report[name] = float(worst)
-    return GradcheckReport(per_tensor=report, step=step, threshold=threshold)
+    return GradcheckReport(per_tensor=report, step=GRADCHECK_STEP, threshold=GRADCHECK_THRESHOLD)

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from otrank.corpus import Corpus, load_corpus
+from otrank.corpus import Corpus, load_corpus, save_corpus
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
@@ -16,8 +16,10 @@ from otrank.embeddings import (
     ROLE_Q,
     EmbeddingStore,
     build_frequency_table,
+    write_embedding_store,
 )
 from otrank.model import param_tensors
+from otrank.synthetic import make_synthetic_corpus
 
 TINY_RECORDS = [
     {
@@ -141,3 +143,18 @@ def tiny_store(tiny_corpus):
 @pytest.fixture(scope="session")
 def tiny_ft(tiny_corpus):
     return build_frequency_table(tiny_corpus)
+
+
+@pytest.fixture(scope="session")
+def bench_train_inputs(tmp_path_factory):
+    """The benchmark's ``train`` inputs for seed 1 (``perfbench/inputs.py``): the
+    generated train and dev splits and their embedding store, as files by name."""
+    td = tmp_path_factory.mktemp("bench_train")
+    train, dev, store = make_synthetic_corpus(n_train=40, n_dev=10, n_candidates=5, dim=16,
+                                              seed=1)
+    paths = {"train": td / "train.jsonl", "dev": td / "dev.jsonl", "emb": td / "emb.bin",
+             "emb_sidecar": td / "emb.bin.json"}
+    save_corpus(train, paths["train"])
+    save_corpus(dev, paths["dev"])
+    write_embedding_store(paths["emb"], store)
+    return paths

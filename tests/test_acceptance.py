@@ -109,7 +109,7 @@ def test_criterion_3_zero_cost_closed_form():
 
 def test_criterion_4_gradient_audit():
     started = time.monotonic()
-    report = gradcheck(seed=0, step=1e-4, threshold=1e-4, dim=6, hidden=8, layers=2)
+    report = gradcheck(seed=0)
     elapsed = time.monotonic() - started
     expected_tensors = {
         "dep.w1", "dep.b1", "dep.w2", "dep.b2",
@@ -119,6 +119,7 @@ def test_criterion_4_gradient_audit():
     }
     assert set(report.per_tensor) == expected_tensors
     assert report.ok, report.per_tensor
+    assert report.step == report.threshold == 1e-4
     assert report.max_rel_err <= 1e-4
     assert elapsed < 60.0, f"gradcheck took {elapsed:.2f}s"
     _report(4, "finite-difference gradient audit")

@@ -1003,8 +1003,8 @@ class TestNothingToScore:
 
 class TestTrainCommand:
     def test_zero_epochs_writes_init_checkpoint(self, cli_env, tmp_path):
-        cfg_path = _train_config(cli_env, tmp_path)
-        rc = main(["train", "--config", str(cfg_path), "--epochs", "0"])
+        cfg_path = _train_config(cli_env, tmp_path, epochs=0)
+        rc = main(["train", "--config", str(cfg_path)])
         assert rc == 0
         ckpt = load_checkpoint(tmp_path / "out.ckpt")
         assert ckpt.epoch == 0
@@ -1022,11 +1022,42 @@ class TestTrainCommand:
             for r in records
         )
 
-    def test_flag_overrides_config_seed(self, cli_env, tmp_path):
+    @pytest.mark.parametrize("flag,value", [("--seed", "99"), ("--epochs", "0")])
+    def test_setting_flags_exit_one(self, flag, value, cli_env, tmp_path, capsys):
+        # The config file is the only source of the training settings.
         cfg_path = _train_config(cli_env, tmp_path)
-        assert main(["train", "--config", str(cfg_path), "--epochs", "0",
-                     "--seed", "99"]) == 0
+        assert main(["train", "--config", str(cfg_path), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert flag in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "log.jsonl").exists()
+
+    def test_checkpoint_records_the_config_seed(self, cli_env, tmp_path):
+        cfg_path = _train_config(cli_env, tmp_path, epochs=0, seed=99)
+        assert main(["train", "--config", str(cfg_path)]) == 0
         assert load_checkpoint(tmp_path / "out.ckpt").config.seed == 99
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("key,value,says", [
+        # Each batch loss is finite, but the epoch's mean overflows.
+        ("gamma", 1e308, "epoch 1: non-finite mean loss inf"),
+        ("learning_rate", 1e300, "epoch 1, windows 64..128: non-finite loss nan"),
+    ], ids=["gamma", "learning_rate"])
+    def test_diverging_run_exits_one_naming_its_settings(self, key, value, says, cli_env,
+                                                         bench_train_inputs, tmp_path,
+                                                         monkeypatch, capsys):
+        # The benchmark's train inputs and hyperparameters, with one setting too large.
+        cfg_path = _train_config(
+            cli_env, tmp_path, train_corpus=str(bench_train_inputs["train"]),
+            dev_corpus=str(bench_train_inputs["dev"]),
+            embeddings=str(bench_train_inputs["emb"]), batch_size=64, hidden_size=400,
+            epochs=2, seed=1, **{"gamma": 0.3, key: value})
+        rc = _main_logging_to_stderr(["train", "--config", str(cfg_path)], monkeypatch)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "training diverged" in err and f"{key} = {value!r}" in err and says in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "log.jsonl").exists()
 
     @pytest.mark.parametrize("text,says", [
         ('{"epochs": 1', "is not valid JSON"),
@@ -1143,7 +1174,7 @@ class TestParser:
         "command,flags",
         [
             ("build-freq", ["--train", "--out"]),
-            ("train", ["--config", "--seed", "--epochs"]),
+            ("train", ["--config"]),
             ("rerank", ["--checkpoint", "--split", "--embeddings", "--out"]),
             ("eval", ["--checkpoint", "--split", "--embeddings", "--combine-dev-test",
                       "--out", "--per-question"]),

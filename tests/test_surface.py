@@ -7,7 +7,8 @@ import typing
 from pathlib import Path
 
 import otrank
-from otrank import metrics, model, mutual_info, training
+from otrank import metrics, model, mutual_info, synthetic, training
+from otrank.cli import main
 from otrank.corpus import CandidateWindow, Sentence
 from otrank.embeddings import EmbeddingStore
 from otrank.mutual_info import WindowPairs
@@ -85,6 +86,21 @@ def test_loaded_inputs_are_complete():
     assert ft.default is dataclasses.MISSING and ft.default_factory is dataclasses.MISSING
     hints = typing.get_type_hints(CandidateWindow)
     assert hints["prev"] is hints["next"] is Sentence
+
+
+def test_every_setting_has_one_source(capsys):
+    # The audit's micro-model, step and threshold are training constants, the
+    # generator's noise and context rates synthetic ones, and the model's sizes
+    # come from each caller's config; train takes its settings from the config file.
+    assert tuple(inspect.signature(training.gradcheck).parameters) == ("seed",)
+    generator = inspect.signature(synthetic.make_synthetic_corpus).parameters
+    assert not {"noise", "answer_context_rate", "distractor_context_rate"} & set(generator)
+    init = inspect.signature(model.init_model_params).parameters
+    assert [init[name].default for name in ("hidden", "layers")] == [inspect.Parameter.empty] * 2
+    assert main(["train", "--help"]) == 0
+    train_help = capsys.readouterr().out
+    assert "--config" in train_help
+    assert "--seed" not in train_help and "--epochs" not in train_help
 
 
 def test_every_trace_target_resolves():

@@ -511,6 +511,18 @@ class TestTrain:
                            match=r"^epoch 1, windows 4\.\.8: overflow encountered in exp$"):
             train(train_c, store, micro_cfg(epochs=1, batch_size=4))
 
+    def test_overflowing_epoch_mean_names_the_epoch(self, small_synth, monkeypatch):
+        # Every batch loss is finite, but their sum over the epoch is not.
+        train_c, _, store = small_synth
+        real = training.loss_and_gradients
+
+        def huge_loss(batch, params, cfg):
+            return 1e308, real(batch, params, cfg)[1]
+
+        monkeypatch.setattr(training, "loss_and_gradients", huge_loss)
+        with pytest.raises(FloatingPointError, match=r"^epoch 1: non-finite mean loss inf$"):
+            train(train_c, store, micro_cfg(epochs=1, batch_size=4))
+
     def test_empty_corpus_rejected(self, small_synth):
         from otrank.corpus import Corpus
 
