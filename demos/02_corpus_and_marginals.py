@@ -104,8 +104,8 @@ for inst in corpus.instances:
 
 store_path = workdir / "demo.emb"
 write_embedding_store(store_path, store)
-print("store bytes:", store_path.stat().st_size,
-      "sidecar:", (workdir / "demo.emb.json").read_text().strip())
+print("store bytes:", store_path.stat().st_size, "sentences:", len(store.sorted_items()),
+      "token vectors:", store.num_records)
 
 loaded = load_embedding_store(store_path)
 vecs = loaded.stored_vectors("demo-1", "demo-1-a", ROLE_C)

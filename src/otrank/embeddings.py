@@ -1,18 +1,22 @@
 """Precomputed token embeddings and the question word-frequency table.
 
 Token vectors arrive through a binary file contract (no encoder runs here).
-Each record keys one token vector by (instance id, window id, role, token
-index); question sentences use the placeholder window id ``"-"``. The
-word-frequency table drives the probability marginals used by the optimal
-transport alignment: a word's weight is the number of distinct training
-questions it appears in, floored at 1 so unseen words never zero out a
-distribution.
+Each sentence is keyed by (instance id, window id, role); question sentences
+use the placeholder window id ``"-"``. The file (format 2, little-endian) holds
+the magic ``OTRK``, the version and dim as u32, the key directory's length as
+u64, the directory, and one ``(rows, dim)`` float32 matrix. The directory is a
+UTF-8 JSON array of ``[instance id, window id, role, rows]``, one entry per
+sentence in sorted key order; each sentence's rows follow one another in the
+matrix, in directory order. The word-frequency table drives the probability
+marginals used by the optimal transport alignment: a word's weight is the
+number of distinct training questions it appears in, floored at 1 so unseen
+words never zero out a distribution.
 """
 
 from __future__ import annotations
 
 import json
-import mmap
+import os
 import struct
 from collections import Counter
 from collections.abc import Container
@@ -25,9 +29,10 @@ from .corpus import Corpus, Token
 from .errors import EmbeddingKeyError, EmbeddingStoreError, EmptyInputError
 
 MAGIC = b"OTRK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_HEADER = struct.Struct("<4sIIQ")  # magic, version, dim, directory length
 
-# Role bytes used in store keys.
+# The roles of a sentence in store keys.
 ROLE_Q = "q"
 ROLE_C = "c"
 ROLE_P = "p"
@@ -119,56 +124,33 @@ class EmbeddingStore:
         return sorted(self._sentences.items(), key=lambda kv: kv[0])
 
 
-def _write_str(fh, s: str) -> None:
-    raw = s.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-
-
 def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
-    """Serialize a store to its binary file plus a JSON sidecar.
+    """Serialize a store to its binary file (format 2, described in the module).
 
-    Little-endian layout: magic ``OTRK``, version u32, dim u32, record count
-    u64, then one record per token vector (instance id and window id as
-    length-prefixed UTF-8, one role byte, token index u32, dim float32
-    values). Records are emitted in sorted key order so writing is
-    deterministic and save/load/save is byte-identical.
+    Sentences are written in sorted key order, so writing is deterministic and
+    save/load/save is byte-identical.
 
     Raises ``ValueError``, naming the key and token index, before the file is
     opened when a finite value is beyond float32's range; NaN and infinite
     values are written as they are.
     """
-    path = Path(path)
     items = []
     for key, arr in store.sorted_items():
         with np.errstate(over="ignore"):
-            data32 = arr.astype(np.float32, copy=False)
+            data32 = arr.astype("<f4", copy=False)
         overflow = np.isinf(data32) & np.isfinite(arr)
         if overflow.any():
             idx = int(np.argwhere(overflow)[0, 0])
             raise ValueError(f"the vector of token {idx} of {key} holds a finite value beyond "
                              "float32's range")
         items.append((key, data32))
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIQ", FORMAT_VERSION, store.dim, store.num_records))
-        for (inst, win, role), data32 in items:
-            for idx in range(data32.shape[0]):
-                _write_str(fh, inst)
-                _write_str(fh, win)
-                fh.write(role.encode("ascii"))
-                fh.write(struct.pack("<I", idx))
-                fh.write(data32[idx].tobytes())
-    sidecar = {"dim": store.dim, "count": store.num_records}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, sort_keys=True) + "\n", "utf-8")
-
-
-_U32 = struct.Struct("<I")
-# The walk hands its mapped pages back to the OS every this many bytes, so that
-# the file's bytes are never resident at once; without madvise they stay until
-# the mapping closes.
-_RELEASE_BYTES = 1 << 20
-_MADV_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
+    directory = json.dumps([[*key, len(data32)] for key, data32 in items],
+                           separators=(",", ":")).encode("utf-8")
+    with Path(path).open("wb") as fh:
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, store.dim, len(directory)))
+        fh.write(directory)
+        for _, data32 in items:
+            fh.write(data32.tobytes())
 
 
 def load_embedding_store(path: str | Path,
@@ -179,163 +161,88 @@ def load_embedding_store(path: str | Path,
     keep; ``None`` keeps every one. A key the file lacks is not an error here:
     looking it up raises :class:`EmbeddingKeyError`.
 
-    Every record is checked, kept or not: the magic and version, the declared
-    record count, the key strings and role byte, and that every sentence has
-    token indices 0..T-1, each once. The kept sentences' float32 vectors are
-    copied into one ``(T, dim)`` buffer, and each sentence is held as a
-    read-only, C-contiguous slice of it, in index order also when its records
-    come in several runs or out of order. The file is mapped and walked once;
-    the walked pages are handed back as it goes and the mapping is closed
-    before returning, so none of the file's bytes stay resident.
+    The header and the whole key directory are read and checked before any
+    vector is, kept or not: the magic and version, a positive dim, each
+    entry's shape, role and row count, keys in strictly increasing order, and
+    a file size of exactly the header, the directory and the rows it counts.
+    So a corrupt file fails alike whatever ``keys`` is. Only the kept
+    sentences' rows are then read, each stretch of adjacent kept sentences in
+    one read, into one ``(rows, dim)`` float32 buffer; each sentence is held as
+    a read-only, C-contiguous slice of it.
     """
     path = Path(path)
     with path.open("rb") as fh:
-        head = fh.read(20)
+        head = fh.read(_HEADER.size)
         if len(head) >= 4 and head[:4] != MAGIC:
             raise EmbeddingStoreError(f"{path.name}: bad magic, not an embedding store")
-        if len(head) < 20:  # an empty file cannot be mapped
+        if len(head) < _HEADER.size:
             raise EmbeddingStoreError(f"{path.name}: truncated file")
-        version, dim, count = struct.unpack_from("<IIQ", head, 4)
+        _, version, dim, dir_len = _HEADER.unpack(head)
         if version != FORMAT_VERSION:
             raise EmbeddingStoreError(f"{path.name}: unsupported format version {version}")
         if dim == 0:
             raise EmbeddingStoreError(f"{path.name}: dimension must be positive")
-        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as raw:
-            buf, index, odd = _walk_records(raw, path.name, dim, count, keys)
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size + dir_len:
+            raise EmbeddingStoreError(f"{path.name}: truncated file")
+        spans, runs, total = _kept_spans(fh.read(dir_len), path.name, keys)
+        data = _HEADER.size + dir_len  # where the matrix starts
+        excess = size - data - total * dim * 4
+        if excess:
+            raise EmbeddingStoreError(f"{path.name}: {excess} trailing bytes" if excess > 0
+                                      else f"{path.name}: truncated file")
+        buf = np.empty((sum(n for _, n in runs), dim), "<f4")
+        out = 0
+        for row, n in runs:
+            fh.seek(data + row * dim * 4)
+            if fh.readinto(buf[out : out + n]) != n * dim * 4:
+                raise EmbeddingStoreError(f"{path.name}: truncated file")
+            out += n
+    buf.flags.writeable = False
     store = EmbeddingStore(dim=dim)
-    store._sentences = _check_indices(buf, index, odd, path.name)
+    store._sentences = {key: buf[row : row + n] for key, row, n in spans}
     return store
 
 
-def _walk_records(raw, name: str, dim: int, count: int, keys):
-    """Walk every record of the mapped file ``raw`` after its header.
+def _kept_spans(raw: bytes, name: str, keys):
+    """Check the key directory ``raw`` and find its sentences that ``keys`` keeps.
 
-    A run is a stretch of records with one key header whose token indices
-    count up by one. Returns the kept runs' rows in file order as one
-    ``(rows, dim)`` float32 array; an index from each key to its first run's
-    row in that array (-1 when not kept) and length; and, for each sentence
-    not given as one run from index 0, its runs as ``(row, first index,
-    length)``. A run's key header is read with ``struct.unpack_from`` on the
-    mapping, with its bounds and UTF-8 checks written inline, since per-run
-    method calls are most of the load time at small ``dim``.
+    Returns each kept sentence as ``(key, first row in the kept rows, rows)``;
+    the file's stretches of adjacent kept sentences as ``[first row, rows]``;
+    and the row count of the whole matrix. Only the kept spans outlive the
+    parsed directory.
     """
-    truncated = f"{name}: truncated file"
-    end = len(raw)
-    record = 4 + 4 * dim  # a record's token index and vector
-    # No more records fit in the file than ones with two empty strings.
-    rows = np.empty((min(count, (end - 20) // (record + 9)), dim), "<f4")
-    index: dict[tuple[str, str, str], tuple[int, int]] = {}
-    odd: dict[tuple[str, str, str], list[tuple[int, int, int]]] = {}
-    pending = []  # views of the kept runs not yet copied into ``rows``
-    kept = copied = 0  # rows kept so far, and rows of those copied
-    released = 0  # the mapping's pages below this offset are handed back
-    pos = 20
-    done = 0
     try:
-        while done < count:
-            start = pos
-            key = []
-            for _ in range(2):  # instance id, window id
-                if pos + 4 > end:
-                    raise EmbeddingStoreError(truncated)
-                (n,) = _U32.unpack_from(raw, pos)
-                if pos + 4 + n > end:
-                    raise EmbeddingStoreError(truncated)
-                try:
-                    key.append(str(raw[pos + 4 : pos + 4 + n], "utf-8"))
-                except UnicodeDecodeError:
-                    raise EmbeddingStoreError(
-                        f"{name}: string at byte {pos} is not UTF-8") from None
-                pos += 4 + n
-            if pos >= end:
-                raise EmbeddingStoreError(truncated)
-            role = chr(raw[pos])
-            if role not in _ROLES:
-                raise EmbeddingStoreError(f"{name}: unknown role byte {role!r}")
-            pos += 1
-            if pos + record > end:  # the run's first record must be whole
-                raise EmbeddingStoreError(truncated)
-            prefix = raw[start:pos]
-            size = pos + record - start
-            limit = min(count - done, (end - start) // size)
-            (first,) = _U32.unpack_from(raw, pos)
-            n = 1
-            nxt = start + size
-            header = pos + 4 - start  # a record's key header and token index
-            # The run goes on while a record's key header and token index are its next.
-            while n < limit and raw[nxt : nxt + header] == prefix + _U32.pack(first + n):
-                n += 1
-                nxt += size
-            key = (key[0], key[1], role)
-            row = -1
-            if keys is None or key in keys:
-                pending.append(np.ndarray((n, dim), "<f4", raw, pos + 4, (size, 4)))
-                row = kept
-                kept += n
-            if key not in index:
-                index[key] = (row, n)
-                if first:
-                    odd[key] = [(row, first, n)]
+        entries = json.loads(str(raw, "utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deeply nested JSON
+        raise EmbeddingStoreError(f"{name}: the key directory is not UTF-8 JSON: {exc}") from None
+    if type(entries) is not list:
+        raise EmbeddingStoreError(f"{name}: the key directory is not a JSON array")
+    spans, runs = [], []
+    kept = total = 0
+    prev = None
+    for i, entry in enumerate(entries):
+        inst = win = role = n = None
+        if type(entry) is list and len(entry) == 4:
+            inst, win, role, n = entry
+        if type(inst) is not str or type(win) is not str or type(n) is not int:
+            raise EmbeddingStoreError(f"{name}: directory entry {i} is not "
+                                      "[instance id, window id, role, rows]")
+        key = (inst, win, role)
+        if role not in _ROLES:
+            raise EmbeddingStoreError(f"{name}: unknown role {role!r} for {key!r}")
+        if n < 1:
+            raise EmbeddingStoreError(f"{name}: {key!r} has {n} rows, not at least one")
+        if prev is not None and key <= prev:
+            raise EmbeddingStoreError(f"{name}: duplicate key {key!r}" if key == prev else
+                                      f"{name}: key {key!r} is out of sorted order")
+        prev = key
+        if keys is None or key in keys:
+            if runs and runs[-1][0] + runs[-1][1] == total:
+                runs[-1][1] += n
             else:
-                first_row, first_n = index[key]
-                odd.setdefault(key, [(first_row, 0, first_n)]).append((row, first, n))
-            pos = nxt
-            done += n
-            if pos - released >= _RELEASE_BYTES:
-                copied = _copy_pending(pending, rows, copied)
-                page = pos - pos % mmap.PAGESIZE
-                if _MADV_DONTNEED is not None:
-                    raw.madvise(_MADV_DONTNEED, released, page - released)
-                released = page
-        if pos != end:
-            raise EmbeddingStoreError(f"{name}: {end - pos} trailing bytes")
-        _copy_pending(pending, rows, copied)
-    finally:
-        # numpy's views hold no buffer export, so closing the mapping would leave any
-        # view still referenced after an error dangling.
-        pending.clear()
-    return rows if kept == len(rows) else rows[:kept].copy(), index, odd
-
-
-def _copy_pending(pending: list, rows: np.ndarray, copied: int) -> int:
-    """Copy the ``pending`` runs into ``rows`` from row ``copied`` on, in one join;
-    return the number of rows copied so far."""
-    if pending:
-        n = sum(len(v) for v in pending)
-        np.concatenate(pending, out=rows[copied : copied + n])
-        copied += n
-        pending.clear()
-    return copied
-
-
-def _check_indices(rows: np.ndarray, index, odd, name: str):
-    """The kept sentences of :func:`_walk_records`' results as read-only slices of
-    ``rows``, once each sentence of ``odd`` is known to hold each token index
-    0..T-1 once. Those are checked in the order they first appear in the file;
-    kept ones among them are gathered into index order."""
-    gathered = {}  # a kept odd sentence's rows in token order
-    for key in (k for k in index if k in odd):
-        parts = odd[key]
-        idx = np.concatenate([np.arange(first, first + n) for _, first, n in parts])
-        order = np.argsort(idx, kind="stable")
-        idx = idx[order]
-        dup = idx[1:][idx[1:] == idx[:-1]]
-        if dup.size:
-            raise EmbeddingStoreError(f"{name}: duplicate token index {dup[0]} for {key!r}")
-        if np.any(idx != np.arange(len(idx))):
-            raise EmbeddingStoreError(
-                f"{name}: token indices for {key!r} are not contiguous from 0"
-            )
-        if parts[0][0] >= 0:
-            gathered[key] = np.concatenate(
-                [np.arange(row, row + n) for row, _, n in parts])[order]
-    spans = {key: span for key, span in index.items() if span[0] >= 0}
-    if gathered:
-        takes, start = [], 0
-        for key, (row, n) in spans.items():
-            takes.append(gathered.get(key, np.arange(row, row + n)))
-            spans[key] = (start, len(takes[-1]))
-            start += len(takes[-1])
-        rows = rows[np.concatenate(takes)]
-    rows.flags.writeable = False
-    return {key: rows[row : row + n] for key, (row, n) in spans.items()}
+                runs.append([total, n])
+            spans.append((key, kept, n))
+            kept += n
+        total += n
+    return spans, runs, total

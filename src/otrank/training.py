@@ -214,8 +214,9 @@ def loss_and_gradients(feats: FeatureSet, params: ModelParams,
     """Joint loss over a nonempty :class:`FeatureSet`, plus exact reverse-mode
     derivatives as one fresh flat buffer in the layout of ``params.flat``."""
     grads = np.zeros_like(params.flat)
-    as2, mi = _mean_terms(feats, params, cfg.gamma, param_tensors(params.like(grads)))
-    loss = as2 + cfg.gamma * mi
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss raises below
+        as2, mi = _mean_terms(feats, params, cfg.gamma, param_tensors(params.like(grads)))
+        loss = as2 + cfg.gamma * mi
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} on a batch of {len(feats)} windows")
     return loss, grads
@@ -330,48 +331,50 @@ def train(
     history: list[EpochRecord] = []
     best: Checkpoint | None = None
     best_map = -1.0
-    for epoch in range(1, cfg.epochs + 1):
-        started = time.monotonic()
-        order = rng.permutation(len(feats))
-        total = 0.0
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = feats.take(order[lo : lo + cfg.batch_size])
-            t0 = clock()
-            try:
-                loss, grads = loss_and_gradients(batch, params, cfg)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
-                    f"epoch {epoch}, windows {lo}..{lo + len(batch)}: {exc}"
-                ) from exc
-            t1 = clock()
-            adam_step(params, grads, adam, cfg)
-            stage_s["step"] += t1 - t0
-            stage_s["adam"] += clock() - t1
-            total += loss * len(batch)
-        train_loss = total / len(feats)
-        if not math.isfinite(train_loss):
-            raise FloatingPointError(f"epoch {epoch}: non-finite mean loss {train_loss}")
-        p1 = ap = rr = None
-        if dev_feats is not None:
-            t0 = clock()
-            p1, ap, rr = _dev_metrics(dev_corpus.instances, dev_feats, params)
-            stage_s["dev-eval"] += clock() - t0
-            if ap is not None and ap > best_map:
-                best_map = ap
-                best = _snapshot(params, cfg, epoch, ft)
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=train_loss,
-            dev_p_at_1=p1,
-            dev_map=ap,
-            dev_mrr=rr,
-            wallclock_s=time.monotonic() - started,
-        )
-        history.append(record)
-        logger.info(
-            "epoch %d: train_loss=%.6f dev_p@1=%s dev_map=%s",
-            epoch, train_loss, p1, ap,
-        )
+    # Divergence overflows first; the loop's finiteness checks then raise FloatingPointError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.monotonic()
+            order = rng.permutation(len(feats))
+            total = 0.0
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = feats.take(order[lo : lo + cfg.batch_size])
+                t0 = clock()
+                try:
+                    loss, grads = loss_and_gradients(batch, params, cfg)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(
+                        f"epoch {epoch}, windows {lo}..{lo + len(batch)}: {exc}"
+                    ) from exc
+                t1 = clock()
+                adam_step(params, grads, adam, cfg)
+                stage_s["step"] += t1 - t0
+                stage_s["adam"] += clock() - t1
+                total += loss * len(batch)
+            train_loss = total / len(feats)
+            if not math.isfinite(train_loss):
+                raise FloatingPointError(f"epoch {epoch}: non-finite mean loss {train_loss}")
+            p1 = ap = rr = None
+            if dev_feats is not None:
+                t0 = clock()
+                p1, ap, rr = _dev_metrics(dev_corpus.instances, dev_feats, params)
+                stage_s["dev-eval"] += clock() - t0
+                if ap is not None and ap > best_map:
+                    best_map = ap
+                    best = _snapshot(params, cfg, epoch, ft)
+            record = EpochRecord(
+                epoch=epoch,
+                train_loss=train_loss,
+                dev_p_at_1=p1,
+                dev_map=ap,
+                dev_mrr=rr,
+                wallclock_s=time.monotonic() - started,
+            )
+            history.append(record)
+            logger.info(
+                "epoch %d: train_loss=%.6f dev_p@1=%s dev_map=%s",
+                epoch, train_loss, p1, ap,
+            )
     logger.info("train stages: " + ", ".join(f"{k} %.3f s" for k in stage_s),
                 *stage_s.values())
     final = _snapshot(params, cfg, cfg.epochs, ft)
@@ -504,7 +507,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                                       f"parameter bytes, the file holds {left}")
             try:
                 meta = json.loads(str(raw[28:run], "utf-8"))
-            except ValueError as exc:  # bad UTF-8 or bad JSON
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
                 raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: "
                                       f"{exc}") from None
             config = _check_meta(meta, path.name)

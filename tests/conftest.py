@@ -152,8 +152,7 @@ def bench_train_inputs(tmp_path_factory):
     td = tmp_path_factory.mktemp("bench_train")
     train, dev, store = make_synthetic_corpus(n_train=40, n_dev=10, n_candidates=5, dim=16,
                                               seed=1)
-    paths = {"train": td / "train.jsonl", "dev": td / "dev.jsonl", "emb": td / "emb.bin",
-             "emb_sidecar": td / "emb.bin.json"}
+    paths = {"train": td / "train.jsonl", "dev": td / "dev.jsonl", "emb": td / "emb.bin"}
     save_corpus(train, paths["train"])
     save_corpus(dev, paths["dev"])
     write_embedding_store(paths["emb"], store)

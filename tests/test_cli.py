@@ -249,6 +249,77 @@ class TestAlign:
         assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def h400_env(bench_train_inputs, tmp_path_factory):
+    """The benchmark's d=16 train split and store, with an untrained checkpoint of
+    hidden 400: the setting in which a window's score is bitwise its score alone."""
+    td = tmp_path_factory.mktemp("h400")
+    train = load_corpus(bench_train_inputs["train"], split="train")
+    params = init_model_params(np.random.default_rng(11), 16, 400, 2)
+    ckpt = td / "h400.ckpt"
+    save_checkpoint(ckpt, Checkpoint(params=params, config=TrainConfig(hidden_size=400),
+                                     epoch=0, freq_table=build_frequency_table(train)))
+    return {"ckpt": ckpt, "emb": bench_train_inputs["emb"],
+            "lines": bench_train_inputs["train"].read_text().splitlines(keepends=True)}
+
+
+class TestSplitInvariance:
+    """A question's output does not depend on the rest of its split: the keyed store
+    load, the split's shape groups, the forward chunks and the ranking give each
+    question the bytes it gets in any other split that holds it."""
+
+    @staticmethod
+    def _parts(lines):
+        half = len(lines) // 2
+        return {"reversed": [lines[::-1]], "halves": [lines[:half], lines[half:]],
+                "single": [[line] for line in lines[:3]]}
+
+    @staticmethod
+    def _by_question(command, env, tmp_path, lines, name):
+        """``command``'s output lines for the split of ``lines``, by question id."""
+        split, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.out"
+        split.write_text("".join(lines))
+        argv = [command, "--checkpoint", str(env["ckpt"]), "--split", str(split),
+                "--embeddings", str(env["emb"])]
+        if command == "rerank":
+            assert main(argv + ["--out", str(out)]) == 0
+            rows = out.read_text().splitlines()
+            return {json.loads(row)["question_id"]: row for row in rows}
+        assert main(argv + ["--out", str(tmp_path / f"{name}.json"),
+                            "--per-question", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        return {row.split("\t")[0]: row for row in rows}
+
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    def test_each_question_writes_the_same_bytes(self, command, h400_env, tmp_path):
+        whole = self._by_question(command, h400_env, tmp_path, h400_env["lines"], "whole")
+        assert len(whole) == len(h400_env["lines"])
+        for edit, parts in self._parts(h400_env["lines"]).items():
+            got = {}
+            for k, lines in enumerate(parts):
+                got.update(self._by_question(command, h400_env, tmp_path, lines, f"{edit}{k}"))
+            assert got == {qid: whole[qid] for qid in got}, edit
+            assert len(got) == sum(map(len, parts))
+
+    def test_combined_dev_test_is_one_file_that_holds_both(self, h400_env, tmp_path):
+        lines = h400_env["lines"]
+        split = {name: tmp_path / f"{name}.jsonl" for name in ("both", "dev", "test")}
+        split["both"].write_text("".join(lines))
+        split["dev"].write_text("".join(lines[:len(lines) // 2]))
+        split["test"].write_text("".join(lines[len(lines) // 2:]))
+        outputs = []
+        for splits in (["both"], ["dev", "test"]):
+            out, tsv = tmp_path / f"{len(splits)}.json", tmp_path / f"{len(splits)}.tsv"
+            argv = ["eval", "--checkpoint", str(h400_env["ckpt"]),
+                    "--embeddings", str(h400_env["emb"]), "--combine-dev-test",
+                    "--out", str(out), "--per-question", str(tsv)]
+            for name in splits:
+                argv += ["--split", str(split[name])]
+            assert main(argv) == 0
+            outputs.append((out.read_bytes(), tsv.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
 def _scoring_argv(command, cli_env, tmp_path, ckpt=None, emb=None, corpus=None):
     argv = [command, "--checkpoint", str(ckpt or cli_env["ckpt"]),
             "--split", str(corpus or cli_env["corpus"]),
@@ -697,13 +768,15 @@ class TestCheckpointMetadata:
         assert load_checkpoint(same).config == load_checkpoint(cli_env["ckpt"]).config
 
 
-def _first_role_byte(raw: bytes) -> int:
-    """Offset of the role byte of an embedding store's first record."""
-    pos = 4 + 16  # magic, version, dim, count
-    for _ in range(2):  # instance id, window id
-        (n,) = struct.unpack_from("<I", raw, pos)
-        pos += 4 + n
-    return pos
+def _v1_store_bytes(store: EmbeddingStore) -> bytes:
+    """``store`` in the version-1 file layout: per token vector, its key strings,
+    role byte and token index before its float32 values."""
+    out = [b"OTRK", struct.pack("<IIQ", 1, store.dim, store.num_records)]
+    for key, arr in store.sorted_items():
+        head = b"".join(struct.pack("<I", len(s)) + s.encode() for s in key[:2]) + key[2].encode()
+        out += [head + struct.pack("<I", i) + np.float32(row).tobytes()
+                for i, row in enumerate(arr)]
+    return b"".join(out)
 
 
 def _set_byte(raw: bytes, pos: int, value: int) -> bytes:
@@ -735,13 +808,13 @@ def _set_run(raw: bytes, edit) -> bytes:
 _RUN_SAYS = "header sizes d=4, layers=2, hidden=5 need 896 parameter bytes, the file holds"
 
 
-# Every prefix of a valid store's header and first record, every prefix of a valid
-# checkpoint payload through its metadata length and first metadata byte (with
-# the CRC recomputed, so the header parse reads it), and a 20-byte payload that
-# reaches the version. Each field is checked as it is reached, so a prefix fails
-# on the first field it cuts.
+# Every prefix of a valid store's header and its key directory's first bytes,
+# every prefix of a valid checkpoint payload through its metadata length and
+# first metadata byte (with the CRC recomputed, so the header parse reads it), and
+# a 20-byte payload that reaches the version. Each field is checked as it is
+# reached, so a prefix fails on the first field it cuts.
 _HEADER_CASES = (
-    [(f"store-{n}", "emb", lambda raw, n=n: raw[:n], "truncated file") for n in range(22)]
+    [(f"store-{n}", "emb", lambda raw, n=n: raw[:n], "truncated file") for n in range(30)]
     + [(f"ckpt-{n}", "ckpt", lambda raw, n=n: _with_crc(raw[:n]),
         "bad magic, not a checkpoint" if n < 4 else "truncated file") for n in range(30)]
     + [("ckpt-20-version-2", "ckpt", lambda raw: _set_header(raw[:24], 0, 2),
@@ -767,14 +840,15 @@ class TestCorruptInputs:
     """Damaged files exit 1 with an error naming the file, never with a traceback."""
 
     @pytest.mark.parametrize("target,corrupt,says", [
-        ("emb", lambda raw: _set_byte(raw, _first_role_byte(raw), 0xFF), "unknown role byte"),
-        ("emb", lambda raw: _set_byte(raw, 4 + 16 + 4, 0xFF), "not UTF-8"),
-        ("emb", lambda raw: _set_store_header(raw, 0, 2), "unsupported format version 2"),
+        ("emb", lambda raw: raw.replace(b'"q",', b'"x",', 1), "unknown role 'x'"),
+        ("emb", lambda raw: _set_byte(raw, 4 + 16 + 4, 0xFF), "key directory is not UTF-8"),
+        ("emb", lambda raw: _set_store_header(raw, 0, 3), "unsupported format version 3"),
         ("emb", lambda raw: _set_store_header(raw, 1, 0), "dimension must be positive"),
-        ("emb", lambda raw: raw[:_first_role_byte(raw)], "truncated file"),
+        ("emb", lambda raw: raw[:-1], "truncated file"),
         ("ckpt", lambda raw: _set_run(raw, lambda run: run[:-8]), f"{_RUN_SAYS} 888"),
         ("ckpt", lambda raw: _set_run(raw, lambda run: run + bytes(8)), f"{_RUN_SAYS} 904"),
         ("ckpt", lambda raw: _set_meta(raw, b"[]"), "metadata is not a JSON object"),
+        ("ckpt", lambda raw: _set_meta(raw, b"[" * 100_000), "metadata is not JSON"),
         # A valid config whose sizes are not the header's (hidden 5, two layers).
         ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(hidden_size=400)),
          "config 'hidden_size' = 400 contradicts the header's hidden = 5"),
@@ -796,14 +870,19 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: raw[:1], "bad magic"),
         ("ckpt", lambda raw: raw[:3], "bad magic"),
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
-    ], ids=["store-role-byte", "store-instance-id", "store-version-2", "store-dim-0",
-            "store-before-role-byte", "ckpt-run-short", "ckpt-run-long",
-            "ckpt-meta-not-object", "ckpt-config-hidden", "ckpt-config-layers", "ckpt-dim-0",
+    ], ids=["store-role", "store-instance-id", "store-version-3", "store-dim-0",
+            "store-last-byte", "ckpt-run-short", "ckpt-run-long", "ckpt-meta-not-object",
+            "ckpt-meta-nested-too-deep", "ckpt-config-hidden", "ckpt-config-layers", "ckpt-dim-0",
             "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-version-1",
             "ckpt-version-2", "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
             "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
         _rerank_rejects(target, corrupt, says, cli_env, tmp_path, capsys)
+
+    def test_version_1_store_exits_one(self, cli_env, tmp_path, capsys):
+        # The format before the key directory has no reader.
+        _rerank_rejects("emb", lambda raw: _v1_store_bytes(cli_env["store"]),
+                        "unsupported format version 1", cli_env, tmp_path, capsys)
 
     @pytest.mark.parametrize("target,corrupt,says", [c[1:] for c in _HEADER_CASES],
                              ids=[c[0] for c in _HEADER_CASES])
@@ -1037,7 +1116,6 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg_path)]) == 0
         assert load_checkpoint(tmp_path / "out.ckpt").config.seed == 99
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("key,value,says", [
         # Each batch loss is finite, but the epoch's mean overflows.
         ("gamma", 1e308, "epoch 1: non-finite mean loss inf"),
@@ -1045,7 +1123,7 @@ class TestTrainCommand:
     ], ids=["gamma", "learning_rate"])
     def test_diverging_run_exits_one_naming_its_settings(self, key, value, says, cli_env,
                                                          bench_train_inputs, tmp_path,
-                                                         monkeypatch, capsys):
+                                                         monkeypatch, capsys, recwarn):
         # The benchmark's train inputs and hyperparameters, with one setting too large.
         cfg_path = _train_config(
             cli_env, tmp_path, train_corpus=str(bench_train_inputs["train"]),
@@ -1057,6 +1135,10 @@ class TestTrainCommand:
         assert rc == 1
         assert "training diverged" in err and f"{key} = {value!r}" in err and says in err
         assert "Traceback" not in err
+        # The error is all it reports: no numpy warning, which the command line prints
+        # to stderr, comes before it.
+        assert "RuntimeWarning" not in err
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
         assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "log.jsonl").exists()
 
     @pytest.mark.parametrize("text,says", [

@@ -1,5 +1,6 @@
 """Frequency table, marginal distributions, and the binary embedding store."""
 
+import json
 import os
 import struct
 import subprocess
@@ -29,53 +30,71 @@ from otrank.errors import EmbeddingKeyError, EmbeddingStoreError
 from conftest import build_tiny_store
 
 
-def _write_records(path, dim, records):
-    """An embedding store file holding ``records`` of (instance, window, role,
-    token index, vector), in the order given; an id given as bytes is written as is."""
-    with path.open("wb") as fh:
-        fh.write(b"OTRK" + struct.pack("<IIQ", 1, dim, len(records)))
-        for inst, win, role, idx, vec in records:
-            for s in (inst, win):
-                raw = s if isinstance(s, bytes) else s.encode()
-                fh.write(struct.pack("<I", len(raw)) + raw)
-            fh.write(role.encode() + struct.pack("<I", idx))
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
+def _store_bytes(dim, directory, rows):
+    """Format-2 embedding-store file bytes: the header, ``directory`` as compact JSON
+    (bytes are written as they are), then ``rows`` as float32."""
+    if not isinstance(directory, bytes):
+        directory = json.dumps(directory, separators=(",", ":")).encode()
+    return (b"OTRK" + struct.pack("<IIQ", 2, dim, len(directory)) + directory
+            + np.asarray(rows, dtype="<f4").tobytes())
+
+
+def _set_u32(raw, pos, value):
+    return raw[:pos] + struct.pack("<I", value) + raw[pos + 4:]
 
 
 GOOD = ("good", "w", "c")
-BAD = ("bad", "w", "c")
+BAD = ("wrong", "w", "c")  # sorts after GOOD
+_GOOD_ROWS = [[0, 0], [1, -1], [2, -2]]
+_SHAPE = "directory entry 1 is not [instance id, window id, role, rows]"
+_NOT_JSON = "emb.bin: the key directory is not UTF-8 JSON"
 
 
-def _good_records():
-    return [(*GOOD, i, [i, -i]) for i in range(3)]
-
-
-def _recount(raw, delta):
-    (count,) = struct.unpack_from("<Q", raw, 12)
-    return raw[:12] + struct.pack("<Q", count + delta) + raw[20:]
-
-
-# (records after the good sentence's, an edit of the file's bytes, what the error says).
-# The bad sentence comes last, so that a kept good sentence is pending when it fails.
+# (the directory entries after the good sentence's, or the whole directory as
+# bytes; the rows after the good sentence's; an edit of the file's bytes; what the
+# error says).
 _CORRUPT_STORES = {
-    "truncated": ([(*BAD, 0, [1, 2])], lambda raw: raw[:-7], "emb.bin: truncated file"),
-    "empty-file": ([], lambda raw: b"", "emb.bin: truncated file"),
-    "bad-magic": ([], lambda raw: b"NOPE" + raw[4:], "emb.bin: bad magic"),
-    "trailing-bytes": ([(*BAD, 0, [1, 2])], lambda raw: raw + b"xx",
-                       "emb.bin: 2 trailing bytes"),
-    "non-contiguous": ([(*BAD, 1, [1, 2])], None,
-                       "token indices for ('bad', 'w', 'c') are not contiguous from 0"),
-    "duplicate": ([(*BAD, i, [i, 0]) for i in (0, 1, 1)], None,
-                  "duplicate token index 1 for ('bad', 'w', 'c')"),
-    "duplicate-in-two-runs": ([(*BAD, 0, [1, 2]), ("sep", "w", "c", 0, [0, 0]),
-                               (*BAD, 0, [1, 2])], None,
-                              "duplicate token index 0 for ('bad', 'w', 'c')"),
-    "unknown-role": ([("bad", "w", "x", 0, [1, 2])], None, "unknown role byte 'x'"),
-    "non-utf8": ([(b"b\xffd", "w", "c", 0, [1, 2])], None, "is not UTF-8"),
-    "count-too-high": ([(*BAD, 0, [1, 2])], lambda raw: _recount(raw, 1),
-                       "emb.bin: truncated file"),
-    "count-too-low": ([(*BAD, 0, [1, 2])], lambda raw: _recount(raw, -1), "trailing bytes"),
+    "truncated": ([[*BAD, 1]], 1, lambda raw: raw[:-7], "emb.bin: truncated file"),
+    "empty-file": ([], 0, lambda raw: b"", "emb.bin: truncated file"),
+    "header-only": ([], 0, lambda raw: raw[:20], "emb.bin: truncated file"),
+    "bad-magic": ([], 0, lambda raw: b"NOPE" + raw[4:], "emb.bin: bad magic"),
+    "trailing-bytes": ([[*BAD, 1]], 1, lambda raw: raw + b"xx", "emb.bin: 2 trailing bytes"),
+    "version-1": ([], 0, lambda raw: _set_u32(raw, 4, 1),
+                  "emb.bin: unsupported format version 1"),
+    "dim-0": ([], 0, lambda raw: _set_u32(raw, 8, 0), "emb.bin: dimension must be positive"),
+    "directory-length-too-high": ([], 0, lambda raw: raw[:12] + struct.pack(
+        "<Q", len(raw)) + raw[20:], "emb.bin: truncated file"),
+    "rows-too-many": ([[*BAD, 2]], 1, None, "emb.bin: truncated file"),
+    "rows-too-few": ([[*BAD, 1]], 2, None, "emb.bin: 8 trailing bytes"),
+    "unsorted-keys": ([["aaa", "w", "c", 1]], 1, None,
+                      "emb.bin: key ('aaa', 'w', 'c') is out of sorted order"),
+    "duplicate-key": ([[*BAD, 1], [*BAD, 1]], 2, None,
+                      "emb.bin: duplicate key ('wrong', 'w', 'c')"),
+    "unknown-role": ([["wrong", "w", "x", 1]], 1, None,
+                     "emb.bin: unknown role 'x' for ('wrong', 'w', 'x')"),
+    "role-not-a-string": ([["wrong", "w", None, 1]], 1, None, "emb.bin: unknown role None"),
+    "zero-rows": ([[*BAD, 0]], 0, None,
+                  "emb.bin: ('wrong', 'w', 'c') has 0 rows, not at least one"),
+    "negative-rows": ([[*BAD, -1]], 0, None, "('wrong', 'w', 'c') has -1 rows"),
+    "entry-of-three": ([list(BAD)], 0, None, _SHAPE),
+    "entry-not-a-list": ([{"key": list(BAD), "rows": 1}], 1, None, _SHAPE),
+    "id-not-a-string": ([["wrong", 5, "c", 1]], 1, None, _SHAPE),
+    "rows-bool": ([[*BAD, True]], 1, None, _SHAPE),
+    "rows-float": ([[*BAD, 1.0]], 1, None, _SHAPE),
+    "directory-not-an-array": (b'{"good": 3}', 0, None,
+                               "emb.bin: the key directory is not a JSON array"),
+    "directory-not-utf8": (b'[["good","w","c",3],["b\xffd","w","c",1]]', 1, None, _NOT_JSON),
+    "directory-not-json": (b'[["good","w","c",3],', 0, None, _NOT_JSON),
+    "directory-nested-too-deep": (b"[" * 100_000, 0, None, _NOT_JSON),
 }
+
+
+def _corrupt_store(case):
+    """The bytes of ``_CORRUPT_STORES[case]``: the good sentence, then the case's."""
+    entries, rows, edit, _ = _CORRUPT_STORES[case]
+    directory = entries if isinstance(entries, bytes) else [[*GOOD, 3], *entries]
+    raw = _store_bytes(2, directory, _GOOD_ROWS + [[1, 2]] * rows)
+    return edit(raw) if edit else raw
 
 
 class TestFrequencyTable:
@@ -88,8 +107,6 @@ class TestFrequencyTable:
         assert ft.counts["opera"] == 1
 
     def test_word_twice_in_one_question_counts_once(self, tmp_path):
-        import json
-
         rec = {
             "question_id": "q",
             "question": "round and round it goes",
@@ -203,14 +220,6 @@ class TestEmbeddingStore:
         write_embedding_store(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_sidecar(self, tiny_store, tmp_path):
-        import json
-
-        path = tmp_path / "emb.bin"
-        write_embedding_store(path, tiny_store)
-        sidecar = json.loads((tmp_path / "emb.bin.json").read_text())
-        assert sidecar == {"dim": tiny_store.dim, "count": tiny_store.num_records}
-
     def test_truncated_file(self, tiny_store, tmp_path):
         path = tmp_path / "emb.bin"
         write_embedding_store(path, tiny_store)
@@ -237,43 +246,27 @@ class TestEmbeddingStore:
         with pytest.raises(ValueError, match="tokens, 4"):
             store.add_sentence("i", "w", ROLE_C, np.zeros((2, 3)))
 
-    def test_noncontiguous_token_indices(self, tmp_path):
-        # A file whose single sentence starts at token index 1.
-        path = tmp_path / "gap.bin"
-        _write_records(path, 2, [("inst", "win", "c", 1, np.zeros(2))])
-        with pytest.raises(EmbeddingStoreError, match="contiguous"):
-            load_embedding_store(path)
+    def test_writes_the_documented_layout(self, tmp_path):
+        store = EmbeddingStore(dim=2)
+        store.add_sentence("i2", QUESTION_WINDOW_ID, ROLE_Q, [[0.5, -1.0]])
+        store.add_sentence("i1", "w\u00e9", ROLE_C, [[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "emb.bin"
+        write_embedding_store(path, store)
+        assert path.read_bytes() == (
+            b"OTRK" + struct.pack("<IIQ", 2, 2, 41)
+            + b'[["i1","w\\u00e9","c",2],["i2","-","q",1]]'
+            + np.float32([[1, 2], [3, 4], [0.5, -1]]).tobytes())
 
-    def test_interleaved_out_of_order_records_load_as_sorted(self, tiny_store, tmp_path):
-        records = [(*key, i, arr[i]) for key, arr in tiny_store.sorted_items()
-                   for i in range(arr.shape[0])]
-        order = np.random.default_rng(5).permutation(len(records))
-        shuffled = tmp_path / "shuffled.bin"
-        _write_records(shuffled, tiny_store.dim, [records[k] for k in order])
-        sorted_path = tmp_path / "sorted.bin"
-        write_embedding_store(sorted_path, tiny_store)
-        a, b = load_embedding_store(shuffled), load_embedding_store(sorted_path)
-        assert [k for k, _ in a.sorted_items()] == [k for k, _ in b.sorted_items()]
-        for key, _ in b.sorted_items():
-            np.testing.assert_array_equal(a.stored_vectors(*key), b.stored_vectors(*key),
-                                          strict=True)
-        # The sorted file is what writing either store gives back.
-        again = tmp_path / "again.bin"
-        write_embedding_store(again, a)
-        assert again.read_bytes() == sorted_path.read_bytes()
-
-    @pytest.mark.parametrize("indices", [(0, 1, 1), (1, 0, 1), (0, 2, 2, 1)])
-    @pytest.mark.parametrize("split_run", [False, True])
-    def test_duplicate_index_names_key_and_index(self, indices, split_run, tmp_path):
-        dup = max(set(i for i in indices if indices.count(i) > 1))
-        records = [("i", "w", "c", i, np.zeros(2)) for i in indices]
-        if split_run:  # another sentence's record between them: two runs of one key
-            records.insert(1, ("j", "w", "c", 0, np.zeros(2)))
-        path = tmp_path / "dup.bin"
-        _write_records(path, 2, records)
-        with pytest.raises(EmbeddingStoreError,
-                           match=rf"duplicate token index {dup} for \('i', 'w', 'c'\)"):
-            load_embedding_store(path)
+    def test_sentences_added_in_any_order_write_the_sorted_file(self, tiny_store, tmp_path):
+        items = tiny_store.sorted_items()
+        shuffled = EmbeddingStore(dim=tiny_store.dim)
+        for k in np.random.default_rng(5).permutation(len(items)):
+            shuffled.add_sentence(*items[k][0], items[k][1])
+        assert list(shuffled._sentences) != [k for k, _ in items]
+        a, b = tmp_path / "shuffled.bin", tmp_path / "sorted.bin"
+        write_embedding_store(a, shuffled)
+        write_embedding_store(b, tiny_store)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_stored_vectors_are_held_as_loaded(self, tmp_path):
         x = np.array([[0.1, 1 / 3, -2.7182818, 1e-40], [3.0, np.pi, 1e30, -0.0]])
@@ -299,25 +292,22 @@ class TestEmbeddingStore:
     @pytest.mark.parametrize("keys", [None, set(), {GOOD}], ids=["all", "none", "good-only"])
     @pytest.mark.parametrize("case", list(_CORRUPT_STORES))
     def test_corrupt_store_fails_alike_for_any_keys(self, case, keys, tmp_path):
-        # A keyed load checks every record of the file, kept or skipped, as a full load does.
-        records, edit, says = _CORRUPT_STORES[case]
+        # A keyed load checks the whole directory and the file's size, as a full load does.
         path = tmp_path / "emb.bin"
-        _write_records(path, 2, _good_records() + records)
-        if edit:
-            path.write_bytes(edit(path.read_bytes()))
+        path.write_bytes(_corrupt_store(case))
         with pytest.raises(EmbeddingStoreError) as full:
             load_embedding_store(path)
-        assert says in str(full.value)
+        assert _CORRUPT_STORES[case][-1] in str(full.value)
         with pytest.raises(EmbeddingStoreError) as keyed:
             load_embedding_store(path, keys)
         assert type(keyed.value) is type(full.value) and str(keyed.value) == str(full.value)
 
     def test_the_uncorrupted_file_loads_keyed(self, tmp_path):
         path = tmp_path / "emb.bin"
-        _write_records(path, 2, _good_records() + [(*BAD, 0, [1, 2])])
+        path.write_bytes(_store_bytes(2, [[*GOOD, 3], [*BAD, 1]], _GOOD_ROWS + [[1, 2]]))
         store = load_embedding_store(path, {GOOD})
-        np.testing.assert_array_equal(store.stored_vectors(*GOOD), np.float32(
-            [[0, 0], [1, -1], [2, -2]]), strict=True)
+        np.testing.assert_array_equal(store.stored_vectors(*GOOD), np.float32(_GOOD_ROWS),
+                                      strict=True)
 
     @pytest.mark.parametrize("value", [1e39, -3.5e38, np.finfo(np.float64).max])
     def test_writer_rejects_a_finite_value_beyond_float32(self, value, tmp_path):
@@ -327,7 +317,7 @@ class TestEmbeddingStore:
         path = tmp_path / "emb.bin"
         with pytest.raises(ValueError, match=r"token 1 of \('j', 'w', 'c'\)"):
             write_embedding_store(path, store)
-        assert not path.exists() and not Path(str(path) + ".json").exists()
+        assert not path.exists()
 
     def test_writer_keeps_nan_inf_and_float32_max(self, tmp_path):
         x = np.array([[np.nan, np.inf], [-np.inf, float(np.finfo(np.float32).max)]])
@@ -358,17 +348,19 @@ class TestKeyedLoad:
         assert len(bases) == 1
         assert got.base.shape == (keyed.num_records, keyed.dim)
 
-    def test_equals_the_full_load_on_every_kept_key(self, tiny_store, tmp_path):
+    @pytest.mark.parametrize("pick", [slice(None, None, 2), [0, 1, 2, 5, 6, -1]],
+                             ids=["every-other", "adjacent-stretches"])
+    def test_equals_the_full_load_on_every_kept_key(self, pick, tiny_store, tmp_path):
         path = _store_file(tiny_store, tmp_path)
         full = load_embedding_store(path)
         all_keys = [key for key, _ in tiny_store.sorted_items()]
-        kept, skipped = set(all_keys[::2]), all_keys[1::2]
+        kept = set(all_keys[pick] if isinstance(pick, slice) else [all_keys[i] for i in pick])
         missing = ("no-such-instance", "w", ROLE_C)
         keyed = load_embedding_store(path, kept | {missing})
         self._assert_kept(keyed, full, kept)
         assert keyed.num_records == sum(full.stored_vectors(*k).shape[0] for k in kept)
         assert keyed.num_records < full.num_records
-        for key in [*skipped, missing]:
+        for key in [*(k for k in all_keys if k not in kept), missing]:
             with pytest.raises(EmbeddingKeyError, match=repr(key[1])):
                 keyed.stored_vectors(*key)
 
@@ -383,54 +375,20 @@ class TestKeyedLoad:
         assert store.num_records == 0 and store.sorted_items() == []
         assert store.dim == tiny_store.dim
 
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_interleaved_out_of_order_runs_are_joined_and_sorted(self, seed, tiny_store,
-                                                                   tmp_path):
-        records = [(*key, i, arr[i]) for key, arr in tiny_store.sorted_items()
-                   for i in range(arr.shape[0])]
-        order = np.random.default_rng(seed).permutation(len(records))
-        shuffled = tmp_path / "shuffled.bin"
-        _write_records(shuffled, tiny_store.dim, [records[k] for k in order])
-        full = load_embedding_store(_store_file(tiny_store, tmp_path))
-        keys = [key for key, _ in tiny_store.sorted_items()]
-        for kept in (keys, keys[1::3]):
-            keyed = load_embedding_store(shuffled, set(kept))
-            self._assert_kept(keyed, full, kept)
-            assert [k for k, _ in keyed.sorted_items()] == sorted(kept)
-
-    def test_a_sentence_in_two_runs_is_joined(self, tmp_path):
-        path = tmp_path / "split.bin"
-        _write_records(path, 2, [(*BAD, 0, [0, 1]), (*GOOD, 0, [9, 9]), (*BAD, 2, [4, 5]),
-                                 (*BAD, 1, [2, 3])])
-        for keys in (None, {BAD}):
-            got = load_embedding_store(path, keys).stored_vectors(*BAD)
-            np.testing.assert_array_equal(got, np.float32([[0, 1], [2, 3], [4, 5]]), strict=True)
-            assert got.flags.c_contiguous and not got.flags.writeable
-
 
 # Peak resident bytes of this process: VmHWM. A child's ru_maxrss starts at its
 # parent's resident set at the fork, so it would hide growth below pytest's size.
 _MEMORY_GUARD = textwrap.dedent("""
-    import struct, sys
-    import numpy as np
+    import sys
     from otrank.embeddings import load_embedding_store
 
     def peak():
         with open("/proc/self/status") as fh:
             return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM:"))
 
-    path, dim, sentences, tokens = sys.argv[1], 768, 1000, 8
-    rng = np.random.default_rng(0)
-    with open(path, "wb") as fh:
-        fh.write(b"OTRK" + struct.pack("<IIQ", 1, dim, sentences * tokens))
-        for s in range(sentences):
-            head = struct.pack("<I", 6) + b"i%05d" % s + struct.pack("<I", 1) + b"w" + b"c"
-            vecs = rng.standard_normal((tokens, dim)).astype("<f4")
-            fh.write(b"".join(head + struct.pack("<I", t) + vecs[t].tobytes()
-                              for t in range(tokens)))
     before = peak()
-    store = load_embedding_store(path, {("i00500", "w", "c")})
-    assert store.num_records == tokens
+    store = load_embedding_store(sys.argv[1], {("i00500", "w", "c")})
+    assert store.num_records == 8
     print(peak() - before)
 """)
 
@@ -438,9 +396,16 @@ _MEMORY_GUARD = textwrap.dedent("""
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_keyed_load_holds_little_of_the_file(tmp_path):
     """A keyed load of one sentence of a 24.7 MB store at d=768, in a fresh process,
-    raises its peak resident set by less than a third of the file: the walk
-    hands the mapped pages back as it goes."""
+    raises its peak resident set by less than a third of the file: only the kept
+    sentence's rows are read. The file is written here, so that building it does
+    not raise the measuring process's peak first."""
+    rng = np.random.default_rng(0)
+    store = EmbeddingStore(dim=768)
+    for s in range(1000):
+        store.add_sentence(f"i{s:05d}", "w", ROLE_C, rng.standard_normal((8, 768)))
     path = tmp_path / "wide.bin"
+    write_embedding_store(path, store)
+    del store
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", _MEMORY_GUARD, str(path)], env=env,

@@ -37,7 +37,8 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "_params_from_tensors", "_QuestionSide", "_question_side", "_sentence_vectors",
            "NonFiniteCostError", "pad_context", "MissingFrequencyTableError", "_pack_tensors",
            "_decode_tensors", "Workspace", "_pairs_by_mask", "_ANSWER_BITS", "_PAIRS_BY_MASK",
-           "_TABLE_COUNT", "_TABLE_START", "ByteReader")
+           "_TABLE_COUNT", "_TABLE_START", "ByteReader", "_walk_records", "_copy_pending",
+           "_check_indices", "_write_str", "_RELEASE_BYTES", "_MADV_DONTNEED")
 
 
 def test_every_export_resolves():

@@ -172,14 +172,15 @@ class TestGradients:
         for name in ("disc.w1", "disc.b1", "disc.w2", "disc.b2"):
             np.testing.assert_array_equal(grads[name], np.zeros_like(grads[name]))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_loss_aborts(self):
+    def test_non_finite_loss_aborts(self, recwarn):
         rng = np.random.default_rng(7)
         params = init_model_params(rng, dim=4, hidden=6, layers=2)
         feats = random_batch(rng, 4, n=1)
         feats.reps[0, 0, 0] = np.inf
         with pytest.raises(FloatingPointError):
             loss_and_gradients(feats, params, micro_cfg())
+        # The error is raised with no numpy warning before it.
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 CONTEXT_LABELS = st.sampled_from([True, False, None])
