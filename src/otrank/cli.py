@@ -105,8 +105,9 @@ def _cmd_train(args) -> int:
     cfg_path = _require_file(args.config, "config file")
     try:
         raw = json.loads(cfg_path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise OtrankError(f"config file {cfg_path} is not valid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON
+        raise OtrankError(f"config file {cfg_path} is not valid JSON: "
+                          f"{getattr(exc, 'msg', exc)}") from exc
     if not isinstance(raw, dict):
         raise OtrankError(f"config file {cfg_path} must hold a JSON object")
 

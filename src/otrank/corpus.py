@@ -199,8 +199,9 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{where}: invalid JSON ({exc.msg})") from exc
+            except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON
+                why = getattr(exc, "msg", exc)
+                raise CorpusFormatError(f"{where}: invalid JSON ({why})") from exc
             instances.append(_parse_instance(rec, where, seen_qids, chunks))
     return Corpus(instances=tuple(instances), split=split)
 

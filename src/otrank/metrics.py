@@ -14,8 +14,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .corpus import Corpus
-from .errors import EmbeddingStoreError, EmptyInputError
+from .errors import CheckpointError, EmbeddingStoreError, EmptyInputError
 from .model import extract_features, instance_windows, score_windows
 
 logger = logging.getLogger(__name__)
@@ -79,13 +81,18 @@ def rank_features(instances, feats, params) -> list[Ranking]:
 
     ``feats`` is the :class:`~otrank.model.FeatureSet` of every window of
     ``instances``, in corpus order; one :func:`score_windows` call scores them
-    all.
+    all. The first window whose score is not finite raises ``FloatingPointError``.
     """
-    scores = score_windows(feats, params).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score raises below
+        scores = score_windows(feats, params)
+    bad, scores = np.flatnonzero(~np.isfinite(scores)), scores.tolist()
     rankings = []
     lo = 0
     for inst in instances:
         hi = lo + len(inst.windows)
+        if bad.size and bad[0] < hi:
+            raise FloatingPointError(f"question {inst.question_id!r} window "
+                                     f"{inst.windows[bad[0] - lo].id!r} scores {scores[bad[0]]}")
         rankings.append(rank_candidates([(w.id, p) for w, p in zip(inst.windows, scores[lo:hi])]))
         lo = hi
     return rankings
@@ -99,7 +106,8 @@ def rank_questions(instances, checkpoint, store) -> list[Ranking]:
     (see :class:`otrank.training.Checkpoint`). Logs the windows per second at info.
 
     Raises :class:`EmbeddingStoreError` before aligning anything when the
-    store's vector dimension is not the model's.
+    store's vector dimension is not the model's; a non-finite score raises
+    :class:`CheckpointError`.
     """
     if store.dim != checkpoint.params.dim:
         raise EmbeddingStoreError(f"the embedding store holds d={store.dim} vectors, but the "
@@ -107,7 +115,10 @@ def rank_questions(instances, checkpoint, store) -> list[Ranking]:
     started = time.perf_counter()
     feats = extract_features(instance_windows(instances), store, checkpoint.freq_table,
                              checkpoint.config.sinkhorn_settings())
-    rankings = rank_features(instances, feats, checkpoint.params)
+    try:
+        rankings = rank_features(instances, feats, checkpoint.params)
+    except FloatingPointError as exc:
+        raise CheckpointError(f"the checkpoint's parameters score non-finite: {exc}") from None
     seconds = time.perf_counter() - started
     logger.info("ranked %d windows of %d questions in %.3f s (%.1f windows/s)",
                 len(feats), len(instances), seconds, len(feats) / seconds if seconds else 0.0)

@@ -799,7 +799,8 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         ks = np.array(ks)
         Y = rows(ss, m)
         D = cost_matrix(rows(qs, n), Y)
-        E = settings.eps_scale * D.reshape(len(ks), -1).mean(axis=1)
+        with np.errstate(over="ignore"):  # an eps that overflows raises below
+            E = settings.eps_scale * D.reshape(len(ks), -1).mean(axis=1)
         E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
         # A non-finite cost can make eps non-finite too; the solve blames its vectors.
         if not np.isfinite(E).all() and np.isfinite(D).all():
@@ -809,7 +810,8 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
         content.append(Y)
     count = len(pairs)
     try:
-        groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # plans checked below
+            groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
     except UnalignablePairError as exc:
         question, _, question_vectors, _ = pairs[exc.index]
         vecs, idx, _ = prepared[(id(question), id(question_vectors))]

@@ -48,7 +48,9 @@ from .sinkhorn import SinkhornSettings
 logger = logging.getLogger(__name__)
 
 CKPT_MAGIC = b"OTCK"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
+_CKPT_HEADER = struct.Struct("<4sIIQ")  # magic, version, d, metadata length
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and epsilon
 
 
 def _is_int(value) -> bool:
@@ -62,14 +64,9 @@ class TrainConfig:
     gamma: float = 0.3
     epochs: int = 10
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     hidden_size: int = 400
     gcn_layers: int = 2
     sinkhorn_eps_scale: float = SinkhornSettings.eps_scale
-    sinkhorn_max_iter: int = SinkhornSettings.max_iter
-    sinkhorn_tol: float = SinkhornSettings.tol
 
     def __post_init__(self):
         # JSON configs and checkpoint metadata can spell any type, Infinity and NaN.
@@ -79,7 +76,7 @@ class TrainConfig:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
-        for name in ("learning_rate", "adam_eps", "sinkhorn_eps_scale", "sinkhorn_tol"):
+        for name in ("learning_rate", "sinkhorn_eps_scale"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0 <= self.gamma < math.inf:
@@ -94,18 +91,10 @@ class TrainConfig:
             raise ValueError("hidden_size must be at least 1")
         if self.gcn_layers < 1:
             raise ValueError("gcn_layers must be at least 1")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if self.sinkhorn_max_iter < 1:
-            raise ValueError("sinkhorn_max_iter must be at least 1")
 
     def sinkhorn_settings(self) -> SinkhornSettings:
-        return SinkhornSettings(
-            eps_scale=self.sinkhorn_eps_scale,
-            max_iter=self.sinkhorn_max_iter,
-            tol=self.sinkhorn_tol,
-        )
+        """The solver's settings: this eps scale, the library's iteration budget and tolerance."""
+        return SinkhornSettings(eps_scale=self.sinkhorn_eps_scale)
 
 
 def _mean_terms(feats: FeatureSet, params: ModelParams, gamma: float,
@@ -247,15 +236,14 @@ def adam_step(
     if grads.shape != params.flat.shape:
         raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.flat.shape}")
     state.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * (grads * grads)
-    params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 
@@ -310,7 +298,8 @@ def train(
     Candidate windows are shuffled each epoch and consumed in batches of
     ``cfg.batch_size``. Missing embeddings fail during feature extraction,
     before the first epoch. The checkpoint with the best dev MAP is retained
-    alongside the final one.
+    alongside the final one. A non-finite loss of a batch before its step, of an
+    epoch's mean, or of the last batch after the last step raises ``FloatingPointError``.
     """
     if not train_corpus.instances:
         raise EmptyInputError("training corpus is empty")
@@ -351,6 +340,10 @@ def train(
                 stage_s["step"] += t1 - t0
                 stage_s["adam"] += clock() - t1
                 total += loss * len(batch)
+            # Each loss above precedes its step, so the last step is checked on its own.
+            if epoch == cfg.epochs and not math.isfinite(joint_loss(batch, params, cfg)):
+                raise FloatingPointError(f"epoch {epoch}, windows {lo}..{lo + len(batch)}: "
+                                         "non-finite loss after the last step")
             train_loss = total / len(feats)
             if not math.isfinite(train_loss):
                 raise FloatingPointError(f"epoch {epoch}: non-finite mean loss {train_loss}")
@@ -382,19 +375,22 @@ def train(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file format: magic OTCK, version, d, L, hidden, a JSON metadata
-# blob (config, epoch, frequency table), the scorer's parameters as one run of
-# scorer_size(d, hidden, L) floats (the leading run of ModelParams.flat, in
-# declaration order, without the MI discriminator), then a trailing CRC32 of
-# everything before it. All integers and floats little endian; floats are
-# float64.
+# Checkpoint file format 4: magic OTCK, version, d, a JSON metadata blob (config,
+# epoch, frequency table), the scorer's parameters as one run of scorer_size(d,
+# hidden_size, gcn_layers) floats, sized by the config (the leading run of
+# ModelParams.flat, in declaration order, without the MI discriminator), then a
+# trailing CRC32 of everything before it. Little endian; floats are float64.
 # ---------------------------------------------------------------------------
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    params = ckpt.params
+    """Write ``ckpt``; a config that does not size its parameters raises ValueError first."""
+    params, cfg = ckpt.params, ckpt.config
+    if (cfg.hidden_size, cfg.gcn_layers) != (params.hidden, params.layers):
+        raise ValueError(f"config hidden_size={cfg.hidden_size}, gcn_layers={cfg.gcn_layers} "
+                         f"!= parameter sizes hidden={params.hidden}, layers={params.layers}")
     meta = {
-        "config": asdict(ckpt.config),
+        "config": asdict(cfg),
         "epoch": ckpt.epoch,
         "freq_table": {
             "counts": ckpt.freq_table.counts,
@@ -404,9 +400,7 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     meta_raw = json.dumps(meta, sort_keys=True, separators=(",", ":"),
                           allow_nan=False).encode("utf-8")
     body = [
-        CKPT_MAGIC,
-        struct.pack("<IIII", CKPT_VERSION, params.dim, params.layers, params.hidden),
-        struct.pack("<Q", len(meta_raw)),
+        _CKPT_HEADER.pack(CKPT_MAGIC, CKPT_VERSION, params.dim, len(meta_raw)),
         meta_raw,
         np.asarray(params.flat[:scorer_size(params.dim, params.hidden, params.layers)],
                    "<f8").tobytes(),
@@ -419,7 +413,7 @@ _META_KEYS = ("config", "epoch", "freq_table")
 
 
 def _check_meta(meta, name: str) -> TrainConfig:
-    """Validate the checkpoint's metadata blob; returns its training config.
+    """Validate the checkpoint's metadata blob; returns its config, which sizes the run.
 
     Raises :class:`CheckpointError` naming the missing, unknown or bad key.
     """
@@ -467,11 +461,12 @@ def _check_meta(meta, name: str) -> TrainConfig:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    The file is mapped read-only while it loads: the CRC runs over the mapped
-    bytes, and the scorer's parameter run is copied out of the mapping into
-    the head of a fresh, writable, zeroed flat buffer in the layout of
-    :class:`~otrank.model.ModelParams`. Nothing returned refers to the
-    mapping, which is closed before this returns.
+    Checks the magic, the CRC, the version, ``d`` and the metadata; the
+    config's sizes then fix the parameter run, which must be the bytes left,
+    before any array is built. The file is mapped read-only while it loads,
+    and the run is copied out into the head of a fresh, writable, zeroed flat
+    buffer in the layout of :class:`~otrank.model.ModelParams`. Nothing
+    returned refers to the mapping, which is closed before this returns.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -484,38 +479,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                 intact = zlib.crc32(view[:payload]) & 0xFFFFFFFF == crc
             if not intact:
                 raise CheckpointError(f"{path.name}: CRC mismatch, file is corrupt")
-            truncated = f"{path.name}: truncated file"
-            if payload < 20:
-                raise CheckpointError(truncated)
-            version, dim, layers, hidden = struct.unpack_from("<IIII", raw, 4)
+            if payload < _CKPT_HEADER.size:
+                raise CheckpointError(f"{path.name}: truncated file")
+            _, version, dim, meta_len = _CKPT_HEADER.unpack_from(raw)
             if version != CKPT_VERSION:
                 raise CheckpointError(f"{path.name}: unsupported checkpoint version {version}")
-            sizes = f"d={dim}, layers={layers}, hidden={hidden}"
-            if min(dim, layers, hidden) < 1:
-                raise CheckpointError(f"{path.name}: header sizes must be at least 1, "
-                                      f"got {sizes}")
-            if payload < 28:
-                raise CheckpointError(truncated)
-            run = 28 + struct.unpack_from("<Q", raw, 20)[0]  # the metadata ends here
+            if dim < 1:
+                raise CheckpointError(f"{path.name}: header d must be at least 1, got d={dim}")
+            run = _CKPT_HEADER.size + meta_len  # the metadata ends here
             if run > payload:
-                raise CheckpointError(truncated)
-            # The header fixes the parameter run's length, so the bytes left must be
-            # exactly that run: checked before the header sizes any array.
-            n, left = scorer_size(dim, hidden, layers), payload - run
-            if left != 8 * n:
-                raise CheckpointError(f"{path.name}: header sizes {sizes} need {8 * n} "
-                                      f"parameter bytes, the file holds {left}")
+                raise CheckpointError(f"{path.name}: truncated file")
             try:
-                meta = json.loads(str(raw[28:run], "utf-8"))
+                meta = json.loads(str(raw[_CKPT_HEADER.size:run], "utf-8"))
             except (ValueError, RecursionError) as exc:  # bad UTF-8, bad or too deep JSON
                 raise CheckpointError(f"{path.name}: checkpoint metadata is not JSON: "
                                       f"{exc}") from None
             config = _check_meta(meta, path.name)
-            for key, value, size, held in (("hidden_size", config.hidden_size, "hidden", hidden),
-                                          ("gcn_layers", config.gcn_layers, "layers", layers)):
-                if value != held:
-                    raise CheckpointError(f"{path.name}: config '{key}' = {value} contradicts "
-                                          f"the header's {size} = {held}")
+            hidden, layers = config.hidden_size, config.gcn_layers
+            n, left = scorer_size(dim, hidden, layers), payload - run
+            if left != 8 * n:
+                raise CheckpointError(f"{path.name}: sizes d={dim}, hidden_size={hidden}, "
+                                      f"gcn_layers={layers} need {8 * n} parameter bytes, "
+                                      f"the file holds {left}")
             params = ModelParams.zeros(dim, hidden, layers)
             params.flat[:n] = np.frombuffer(raw, "<f8", n, run)
     ft = FrequencyTable(counts=meta["freq_table"]["counts"],

@@ -805,8 +805,10 @@ def loss_and_gradients_loop(batch, params, cfg):
 def adam_step_loop(params, grads, m, v, t, cfg):
     """Adam's step ``t`` (counted from 1), tensor by tensor and in place, on the
     named tensors ``params`` with the named gradients ``grads`` and moments
-    ``m`` and ``v``."""
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    ``m`` and ``v``, with the library's Adam constants."""
+    from otrank.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, theta in params.items():
@@ -815,4 +817,4 @@ def adam_step_loop(params, grads, m, v, t, cfg):
         m[name] += (1.0 - b1) * g
         v[name] *= b2
         v[name] += (1.0 - b2) * (g * g)
-        theta -= cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + cfg.adam_eps)
+        theta -= cfg.learning_rate * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + ADAM_EPS)

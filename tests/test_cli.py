@@ -2,12 +2,17 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import logging
+import os
 import re
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,7 @@ from otrank.embeddings import (
     build_frequency_table,
     write_embedding_store,
 )
-from otrank.model import init_model_params
+from otrank.model import init_model_params, scorer_size
 from otrank.errors import CheckpointError
 from otrank.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
@@ -678,7 +683,7 @@ def _with_crc(payload: bytes) -> bytes:
     return payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
-_META_AT = 4 + 16  # the metadata length follows magic, version, d, L and hidden
+_META_AT = 4 + 8  # the metadata length follows magic, version and d
 
 
 def _set_meta(raw: bytes, meta_raw: bytes) -> bytes:
@@ -707,6 +712,7 @@ def _rewrite_meta(src, dst, edit):
 class TestCheckpointMetadata:
     @pytest.mark.parametrize("edit,named", [
         (lambda m: m["config"].update(bogus=1), "bogus"),
+        (lambda m: m["config"].update(sinkhorn_tol=1e-6), "unknown config keys ['sinkhorn_tol']"),
         (lambda m: m["config"].update(learning_rate=-1), "learning_rate"),
         (lambda m: m["config"].update(batch_size="many"), "batch_size"),
         (lambda m: m["config"].pop("gamma"), "gamma"),
@@ -721,9 +727,9 @@ class TestCheckpointMetadata:
         (lambda m: m["freq_table"]["counts"].update(zebra=10**400),
          "'freq_table' count of 'zebra'"),
         (lambda m: m["freq_table"].update(num_questions=2**53), "'freq_table' 'num_questions'"),
-    ], ids=["unknown-config-key", "bad-value", "bad-type", "missing-config-key",
-            "missing-field", "bad-field", "config-not-object", "freq-table-null",
-            "bad-freq-table", "freq-count-text",
+    ], ids=["unknown-config-key", "removed-config-key", "bad-value", "bad-type",
+            "missing-config-key", "missing-field", "bad-field", "config-not-object",
+            "freq-table-null", "bad-freq-table", "freq-count-text",
             "freq-count-null", "freq-count-bool", "freq-count-above-questions",
             "freq-questions-2-53"])
     @pytest.mark.parametrize("command", ["rerank", "eval"])
@@ -738,8 +744,7 @@ class TestCheckpointMetadata:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("field", ["learning_rate", "adam_eps", "sinkhorn_eps_scale",
-                                       "sinkhorn_tol", "gamma"])
+    @pytest.mark.parametrize("field", ["learning_rate", "sinkhorn_eps_scale", "gamma"])
     def test_non_finite_config_value_exits_one(self, field, cli_env, tmp_path, capsys):
         bad = tmp_path / "bad.ckpt"
         _rewrite_meta(cli_env["ckpt"], bad, lambda m: m["config"].update({field: float("nan")}))
@@ -784,7 +789,7 @@ def _set_byte(raw: bytes, pos: int, value: int) -> bytes:
 
 
 def _set_header(raw: bytes, field: int, value: int) -> bytes:
-    """Checkpoint bytes with header u32 ``field`` (0 version, 1 d, 2 L, 3 hidden) replaced."""
+    """Checkpoint bytes with header u32 ``field`` (0 version, 1 d) replaced."""
     pos = 4 + 4 * field
     return _with_crc(raw[:pos] + struct.pack("<I", value) + raw[pos + 4:-4])
 
@@ -803,15 +808,15 @@ def _set_run(raw: bytes, edit) -> bytes:
     return _with_crc(raw[:run_at] + edit(raw[run_at:-4]))
 
 
-# The pinned checkpoint's header: d=4, L=2, hidden=5, so its parameter run is
-# scorer_size = 5*(2*4+6) + 2 + 2*4*(4+1) = 112 floats, 896 bytes.
-_RUN_SAYS = "header sizes d=4, layers=2, hidden=5 need 896 parameter bytes, the file holds"
+# The pinned checkpoint's header d=4 and config hidden_size=5, gcn_layers=2, so its
+# parameter run is scorer_size = 5*(2*4+6) + 2 + 2*4*(4+1) = 112 floats, 896 bytes.
+_RUN_SAYS = "sizes d=4, hidden_size=5, gcn_layers=2 need 896 parameter bytes, the file holds"
 
 
 # Every prefix of a valid store's header and its key directory's first bytes,
-# every prefix of a valid checkpoint payload through its metadata length and
-# first metadata byte (with the CRC recomputed, so the header parse reads it), and
-# a 20-byte payload that reaches the version. Each field is checked as it is
+# every prefix of a valid checkpoint payload through its 20-byte header and
+# first metadata bytes (with the CRC recomputed, so the header parse reads it), and
+# the 20-byte header alone, with another version. Each field is checked as it is
 # reached, so a prefix fails on the first field it cuts.
 _HEADER_CASES = (
     [(f"store-{n}", "emb", lambda raw, n=n: raw[:n], "truncated file") for n in range(30)]
@@ -849,20 +854,19 @@ class TestCorruptInputs:
         ("ckpt", lambda raw: _set_run(raw, lambda run: run + bytes(8)), f"{_RUN_SAYS} 904"),
         ("ckpt", lambda raw: _set_meta(raw, b"[]"), "metadata is not a JSON object"),
         ("ckpt", lambda raw: _set_meta(raw, b"[" * 100_000), "metadata is not JSON"),
-        # A valid config whose sizes are not the header's (hidden 5, two layers).
-        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(hidden_size=400)),
-         "config 'hidden_size' = 400 contradicts the header's hidden = 5"),
-        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(gcn_layers=7)),
-         "config 'gcn_layers' = 7 contradicts the header's layers = 2"),
         ("ckpt", lambda raw: _set_header(raw, 1, 0), "d=0"),
-        ("ckpt", lambda raw: _set_header(raw, 2, 0), "layers=0"),
-        ("ckpt", lambda raw: _set_header(raw, 3, 0), "hidden=0"),
+        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(gcn_layers=0)),
+         "gcn_layers must be at least 1"),
+        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(hidden_size=0)),
+         "hidden_size must be at least 1"),
         # 5*14 + 2 + 2**30 * 20 floats: checked before anything of that size is built.
-        ("ckpt", lambda raw: _set_header(raw, 2, 1 << 30),
-         "layers=1073741824, hidden=5 need 171798692416 parameter bytes, the file holds 896"),
-        # Neither version 1 nor version 2 (named tensors, the discriminator too) has a reader.
+        ("ckpt", lambda raw: _edit_meta(raw, lambda m: m["config"].update(gcn_layers=1 << 30)),
+         "gcn_layers=1073741824 need 171798692416 parameter bytes, the file holds 896"),
+        # No earlier version has a reader: version 3 held the hidden size and the layer
+        # count in its header, version 2 named tensors, the discriminator too.
         ("ckpt", lambda raw: _set_header(raw, 0, 1), "unsupported checkpoint version 1"),
         ("ckpt", lambda raw: _set_header(raw, 0, 2), "unsupported checkpoint version 2"),
+        ("ckpt", lambda raw: _set_header(raw, 0, 3), "unsupported checkpoint version 3"),
         # A second copy of the run after the first, as a version-1 file held each Adam moment.
         ("ckpt", lambda raw: _set_run(raw, lambda run: run + run), f"{_RUN_SAYS} 1792"),
         # Shorter than the magic; an empty file cannot be mapped.
@@ -872,9 +876,9 @@ class TestCorruptInputs:
         ("corpus", lambda raw: _set_byte(raw, raw.index(b"Who"), 0xFF), "line 2: not UTF-8"),
     ], ids=["store-role", "store-instance-id", "store-version-3", "store-dim-0",
             "store-last-byte", "ckpt-run-short", "ckpt-run-long", "ckpt-meta-not-object",
-            "ckpt-meta-nested-too-deep", "ckpt-config-hidden", "ckpt-config-layers", "ckpt-dim-0",
-            "ckpt-layers-0", "ckpt-hidden-0", "ckpt-layers-huge", "ckpt-version-1",
-            "ckpt-version-2", "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
+            "ckpt-meta-nested-too-deep", "ckpt-dim-0", "ckpt-layers-0", "ckpt-hidden-0",
+            "ckpt-layers-huge", "ckpt-version-1", "ckpt-version-2", "ckpt-version-3",
+            "ckpt-moment-table", "ckpt-empty", "ckpt-1-byte", "ckpt-3-bytes",
             "corpus-not-utf8"])
     def test_exits_one_naming_the_file(self, target, corrupt, says, cli_env, tmp_path, capsys):
         _rerank_rejects(target, corrupt, says, cli_env, tmp_path, capsys)
@@ -883,6 +887,37 @@ class TestCorruptInputs:
         # The format before the key directory has no reader.
         _rerank_rejects("emb", lambda raw: _v1_store_bytes(cli_env["store"]),
                         "unsupported format version 1", cli_env, tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["build-freq", "rerank"])
+    def test_deeply_nested_corpus_line_exits_one(self, command, cli_env, tmp_path, capsys):
+        # Deeper than the JSON decoder recurses.
+        split = tmp_path / "deep.jsonl"
+        split.write_text("[" * 100_000 + "\n")
+        argv = (["build-freq", "--train", str(split), "--out", str(tmp_path / "freq.json")]
+                if command == "build-freq"
+                else _scoring_argv("rerank", cli_env, tmp_path, corpus=split))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "deep.jsonl line 1: invalid JSON (maximum recursion depth exceeded" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["deep.jsonl"]
+
+    @pytest.mark.parametrize("command", ["rerank", "eval"])
+    def test_non_finite_scores_exit_one(self, command, cli_env, tmp_path, capsys):
+        # Every parameter times 1e308: the scores come out NaN.
+        def scale(run):
+            with np.errstate(over="ignore"):
+                return (np.frombuffer(run, "<f8") * 1e308).astype("<f8").tobytes()
+
+        bad = tmp_path / "huge.ckpt"
+        bad.write_bytes(_set_run(cli_env["ckpt"].read_bytes(), scale))
+        rc = main(_scoring_argv(command, cli_env, tmp_path, ckpt=bad))
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert ("the checkpoint's parameters score non-finite: question 'q1' window 'q1-w1' "
+                "scores nan") in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["huge.ckpt"]
 
     @pytest.mark.parametrize("target,corrupt,says", [c[1:] for c in _HEADER_CASES],
                              ids=[c[0] for c in _HEADER_CASES])
@@ -947,6 +982,11 @@ class TestCorruptInputs:
             rc = main(_scoring_argv("rerank", cli_env, cli_env["dir"], **{target: bad}))
         assert rc in (0, 1), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+# SHA-256 of the scorer's parameters that the benchmark's train command writes
+# for seed 1, as float64 in the order of ModelParams.flat.
+BENCH_TRAIN_SCORER = "ce1a2c62e82043d3b7d4447a043694852cd83f3659076ae94e76c82d33969f65"
 
 
 def _train_config(cli_env, tmp_path, **over):
@@ -1144,7 +1184,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("text,says", [
         ('{"epochs": 1', "is not valid JSON"),
         ('[{"epochs": 1}]', "must hold a JSON object"),
-    ], ids=["not-json", "not-object"])
+        # Deeper than the JSON decoder recurses.
+        ("[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
+    ], ids=["not-json", "not-object", "nested-too-deep"])
     def test_config_file_not_a_json_object_names_it(self, text, says, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
@@ -1152,19 +1194,65 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"config file {cfg_path} {says}" in err
         assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    def test_unknown_config_key_rejected(self, cli_env, tmp_path, capsys):
-        cfg_path = _train_config(cli_env, tmp_path, bogus=1)
+    def test_divergence_on_the_last_step_exits_one(self, cli_env, bench_train_inputs, tmp_path,
+                                                   monkeypatch, capsys, recwarn):
+        # One step over every window: the loss taken before it is finite, the
+        # parameters it leaves are not usable.
+        cfg_path = _train_config(
+            cli_env, tmp_path, train_corpus=str(bench_train_inputs["train"]),
+            embeddings=str(bench_train_inputs["emb"]), batch_size=100_000, hidden_size=400,
+            epochs=1, seed=1, gamma=0.3, learning_rate=1e308)
+        rc = _main_logging_to_stderr(["train", "--config", str(cfg_path)], monkeypatch)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert ("training diverged with learning_rate = 1e+308 and gamma = 0.3: epoch 1, "
+                "windows 0..200: non-finite loss after the last step") in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
+        assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "log.jsonl").exists()
+
+    def test_benchmark_run_writes_the_pinned_parameters(self, bench_train_inputs, tmp_path):
+        # The benchmark's train command on one BLAS thread; two threads give other bits.
+        # This pins Adam's constants and every step of training to the bit.
+        cfg = {"train_corpus": str(bench_train_inputs["train"]),
+               "dev_corpus": str(bench_train_inputs["dev"]),
+               "embeddings": str(bench_train_inputs["emb"]),
+               "checkpoint_out": str(tmp_path / "out.ckpt"),
+               "learning_rate": 1e-3, "batch_size": 64, "gamma": 0.3, "hidden_size": 400,
+               "epochs": 30, "seed": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        src = str(Path(otrank.cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-m", "otrank.cli", "train", "--config",
+                               str(cfg_path)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        params = load_checkpoint(tmp_path / "out.ckpt").params
+        run = params.flat[:scorer_size(params.dim, params.hidden, params.layers)]
+        assert hashlib.sha256(run.tobytes()).hexdigest() == BENCH_TRAIN_SCORER
+
+    # Adam's rates and epsilon and the solver's budget and tolerance are constants,
+    # so a config cannot set them, even to their values.
+    @pytest.mark.parametrize("key,value", [
+        ("bogus", 1), ("adam_beta1", 0.9), ("adam_beta2", 0.999), ("adam_eps", 1e-8),
+        ("sinkhorn_max_iter", 500), ("sinkhorn_tol", 1e-6),
+    ])
+    def test_unknown_config_key_rejected(self, key, value, cli_env, tmp_path, capsys):
+        cfg_path = _train_config(cli_env, tmp_path, **{key: value})
         assert main(["train", "--config", str(cfg_path)]) == 1
-        assert "bogus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unknown config keys: ['{key}']" in err and "Traceback" not in err
+        assert not (tmp_path / "out.ckpt").exists()
 
     @pytest.mark.parametrize("field,value", [
-        ("gcn_layers", 0), ("hidden_size", 0), ("sinkhorn_max_iter", 0),
-        ("sinkhorn_eps_scale", 0.0), ("sinkhorn_tol", 0.0), ("adam_beta1", 1.0),
-        ("adam_beta2", -0.1), ("learning_rate", float("inf")), ("adam_eps", float("inf")),
-        ("sinkhorn_eps_scale", float("inf")), ("sinkhorn_tol", float("inf")),
+        ("gcn_layers", 0), ("hidden_size", 0), ("sinkhorn_eps_scale", 0.0),
+        ("learning_rate", float("inf")), ("sinkhorn_eps_scale", float("inf")),
         ("gamma", float("nan")), ("batch_size", True), ("epochs", 1.5), ("seed", 1.5),
-        ("seed", -1), ("hidden_size", 5.5), ("gcn_layers", 2.0), ("sinkhorn_max_iter", 2.5),
+        ("seed", -1), ("hidden_size", 5.5), ("gcn_layers", 2.0),
         ("batch_size", 0), ("epochs", -1), ("learning_rate", "fast"),
     ])
     def test_bad_value_rejected(self, field, value, cli_env, tmp_path, capsys):

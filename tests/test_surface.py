@@ -12,6 +12,7 @@ from otrank.cli import main
 from otrank.corpus import CandidateWindow, Sentence
 from otrank.embeddings import EmbeddingStore
 from otrank.mutual_info import WindowPairs
+from otrank.sinkhorn import SinkhornSettings
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -102,6 +103,16 @@ def test_every_setting_has_one_source(capsys):
     train_help = capsys.readouterr().out
     assert "--config" in train_help
     assert "--seed" not in train_help and "--epochs" not in train_help
+
+
+def test_train_config_holds_the_settings_a_caller_varies():
+    # Adam's rates and epsilon and the solver's iteration budget and tolerance are
+    # constants; a checkpoint's header holds only d, and its config the other sizes.
+    assert [f.name for f in dataclasses.fields(training.TrainConfig)] == [
+        "learning_rate", "batch_size", "gamma", "epochs", "seed", "hidden_size", "gcn_layers",
+        "sinkhorn_eps_scale"]
+    assert training.TrainConfig().sinkhorn_settings() == SinkhornSettings()
+    assert (training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPS) == (0.9, 0.999, 1e-8)
 
 
 def test_every_trace_target_resolves():

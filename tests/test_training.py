@@ -1,6 +1,7 @@
 """Joint loss, gradients, Adam, the training loop, checkpoints, gradcheck."""
 
 import dataclasses
+import json
 import struct
 import tracemalloc
 
@@ -26,7 +27,10 @@ from otrank.embeddings import build_frequency_table
 from otrank.sinkhorn import SinkhornSettings
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import (
+    ADAM_BETA1,
+    ADAM_EPS,
     AdamState,
+    Checkpoint,
     TrainConfig,
     adam_step,
     gradcheck,
@@ -332,7 +336,7 @@ class TestAdamStep:
         adam_step(params, np.full_like(params.flat, 0.5), state, cfg)
         m_before = state.m.copy()
         adam_step(params, np.zeros_like(params.flat), state, cfg)
-        np.testing.assert_allclose(state.m, cfg.adam_beta1 * m_before, atol=1e-18)
+        np.testing.assert_allclose(state.m, ADAM_BETA1 * m_before, atol=1e-18)
 
     def test_single_step_hand_formula(self):
         rng = np.random.default_rng(10)
@@ -342,7 +346,7 @@ class TestAdamStep:
         cfg = micro_cfg(learning_rate=0.01)
         adam_step(params, g, AdamState.zeros(params), cfg)
         # After bias correction from zero moments: m_hat = g, v_hat = g^2.
-        expected = before - cfg.learning_rate * g / (np.abs(g) + cfg.adam_eps)
+        expected = before - cfg.learning_rate * g / (np.abs(g) + ADAM_EPS)
         np.testing.assert_allclose(params.flat, expected, atol=1e-12)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
@@ -550,15 +554,29 @@ class TestCheckpointIO:
         assert_scorer_loaded(loaded.params, ckpt.params)
 
     def test_file_holds_the_header_metadata_and_scorer_run(self, small_synth, tmp_path):
-        # magic, version, d, L, hidden and the metadata length take 28 bytes; then
-        # the metadata, the scorer's floats and the CRC, and nothing else.
+        # magic, version 4, d and the metadata length take 20 bytes; then the
+        # metadata, the scorer's floats and the CRC, and nothing else. The metadata's
+        # config holds the sizes other than d.
         ckpt, path = self._roundtrip(small_synth, tmp_path)
         raw = path.read_bytes()
-        (meta_len,) = struct.unpack_from("<Q", raw, 20)
         p = ckpt.params
+        assert struct.unpack_from("<4sII", raw) == (b"OTCK", 4, p.dim)
+        (meta_len,) = struct.unpack_from("<Q", raw, 12)
+        assert json.loads(raw[20:20 + meta_len])["config"] == dataclasses.asdict(ckpt.config)
         n = scorer_size(p.dim, p.hidden, p.layers)
-        assert len(raw) == 28 + meta_len + 8 * n + 4
-        assert raw[28 + meta_len:-4] == p.flat[:n].astype("<f8").tobytes()
+        assert len(raw) == 20 + meta_len + 8 * n + 4
+        assert raw[20 + meta_len:-4] == p.flat[:n].astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("sizes", [{"hidden_size": 9}, {"gcn_layers": 3}])
+    def test_save_rejects_a_config_that_does_not_size_the_parameters(self, sizes, small_synth,
+                                                                     tmp_path):
+        ckpt, path = self._roundtrip(small_synth, tmp_path)
+        path.unlink()
+        wrong = Checkpoint(params=ckpt.params, config=dataclasses.replace(ckpt.config, **sizes),
+                           epoch=ckpt.epoch, freq_table=ckpt.freq_table)
+        with pytest.raises(ValueError, match="!= parameter sizes hidden=8, layers=2"):
+            save_checkpoint(path, wrong)
+        assert not path.exists()
 
     def test_save_load_save_byte_identical(self, small_synth, tmp_path):
         _, path = self._roundtrip(small_synth, tmp_path)
