@@ -88,10 +88,10 @@ print("pooled representation:", np.round(res.representation, 3))
 assert "comet" in [kept[j] for j in res.relevant]
 assert "century" in [kept[j] for j in res.relevant]
 
-# Pooling is just the mean of the selected word vectors.
-kept_vecs = c_vecs[list(res.sentence_token_indices)]
-mask = np.isin(np.arange(len(kept_vecs)), res.relevant)
-manual = sentence_representations(kept_vecs[None], mask[None])[0]
+# Pooling is just the mean of the selected word vectors, read by row number.
+kept_rows = np.array(res.sentence_token_indices)
+mask = np.isin(np.arange(len(kept_rows)), res.relevant)
+manual = sentence_representations(c_vecs, kept_rows[None], mask[None])[0]
 assert np.allclose(manual, res.representation)
 
 print("\nalignment demo OK")

@@ -27,6 +27,7 @@ from .sinkhorn import (
     cost_matrix,
     sinkhorn_plan,
     sinkhorn_plans,
+    stack_pairs,
 )
 from .synthetic import make_synthetic_corpus
 from .training import TrainConfig, gradcheck, load_checkpoint, train
@@ -53,6 +54,7 @@ __all__ = [
     "score_windows",
     "sinkhorn_plan",
     "sinkhorn_plans",
+    "stack_pairs",
     "train",
     "write_embedding_store",
 ]

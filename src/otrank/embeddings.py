@@ -83,17 +83,27 @@ def marginal_distribution(tokens: list[Token], ft: FrequencyTable) -> np.ndarray
 class EmbeddingStore:
     """In-memory map from (instance, window, role) to a (tokens x dim) array.
 
-    Each sentence is held as it was given: float64 from :meth:`add_sentence`,
-    or, for a loaded store, a read-only float32 slice of the one buffer that
-    holds every loaded sentence.
-    :meth:`stored_vectors` returns a sentence as held; alignment reads it so,
-    and widens only the content rows it gathers. Widening is exact, so the
-    numerics downstream see the same values either way. Immutable once
-    loaded; concurrent reads are safe.
+    Every sentence's vectors are a run of consecutive rows of one ``(R, dim)``
+    row matrix, :attr:`matrix`; a span table maps each key to its first row
+    and row count. A loaded store's matrix is the read-only float32 buffer
+    the loader reads the kept rows into. :meth:`add_sentence` queues float64
+    rows, and the first read after it packs every queued row into the matrix
+    with one concatenation. Alignment reaches vectors by row number only (see
+    :func:`~otrank.sinkhorn.align_sentences`) and widens the rows it gathers;
+    widening is exact, so the numerics downstream see the same values either
+    way. Once nothing more is added, concurrent reads are safe.
     """
 
     dim: int
-    _sentences: dict[tuple[str, str, str], np.ndarray] = field(default_factory=dict)
+    _spans: dict[tuple[str, str, str], tuple[int, int]] = field(default_factory=dict)
+    _matrix: np.ndarray | None = None
+    _queued: list[np.ndarray] = field(default_factory=list, init=False)
+    _rows: int = field(init=False)  # the matrix's rows and the queued ones
+
+    def __post_init__(self):
+        if self._matrix is None:
+            self._matrix = np.empty((0, self.dim))
+        self._rows = len(self._matrix)
 
     def add_sentence(self, instance_id: str, window_id: str, role: str, vectors) -> None:
         if role not in _ROLES:
@@ -103,25 +113,43 @@ class EmbeddingStore:
             raise ValueError(f"expected shape (tokens, {self.dim}), got {arr.shape}")
         if arr.shape[0] == 0:
             raise ValueError("a sentence needs at least one token vector")
-        self._sentences[(instance_id, window_id, role)] = arr
+        self._queued.append(arr)
+        self._spans[(instance_id, window_id, role)] = (self._rows, len(arr))
+        self._rows += len(arr)
 
-    def stored_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
-        """Token vectors for one sentence, in token order, as held (float64 or float32)."""
+    @property
+    def matrix(self) -> np.ndarray:
+        """The read-only ``(R, dim)`` row matrix that holds every sentence."""
+        if self._queued:
+            self._matrix = np.concatenate([self._matrix, *self._queued])
+            self._matrix.flags.writeable = False
+            self._queued = []
+        return self._matrix
+
+    def span(self, instance_id: str, window_id: str, role: str) -> tuple[int, int]:
+        """First row and row count of one sentence's vectors in :attr:`matrix`."""
         try:
-            return self._sentences[(instance_id, window_id, role)]
+            return self._spans[(instance_id, window_id, role)]
         except KeyError:
             raise EmbeddingKeyError(
                 f"no embeddings for instance={instance_id!r} window={window_id!r} role={role!r}"
             ) from None
 
+    def stored_vectors(self, instance_id: str, window_id: str, role: str) -> np.ndarray:
+        """Token vectors for one sentence, in token order: a read-only view of
+        :attr:`matrix` (float32 when loaded, float64 when added)."""
+        first, rows = self.span(instance_id, window_id, role)
+        return self.matrix[first : first + rows]
+
     @property
     def num_records(self) -> int:
-        """Total number of token vectors across all sentences."""
-        return sum(arr.shape[0] for arr in self._sentences.values())
+        """Number of token vectors held for the stored sentences; for a keyed
+        load, those of the kept sentences only."""
+        return sum(rows for _, rows in self._spans.values())
 
     def sorted_items(self):
-        """Every (key, array) pair in key order, each array as held."""
-        return sorted(self._sentences.items(), key=lambda kv: kv[0])
+        """Every (key, array) pair in key order, each array as :meth:`stored_vectors` gives it."""
+        return [(key, self.stored_vectors(*key)) for key in sorted(self._spans)]
 
 
 def write_embedding_store(path: str | Path, store: EmbeddingStore) -> None:
@@ -167,8 +195,8 @@ def load_embedding_store(path: str | Path,
     a file size of exactly the header, the directory and the rows it counts.
     So a corrupt file fails alike whatever ``keys`` is. Only the kept
     sentences' rows are then read, each stretch of adjacent kept sentences in
-    one read, into one ``(rows, dim)`` float32 buffer; each sentence is held as
-    a read-only, C-contiguous slice of it.
+    one read, into one ``(rows, dim)`` float32 buffer, which becomes the
+    store's read-only :attr:`~EmbeddingStore.matrix`.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -199,17 +227,15 @@ def load_embedding_store(path: str | Path,
                 raise EmbeddingStoreError(f"{path.name}: truncated file")
             out += n
     buf.flags.writeable = False
-    store = EmbeddingStore(dim=dim)
-    store._sentences = {key: buf[row : row + n] for key, row, n in spans}
-    return store
+    return EmbeddingStore(dim=dim, _spans=spans, _matrix=buf)
 
 
 def _kept_spans(raw: bytes, name: str, keys):
     """Check the key directory ``raw`` and find its sentences that ``keys`` keeps.
 
-    Returns each kept sentence as ``(key, first row in the kept rows, rows)``;
-    the file's stretches of adjacent kept sentences as ``[first row, rows]``;
-    and the row count of the whole matrix. Only the kept spans outlive the
+    Returns the span table of the kept sentences, ``{key: (first row in the
+    kept rows, rows)}``; the file's stretches of adjacent kept sentences as
+    ``[first row, rows]``; and the row count of the whole matrix. Only the kept spans outlive the
     parsed directory.
     """
     try:
@@ -218,7 +244,7 @@ def _kept_spans(raw: bytes, name: str, keys):
         raise EmbeddingStoreError(f"{name}: the key directory is not UTF-8 JSON: {exc}") from None
     if type(entries) is not list:
         raise EmbeddingStoreError(f"{name}: the key directory is not a JSON array")
-    spans, runs = [], []
+    spans, runs = {}, []
     kept = total = 0
     prev = None
     for i, entry in enumerate(entries):
@@ -242,7 +268,7 @@ def _kept_spans(raw: bytes, name: str, keys):
                 runs[-1][1] += n
             else:
                 runs.append([total, n])
-            spans.append((key, kept, n))
+            spans[key] = (kept, n)
             kept += n
         total += n
     return spans, runs, total

@@ -204,6 +204,10 @@ class FeatureSet:
         return self.labels.shape[0]
 
 
+# Unconverged alignments that the warning of align_windows names by key.
+_NAMED_UNCONVERGED = 5
+
+
 def align_windows(
     items,
     store: EmbeddingStore,
@@ -214,45 +218,51 @@ def align_windows(
     items: three alignments per item, in :data:`NODE_ORDER`. Indexing the result
     gives each alignment's ``AlignmentResult``.
 
-    Every sentence alignment goes into one :func:`align_sentences` call, so a
-    whole split is solved in one batch. A question's vectors are looked up
-    once per question object and instance id. Logs one info line with the
-    batch's Sinkhorn statistics, and warns when some alignments did not
+    Every sentence alignment goes into one :func:`align_sentences` call on the
+    store's row matrix, so a whole split is solved in one batch. A question's
+    span is looked up once per question object and instance id. Logs one info
+    line with the batch's Sinkhorn statistics, and one warning, naming the
+    first few (instance, window, role) keys, when some alignments did not
     converge.
 
-    The store's vectors go to :func:`align_sentences` as held; it alone
-    checks them. Raises :class:`EmbeddingStoreError` when a pair cannot be
-    aligned, naming the (instance, window, role) key of the side at fault and
-    the reason: both counts, or a non-finite cost.
+    The store's spans go to :func:`align_sentences` as held; it alone checks
+    them against the token counts. Raises :class:`EmbeddingStoreError` when a
+    pair cannot be aligned, naming the (instance, window, role) key of the
+    side at fault and the reason: both counts, or a non-finite cost.
     """
     started = time.perf_counter()
     items = list(items)
-    question_vectors = {}  # the items hold every keyed question, so no id is reused
+    question_spans = {}  # the items hold every keyed question, so no id is reused
 
     def pairs():
-        # The vectors as the store holds them: align_sentences widens only the
-        # content rows it gathers, so no whole question or sentence is copied.
         for question, window, instance_id in items:
             key = (id(question), instance_id)
-            if key not in question_vectors:
-                question_vectors[key] = store.stored_vectors(instance_id, QUESTION_WINDOW_ID,
-                                                             ROLE_Q)
+            if key not in question_spans:
+                question_spans[key] = store.span(instance_id, QUESTION_WINDOW_ID, ROLE_Q)
             for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
-                s_vecs = None
-                if not sent.is_padding:
-                    s_vecs = store.stored_vectors(instance_id, window.id, role)
-                yield question, sent, question_vectors[key], s_vecs
+                span = None if sent.is_padding else store.span(instance_id, window.id, role)
+                yield question, sent, question_spans[key], span
+
+    def store_key(k: int, question: bool = False) -> tuple[str, str, str]:
+        """The store key of a side of pair ``k``."""
+        _, window, instance_id = items[k // 3]
+        return ((instance_id, QUESTION_WINDOW_ID, ROLE_Q) if question
+                else (instance_id, window.id, NODE_ROLES[k % 3]))
 
     try:
-        alignments = align_sentences(pairs(), ft, settings)
+        alignments = align_sentences(store.matrix, pairs(), ft, settings)
     except UnalignablePairError as exc:
-        _, window, instance_id = items[exc.index // 3]
-        key = ((instance_id, QUESTION_WINDOW_ID, ROLE_Q) if exc.question
-               else (instance_id, window.id, NODE_ROLES[exc.index % 3]))
         raise EmbeddingStoreError(
-            f"the embedding store's vectors for (instance, window, role) = {key} cannot be "
-            f"aligned: {exc}") from None
-    _log_alignment_stats(alignment_stats(alignments.groups), time.perf_counter() - started)
+            f"the embedding store's vectors for (instance, window, role) = "
+            f"{store_key(exc.index, exc.question)} cannot be aligned: {exc}") from None
+    stats = alignment_stats(alignments.groups)
+    if stats.unconverged:
+        stalled = np.sort(np.concatenate([grp.members[~grp.converged]
+                                          for grp in alignments.groups]))
+        logger.warning("%d sentence alignments did not converge; using best iterates. "
+                       "First (instance, window, role) keys: %s", stats.unconverged,
+                       ", ".join(str(store_key(k)) for k in stalled[:_NAMED_UNCONVERGED]))
+    _log_alignment_stats(stats, time.perf_counter() - started)
     return alignments
 
 
@@ -301,9 +311,6 @@ def alignment_stats(groups: list[PlanGroup]) -> AlignmentStats:
 
 
 def _log_alignment_stats(stats: AlignmentStats, seconds: float) -> None:
-    if stats.unconverged:
-        logger.warning("%d sentence alignments did not converge; using best iterates",
-                       stats.unconverged)
     logger.info(
         "aligned %d sentences in %.3f s: sinkhorn iterations p50/p95/max %g/%g/%d, "
         "%d unconverged, worst marginal violation %.3e over converged plans",

@@ -307,6 +307,10 @@ def sinkhorn_plans(ps, qs, costs, eps, max_iter: int = SinkhornSettings.max_iter
     for grp in _solve_groups(stacks, count, max_iter, tol):
         for b, k in enumerate(grp.members):
             results[k] = grp.plan(b)
+    for k, tp in enumerate(results):
+        if not tp.converged:
+            logger.warning("%ssinkhorn did not converge in %d iterations (best violation %.3e)",
+                           _where(k, count), max_iter, tp.violation)
     return results
 
 
@@ -397,12 +401,6 @@ def _solve_groups(stacks, count: int, max_iter: int, tol: float) -> list[PlanGro
             groups[s] = PlanGroup(
                 members=members, costs=Ds, plans=_plans(F, G, u, v, Ds, Es[:, None, None]),
                 iterations=iters[lo:hi], converged=converged[lo:hi], violations=viol[lo:hi])
-    unconverged = sorted((int(k), float(v)) for grp in groups
-                         for k, v in zip(grp.members[~grp.converged],
-                                         grp.violations[~grp.converged]))
-    for k, violation in unconverged:
-        logger.warning("%ssinkhorn did not converge in %d iterations (best violation %.3e)",
-                       _where(k, count), max_iter, violation)
     return groups
 
 
@@ -625,10 +623,12 @@ def relevant_contexts(plans: np.ndarray) -> np.ndarray:
     return mask
 
 
-def sentence_representations(vectors: np.ndarray, relevant: np.ndarray) -> np.ndarray:
-    """Means ``(B, d)`` of the rows of stacked vectors ``(B, m, d)`` that the
-    masks ``(B, m)`` select.
+def sentence_representations(rows: np.ndarray, numbers: np.ndarray,
+                             relevant: np.ndarray) -> np.ndarray:
+    """Means ``(B, d)`` of the rows of ``rows`` ``(R, d)`` that the masks
+    ``(B, m)`` select from the row numbers ``numbers`` ``(B, m)``.
 
+    Only the selected rows are gathered, widened to float64, which is exact.
     numpy sums the ``k`` rows of a ``(k, d)`` array left to right when
     ``d > 1`` but pairwise when ``d == 1``. So the problems are gathered by
     their count ``k`` of relevant rows into ``(B_k, k, d)`` stacks, each of
@@ -637,11 +637,12 @@ def sentence_representations(vectors: np.ndarray, relevant: np.ndarray) -> np.nd
     counts = relevant.sum(axis=1)
     if not counts.all():
         raise ValueError("relevant set must be nonempty")
-    B, _, d = vectors.shape
-    out = np.empty((B, d))
+    d = rows.shape[1]
+    out = np.empty((len(numbers), d))
     for k in np.unique(counts):
-        rows = counts == k
-        out[rows] = vectors[relevant & rows[:, None]].reshape(-1, k, d).mean(axis=1)
+        sel = counts == k
+        picked = rows[numbers[relevant & sel[:, None]]].astype(np.float64, copy=False)
+        out[sel] = picked.reshape(-1, k, d).mean(axis=1)
     return out
 
 
@@ -655,9 +656,42 @@ def align_sentence(
 ) -> AlignmentResult:
     """Full question-to-sentence alignment pipeline.
 
-    The one-pair call of :func:`align_sentences`.
+    The one-pair call of :func:`align_sentences`, on the two arrays stacked
+    by :func:`stack_pairs`.
     """
-    return align_sentences([(question, s, question_vectors, sentence_vectors)], ft, settings)[0]
+    matrix, pairs = stack_pairs([(question, s, question_vectors, sentence_vectors)])
+    return align_sentences(matrix, pairs, ft, settings)[0]
+
+
+def stack_pairs(pairs) -> tuple[np.ndarray, list[tuple]]:
+    """The row matrix and span pairs for :func:`align_sentences` of
+    ``(question, sentence, question_vectors, sentence_vectors)`` pairs with
+    loose arrays (``None`` for a padding sentence's).
+
+    Each distinct array object is stacked once, in the order first met, and
+    a side's span is its array's first row and row count. The matrix has the
+    arrays' common dtype, so float32 arrays stay float32. All arrays need one
+    vector dimension.
+    """
+    arrays, spans = [], {}
+    rows = 0
+
+    def span(vectors):
+        nonlocal rows
+        if vectors is None:
+            return None
+        if id(vectors) not in spans:  # ``pairs`` holds the objects, so no id is reused
+            arr = np.asarray(vectors)
+            spans[id(vectors)] = (rows, len(arr))
+            arrays.append(arr)
+            rows += len(arr)
+        return spans[id(vectors)]
+
+    pairs = [(question, s, span(qv), span(sv)) for question, s, qv, sv in pairs]
+    dims = sorted({arr.shape[1] for arr in arrays})
+    if len(dims) > 1:
+        raise ValueError(f"pairs of one batch need one vector dimension, got {dims}")
+    return (np.concatenate(arrays) if arrays else np.empty((0, 0))), pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -701,28 +735,29 @@ class Alignments(Sequence):
                                sentence_token_indices=s_idx)
 
 
-def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = SinkhornSettings()
-                    ) -> Alignments:
-    """Align a batch of ``(question, sentence, question_vectors, sentence_vectors)``
-    pairs, solving every transport problem in one batch.
+def align_sentences(matrix: np.ndarray, pairs, ft: FrequencyTable,
+                    settings: SinkhornSettings = SinkhornSettings()) -> Alignments:
+    """Align a batch of ``(question, sentence, question_span, sentence_span)``
+    pairs whose vectors are rows of ``matrix`` ``(R, d)``, solving every
+    transport problem in one batch.
+
+    A side's span is ``(first row, rows)``: its token vectors are that many
+    consecutive rows of ``matrix``, in token order (``None`` for a padding
+    sentence). An embedding store gives its own matrix and spans;
+    :func:`stack_pairs` builds both from loose arrays.
 
     Per pair: filters both token lists, builds frequency marginals and the
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
     relevant-context embeddings into the sentence representation. Both sides
     are prepared alike, the one check of a pair's inputs: each has its
     vector count checked, its content indices taken and its content words
-    numbered, a question once per question object and vector array, a
-    sentence once per pair. The rest runs on one stack per exact ``(n, m)``
-    shape:
+    numbered, a question once per question object and span, a sentence once
+    per pair. The rest runs on one stack per exact ``(n, m)`` shape:
 
-    - its content rows are gathered from the vectors as given (say, float32
-      views of a store's bytes) into float64 ``(B, m, d)`` sentence and
-      ``(B, n, d)`` question stacks, which is exact; a question's rows are
-      gathered once per run of consecutive pairs that share it. The sentence
-      stack is the cost build's sentence side and, after the solve, what
-      pooling reads; it is dropped once pooled. The question stack is built
-      once the sentence stack is filled and lives only through the cost
-      build;
+    - each side's content rows are one take from ``matrix`` by row number, a
+      span's first row plus its content indices, widened into float64
+      ``(B, n, d)`` question and ``(B, m, d)`` sentence stacks, which is
+      exact. The two stacks live only through the shape's cost build;
     - its marginals are one ``(B, n)`` and one ``(B, m)`` gather of smoothed
       counts, each distinct word looked up in ``ft`` once per call, divided
       by their row sums. A row of a contiguous ``(B, m)`` array sums as a
@@ -730,7 +765,9 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
       :func:`marginal_distribution` of its words;
     - one :func:`cost_matrix` call builds its costs, one row mean its
       ``eps``, :func:`_solve_groups` solves it, and relevant contexts, costs
-      and pooling run on its stacked plans.
+      and pooling run on its stacked plans. Pooling regathers only the
+      relevant sentence rows, by row number (see
+      :func:`sentence_representations`).
 
     So every result is bit-equal to building and solving each pair alone.
 
@@ -740,65 +777,55 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
     A pair that cannot be aligned raises :class:`UnalignablePairError` with
     its position in ``pairs`` and its side at fault: for a vector count, the
     side checked (the question first); for a non-finite cost, the question
-    if its content rows hold NaN or inf, else the sentence. An unconverged
-    warning names the position too. All pairs need one vector dimension.
-    An ``eps_scale`` whose ``eps`` overflows for finite costs, or whose plans
-    come out non-finite, raises :class:`~otrank.errors.EpsScaleError`.
+    if its content rows hold NaN or inf, else the sentence. An ``eps_scale``
+    whose ``eps`` overflows for finite costs, or whose plans come out
+    non-finite, raises :class:`~otrank.errors.EpsScaleError`. Unconverged
+    problems log nothing here: their ``converged`` flags are in the groups.
     """
     pairs = list(pairs)
     words: dict[str, int] = {}  # the distinct content words of both sides, numbered
 
-    def prepare(k: int, what: str, sent: Sentence, vectors):
-        """The vectors as given, content indices and content word numbers of one side."""
-        vecs = np.asarray(vectors)
-        if vecs.shape[0] != len(sent.tokens):
+    def prepare(k: int, what: str, sent: Sentence, span):
+        """The first row, content indices and content word numbers of one side."""
+        first, rows = span
+        if rows != len(sent.tokens):
             raise UnalignablePairError(k, f"{what} has {len(sent.tokens)} tokens but "
-                                       f"{vecs.shape[0]} vectors", what == "question")
+                                       f"{rows} vectors", what == "question")
         idx = tuple(content_token_indices(sent))
         if not idx:
             raise ValueError(f"{what} has no tokens to align")
-        return vecs, idx, [words.setdefault(sent.tokens[j].normalized, len(words)) for j in idx]
+        return first, idx, [words.setdefault(sent.tokens[j].normalized, len(words)) for j in idx]
 
-    # Keyed on the objects' ids; ``pairs`` holds the objects, so no id is reused.
-    prepared: dict[tuple[int, int], tuple] = {}
+    # Keyed on the question object's id; ``pairs`` holds the objects, so no id is reused.
+    prepared: dict[tuple[int, tuple[int, int]], tuple] = {}
     # Per exact (n, m) shape: each pair's position and its two prepared sides.
     by_shape: dict[tuple[int, int], list[tuple]] = {}
-    for k, (question, s, question_vectors, sentence_vectors) in enumerate(pairs):
-        key = (id(question), id(question_vectors))
+    for k, (question, s, question_span, sentence_span) in enumerate(pairs):
+        key = (id(question), question_span)
         if key not in prepared:
-            prepared[key] = prepare(k, "question", question, question_vectors)
+            prepared[key] = prepare(k, "question", question, question_span)
         if not s.is_padding:
-            q, side = prepared[key], prepare(k, "sentence", s, sentence_vectors)
+            q, side = prepared[key], prepare(k, "sentence", s, sentence_span)
             by_shape.setdefault((len(q[1]), len(side[1])), []).append((k, q, side))
-    dims = ({q[0].shape[1] for q in prepared.values()}
-            | {side[0].shape[1] for members in by_shape.values() for _, _, side in members})
-    if len(dims) > 1:
-        raise ValueError(f"pairs of one batch need one vector dimension, got {sorted(dims)}")
-    d = dims.pop() if dims else 0
+    d = matrix.shape[1]
     weights = np.array([ft.smoothed(word) for word in words], dtype=np.float64)
 
-    def rows(sides, length: int) -> np.ndarray:
-        # A run of one side (a question that consecutive pairs share) is
-        # gathered once and broadcast over its rows.
-        out = np.empty((len(sides), length, d))
-        lo = 0
-        for hi in range(1, len(sides) + 1):
-            if hi == len(sides) or sides[hi] is not sides[lo]:
-                vecs, idx, _ = sides[lo]
-                out[lo:hi] = vecs[list(idx)]
-                lo = hi
-        return out
+    def numbers(sides) -> np.ndarray:
+        """The ``(B, k)`` row numbers of the sides' content rows."""
+        return (np.array([first for first, _, _ in sides])[:, None]
+                + np.array([idx for _, idx, _ in sides]))
 
     def marginals(sides) -> np.ndarray:
-        W = weights[np.array([numbers for _, _, numbers in sides])]
+        W = weights[np.array([ids for _, _, ids in sides])]
         return W / W.sum(axis=1, keepdims=True)
 
-    stacks, content = [], []
+    stacks, sentence_numbers = [], []
     for (n, m), members in by_shape.items():
         ks, qs, ss = zip(*members)
         ks = np.array(ks)
-        Y = rows(ss, m)
-        D = cost_matrix(rows(qs, n), Y)
+        S = numbers(ss)
+        D = cost_matrix(matrix[numbers(qs)].astype(np.float64, copy=False),
+                        matrix[S].astype(np.float64, copy=False))
         with np.errstate(over="ignore"):  # an eps that overflows raises below
             E = settings.eps_scale * D.reshape(len(ks), -1).mean(axis=1)
         E[~(E > 0)] = 1e-12  # degenerate all-identical embeddings; any eps gives the outer product
@@ -807,15 +834,15 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
             raise EpsScaleError(f"sinkhorn eps_scale = {settings.eps_scale} makes the "
                                 "regularization strength eps = eps_scale * mean(cost) overflow")
         stacks.append((ks, marginals(qs), marginals(ss), D, E))
-        content.append(Y)
+        sentence_numbers.append(S)
     count = len(pairs)
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # plans checked below
             groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
     except UnalignablePairError as exc:
-        question, _, question_vectors, _ = pairs[exc.index]
-        vecs, idx, _ = prepared[(id(question), id(question_vectors))]
-        side = "sentence" if np.isfinite(vecs[list(idx)]).all() else "question"
+        question, _, question_span, _ = pairs[exc.index]
+        first, idx, _ = prepared[(id(question), question_span)]
+        side = "sentence" if np.isfinite(matrix[first + np.array(idx)]).all() else "question"
         raise UnalignablePairError(exc.index, f"{side} vectors give a non-finite transport cost",
                                    side == "question") from None
     del stacks  # the groups keep the costs; the marginals need not outlive the solve
@@ -828,8 +855,8 @@ def align_sentences(pairs, ft: FrequencyTable, settings: SinkhornSettings = Sink
             raise EpsScaleError(f"sinkhorn eps_scale = {settings.eps_scale} is below the "
                                 "solver's range for these costs: its plans hold NaN or inf")
         costs[grp.members] = transport_costs(grp.plans, grp.costs)
-        reps[grp.members] = sentence_representations(content[g], relevant_contexts(grp.plans))
-        content[g] = None  # pooled: the shape's content rows are not read again
+        reps[grp.members] = sentence_representations(matrix, sentence_numbers[g],
+                                                     relevant_contexts(grp.plans))
         locate[grp.members, 0] = g
         locate[grp.members, 1] = np.arange(len(grp.members))
     return Alignments(reps, costs, groups, locate, pairs, ft)

@@ -97,6 +97,26 @@ class TrainConfig:
         return SinkhornSettings(eps_scale=self.sinkhorn_eps_scale)
 
 
+def config_from_dict(config: dict, complete: bool = False) -> TrainConfig:
+    """The :class:`TrainConfig` of a config file's or checkpoint's settings.
+
+    Raises ``ValueError`` naming the keys that are not settings, then, with
+    ``complete`` (a checkpoint records every setting), the settings it lacks,
+    then a bad value.
+    """
+    known = {f.name for f in fields(TrainConfig)}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    missing = sorted(known - set(config))
+    if complete and missing:
+        raise ValueError(f"config lacks keys {missing}")
+    try:
+        return TrainConfig(**config)
+    except ValueError as exc:
+        raise ValueError(f"bad training configuration: {exc}") from None
+
+
 def _mean_terms(feats: FeatureSet, params: ModelParams, gamma: float,
                 grads: dict[str, np.ndarray] | None = None) -> tuple[float, float]:
     """Mean candidate BCE and mean regularizer term over the windows of ``feats``.
@@ -445,17 +465,10 @@ def _check_meta(meta, name: str) -> TrainConfig:
     config = meta["config"]
     if not isinstance(config, dict):
         raise CheckpointError(f"{name}: metadata 'config' is not a JSON object")
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = sorted(set(config) - known)
-    if unknown:
-        raise CheckpointError(f"{name}: unknown config keys {unknown}")
-    missing = sorted(known - set(config))
-    if missing:
-        raise CheckpointError(f"{name}: config lacks keys {missing}")
     try:
-        return TrainConfig(**config)
+        return config_from_dict(config, complete=True)
     except ValueError as exc:
-        raise CheckpointError(f"{name}: bad training configuration: {exc}") from None
+        raise CheckpointError(f"{name}: {exc}") from None
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

@@ -157,3 +157,19 @@ def bench_train_inputs(tmp_path_factory):
     save_corpus(dev, paths["dev"])
     write_embedding_store(paths["emb"], store)
     return paths
+
+
+@pytest.fixture(scope="session")
+def bench_rerank_inputs(tmp_path_factory):
+    """The benchmark's ``rerank`` inputs for seed 1 (``perfbench/inputs.py``): the
+    60 generated train questions its checkpoint learns from in preparation, the 100
+    held-out questions it ranks and the store that holds both, as files by name."""
+    td = tmp_path_factory.mktemp("bench_rerank")
+    train, heldout, store = make_synthetic_corpus(n_train=60, n_dev=100, n_candidates=5,
+                                                  dim=16, seed=1)
+    paths = {"train": td / "prep_train.jsonl", "heldout": td / "heldout.jsonl",
+             "emb": td / "emb.bin"}
+    save_corpus(train, paths["train"])
+    save_corpus(Corpus(instances=heldout.instances, split="test"), paths["heldout"])
+    write_embedding_store(paths["emb"], store)
+    return paths

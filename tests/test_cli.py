@@ -26,9 +26,11 @@ from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     EmbeddingStore,
     build_frequency_table,
+    load_embedding_store,
     write_embedding_store,
 )
-from otrank.model import init_model_params, scorer_size
+from otrank.metrics import rank_questions
+from otrank.model import align_windows, init_model_params, instance_windows, scorer_size, store_keys
 from otrank.errors import CheckpointError
 from otrank.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
@@ -268,6 +270,17 @@ def h400_env(bench_train_inputs, tmp_path_factory):
             "lines": bench_train_inputs["train"].read_text().splitlines(keepends=True)}
 
 
+@pytest.fixture(scope="module")
+def h400_whole(h400_env, bench_train_inputs):
+    """The questions of the benchmark's d=16 train split, the hidden-400 checkpoint,
+    the store's path, and each question's ranking within the whole split, by id."""
+    instances = load_corpus(bench_train_inputs["train"], split="test").instances
+    ckpt = load_checkpoint(h400_env["ckpt"])
+    rankings = rank_questions(instances, ckpt, load_embedding_store(h400_env["emb"]))
+    return (instances, ckpt, h400_env["emb"],
+            {inst.question_id: ranking for inst, ranking in zip(instances, rankings)})
+
+
 class TestSplitInvariance:
     """A question's output does not depend on the rest of its split: the keyed store
     load, the split's shape groups, the forward chunks and the ranking give each
@@ -305,6 +318,42 @@ class TestSplitInvariance:
                 got.update(self._by_question(command, h400_env, tmp_path, lines, f"{edit}{k}"))
             assert got == {qid: whole[qid] for qid in got}, edit
             assert len(got) == sum(map(len, parts))
+
+    def test_align_writes_what_the_whole_split_gives_its_window(self, h400_env, tmp_path):
+        split = tmp_path / "whole.jsonl"
+        split.write_text("".join(h400_env["lines"]))
+        items = instance_windows(load_corpus(split, split="test").instances)
+        ckpt = load_checkpoint(h400_env["ckpt"])
+        whole = align_windows(items, load_embedding_store(h400_env["emb"]), ckpt.freq_table,
+                              ckpt.config.sinkhorn_settings())
+        for i in (0, 1, 57, len(items) - 1):
+            _, window, qid = items[i]
+            out = tmp_path / f"align{i}.json"
+            assert main(["align", "--checkpoint", str(h400_env["ckpt"]), "--split", str(split),
+                         "--embeddings", str(h400_env["emb"]), "--question-id", qid,
+                         "--window-id", window.id, "--out", str(out)]) == 0
+            pairs = json.loads(out.read_text())["pairs"]
+            for r, pair in enumerate(pairs):
+                res = whole[3 * i + r]
+                # JSON writes each float's repr, which reads back to the same double.
+                assert pair["plan"] == res.plan.plan.tolist()
+                assert (pair["iterations"], pair["converged"]) == (res.plan.iterations_used,
+                                                                   res.plan.converged)
+                assert pair["cost"] == res.cost
+                assert [rel["index"] for rel in pair["relevant"]] == list(res.relevant)
+                assert pair["representation_norm"] == float((res.representation ** 2).sum()
+                                                            ** 0.5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_rank_questions_ranks_a_question_alike_in_any_subsplit(self, h400_whole, data):
+        instances, ckpt, emb, whole = h400_whole
+        order = data.draw(st.permutations(range(len(instances))))
+        part = [instances[k] for k in order[:data.draw(st.integers(1, len(instances)))]]
+        store = load_embedding_store(emb, store_keys(instance_windows(part)))
+        rankings = rank_questions(part, ckpt, store)
+        assert [(inst.question_id, ranking) for inst, ranking in zip(part, rankings)] == [
+            (inst.question_id, whole[inst.question_id]) for inst in part]
 
     def test_combined_dev_test_is_one_file_that_holds_both(self, h400_env, tmp_path):
         lines = h400_env["lines"]
@@ -712,7 +761,7 @@ def _rewrite_meta(src, dst, edit):
 class TestCheckpointMetadata:
     @pytest.mark.parametrize("edit,named", [
         (lambda m: m["config"].update(bogus=1), "bogus"),
-        (lambda m: m["config"].update(sinkhorn_tol=1e-6), "unknown config keys ['sinkhorn_tol']"),
+        (lambda m: m["config"].update(sinkhorn_tol=1e-6), "unknown config keys: ['sinkhorn_tol']"),
         (lambda m: m["config"].update(learning_rate=-1), "learning_rate"),
         (lambda m: m["config"].update(batch_size="many"), "batch_size"),
         (lambda m: m["config"].pop("gamma"), "gamma"),
@@ -987,6 +1036,37 @@ class TestCorruptInputs:
 # SHA-256 of the scorer's parameters that the benchmark's train command writes
 # for seed 1, as float64 in the order of ModelParams.flat.
 BENCH_TRAIN_SCORER = "ce1a2c62e82043d3b7d4447a043694852cd83f3659076ae94e76c82d33969f65"
+# SHA-256 of the rankings file that the benchmark's rerank command writes for seed 1.
+BENCH_RERANK_RANKINGS = "831fda7e853c1225629f8cc28f2b6078cfd2b166628bcac77fc9136653ec89c8"
+
+
+def _run_one_blas_thread(argv):
+    """Run ``otrank argv`` in a child on one BLAS thread, as the benchmark does;
+    two threads give other bits."""
+    src = str(Path(otrank.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONHASHSEED="0",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "otrank.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_rerank_writes_the_pinned_rankings(bench_rerank_inputs, tmp_path):
+    # The benchmark's preparation checkpoint (perfbench's PREP_HYPERPARAMS, 5 epochs),
+    # then its rerank of the held-out split: every alignment, score and ranking bit.
+    cfg = {"train_corpus": str(bench_rerank_inputs["train"]),
+           "embeddings": str(bench_rerank_inputs["emb"]),
+           "checkpoint_out": str(tmp_path / "model.ckpt"),
+           "learning_rate": 3e-3, "batch_size": 16, "gamma": 0.3, "hidden_size": 400,
+           "epochs": 5, "seed": 1}
+    cfg_path = tmp_path / "prep_config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    _run_one_blas_thread(["train", "--config", str(cfg_path)])
+    out = tmp_path / "rankings.jsonl"
+    _run_one_blas_thread(["rerank", "--checkpoint", cfg["checkpoint_out"],
+                          "--split", str(bench_rerank_inputs["heldout"]),
+                          "--embeddings", cfg["embeddings"], "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_RERANK_RANKINGS
 
 
 def _train_config(cli_env, tmp_path, **over):
@@ -1224,13 +1304,7 @@ class TestTrainCommand:
                "epochs": 30, "seed": 1}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        src = str(Path(otrank.cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run([sys.executable, "-m", "otrank.cli", "train", "--config",
-                               str(cfg_path)], env=env, capture_output=True, text=True,
-                              timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        _run_one_blas_thread(["train", "--config", str(cfg_path)])
         params = load_checkpoint(tmp_path / "out.ckpt").params
         run = params.flat[:scorer_size(params.dim, params.hidden, params.layers)]
         assert hashlib.sha256(run.tobytes()).hexdigest() == BENCH_TRAIN_SCORER

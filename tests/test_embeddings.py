@@ -262,24 +262,49 @@ class TestEmbeddingStore:
         shuffled = EmbeddingStore(dim=tiny_store.dim)
         for k in np.random.default_rng(5).permutation(len(items)):
             shuffled.add_sentence(*items[k][0], items[k][1])
-        assert list(shuffled._sentences) != [k for k, _ in items]
+        assert list(shuffled._spans) != [k for k, _ in items]
         a, b = tmp_path / "shuffled.bin", tmp_path / "sorted.bin"
         write_embedding_store(a, shuffled)
         write_embedding_store(b, tiny_store)
         assert a.read_bytes() == b.read_bytes()
 
     def test_stored_vectors_are_held_as_loaded(self, tmp_path):
+        # A sentence is a read-only view of its store's one row matrix: float64
+        # rows as added, float32 rows as loaded.
         x = np.array([[0.1, 1 / 3, -2.7182818, 1e-40], [3.0, np.pi, 1e30, -0.0]])
         store = EmbeddingStore(dim=4)
+        store.add_sentence("j", "w", ROLE_C, x[:1])
         store.add_sentence("i", "w", ROLE_C, x)
-        assert store.stored_vectors("i", "w", ROLE_C) is store.sorted_items()[0][1]
+        added = store.stored_vectors("i", "w", ROLE_C)
+        assert added.dtype == np.float64 and not added.flags.writeable
+        assert np.shares_memory(added, store.matrix) and store.matrix.shape == (3, 4)
+        np.testing.assert_array_equal(added, x, strict=True)
+        assert store.span("i", "w", ROLE_C) == (1, 2)
         path = tmp_path / "emb.bin"
         write_embedding_store(path, store)
-        held = load_embedding_store(path).stored_vectors("i", "w", ROLE_C)
+        loaded = load_embedding_store(path)
+        held = loaded.stored_vectors("i", "w", ROLE_C)
         assert held.dtype == np.float32 and not held.flags.writeable
+        assert np.shares_memory(held, loaded.matrix) and not loaded.matrix.flags.writeable
         np.testing.assert_array_equal(held, np.float32(x), strict=True)
+        assert loaded.span("i", "w", ROLE_C) == (0, 2)  # the file holds sorted keys
         with pytest.raises(EmbeddingKeyError, match="no-such-window"):
             store.stored_vectors("i", "no-such-window", ROLE_C)
+
+    def test_a_sentence_added_after_a_read_is_packed_on_the_next(self, tmp_path):
+        store = EmbeddingStore(dim=2)
+        store.add_sentence("i", "w", ROLE_C, [[1.0, 2.0]])
+        first = store.stored_vectors("i", "w", ROLE_C)
+        store.add_sentence("j", "w", ROLE_C, [[3.0, 4.0], [5.0, 6.0]])
+        store.add_sentence("i", "w", ROLE_Q, [[7.0, 8.0]])
+        np.testing.assert_array_equal(store.matrix, [[1, 2], [3, 4], [5, 6], [7, 8]])
+        assert store.span("j", "w", ROLE_C) == (1, 2) and store.num_records == 4
+        np.testing.assert_array_equal(first, [[1.0, 2.0]])  # an earlier view keeps its rows
+        loaded = load_embedding_store(_store_file(store, tmp_path))
+        loaded.add_sentence("k", "w", ROLE_C, [[0.1, 0.2]])  # float64 rows join float32 ones
+        assert loaded.matrix.dtype == np.float64
+        np.testing.assert_array_equal(loaded.stored_vectors("i", "w", ROLE_Q), [[7.0, 8.0]])
+        np.testing.assert_array_equal(loaded.stored_vectors("k", "w", ROLE_C), [[0.1, 0.2]])
 
     def test_store_rebuild_matches(self, tiny_corpus):
         # Building twice from the same corpus yields identical stores.

@@ -1,13 +1,16 @@
 """The stacked scoring pass: edge scores, edge weights, GCN, head, window scoring."""
 
+import dataclasses
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from otrank import model, sinkhorn
-from otrank.corpus import CandidateWindow, make_sentence
+from otrank.corpus import CandidateWindow, make_sentence, padding_sentence
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_Q,
@@ -36,7 +39,7 @@ from otrank.model import (
     store_keys,
     window_forward,
 )
-from otrank.sinkhorn import SinkhornSettings
+from otrank.sinkhorn import SinkhornSettings, align_sentences, stack_pairs
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import TrainConfig, joint_loss
 
@@ -489,6 +492,24 @@ class TestAlignmentStats:
         assert stats.iterations_max == max(iters)
         assert stats.worst_violation == max(tp.violation for tp in plans if tp.converged)
 
+    def test_unconverged_alignments_warn_once_naming_their_keys(self, tiny_corpus, tiny_store,
+                                                                tiny_ft, caplog):
+        items = instance_windows(tiny_corpus.instances)
+        with caplog.at_level(logging.WARNING):
+            groups = align_windows(items, tiny_store, tiny_ft, SinkhornSettings(max_iter=3)).groups
+        stalled = sorted(int(k) for grp in groups for k in grp.members[~grp.converged])
+        assert len(stalled) > model._NAMED_UNCONVERGED
+        [record] = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert record.name == "otrank.model"
+        message = record.getMessage()
+        assert message.startswith(f"{len(stalled)} sentence alignments did not converge")
+        keys = []
+        for k in stalled[:model._NAMED_UNCONVERGED]:
+            _, window, qid = items[k // 3]
+            keys.append(str((qid, window.id, NODE_ROLES[k % 3])))
+        assert message.endswith(", ".join(keys))
+        assert len(re.findall(r"\('[^']*', '[^']*', '[^']*'\)", message)) == len(keys)
+
     def test_empty_batch(self):
         assert alignment_stats([]) == AlignmentStats(count=0, iterations_p50=0.0,
                                                      iterations_p95=0.0, iterations_max=0,
@@ -498,7 +519,7 @@ class TestAlignmentStats:
 class TestQuestionSide:
     def test_prepared_once_per_question(self, tiny_corpus, tiny_store, tiny_ft, monkeypatch):
         lookups, filtered = [], []
-        lookup, content = tiny_store.stored_vectors, sinkhorn.content_token_indices
+        lookup, content = tiny_store.span, sinkhorn.content_token_indices
 
         def counted_lookup(instance_id, window_id, role):
             lookups.append(role)
@@ -508,7 +529,7 @@ class TestQuestionSide:
             filtered.append(sent)
             return content(sent)
 
-        monkeypatch.setattr(tiny_store, "stored_vectors", counted_lookup)
+        monkeypatch.setattr(tiny_store, "span", counted_lookup)
         monkeypatch.setattr(sinkhorn, "content_token_indices", counted_content)
         items = instance_windows(tiny_corpus.instances)
         extract_features(items, tiny_store, tiny_ft)
@@ -523,13 +544,13 @@ class TestQuestionSide:
     def test_store_keys_are_the_keys_looked_up(self, which, tiny_corpus, tiny_store, tiny_ft,
                                                monkeypatch):
         looked_up = set()
-        lookup = tiny_store.stored_vectors
+        lookup = tiny_store.span
 
         def recorded(*key):
             looked_up.add(key)
             return lookup(*key)
 
-        monkeypatch.setattr(tiny_store, "stored_vectors", recorded)
+        monkeypatch.setattr(tiny_store, "span", recorded)
         items = instance_windows(tiny_corpus.instances)[which]
         align_windows(items, tiny_store, tiny_ft)
         assert store_keys(items) == looked_up
@@ -585,3 +606,101 @@ class TestAlignmentMemory:
         finally:
             tracemalloc.stop()
         assert peak < content + scratch + content // 2, (peak, content, scratch)
+
+    def test_peak_is_one_shape_not_the_split(self, tmp_path):
+        # Four (n, m) shapes of one size each: only one shape's two stacks (and the
+        # float32 take that one of them is widened from) are alive at any time, so
+        # the peak stays below the split's content rows.
+        d, per_shape = 768, 24
+        rng = np.random.default_rng(8)
+        store = EmbeddingStore(dim=d)
+        items, shapes = [], [(n, m) for n in (3, 5) for m in (8, 12)]
+        for q, (n, m) in enumerate(s for s in shapes for _ in range(per_shape // 3)):
+            qid = f"q{q}"
+            question = make_sentence(" ".join(f"topic{q}x{i}" for i in range(n)))
+            store.add_sentence(qid, QUESTION_WINDOW_ID, ROLE_Q, rng.normal(size=(n, d)))
+            sents = [make_sentence(" ".join(f"word{i}" for i in rng.permutation(50)[:m]))
+                     for _ in NODE_ROLES]
+            for role in NODE_ROLES:
+                store.add_sentence(qid, "w", role, rng.normal(size=(m, d)))
+            items.append((question, CandidateWindow("w", *sents), qid))
+        path = tmp_path / "emb.bin"
+        write_embedding_store(path, store)
+        loaded = load_embedding_store(path)
+        ft = FrequencyTable(counts={}, num_questions=1)
+
+        largest = max(per_shape * (n * d * 8 + m * d * 12) for n, m in shapes)
+        costs = sum(per_shape * n * m * 8 for n, m in shapes)
+        reps = len(items) * 3 * d * 8
+        content = sum(per_shape * (n + m) * d * 8 for n, m in shapes)
+        bound = largest + costs + sinkhorn._COST_BLOCK_BYTES + reps
+        assert bound < content
+        tracemalloc.start()
+        try:
+            alignments = align_windows(items, loaded, ft)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(alignments.groups) == len(shapes)
+        assert peak < bound, (peak, bound, content)
+
+
+def _with_padding(items):
+    """``items`` with the prev sentence of every third window and the next of
+    every fifth replaced by padding."""
+    out = []
+    for k, (question, window, qid) in enumerate(items):
+        if k % 3 == 0:
+            window = dataclasses.replace(window, prev=padding_sentence())
+        if k % 5 == 0:
+            window = dataclasses.replace(window, next=padding_sentence())
+        out.append((question, window, qid))
+    return out
+
+
+class TestStoreRowsEqualLooseArrays:
+    """Alignment reads a loaded store's rows by row number from its one float32
+    matrix; loose float64 copies of each side, stacked by ``stack_pairs``, give
+    the same bits."""
+
+    @pytest.mark.parametrize("dim", [16, 768])
+    def test_align_windows_equals_loose_float64_arrays(self, dim, tmp_path):
+        train, _, store = make_synthetic_corpus(n_train=6, n_dev=0, n_candidates=4, dim=dim,
+                                                seed=3)
+        path = tmp_path / "emb.bin"
+        write_embedding_store(path, store)
+        items = _with_padding(instance_windows(train.instances))
+        loaded = load_embedding_store(path, store_keys(items))
+        assert loaded.matrix.dtype == np.float32
+        ft = build_frequency_table(train)
+        got = align_windows(items, loaded, ft)
+
+        pairs, questions = [], {}
+        for question, window, qid in items:
+            if qid not in questions:  # one array per question, shared by its windows
+                questions[qid] = np.array(loaded.stored_vectors(qid, QUESTION_WINDOW_ID, ROLE_Q),
+                                          np.float64)
+            for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
+                vecs = None if sent.is_padding else np.array(
+                    loaded.stored_vectors(qid, window.id, role), np.float64)
+                pairs.append((question, sent, questions[qid], vecs))
+        matrix, spans = stack_pairs(pairs)
+        assert matrix.dtype == np.float64
+        want = align_sentences(matrix, spans, ft)
+
+        assert len(got.groups) > 4 and len(got) == len(want) == 3 * len(items)
+        assert sum(s.is_padding for _, s, _, _ in pairs) > 0
+        assert got.reps.tobytes() == want.reps.tobytes()
+        assert got.costs.tobytes() == want.costs.tobytes()
+        for a, b in zip(got, want):
+            assert a.plan.plan.tobytes() == b.plan.plan.tobytes()
+            assert (a.plan.iterations_used, a.plan.converged) == (b.plan.iterations_used,
+                                                                  b.plan.converged)
+            assert _bits(a.plan.violation) == _bits(b.plan.violation)
+            assert _bits(a.cost) == _bits(b.cost)
+            assert a.relevant == b.relevant
+            assert a.representation.tobytes() == b.representation.tobytes()
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()

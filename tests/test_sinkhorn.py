@@ -34,6 +34,7 @@ from otrank.sinkhorn import (
     sentence_representations,
     sinkhorn_plan,
     sinkhorn_plans,
+    stack_pairs,
     transport_costs,
 )
 
@@ -646,19 +647,23 @@ class TestGroupedPostSolve:
             assert np.flatnonzero(relevant[b]).tolist() == rel == alone
             assert _bits(totals[b]) == _bits(transport_cost_per_pair(plans[b], costs[b]))
             assert _bits(transport_costs(plans[b][None], costs[b][None])[0]) == _bits(totals[b])
+        # The rows in reverse, so a problem's row numbers are not its positions.
+        B, m, d = vectors.shape
+        rows = vectors.reshape(-1, d)[::-1]
+        numbers = (B * m - 1 - np.arange(B * m)).reshape(B, m)
         for mask in (relevant, masks):
-            reps = sentence_representations(vectors, mask)
+            reps = sentence_representations(rows, numbers, mask)
             for b in range(len(plans)):
                 idx = np.flatnonzero(mask[b]).tolist()
                 want = sentence_representation_per_pair(vectors[b], idx)
                 assert _bits(reps[b]) == _bits(want)
-                alone = sentence_representations(vectors[b][None], mask[b][None])[0]
+                alone = sentence_representations(vectors[b], np.arange(m)[None], mask[b][None])[0]
                 assert _bits(alone) == _bits(want)
 
     def test_empty_relevant_set_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            sentence_representations(np.zeros((2, 3, 1)), np.array([[True, False, False],
-                                                                   [False, False, False]]))
+            sentence_representations(np.zeros((3, 1)), np.arange(6).reshape(2, 3) % 3,
+                                     np.array([[True, False, False], [False, False, False]]))
 
 
 class TestTransportCost:
@@ -702,27 +707,37 @@ class TestRelevantContext:
 
 class TestSentenceRepresentation:
     def test_mean_of_two(self):
-        rep = sentence_representations(np.array([[1.0, 0.0], [0.0, 1.0]])[None],
+        rep = sentence_representations(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1]]),
                                        np.array([[True, True]]))[0]
         np.testing.assert_allclose(rep, [0.5, 0.5])
 
     def test_singleton(self):
-        rep = sentence_representations(np.array([[1.0, 2.0], [3.0, 4.0]])[None],
+        rep = sentence_representations(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1, 0]]),
                                        np.array([[True, False]]))[0]
-        np.testing.assert_array_equal(rep, [1.0, 2.0])
+        np.testing.assert_array_equal(rep, [3.0, 4.0])
 
     def test_matches_mean_oracle(self):
         rng = np.random.default_rng(10)
         vecs = rng.normal(size=(5, 3))
         idx = [0, 2, 4]
         np.testing.assert_allclose(
-            sentence_representations(vecs[None], np.isin(np.arange(5), idx)[None])[0],
+            sentence_representations(vecs, np.arange(5)[None], np.isin(np.arange(5), idx)[None])[0],
             mean_oracle(vecs.tolist(), idx), atol=1e-12
         )
 
+    def test_float32_rows_give_the_bits_of_their_widening(self):
+        rows = np.random.default_rng(14).normal(size=(7, 5)).astype(np.float32)
+        numbers = np.array([[6, 0, 3], [2, 2, 5]])
+        mask = np.array([[True, False, True], [True, True, True]])
+        got = sentence_representations(rows, numbers, mask)
+        assert got.dtype == np.float64
+        assert _bits(got) == _bits(sentence_representations(rows.astype(np.float64), numbers,
+                                                            mask))
+
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            sentence_representations(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=bool))
+            sentence_representations(np.zeros((2, 2)), np.array([[0, 1]]),
+                                     np.zeros((1, 2), dtype=bool))
 
 
 class TestAlignSentence:
@@ -801,7 +816,7 @@ class TestAlignSentences:
                     sv = None if sent.is_padding else tiny_store.stored_vectors(
                         inst.question_id, w.id, role)
                     pairs.append((inst.question, sent, qv, sv))
-        batch = align_sentences(pairs, tiny_ft)
+        batch = align_sentences(*stack_pairs(pairs), tiny_ft)
         assert len(batch) == len(pairs)
         for res, pair in zip(batch, pairs):
             alone = align_sentence(*pair, tiny_ft)
@@ -820,7 +835,7 @@ class TestAlignSentences:
         s = make_sentence("stars merge")
         pairs = [(q, s, v, rng.normal(size=(2, 4)))
                  for q, v in ((q1, v1), (q1, v1), (q2, v2), (q1, v1), (q1, v3), (q2, v2), (q2, v2))]
-        batch = align_sentences(pairs, tiny_ft)
+        batch = align_sentences(*stack_pairs(pairs), tiny_ft)
         assert len(batch.groups) == 1
         for res, pair in zip(batch, pairs):
             alone = align_sentence(*pair, tiny_ft)
@@ -845,7 +860,7 @@ class TestAlignSentences:
         last = (q2, s, bad, good) if side == "question" else (q, s, qv, bad)
         pad = padding_sentence()
         with pytest.raises(UnalignablePairError, match=side) as info:
-            align_sentences([(q, s, qv, good), (q, pad, qv, None), last], tiny_ft)
+            align_sentences(*stack_pairs([(q, s, qv, good), (q, pad, qv, None), last]), tiny_ft)
         assert info.value.index == 2
         assert info.value.question is (side == "question")
 
@@ -859,7 +874,7 @@ class TestAlignSentences:
                   tiny_store.stored_vectors(inst.question_id, w.id, ROLE_C))
                  for inst in tiny_corpus.instances for w in inst.windows]
         with pytest.raises(EpsScaleError, match=re.escape(f"eps_scale = {scale} ") + f".*{says}"):
-            align_sentences(pairs, tiny_ft, SinkhornSettings(eps_scale=scale))
+            align_sentences(*stack_pairs(pairs), tiny_ft, SinkhornSettings(eps_scale=scale))
 
     def test_non_finite_cost_is_blamed_on_its_vectors_at_any_eps_scale(self, tiny_ft):
         q, s = make_sentence("galaxies collide"), make_sentence("stars merge")
@@ -867,7 +882,7 @@ class TestAlignSentences:
         bad = rng.normal(size=(2, 4))
         bad[0, 1] = np.inf
         with pytest.raises(UnalignablePairError, match="sentence vectors") as info:
-            align_sentences([(q, s, rng.normal(size=(2, 4)), bad)], tiny_ft,
+            align_sentences(*stack_pairs([(q, s, rng.normal(size=(2, 4)), bad)]), tiny_ft,
                             SinkhornSettings(eps_scale=1e308))
         assert info.value.question is False
 
@@ -875,7 +890,7 @@ class TestAlignSentences:
         q, empty = make_sentence("galaxies collide"), make_sentence("")
         qv = np.random.default_rng(17).normal(size=(2, 4))
         with pytest.raises(ValueError, match="sentence has no tokens to align"):
-            align_sentences([(q, empty, qv, np.zeros((0, 4)))], tiny_ft)
+            align_sentences(*stack_pairs([(q, empty, qv, np.zeros((0, 4)))]), tiny_ft)
 
     def test_pairs_of_two_dimensions_are_rejected(self, tiny_ft):
         q, s = make_sentence("galaxies collide"), make_sentence("stars merge")
@@ -883,7 +898,7 @@ class TestAlignSentences:
         pairs = [(q, s, rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
                  (q, s, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))]
         with pytest.raises(ValueError, match=r"one vector dimension, got \[3, 4\]"):
-            align_sentences(pairs, tiny_ft)
+            stack_pairs(pairs)
 
     def test_float32_vectors_give_the_bits_of_their_widening(self, tiny_corpus, tiny_store,
                                                               tiny_ft):
@@ -898,7 +913,7 @@ class TestAlignSentences:
                     narrow.append((inst.question, sent, qv, sv))
                     wide.append((inst.question, sent, qv.astype(np.float64),
                                  None if sv is None else sv.astype(np.float64)))
-        got, want = align_sentences(narrow, tiny_ft), align_sentences(wide, tiny_ft)
+        got, want = (align_sentences(*stack_pairs(pairs), tiny_ft) for pairs in (narrow, wide))
         np.testing.assert_array_equal(got.reps, want.reps, strict=True)
         np.testing.assert_array_equal(got.costs, want.costs, strict=True)
         for a, b in zip(got, want):
@@ -921,7 +936,7 @@ def _solver_stacks(pairs, ft):
         return solve(batch, *args)
 
     with mock.patch.object(sinkhorn, "_solve_groups", capture):
-        alignments = align_sentences(pairs, ft, SinkhornSettings(max_iter=1))
+        alignments = align_sentences(*stack_pairs(pairs), ft, SinkhornSettings(max_iter=1))
     return stacks, alignments
 
 

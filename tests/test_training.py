@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import struct
 import tracemalloc
 
@@ -33,6 +34,7 @@ from otrank.training import (
     Checkpoint,
     TrainConfig,
     adam_step,
+    config_from_dict,
     gradcheck,
     joint_loss,
     load_checkpoint,
@@ -680,3 +682,18 @@ class TestCorpusExtraction:
             assert feats.labels[k].tolist() == [
                 lab is True for lab in (w.cand.label, w.prev.label, w.next.label)
             ]
+
+
+def test_one_config_key_check_for_config_files_and_checkpoints():
+    # Only a checkpoint must hold every setting; a config file may omit some.
+    assert config_from_dict({"gamma": 0.5}) == TrainConfig(gamma=0.5)
+    full = dataclasses.asdict(TrainConfig())
+    assert config_from_dict(full, complete=True) == TrainConfig()
+    with pytest.raises(ValueError, match=re.escape("config lacks keys ['batch_size', 'seed']")):
+        config_from_dict({k: v for k, v in full.items() if k not in ("seed", "batch_size")},
+                         complete=True)
+    for complete in (False, True):
+        with pytest.raises(ValueError, match=re.escape("unknown config keys: ['adam_eps', 'x']")):
+            config_from_dict({"x": 1, "adam_eps": 1e-8}, complete=complete)
+    with pytest.raises(ValueError, match="bad training configuration: epochs must be"):
+        config_from_dict({"epochs": -1})
