@@ -27,7 +27,6 @@ from .sinkhorn import (
     cost_matrix,
     sinkhorn_plan,
     sinkhorn_plans,
-    stack_pairs,
 )
 from .synthetic import make_synthetic_corpus
 from .training import TrainConfig, gradcheck, load_checkpoint, train
@@ -54,7 +53,6 @@ __all__ = [
     "score_windows",
     "sinkhorn_plan",
     "sinkhorn_plans",
-    "stack_pairs",
     "train",
     "write_embedding_store",
 ]

@@ -88,8 +88,9 @@ class EmbeddingStore:
     and row count. A loaded store's matrix is the read-only float32 buffer
     the loader reads the kept rows into. :meth:`add_sentence` queues float64
     rows, and the first read after it packs every queued row into the matrix
-    with one concatenation. Alignment reaches vectors by row number only (see
-    :func:`~otrank.sinkhorn.align_sentences`) and widens the rows it gathers;
+    with one concatenation; a key is added once. Alignment takes the store
+    and each side's key (see :func:`~otrank.sinkhorn.align_sentences`), reads
+    the rows of the key's span by row number and widens the rows it gathers;
     widening is exact, so the numerics downstream see the same values either
     way. Once nothing more is added, concurrent reads are safe.
     """
@@ -106,15 +107,19 @@ class EmbeddingStore:
         self._rows = len(self._matrix)
 
     def add_sentence(self, instance_id: str, window_id: str, role: str, vectors) -> None:
+        """Queue one sentence's ``(tokens, dim)`` vectors under a key not yet held."""
+        key = (instance_id, window_id, role)
         if role not in _ROLES:
             raise ValueError(f"unknown role {role!r}")
+        if key in self._spans:
+            raise ValueError(f"the store already holds {key!r}")
         arr = np.asarray(vectors, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError(f"expected shape (tokens, {self.dim}), got {arr.shape}")
         if arr.shape[0] == 0:
             raise ValueError("a sentence needs at least one token vector")
         self._queued.append(arr)
-        self._spans[(instance_id, window_id, role)] = (self._rows, len(arr))
+        self._spans[key] = (self._rows, len(arr))
         self._rows += len(arr)
 
     @property

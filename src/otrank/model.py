@@ -34,7 +34,7 @@ from .embeddings import (
     EmbeddingStore,
     FrequencyTable,
 )
-from .errors import EmbeddingStoreError
+from .errors import EmbeddingStoreError, OtrankError
 from .sinkhorn import (  # noqa: F401  (align_sentence: see the note in cli.py)
     Alignments,
     PlanGroup,
@@ -86,9 +86,17 @@ class ModelParams:
 
     @classmethod
     def zeros(cls, dim: int, hidden: int, layers: int) -> "ModelParams":
-        """All-zero tensors of these sizes over a fresh buffer."""
-        size = sum(math.prod(shape) for _, shape in _layout(dim, hidden, layers))
-        return _carve(np.zeros(size), dim, hidden, layers)
+        """All-zero tensors of these sizes over a fresh buffer, counted in closed form
+        (the scorer's floats and the discriminator's); raises :class:`OtrankError`
+        naming the sizes when it cannot be allocated."""
+        size = scorer_size(dim, hidden, layers) + hidden * (2 * dim + 2) + 1
+        try:
+            flat = np.zeros(size)
+        except (MemoryError, ValueError) as exc:  # ValueError: numpy's "array is too big"
+            raise OtrankError(f"a model of d={dim}, hidden_size={hidden} and "
+                              f"gcn_layers={layers} needs {size} parameters, more than can be "
+                              f"allocated: {exc}") from None
+        return _carve(flat, dim, hidden, layers)
 
     def like(self, flat: np.ndarray) -> "ModelParams":
         """The tensors of ``flat``, another buffer of this layout, as views of it."""
@@ -218,50 +226,31 @@ def align_windows(
     items: three alignments per item, in :data:`NODE_ORDER`. Indexing the result
     gives each alignment's ``AlignmentResult``.
 
-    Every sentence alignment goes into one :func:`align_sentences` call on the
-    store's row matrix, so a whole split is solved in one batch. A question's
-    span is looked up once per question object and instance id. Logs one info
-    line with the batch's Sinkhorn statistics, and one warning, naming the
-    first few (instance, window, role) keys, when some alignments did not
-    converge.
+    The pairs of :func:`window_pairs` go into one :func:`align_sentences` call
+    on ``store``, so a whole split is solved in one batch; it looks up each
+    key, a question's once per question object. Logs one info line with the
+    batch's Sinkhorn statistics, and one warning, naming the first few
+    (instance, window, role) keys, when some alignments did not converge.
 
-    The store's spans go to :func:`align_sentences` as held; it alone checks
-    them against the token counts. Raises :class:`EmbeddingStoreError` when a
-    pair cannot be aligned, naming the (instance, window, role) key of the
-    side at fault and the reason: both counts, or a non-finite cost.
+    Raises :class:`EmbeddingStoreError` when a pair cannot be aligned, naming
+    the (instance, window, role) key of the side at fault and the reason: both
+    counts, or a non-finite cost.
     """
     started = time.perf_counter()
-    items = list(items)
-    question_spans = {}  # the items hold every keyed question, so no id is reused
-
-    def pairs():
-        for question, window, instance_id in items:
-            key = (id(question), instance_id)
-            if key not in question_spans:
-                question_spans[key] = store.span(instance_id, QUESTION_WINDOW_ID, ROLE_Q)
-            for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
-                span = None if sent.is_padding else store.span(instance_id, window.id, role)
-                yield question, sent, question_spans[key], span
-
-    def store_key(k: int, question: bool = False) -> tuple[str, str, str]:
-        """The store key of a side of pair ``k``."""
-        _, window, instance_id = items[k // 3]
-        return ((instance_id, QUESTION_WINDOW_ID, ROLE_Q) if question
-                else (instance_id, window.id, NODE_ROLES[k % 3]))
-
+    pairs = list(window_pairs(items))
     try:
-        alignments = align_sentences(store.matrix, pairs(), ft, settings)
+        alignments = align_sentences(store, pairs, ft, settings)
     except UnalignablePairError as exc:
         raise EmbeddingStoreError(
             f"the embedding store's vectors for (instance, window, role) = "
-            f"{store_key(exc.index, exc.question)} cannot be aligned: {exc}") from None
+            f"{pairs[exc.index][2 if exc.question else 3]} cannot be aligned: {exc}") from None
     stats = alignment_stats(alignments.groups)
     if stats.unconverged:
         stalled = np.sort(np.concatenate([grp.members[~grp.converged]
                                           for grp in alignments.groups]))
         logger.warning("%d sentence alignments did not converge; using best iterates. "
                        "First (instance, window, role) keys: %s", stats.unconverged,
-                       ", ".join(str(store_key(k)) for k in stalled[:_NAMED_UNCONVERGED]))
+                       ", ".join(str(pairs[k][3]) for k in stalled[:_NAMED_UNCONVERGED]))
     _log_alignment_stats(stats, time.perf_counter() - started)
     return alignments
 
@@ -333,17 +322,21 @@ def instance_windows(instances) -> list[tuple[Sentence, CandidateWindow, str]]:
     return [(inst.question, w, inst.question_id) for inst in instances for w in inst.windows]
 
 
-def store_keys(items) -> set[tuple[str, str, str]]:
-    """The embedding-store keys that :func:`align_windows` looks up for
-    ``(question, window, instance_id)`` items: each question's, and each
-    non-padding sentence's."""
-    keys = set()
-    for _, window, instance_id in items:
-        keys.add((instance_id, QUESTION_WINDOW_ID, ROLE_Q))
+def window_pairs(items):
+    """The ``(question, sentence, question_key, sentence_key)`` pairs that
+    :func:`align_windows` aligns for ``(question, window, instance_id)`` items:
+    three per item, in :data:`NODE_ORDER`, with None as a padding sentence's key."""
+    for question, window, instance_id in items:
+        question_key = (instance_id, QUESTION_WINDOW_ID, ROLE_Q)
         for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
-            if not sent.is_padding:
-                keys.add((instance_id, window.id, role))
-    return keys
+            yield (question, sent, question_key,
+                   None if sent.is_padding else (instance_id, window.id, role))
+
+
+def store_keys(items) -> set[tuple[str, str, str]]:
+    """The embedding-store keys of :func:`window_pairs` of ``(question, window,
+    instance_id)`` items: each question's, and each non-padding sentence's."""
+    return {key for pair in window_pairs(items) for key in pair[2:]} - {None}
 
 
 # Windows per stacked pass. 64 ran the training step (d=16, hidden 400) faster

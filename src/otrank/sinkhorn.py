@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Sentence, content_token_indices, content_tokens
-from .embeddings import FrequencyTable, marginal_distribution
+from .embeddings import ROLE_C, ROLE_Q, EmbeddingStore, FrequencyTable, marginal_distribution
 from .errors import EpsScaleError
 
 logger = logging.getLogger(__name__)
@@ -654,44 +654,15 @@ def align_sentence(
     ft: FrequencyTable,
     settings: SinkhornSettings = SinkhornSettings(),
 ) -> AlignmentResult:
-    """Full question-to-sentence alignment pipeline.
-
-    The one-pair call of :func:`align_sentences`, on the two arrays stacked
-    by :func:`stack_pairs`.
-    """
-    matrix, pairs = stack_pairs([(question, s, question_vectors, sentence_vectors)])
-    return align_sentences(matrix, pairs, ft, settings)[0]
-
-
-def stack_pairs(pairs) -> tuple[np.ndarray, list[tuple]]:
-    """The row matrix and span pairs for :func:`align_sentences` of
-    ``(question, sentence, question_vectors, sentence_vectors)`` pairs with
-    loose arrays (``None`` for a padding sentence's).
-
-    Each distinct array object is stacked once, in the order first met, and
-    a side's span is its array's first row and row count. The matrix has the
-    arrays' common dtype, so float32 arrays stay float32. All arrays need one
-    vector dimension.
-    """
-    arrays, spans = [], {}
-    rows = 0
-
-    def span(vectors):
-        nonlocal rows
-        if vectors is None:
-            return None
-        if id(vectors) not in spans:  # ``pairs`` holds the objects, so no id is reused
-            arr = np.asarray(vectors)
-            spans[id(vectors)] = (rows, len(arr))
-            arrays.append(arr)
-            rows += len(arr)
-        return spans[id(vectors)]
-
-    pairs = [(question, s, span(qv), span(sv)) for question, s, qv, sv in pairs]
-    dims = sorted({arr.shape[1] for arr in arrays})
-    if len(dims) > 1:
-        raise ValueError(f"pairs of one batch need one vector dimension, got {dims}")
-    return (np.concatenate(arrays) if arrays else np.empty((0, 0))), pairs
+    """Full question-to-sentence alignment pipeline: the one-pair call of
+    :func:`align_sentences`, on a store that holds the two arrays
+    (``sentence_vectors`` is None for a padding sentence)."""
+    store = EmbeddingStore(dim=np.shape(question_vectors)[-1])
+    question_key, sentence_key = ("question", "", ROLE_Q), ("sentence", "", ROLE_C)
+    store.add_sentence(*question_key, question_vectors)
+    if sentence_vectors is not None:
+        store.add_sentence(*sentence_key, sentence_vectors)
+    return align_sentences(store, [(question, s, question_key, sentence_key)], ft, settings)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -707,7 +678,7 @@ class Alignments(Sequence):
     costs: np.ndarray  # (K,) transport costs; zero for padding
     groups: list[PlanGroup]  # the problems of the non-padding pairs, by shape
     locate: np.ndarray  # (K, 2) group and row of each pair's problem; -1 for padding
-    pairs: list[tuple]  # the pairs as given
+    pairs: list[tuple]  # the (question, sentence, question_key, sentence_key) pairs as given
     ft: FrequencyTable
 
     def __len__(self) -> int:
@@ -735,29 +706,29 @@ class Alignments(Sequence):
                                sentence_token_indices=s_idx)
 
 
-def align_sentences(matrix: np.ndarray, pairs, ft: FrequencyTable,
+def align_sentences(store: EmbeddingStore, pairs, ft: FrequencyTable,
                     settings: SinkhornSettings = SinkhornSettings()) -> Alignments:
-    """Align a batch of ``(question, sentence, question_span, sentence_span)``
-    pairs whose vectors are rows of ``matrix`` ``(R, d)``, solving every
-    transport problem in one batch.
+    """Align a batch of ``(question, sentence, question_key, sentence_key)``
+    pairs whose vectors ``store`` holds, solving every transport problem in
+    one batch.
 
-    A side's span is ``(first row, rows)``: its token vectors are that many
-    consecutive rows of ``matrix``, in token order (``None`` for a padding
-    sentence). An embedding store gives its own matrix and spans;
-    :func:`stack_pairs` builds both from loose arrays.
+    A side's key is its ``(instance, window, role)`` key in ``store``, whose
+    span gives its token vectors as consecutive rows of ``store.matrix``, in
+    token order. A padding sentence's key is None and is not looked up; a key
+    the store lacks raises :class:`~otrank.errors.EmbeddingKeyError`.
 
     Per pair: filters both token lists, builds frequency marginals and the
     Euclidean cost, solves at ``eps = eps_scale * mean(D)``, and pools the
     relevant-context embeddings into the sentence representation. Both sides
     are prepared alike, the one check of a pair's inputs: each has its
     vector count checked, its content indices taken and its content words
-    numbered, a question once per question object and span, a sentence once
+    numbered, a question once per question object and key, a sentence once
     per pair. The rest runs on one stack per exact ``(n, m)`` shape:
 
-    - each side's content rows are one take from ``matrix`` by row number, a
-      span's first row plus its content indices, widened into float64
-      ``(B, n, d)`` question and ``(B, m, d)`` sentence stacks, which is
-      exact. The two stacks live only through the shape's cost build;
+    - each side's content rows are one take from the store's matrix by row
+      number, its span's first row plus its content indices, widened into
+      float64 ``(B, n, d)`` question and ``(B, m, d)`` sentence stacks, which
+      is exact. The two stacks live only through the shape's cost build;
     - its marginals are one ``(B, n)`` and one ``(B, m)`` gather of smoothed
       counts, each distinct word looked up in ``ft`` once per call, divided
       by their row sums. A row of a contiguous ``(B, m)`` array sums as a
@@ -785,9 +756,9 @@ def align_sentences(matrix: np.ndarray, pairs, ft: FrequencyTable,
     pairs = list(pairs)
     words: dict[str, int] = {}  # the distinct content words of both sides, numbered
 
-    def prepare(k: int, what: str, sent: Sentence, span):
+    def prepare(k: int, what: str, sent: Sentence, key):
         """The first row, content indices and content word numbers of one side."""
-        first, rows = span
+        first, rows = store.span(*key)
         if rows != len(sent.tokens):
             raise UnalignablePairError(k, f"{what} has {len(sent.tokens)} tokens but "
                                        f"{rows} vectors", what == "question")
@@ -797,17 +768,17 @@ def align_sentences(matrix: np.ndarray, pairs, ft: FrequencyTable,
         return first, idx, [words.setdefault(sent.tokens[j].normalized, len(words)) for j in idx]
 
     # Keyed on the question object's id; ``pairs`` holds the objects, so no id is reused.
-    prepared: dict[tuple[int, tuple[int, int]], tuple] = {}
+    prepared: dict[tuple[int, tuple[str, str, str]], tuple] = {}
     # Per exact (n, m) shape: each pair's position and its two prepared sides.
     by_shape: dict[tuple[int, int], list[tuple]] = {}
-    for k, (question, s, question_span, sentence_span) in enumerate(pairs):
-        key = (id(question), question_span)
+    for k, (question, s, question_key, sentence_key) in enumerate(pairs):
+        key = (id(question), question_key)
         if key not in prepared:
-            prepared[key] = prepare(k, "question", question, question_span)
+            prepared[key] = prepare(k, "question", question, question_key)
         if not s.is_padding:
-            q, side = prepared[key], prepare(k, "sentence", s, sentence_span)
+            q, side = prepared[key], prepare(k, "sentence", s, sentence_key)
             by_shape.setdefault((len(q[1]), len(side[1])), []).append((k, q, side))
-    d = matrix.shape[1]
+    matrix, d = store.matrix, store.dim
     weights = np.array([ft.smoothed(word) for word in words], dtype=np.float64)
 
     def numbers(sides) -> np.ndarray:
@@ -840,8 +811,8 @@ def align_sentences(matrix: np.ndarray, pairs, ft: FrequencyTable,
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # plans checked below
             groups = _solve_groups(stacks, count, settings.max_iter, settings.tol)
     except UnalignablePairError as exc:
-        question, _, question_span, _ = pairs[exc.index]
-        first, idx, _ = prepared[(id(question), question_span)]
+        question, _, question_key, _ = pairs[exc.index]
+        first, idx, _ = prepared[(id(question), question_key)]
         side = "sentence" if np.isfinite(matrix[first + np.array(idx)]).all() else "question"
         raise UnalignablePairError(exc.index, f"{side} vectors give a non-finite transport cost",
                                    side == "question") from None

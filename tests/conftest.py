@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otrank.cli
 from otrank.corpus import Corpus, load_corpus, save_corpus
 from otrank.embeddings import (
     QUESTION_WINDOW_ID,
@@ -123,6 +128,17 @@ def assert_scorer_loaded(loaded, saved) -> None:
             np.testing.assert_array_equal(t, want[name], strict=True, err_msg=name)
 
 
+def run_one_blas_thread(argv):
+    """Run ``otrank argv`` in a child on one BLAS thread, as the benchmark does;
+    two threads give other bits."""
+    src = str(Path(otrank.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONHASHSEED="0",
+               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "otrank.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.fixture(scope="session")
 def tiny_corpus_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("corpus") / "tiny.jsonl"
@@ -172,4 +188,29 @@ def bench_rerank_inputs(tmp_path_factory):
     save_corpus(train, paths["train"])
     save_corpus(Corpus(instances=heldout.instances, split="test"), paths["heldout"])
     write_embedding_store(paths["emb"], store)
+    return paths
+
+
+@pytest.fixture(scope="session")
+def bench_eval_wide_inputs(tmp_path_factory):
+    """The benchmark's ``eval_wide`` inputs for seed 1 (``perfbench/inputs.py``): the
+    50 held-out questions it scores at d=768, the store that holds them and the 200
+    generated train questions, and the checkpoint its preparation trains on the first
+    20 of those (perfbench's PREP_HYPERPARAMS, 3 epochs, one BLAS thread), as files
+    by name."""
+    td = tmp_path_factory.mktemp("bench_eval_wide")
+    train, heldout, store = make_synthetic_corpus(n_train=200, n_dev=50, n_candidates=5,
+                                                  dim=768, seed=1)
+    paths = {"train": td / "prep_train.jsonl", "heldout": td / "heldout.jsonl",
+             "emb": td / "emb.bin", "ckpt": td / "model.ckpt"}
+    save_corpus(Corpus(instances=train.instances[:20], split="train"), paths["train"])
+    save_corpus(Corpus(instances=heldout.instances, split="test"), paths["heldout"])
+    write_embedding_store(paths["emb"], store)
+    cfg = td / "prep_config.json"
+    cfg.write_text(json.dumps({"train_corpus": str(paths["train"]),
+                               "embeddings": str(paths["emb"]),
+                               "checkpoint_out": str(paths["ckpt"]), "learning_rate": 3e-3,
+                               "batch_size": 16, "gamma": 0.3, "hidden_size": 400, "epochs": 3,
+                               "seed": 1}))
+    run_one_blas_thread(["train", "--config", str(cfg)])
     return paths

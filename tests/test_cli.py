@@ -6,13 +6,9 @@ import hashlib
 import io
 import json
 import logging
-import os
 import re
 import struct
-import subprocess
-import sys
 import zlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +30,13 @@ from otrank.model import align_windows, init_model_params, instance_windows, sco
 from otrank.errors import CheckpointError
 from otrank.training import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
-from conftest import TINY_RECORDS, assert_scorer_loaded, build_tiny_store, write_tiny_jsonl
+from conftest import (
+    TINY_RECORDS,
+    assert_scorer_loaded,
+    build_tiny_store,
+    run_one_blas_thread,
+    write_tiny_jsonl,
+)
 
 
 @pytest.fixture(scope="module")
@@ -1040,17 +1042,6 @@ BENCH_TRAIN_SCORER = "ce1a2c62e82043d3b7d4447a043694852cd83f3659076ae94e76c82d33
 BENCH_RERANK_RANKINGS = "831fda7e853c1225629f8cc28f2b6078cfd2b166628bcac77fc9136653ec89c8"
 
 
-def _run_one_blas_thread(argv):
-    """Run ``otrank argv`` in a child on one BLAS thread, as the benchmark does;
-    two threads give other bits."""
-    src = str(Path(otrank.cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONHASHSEED="0",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-m", "otrank.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-
-
 def test_benchmark_rerank_writes_the_pinned_rankings(bench_rerank_inputs, tmp_path):
     # The benchmark's preparation checkpoint (perfbench's PREP_HYPERPARAMS, 5 epochs),
     # then its rerank of the held-out split: every alignment, score and ranking bit.
@@ -1061,12 +1052,60 @@ def test_benchmark_rerank_writes_the_pinned_rankings(bench_rerank_inputs, tmp_pa
            "epochs": 5, "seed": 1}
     cfg_path = tmp_path / "prep_config.json"
     cfg_path.write_text(json.dumps(cfg))
-    _run_one_blas_thread(["train", "--config", str(cfg_path)])
+    run_one_blas_thread(["train", "--config", str(cfg_path)])
     out = tmp_path / "rankings.jsonl"
-    _run_one_blas_thread(["rerank", "--checkpoint", cfg["checkpoint_out"],
-                          "--split", str(bench_rerank_inputs["heldout"]),
-                          "--embeddings", cfg["embeddings"], "--out", str(out)])
+    run_one_blas_thread(["rerank", "--checkpoint", cfg["checkpoint_out"],
+                         "--split", str(bench_rerank_inputs["heldout"]),
+                         "--embeddings", cfg["embeddings"], "--out", str(out)])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCH_RERANK_RANKINGS
+
+
+# SHA-256 of the report and of the per-question TSV that the benchmark's eval_wide
+# command writes for seed 1.
+BENCH_EVAL_WIDE_REPORT = "a6675e1d86ed84b6c91dafe6b82b180b1eba9e2e0181048d35dd5902aae39d47"
+BENCH_EVAL_WIDE_TSV = "02b273bca7a5c2809102de4b000a4ea7c27be3e4d883eac554f93e90eb38f9bc"
+
+
+def _eval_one_blas_thread(inputs, tmp_path, lines, name):
+    """The report and the per-question TSV rows, by question id, that ``eval
+    --per-question`` writes on one BLAS thread for the split of ``lines``."""
+    split, out, tsv = (tmp_path / f"{name}{ext}" for ext in (".jsonl", ".json", ".tsv"))
+    split.write_text("".join(lines))
+    run_one_blas_thread(["eval", "--checkpoint", str(inputs["ckpt"]), "--split", str(split),
+                         "--embeddings", str(inputs["emb"]), "--out", str(out),
+                         "--per-question", str(tsv)])
+    rows = tsv.read_text().splitlines(keepends=True)
+    assert rows[0] == "question_id\tp_at_1\tap\trr\n"
+    return out.read_bytes(), tsv.read_bytes(), {row.split("\t")[0]: row for row in rows[1:]}
+
+
+@pytest.fixture(scope="module")
+def eval_wide_whole(bench_eval_wide_inputs, tmp_path_factory):
+    """The held-out split's lines and what ``eval`` writes for the whole split."""
+    lines = bench_eval_wide_inputs["heldout"].read_text().splitlines(keepends=True)
+    return lines, _eval_one_blas_thread(bench_eval_wide_inputs,
+                                        tmp_path_factory.mktemp("eval_wide"), lines, "whole")
+
+
+class TestBenchmarkEvalWide:
+    """The benchmark's eval_wide command at d=768, the other width at which a
+    window's score is bitwise its score alone."""
+
+    def test_writes_the_pinned_report_and_rows(self, eval_wide_whole):
+        lines, (report, tsv, rows) = eval_wide_whole
+        assert len(lines) == len(rows) == 50
+        assert hashlib.sha256(report).hexdigest() == BENCH_EVAL_WIDE_REPORT
+        assert hashlib.sha256(tsv).hexdigest() == BENCH_EVAL_WIDE_TSV
+
+    def test_each_question_writes_the_same_row(self, bench_eval_wide_inputs, eval_wide_whole,
+                                               tmp_path):
+        lines, (_, _, whole) = eval_wide_whole
+        for name, parts in (("reversed", [lines[::-1]]), ("halves", [lines[:25], lines[25:]])):
+            got = {}
+            for k, part in enumerate(parts):
+                got.update(_eval_one_blas_thread(bench_eval_wide_inputs, tmp_path, part,
+                                                 f"{name}{k}")[2])
+            assert got == whole, name
 
 
 def _train_config(cli_env, tmp_path, **over):
@@ -1231,6 +1270,21 @@ class TestTrainCommand:
         assert captured.out == ""
         assert not (tmp_path / "out.ckpt").exists() and not (tmp_path / "log.jsonl").exists()
 
+    # Sizes beyond the address space, so that no allocation can succeed lazily.
+    @pytest.mark.parametrize("key,value", [("gcn_layers", 10**12), ("hidden_size", 10**13),
+                                           ("hidden_size", 10**17)],
+                             ids=["layers", "hidden", "hidden-beyond-numpy"])
+    def test_oversized_model_exits_one_naming_its_sizes(self, key, value, cli_env, tmp_path,
+                                                        capsys):
+        cfg_path = _train_config(cli_env, tmp_path, **{key: value})
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        sizes = {"hidden_size": 5, "gcn_layers": 2, key: value}
+        assert (f"a model of d={cli_env['store'].dim}, hidden_size={sizes['hidden_size']} and "
+                f"gcn_layers={sizes['gcn_layers']} needs") in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_checkpoint_records_the_config_seed(self, cli_env, tmp_path):
         cfg_path = _train_config(cli_env, tmp_path, epochs=0, seed=99)
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -1304,7 +1358,7 @@ class TestTrainCommand:
                "epochs": 30, "seed": 1}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        _run_one_blas_thread(["train", "--config", str(cfg_path)])
+        run_one_blas_thread(["train", "--config", str(cfg_path)])
         params = load_checkpoint(tmp_path / "out.ckpt").params
         run = params.flat[:scorer_size(params.dim, params.hidden, params.layers)]
         assert hashlib.sha256(run.tobytes()).hexdigest() == BENCH_TRAIN_SCORER

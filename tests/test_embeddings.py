@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -192,15 +193,25 @@ class TestEmbeddingStore:
         vecs = tiny_store.stored_vectors("q1", "q1-w2", "p")
         np.testing.assert_array_equal(vecs, np.zeros((1, tiny_store.dim)))
 
-    @pytest.mark.parametrize("role,rows,says", [
-        ("x", 2, "unknown role 'x'"),
-        (ROLE_C, 0, "at least one token vector"),
-    ], ids=["role-x", "zero-rows"])
-    def test_add_sentence_rejects(self, role, rows, says):
+    @pytest.mark.parametrize("role,shape,says", [
+        ("x", (2, 4), "unknown role 'x'"),
+        (ROLE_C, (0, 4), "at least one token vector"),
+        (ROLE_C, (2, 3), re.escape("expected shape (tokens, 4), got (2, 3)")),
+    ], ids=["role-x", "zero-rows", "other-dim"])
+    def test_add_sentence_rejects(self, role, shape, says):
         store = EmbeddingStore(dim=4)
         with pytest.raises(ValueError, match=says):
-            store.add_sentence("q", "w", role, np.zeros((rows, 4)))
+            store.add_sentence("q", "w", role, np.zeros(shape))
         assert store.num_records == 0
+
+    def test_add_sentence_rejects_a_key_it_holds(self):
+        # A second add would leave the first rows orphaned in the matrix.
+        store = EmbeddingStore(dim=4)
+        store.add_sentence("q", "w", ROLE_C, np.ones((2, 4)))
+        with pytest.raises(ValueError, match=re.escape("already holds ('q', 'w', 'c')")):
+            store.add_sentence("q", "w", ROLE_C, np.zeros((3, 4)))
+        assert store.num_records == 2 and store.matrix.shape == (2, 4)
+        np.testing.assert_array_equal(store.stored_vectors("q", "w", ROLE_C), np.ones((2, 4)))
 
     def test_missing_key_names_key(self, tiny_store):
         with pytest.raises(EmbeddingKeyError, match="no-such-window"):

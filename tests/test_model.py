@@ -38,8 +38,9 @@ from otrank.model import (
     scorer_size,
     store_keys,
     window_forward,
+    window_pairs,
 )
-from otrank.sinkhorn import SinkhornSettings, align_sentences, stack_pairs
+from otrank.sinkhorn import SinkhornSettings, align_sentences
 from otrank.synthetic import make_synthetic_corpus
 from otrank.training import TrainConfig, joint_loss
 
@@ -660,8 +661,8 @@ def _with_padding(items):
 
 class TestStoreRowsEqualLooseArrays:
     """Alignment reads a loaded store's rows by row number from its one float32
-    matrix; loose float64 copies of each side, stacked by ``stack_pairs``, give
-    the same bits."""
+    matrix; a store built by ``add_sentence`` from float64 copies of those rows,
+    under the same keys, gives the same bits."""
 
     @pytest.mark.parametrize("dim", [16, 768])
     def test_align_windows_equals_loose_float64_arrays(self, dim, tmp_path):
@@ -671,22 +672,14 @@ class TestStoreRowsEqualLooseArrays:
         write_embedding_store(path, store)
         items = _with_padding(instance_windows(train.instances))
         loaded = load_embedding_store(path, store_keys(items))
-        assert loaded.matrix.dtype == np.float32
+        wide = EmbeddingStore(dim=dim)
+        for key, rows in loaded.sorted_items():
+            wide.add_sentence(*key, np.array(rows, np.float64))
+        assert (loaded.matrix.dtype, wide.matrix.dtype) == (np.float32, np.float64)
         ft = build_frequency_table(train)
         got = align_windows(items, loaded, ft)
-
-        pairs, questions = [], {}
-        for question, window, qid in items:
-            if qid not in questions:  # one array per question, shared by its windows
-                questions[qid] = np.array(loaded.stored_vectors(qid, QUESTION_WINDOW_ID, ROLE_Q),
-                                          np.float64)
-            for sent, role in zip((window.cand, window.prev, window.next), NODE_ROLES):
-                vecs = None if sent.is_padding else np.array(
-                    loaded.stored_vectors(qid, window.id, role), np.float64)
-                pairs.append((question, sent, questions[qid], vecs))
-        matrix, spans = stack_pairs(pairs)
-        assert matrix.dtype == np.float64
-        want = align_sentences(matrix, spans, ft)
+        pairs = list(window_pairs(items))
+        want = align_sentences(wide, pairs, ft)
 
         assert len(got.groups) > 4 and len(got) == len(want) == 3 * len(items)
         assert sum(s.is_padding for _, s, _, _ in pairs) > 0

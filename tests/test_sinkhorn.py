@@ -20,10 +20,14 @@ from otrank.embeddings import (
     QUESTION_WINDOW_ID,
     ROLE_C,
     ROLE_Q,
+    EmbeddingStore,
     FrequencyTable,
+    load_embedding_store,
     marginal_distribution,
+    write_embedding_store,
 )
-from otrank.errors import EpsScaleError
+from otrank.errors import EmbeddingKeyError, EpsScaleError
+from otrank.model import NODE_ROLES, instance_windows, window_pairs
 from otrank.sinkhorn import (
     SinkhornSettings,
     UnalignablePairError,
@@ -34,7 +38,6 @@ from otrank.sinkhorn import (
     sentence_representations,
     sinkhorn_plan,
     sinkhorn_plans,
-    stack_pairs,
     transport_costs,
 )
 
@@ -806,20 +809,23 @@ class TestAlignSentence:
             align_sentence(q, s, rng.normal(size=(3, 4)), rng.normal(size=(2, 4)), tiny_ft)
 
 
+def _tiny_pairs(corpus, roles=NODE_ROLES):
+    """The ``(question, sentence, question_key, sentence_key)`` pairs of the
+    corpus's windows whose role is in ``roles``."""
+    return [pair for k, pair in enumerate(window_pairs(instance_windows(corpus.instances)))
+            if NODE_ROLES[k % 3] in roles]
+
+
 class TestAlignSentences:
     def test_batch_matches_pair_by_pair(self, tiny_corpus, tiny_store, tiny_ft):
-        pairs = []
-        for inst in tiny_corpus.instances:
-            qv = tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
-            for w in inst.windows:
-                for sent, role in ((w.cand, "c"), (w.prev, "p"), (w.next, "n")):
-                    sv = None if sent.is_padding else tiny_store.stored_vectors(
-                        inst.question_id, w.id, role)
-                    pairs.append((inst.question, sent, qv, sv))
-        batch = align_sentences(*stack_pairs(pairs), tiny_ft)
+        pairs = _tiny_pairs(tiny_corpus)
+        batch = align_sentences(tiny_store, pairs, tiny_ft)
         assert len(batch) == len(pairs)
-        for res, pair in zip(batch, pairs):
-            alone = align_sentence(*pair, tiny_ft)
+        assert any(key is None for _, _, _, key in pairs)
+        for res, (question, s, question_key, key) in zip(batch, pairs):
+            vectors = None if key is None else tiny_store.stored_vectors(*key)
+            alone = align_sentence(question, s, tiny_store.stored_vectors(*question_key),
+                                   vectors, tiny_ft)
             np.testing.assert_array_equal(res.plan.plan, alone.plan.plan)
             np.testing.assert_array_equal(res.representation, alone.representation)
             assert res.cost == alone.cost
@@ -827,18 +833,24 @@ class TestAlignSentences:
 
     def test_questions_in_runs_and_interleaved(self, tiny_ft):
         # Questions of one shape and one set of words, each with vectors of its
-        # own (one question object with two arrays too), met in runs and
+        # own (one question object under two keys too), met in runs and
         # alternately: every pair keeps its own question's rows.
         rng = np.random.default_rng(16)
         q1, q2 = make_sentence("galaxies collide"), make_sentence("galaxies collide")
-        v1, v2, v3 = (rng.normal(size=(2, 4)) for _ in range(3))
         s = make_sentence("stars merge")
-        pairs = [(q, s, v, rng.normal(size=(2, 4)))
-                 for q, v in ((q1, v1), (q1, v1), (q2, v2), (q1, v1), (q1, v3), (q2, v2), (q2, v2))]
-        batch = align_sentences(*stack_pairs(pairs), tiny_ft)
+        store = EmbeddingStore(dim=4)
+        for qid in ("a", "b", "c"):
+            store.add_sentence(qid, QUESTION_WINDOW_ID, ROLE_Q, rng.normal(size=(2, 4)))
+        pairs = []
+        for k, (q, qid) in enumerate(((q1, "a"), (q1, "a"), (q2, "b"), (q1, "a"), (q1, "c"),
+                                      (q2, "b"), (q2, "b"))):
+            store.add_sentence(qid, f"w{k}", ROLE_C, rng.normal(size=(2, 4)))
+            pairs.append((q, s, (qid, QUESTION_WINDOW_ID, ROLE_Q), (qid, f"w{k}", ROLE_C)))
+        batch = align_sentences(store, pairs, tiny_ft)
         assert len(batch.groups) == 1
-        for res, pair in zip(batch, pairs):
-            alone = align_sentence(*pair, tiny_ft)
+        for res, (question, s, question_key, key) in zip(batch, pairs):
+            alone = align_sentence(question, s, store.stored_vectors(*question_key),
+                                   store.stored_vectors(*key), tiny_ft)
             assert res.cost == alone.cost
             np.testing.assert_array_equal(res.plan.plan, alone.plan.plan, strict=True)
             np.testing.assert_array_equal(res.representation, alone.representation, strict=True)
@@ -857,10 +869,17 @@ class TestAlignSentences:
             bad = bad[:1]
         else:
             bad[1, 2] = np.inf  # a content row of either side
-        last = (q2, s, bad, good) if side == "question" else (q, s, qv, bad)
-        pad = padding_sentence()
+        store = EmbeddingStore(dim=4)
+        question_key, good_key = ("i", QUESTION_WINDOW_ID, ROLE_Q), ("i", "w1", ROLE_C)
+        bad_key = ("j", QUESTION_WINDOW_ID, ROLE_Q) if side == "question" else ("i", "w2", ROLE_C)
+        for key, vectors in ((question_key, qv), (good_key, good), (bad_key, bad)):
+            store.add_sentence(*key, vectors)
+        last = ((q2, s, bad_key, good_key) if side == "question"
+                else (q, s, question_key, bad_key))
+        pairs = [(q, s, question_key, good_key), (q, padding_sentence(), question_key, None),
+                 last]
         with pytest.raises(UnalignablePairError, match=side) as info:
-            align_sentences(*stack_pairs([(q, s, qv, good), (q, pad, qv, None), last]), tiny_ft)
+            align_sentences(store, pairs, tiny_ft)
         assert info.value.index == 2
         assert info.value.question is (side == "question")
 
@@ -869,12 +888,29 @@ class TestAlignSentences:
                                                           tiny_ft, scale, says):
         # A scale valid on its own gives an eps that overflows, or plans that do not
         # come out finite, for the tiny corpus's costs.
-        pairs = [(inst.question, w.cand,
-                  tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q),
-                  tiny_store.stored_vectors(inst.question_id, w.id, ROLE_C))
-                 for inst in tiny_corpus.instances for w in inst.windows]
+        pairs = _tiny_pairs(tiny_corpus, roles=(ROLE_C,))
         with pytest.raises(EpsScaleError, match=re.escape(f"eps_scale = {scale} ") + f".*{says}"):
-            align_sentences(*stack_pairs(pairs), tiny_ft, SinkhornSettings(eps_scale=scale))
+            align_sentences(tiny_store, pairs, tiny_ft, SinkhornSettings(eps_scale=scale))
+
+    def test_a_key_the_store_lacks_is_named(self, tiny_corpus, tiny_store, tiny_ft):
+        question, s, question_key, _ = _tiny_pairs(tiny_corpus)[0]
+        with pytest.raises(EmbeddingKeyError, match="no-such-window"):
+            align_sentences(tiny_store, [(question, s, question_key,
+                                          ("q1", "no-such-window", ROLE_C))], tiny_ft)
+
+    def test_sentence_without_tokens_is_rejected(self, tiny_ft):
+        # The store holds no sentence without a vector.
+        q, empty = make_sentence("galaxies collide"), make_sentence("")
+        qv = np.random.default_rng(17).normal(size=(2, 4))
+        with pytest.raises(ValueError, match="at least one token vector"):
+            align_sentence(q, empty, qv, np.zeros((0, 4)), tiny_ft)
+
+    def test_padding_question_has_no_tokens_to_align(self, tiny_ft):
+        s = make_sentence("stars merge")
+        rng = np.random.default_rng(20)
+        with pytest.raises(ValueError, match="question has no tokens to align"):
+            align_sentence(padding_sentence(), s, np.zeros((1, 4)), rng.normal(size=(2, 4)),
+                           tiny_ft)
 
     def test_non_finite_cost_is_blamed_on_its_vectors_at_any_eps_scale(self, tiny_ft):
         q, s = make_sentence("galaxies collide"), make_sentence("stars merge")
@@ -882,38 +918,22 @@ class TestAlignSentences:
         bad = rng.normal(size=(2, 4))
         bad[0, 1] = np.inf
         with pytest.raises(UnalignablePairError, match="sentence vectors") as info:
-            align_sentences(*stack_pairs([(q, s, rng.normal(size=(2, 4)), bad)]), tiny_ft,
-                            SinkhornSettings(eps_scale=1e308))
+            align_sentence(q, s, rng.normal(size=(2, 4)), bad, tiny_ft,
+                           SinkhornSettings(eps_scale=1e308))
         assert info.value.question is False
 
-    def test_sentence_without_tokens_is_rejected(self, tiny_ft):
-        q, empty = make_sentence("galaxies collide"), make_sentence("")
-        qv = np.random.default_rng(17).normal(size=(2, 4))
-        with pytest.raises(ValueError, match="sentence has no tokens to align"):
-            align_sentences(*stack_pairs([(q, empty, qv, np.zeros((0, 4)))]), tiny_ft)
-
-    def test_pairs_of_two_dimensions_are_rejected(self, tiny_ft):
-        q, s = make_sentence("galaxies collide"), make_sentence("stars merge")
-        rng = np.random.default_rng(18)
-        pairs = [(q, s, rng.normal(size=(2, 4)), rng.normal(size=(2, 4))),
-                 (q, s, rng.normal(size=(2, 3)), rng.normal(size=(2, 3)))]
-        with pytest.raises(ValueError, match=r"one vector dimension, got \[3, 4\]"):
-            stack_pairs(pairs)
-
     def test_float32_vectors_give_the_bits_of_their_widening(self, tiny_corpus, tiny_store,
-                                                              tiny_ft):
-        narrow, wide = [], []
-        for inst in tiny_corpus.instances:
-            qv = tiny_store.stored_vectors(inst.question_id, QUESTION_WINDOW_ID, ROLE_Q)
-            qv = qv.astype(np.float32)
-            for w in inst.windows:
-                for sent, role in ((w.cand, "c"), (w.prev, "p"), (w.next, "n")):
-                    sv = None if sent.is_padding else tiny_store.stored_vectors(
-                        inst.question_id, w.id, role).astype(np.float32)
-                    narrow.append((inst.question, sent, qv, sv))
-                    wide.append((inst.question, sent, qv.astype(np.float64),
-                                 None if sv is None else sv.astype(np.float64)))
-        got, want = (align_sentences(*stack_pairs(pairs), tiny_ft) for pairs in (narrow, wide))
+                                                              tiny_ft, tmp_path):
+        # The tiny store read back holds float32 rows; a store built from their
+        # float64 widenings, under the same keys, aligns to the same bits.
+        write_embedding_store(tmp_path / "emb.bin", tiny_store)
+        narrow = load_embedding_store(tmp_path / "emb.bin")
+        wide = EmbeddingStore(dim=narrow.dim)
+        for key, vectors in narrow.sorted_items():
+            wide.add_sentence(*key, vectors)
+        assert (narrow.matrix.dtype, wide.matrix.dtype) == (np.float32, np.float64)
+        pairs = _tiny_pairs(tiny_corpus)
+        got, want = (align_sentences(store, pairs, tiny_ft) for store in (narrow, wide))
         np.testing.assert_array_equal(got.reps, want.reps, strict=True)
         np.testing.assert_array_equal(got.costs, want.costs, strict=True)
         for a, b in zip(got, want):
@@ -925,7 +945,7 @@ class TestAlignSentences:
 _VOCAB = [f"word{i}" for i in range(12)]
 
 
-def _solver_stacks(pairs, ft):
+def _solver_stacks(store, pairs, ft):
     """The ``(members, P, Q, D, E)`` stacks that ``align_sentences`` hands the
     solver, and its result."""
     stacks = []
@@ -936,7 +956,7 @@ def _solver_stacks(pairs, ft):
         return solve(batch, *args)
 
     with mock.patch.object(sinkhorn, "_solve_groups", capture):
-        alignments = align_sentences(*stack_pairs(pairs), ft, SinkhornSettings(max_iter=1))
+        alignments = align_sentences(store, pairs, ft, SinkhornSettings(max_iter=1))
     return stacks, alignments
 
 
@@ -961,14 +981,17 @@ class TestGatheredMarginals:
         rng = np.random.default_rng(len(sentences))
         sents = [make_sentence(" ".join(ws)) for words in sentences
                  for ws in (words, words[::-1])]
-        pairs = []
-        for words in questions:
+        store, pairs = EmbeddingStore(dim=2), []
+        for i, words in enumerate(questions):
             question = make_sentence(" ".join(words))
-            qv = rng.normal(size=(len(question.tokens), 2))
-            pairs += [(question, s, qv, rng.normal(size=(len(s.tokens), 2))) for s in sents]
-            pairs.append((question, padding_sentence(), qv, None))
+            question_key = (f"q{i}", QUESTION_WINDOW_ID, ROLE_Q)
+            store.add_sentence(*question_key, rng.normal(size=(len(question.tokens), 2)))
+            for j, s in enumerate(sents):
+                store.add_sentence(f"q{i}", f"w{j}", ROLE_C, rng.normal(size=(len(s.tokens), 2)))
+                pairs.append((question, s, question_key, (f"q{i}", f"w{j}", ROLE_C)))
+            pairs.append((question, padding_sentence(), question_key, None))
         want = [marginal_distribution(content_tokens(s), ft) for s in sents]
-        stacks, alignments = _solver_stacks(pairs, ft)
+        stacks, alignments = _solver_stacks(store, pairs, ft)
         rows = 0
         for members, P, Q, _, _ in stacks:
             for b, k in enumerate(members):

@@ -25,8 +25,9 @@ TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # parameter buffer replaced, the question side's own alignment preparation, and
 # the window padding and missing-frequency-table error that the loaders' own
 # checks replaced, the checkpoint's named tensor table, the reused buffers of
-# the training step, the regularizer's 8-row pair table, and the header reader
-# that struct.unpack_from replaced, that the package no longer has.
+# the training step, the regularizer's 8-row pair table, the header reader
+# that struct.unpack_from replaced, and the loose-array stacker that a store
+# built by key replaced, that the package no longer has.
 REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate", "as2_loss",
            "score_window", "discriminator", "extract_window_features",
            "extract_corpus_features", "gradients", "store_checksum", "WindowFeatures",
@@ -39,7 +40,7 @@ REMOVED = ("dependency_score", "edge_weights", "gcn_forward", "score_candidate",
            "NonFiniteCostError", "pad_context", "MissingFrequencyTableError", "_pack_tensors",
            "_decode_tensors", "Workspace", "_pairs_by_mask", "_ANSWER_BITS", "_PAIRS_BY_MASK",
            "_TABLE_COUNT", "_TABLE_START", "ByteReader", "_walk_records", "_copy_pending",
-           "_check_indices", "_write_str", "_RELEASE_BYTES", "_MADV_DONTNEED")
+           "_check_indices", "_write_str", "_RELEASE_BYTES", "_MADV_DONTNEED", "stack_pairs")
 
 
 def test_every_export_resolves():

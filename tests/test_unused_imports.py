@@ -1,5 +1,6 @@
-"""Every imported name is used, and every private name is read where it is defined:
-ast checks over the package (both) and the tests (imports).
+"""Every imported name is used, every private name is read where it is defined,
+and every public function or class is used or exported: ast checks over the
+package (all three) and the tests (imports).
 
 An import kept on purpose (say, a name another tool looks up as a module
 attribute) carries ``# noqa: F401`` on its statement's first line or on the
@@ -66,6 +67,35 @@ def dead_private_names(source: str) -> list[tuple[int, str]]:
     return found
 
 
+def unused_public_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(module, line, name)`` of every module-level public function or class of
+    the ``{module: source}`` package that no module reads (as a name or an
+    attribute) outside its definition, imports from another module, or lists in
+    ``__all__``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads, imported, exported = Counter(), set(), set()
+    for tree in trees.values():
+        reads += _loads(tree) + Counter(n.attr for n in ast.walk(tree)
+                                        if isinstance(n, ast.Attribute)
+                                        and isinstance(n.ctx, ast.Load))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                exported |= {elt.value for elt in ast.walk(node.value)
+                             if isinstance(elt, ast.Constant)}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and reads[node.name] == _loads(node)[node.name]
+                    and node.name not in imported | exported):
+                found.append((module, node.lineno, node.name))
+    return found
+
+
 def test_every_import_is_used():
     assert len(FILES) > 20
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text("utf-8")) for p in FILES}
@@ -91,3 +121,19 @@ def test_the_check_finds_a_dead_private_name():
               "class _Kept:\n    pass\n"
               "def public():\n    return _helper(), _Kept\n")
     assert dead_private_names(source) == [(2, "_UNUSED"), (6, "_recursive")]
+
+
+def test_every_public_name_is_used_or_exported():
+    found = unused_public_names({p.name: p.read_text("utf-8") for p in PACKAGE})
+    assert found == []
+
+
+def test_the_check_finds_an_unused_public_name():
+    sources = {
+        "a.py": ("def called():\n    return 1\ndef imported():\n    pass\n"
+                 "def exported():\n    pass\ndef recursive(n):\n    return recursive(n - 1)\n"
+                 "class Orphan:\n    pass\ndef _private():\n    return called()\n"),
+        "b.py": ("from .a import imported\nimport a\n__all__ = ['exported']\n"
+                 "def by_attribute():\n    pass\nx = a.by_attribute\n"),
+    }
+    assert unused_public_names(sources) == [("a.py", 7, "recursive"), ("a.py", 9, "Orphan")]
